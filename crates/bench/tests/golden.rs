@@ -1,11 +1,35 @@
 //! Golden-value tests pinning a subset of `experiments_output.txt`: the
 //! E1 / Figure 4 `k(n)` tables and the E5 capacity sweeps. Any drift in
 //! the admission arithmetic (Eqs. 15–18) shows up here as an exact
-//! mismatch, with the blessed numbers visible in the diff.
+//! mismatch, with the blessed numbers visible in the diff. The E18 /
+//! E19 cluster tables are pure virtual time, so they are pinned whole:
+//! byte-for-byte against the committed blocks of that file.
 
 use strandfs_bench::experiments::{
-    e1_fig4, e5_capacity, projected_env, standard_video_spec, vintage_env,
+    e18_cluster, e19_integrity, e1_fig4, e5_capacity, projected_env, standard_video_spec,
+    vintage_env,
 };
+
+/// The block of the committed `experiments_output.txt` under the
+/// `## <tag> ` heading, up to and excluding the blank line that ends it.
+fn committed_block(tag: &str) -> &'static str {
+    const OUTPUT: &str = include_str!("../../../experiments_output.txt");
+    let start = OUTPUT
+        .find(&format!("## {tag} "))
+        .expect("experiments_output.txt has the block");
+    let rest = &OUTPUT[start..];
+    &rest[..rest.find("\n\n").map_or(rest.len(), |end| end + 1)]
+}
+
+#[test]
+fn e18_cluster_table_is_pinned() {
+    assert_eq!(e18_cluster::table().to_string(), committed_block("E18"));
+}
+
+#[test]
+fn e19_integrity_table_is_pinned() {
+    assert_eq!(e19_integrity::table().to_string(), committed_block("E19"));
+}
 
 #[test]
 fn e1_fig4_vintage_curve_is_pinned() {

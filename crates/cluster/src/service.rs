@@ -11,28 +11,21 @@
 //! offsets, only the strand/block addresses change.
 //!
 //! The per-stream bookkeeping (epochs, deadline accounting, the
-//! degradation ladder) mirrors `strandfs_sim::playback`, which remains
-//! the single-volume reference; the outcome structures are shared so
-//! the SLO reports read identically.
+//! degradation ladder) is not re-grown here: each viewer is a
+//! [`strandfs_sim::StreamState`] — the same value the single-volume
+//! loop drives — wrapped in the cluster's replica pin. This module
+//! owns only what happens between a stream's `begin_turn` and
+//! `end_turn`: which member a fetch goes to, and what failover,
+//! hedging, read-around, scrub and quarantine do about its outcome.
 
-use crate::catalog::TitleId;
+use crate::catalog::{ReplicaState, TitleId};
 use crate::cluster::{Cluster, RejoinReport};
-use strandfs_core::mrs::PlaySchedule;
-use strandfs_core::msm::{BlockFetch, FetchFailure};
-use strandfs_core::FsError;
-use strandfs_obs::{DegradeAction, Event, ObsSink};
-use strandfs_sim::metrics::{NanosSummary, RoundSample, SimReport, StreamOutcome};
+use strandfs_core::msm::{BlockFetch, FetchFailure, Msm};
+use strandfs_core::{FsError, StrandId};
+use strandfs_obs::{Event, ObsSink};
+use strandfs_sim::metrics::SimReport;
+use strandfs_sim::StreamState;
 use strandfs_units::{Instant, Nanos};
-
-/// Signed deadline margin in nanoseconds: positive = early, negative =
-/// late (the same convention as `Event::deadline_margin`).
-fn signed_margin(deadline: Instant, done: Instant) -> i64 {
-    if done <= deadline {
-        (deadline - done).as_nanos() as i64
-    } else {
-        -((done - deadline).as_nanos() as i64)
-    }
-}
 
 /// Configuration of a cluster playback run.
 #[derive(Clone, Copy, Debug)]
@@ -154,7 +147,7 @@ pub struct VolumeStats {
 }
 
 /// The result of a cluster playback run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ClusterReport {
     /// The per-stream outcomes and totals, in viewer order — the same
     /// shape single-volume simulations report, so SLO tooling applies.
@@ -233,259 +226,46 @@ impl ClusterReport {
     }
 }
 
-struct Epoch {
-    first_item: usize,
-    display_start: Option<Instant>,
-    resumed_at: Option<Instant>,
-}
-
-/// Per-stream service state; the cluster-side sibling of
-/// `playback::StreamState`, extended with the replica pin.
+/// A viewer stream: the shared per-stream service state plus the
+/// cluster's pin — which title it plays, from which replica (on which
+/// volume), and how often that changed mid-playback.
 struct CStream {
     title: TitleId,
     replica: usize,
-    schedule: PlaySchedule,
-    completions: Vec<Instant>,
-    fetch_rounds: Vec<u64>,
-    dropped: Vec<bool>,
-    next: usize,
-    read_ahead: u64,
-    service_start: Option<Instant>,
-    epochs: Vec<Epoch>,
-    retries: u64,
-    drops_since_admit: u64,
-    revoked_at: Option<Instant>,
-    revokes: u64,
-    recovery_time: Nanos,
-    deadline_emitted: usize,
+    /// The volume holding `replica`; follows every re-pin.
+    vol: usize,
     failovers: u64,
-    /// The stream's last fetch completion: later fetches cannot
-    /// complete before it, even when they land on a volume whose clock
-    /// trails (e.g. after a read-around serve from a busier replica).
-    serve_floor: Instant,
+    state: StreamState,
 }
 
-impl CStream {
-    fn new(title: TitleId, replica: usize, schedule: PlaySchedule, read_ahead: u64) -> CStream {
-        let n = schedule.items.len();
-        CStream {
-            title,
-            replica,
-            schedule,
-            completions: Vec::with_capacity(n),
-            fetch_rounds: Vec::with_capacity(n),
-            dropped: Vec::with_capacity(n),
-            next: 0,
-            read_ahead,
-            service_start: None,
-            epochs: vec![Epoch {
-                first_item: 0,
-                display_start: None,
-                resumed_at: None,
-            }],
-            retries: 0,
-            drops_since_admit: 0,
-            revoked_at: None,
-            revokes: 0,
-            recovery_time: Nanos::ZERO,
-            deadline_emitted: 0,
-            failovers: 0,
-            serve_floor: Instant::from_nanos(0),
-        }
-    }
-
-    fn finished(&self) -> bool {
-        self.next >= self.schedule.items.len()
-    }
-
-    fn deadline_of(&self, j: usize) -> Option<Instant> {
-        let ep = self.epochs.iter().rev().find(|e| e.first_item <= j)?;
-        let ds = ep.display_start?;
-        let base = self.schedule.items[ep.first_item].at;
-        Some(ds + (self.schedule.items[j].at - base))
-    }
-
-    fn emit_due_deadlines(&mut self, stream: usize, obs: &ObsSink) {
-        if !obs.is_enabled() {
-            return;
-        }
-        while self.deadline_emitted < self.completions.len() {
-            let j = self.deadline_emitted;
-            if self.dropped[j] {
-                self.deadline_emitted += 1;
-                continue;
-            }
-            let pos = self
-                .epochs
-                .iter()
-                .rposition(|e| e.first_item <= j)
-                .expect("epoch 0 covers every item");
-            match self.epochs[pos].display_start {
-                Some(_) => {
-                    let deadline = self.deadline_of(j).expect("covering epoch has started");
-                    let done = self.completions[j];
-                    let round = self.fetch_rounds[j];
-                    obs.emit(|| Event::Deadline {
-                        stream,
-                        item: j as u64,
-                        round,
-                        deadline,
-                        completed: done,
-                    });
-                    self.deadline_emitted += 1;
-                }
-                None if pos + 1 == self.epochs.len() => break,
-                None => self.deadline_emitted += 1,
-            }
-        }
-    }
-
-    /// Longest run of dropped-or-late schedule items (trailing
-    /// never-serviced items count as dropped).
-    fn miss_burst(&self) -> u64 {
-        let serviced = self.completions.len();
-        let mut burst = 0u64;
-        let mut run = 0u64;
-        for j in 0..self.schedule.items.len() {
-            let missed = if j >= serviced || self.dropped[j] {
-                true
-            } else {
-                self.deadline_of(j)
-                    .map(|d| self.completions[j] > d)
-                    .unwrap_or(false)
-            };
-            if missed {
-                run += 1;
-                burst = burst.max(run);
-            } else {
-                run = 0;
-            }
-        }
-        burst
-    }
-
-    fn outcome(&self, stream: usize, obs: &ObsSink) -> StreamOutcome {
-        let items = &self.schedule.items;
-        let serviced = self.completions.len();
-        debug_assert!(
-            self.completions.windows(2).all(|w| w[0] <= w[1]),
-            "fetch completions must be non-decreasing"
-        );
-        let mut dropped_blocks = (items.len() - serviced) as u64;
-        let mut fetched = 0u64;
-        let mut violations = 0u64;
-        let mut lateness = Vec::new();
-        let mut first_violation = None;
-        let first_display = self.epochs.first().and_then(|e| e.display_start);
-        for (j, item) in items.iter().enumerate().take(serviced) {
-            if self.dropped[j] {
-                dropped_blocks += 1;
-                continue;
-            }
-            if !item.silence {
-                fetched += 1;
-            }
-            let Some(deadline) = self.deadline_of(j) else {
-                continue;
-            };
-            let done = self.completions[j];
-            if j >= self.deadline_emitted {
-                obs.emit(|| Event::Deadline {
-                    stream,
-                    item: j as u64,
-                    round: self.fetch_rounds[j],
-                    deadline,
-                    completed: done,
-                });
-            }
-            if done > deadline {
-                violations += 1;
-                lateness.push(done - deadline);
-                if first_violation.is_none() {
-                    if let Some(ds) = first_display {
-                        first_violation = Some(deadline - ds);
-                    }
-                }
-            }
-        }
-        let mut series = Vec::new();
-        let mut j = 0;
-        while j < serviced {
-            let round = self.fetch_rounds[j];
-            let mut worst = i64::MAX;
-            let mut last = j;
-            while last < serviced && self.fetch_rounds[last] == round {
-                if !self.dropped[last] {
-                    if let Some(deadline) = self.deadline_of(last) {
-                        worst = worst.min(signed_margin(deadline, self.completions[last]));
-                    }
-                }
-                last += 1;
-            }
-            if worst == i64::MAX {
-                worst = 0;
-            }
-            let turn_end = self.completions[last - 1];
-            let consumed = match first_display {
-                Some(ds) => items.partition_point(|it| ds + it.at <= turn_end),
-                None => 0,
-            };
-            series.push(RoundSample {
-                round,
-                blocks: (last - j) as u64,
-                worst_margin_ns: worst,
-                buffered: (last as u64).saturating_sub(consumed as u64),
-            });
-            j = last;
-        }
-        let mut max_buffered = 0u64;
-        for j in 0..serviced {
-            let Some(deadline) = self.deadline_of(j) else {
-                continue;
-            };
-            let fetched_by = self.completions.partition_point(|c| *c <= deadline);
-            max_buffered = max_buffered.max((fetched_by as u64).saturating_sub(j as u64));
-        }
-        StreamOutcome {
-            blocks: items.len() as u64,
-            fetched,
-            violations,
-            max_lateness: lateness.iter().copied().max().unwrap_or(Nanos::ZERO),
-            lateness: NanosSummary::of(lateness),
-            start_latency: match (first_display, self.service_start) {
-                (Some(ds), Some(ss)) => ds - ss,
-                _ => Nanos::ZERO,
-            },
-            max_buffered,
-            series,
-            first_violation,
-            dropped_blocks,
-            retries: self.retries,
-            revokes: self.revokes,
-            recovery_time: self.recovery_time,
-        }
-    }
-}
-
-/// The first live replica of `title` on an up, unquarantined member,
-/// excluding `not`.
-fn find_replica(
-    cluster: &Cluster,
-    quarantined: &[bool],
-    title: TitleId,
-    not: Option<usize>,
-) -> Option<usize> {
-    cluster
-        .catalog()
-        .live_replica(title, not, |v| cluster.is_up(v) && !quarantined[v])
-}
-
-/// Any live replica on an up member — the fallback when every healthy
-/// copy is quarantined (serving slow beats not serving at all).
-fn find_replica_any(cluster: &Cluster, title: TitleId, not: Option<usize>) -> Option<usize> {
-    cluster
-        .catalog()
-        .live_replica(title, not, |v| cluster.is_up(v))
+/// One member volume's lane through a run: its clock within the round
+/// and the bookkeeping of every per-volume defense.
+#[derive(Default)]
+struct Lane {
+    /// The volume's clock within the current round. Every lane starts a
+    /// round at the same instant; the round ends at the latest one.
+    clock: Instant,
+    /// Disk busy time already booked into the report.
+    busy_mark: Nanos,
+    stats: VolumeStats,
+    /// Sitting out — no serving where an alternative exists — for
+    /// breaching the read-latency SLO.
+    quarantined: bool,
+    /// Consecutive on-time probes while quarantined.
+    clean_probes: u64,
+    /// Consecutive rounds in which the volume fired hedges.
+    hedged_rounds: u64,
+    /// Hedges the volume fired this round.
+    round_hedges: u64,
+    /// The scrubber's position: `(strand raw id, block)`.
+    scrub_cursor: (u64, u64),
+    /// Full scrub passes over the member's strands completed.
+    scrub_passes: u64,
+    /// The conservative slack charge for one scrub probe: worst-case
+    /// positioning plus one revolution. Scrub only runs while the
+    /// volume's clock plus this charge stays inside the already-decided
+    /// round end, so it can never extend a round.
+    scrub_cost: Nanos,
 }
 
 /// One scrub probe on volume `v`: verify the next stamped block under
@@ -533,345 +313,834 @@ enum ScrubRepair {
     /// The block was rewritten in place from a clean replica.
     Repaired,
     /// In-place repair was impossible; the whole replica was
-    /// invalidated for background re-replication, re-pinning `switched`
-    /// viewer streams off it.
-    Invalidated { switched: u64 },
+    /// invalidated for background re-replication and its viewers
+    /// re-pinned off it.
+    Invalidated,
     /// No live copy to repair from: detected, not repairable.
     Skipped,
 }
 
-/// Scrub found a corrupt block on volume `v`: repair it surgically by
-/// fetching the true payload of the same block from a clean live
-/// replica and rewriting the corrupt extent in place — viewers stay
-/// pinned, nothing moves. Only when no source payload hashes to the
-/// stamped checksum (a diverged or doubly-corrupt copy) does the
-/// repair fall back to invalidating the whole replica so background
-/// re-replication rebuilds it — the same path a wiped rejoin uses.
-fn repair_corrupt_block(
-    cluster: &mut Cluster,
-    quarantined: &[bool],
-    streams: &mut [CStream],
-    vol_t: &mut [Instant],
-    v: usize,
-    strand: strandfs_core::StrandId,
-    block: u64,
-) -> Result<ScrubRepair, FsError> {
-    let mut owner = None;
-    for (t, title) in cluster.catalog().titles().iter().enumerate() {
-        for (i, r) in title.replicas.iter().enumerate() {
-            if r.volume == v
-                && r.state == crate::catalog::ReplicaState::Live
-                && r.strands.iter().any(|l| l.strand == strand)
-            {
-                let slot = r
-                    .strands
-                    .iter()
-                    .position(|l| l.strand == strand)
-                    .expect("just matched");
-                owner = Some((t, i, slot));
+/// How the cross-replica fetch of one block ended.
+enum Fetched {
+    /// The block was resident at this instant.
+    Served(Instant),
+    /// No replica could supply it; the stream gave up at this instant.
+    Lost(Instant),
+}
+
+/// One `simulate_cluster` run: the cluster, its viewers and lanes, the
+/// round clock and the report being built. Every step of a round, and
+/// every defense, is one method.
+///
+/// Within a round the engine is *viewer-major*: streams take their
+/// turns in viewer order and each turn charges the clock of whichever
+/// lane it lands on. That order is observable — a hedge issues at the
+/// other lane's clock, a read-around charges its source lane — so a
+/// lane's clock mid-round depends on which viewers ran before.
+struct Run<'a> {
+    cluster: &'a mut Cluster,
+    cfg: &'a ClusterPlayback,
+    script: &'a [ScriptedAction],
+    /// Script entries already fired, parallel to `script`.
+    applied: Vec<bool>,
+    obs: ObsSink,
+    k: u64,
+    streams: Vec<CStream>,
+    lanes: Vec<Lane>,
+    report: ClusterReport,
+    /// The instant the current round started on every volume.
+    t: Instant,
+    round: u64,
+    /// Consecutive fault-free rounds — the ladder's re-admission signal.
+    clean_streak: u64,
+    round_faults: bool,
+}
+
+impl<'a> Run<'a> {
+    /// Pin one stream per viewer — viewers of a multi-replica title
+    /// spread across its replicas round-robin — and open a lane per
+    /// member.
+    fn new(
+        cluster: &'a mut Cluster,
+        viewers: &[TitleId],
+        script: &'a [ScriptedAction],
+        cfg: &'a ClusterPlayback,
+    ) -> Result<Run<'a>, FsError> {
+        let mut streams = Vec::with_capacity(viewers.len());
+        for (i, &title) in viewers.iter().enumerate() {
+            let replicas = &cluster.catalog().title(title).replicas;
+            let nrep = replicas.len();
+            let start = i % nrep.max(1);
+            let replica = (0..nrep)
+                .map(|d| (start + d) % nrep)
+                .find(|&r| {
+                    replicas[r].state == ReplicaState::Live && cluster.is_up(replicas[r].volume)
+                })
+                .ok_or(FsError::InvalidScenario {
+                    reason: "viewer title has no live replica on an up member",
+                })?;
+            let schedule = replicas[replica].schedule.clone();
+            streams.push(CStream {
+                title,
+                replica,
+                vol: replicas[replica].volume,
+                failovers: 0,
+                state: StreamState::new(i, schedule, cfg.read_ahead.max(1)),
+            });
+        }
+        let lanes = cluster
+            .members()
+            .iter()
+            .map(|m| {
+                let d = m.mrs().msm().disk();
+                Lane {
+                    busy_mark: d.stats().busy_time(),
+                    scrub_cost: (d.max_positioning_time() + d.geometry().rotation_time())
+                        .to_nanos(),
+                    ..Lane::default()
+                }
+            })
+            .collect();
+        let report = ClusterReport {
+            replicated: viewers
+                .iter()
+                .map(|&t| cluster.catalog().title(t).replicas.len() >= 2)
+                .collect(),
+            ..ClusterReport::default()
+        };
+        Ok(Run {
+            obs: cluster.obs(),
+            cluster,
+            cfg,
+            script,
+            applied: vec![false; script.len()],
+            k: cfg.k.max(1),
+            streams,
+            lanes,
+            report,
+            t: Instant::EPOCH,
+            round: 0,
+            clean_streak: 0,
+            round_faults: false,
+        })
+    }
+
+    fn msm_mut(&mut self, v: usize) -> &mut Msm {
+        self.cluster.member_mut(v).mrs_mut().msm_mut()
+    }
+
+    fn busy_time(&self, v: usize) -> Nanos {
+        self.cluster.members()[v]
+            .mrs()
+            .msm()
+            .disk()
+            .stats()
+            .busy_time()
+    }
+
+    /// Unfinished streams sitting revoked.
+    fn revoked(&self) -> impl Iterator<Item = &CStream> {
+        self.streams
+            .iter()
+            .filter(|s| !s.state.finished() && s.state.is_revoked())
+    }
+
+    /// The first live replica of `title` on an up, unquarantined member,
+    /// excluding `not`.
+    fn healthy_replica(&self, title: TitleId, not: Option<usize>) -> Option<usize> {
+        self.cluster.catalog().live_replica(title, not, |v| {
+            self.cluster.is_up(v) && !self.lanes[v].quarantined
+        })
+    }
+
+    /// The replica of `title` to play from, excluding `not`: a healthy
+    /// one, else — when every healthy copy is quarantined — any live
+    /// replica on an up member (serving slow beats not serving at all).
+    fn find_replica(&self, title: TitleId, not: Option<usize>) -> Option<usize> {
+        self.healthy_replica(title, not).or_else(|| {
+            self.cluster
+                .catalog()
+                .live_replica(title, not, |v| self.cluster.is_up(v))
+        })
+    }
+
+    /// Re-pin stream `idx` to replica `r` of its title: swap in the
+    /// replica's schedule in place, keeping every completion, epoch and
+    /// item offset.
+    fn repin(&mut self, idx: usize, r: usize) -> Result<(), FsError> {
+        let s = &mut self.streams[idx];
+        let rep = &self.cluster.catalog().title(s.title).replicas[r];
+        s.state.repin(&rep.schedule)?;
+        (s.replica, s.vol) = (r, rep.volume);
+        Ok(())
+    }
+
+    /// Re-pin a stream mid-playback, counting the switch.
+    fn fail_over(&mut self, idx: usize, r: usize) -> Result<(), FsError> {
+        self.repin(idx, r)?;
+        self.streams[idx].failovers += 1;
+        Ok(())
+    }
+
+    /// Fire the scripted membership changes due at this round boundary.
+    fn apply_script(&mut self) -> Result<(), FsError> {
+        let script = self.script;
+        for (si, a) in script.iter().enumerate() {
+            if self.applied[si] || a.at_round > self.round {
+                continue;
+            }
+            self.applied[si] = true;
+            let rejoined = match a.action {
+                ClusterAction::Kill(v) => {
+                    self.cluster.kill(v);
+                    continue;
+                }
+                ClusterAction::Rejoin(v) => {
+                    let report = self.cluster.rejoin(v, self.t)?;
+                    self.report.rejoins.push(report);
+                    v
+                }
+                ClusterAction::RejoinWiped(v) => {
+                    self.report.rejoins.push(self.cluster.rejoin_wiped(v));
+                    v
+                }
+            };
+            // Recovery I/O is mount work, not playback service.
+            self.lanes[rejoined].busy_mark = self.busy_time(rejoined);
+        }
+        Ok(())
+    }
+
+    /// Ladder re-admission: the fault window stayed clear long enough
+    /// AND the stream has somewhere live to play from.
+    fn readmit(&mut self) -> Result<(), FsError> {
+        if self.clean_streak < self.cfg.readmit_clean_rounds {
+            return Ok(());
+        }
+        for idx in 0..self.streams.len() {
+            let s = &self.streams[idx];
+            if !s.state.is_revoked() || s.state.finished() {
+                continue;
+            }
+            let Some(r) = self.find_replica(s.title, None) else {
+                continue;
+            };
+            if r != s.replica {
+                self.repin(idx, r)?;
+            }
+            self.streams[idx]
+                .state
+                .readmit(self.round, self.t, &self.obs);
+        }
+        Ok(())
+    }
+
+    /// With nobody in service, is anything left worth running rounds
+    /// for — a scripted action, a restorable replica, a first scrub
+    /// pass, a revoked stream with somewhere to return to?
+    fn drained(&self) -> bool {
+        let script_pending = self.applied.iter().any(|done| !done);
+        let restore_pending =
+            self.cfg.restore_blocks_per_round > 0 && self.cluster.restorable_lost();
+        let scrub_pending = self.cfg.scrub_blocks_per_round > 0
+            && (0..self.lanes.len())
+                .any(|v| self.cluster.is_up(v) && self.lanes[v].scrub_passes == 0);
+        let can_return = self
+            .revoked()
+            .any(|s| self.find_replica(s.title, None).is_some());
+        !(script_pending || restore_pending || scrub_pending || can_return)
+    }
+
+    /// Every volume starts the round at `t`.
+    fn start_lanes(&mut self) {
+        for lane in &mut self.lanes {
+            lane.clock = self.t;
+            lane.round_hedges = 0;
+        }
+    }
+
+    /// A round with nobody in service: no playback I/O, but revoked
+    /// viewers' displays sit frozen while it passes — advance the clock
+    /// so recovery accounting sees the outage. The whole advanced window
+    /// is spare slack: it belongs to the scrubber and the quarantine
+    /// probes.
+    fn idle_round(&mut self) -> Result<(), FsError> {
+        let min_dur = self
+            .revoked()
+            .map(|s| s.state.next_item().duration)
+            .min()
+            .unwrap_or(Nanos::from_millis(100));
+        let advanced = Nanos::from_nanos(self.k.saturating_mul(min_dur.as_nanos()));
+        let (round, at) = (self.round, self.t);
+        self.obs.emit(|| Event::RoundIdle {
+            round,
+            at,
+            advanced,
+        });
+        self.start_lanes();
+        self.scrub_pass(at + advanced)?;
+        self.probe_quarantined(at);
+        self.t = self.restore_pass(at + advanced)?;
+        self.clean_streak += 1;
+        Ok(())
+    }
+
+    /// Open a service round for `active` streams.
+    fn begin_round(&mut self, active: usize) {
+        let (round, k, at) = (self.round, self.k, self.t);
+        self.obs.emit(|| Event::RoundStart {
+            round,
+            active,
+            k,
+            at,
+        });
+        self.start_lanes();
+        self.round_faults = false;
+    }
+
+    /// One stream's turn: up to `k` blocks, each served on the clock of
+    /// the volume the stream is pinned to by then — a failover or a won
+    /// hedge moves the pin mid-turn. That clock is also where a display
+    /// epoch opens and the turn ends, and after a read-around it is
+    /// *not* the completion just recorded.
+    fn serve_turn(&mut self, idx: usize) -> Result<(), FsError> {
+        let clock = self.lanes[self.streams[idx].vol].clock;
+        self.streams[idx]
+            .state
+            .begin_turn(self.round, self.t, clock);
+        for _ in 0..self.k {
+            let s = &self.streams[idx];
+            if !s.state.in_service() {
+                break;
+            }
+            let fetched = if s.state.next_item().silence {
+                Fetched::Served(self.lanes[s.vol].clock.max(s.state.last_completion()))
+            } else {
+                self.fetch(idx)?
+            };
+            let s = &mut self.streams[idx];
+            let clock = self.lanes[s.vol].clock;
+            match fetched {
+                Fetched::Served(done) => s.state.record(done, clock, &self.obs),
+                Fetched::Lost(at) => {
+                    self.round_faults = true;
+                    s.state
+                        .record_drop(at, clock, self.cfg.revoke_after_drops, &self.obs);
+                }
             }
         }
+        let s = &mut self.streams[idx];
+        s.state.end_turn(self.lanes[s.vol].clock, &self.obs);
+        Ok(())
     }
-    let Some((title, rep, slot)) = owner else {
-        return Ok(ScrubRepair::Skipped);
-    };
-    // Candidate sources: every other live copy on an up member,
-    // healthy ones before quarantined ones.
-    let mut sources: Vec<(usize, strandfs_core::StrandId)> = cluster
-        .catalog()
-        .title(title)
-        .replicas
-        .iter()
-        .enumerate()
-        .filter(|&(r, rp)| {
-            r != rep && rp.state == crate::catalog::ReplicaState::Live && cluster.is_up(rp.volume)
-        })
-        .map(|(_, rp)| (rp.volume, rp.strands[slot].strand))
-        .collect();
-    if sources.is_empty() {
-        return Ok(ScrubRepair::Skipped);
-    }
-    sources.sort_by_key(|&(sv, _)| quarantined[sv]);
-    for (sv, src_strand) in sources {
-        // Refuse a source whose own copy of the block fails (or cannot
-        // pass) verification — repair must never launder corruption.
-        let src = cluster.members()[sv].mrs().msm();
-        if !matches!(src.check_block_sum(src_strand, block), Ok(Some(true))) {
-            continue;
-        }
-        let fetched = cluster
-            .member_mut(sv)
-            .mrs_mut()
-            .msm_mut()
-            .read_block(src_strand, block, vol_t[sv]);
-        let Ok((Some(payload), Some(src_op))) = fetched else {
-            continue;
-        };
-        vol_t[sv] = src_op.completed;
-        let rewrite = cluster
-            .member_mut(v)
-            .mrs_mut()
-            .msm_mut()
-            .rewrite_block(strand, block, vol_t[v], &payload);
-        // A stamp mismatch here means the copies diverged — try the
-        // next source, or fall through to wholesale rebuild.
-        if let Ok(op) = rewrite {
-            vol_t[v] = op.completed;
-            return Ok(ScrubRepair::Repaired);
-        }
-    }
-    // Every source is unreadable or diverged: rebuild the replica
-    // wholesale through the restore path.
-    let mut switched = 0;
-    for s in streams.iter_mut() {
-        if s.title != title || s.replica != rep || s.finished() {
-            continue;
-        }
-        if let Some(r) = find_replica(cluster, quarantined, title, Some(rep))
-            .or_else(|| find_replica_any(cluster, title, Some(rep)))
-        {
-            switch_schedule(cluster, s, r)?;
-            s.failovers += 1;
-            switched += 1;
-        }
-    }
-    cluster.invalidate_replica(title, rep)?;
-    Ok(ScrubRepair::Invalidated { switched })
-}
 
-/// A viewer read hit a corrupt payload: serve that one block from
-/// another live replica and rewrite the corrupt extent in place
-/// (read-around repair). The stream keeps its pin — one corrupt block
-/// costs one remote read instead of a permanent switch onto whatever
-/// replica remains, which may sit on a quarantined fail-slow member.
-/// Returns the serving volume and completion time, or `None` when no
-/// other replica holds a verifiable copy of the block.
-fn read_around_repair(
-    cluster: &mut Cluster,
-    quarantined: &[bool],
-    title: TitleId,
-    rep: usize,
-    j: usize,
-    not_before: Instant,
-    vol_t: &mut [Instant],
-) -> Result<Option<(usize, Instant)>, FsError> {
-    let t = cluster.catalog().title(title);
-    let (dst_vol, dst_item) = (t.replicas[rep].volume, t.replicas[rep].schedule.items[j]);
-    let mut sources: Vec<(usize, _)> = t
-        .replicas
-        .iter()
-        .enumerate()
-        .filter(|&(r, rp)| {
-            r != rep && rp.state == crate::catalog::ReplicaState::Live && cluster.is_up(rp.volume)
-        })
-        .map(|(_, rp)| (rp.volume, rp.schedule.items[j]))
-        .collect();
-    sources.sort_by_key(|&(sv, _)| quarantined[sv]);
-    for (sv, src_item) in sources {
-        if src_item.silence {
-            continue;
-        }
-        // Same rule as the scrubber: never serve or launder a copy that
-        // cannot pass verification itself.
-        let src = cluster.members()[sv].mrs().msm();
-        if !matches!(
-            src.check_block_sum(src_item.strand, src_item.block),
-            Ok(Some(true))
-        ) {
-            continue;
-        }
-        // The remote read cannot be issued before the corrupt local
-        // read failed — `not_before` keeps completions monotonic.
-        let issue = vol_t[sv].max(not_before);
-        let fetched = cluster.member_mut(sv).mrs_mut().msm_mut().read_block(
-            src_item.strand,
-            src_item.block,
-            issue,
-        );
-        let Ok((Some(payload), Some(op))) = fetched else {
-            continue;
-        };
-        vol_t[sv] = op.completed;
-        // Best effort: a failed rewrite (diverged stamp) still served a
-        // verified payload; the scrubber deals with the bad copy later.
-        if let Ok(wop) = cluster
-            .member_mut(dst_vol)
-            .mrs_mut()
-            .msm_mut()
-            .rewrite_block(dst_item.strand, dst_item.block, vol_t[dst_vol], &payload)
-        {
-            vol_t[dst_vol] = wop.completed;
-        }
-        return Ok(Some((sv, op.completed)));
-    }
-    Ok(None)
-}
-
-/// Totals the scrubber accumulates across rounds.
-#[derive(Default)]
-struct ScrubCounters {
-    scrubbed: u64,
-    corrupt: u64,
-    repaired: u64,
-    invalidated: u64,
-}
-
-/// One budgeted scrub pass over every up volume, charged strictly
-/// against the slack between each volume's clock and `t_next` — the
-/// round end playback already decided — so scrub can never extend a
-/// round or perturb a deadline. Returns the stream re-pins repairs
-/// forced.
-#[allow(clippy::too_many_arguments)]
-fn scrub_pass(
-    cluster: &mut Cluster,
-    cfg: &ClusterPlayback,
-    obs: &ObsSink,
-    quarantined: &[bool],
-    streams: &mut [CStream],
-    vol_t: &mut [Instant],
-    t_next: Instant,
-    scrub_cost: &[Nanos],
-    scrub_cursor: &mut [(u64, u64)],
-    scrub_passes: &mut [u64],
-    stats: &mut [VolumeStats],
-    counters: &mut ScrubCounters,
-) -> Result<u64, FsError> {
-    let mut switched_total = 0u64;
-    for v in 0..vol_t.len() {
-        if !cluster.is_up(v) {
-            continue;
-        }
-        let mut budget = cfg.scrub_blocks_per_round;
-        while budget > 0 && vol_t[v] + scrub_cost[v] <= t_next {
-            match scrub_step(cluster, v, &mut scrub_cursor[v]) {
-                None => {
-                    scrub_passes[v] += 1;
-                    break;
-                }
-                Some((strand, block, ok)) => {
-                    budget -= 1;
-                    vol_t[v] += scrub_cost[v];
-                    counters.scrubbed += 1;
-                    stats[v].scrubbed += 1;
-                    let (at, sid) = (vol_t[v], strand.raw());
-                    obs.emit(|| Event::Scrub {
-                        volume: v,
-                        strand: sid,
-                        block,
-                        ok,
+    /// Fetch stream `idx`'s next (stored) block, crossing replicas as
+    /// the fetch demands: a media error downs the volume and fails the
+    /// stream over — the glitch stays bounded by read-ahead because the
+    /// re-fetch happens in the same round — and a corrupt payload is
+    /// read around.
+    fn fetch(&mut self, idx: usize) -> Result<Fetched, FsError> {
+        let floor = self.streams[idx].state.last_completion();
+        let mut fail_at = self.lanes[self.streams[idx].vol].clock.max(floor);
+        for _attempt in 0..=self.lanes.len() {
+            let s = &self.streams[idx];
+            let vol = s.vol;
+            if self.cluster.is_up(vol) {
+                let (item, deadline) = (s.state.next_item(), s.state.next_deadline());
+                let issue = self.lanes[vol].clock.max(fail_at);
+                let budget = item.duration;
+                let (reason, at, retries) = match self.msm_mut(vol).fetch_block(
+                    item.strand,
+                    item.block,
+                    issue,
+                    budget,
+                    deadline,
+                    false,
+                )? {
+                    BlockFetch::Silence => {
+                        return Err(FsError::InvalidScenario {
+                            reason: "non-silence schedule item resolves to a silence hole",
+                        })
+                    }
+                    BlockFetch::Data { op, retries, .. } => {
+                        let done = self.served(idx, issue, op.completed, retries)?;
+                        return Ok(Fetched::Served(done));
+                    }
+                    BlockFetch::Failed {
+                        reason,
                         at,
-                    });
-                    if !ok {
-                        counters.corrupt += 1;
-                        match repair_corrupt_block(
-                            cluster,
-                            quarantined,
-                            streams,
-                            vol_t,
-                            v,
-                            strand,
-                            block,
-                        )? {
-                            ScrubRepair::Repaired => counters.repaired += 1,
-                            ScrubRepair::Invalidated { switched } => {
-                                counters.invalidated += 1;
-                                switched_total += switched;
-                                // The replica's strands just vanished
-                                // from under the cursor; resume next
-                                // round.
-                                break;
-                            }
-                            ScrubRepair::Skipped => {}
+                        retries,
+                    } => (reason, at, retries),
+                };
+                self.round_faults = true;
+                self.streams[idx].state.add_retries(retries);
+                fail_at = fail_at.max(at);
+                self.lanes[vol].clock = self.lanes[vol].clock.max(at);
+                match reason {
+                    // Volume-failure detection: the read path, not an
+                    // oracle.
+                    FetchFailure::Media => self.cluster.mark_down(vol),
+                    // The deadline is gone on every volume — drop, don't
+                    // failover.
+                    FetchFailure::Abandoned => break,
+                    FetchFailure::RetriesExhausted => {}
+                    // A corrupt payload is a replica problem, not a
+                    // member problem: only when no verifiable copy
+                    // exists does the stream switch replicas below.
+                    FetchFailure::Corrupt => {
+                        if let Some(done) = self.read_around(idx, fail_at) {
+                            return Ok(Fetched::Served(done));
                         }
                     }
                 }
             }
+            let s = &self.streams[idx];
+            let Some(r) = self.find_replica(s.title, Some(s.replica)) else {
+                break;
+            };
+            self.fail_over(idx, r)?;
+        }
+        let clock = self.lanes[self.streams[idx].vol].clock;
+        Ok(Fetched::Lost(clock.max(fail_at).max(floor)))
+    }
+
+    /// Stream `idx`'s pinned volume delivered the block, issued at
+    /// `issue`, at `done`: book it, race a hedge if it ran slow, audit
+    /// what the viewer got. Returns when the block was resident.
+    fn served(
+        &mut self,
+        idx: usize,
+        issue: Instant,
+        mut done: Instant,
+        retries: u32,
+    ) -> Result<Instant, FsError> {
+        let vol = self.streams[idx].vol;
+        self.lanes[vol].clock = done;
+        self.lanes[vol].stats.fetched += 1;
+        if retries > 0 {
+            self.round_faults = true;
+            self.streams[idx].state.add_retries(retries);
+        }
+        if self.cfg.hedge && done - issue > self.streams[idx].state.next_item().duration {
+            if let Some(hedged) = self.hedge(idx, issue, done)? {
+                done = hedged;
+            }
+        }
+        if self.cfg.audit_integrity {
+            // After a won hedge the pin names the copy that was served.
+            let s = &self.streams[idx];
+            let item = s.state.next_item();
+            let msm = self.cluster.members()[s.vol].mrs().msm();
+            if let Ok(Some(false)) = msm.check_block_sum(item.strand, item.block) {
+                self.report.corrupt_served += 1;
+            }
+        }
+        Ok(done)
+    }
+
+    /// Fail-slow defense: stream `idx`'s fetch, issued at `issue` and
+    /// done at `primary_done`, ran slower than its block's play
+    /// duration, which cannot sustain continuity — race a healthy
+    /// replica from the moment the threshold passed; the earlier
+    /// completion wins. Returns the hedge's completion if it won; the
+    /// stream then stays on the faster copy for the rest of the run.
+    fn hedge(
+        &mut self,
+        idx: usize,
+        issue: Instant,
+        primary_done: Instant,
+    ) -> Result<Option<Instant>, FsError> {
+        let s = &self.streams[idx];
+        let vol = s.vol;
+        self.lanes[vol].round_hedges += 1;
+        self.lanes[vol].stats.hedged += 1;
+        let Some(r) = self.healthy_replica(s.title, Some(s.replica)) else {
+            return Ok(None);
+        };
+        let (threshold, deadline) = (s.state.next_item().duration, s.state.next_deadline());
+        let rep = &self.cluster.catalog().title(s.title).replicas[r];
+        let (hv, item) = (rep.volume, rep.schedule.items[s.state.next_index()]);
+        let h_issue = self.lanes[hv].clock.max(issue + threshold);
+        let hedge = self.msm_mut(hv).fetch_block(
+            item.strand,
+            item.block,
+            h_issue,
+            threshold,
+            deadline,
+            false,
+        )?;
+        self.report.hedges += 1;
+        let mut won = None;
+        if let BlockFetch::Data { op, .. } = hedge {
+            self.lanes[hv].clock = op.completed;
+            if op.completed < primary_done {
+                won = Some(op.completed);
+                self.lanes[hv].stats.fetched += 1;
+                self.report.hedge_wins += 1;
+            }
+        }
+        self.obs.emit(|| Event::Hedge {
+            stream: idx,
+            volume: vol,
+            hedge_volume: hv,
+            primary: primary_done - issue,
+            won: won.is_some(),
+            at: won.unwrap_or(primary_done),
+        });
+        if won.is_some() {
+            self.fail_over(idx, r)?;
+        }
+        Ok(won)
+    }
+
+    /// Where a corrupt block of `title`'s replica `rep` can be repaired
+    /// from: every other live copy on an up member, healthy members
+    /// before quarantined ones, as `(volume, replica)`.
+    fn repair_sources(&self, title: TitleId, rep: usize) -> Vec<(usize, usize)> {
+        let replicas = &self.cluster.catalog().title(title).replicas;
+        let mut sources: Vec<(usize, usize)> = (0..replicas.len())
+            .filter(|&r| {
+                r != rep
+                    && replicas[r].state == ReplicaState::Live
+                    && self.cluster.is_up(replicas[r].volume)
+            })
+            .map(|r| (replicas[r].volume, r))
+            .collect();
+        sources.sort_by_key(|&(sv, _)| self.lanes[sv].quarantined);
+        sources
+    }
+
+    /// Read a repair payload from volume `sv`, issued no earlier than
+    /// `not_before` and charged to `sv`'s clock. Refuses a copy that
+    /// fails (or cannot pass) verification itself — repair must never
+    /// serve or launder corruption. Returns the payload and when it
+    /// arrived.
+    fn read_clean_copy(
+        &mut self,
+        sv: usize,
+        strand: StrandId,
+        block: u64,
+        not_before: Instant,
+    ) -> Option<(Vec<u8>, Instant)> {
+        let src = self.cluster.members()[sv].mrs().msm();
+        if !matches!(src.check_block_sum(strand, block), Ok(Some(true))) {
+            return None;
+        }
+        let issue = self.lanes[sv].clock.max(not_before);
+        let Ok((Some(payload), Some(op))) = self.msm_mut(sv).read_block(strand, block, issue)
+        else {
+            return None;
+        };
+        self.lanes[sv].clock = op.completed;
+        Some((payload, op.completed))
+    }
+
+    /// Overwrite a corrupt block on volume `v` in place, on `v`'s clock.
+    /// False when the payload does not hash to the block's stamp — the
+    /// copies diverged.
+    fn rewrite(&mut self, v: usize, strand: StrandId, block: u64, payload: &[u8]) -> bool {
+        let at = self.lanes[v].clock;
+        match self.msm_mut(v).rewrite_block(strand, block, at, payload) {
+            Ok(op) => {
+                self.lanes[v].clock = op.completed;
+                true
+            }
+            Err(_) => false,
         }
     }
-    Ok(switched_total)
-}
 
-/// Probe quarantined members on their own clocks and re-admit after
-/// enough consecutive on-time probes. A probe that surfaces a media
-/// error converts the quarantine into a detected failure (`Down`).
-fn probe_quarantined(
-    cluster: &mut Cluster,
-    cfg: &ClusterPlayback,
-    obs: &ObsSink,
-    quarantined: &mut [bool],
-    clean_probes: &mut [u64],
-    readmits: &mut u64,
-    now: Instant,
-) -> Result<(), FsError> {
-    for v in 0..quarantined.len() {
-        if !quarantined[v] {
-            continue;
+    /// A viewer read hit a corrupt payload: serve that one block from
+    /// another live replica and rewrite the corrupt extent in place
+    /// (read-around repair). The stream keeps its pin — one corrupt
+    /// block costs one remote read instead of a permanent switch onto
+    /// whatever replica remains, which may sit on a quarantined
+    /// fail-slow member. The remote read cannot be issued before the
+    /// corrupt local read failed (`not_before` keeps completions
+    /// monotonic), and the stream's next fetch is issued after this
+    /// serve — the pinned volume's own clock is not charged for the
+    /// remote read. Returns the completion, or `None` when no other
+    /// replica holds a verifiable copy of the block.
+    fn read_around(&mut self, idx: usize, not_before: Instant) -> Option<Instant> {
+        let s = &self.streams[idx];
+        let (title, rep, j) = (s.title, s.replica, s.state.next_index());
+        let dst = &self.cluster.catalog().title(title).replicas[rep];
+        let (dst_vol, dst_item) = (dst.volume, dst.schedule.items[j]);
+        for (sv, r) in self.repair_sources(title, rep) {
+            let src = self.cluster.catalog().title(title).replicas[r]
+                .schedule
+                .items[j];
+            let Some((payload, done)) = self.read_clean_copy(sv, src.strand, src.block, not_before)
+            else {
+                continue;
+            };
+            // Best effort: a failed rewrite (diverged stamp) still
+            // served a verified payload; the scrubber deals with the bad
+            // copy later.
+            self.rewrite(dst_vol, dst_item.strand, dst_item.block, &payload);
+            self.lanes[sv].stats.fetched += 1;
+            self.report.read_repairs += 1;
+            return Some(done);
         }
-        if !cluster.is_up(v) {
-            // Down supersedes quarantine; rejoin handles the return.
-            quarantined[v] = false;
-            continue;
+        None
+    }
+
+    /// Scrub found a corrupt block on volume `v`: repair it surgically
+    /// by fetching the true payload of the same block from a clean live
+    /// replica and rewriting the corrupt extent in place — viewers stay
+    /// pinned, nothing moves. Only when no source payload hashes to the
+    /// stamped checksum (a diverged or doubly-corrupt copy) does the
+    /// repair fall back to invalidating the whole replica so background
+    /// re-replication rebuilds it — the same path a wiped rejoin uses.
+    fn repair_corrupt_block(
+        &mut self,
+        v: usize,
+        strand: StrandId,
+        block: u64,
+    ) -> Result<ScrubRepair, FsError> {
+        // The live replica on `v` that owns `strand`, and the strand's
+        // slot in it: `(title, replica, slot)`.
+        let titles = self.cluster.catalog().titles().iter().enumerate();
+        let owner = titles
+            .flat_map(|(t, title)| {
+                let live = title.replicas.iter().enumerate();
+                live.filter(|(_, r)| r.volume == v && r.state == ReplicaState::Live)
+                    .filter_map(move |(i, r)| {
+                        let slot = r.strands.iter().position(|l| l.strand == strand)?;
+                        Some((t, i, slot))
+                    })
+            })
+            .last();
+        let Some((title, rep, slot)) = owner else {
+            return Ok(ScrubRepair::Skipped);
+        };
+        let sources = self.repair_sources(title, rep);
+        if sources.is_empty() {
+            return Ok(ScrubRepair::Skipped);
         }
-        // Probe target: the first stored block of a live replica.
-        let target = cluster.catalog().titles().iter().find_map(|t| {
-            t.replicas
-                .iter()
-                .find(|r| r.volume == v && r.state == crate::catalog::ReplicaState::Live)
-                .and_then(|r| r.schedule.items.iter().find(|i| !i.silence).copied())
-        });
-        if let Some(item) = target {
-            match cluster
-                .member_mut(v)
-                .mrs_mut()
-                .msm_mut()
-                .read_block(item.strand, item.block, now)
-            {
-                Ok((_, Some(op))) => {
-                    if op.completed - now <= item.duration {
-                        clean_probes[v] += 1;
-                    } else {
-                        clean_probes[v] = 0;
+        for (sv, r) in sources {
+            let src = self.cluster.catalog().title(title).replicas[r].strands[slot].strand;
+            let Some((payload, _)) = self.read_clean_copy(sv, src, block, Instant::EPOCH) else {
+                continue;
+            };
+            // A diverged source: try the next one, or fall through to
+            // the wholesale rebuild.
+            if self.rewrite(v, strand, block, &payload) {
+                return Ok(ScrubRepair::Repaired);
+            }
+        }
+        // Every source is unreadable or diverged: rebuild the replica
+        // wholesale through the restore path.
+        for idx in 0..self.streams.len() {
+            let s = &self.streams[idx];
+            if s.title != title || s.replica != rep || s.state.finished() {
+                continue;
+            }
+            if let Some(r) = self.find_replica(title, Some(rep)) {
+                self.fail_over(idx, r)?;
+            }
+        }
+        self.cluster.invalidate_replica(title, rep)?;
+        Ok(ScrubRepair::Invalidated)
+    }
+
+    /// One budgeted scrub pass over every up volume, charged strictly
+    /// against the slack between each volume's clock and `t_next` — the
+    /// round end playback already decided — so scrub can never extend a
+    /// round or perturb a deadline.
+    fn scrub_pass(&mut self, t_next: Instant) -> Result<(), FsError> {
+        if self.cfg.scrub_blocks_per_round == 0 {
+            return Ok(());
+        }
+        for v in 0..self.lanes.len() {
+            if !self.cluster.is_up(v) {
+                continue;
+            }
+            let mut budget = self.cfg.scrub_blocks_per_round;
+            while budget > 0 && self.lanes[v].clock + self.lanes[v].scrub_cost <= t_next {
+                let lane = &mut self.lanes[v];
+                let Some((strand, block, ok)) = scrub_step(self.cluster, v, &mut lane.scrub_cursor)
+                else {
+                    lane.scrub_passes += 1;
+                    break;
+                };
+                budget -= 1;
+                lane.clock += lane.scrub_cost;
+                lane.stats.scrubbed += 1;
+                self.report.scrubbed_blocks += 1;
+                let (at, sid) = (lane.clock, strand.raw());
+                self.obs.emit(|| Event::Scrub {
+                    volume: v,
+                    strand: sid,
+                    block,
+                    ok,
+                    at,
+                });
+                if !ok {
+                    self.report.scrub_corrupt += 1;
+                    match self.repair_corrupt_block(v, strand, block)? {
+                        ScrubRepair::Repaired => self.report.scrub_repaired += 1,
+                        ScrubRepair::Invalidated => {
+                            self.report.scrub_invalidated += 1;
+                            // The replica's strands just vanished from
+                            // under the cursor; resume next round.
+                            break;
+                        }
+                        ScrubRepair::Skipped => {}
                     }
                 }
-                Ok(_) => clean_probes[v] += 1,
-                Err(FsError::ChecksumMismatch { .. }) => clean_probes[v] = 0,
-                Err(_) => {
-                    cluster.mark_down(v);
-                    quarantined[v] = false;
+            }
+        }
+        Ok(())
+    }
+
+    /// One budgeted background re-replication pass starting at `now`;
+    /// returns the instant it is done.
+    fn restore_pass(&mut self, now: Instant) -> Result<Instant, FsError> {
+        if self.cfg.restore_blocks_per_round == 0 {
+            return Ok(now);
+        }
+        let p = self
+            .cluster
+            .re_replicate(now, self.cfg.restore_blocks_per_round)?;
+        self.report.restored_blocks += p.copied_blocks;
+        self.report.restored_replicas += p.completed_replicas;
+        Ok(now.max(p.finished_at))
+    }
+
+    /// Fail-slow quarantine: a member that kept firing hedges sits out —
+    /// no placement, no serving where an alternative exists — until
+    /// probes come back on time.
+    fn quarantine_slow_members(&mut self) -> Result<(), FsError> {
+        if self.cfg.quarantine_after_rounds == 0 {
+            return Ok(());
+        }
+        for v in 0..self.lanes.len() {
+            let lane = &mut self.lanes[v];
+            if lane.quarantined {
+                continue;
+            }
+            lane.hedged_rounds = if lane.round_hedges > 0 {
+                lane.hedged_rounds + 1
+            } else {
+                0
+            };
+            if lane.hedged_rounds < self.cfg.quarantine_after_rounds || !self.cluster.is_up(v) {
+                continue;
+            }
+            lane.quarantined = true;
+            lane.clean_probes = 0;
+            let (rounds, at) = (std::mem::take(&mut lane.hedged_rounds), self.t);
+            self.report.quarantines += 1;
+            self.obs.emit(|| Event::Quarantine {
+                volume: v,
+                entered: true,
+                rounds,
+                at,
+            });
+            // Walk every pinned stream off the slow member; sole-copy
+            // streams stay as a fallback.
+            for idx in 0..self.streams.len() {
+                let s = &self.streams[idx];
+                if s.state.finished() || s.vol != v {
                     continue;
                 }
+                if let Some(r) = self.healthy_replica(s.title, Some(s.replica)) {
+                    self.fail_over(idx, r)?;
+                }
             }
-        } else {
-            // Nothing servable to probe; an empty member is harmless.
-            clean_probes[v] += 1;
         }
-        if clean_probes[v] >= cfg.readmit_probe_rounds.max(1) {
-            quarantined[v] = false;
-            *readmits += 1;
-            let rounds = clean_probes[v];
-            obs.emit(|| Event::Quarantine {
-                volume: v,
-                entered: false,
-                rounds,
-                at: now,
-            });
-        }
+        Ok(())
     }
-    Ok(())
-}
 
-/// Re-pin a stream to replica `r`: swap in the replica's schedule in
-/// place, keeping every completion, epoch and item offset.
-fn switch_schedule(cluster: &Cluster, s: &mut CStream, r: usize) -> Result<(), FsError> {
-    let rep = &cluster.catalog().title(s.title).replicas[r];
-    if rep.schedule.items.len() != s.schedule.items.len() {
-        return Err(FsError::InvalidScenario {
-            reason: "replica schedules are not structurally identical",
-        });
+    /// Probe quarantined members at `now` and re-admit after enough
+    /// consecutive on-time probes. A probe that surfaces a media error
+    /// converts the quarantine into a detected failure (`Down`).
+    fn probe_quarantined(&mut self, now: Instant) {
+        for v in 0..self.lanes.len() {
+            if !self.lanes[v].quarantined {
+                continue;
+            }
+            if !self.cluster.is_up(v) {
+                // Down supersedes quarantine; rejoin handles the return.
+                self.lanes[v].quarantined = false;
+                continue;
+            }
+            // Probe target: the first stored block of a live replica.
+            let target = self.cluster.catalog().titles().iter().find_map(|t| {
+                t.replicas
+                    .iter()
+                    .find(|r| r.volume == v && r.state == ReplicaState::Live)
+                    .and_then(|r| r.schedule.items.iter().find(|i| !i.silence).copied())
+            });
+            let on_time = match target {
+                // Nothing servable to probe; an empty member is harmless.
+                None => true,
+                Some(item) => match self.msm_mut(v).read_block(item.strand, item.block, now) {
+                    Ok((_, Some(op))) => op.completed - now <= item.duration,
+                    Ok(_) => true,
+                    Err(FsError::ChecksumMismatch { .. }) => false,
+                    Err(_) => {
+                        self.cluster.mark_down(v);
+                        self.lanes[v].quarantined = false;
+                        continue;
+                    }
+                },
+            };
+            let lane = &mut self.lanes[v];
+            lane.clean_probes = if on_time { lane.clean_probes + 1 } else { 0 };
+            if lane.clean_probes >= self.cfg.readmit_probe_rounds.max(1) {
+                lane.quarantined = false;
+                self.report.quarantine_readmits += 1;
+                let rounds = lane.clean_probes;
+                self.obs.emit(|| Event::Quarantine {
+                    volume: v,
+                    entered: false,
+                    rounds,
+                    at: now,
+                });
+            }
+        }
     }
-    s.schedule = rep.schedule.clone();
-    s.replica = r;
-    Ok(())
+
+    /// The round barrier. The cluster round ends when the slowest
+    /// volume — and the round's background restore budget — is done;
+    /// with that instant decided, whatever slack remains on each lane
+    /// belongs to the scrubber; then slow members are quarantined or
+    /// probed and each disk's busy time is booked.
+    fn barrier(&mut self) -> Result<(), FsError> {
+        let slowest = self.lanes.iter().map(|l| l.clock).max().unwrap_or(self.t);
+        let t_next = self.restore_pass(slowest)?;
+        self.scrub_pass(t_next)?;
+        let round = self.round;
+        self.obs.emit(|| Event::RoundEnd { round, at: t_next });
+        self.t = t_next;
+        self.quarantine_slow_members()?;
+        self.probe_quarantined(t_next);
+        for v in 0..self.lanes.len() {
+            let busy = self.busy_time(v);
+            self.report.sim.disk_busy += busy - self.lanes[v].busy_mark;
+            self.lanes[v].busy_mark = busy;
+            if !self.cluster.is_up(v) {
+                self.lanes[v].stats.rounds_down += 1;
+            }
+        }
+        self.clean_streak = if self.round_faults {
+            0
+        } else {
+            self.clean_streak + 1
+        };
+        Ok(())
+    }
+
+    fn finish(mut self) -> ClusterReport {
+        let streams = &self.streams;
+        self.report.sim.streams = streams.iter().map(|s| s.state.outcome(&self.obs)).collect();
+        self.report.sim.rounds = self.round;
+        self.report.miss_bursts = streams.iter().map(|s| s.state.miss_burst()).collect();
+        self.report.failovers = streams.iter().map(|s| s.failovers).sum();
+        self.report.volumes = self.lanes.iter().map(|l| l.stats).collect();
+        self.report
+    }
 }
 
 /// Simulate cluster playback: one viewer stream per entry of
@@ -887,627 +1156,32 @@ pub fn simulate_cluster(
     script: &[ScriptedAction],
     cfg: &ClusterPlayback,
 ) -> Result<ClusterReport, FsError> {
-    let obs = cluster.obs();
-    let volumes = cluster.members().len();
-    let replicated: Vec<bool> = viewers
-        .iter()
-        .map(|&t| cluster.catalog().title(t).replicas.len() >= 2)
-        .collect();
-    let mut streams: Vec<CStream> = Vec::with_capacity(viewers.len());
-    for (i, &title) in viewers.iter().enumerate() {
-        let nrep = cluster.catalog().title(title).replicas.len();
-        let start = i % nrep.max(1);
-        let replica = (0..nrep)
-            .map(|d| (start + d) % nrep)
-            .find(|&r| {
-                let rep = &cluster.catalog().title(title).replicas[r];
-                rep.state == crate::catalog::ReplicaState::Live && cluster.is_up(rep.volume)
-            })
-            .ok_or(FsError::InvalidScenario {
-                reason: "viewer title has no live replica on an up member",
-            })?;
-        let schedule = cluster.catalog().title(title).replicas[replica]
-            .schedule
-            .clone();
-        streams.push(CStream::new(
-            title,
-            replica,
-            schedule,
-            cfg.read_ahead.max(1),
-        ));
-    }
-
-    let mut vol_t: Vec<Instant> = vec![Instant::EPOCH; volumes];
-    let mut busy_mark: Vec<Nanos> = (0..volumes)
-        .map(|v| cluster.members()[v].mrs().msm().disk().stats().busy_time())
-        .collect();
-    let mut disk_busy = Nanos::ZERO;
-    let mut stats = vec![VolumeStats::default(); volumes];
-    let mut rejoins = Vec::new();
-    let mut applied = vec![false; script.len()];
-    let mut failovers = 0u64;
-    let mut restored_blocks = 0u64;
-    let mut restored_replicas = 0u64;
-    let mut t = Instant::EPOCH;
-    let mut round = 0u64;
-    let mut clean_streak = 0u64;
-    let k = cfg.k.max(1);
-
-    // Integrity and fail-slow defense state.
-    let mut quarantined = vec![false; volumes];
-    let mut clean_probes = vec![0u64; volumes];
-    let mut hedged_rounds = vec![0u64; volumes];
-    let mut round_hedges = vec![0u64; volumes];
-    let mut scrub_cursor = vec![(0u64, 0u64); volumes];
-    let mut scrub_passes = vec![0u64; volumes];
-    // The conservative slack charge for one scrub probe: worst-case
-    // positioning plus one revolution. Scrub only runs while the
-    // volume's clock plus this charge stays inside the already-decided
-    // round end, so it can never extend a round.
-    let scrub_cost: Vec<Nanos> = (0..volumes)
-        .map(|v| {
-            let d = cluster.members()[v].mrs().msm().disk();
-            (d.max_positioning_time() + d.geometry().rotation_time()).to_nanos()
-        })
-        .collect();
-    let mut scrub = ScrubCounters::default();
-    let mut corrupt_served = 0u64;
-    let mut read_repairs = 0u64;
-    let mut hedges = 0u64;
-    let mut hedge_wins = 0u64;
-    let mut quarantines = 0u64;
-    let mut quarantine_readmits = 0u64;
-
+    let mut run = Run::new(cluster, viewers, script, cfg)?;
+    // The streams in service this round: a buffer the run reuses.
+    let mut active: Vec<usize> = Vec::with_capacity(viewers.len());
     loop {
-        // Scripted membership changes due at this round boundary.
-        for (si, a) in script.iter().enumerate() {
-            if applied[si] || a.at_round > round {
-                continue;
-            }
-            applied[si] = true;
-            match a.action {
-                ClusterAction::Kill(v) => {
-                    cluster.kill(v);
-                }
-                ClusterAction::Rejoin(v) => {
-                    rejoins.push(cluster.rejoin(v, t)?);
-                    // Recovery I/O is mount work, not playback service.
-                    busy_mark[v] = cluster.members()[v].mrs().msm().disk().stats().busy_time();
-                }
-                ClusterAction::RejoinWiped(v) => {
-                    rejoins.push(cluster.rejoin_wiped(v));
-                    busy_mark[v] = cluster.members()[v].mrs().msm().disk().stats().busy_time();
-                }
-            }
-        }
-        // Ladder re-admission: the fault window stayed clear long
-        // enough AND the stream has somewhere live to play from.
-        if clean_streak >= cfg.readmit_clean_rounds {
-            for (idx, s) in streams.iter_mut().enumerate() {
-                if s.revoked_at.is_none() || s.finished() {
-                    continue;
-                }
-                let Some(r) = find_replica(cluster, &quarantined, s.title, None)
-                    .or_else(|| find_replica_any(cluster, s.title, None))
-                else {
-                    continue;
-                };
-                if r != s.replica {
-                    switch_schedule(cluster, s, r)?;
-                }
-                let since = s.revoked_at.take().expect("checked above");
-                s.recovery_time += t - since;
-                s.drops_since_admit = 0;
-                s.epochs.push(Epoch {
-                    first_item: s.next,
-                    display_start: None,
-                    resumed_at: Some(t),
-                });
-                let item = s.next as u64;
-                obs.emit(|| Event::Degrade {
-                    stream: idx,
-                    round,
-                    item,
-                    action: DegradeAction::Readmit,
-                    at: t,
-                });
-            }
-        }
-        let active: Vec<usize> = streams
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.finished() && s.revoked_at.is_none())
-            .map(|(i, _)| i)
-            .collect();
-        let script_pending = applied.iter().any(|done| !done);
-        let restore_pending = cfg.restore_blocks_per_round > 0 && cluster.restorable_lost();
-        let scrub_pending = cfg.scrub_blocks_per_round > 0
-            && (0..volumes).any(|v| cluster.is_up(v) && scrub_passes[v] == 0);
+        run.apply_script()?;
+        run.readmit()?;
+        active.clear();
+        active.extend((0..run.streams.len()).filter(|&i| run.streams[i].state.in_service()));
         if active.is_empty() {
-            let revoked: Vec<&CStream> = streams
-                .iter()
-                .filter(|s| !s.finished() && s.revoked_at.is_some())
-                .collect();
-            let can_return = revoked
-                .iter()
-                .any(|s| find_replica_any(cluster, s.title, None).is_some());
-            if !script_pending
-                && !restore_pending
-                && !scrub_pending
-                && (revoked.is_empty() || !can_return)
-            {
+            if run.drained() {
                 break;
             }
-            // Idle round: no I/O, but revoked viewers' displays sit
-            // frozen while it passes — advance the clock so recovery
-            // accounting sees the outage.
-            let min_dur = revoked
-                .iter()
-                .map(|s| s.schedule.items[s.next].duration)
-                .min()
-                .unwrap_or(Nanos::from_millis(100));
-            let advanced = Nanos::from_nanos(k.saturating_mul(min_dur.as_nanos()));
-            obs.emit(|| Event::RoundIdle {
-                round,
-                at: t,
-                advanced,
-            });
-            // Idle rounds belong to the scrubber and the quarantine
-            // probes: the whole advanced window is spare slack.
-            if cfg.scrub_blocks_per_round > 0 {
-                for clock in vol_t.iter_mut() {
-                    *clock = t;
-                }
-                failovers += scrub_pass(
-                    cluster,
-                    cfg,
-                    &obs,
-                    &quarantined,
-                    &mut streams,
-                    &mut vol_t,
-                    t + advanced,
-                    &scrub_cost,
-                    &mut scrub_cursor,
-                    &mut scrub_passes,
-                    &mut stats,
-                    &mut scrub,
-                )?;
-            }
-            probe_quarantined(
-                cluster,
-                cfg,
-                &obs,
-                &mut quarantined,
-                &mut clean_probes,
-                &mut quarantine_readmits,
-                t,
-            )?;
-            t += advanced;
-            if cfg.restore_blocks_per_round > 0 {
-                let p = cluster.re_replicate(t, cfg.restore_blocks_per_round)?;
-                restored_blocks += p.copied_blocks;
-                restored_replicas += p.completed_replicas;
-                t = t.max(p.finished_at);
-            }
-            clean_streak += 1;
-            round += 1;
-            if round >= cfg.max_rounds {
-                break;
-            }
-            continue;
-        }
-        obs.emit(|| Event::RoundStart {
-            round,
-            active: active.len(),
-            k,
-            at: t,
-        });
-        for item in vol_t.iter_mut() {
-            *item = t;
-        }
-        for h in round_hedges.iter_mut() {
-            *h = 0;
-        }
-        let mut round_faults = false;
-        for &idx in &active {
-            let s = &mut streams[idx];
-            if s.service_start.is_none() {
-                s.service_start = Some(t);
-            }
-            let mut vol = cluster.catalog().title(s.title).replicas[s.replica].volume;
-            let turn_begin = vol_t[vol];
-            let mut turn_blocks = 0u64;
-            let mut revoked_now = false;
-            for _ in 0..k {
-                if s.finished() || revoked_now {
-                    break;
-                }
-                let j = s.next;
-                if s.schedule.items[j].silence {
-                    let done = vol_t[vol].max(s.serve_floor);
-                    s.serve_floor = done;
-                    s.completions.push(done);
-                    s.dropped.push(false);
-                } else {
-                    // Fetch, failing over across replicas on a media
-                    // error — the glitch stays bounded by read-ahead
-                    // because the re-fetch happens in the same round.
-                    let mut fetched = false;
-                    let mut fail_at = vol_t[vol].max(s.serve_floor);
-                    for _attempt in 0..=volumes {
-                        if cluster.is_up(vol) {
-                            let item = s.schedule.items[j];
-                            let issue = vol_t[vol].max(fail_at);
-                            let deadline = s.deadline_of(j);
-                            match cluster
-                                .member_mut(vol)
-                                .mrs_mut()
-                                .msm_mut()
-                                .read_block_resilient_timed(
-                                    item.strand,
-                                    item.block,
-                                    issue,
-                                    item.duration,
-                                    deadline,
-                                )? {
-                                BlockFetch::Silence => {
-                                    return Err(FsError::InvalidScenario {
-                                        reason:
-                                            "non-silence schedule item resolves to a silence hole",
-                                    })
-                                }
-                                BlockFetch::Data { op, retries, .. } => {
-                                    vol_t[vol] = op.completed;
-                                    if retries > 0 {
-                                        round_faults = true;
-                                        s.retries += retries as u64;
-                                    }
-                                    stats[vol].fetched += 1;
-                                    let mut done = op.completed;
-                                    let mut served = (vol, item);
-                                    let lat = op.completed - issue;
-                                    // Fail-slow defense: a fetch slower
-                                    // than its block's play duration
-                                    // cannot sustain continuity — race a
-                                    // replica from the moment the
-                                    // threshold passed, earliest
-                                    // completion wins.
-                                    if cfg.hedge && lat > item.duration {
-                                        round_hedges[vol] += 1;
-                                        stats[vol].hedged += 1;
-                                        if let Some(r) = find_replica(
-                                            cluster,
-                                            &quarantined,
-                                            s.title,
-                                            Some(s.replica),
-                                        ) {
-                                            let (hv, h_item) = {
-                                                let rep =
-                                                    &cluster.catalog().title(s.title).replicas[r];
-                                                (rep.volume, rep.schedule.items[j])
-                                            };
-                                            let h_issue = vol_t[hv].max(issue + item.duration);
-                                            let h = cluster
-                                                .member_mut(hv)
-                                                .mrs_mut()
-                                                .msm_mut()
-                                                .read_block_resilient_timed(
-                                                    h_item.strand,
-                                                    h_item.block,
-                                                    h_issue,
-                                                    item.duration,
-                                                    deadline,
-                                                )?;
-                                            hedges += 1;
-                                            let mut won = false;
-                                            if let BlockFetch::Data { op: h_op, .. } = h {
-                                                vol_t[hv] = h_op.completed;
-                                                if h_op.completed < done {
-                                                    won = true;
-                                                    done = h_op.completed;
-                                                    served = (hv, h_item);
-                                                    stats[hv].fetched += 1;
-                                                    hedge_wins += 1;
-                                                }
-                                            }
-                                            let at = done;
-                                            obs.emit(|| Event::Hedge {
-                                                stream: idx,
-                                                volume: vol,
-                                                hedge_volume: hv,
-                                                primary: lat,
-                                                won,
-                                                at,
-                                            });
-                                            if won {
-                                                // Stay on the faster copy
-                                                // for the rest of the run.
-                                                switch_schedule(cluster, s, r)?;
-                                                s.failovers += 1;
-                                                failovers += 1;
-                                                vol = hv;
-                                            }
-                                        }
-                                    }
-                                    if cfg.audit_integrity
-                                        && matches!(
-                                            cluster.members()[served.0]
-                                                .mrs()
-                                                .msm()
-                                                .check_block_sum(served.1.strand, served.1.block),
-                                            Ok(Some(false))
-                                        )
-                                    {
-                                        corrupt_served += 1;
-                                    }
-                                    s.serve_floor = done;
-                                    s.completions.push(done);
-                                    s.dropped.push(false);
-                                    fetched = true;
-                                    break;
-                                }
-                                BlockFetch::Failed {
-                                    reason,
-                                    at,
-                                    retries,
-                                } => {
-                                    round_faults = true;
-                                    s.retries += retries as u64;
-                                    fail_at = fail_at.max(at);
-                                    vol_t[vol] = vol_t[vol].max(at);
-                                    match reason {
-                                        FetchFailure::Media => {
-                                            // Volume-failure detection:
-                                            // the read path, not an
-                                            // oracle.
-                                            cluster.mark_down(vol);
-                                        }
-                                        // The deadline is gone on every
-                                        // volume — drop, don't failover.
-                                        FetchFailure::Abandoned => break,
-                                        FetchFailure::RetriesExhausted => {}
-                                        // A corrupt payload is a replica
-                                        // problem, not a member problem:
-                                        // serve this one block from a
-                                        // clean copy and rewrite the bad
-                                        // extent in place, keeping the
-                                        // stream's pin. Only when no
-                                        // verifiable copy exists does the
-                                        // stream switch replicas below.
-                                        FetchFailure::Corrupt => {
-                                            if let Some((sv, done)) = read_around_repair(
-                                                cluster,
-                                                &quarantined,
-                                                s.title,
-                                                s.replica,
-                                                j,
-                                                fail_at,
-                                                &mut vol_t,
-                                            )? {
-                                                stats[sv].fetched += 1;
-                                                read_repairs += 1;
-                                                // The stream's next fetch
-                                                // is issued after this
-                                                // serve (serve_floor) —
-                                                // the volume's own clock
-                                                // is not charged for the
-                                                // remote read.
-                                                s.serve_floor = done;
-                                                s.completions.push(done);
-                                                s.dropped.push(false);
-                                                fetched = true;
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        if fetched {
-                            break;
-                        }
-                        match find_replica(cluster, &quarantined, s.title, Some(s.replica))
-                            .or_else(|| find_replica_any(cluster, s.title, Some(s.replica)))
-                        {
-                            Some(r) => {
-                                switch_schedule(cluster, s, r)?;
-                                vol = cluster.catalog().title(s.title).replicas[r].volume;
-                                s.failovers += 1;
-                                failovers += 1;
-                            }
-                            None => break,
-                        }
-                    }
-                    if !fetched {
-                        let drop_at = vol_t[vol].max(fail_at).max(s.serve_floor);
-                        s.serve_floor = drop_at;
-                        s.completions.push(drop_at);
-                        s.dropped.push(true);
-                        s.drops_since_admit += 1;
-                        round_faults = true;
-                        obs.emit(|| Event::Degrade {
-                            stream: idx,
-                            round,
-                            item: j as u64,
-                            action: DegradeAction::DropBlock,
-                            at: drop_at,
-                        });
-                        if s.drops_since_admit >= cfg.revoke_after_drops.max(1) {
-                            s.revoked_at = Some(drop_at);
-                            s.revokes += 1;
-                            revoked_now = true;
-                            obs.emit(|| Event::Degrade {
-                                stream: idx,
-                                round,
-                                item: j as u64,
-                                action: DegradeAction::Revoke,
-                                at: drop_at,
-                            });
-                        }
-                    }
-                }
-                s.fetch_rounds.push(round);
-                s.next += 1;
-                turn_blocks += 1;
-                let finished = s.finished();
-                let read_ahead = s.read_ahead;
-                let now = vol_t[vol];
-                let ep = s.epochs.last_mut().expect("epochs never empty");
-                if ep.display_start.is_none()
-                    && ((s.next - ep.first_item) as u64 >= read_ahead || finished)
-                {
-                    ep.display_start = Some(now);
-                    let anchor = ep.resumed_at.or(s.service_start).unwrap_or(now);
-                    obs.emit(|| Event::DisplayStart {
-                        stream: idx,
-                        at: now,
-                        latency: now - anchor,
-                    });
-                }
-            }
-            s.emit_due_deadlines(idx, &obs);
-            let end = vol_t[vol];
-            obs.emit(|| Event::StreamService {
-                stream: idx,
-                round,
-                begin: turn_begin,
-                end,
-                blocks: turn_blocks,
-            });
-        }
-        // The cluster round ends when the slowest volume — and the
-        // round's background restore budget — is done.
-        let mut t_next = vol_t.iter().copied().max().unwrap_or(t);
-        if cfg.restore_blocks_per_round > 0 {
-            let p = cluster.re_replicate(t_next, cfg.restore_blocks_per_round)?;
-            restored_blocks += p.copied_blocks;
-            restored_replicas += p.completed_replicas;
-            t_next = t_next.max(p.finished_at);
-        }
-        // The round end is decided; whatever slack remains on each
-        // volume's clock belongs to the scrubber.
-        if cfg.scrub_blocks_per_round > 0 {
-            failovers += scrub_pass(
-                cluster,
-                cfg,
-                &obs,
-                &quarantined,
-                &mut streams,
-                &mut vol_t,
-                t_next,
-                &scrub_cost,
-                &mut scrub_cursor,
-                &mut scrub_passes,
-                &mut stats,
-                &mut scrub,
-            )?;
-        }
-        obs.emit(|| Event::RoundEnd { round, at: t_next });
-        t = t_next;
-        // Fail-slow quarantine: a member that kept firing hedges sits
-        // out — no placement, no serving where an alternative exists —
-        // until probes come back on time.
-        if cfg.quarantine_after_rounds > 0 {
-            for v in 0..volumes {
-                if quarantined[v] {
-                    continue;
-                }
-                if round_hedges[v] > 0 {
-                    hedged_rounds[v] += 1;
-                } else {
-                    hedged_rounds[v] = 0;
-                }
-                if hedged_rounds[v] >= cfg.quarantine_after_rounds && cluster.is_up(v) {
-                    quarantined[v] = true;
-                    quarantines += 1;
-                    clean_probes[v] = 0;
-                    let rounds = hedged_rounds[v];
-                    obs.emit(|| Event::Quarantine {
-                        volume: v,
-                        entered: true,
-                        rounds,
-                        at: t,
-                    });
-                    hedged_rounds[v] = 0;
-                    // Walk every pinned stream off the slow member;
-                    // sole-copy streams stay as a fallback.
-                    for s2 in streams.iter_mut() {
-                        if s2.finished() {
-                            continue;
-                        }
-                        if cluster.catalog().title(s2.title).replicas[s2.replica].volume != v {
-                            continue;
-                        }
-                        if let Some(r) =
-                            find_replica(cluster, &quarantined, s2.title, Some(s2.replica))
-                        {
-                            switch_schedule(cluster, s2, r)?;
-                            s2.failovers += 1;
-                            failovers += 1;
-                        }
-                    }
-                }
-            }
-            probe_quarantined(
-                cluster,
-                cfg,
-                &obs,
-                &mut quarantined,
-                &mut clean_probes,
-                &mut quarantine_readmits,
-                t,
-            )?;
-        }
-        for v in 0..volumes {
-            let busy = cluster.members()[v].mrs().msm().disk().stats().busy_time();
-            disk_busy += busy - busy_mark[v];
-            busy_mark[v] = busy;
-            if !cluster.is_up(v) {
-                stats[v].rounds_down += 1;
-            }
-        }
-        if round_faults {
-            clean_streak = 0;
+            run.idle_round()?;
         } else {
-            clean_streak += 1;
+            run.begin_round(active.len());
+            for &idx in &active {
+                run.serve_turn(idx)?;
+            }
+            run.barrier()?;
         }
-        round += 1;
-        if round >= cfg.max_rounds {
+        run.round += 1;
+        if run.round >= cfg.max_rounds {
             break;
         }
     }
-
-    Ok(ClusterReport {
-        sim: SimReport {
-            streams: streams
-                .iter()
-                .enumerate()
-                .map(|(i, s)| s.outcome(i, &obs))
-                .collect(),
-            disk_busy,
-            rounds: round,
-        },
-        replicated,
-        miss_bursts: streams.iter().map(|s| s.miss_burst()).collect(),
-        failovers: streams
-            .iter()
-            .map(|s| s.failovers)
-            .sum::<u64>()
-            .max(failovers),
-        rejoins,
-        restored_blocks,
-        restored_replicas,
-        scrubbed_blocks: scrub.scrubbed,
-        scrub_corrupt: scrub.corrupt,
-        scrub_repaired: scrub.repaired,
-        read_repairs,
-        scrub_invalidated: scrub.invalidated,
-        corrupt_served,
-        hedges,
-        hedge_wins,
-        quarantines,
-        quarantine_readmits,
-        volumes: stats,
-    })
+    Ok(run.finish())
 }
 
 #[cfg(test)]

@@ -50,7 +50,7 @@ pub enum FetchFailure {
     Corrupt,
 }
 
-/// Outcome of one resilient block fetch ([`Msm::read_block_resilient`]).
+/// Outcome of one block fetch ([`Msm::fetch_block`]).
 ///
 /// Unlike a plain `Result`, a failed fetch still advances virtual time
 /// (failed attempts occupy the disk), so the failure carries the
@@ -794,124 +794,57 @@ impl Msm {
     /// Read media block `n` of a strand at `now`. Returns `(payload,
     /// op)`; both are `None` for a silence hole (no I/O happens).
     ///
-    /// A fault-free read through [`Msm::read_block_resilient`] with a
-    /// zero retry budget: any injected fault surfaces as an error.
+    /// The strict convenience over [`Msm::fetch_block`]: a zero retry
+    /// budget, no deadline, the payload materialised — any injected
+    /// fault surfaces as the error [`Msm::fetch_error`] maps it to.
     pub fn read_block(
         &mut self,
         id: StrandId,
         n: BlockNo,
         now: Instant,
     ) -> Result<(Option<Vec<u8>>, Option<DiskOp>), FsError> {
-        let extent = self.strand(id)?.block(n)?;
-        match self.read_block_resilient(id, n, now, Nanos::ZERO, None)? {
+        match self.fetch_block(id, n, now, Nanos::ZERO, None, true)? {
             BlockFetch::Silence => Ok((None, None)),
             BlockFetch::Data { payload, op, .. } => Ok((Some(payload), Some(op))),
             BlockFetch::Failed {
                 reason, retries, ..
-            } => {
-                let e = extent.expect("failed fetch implies a stored extent");
-                Err(match reason {
-                    FetchFailure::Media => FsError::MediaError {
-                        lba: e.start,
-                        sectors: e.sectors,
-                    },
-                    FetchFailure::RetriesExhausted => FsError::RetriesExhausted {
-                        lba: e.start,
-                        retries,
-                    },
-                    FetchFailure::Abandoned => FsError::DeadlineAbandoned {
-                        strand: id,
-                        block: n,
-                    },
-                    FetchFailure::Corrupt => FsError::ChecksumMismatch {
-                        lba: e.start,
-                        sectors: e.sectors,
-                    },
-                })
-            }
+            } => Err(self.fetch_error(id, n, reason, retries)),
         }
     }
 
-    /// Read media block `n` with a continuity-aware retry budget.
-    ///
-    /// `budget` is the service time this read may consume in *failed*
-    /// attempts beyond the first — in the simulator it is derived from
-    /// the live Eq. 18 round slack, so retrying here can never push
-    /// another admitted stream past its continuity bound. `deadline`,
-    /// when given, is the block's playback deadline: if `now` is already
-    /// past it the read is abandoned without I/O (the degradation policy
-    /// drops the block rather than waste disk time on dead data).
-    ///
-    /// Unlike [`Msm::read_block`], fault outcomes are *data* here
-    /// ([`BlockFetch::Failed`]), not errors — the caller chooses the
-    /// degradation step. `Err` is reserved for real failures (unknown
-    /// strand, corrupt index).
-    pub fn read_block_resilient(
-        &mut self,
+    /// The error a caller with no degradation policy reports when
+    /// [`Msm::fetch_block`] returns [`BlockFetch::Failed`] for stored
+    /// block `n`.
+    pub fn fetch_error(
+        &self,
         id: StrandId,
         n: BlockNo,
-        now: Instant,
-        budget: Nanos,
-        deadline: Option<Instant>,
-    ) -> Result<BlockFetch, FsError> {
-        self.fetch_block(id, n, now, budget, deadline, true)
-    }
-
-    /// [`Msm::read_block_resilient`] without materializing the payload:
-    /// identical timing, retries, and fault outcomes, but `Data` carries
-    /// an empty `payload` vector (`Vec::new()` does not allocate). The
-    /// simulator's service loop reads hundreds of thousands of blocks
-    /// per round at scale and only consumes the *timing* of each fetch —
-    /// copying block payloads out of the device image would dominate the
-    /// run and churn the allocator.
-    pub fn read_block_resilient_timed(
-        &mut self,
-        id: StrandId,
-        n: BlockNo,
-        now: Instant,
-        budget: Nanos,
-        deadline: Option<Instant>,
-    ) -> Result<BlockFetch, FsError> {
-        self.fetch_block(id, n, now, budget, deadline, false)
-    }
-
-    /// [`Msm::read_block`] without materializing the payload: the strict
-    /// (zero-budget) read path of the simulator. Returns the successful
-    /// disk operation, `None` for a silence hole, and maps fault
-    /// outcomes to the same errors as [`Msm::read_block`].
-    pub fn read_block_timed(
-        &mut self,
-        id: StrandId,
-        n: BlockNo,
-        now: Instant,
-    ) -> Result<Option<DiskOp>, FsError> {
-        let extent = self.strand(id)?.block(n)?;
-        match self.fetch_block(id, n, now, Nanos::ZERO, None, false)? {
-            BlockFetch::Silence => Ok(None),
-            BlockFetch::Data { op, .. } => Ok(Some(op)),
-            BlockFetch::Failed {
-                reason, retries, ..
-            } => {
-                let e = extent.expect("failed fetch implies a stored extent");
-                Err(match reason {
-                    FetchFailure::Media => FsError::MediaError {
-                        lba: e.start,
-                        sectors: e.sectors,
-                    },
-                    FetchFailure::RetriesExhausted => FsError::RetriesExhausted {
-                        lba: e.start,
-                        retries,
-                    },
-                    FetchFailure::Abandoned => FsError::DeadlineAbandoned {
-                        strand: id,
-                        block: n,
-                    },
-                    FetchFailure::Corrupt => FsError::ChecksumMismatch {
-                        lba: e.start,
-                        sectors: e.sectors,
-                    },
-                })
-            }
+        reason: FetchFailure,
+        retries: u32,
+    ) -> FsError {
+        let e = self
+            .strand(id)
+            .and_then(|s| s.block(n))
+            .ok()
+            .flatten()
+            .expect("failed fetch implies a stored extent");
+        match reason {
+            FetchFailure::Media => FsError::MediaError {
+                lba: e.start,
+                sectors: e.sectors,
+            },
+            FetchFailure::RetriesExhausted => FsError::RetriesExhausted {
+                lba: e.start,
+                retries,
+            },
+            FetchFailure::Abandoned => FsError::DeadlineAbandoned {
+                strand: id,
+                block: n,
+            },
+            FetchFailure::Corrupt => FsError::ChecksumMismatch {
+                lba: e.start,
+                sectors: e.sectors,
+            },
         }
     }
 
@@ -966,7 +899,29 @@ impl Msm {
         self.timed_write(now, e)
     }
 
-    fn fetch_block(
+    /// Fetch media block `n` with a continuity-aware retry budget — the
+    /// one read path under [`Msm::read_block`] and both service loops.
+    ///
+    /// `budget` is the service time this read may consume in *failed*
+    /// attempts beyond the first — in the simulator it is derived from
+    /// the live Eq. 18 round slack, so retrying here can never push
+    /// another admitted stream past its continuity bound. `deadline`,
+    /// when given, is the block's playback deadline: if `now` is already
+    /// past it the read is abandoned without I/O (the degradation policy
+    /// drops the block rather than waste disk time on dead data).
+    ///
+    /// With `want_payload` false, `Data` carries an empty `payload`
+    /// (`Vec::new()` does not allocate) and timing, retries and fault
+    /// outcomes are identical: a service loop reads hundreds of
+    /// thousands of blocks per round at scale and consumes only the
+    /// *timing* of each fetch — copying payloads out of the device image
+    /// would dominate the run and churn the allocator.
+    ///
+    /// Unlike [`Msm::read_block`], fault outcomes are *data* here
+    /// ([`BlockFetch::Failed`]), not errors — the caller chooses the
+    /// degradation step. `Err` is reserved for real failures (unknown
+    /// strand, corrupt index).
+    pub fn fetch_block(
         &mut self,
         id: StrandId,
         n: BlockNo,

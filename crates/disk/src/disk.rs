@@ -3,7 +3,7 @@
 
 use crate::geometry::{DiskGeometry, Extent, Lba};
 use crate::seek::SeekModel;
-use crate::trace::DiskStats;
+use crate::stats::DiskStats;
 use std::collections::HashMap;
 use strandfs_obs::{AccessDir, Event, ObsSink};
 use strandfs_units::{Instant, Nanos, Seconds};

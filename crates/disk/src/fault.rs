@@ -28,7 +28,7 @@
 use crate::disk::{AccessKind, DiskOp, SimDisk};
 use crate::geometry::{DiskGeometry, Extent, Lba};
 use crate::seek::SeekModel;
-use crate::trace::DiskStats;
+use crate::stats::DiskStats;
 use std::collections::HashMap;
 use strandfs_obs::{AccessDir, Event, FaultClass, ObsSink};
 use strandfs_units::prng::mix_seed;

@@ -22,7 +22,7 @@
 //!   [`BlockDevice`] trait: permanently bad extents, transient read
 //!   errors with success-after-N-retries, PRNG latency spikes and
 //!   region-wide degraded-transfer windows;
-//! * [`trace`] — per-operation traces and utilization statistics.
+//! * [`stats`] — cumulative utilization statistics ([`stats::DiskStats`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +34,7 @@ pub mod fault;
 mod freemap;
 mod geometry;
 mod seek;
-pub mod trace;
+pub mod stats;
 
 pub use alloc::{AllocError, AllocPolicy, Allocator, GapBounds};
 pub use array::{DiskArray, StripedExtent};

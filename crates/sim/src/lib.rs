@@ -2,8 +2,9 @@
 //!
 //! The analytic model (Eqs. 1–18) *predicts* continuous playback; this
 //! crate *checks* it. [`playback`] replays the MSM's round-robin service
-//! discipline against real simulated-disk service times and records every
-//! deadline miss; [`scenario`] builds the standard experimental setups
+//! discipline against real simulated-disk service times; [`stream`] owns
+//! the per-stream accounting — every completion, deadline miss, drop and
+//! revocation — for that loop and for the cluster's; [`scenario`] builds the standard experimental setups
 //! (n recorded clips on one volume) used by the examples, integration
 //! tests and benches; [`metrics`] holds the summary statistics.
 //!
@@ -21,6 +22,7 @@ pub mod metrics;
 pub mod playback;
 pub mod reference;
 pub mod scenario;
+pub mod stream;
 
 pub use metrics::{NanosSummary, SimReport, StreamOutcome};
 pub use playback::{
@@ -28,3 +30,4 @@ pub use playback::{
     ServiceOrder,
 };
 pub use scenario::{faulty_volume, record_clip, standard_volume, volume_on, ClipSpec, Volume};
+pub use stream::StreamState;

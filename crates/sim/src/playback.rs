@@ -10,22 +10,13 @@
 //! then on block `j` must be resident by `display_start + deadline_j`.
 //! Every late block is a continuity violation.
 
-use crate::metrics::{NanosSummary, RoundSample, SimReport, StreamOutcome};
+use crate::metrics::SimReport;
+use crate::stream::StreamState;
 use strandfs_core::mrs::{Mrs, PlaySchedule};
 use strandfs_core::msm::BlockFetch;
 use strandfs_core::FsError;
-use strandfs_obs::{DegradeAction, Event, ObsSink, Phase, ProfSink};
+use strandfs_obs::{Event, Phase, ProfSink};
 use strandfs_units::{Instant, Nanos};
-
-/// Signed deadline margin in nanoseconds: positive = early, negative =
-/// late (the same convention as [`Event::deadline_margin`]).
-fn signed_margin(deadline: Instant, done: Instant) -> i64 {
-    if done <= deadline {
-        (deadline - done).as_nanos() as i64
-    } else {
-        -((done - deadline).as_nanos() as i64)
-    }
-}
 
 /// How active streams are ordered within each service round.
 ///
@@ -140,277 +131,6 @@ pub struct Arrival {
     pub schedule: PlaySchedule,
 }
 
-/// One display epoch: the open-loop display clock restarts whenever a
-/// revoked stream is re-admitted, so deadlines are measured against the
-/// epoch covering the item, not a single global display start.
-struct Epoch {
-    /// First schedule item served under this epoch.
-    first_item: usize,
-    /// When the epoch's display started (after its read-ahead filled);
-    /// `None` while buffering or if the simulation ended first.
-    display_start: Option<Instant>,
-    /// When the epoch entered service: the re-admission instant for
-    /// post-revocation epochs, `None` for the initial epoch (whose
-    /// anchor is the stream's first service turn). Display start minus
-    /// this anchor is the viewer-visible time-to-first-frame.
-    resumed_at: Option<Instant>,
-}
-
-struct StreamState {
-    schedule: PlaySchedule,
-    /// Fetch completion instant per item, filled in service order.
-    completions: Vec<Instant>,
-    /// The round whose service fetched each item, parallel to
-    /// `completions` — lets a deadline violation be attributed to the
-    /// specific round that fetched the late block.
-    fetch_rounds: Vec<u64>,
-    /// Parallel to `completions`: the item was dropped (a degradation
-    /// hole was spliced in), so its "completion" is the drop decision
-    /// instant and it is exempt from deadline accounting.
-    dropped: Vec<bool>,
-    next: usize,
-    read_ahead: u64,
-    service_start: Option<Instant>,
-    /// Display epochs, oldest first; always non-empty.
-    epochs: Vec<Epoch>,
-    /// Transient-fault retries spent on this stream's fetches.
-    retries: u64,
-    /// Drops since the stream was (re-)admitted — the revocation
-    /// trigger under [`DegradeMode::Ladder`].
-    drops_since_admit: u64,
-    /// Set while the stream is revoked: when it happened.
-    revoked_at: Option<Instant>,
-    /// Times the stream was revoked.
-    revokes: u64,
-    /// Total virtual time spent revoked (revoke → re-admit).
-    recovery_time: Nanos,
-    /// Items `0..deadline_emitted` have had their [`Event::Deadline`]
-    /// emitted live (or been skipped for good: dropped, or covered by
-    /// an epoch that never started displaying). The live-emission
-    /// pointer lets windowed monitors see misses in the round that
-    /// produced them instead of in one end-of-run burst.
-    deadline_emitted: usize,
-    /// Memoized SCAN key: `(lba, item)` — the disk address of the
-    /// stream's first non-silence schedule item at or after `item`
-    /// (`u64::MAX`/`usize::MAX` once only silence remains). Valid while
-    /// `next <= item`: every item between the position the key was
-    /// computed at and `item` was silence, so advancing `next` through
-    /// that run cannot change which block the arm would seek to. One
-    /// index probe per *consumed stored block*, instead of the
-    /// O(n log n) probes per round a sort key re-invocation costs.
-    lba_cache: Option<(u64, usize)>,
-}
-
-impl StreamState {
-    fn new(schedule: PlaySchedule, read_ahead: u64) -> Self {
-        let n = schedule.items.len();
-        StreamState {
-            schedule,
-            completions: Vec::with_capacity(n),
-            fetch_rounds: Vec::with_capacity(n),
-            dropped: Vec::with_capacity(n),
-            next: 0,
-            read_ahead,
-            service_start: None,
-            epochs: vec![Epoch {
-                first_item: 0,
-                display_start: None,
-                resumed_at: None,
-            }],
-            retries: 0,
-            drops_since_admit: 0,
-            revoked_at: None,
-            revokes: 0,
-            recovery_time: Nanos::ZERO,
-            deadline_emitted: 0,
-            lba_cache: None,
-        }
-    }
-
-    fn finished(&self) -> bool {
-        self.next >= self.schedule.items.len()
-    }
-
-    /// Playback deadline of item `j` under its covering epoch; `None`
-    /// while that epoch's display has not started.
-    fn deadline_of(&self, j: usize) -> Option<Instant> {
-        let ep = self.epochs.iter().rev().find(|e| e.first_item <= j)?;
-        let ds = ep.display_start?;
-        let base = self.schedule.items[ep.first_item].at;
-        Some(ds + (self.schedule.items[j].at - base))
-    }
-
-    /// Emit [`Event::Deadline`]s for every serviced item whose deadline
-    /// has become known, advancing the live-emission pointer. Called at
-    /// the end of each service turn; the values emitted are identical
-    /// to the end-of-run emission [`StreamState::outcome`] used to do —
-    /// an item's covering epoch (and hence its deadline) is fixed once
-    /// the item is serviced, because later epochs start at `next`,
-    /// past every recorded item.
-    fn emit_due_deadlines(&mut self, stream: usize, obs: &ObsSink) {
-        if !obs.is_enabled() {
-            return;
-        }
-        while self.deadline_emitted < self.completions.len() {
-            let j = self.deadline_emitted;
-            if self.dropped[j] {
-                self.deadline_emitted += 1;
-                continue;
-            }
-            let pos = self
-                .epochs
-                .iter()
-                .rposition(|e| e.first_item <= j)
-                .expect("epoch 0 covers every item");
-            match self.epochs[pos].display_start {
-                Some(_) => {
-                    let deadline = self.deadline_of(j).expect("covering epoch has started");
-                    let done = self.completions[j];
-                    let round = self.fetch_rounds[j];
-                    obs.emit(|| Event::Deadline {
-                        stream,
-                        item: j as u64,
-                        round,
-                        deadline,
-                        completed: done,
-                    });
-                    self.deadline_emitted += 1;
-                }
-                // The covering epoch's display has not started. The
-                // live (last) epoch still may — wait here; a superseded
-                // epoch never will — skip the item for good.
-                None if pos + 1 == self.epochs.len() => break,
-                None => self.deadline_emitted += 1,
-            }
-        }
-    }
-
-    fn outcome(&self, stream: usize, obs: &ObsSink) -> StreamOutcome {
-        let items = &self.schedule.items;
-        let serviced = self.completions.len();
-        // Completions are filled in virtual-time order by the round
-        // loop; the backlog computation below depends on that.
-        debug_assert!(
-            self.completions.windows(2).all(|w| w[0] <= w[1]),
-            "fetch completions must be non-decreasing"
-        );
-        // Items the simulation never serviced (a stream revoked to the
-        // end) are holes too: the open-loop display played past them.
-        let mut dropped_blocks = (items.len() - serviced) as u64;
-        let mut fetched = 0u64;
-        let mut violations = 0u64;
-        let mut lateness = Vec::new();
-        let mut first_violation = None;
-        let first_display = self.epochs.first().and_then(|e| e.display_start);
-        for (j, item) in items.iter().enumerate().take(serviced) {
-            if self.dropped[j] {
-                dropped_blocks += 1;
-                continue;
-            }
-            if !item.silence {
-                fetched += 1;
-            }
-            let Some(deadline) = self.deadline_of(j) else {
-                continue;
-            };
-            let done = self.completions[j];
-            // Items past the live-emission pointer were never flushed
-            // by `emit_due_deadlines` (possible only when the loop
-            // ended mid-buffer); emit them now so the event set is
-            // complete. Items before it already went out live.
-            if j >= self.deadline_emitted {
-                obs.emit(|| Event::Deadline {
-                    stream,
-                    item: j as u64,
-                    round: self.fetch_rounds[j],
-                    deadline,
-                    completed: done,
-                });
-            }
-            if done > deadline {
-                violations += 1;
-                lateness.push(done - deadline);
-                if first_violation.is_none() {
-                    if let Some(ds) = first_display {
-                        first_violation = Some(deadline - ds);
-                    }
-                }
-            }
-        }
-        // The per-round time series: group items by the round that
-        // fetched them (`fetch_rounds` is non-decreasing by
-        // construction), take the tightest margin in each group, and
-        // measure the backlog right after the group's last fetch.
-        // Dropped items have no fetch to measure and are skipped.
-        let mut series = Vec::new();
-        let mut j = 0;
-        while j < serviced {
-            let round = self.fetch_rounds[j];
-            let mut worst = i64::MAX;
-            let mut last = j;
-            while last < serviced && self.fetch_rounds[last] == round {
-                if !self.dropped[last] {
-                    if let Some(deadline) = self.deadline_of(last) {
-                        worst = worst.min(signed_margin(deadline, self.completions[last]));
-                    }
-                }
-                last += 1;
-            }
-            if worst == i64::MAX {
-                // The round fetched only drops or pre-display items.
-                worst = 0;
-            }
-            let turn_end = self.completions[last - 1];
-            // Items consumed by `turn_end`: deadlines are non-decreasing
-            // within an epoch; count them epoch-free via the first
-            // display clock (good enough for the backlog gauge).
-            let consumed = match first_display {
-                Some(ds) => items.partition_point(|it| ds + it.at <= turn_end),
-                None => 0,
-            };
-            series.push(RoundSample {
-                round,
-                blocks: (last - j) as u64,
-                worst_margin_ns: worst,
-                buffered: (last as u64).saturating_sub(consumed as u64),
-            });
-            j = last;
-        }
-        // Required buffering: completions are non-decreasing, so the
-        // backlog when item j starts playing is (#completions ≤ its
-        // deadline) − j. The subtraction saturates by design: a starved
-        // stream can reach item j's play instant with fewer than j
-        // fetches resident (open-loop display consumes items whether or
-        // not they arrived), and its backlog is then 0, not negative.
-        let mut max_buffered = 0u64;
-        for j in 0..serviced {
-            let Some(deadline) = self.deadline_of(j) else {
-                continue;
-            };
-            let fetched_by = self.completions.partition_point(|c| *c <= deadline);
-            max_buffered = max_buffered.max((fetched_by as u64).saturating_sub(j as u64));
-        }
-        StreamOutcome {
-            blocks: items.len() as u64,
-            fetched,
-            violations,
-            max_lateness: lateness.iter().copied().max().unwrap_or(Nanos::ZERO),
-            lateness: NanosSummary::of(lateness),
-            start_latency: match (first_display, self.service_start) {
-                (Some(ds), Some(ss)) => ds - ss,
-                _ => Nanos::ZERO,
-            },
-            max_buffered,
-            series,
-            first_violation,
-            dropped_blocks,
-            retries: self.retries,
-            revokes: self.revokes,
-            recovery_time: self.recovery_time,
-        }
-    }
-}
-
 /// Simulate round-robin service of `streams` (all present from round 0)
 /// plus `arrivals` (joining later), with the round size chosen each round
 /// by `k_of_round(round, active_streams)`.
@@ -425,33 +145,13 @@ pub fn simulate_with_arrivals(
     read_ahead_of_k: impl Fn(u64) -> u64,
     k_of_round: impl FnMut(u64, usize) -> u64,
 ) -> Result<SimReport, FsError> {
-    simulate_with_arrivals_ordered(
-        mrs,
-        streams,
-        arrivals,
-        read_ahead_of_k,
-        k_of_round,
-        ServiceOrder::RoundRobin,
-    )
-}
-
-/// [`simulate_with_arrivals`] with an explicit intra-round service
-/// order.
-pub fn simulate_with_arrivals_ordered(
-    mrs: &mut Mrs,
-    streams: Vec<PlaySchedule>,
-    arrivals: Vec<Arrival>,
-    read_ahead_of_k: impl Fn(u64) -> u64,
-    k_of_round: impl FnMut(u64, usize) -> u64,
-    order_policy: ServiceOrder,
-) -> Result<SimReport, FsError> {
     simulate_degraded(
         mrs,
         streams,
         arrivals,
         read_ahead_of_k,
         k_of_round,
-        order_policy,
+        ServiceOrder::RoundRobin,
         DegradeMode::Strict,
     )
 }
@@ -462,14 +162,18 @@ pub fn simulate_with_arrivals_ordered(
 /// The loop is written for scale: per-round state (`active`, the SCAN
 /// key table, the sweep order) lives in buffers reused across rounds,
 /// SCAN keys are memoized per stream instead of re-probed inside the
-/// sort, the strict/degraded read paths go through the payload-free
-/// `read_block_timed` family, and the per-round Eq. 18 slack query is
-/// O(1) against the admission controller's incremental cache. After the
-/// first few rounds warm the buffers, a round allocates nothing —
-/// 100k-stream rounds run at a flat memory footprint
-/// (`tests/alloc_steady.rs` pins this). `crates/sim/src/reference.rs`
-/// keeps a direct transliteration of the seed loop; a property test
-/// pins this implementation to it report-for-report.
+/// sort, every read is a payload-free [`Msm::fetch_block`], and the
+/// per-round Eq. 18 slack query is O(1) against the admission
+/// controller's incremental cache. After the first few rounds warm the
+/// buffers, a round allocates nothing — 100k-stream rounds run at a flat
+/// memory footprint (`tests/alloc_steady.rs` pins this). Per-stream
+/// accounting lives in [`StreamState`]; this loop decides only what to
+/// fetch, in which order, and what a fault costs.
+/// `crates/sim/src/reference.rs` keeps a direct transliteration of the
+/// seed loop; a property test pins this implementation to it
+/// report-for-report.
+///
+/// [`Msm::fetch_block`]: strandfs_core::msm::Msm::fetch_block
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_degraded(
     mrs: &mut Mrs,
@@ -485,13 +189,17 @@ pub fn simulate_degraded(
     let initial_k = k_of_round(0, streams.len().max(1));
     for s in streams {
         order.push(states.len());
-        states.push(StreamState::new(s, read_ahead_of_k(initial_k)));
+        states.push(StreamState::new(
+            states.len(),
+            s,
+            read_ahead_of_k(initial_k),
+        ));
     }
     let mut pending: Vec<(u64, usize)> = Vec::new();
     for a in arrivals {
         // Placeholder read-ahead; fixed at activation below.
         let idx = states.len();
-        states.push(StreamState::new(a.schedule, 0));
+        states.push(StreamState::new(idx, a.schedule, 0));
         pending.push((a.at_round, idx));
     }
 
@@ -502,6 +210,14 @@ pub fn simulate_degraded(
     let mut round: u64 = 0;
     // Consecutive fault-free rounds — the ladder's re-admission signal.
     let mut clean_streak: u64 = 0;
+    // Drops a stream rides out before it is revoked; only the ladder
+    // revokes.
+    let revoke_after = match degrade {
+        DegradeMode::Ladder {
+            revoke_after_drops, ..
+        } => revoke_after_drops,
+        DegradeMode::Strict | DegradeMode::Abandon => u64::MAX,
+    };
     // Round-scoped buffers, allocated once and reused: the live active
     // set, streams activated this round, the SCAN key table and the
     // resulting sweep order.
@@ -509,6 +225,15 @@ pub fn simulate_degraded(
     let mut activated: Vec<usize> = Vec::new();
     let mut keys: Vec<(u64, u32)> = Vec::new();
     let mut sweep: Vec<usize> = Vec::new();
+    // The sweep's memo, one slot per stream: `(lba, item)` — the disk
+    // address of the stream's first non-silence schedule item at or
+    // after `item` (`u64::MAX`/`usize::MAX` once only silence remains).
+    // Valid while the stream's next index has not passed `item`: every
+    // item in between was silence, so advancing through that run cannot
+    // change which block the arm would seek to. One index probe per
+    // *consumed stored block*, instead of the O(n log n) probes per
+    // round a sort key re-invocation costs.
+    let mut lba_memo: Vec<Option<(u64, usize)>> = vec![None; states.len()];
     // CSCAN head position: the key of the last stream serviced in the
     // previous sweep; the next sweep continues upward from here.
     let mut sweep_pos: u64 = 0;
@@ -539,39 +264,21 @@ pub fn simulate_degraded(
         } = degrade
         {
             if clean_streak >= readmit_clean_rounds {
-                for (idx, state) in states.iter_mut().enumerate() {
-                    if let Some(since) = state.revoked_at.take() {
-                        state.recovery_time += t - since;
-                        state.drops_since_admit = 0;
-                        state.epochs.push(Epoch {
-                            first_item: state.next,
-                            display_start: None,
-                            resumed_at: Some(t),
-                        });
-                        let item = state.next as u64;
-                        obs.emit(|| Event::Degrade {
-                            stream: idx,
-                            round,
-                            item,
-                            action: DegradeAction::Readmit,
-                            at: t,
-                        });
-                    }
+                for state in states.iter_mut() {
+                    state.readmit(round, t, &obs);
                 }
             }
         }
         active.clear();
-        active.extend(
-            order
-                .iter()
-                .copied()
-                .filter(|i| !states[*i].finished() && states[*i].revoked_at.is_none()),
-        );
+        active.extend(order.iter().copied().filter(|i| states[*i].in_service()));
         if active.is_empty() {
-            let revoked_live = order
-                .iter()
-                .filter(|i| !states[**i].finished() && states[**i].revoked_at.is_some())
-                .count();
+            let revoked = || {
+                order
+                    .iter()
+                    .map(|i| &states[*i])
+                    .filter(|s| !s.finished() && s.is_revoked())
+            };
+            let revoked_live = revoked().count();
             if pending.is_empty() && revoked_live == 0 {
                 break;
             }
@@ -584,13 +291,8 @@ pub fn simulate_degraded(
                 // readmit instants account for the full outage; the
                 // seed loop froze `t` here and under-reported both.
                 let k_idle = k_of_round(round, revoked_live).max(1);
-                let min_dur = order
-                    .iter()
-                    .filter(|i| !states[**i].finished() && states[**i].revoked_at.is_some())
-                    .map(|i| {
-                        let s = &states[*i];
-                        s.schedule.items[s.next].duration
-                    })
+                let min_dur = revoked()
+                    .map(|s| s.next_item().duration)
                     .min()
                     .unwrap_or(Nanos::ZERO);
                 let advanced = Nanos::from_nanos(k_idle.saturating_mul(min_dur.as_nanos()));
@@ -614,7 +316,7 @@ pub fn simulate_degraded(
         // *live* round size — the same k their first round services
         // them with.
         for &idx in &activated {
-            true_marker(&mut states[idx], k, &read_ahead_of_k);
+            states[idx].set_read_ahead(read_ahead_of_k(k).max(1));
         }
         drop(bookkeeping);
         // Sort phase: service-order key construction and the sweep.
@@ -631,7 +333,7 @@ pub fn simulate_degraded(
                 // without re-invoking the key O(n log n) times.
                 keys.clear();
                 for (pos, &i) in active.iter().enumerate() {
-                    keys.push((next_lba_memo(mrs, &mut states[i]), pos as u32));
+                    keys.push((next_lba_memo(mrs, &states[i], &mut lba_memo[i]), pos as u32));
                 }
                 keys.sort_unstable();
                 let start = match order_policy {
@@ -685,41 +387,30 @@ pub fn simulate_degraded(
         let service_span = prof.enter(Phase::Service);
         for &idx in service {
             let state = &mut states[idx];
-            if state.service_start.is_none() {
-                state.service_start = Some(t);
-            }
-            let turn_begin = t;
-            let mut turn_blocks = 0u64;
-            let mut revoked_now = false;
+            state.begin_turn(round, t, t);
             for _ in 0..k {
-                if state.finished() || revoked_now {
+                if !state.in_service() {
                     break;
                 }
-                let j = state.next;
-                let item = state.schedule.items[j];
-                if item.silence {
-                    state.completions.push(t);
-                    state.dropped.push(false);
-                } else if matches!(degrade, DegradeMode::Strict) {
-                    let op = mrs.msm_mut().read_block_timed(item.strand, item.block, t)?;
-                    let op = op.ok_or(FsError::InvalidScenario {
-                        reason: "non-silence schedule item resolves to a silence hole",
-                    })?;
-                    t = op.completed;
-                    state.completions.push(t);
-                    state.dropped.push(false);
-                } else {
-                    let budget = match degrade {
-                        DegradeMode::Abandon => Nanos::ZERO,
-                        _ => round_share.unwrap_or(item.duration),
+                let item = state.next_item();
+                if !item.silence {
+                    // Strict and Abandon never retry, and Strict never
+                    // gives a block up for its deadline either: every
+                    // fault it meets aborts the simulation.
+                    let (budget, deadline) = match degrade {
+                        DegradeMode::Strict => (Nanos::ZERO, None),
+                        DegradeMode::Abandon => (Nanos::ZERO, state.next_deadline()),
+                        DegradeMode::Ladder { .. } => {
+                            (round_share.unwrap_or(item.duration), state.next_deadline())
+                        }
                     };
-                    let deadline = state.deadline_of(j);
-                    match mrs.msm_mut().read_block_resilient_timed(
+                    match mrs.msm_mut().fetch_block(
                         item.strand,
                         item.block,
                         t,
                         budget,
                         deadline,
+                        false,
                     )? {
                         BlockFetch::Silence => {
                             return Err(FsError::InvalidScenario {
@@ -730,76 +421,27 @@ pub fn simulate_degraded(
                             t = op.completed;
                             if retries > 0 {
                                 round_faults = true;
-                                state.retries += retries as u64;
+                                state.add_retries(retries);
                             }
-                            state.completions.push(t);
-                            state.dropped.push(false);
+                        }
+                        BlockFetch::Failed {
+                            reason, retries, ..
+                        } if degrade == DegradeMode::Strict => {
+                            let msm = mrs.msm();
+                            return Err(msm.fetch_error(item.strand, item.block, reason, retries));
                         }
                         BlockFetch::Failed { at, retries, .. } => {
                             round_faults = true;
-                            state.retries += retries as u64;
+                            state.add_retries(retries);
                             t = t.max(at);
-                            state.completions.push(t);
-                            state.dropped.push(true);
-                            state.drops_since_admit += 1;
-                            let drop_at = t;
-                            obs.emit(|| Event::Degrade {
-                                stream: idx,
-                                round,
-                                item: j as u64,
-                                action: DegradeAction::DropBlock,
-                                at: drop_at,
-                            });
-                            if let DegradeMode::Ladder {
-                                revoke_after_drops, ..
-                            } = degrade
-                            {
-                                if state.drops_since_admit >= revoke_after_drops.max(1) {
-                                    state.revoked_at = Some(t);
-                                    state.revokes += 1;
-                                    revoked_now = true;
-                                    obs.emit(|| Event::Degrade {
-                                        stream: idx,
-                                        round,
-                                        item: j as u64,
-                                        action: DegradeAction::Revoke,
-                                        at: drop_at,
-                                    });
-                                }
-                            }
+                            state.record_drop(t, t, revoke_after, &obs);
+                            continue;
                         }
                     }
                 }
-                state.fetch_rounds.push(round);
-                state.next += 1;
-                turn_blocks += 1;
-                let finished = state.finished();
-                let read_ahead = state.read_ahead;
-                let ep = state.epochs.last_mut().expect("epochs never empty");
-                if ep.display_start.is_none()
-                    && ((state.next - ep.first_item) as u64 >= read_ahead || finished)
-                {
-                    ep.display_start = Some(t);
-                    // Time-to-first-frame: how long the viewer waited
-                    // since the epoch entered service — first service
-                    // turn for the initial epoch, re-admission for
-                    // later ones.
-                    let anchor = ep.resumed_at.or(state.service_start).unwrap_or(t);
-                    obs.emit(|| Event::DisplayStart {
-                        stream: idx,
-                        at: t,
-                        latency: t - anchor,
-                    });
-                }
+                state.record(t, t, &obs);
             }
-            state.emit_due_deadlines(idx, &obs);
-            obs.emit(|| Event::StreamService {
-                stream: idx,
-                round,
-                begin: turn_begin,
-                end: t,
-                blocks: turn_blocks,
-            });
+            state.end_turn(t, &obs);
         }
         drop(service_span);
         obs.emit(|| Event::RoundEnd { round, at: t });
@@ -812,18 +454,10 @@ pub fn simulate_degraded(
     }
 
     Ok(SimReport {
-        streams: states
-            .iter()
-            .enumerate()
-            .map(|(i, s)| s.outcome(i, &obs))
-            .collect(),
+        streams: states.iter().map(|s| s.outcome(&obs)).collect(),
         disk_busy: mrs.msm().disk().stats().busy_time() - busy_before,
         rounds: round,
     })
-}
-
-fn true_marker(state: &mut StreamState, k_now: u64, read_ahead_of_k: &impl Fn(u64) -> u64) {
-    state.read_ahead = read_ahead_of_k(k_now).max(1);
 }
 
 thread_local! {
@@ -869,12 +503,12 @@ pub(crate) fn count_lba_probe() {
 }
 
 /// Resolve `(lba, item)` for the stream's first non-silence schedule
-/// item at or after `next`: the disk address the arm would visit next
-/// (`u64::MAX`/`usize::MAX` when only silence or nothing remains,
+/// item at or after its next index: the disk address the arm would visit
+/// next (`u64::MAX`/`usize::MAX` when only silence or nothing remains,
 /// sorting the stream last).
 fn next_lba_probe(mrs: &Mrs, state: &StreamState) -> (u64, usize) {
     count_lba_probe();
-    for (off, item) in state.schedule.items[state.next..].iter().enumerate() {
+    for (off, item) in state.pending_items().iter().enumerate() {
         if !item.silence {
             let lba = mrs
                 .msm()
@@ -884,24 +518,24 @@ fn next_lba_probe(mrs: &Mrs, state: &StreamState) -> (u64, usize) {
                 .flatten()
                 .map(|e| e.start)
                 .unwrap_or(u64::MAX);
-            return (lba, state.next + off);
+            return (lba, state.next_index() + off);
         }
     }
     (u64::MAX, usize::MAX)
 }
 
-/// The memoizing SCAN-key lookup: serve from the stream's cached
-/// `(lba, item)` while `next` has not passed the cached item (any items
+/// The memoizing SCAN-key lookup: serve from the stream's `memo` slot
+/// while its next index has not passed the cached item (any items
 /// skipped in between were silence and cannot move the arm), probing
 /// the index only when the cached block was actually consumed.
-fn next_lba_memo(mrs: &Mrs, state: &mut StreamState) -> u64 {
-    if let Some((lba, item)) = state.lba_cache {
-        if item >= state.next {
+fn next_lba_memo(mrs: &Mrs, state: &StreamState, memo: &mut Option<(u64, usize)>) -> u64 {
+    if let Some((lba, item)) = *memo {
+        if item >= state.next_index() {
             return lba;
         }
     }
     let probed = next_lba_probe(mrs, state);
-    state.lba_cache = Some(probed);
+    *memo = Some(probed);
     probed.0
 }
 
@@ -1049,47 +683,6 @@ mod tests {
         assert_eq!(report.rounds, 10);
     }
 
-    /// A deliberately starved stream: the display clock consumes items
-    /// faster than fetches complete, so `fetched_by < j` for late items
-    /// and the backlog computation must clamp at zero, not underflow.
-    #[test]
-    fn starved_stream_backlog_clamps_to_zero() {
-        fn item_at(ms: u64) -> strandfs_core::mrs::PlayItem {
-            strandfs_core::mrs::PlayItem {
-                at: Nanos::from_millis(ms),
-                medium: strandfs_media::Medium::Video,
-                strand: strandfs_core::StrandId::from_raw(1),
-                block: 0,
-                units: 1,
-                duration: Nanos::from_millis(100),
-                silence: false,
-            }
-        }
-        let schedule = PlaySchedule {
-            items: vec![item_at(0), item_at(100), item_at(200)],
-            duration: Nanos::from_millis(300),
-            triggers: Vec::new(),
-        };
-        let mut state = StreamState::new(schedule, 1);
-        state.service_start = Some(Instant::EPOCH);
-        state.epochs[0].display_start = Some(Instant::EPOCH);
-        // Only the first fetch lands before its deadline; the rest
-        // straggle in long after the display has moved past them.
-        state.completions = vec![
-            Instant::EPOCH,
-            Instant::EPOCH + Nanos::from_millis(500),
-            Instant::EPOCH + Nanos::from_millis(600),
-        ];
-        state.fetch_rounds = vec![0, 1, 2];
-        state.dropped = vec![false, false, false];
-        state.next = 3;
-        let out = state.outcome(0, &ObsSink::noop());
-        assert_eq!(out.violations, 2);
-        // When item 2 plays (t = 200 ms) only one fetch is resident:
-        // backlog saturates to 0 rather than wrapping.
-        assert_eq!(out.max_buffered, 1);
-    }
-
     #[test]
     fn ladder_retries_what_abandon_drops() {
         use crate::scenario::faulty_volume;
@@ -1190,6 +783,7 @@ mod tests {
 
     #[test]
     fn sim_events_mirror_report() {
+        use strandfs_obs::ObsSink;
         let (mut mrs, ropes) = volume(1);
         let (sink, rec) = ObsSink::ring(16_384);
         mrs.set_obs(sink);

@@ -13,7 +13,7 @@
 //!
 //! `tests/proptests_sim.rs` pins the two loops to each other
 //! report-for-report across random scenarios, faults, degrade modes,
-//! service orders and arrivals; `tests/scan_probes.rs` uses the naive
+//! service orders and arrivals; `tests/service_round_regressions.rs` uses the naive
 //! sort's probe count to demonstrate the O(n log n) key re-invocation
 //! the memo removes.
 
@@ -454,12 +454,13 @@ pub fn simulate_degraded_reference(
                         _ => round_share.unwrap_or(item.duration),
                     };
                     let deadline = state.deadline_of(j);
-                    match mrs.msm_mut().read_block_resilient(
+                    match mrs.msm_mut().fetch_block(
                         item.strand,
                         item.block,
                         t,
                         budget,
                         deadline,
+                        true,
                     )? {
                         BlockFetch::Silence => {
                             return Err(FsError::InvalidScenario {

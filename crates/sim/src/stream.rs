@@ -1,0 +1,569 @@
+//! Per-stream service state — the one owner of the paper's per-stream
+//! guarantee: a block is on time or it is a violation (Eq. 15–18).
+//!
+//! A [`StreamState`] is everything a round loop knows about one viewer:
+//! what was fetched when, which display epoch covers it, what was
+//! dropped, whether the stream is revoked. Its methods are the only code
+//! that records a completion, opens a display epoch, drops / revokes /
+//! re-admits, emits the per-stream events, and computes the
+//! [`StreamOutcome`]. Both engines drive it — the single-volume loop in
+//! [`crate::playback`] and `strandfs_cluster::simulate_cluster` — and
+//! differ only in what they do *between* the calls: where a fetch goes
+//! and which clock it charges. The two clock differences are explicit
+//! parameters: the instant a stream's service is anchored at
+//! ([`StreamState::begin_turn`]) and the clock a display epoch opens on,
+//! which is passed apart from the completion just recorded.
+//!
+//! `crate::reference` deliberately does not use this type: the oracle
+//! shares nothing with the loops it checks.
+
+use crate::metrics::{NanosSummary, RoundSample, StreamOutcome};
+use strandfs_core::mrs::{PlayItem, PlaySchedule};
+use strandfs_core::FsError;
+use strandfs_obs::{DegradeAction, Event, ObsSink};
+use strandfs_units::{Instant, Nanos};
+
+/// Signed deadline margin in nanoseconds: positive = early, negative =
+/// late (the same convention as [`Event::deadline_margin`]).
+fn signed_margin(deadline: Instant, done: Instant) -> i64 {
+    if done <= deadline {
+        (deadline - done).as_nanos() as i64
+    } else {
+        -((done - deadline).as_nanos() as i64)
+    }
+}
+
+/// One display epoch: the open-loop display clock restarts whenever a
+/// revoked stream is re-admitted, so deadlines are measured against the
+/// epoch covering the item, not a single global display start.
+struct Epoch {
+    /// First schedule item served under this epoch.
+    first_item: usize,
+    /// When the epoch's display started (after its read-ahead filled);
+    /// `None` while buffering or if the simulation ended first.
+    display_start: Option<Instant>,
+    /// When the epoch entered service: the re-admission instant for
+    /// post-revocation epochs, `None` for the initial epoch (whose
+    /// anchor is the stream's first service turn). Display start minus
+    /// this anchor is the viewer-visible time-to-first-frame.
+    resumed_at: Option<Instant>,
+}
+
+/// The service state of one stream. See the module docs.
+pub struct StreamState {
+    /// The stream's index in its simulation — the `stream` of every
+    /// event it emits.
+    id: usize,
+    schedule: PlaySchedule,
+    /// Fetch completion instant per item, filled in service order.
+    completions: Vec<Instant>,
+    /// The round whose service fetched each item, parallel to
+    /// `completions` — lets a deadline violation be attributed to the
+    /// specific round that fetched the late block.
+    fetch_rounds: Vec<u64>,
+    /// Parallel to `completions`: the item was dropped (a degradation
+    /// hole was spliced in), so its "completion" is the drop decision
+    /// instant and it is exempt from deadline accounting.
+    dropped: Vec<bool>,
+    next: usize,
+    read_ahead: u64,
+    service_start: Option<Instant>,
+    /// Display epochs, oldest first; always non-empty.
+    epochs: Vec<Epoch>,
+    /// Transient-fault retries spent on this stream's fetches.
+    retries: u64,
+    /// Drops since the stream was (re-)admitted — the revocation
+    /// trigger of the degradation ladder.
+    drops_since_admit: u64,
+    /// Set while the stream is revoked: when it happened.
+    revoked_at: Option<Instant>,
+    /// Times the stream was revoked.
+    revokes: u64,
+    /// Total virtual time spent revoked (revoke → re-admit).
+    recovery_time: Nanos,
+    /// Items `0..deadline_emitted` have had their [`Event::Deadline`]
+    /// emitted live (or been skipped for good: dropped, or covered by
+    /// an epoch that never started displaying). The live-emission
+    /// pointer lets windowed monitors see misses in the round that
+    /// produced them instead of in one end-of-run burst.
+    deadline_emitted: usize,
+    /// The service turn in progress: its round, the clock it began at
+    /// and the items it has consumed so far.
+    turn_round: u64,
+    turn_begin: Instant,
+    turn_blocks: u64,
+}
+
+impl StreamState {
+    /// A stream about to play `schedule`, displaying once `read_ahead`
+    /// blocks are buffered. `id` labels its events.
+    pub fn new(id: usize, schedule: PlaySchedule, read_ahead: u64) -> Self {
+        let n = schedule.items.len();
+        StreamState {
+            id,
+            schedule,
+            completions: Vec::with_capacity(n),
+            fetch_rounds: Vec::with_capacity(n),
+            dropped: Vec::with_capacity(n),
+            next: 0,
+            read_ahead,
+            service_start: None,
+            epochs: vec![Epoch {
+                first_item: 0,
+                display_start: None,
+                resumed_at: None,
+            }],
+            retries: 0,
+            drops_since_admit: 0,
+            revoked_at: None,
+            revokes: 0,
+            recovery_time: Nanos::ZERO,
+            deadline_emitted: 0,
+            turn_round: 0,
+            turn_begin: Instant::EPOCH,
+            turn_blocks: 0,
+        }
+    }
+
+    /// True once every schedule item has been served or dropped.
+    #[inline]
+    pub fn finished(&self) -> bool {
+        self.next >= self.schedule.items.len()
+    }
+
+    /// True while the stream is revoked (dropped out of service until
+    /// [`StreamState::readmit`]).
+    #[inline]
+    pub fn is_revoked(&self) -> bool {
+        self.revoked_at.is_some()
+    }
+
+    /// True if a round should serve the stream: unfinished, not revoked.
+    #[inline]
+    pub fn in_service(&self) -> bool {
+        !self.finished() && !self.is_revoked()
+    }
+
+    /// Index of the next schedule item to serve.
+    #[inline]
+    pub fn next_index(&self) -> usize {
+        self.next
+    }
+
+    /// The next schedule item to serve. Panics on a finished stream.
+    #[inline]
+    pub fn next_item(&self) -> PlayItem {
+        self.schedule.items[self.next]
+    }
+
+    /// The schedule items not yet served, next first.
+    #[inline]
+    pub fn pending_items(&self) -> &[PlayItem] {
+        &self.schedule.items[self.next..]
+    }
+
+    /// The latest instant recorded for the stream (a completion or a
+    /// drop decision); the epoch before anything was recorded. Later
+    /// fetches cannot complete before it, even on a volume whose clock
+    /// trails.
+    #[inline]
+    pub fn last_completion(&self) -> Instant {
+        self.completions.last().copied().unwrap_or(Instant::EPOCH)
+    }
+
+    /// Playback deadline of the next item to serve, if known.
+    #[inline]
+    pub fn next_deadline(&self) -> Option<Instant> {
+        self.deadline_of(self.next)
+    }
+
+    /// Playback deadline of item `j` under its covering epoch; `None`
+    /// while that epoch's display has not started.
+    fn deadline_of(&self, j: usize) -> Option<Instant> {
+        let ep = self.epochs.iter().rev().find(|e| e.first_item <= j)?;
+        let ds = ep.display_start?;
+        let base = self.schedule.items[ep.first_item].at;
+        Some(ds + (self.schedule.items[j].at - base))
+    }
+
+    /// Set the blocks buffered before a display epoch opens.
+    pub fn set_read_ahead(&mut self, blocks: u64) {
+        self.read_ahead = blocks;
+    }
+
+    /// Re-pin the stream onto another copy of the same content: swap in
+    /// `schedule`, keeping every completion, epoch and item offset. The
+    /// copies must be structurally identical — only addresses change.
+    pub fn repin(&mut self, schedule: &PlaySchedule) -> Result<(), FsError> {
+        if schedule.items.len() != self.schedule.items.len() {
+            return Err(FsError::InvalidScenario {
+                reason: "replica schedules are not structurally identical",
+            });
+        }
+        self.schedule = schedule.clone();
+        Ok(())
+    }
+
+    /// Open the stream's service turn of `round`. `clock` is where the
+    /// serving volume's clock stands; `anchor` is the instant a first
+    /// turn stamps as the stream's service start (the single-volume
+    /// loop passes its running clock, the cluster the round-start
+    /// instant all volumes share).
+    #[inline]
+    pub fn begin_turn(&mut self, round: u64, anchor: Instant, clock: Instant) {
+        if self.service_start.is_none() {
+            self.service_start = Some(anchor);
+        }
+        self.turn_round = round;
+        self.turn_begin = clock;
+        self.turn_blocks = 0;
+    }
+
+    /// Count transient-fault retries spent fetching for this stream.
+    #[inline]
+    pub fn add_retries(&mut self, retries: u32) {
+        self.retries += retries as u64;
+    }
+
+    /// Record the next item as resident at `done` (a fetch completion,
+    /// or the current instant for a silence hole). `clock` is the
+    /// serving volume's clock, on which a display epoch opens if this
+    /// item fills its read-ahead — after a cross-volume serve it is not
+    /// `done`.
+    #[inline]
+    pub fn record(&mut self, done: Instant, clock: Instant, obs: &ObsSink) {
+        self.completions.push(done);
+        self.dropped.push(false);
+        self.advance(clock, obs);
+    }
+
+    /// Record the next item as dropped at `at` (a silence / freeze-frame
+    /// hole spliced over a failed fetch), and revoke the stream if that
+    /// makes `revoke_after` drops since it was last admitted. Returns
+    /// true if the stream was revoked.
+    pub fn record_drop(
+        &mut self,
+        at: Instant,
+        clock: Instant,
+        revoke_after: u64,
+        obs: &ObsSink,
+    ) -> bool {
+        self.completions.push(at);
+        self.dropped.push(true);
+        self.drops_since_admit += 1;
+        let (stream, round, item) = (self.id, self.turn_round, self.next as u64);
+        let degrade = |action| Event::Degrade {
+            stream,
+            round,
+            item,
+            action,
+            at,
+        };
+        obs.emit(|| degrade(DegradeAction::DropBlock));
+        let revoked = self.drops_since_admit >= revoke_after.max(1);
+        if revoked {
+            self.revoked_at = Some(at);
+            self.revokes += 1;
+            obs.emit(|| degrade(DegradeAction::Revoke));
+        }
+        self.advance(clock, obs);
+        revoked
+    }
+
+    /// Step past the item just recorded, opening the live epoch's
+    /// display on `clock` once its read-ahead is buffered (or the
+    /// schedule ran out first).
+    #[inline]
+    fn advance(&mut self, clock: Instant, obs: &ObsSink) {
+        self.fetch_rounds.push(self.turn_round);
+        self.next += 1;
+        self.turn_blocks += 1;
+        let finished = self.finished();
+        let ep = self.epochs.last_mut().expect("epochs never empty");
+        if ep.display_start.is_none()
+            && ((self.next - ep.first_item) as u64 >= self.read_ahead || finished)
+        {
+            ep.display_start = Some(clock);
+            // Time-to-first-frame: how long the viewer waited since the
+            // epoch entered service — first service turn for the
+            // initial epoch, re-admission for later ones.
+            let anchor = ep.resumed_at.or(self.service_start).unwrap_or(clock);
+            let stream = self.id;
+            obs.emit(|| Event::DisplayStart {
+                stream,
+                at: clock,
+                latency: clock - anchor,
+            });
+        }
+    }
+
+    /// Close the service turn at `clock`: flush the deadlines that
+    /// became known and report the turn.
+    #[inline]
+    pub fn end_turn(&mut self, clock: Instant, obs: &ObsSink) {
+        if obs.is_enabled() {
+            self.emit_due_deadlines(obs);
+            obs.emit(|| Event::StreamService {
+                stream: self.id,
+                round: self.turn_round,
+                begin: self.turn_begin,
+                end: clock,
+                blocks: self.turn_blocks,
+            });
+        }
+    }
+
+    /// Re-admit a revoked stream at `now`: its viewer resumes from
+    /// where the freeze left off under a fresh display epoch. A no-op
+    /// on a stream that is not revoked.
+    pub fn readmit(&mut self, round: u64, now: Instant, obs: &ObsSink) {
+        let Some(since) = self.revoked_at.take() else {
+            return;
+        };
+        self.recovery_time += now - since;
+        self.drops_since_admit = 0;
+        self.epochs.push(Epoch {
+            first_item: self.next,
+            display_start: None,
+            resumed_at: Some(now),
+        });
+        obs.emit(|| Event::Degrade {
+            stream: self.id,
+            round,
+            item: self.next as u64,
+            action: DegradeAction::Readmit,
+            at: now,
+        });
+    }
+
+    fn deadline_event(&self, j: usize, deadline: Instant) -> Event {
+        Event::Deadline {
+            stream: self.id,
+            item: j as u64,
+            round: self.fetch_rounds[j],
+            deadline,
+            completed: self.completions[j],
+        }
+    }
+
+    /// Emit [`Event::Deadline`]s for every serviced item whose deadline
+    /// has become known, advancing the live-emission pointer. The values
+    /// emitted are identical to an end-of-run emission — an item's
+    /// covering epoch (and hence its deadline) is fixed once the item is
+    /// serviced, because later epochs start at `next`, past every
+    /// recorded item.
+    fn emit_due_deadlines(&mut self, obs: &ObsSink) {
+        while self.deadline_emitted < self.completions.len() {
+            let j = self.deadline_emitted;
+            if self.dropped[j] {
+                self.deadline_emitted += 1;
+                continue;
+            }
+            let pos = self
+                .epochs
+                .iter()
+                .rposition(|e| e.first_item <= j)
+                .expect("epoch 0 covers every item");
+            match self.epochs[pos].display_start {
+                Some(_) => {
+                    let deadline = self.deadline_of(j).expect("covering epoch has started");
+                    obs.emit(|| self.deadline_event(j, deadline));
+                    self.deadline_emitted += 1;
+                }
+                // The covering epoch's display has not started. The
+                // live (last) epoch still may — wait here; a superseded
+                // epoch never will — skip the item for good.
+                None if pos + 1 == self.epochs.len() => break,
+                None => self.deadline_emitted += 1,
+            }
+        }
+    }
+
+    /// Longest run of dropped-or-late schedule items (trailing
+    /// never-serviced items count as dropped) — the visible glitch
+    /// length.
+    pub fn miss_burst(&self) -> u64 {
+        let serviced = self.completions.len();
+        let mut burst = 0u64;
+        let mut run = 0u64;
+        for j in 0..self.schedule.items.len() {
+            let missed = j >= serviced
+                || self.dropped[j]
+                || self.deadline_of(j).is_some_and(|d| self.completions[j] > d);
+            if missed {
+                run += 1;
+                burst = burst.max(run);
+            } else {
+                run = 0;
+            }
+        }
+        burst
+    }
+
+    /// The stream's outcome; also emits the [`Event::Deadline`]s the
+    /// live pointer never reached.
+    pub fn outcome(&self, obs: &ObsSink) -> StreamOutcome {
+        let items = &self.schedule.items;
+        let serviced = self.completions.len();
+        // Completions are filled in virtual-time order by the round
+        // loop; the backlog computation below depends on that.
+        debug_assert!(
+            self.completions.windows(2).all(|w| w[0] <= w[1]),
+            "fetch completions must be non-decreasing"
+        );
+        // Items the simulation never serviced (a stream revoked to the
+        // end) are holes too: the open-loop display played past them.
+        let mut dropped_blocks = (items.len() - serviced) as u64;
+        let mut fetched = 0u64;
+        let mut violations = 0u64;
+        let mut lateness = Vec::new();
+        let mut first_violation = None;
+        let first_display = self.epochs.first().and_then(|e| e.display_start);
+        for (j, item) in items.iter().enumerate().take(serviced) {
+            if self.dropped[j] {
+                dropped_blocks += 1;
+                continue;
+            }
+            if !item.silence {
+                fetched += 1;
+            }
+            let Some(deadline) = self.deadline_of(j) else {
+                continue;
+            };
+            let done = self.completions[j];
+            // Items past the live-emission pointer were never flushed
+            // by `emit_due_deadlines` (possible only when the loop
+            // ended mid-buffer); emit them now so the event set is
+            // complete. Items before it already went out live.
+            if j >= self.deadline_emitted {
+                obs.emit(|| self.deadline_event(j, deadline));
+            }
+            if done > deadline {
+                violations += 1;
+                lateness.push(done - deadline);
+                if first_violation.is_none() {
+                    if let Some(ds) = first_display {
+                        first_violation = Some(deadline - ds);
+                    }
+                }
+            }
+        }
+        // The per-round time series: group items by the round that
+        // fetched them (`fetch_rounds` is non-decreasing by
+        // construction), take the tightest margin in each group, and
+        // measure the backlog right after the group's last fetch.
+        // Dropped items have no fetch to measure and are skipped.
+        let mut series = Vec::new();
+        let mut j = 0;
+        while j < serviced {
+            let round = self.fetch_rounds[j];
+            let mut worst = i64::MAX;
+            let mut last = j;
+            while last < serviced && self.fetch_rounds[last] == round {
+                if !self.dropped[last] {
+                    if let Some(deadline) = self.deadline_of(last) {
+                        worst = worst.min(signed_margin(deadline, self.completions[last]));
+                    }
+                }
+                last += 1;
+            }
+            if worst == i64::MAX {
+                // The round fetched only drops or pre-display items.
+                worst = 0;
+            }
+            let turn_end = self.completions[last - 1];
+            // Items consumed by `turn_end`: deadlines are non-decreasing
+            // within an epoch; count them epoch-free via the first
+            // display clock (good enough for the backlog gauge).
+            let consumed = match first_display {
+                Some(ds) => items.partition_point(|it| ds + it.at <= turn_end),
+                None => 0,
+            };
+            series.push(RoundSample {
+                round,
+                blocks: (last - j) as u64,
+                worst_margin_ns: worst,
+                buffered: (last as u64).saturating_sub(consumed as u64),
+            });
+            j = last;
+        }
+        // Required buffering: completions are non-decreasing, so the
+        // backlog when item j starts playing is (#completions ≤ its
+        // deadline) − j. The subtraction saturates by design: a starved
+        // stream can reach item j's play instant with fewer than j
+        // fetches resident (open-loop display consumes items whether or
+        // not they arrived), and its backlog is then 0, not negative.
+        let mut max_buffered = 0u64;
+        for j in 0..serviced {
+            let Some(deadline) = self.deadline_of(j) else {
+                continue;
+            };
+            let fetched_by = self.completions.partition_point(|c| *c <= deadline);
+            max_buffered = max_buffered.max((fetched_by as u64).saturating_sub(j as u64));
+        }
+        StreamOutcome {
+            blocks: items.len() as u64,
+            fetched,
+            violations,
+            max_lateness: lateness.iter().copied().max().unwrap_or(Nanos::ZERO),
+            lateness: NanosSummary::of(lateness),
+            start_latency: match (first_display, self.service_start) {
+                (Some(ds), Some(ss)) => ds - ss,
+                _ => Nanos::ZERO,
+            },
+            max_buffered,
+            series,
+            first_violation,
+            dropped_blocks,
+            retries: self.retries,
+            revokes: self.revokes,
+            recovery_time: self.recovery_time,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A deliberately starved stream: the display clock consumes items
+    /// faster than fetches complete, so `fetched_by < j` for late items
+    /// and the backlog computation must clamp at zero, not underflow.
+    #[test]
+    fn starved_stream_backlog_clamps_to_zero() {
+        fn item_at(ms: u64) -> PlayItem {
+            PlayItem {
+                at: Nanos::from_millis(ms),
+                medium: strandfs_media::Medium::Video,
+                strand: strandfs_core::StrandId::from_raw(1),
+                block: 0,
+                units: 1,
+                duration: Nanos::from_millis(100),
+                silence: false,
+            }
+        }
+        let schedule = PlaySchedule {
+            items: vec![item_at(0), item_at(100), item_at(200)],
+            duration: Nanos::from_millis(300),
+            triggers: Vec::new(),
+        };
+        let mut state = StreamState::new(0, schedule, 1);
+        state.service_start = Some(Instant::EPOCH);
+        state.epochs[0].display_start = Some(Instant::EPOCH);
+        // Only the first fetch lands before its deadline; the rest
+        // straggle in long after the display has moved past them.
+        state.completions = vec![
+            Instant::EPOCH,
+            Instant::EPOCH + Nanos::from_millis(500),
+            Instant::EPOCH + Nanos::from_millis(600),
+        ];
+        state.fetch_rounds = vec![0, 1, 2];
+        state.dropped = vec![false, false, false];
+        state.next = 3;
+        let out = state.outcome(&ObsSink::noop());
+        assert_eq!(out.violations, 2);
+        // When item 2 plays (t = 200 ms) only one fetch is resident:
+        // backlog saturates to 0 rather than wrapping.
+        assert_eq!(out.max_buffered, 1);
+    }
+}

@@ -10,6 +10,9 @@
 //! seed loop's fresh `active` vector and payload `Vec` per fetch —
 //! scales with the round count and fails this immediately.
 //!
+//! The cluster loop (`simulate_cluster`, defenses off) is held to the
+//! same bar in a second leg of the same test.
+//!
 //! This file holds exactly one test: the allocator count is global to
 //! the binary, and a parallel sibling test would pollute the deltas.
 
@@ -92,6 +95,35 @@ fn rounds_do_not_grow_the_heap() {
     assert!(
         allocs_many <= allocs_few + slop,
         "8x rounds cost {allocs_many} allocations vs {allocs_few} — \
+         the loop is allocating per round"
+    );
+
+    // The cluster loop, held to the same bar: two volumes, one viewer
+    // each, every defense off. 240 items per viewer at k = 1 → 240
+    // rounds, at k = 8 → 30; a loop that collects a fresh `active`
+    // vector every round pays 210 allocations more; the per-stream
+    // round series — the only thing allowed to grow — costs 6.
+    use strandfs::cluster::{simulate_cluster, Cluster, ClusterConfig, ClusterPlayback};
+    let run_cluster = |k: u64| {
+        let mut c = Cluster::new(ClusterConfig::round_robin(2, 7)).expect("cluster");
+        let viewers: Vec<_> = (0..2)
+            .map(|i| {
+                c.ingest("clip", &ClipSpec::video_seconds(24.0).with_seed(i), 0.0)
+                    .expect("ingest")
+            })
+            .collect();
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let report =
+            simulate_cluster(&mut c, &viewers, &[], &ClusterPlayback::with_k(k)).expect("simulate");
+        (report.sim.rounds, ALLOCS.load(Ordering::Relaxed) - before)
+    };
+    let (rounds_many, allocs_many) = run_cluster(1);
+    let (rounds_few, allocs_few) = run_cluster(8);
+    assert_eq!(rounds_many, 8 * rounds_few);
+    let slop = 32;
+    assert!(
+        allocs_many <= allocs_few + slop,
+        "cluster: 8x rounds cost {allocs_many} allocations vs {allocs_few} — \
          the loop is allocating per round"
     );
 }

@@ -125,3 +125,187 @@ fn least_loaded_placement_is_deterministic_across_identical_runs() {
         assert_ne!(replicas[0], replicas[1], "title {t} (seed {seed})");
     }
 }
+
+/// One seeded scenario from the space the two cluster chaos properties
+/// in `tests/proptests_sim.rs` draw from — placement × kill / rejoin /
+/// wiped rejoin × restore × silent corruption × fail-slow × transient
+/// faults × scrub × hedging × audit, with a monitor ring attached —
+/// folded into one hash of everything observable: the report, the event
+/// stream and every member's disk image.
+fn cluster_fingerprint(seed: u64) -> u64 {
+    use strandfs::disk::{fnv1a, DegradedWindow, FaultPlan};
+    use strandfs::obs::ObsSink;
+    use strandfs::units::{Nanos, Prng};
+
+    let mut rng = Prng::seed_from_u64(seed);
+    let volumes = rng.gen_range(2usize..5);
+    let placement = match rng.bounded_u64(3) {
+        0 => Placement::RoundRobin,
+        1 => Placement::LeastLoaded,
+        _ => Placement::Popularity {
+            hot_threshold: 0.5,
+            extra: 1,
+        },
+    };
+    let mut c = Cluster::new(ClusterConfig {
+        volumes,
+        placement,
+        base_replicas: if rng.gen_bool(0.75) { 2 } else { 1 },
+        seed,
+    })
+    .expect("cluster");
+    let (sink, ring) = ObsSink::ring(1 << 17);
+    c.set_obs(&sink);
+    let hot = c
+        .ingest(
+            "hot",
+            &ClipSpec::video_seconds(1.5).with_seed(seed ^ 1),
+            1.0,
+        )
+        .expect("ingest hot");
+    let cold = c
+        .ingest(
+            "cold",
+            &ClipSpec::video_seconds(1.0).with_seed(seed ^ 2),
+            0.0,
+        )
+        .expect("ingest cold");
+    c.set_verify_reads(rng.gen_bool(0.6));
+
+    // Per-member fault plans: a run of bit flips under the hot title's
+    // first replica (sometimes under its last one too, so no clean
+    // source exists), a member that is slow for good or only for the
+    // first second, sparse transient read errors.
+    let mut plans = vec![FaultPlan::clean(); volumes];
+    if rng.gen_bool(0.6) {
+        let blocks = c.catalog().title(hot).replicas[0].strands[0].blocks;
+        let first = rng.bounded_u64(blocks);
+        let len = rng.gen_range(1u64..5);
+        let nrep = c.catalog().title(hot).replicas.len();
+        let both = rng.gen_bool(0.6);
+        for r in [0, nrep - 1] {
+            let (v, strand) = {
+                let rep = &c.catalog().title(hot).replicas[r];
+                (rep.volume, rep.strands[0].strand)
+            };
+            for n in first..(first + len).min(blocks) {
+                let strand = c.members()[v].mrs().msm().strand(strand).unwrap();
+                if let Some(e) = strand.block(n).unwrap() {
+                    plans[v] = plans[v].clone().with_silent_corruption(e);
+                }
+            }
+            if !both || nrep == 1 {
+                break;
+            }
+        }
+    }
+    if rng.gen_bool(0.6) {
+        let v = c.catalog().title(hot).replicas.last().unwrap().volume;
+        let factor = rng.gen_range(4u64..12) as f64;
+        plans[v] = if rng.gen_bool(0.5) {
+            plans[v].clone().with_fail_slow(factor)
+        } else {
+            plans[v].clone().with_degraded_window(DegradedWindow {
+                from: Instant::EPOCH,
+                until: Instant::EPOCH + Nanos::from_millis(rng.gen_range(300u64..1_500)),
+                region: None,
+                slowdown: 4.0 * factor,
+            })
+        };
+    }
+    if rng.gen_bool(0.25) {
+        let v = rng.bounded_u64(volumes as u64) as usize;
+        plans[v] = plans[v].clone().with_random_transients(0.1, 2);
+    }
+    for (v, plan) in plans.into_iter().enumerate() {
+        assert!(c.arm_member_faults(v, plan));
+    }
+
+    let mut script = Vec::new();
+    if rng.gen_bool(0.5) {
+        let victim = rng.bounded_u64(volumes as u64) as usize;
+        let at_round = rng.gen_range(1u64..4);
+        script.push(ScriptedAction {
+            at_round,
+            action: ClusterAction::Kill(victim),
+        });
+        let back = at_round + rng.gen_range(2u64..8);
+        match rng.bounded_u64(3) {
+            0 => {}
+            1 => script.push(ScriptedAction {
+                at_round: back,
+                action: ClusterAction::Rejoin(victim),
+            }),
+            _ => script.push(ScriptedAction {
+                at_round: back,
+                action: ClusterAction::RejoinWiped(victim),
+            }),
+        }
+    }
+
+    let mut cfg = ClusterPlayback::with_k(rng.gen_range(2u64..4));
+    cfg.read_ahead = cfg.k + rng.bounded_u64(cfg.k + 1);
+    cfg.revoke_after_drops = rng.gen_range(1u64..4);
+    cfg.readmit_clean_rounds = rng.gen_range(1u64..3);
+    cfg.quarantine_after_rounds = rng.bounded_u64(3);
+    cfg.max_rounds = 2_000;
+    if rng.gen_bool(0.5) {
+        cfg = cfg.restore(2);
+    }
+    if rng.gen_bool(0.5) {
+        cfg = cfg.scrub(3);
+    }
+    if rng.gen_bool(0.6) {
+        cfg = cfg.hedged();
+    }
+    if rng.gen_bool(0.5) {
+        cfg = cfg.audited();
+    }
+    let report = simulate_cluster(&mut c, &[hot, cold, hot, hot], &script, &cfg);
+
+    let mut seen = format!("{report:?}").into_bytes();
+    for e in ring.borrow().events() {
+        seen.extend_from_slice(format!("{e:?}").as_bytes());
+    }
+    for m in c.members() {
+        seen.extend_from_slice(&m.mrs().msm().disk().content_hash().to_le_bytes());
+    }
+    fnv1a(&seen)
+}
+
+/// Byte-identity pin for `simulate_cluster`: fixed seeds (independent
+/// of `STRANDFS_TEST_SEED`), one committed hash each. A refactor of the
+/// cluster loop must reproduce every one; an intended behaviour change
+/// re-records them and says so. Between them the 32 runs take every
+/// branch of the loop: media failover, hedges won and lost, quarantine
+/// and probe re-admission, read-around, scrub repair / skip /
+/// invalidation, restore, the revoke ladder and idle rounds — and seed
+/// 22 pins an `Err` (a restore pass reading a corrupt source under
+/// verified reads aborts the run).
+#[test]
+fn cluster_loop_fingerprints_are_pinned() {
+    #[rustfmt::skip]
+    const PINNED: [u64; 32] = [
+        0x5bd8a35659fdb0f0, 0xe2c68234945de948, 0x5eec3f5168f4971c, 0xc076cb0abf7bcf7c,
+        0x2eb5727089f4afc7, 0x340168999c5a9d87, 0x39ad1f24b6cdf396, 0x2f60b384d7dfbda1,
+        0x2614aa33e9202879, 0x5d9da4bf36f74d11, 0xd8bbf117735ebf78, 0xc1d071fd6453bcfa,
+        0x75f20aa6f689ef5e, 0x49f2b87affd33b34, 0x358e07aa526c0155, 0x668d2fabb0a3c6ca,
+        0xb94e5e2baf13182b, 0x7abebef266480243, 0x219275fae7ab2577, 0x8022df4d917b7e93,
+        0x2104d95a021d4141, 0x694674ae4c4cec4c, 0xbb2e2522370a52a4, 0x8e0fb37b97af1adb,
+        0xb64839a75445b39c, 0x87616c611d69bddd, 0x2b6493a78fecc912, 0x20f08c3ac4359605,
+        0x00f417d2f7bcc673, 0x100e0521d5fe3b81, 0x02c407cb021a5bee, 0x424063425c4574d9,
+    ];
+    let got: Vec<u64> = (0..32).map(cluster_fingerprint).collect();
+    assert!(
+        got == PINNED,
+        "cluster loop fingerprints drifted; observed:\n{}",
+        got.chunks(4)
+            .map(|row| row
+                .iter()
+                .map(|h| format!("{h:#018x},"))
+                .collect::<Vec<_>>()
+                .join(" "))
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
+}

@@ -311,7 +311,7 @@ fn resilient_read_recovers_within_budget() {
     let victim = block_extent(&msm, id, 1);
     assert!(msm.arm_faults(FaultPlan::clean().with_transient(victim, 1)));
     let fetch = msm
-        .read_block_resilient(id, 1, t, Nanos::from_millis(500), None)
+        .fetch_block(id, 1, t, Nanos::from_millis(500), None, true)
         .unwrap();
     match fetch {
         BlockFetch::Data {
@@ -329,7 +329,14 @@ fn expired_deadline_abandons_without_io() {
     let (mut msm, id, t) = faulted_msm();
     let reads_before = msm.disk().stats().reads;
     let fetch = msm
-        .read_block_resilient(id, 0, t, Nanos::from_millis(500), Some(Instant::EPOCH))
+        .fetch_block(
+            id,
+            0,
+            t,
+            Nanos::from_millis(500),
+            Some(Instant::EPOCH),
+            true,
+        )
         .unwrap();
     assert!(
         matches!(
