@@ -20,39 +20,26 @@
 //! against the baseline (default `BENCH_core.json`) with the
 //! data-driven tolerances of `strandfs_bench::check`. Suites with a
 //! flagged benchmark are re-run once before the verdict, so a single
-//! noisy scheduling event does not fail the gate; the observability
-//! capture is also cross-checked against the simulator's own
-//! bookkeeping. Nothing is written in `--check` mode.
+//! noisy scheduling event does not fail the gate; the virtual-time
+//! sections are re-rendered and compared leaf by leaf for equality;
+//! and the observability capture is cross-checked against the
+//! simulator's own bookkeeping. Nothing is written in `--check` mode.
 
-use strandfs_bench::{check, suites};
+use strandfs_bench::suites::SUITES;
+use strandfs_bench::{check, sections};
 use strandfs_testkit::bench::Runner;
-
-type RegisterFn = fn(&mut Runner);
-
-const SUITES: &[(&str, RegisterFn)] = &[
-    ("fig4", suites::fig4::register),
-    ("unconstrained", suites::unconstrained::register),
-    ("architectures", suites::architectures::register),
-    ("readahead", suites::readahead::register),
-    ("capacity", suites::capacity::register),
-    ("transient", suites::transient::register),
-    ("edit_copy", suites::edit_copy::register),
-    ("silence", suites::silence::register),
-    ("allocators", suites::allocators::register),
-    ("index", suites::index::register),
-    ("vbr", suites::vbr::register),
-    ("scan_order", suites::scan_order::register),
-    ("faults", suites::faults::register),
-    ("crash", suites::crash::register),
-    ("fsx", suites::fsx::register),
-    ("scale", suites::scale::register),
-];
 
 struct Cli {
     check: bool,
     quick: bool,
     baseline: String,
     suites: Vec<String>,
+}
+
+/// A usage or baseline error: exit code 2, distinct from a regression.
+fn fail(msg: String) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
 }
 
 fn parse_args() -> Cli {
@@ -69,15 +56,9 @@ fn parse_args() -> Cli {
             "--quick" => cli.quick = true,
             "--baseline" => match args.next() {
                 Some(path) => cli.baseline = path,
-                None => {
-                    eprintln!("--baseline needs a path");
-                    std::process::exit(2);
-                }
+                None => fail("--baseline needs a path".into()),
             },
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown flag `{flag}`");
-                std::process::exit(2);
-            }
+            flag if flag.starts_with("--") => fail(format!("unknown flag `{flag}`")),
             suite => cli.suites.push(suite.to_string()),
         }
     }
@@ -108,51 +89,18 @@ fn run_suites(wanted: &[String], quiet: bool) -> Runner {
 }
 
 fn run_check(cli: &Cli) -> ! {
-    let text = match std::fs::read_to_string(&cli.baseline) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read baseline {}: {e}", cli.baseline);
-            std::process::exit(2);
-        }
-    };
-    let doc = match strandfs_testkit::json::Json::parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("baseline {} is not valid JSON: {e}", cli.baseline);
-            std::process::exit(2);
-        }
-    };
-    let baseline = match check::parse_baseline(&doc) {
-        Ok(b) => check::filter_suites(b, &cli.suites),
-        Err(e) => {
-            eprintln!("baseline {}: {e}", cli.baseline);
-            std::process::exit(2);
-        }
-    };
-    // The committed baseline is generated uncapped; when
-    // STRANDFS_SCALE_CAP excludes a scale size from this run, its
-    // baseline benchmark entry must be dropped rather than reported
-    // missing.
-    let active_sizes = strandfs_bench::experiments::e16_scale::active_sizes();
-    let mut active_scale: Vec<String> = active_sizes
-        .iter()
-        .map(|n| format!("scale/n{n}_playback"))
-        .collect();
-    // The monitored companion benchmark runs for the largest active
-    // size only, so under a cap its baseline entry moves with the cap.
-    if let Some(n) = active_sizes.last() {
-        active_scale.push(format!("scale/n{n}_playback_monitored"));
-    }
-    let baseline: Vec<_> = baseline
-        .into_iter()
-        .filter(|b| b.suite() != "scale" || active_scale.contains(&b.name))
-        .collect();
+    let path = &cli.baseline;
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| fail(format!("cannot read baseline {path}: {e}")));
+    let doc = strandfs_testkit::json::Json::parse(&text)
+        .unwrap_or_else(|e| fail(format!("baseline {path} is not valid JSON: {e}")));
+    let baseline = check::parse_baseline(&doc)
+        .map(|b| check::filter_suites(b, &cli.suites))
+        .unwrap_or_else(|e| fail(format!("baseline {path}: {e}")));
     if baseline.is_empty() {
-        eprintln!(
-            "baseline {} has no entries for the selected suites",
-            cli.baseline
-        );
-        std::process::exit(2);
+        fail(format!(
+            "baseline {path} has no entries for the selected suites"
+        ));
     }
 
     let runner = run_suites(&cli.suites, false);
@@ -187,101 +135,23 @@ fn run_check(cli: &Cli) -> ! {
     // accounting for the instrumented reference run.
     let invariants = check::obs_invariants(&strandfs_bench::obs_capture::capture_full());
 
-    // The fault and crash sections are virtual-time deterministic, so
-    // each is compared leaf-by-leaf at the noisy tier — numeric drift
-    // bounded, string leaves (the crash-image fingerprint) exact —
-    // skipped when a suite filter excludes it or the baseline predates
-    // the section.
-    let mut sections = check::CheckOutcome::default();
-    let mut compare_deterministic = |label: &str, fresh: fn() -> String| {
-        let selected = cli.suites.is_empty() || cli.suites.iter().any(|s| s == label);
-        if !selected {
-            return;
-        }
-        if let Some(base) = doc.path(&format!("sections/{label}")) {
-            let fresh = fresh();
-            let fresh = strandfs_testkit::json::Json::parse(&fresh)
-                .unwrap_or_else(|e| panic!("fresh {label} section is valid JSON: {e}"));
-            let out = check::compare_section(label, base, &fresh);
-            sections.compared += out.compared;
-            sections.regressions.extend(out.regressions);
-            sections.missing.extend(out.missing);
-            sections.mismatched.extend(out.mismatched);
-        }
-    };
-    compare_deterministic(
-        "faults",
-        strandfs_bench::experiments::e13_faults::section_json,
-    );
-    compare_deterministic(
-        "crash",
-        strandfs_bench::experiments::e14_crash::section_json,
-    );
-    compare_deterministic("fsx", strandfs_bench::experiments::e15_fsx::section_json);
-    // E17's monitor state (window series, alerts, flight-dump
-    // summaries) and the profiler's span counts are virtual-time
-    // deterministic too; they key off the `monitor` pseudo-suite name
-    // so explicit suite filters skip them.
-    compare_deterministic(
-        "monitor",
-        strandfs_bench::experiments::e17_monitor::section_json,
-    );
-    compare_deterministic(
-        "profile",
-        strandfs_bench::experiments::e17_monitor::profile_json,
-    );
-    // The E18 cluster section (n_max scaling sweep + kill-one-member
-    // failover contract) is virtual-time deterministic; it keys off
-    // the `cluster` pseudo-suite name.
-    compare_deterministic(
-        "cluster",
-        strandfs_bench::experiments::e18_cluster::section_json,
-    );
-    // The E19 integrity section (corruption defense, fail-slow
-    // hedging, scrub perturbation) is virtual-time deterministic; it
-    // keys off the `integrity` pseudo-suite name.
-    compare_deterministic(
-        "integrity",
-        strandfs_bench::experiments::e19_integrity::section_json,
-    );
-
-    // The scale section is compared one size at a time, so a
-    // STRANDFS_SCALE_CAP-bounded run still checks the sizes it swept
-    // and skips the rest (wall-clock never appears in the section —
-    // the scale *benchmarks* carry the timing side).
-    let scale_selected = cli.suites.is_empty() || cli.suites.iter().any(|s| s == "scale");
-    if scale_selected && doc.path("sections/scale").is_some() {
-        let fresh = strandfs_bench::experiments::e16_scale::section_json();
-        let fresh = strandfs_testkit::json::Json::parse(&fresh)
-            .unwrap_or_else(|e| panic!("fresh scale section is valid JSON: {e}"));
-        for n in strandfs_bench::experiments::e16_scale::active_sizes() {
-            let key = format!("n{n}");
-            let base = doc.path(&format!("sections/scale/{key}"));
-            let (Some(base), Some(cur)) = (base, fresh.get(&key)) else {
-                continue;
-            };
-            let out = check::compare_section(&format!("scale/{key}"), base, cur);
-            sections.compared += out.compared;
-            sections.regressions.extend(out.regressions);
-            sections.missing.extend(out.missing);
-            sections.mismatched.extend(out.mismatched);
-        }
-    }
+    // The sections are virtual-time deterministic: every leaf of the
+    // selected ones (all of them without a suite filter) must equal
+    // its committed value.
+    let sections = sections::check(&doc, &cli.suites);
+    outcome.mismatched = sections.mismatched;
 
     println!(
-        "\nbench check: {} benchmark(s) + {} section metric(s) compared against {}",
-        outcome.compared, sections.compared, cli.baseline
+        "\nbench check: {} benchmark(s) + {} section leaves compared against {path}",
+        outcome.compared, sections.compared
     );
     if !outcome.passed() {
         println!("\n{}", outcome.table());
     }
-    if !sections.passed() {
-        println!("\n{}", sections.table());
-    }
     for problem in &invariants {
         println!("obs invariant violated — {problem}");
     }
-    if outcome.passed() && sections.passed() && invariants.is_empty() {
+    if outcome.passed() && invariants.is_empty() {
         println!("bench check OK");
         std::process::exit(0);
     }
@@ -308,58 +178,12 @@ fn main() {
     }
 
     let mut c = run_suites(&cli.suites, false);
-    // One instrumented end-to-end run: its per-op timing breakdowns,
-    // admission decision counters and deadline-margin histograms ride
-    // along in the report under "sections", with the continuity SLO
-    // view of the same run beside them.
-    let cap = strandfs_bench::obs_capture::capture_full();
-    c.add_section("obs", cap.obs_json);
-    c.add_section("slo", cap.slo_json);
-    // The E13 fault sweep and E14 crash-point sweep ride along too:
-    // deterministic virtual-time metrics, compared leaf-by-leaf in
-    // `--check` mode (the crash fingerprint byte-exactly).
-    c.add_section(
-        "faults",
-        strandfs_bench::experiments::e13_faults::section_json(),
-    );
-    c.add_section(
-        "crash",
-        strandfs_bench::experiments::e14_crash::section_json(),
-    );
-    // The E15 fsx exerciser stream rides along the same way; its two
-    // fingerprints (op log, final image) are compared byte-exactly.
-    c.add_section("fsx", strandfs_bench::experiments::e15_fsx::section_json());
-    // The E16 scale sweep's virtual-time outcome rides along per size;
-    // its wall-clock side lives in the `scale` benchmarks above.
-    c.add_section(
-        "scale",
-        strandfs_bench::experiments::e16_scale::section_json(),
-    );
-    // The E17 live-monitoring run: the windowed monitor's full state
-    // (windows, alerts, flight-dump summaries) plus the service-loop
-    // profiler's deterministic span counts.
-    c.add_section(
-        "monitor",
-        strandfs_bench::experiments::e17_monitor::section_json(),
-    );
-    c.add_section(
-        "profile",
-        strandfs_bench::experiments::e17_monitor::profile_json(),
-    );
-    // The E18 cluster sweep: aggregate n_max scaling over member
-    // counts plus the kill-one-member failover contract (replicated
-    // streams drop zero blocks), all virtual-time deterministic.
-    c.add_section(
-        "cluster",
-        strandfs_bench::experiments::e18_cluster::section_json(),
-    );
-    // The E19 integrity run: corruption defense (verify + scrub +
-    // read-around repair), fail-slow hedging vs the healthy baseline,
-    // and the scrub zero-perturbation invariant.
-    c.add_section(
-        "integrity",
-        strandfs_bench::experiments::e19_integrity::section_json(),
-    );
+    // The virtual-time sections ride along under "sections" (the
+    // instrumented reference run's capture and SLO view, then E13–E19),
+    // whatever the suite filter.
+    for (label, fresh) in sections::SECTIONS {
+        c.add_section(label, fresh());
+    }
     c.report();
 
     let path = "BENCH_core.json";

@@ -13,12 +13,18 @@
 //! baseline entries and fresh [`BenchResult`]s, so the gate's behaviour
 //! — including that a 50 % slowdown on a tight-tolerance benchmark
 //! fails — is pinned by unit tests without timing anything.
+//!
+//! None of that tolerance reaches the document's `sections`: they are
+//! virtual-time outputs, the same bytes on every machine and in every
+//! build profile, so [`compare_section`] holds every leaf to equality.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use strandfs_testkit::bench::BenchResult;
 use strandfs_testkit::json::Json;
 
+use crate::experiments::e16_scale;
 use crate::obs_capture::Capture;
 
 /// Absolute slack added to every limit, so kernels measured in a few
@@ -103,10 +109,9 @@ pub struct CheckOutcome {
     /// dropped benchmark breaks the gate rather than silently shrinking
     /// its coverage).
     pub missing: Vec<String>,
-    /// String leaves that changed between baseline and fresh run, as
-    /// `(path, baseline, current)`. Deterministic sections compare
-    /// string leaves — policy labels, image fingerprints — for exact
-    /// equality: no drift tolerance is meaningful for a label or hash.
+    /// Section leaves that differ between baseline and fresh run, as
+    /// `(path, committed, fresh)`; a leaf only one side has reads
+    /// `absent` on the other.
     pub mismatched: Vec<(String, String, String)>,
 }
 
@@ -144,7 +149,7 @@ impl CheckOutcome {
             );
         }
         for (name, base, cur) in &self.mismatched {
-            let _ = writeln!(out, "{name:<44} \"{base}\" became \"{cur}\"  FAIL");
+            let _ = writeln!(out, "{name:<44} committed {base}, fresh {cur}  FAIL");
         }
         out
     }
@@ -191,16 +196,17 @@ pub fn parse_baseline(doc: &Json) -> Result<Vec<BaselineEntry>, String> {
         .collect()
 }
 
-/// Keep only the baseline entries whose suite is among `suites`.
+/// Keep only the baseline entries this run will reproduce: those whose
+/// suite is among `suites` (all suites when empty), minus the scale
+/// sizes `STRANDFS_SCALE_CAP` keeps out of the sweep — the committed
+/// baseline is generated uncapped, and a capped-out entry is skipped
+/// rather than reported missing.
 pub fn filter_suites(baseline: Vec<BaselineEntry>, suites: &[String]) -> Vec<BaselineEntry> {
-    if suites.is_empty() {
-        baseline
-    } else {
-        baseline
-            .into_iter()
-            .filter(|b| suites.iter().any(|s| s == b.suite()))
-            .collect()
-    }
+    baseline
+        .into_iter()
+        .filter(|b| suites.is_empty() || suites.iter().any(|s| s == b.suite()))
+        .filter(|b| !e16_scale::capped_out(&b.name))
+        .collect()
 }
 
 /// Compare a fresh run against the baseline. Benchmarks present only in
@@ -228,120 +234,59 @@ pub fn compare(baseline: &[BaselineEntry], current: &[BenchResult]) -> CheckOutc
     outcome
 }
 
-/// Flatten every numeric leaf of a JSON value into `(path, value)`
-/// pairs, depth-first, with `/`-joined object keys and `[i]` array
-/// indices.
-pub fn flatten_numbers(json: &Json, prefix: &str, out: &mut Vec<(String, f64)>) {
-    if let Some(n) = json.as_num() {
-        out.push((prefix.to_string(), n));
-    } else if let Some(obj) = json.as_obj() {
+/// Flatten every leaf of a JSON value — number, string, bool, null —
+/// into `path -> leaf`, with `/`-joined object keys and `[i]` array
+/// indices under `prefix`.
+fn flatten<'a>(json: &'a Json, prefix: &str, out: &mut BTreeMap<String, &'a Json>) {
+    if let Some(obj) = json.as_obj() {
         for (k, v) in obj {
-            let p = if prefix.is_empty() {
-                k.clone()
-            } else {
-                format!("{prefix}/{k}")
-            };
-            flatten_numbers(v, &p, out);
+            flatten(v, &format!("{prefix}/{k}"), out);
         }
     } else if let Some(arr) = json.as_arr() {
         for (i, v) in arr.iter().enumerate() {
-            flatten_numbers(v, &format!("{prefix}[{i}]"), out);
+            flatten(v, &format!("{prefix}[{i}]"), out);
         }
+    } else {
+        out.insert(prefix.to_string(), json);
     }
 }
 
-/// Flatten every string leaf of a JSON value into `(path, value)`
-/// pairs, depth-first, with the same path syntax as
-/// [`flatten_numbers`].
-pub fn flatten_strings(json: &Json, prefix: &str, out: &mut Vec<(String, String)>) {
-    if let Some(s) = json.as_str() {
-        out.push((prefix.to_string(), s.to_string()));
-    } else if let Some(obj) = json.as_obj() {
-        for (k, v) in obj {
-            let p = if prefix.is_empty() {
-                k.clone()
-            } else {
-                format!("{prefix}/{k}")
-            };
-            flatten_strings(v, &p, out);
-        }
-    } else if let Some(arr) = json.as_arr() {
-        for (i, v) in arr.iter().enumerate() {
-            flatten_strings(v, &format!("{prefix}[{i}]"), out);
-        }
+/// One side of a reported difference.
+fn show(leaf: Option<&Json>) -> String {
+    match leaf {
+        None => "absent".to_string(),
+        Some(Json::Str(s)) => format!("\"{s}\""),
+        Some(Json::Num(n)) => n.to_string(),
+        Some(Json::Bool(b)) => b.to_string(),
+        Some(_) => "null".to_string(),
     }
 }
 
-/// Compare a committed deterministic section (`sections/<label>`)
-/// against a fresh run's, leaf by leaf.
-///
-/// Numeric leaves compare at the noisy (macro) tolerance tier: the
-/// sections mix counts, rates and signed nanosecond margins — some
-/// negative, many exactly zero — so instead of a pure ratio the gate
-/// bounds the *drift magnitude* by the noisy tier's headroom
-/// (`tolerance_ratio(1) - 1` of the baseline magnitude) plus the
-/// absolute floor. String leaves — policy labels, image fingerprints —
-/// must match exactly. The simulations behind these sections are
-/// virtual-time deterministic, so in practice any drift at all means
-/// the model changed.
-pub fn compare_section(label: &str, baseline: &Json, current: &Json) -> CheckOutcome {
-    let mut base = Vec::new();
-    flatten_numbers(baseline, label, &mut base);
-    let mut fresh = Vec::new();
-    flatten_numbers(current, label, &mut fresh);
+/// Compare a committed virtual-time section (`sections/<label>`)
+/// against a fresh run's, leaf by leaf, for equality. A leaf on one
+/// side only is a difference too — except a committed leaf of a scale
+/// size this process was capped out of sweeping
+/// ([`e16_scale::capped_out`]), which is skipped uncounted.
+pub fn compare_section(label: &str, committed: &Json, fresh: &Json) -> CheckOutcome {
+    let mut base = BTreeMap::new();
+    flatten(committed, label, &mut base);
+    let mut cur = BTreeMap::new();
+    flatten(fresh, label, &mut cur);
     let mut outcome = CheckOutcome::default();
-    for (name, b) in base {
-        let Some((_, c)) = fresh.iter().find(|(n, _)| *n == name) else {
-            outcome.missing.push(name);
+    for (path, b) in base {
+        let c = cur.remove(&path);
+        if c.is_none() && e16_scale::capped_out(&path) {
             continue;
-        };
+        }
         outcome.compared += 1;
-        let limit = b.abs() * (tolerance_ratio(1) - 1.0) + ABSOLUTE_FLOOR_NS;
-        if (c - b).abs() > limit {
-            outcome.regressions.push(Regression {
-                name,
-                baseline_ns: b,
-                current_ns: *c,
-                limit_ns: limit,
-            });
+        if c != Some(b) {
+            outcome.mismatched.push((path, show(Some(b)), show(c)));
         }
     }
-    let mut base_s = Vec::new();
-    flatten_strings(baseline, label, &mut base_s);
-    let mut fresh_s = Vec::new();
-    flatten_strings(current, label, &mut fresh_s);
-    for (name, b) in base_s {
-        let Some((_, c)) = fresh_s.iter().find(|(n, _)| *n == name) else {
-            outcome.missing.push(name);
-            continue;
-        };
-        outcome.compared += 1;
-        if *c != b {
-            outcome.mismatched.push((name, b, c.clone()));
-        }
+    for (path, c) in cur {
+        outcome.mismatched.push((path, show(None), show(Some(c))));
     }
     outcome
-}
-
-/// [`compare_section`] specialised to the committed `sections/faults`
-/// document (the E13 fault sweep).
-pub fn compare_faults(baseline: &Json, current: &Json) -> CheckOutcome {
-    compare_section("faults", baseline, current)
-}
-
-/// [`compare_section`] specialised to the committed `sections/cluster`
-/// document (the E18 scaling sweep and failover run).
-pub fn compare_cluster(baseline: &Json, current: &Json) -> CheckOutcome {
-    compare_section("cluster", baseline, current)
-}
-
-/// [`compare_section`] specialised to the committed
-/// `sections/integrity` document (the E19 corruption / fail-slow /
-/// scrub-perturbation run). The headline invariants are string leaves
-/// (`"yes"`/`"no"`/`"clean"`), so any drift fails exactly rather than
-/// inside a numeric tolerance.
-pub fn compare_integrity(baseline: &Json, current: &Json) -> CheckOutcome {
-    compare_section("integrity", baseline, current)
 }
 
 /// Cross-check the observability fold against the simulator's own
@@ -477,107 +422,142 @@ mod tests {
         assert_eq!(filter_suites(all, &[]).len(), 2);
     }
 
-    #[test]
-    fn fault_sections_compare_by_drift_magnitude() {
-        let base = strandfs_testkit::json::validate(
-            r#"{"sweep":[{"rate":0.2,"dropped_blocks":16,"p99_margin_ns":-25000}],
-                "shield":{"healthy_violations":0}}"#,
+    /// Compare two one-difference documents and return that difference.
+    fn differs(label: &str, committed: &str, fresh: &str) -> (String, String, String) {
+        let out = compare_section(
+            label,
+            &strandfs_testkit::json::validate(committed),
+            &strandfs_testkit::json::validate(fresh),
         );
-        // Identical documents pass and count every numeric leaf.
-        let same = compare_faults(&base, &base);
-        assert!(same.passed());
-        assert_eq!(same.compared, 4);
-        // A count drifting past its headroom (16 * 1.5 + 100 = 124) fails;
-        // within it passes.
-        let drifted = strandfs_testkit::json::validate(
-            r#"{"sweep":[{"rate":0.2,"dropped_blocks":141,"p99_margin_ns":-25000}],
-                "shield":{"healthy_violations":0}}"#,
-        );
-        let out = compare_faults(&base, &drifted);
         assert!(!out.passed());
-        assert_eq!(out.regressions.len(), 1);
-        assert_eq!(out.regressions[0].name, "faults/sweep[0]/dropped_blocks");
-        // Negative margins use the same magnitude rule: -60000 drifts
-        // 35000 > 25000 * 1.5 + 100.
-        let late = strandfs_testkit::json::validate(
-            r#"{"sweep":[{"rate":0.2,"dropped_blocks":16,"p99_margin_ns":-80000}],
-                "shield":{"healthy_violations":0}}"#,
+        assert!(out.regressions.is_empty() && out.missing.is_empty());
+        assert_eq!(out.mismatched.len(), 1, "{}", out.table());
+        assert!(out.table().contains(&out.mismatched[0].0));
+        assert!(out.table().contains("FAIL"));
+        out.mismatched[0].clone()
+    }
+
+    fn triple(path: &str, committed: &str, fresh: &str) -> (String, String, String) {
+        (path.to_string(), committed.to_string(), fresh.to_string())
+    }
+
+    #[test]
+    fn section_leaves_of_every_kind_compare_for_equality() {
+        let base = strandfs_testkit::json::validate(
+            r#"{"sweep":[{"rate":0.2,"p99_margin_ns":-25000,"policy":"ladder"}],
+                "slack_ns":null,"clean":true,"alerts":[]}"#,
         );
-        assert!(!compare_faults(&base, &late).passed());
-        // A leaf missing from the fresh run fails loudly.
-        let shrunk = strandfs_testkit::json::validate(r#"{"sweep":[],"shield":{}}"#);
-        let out = compare_faults(&base, &shrunk);
-        assert_eq!(out.missing.len(), 4);
+        // Identical documents pass and count every leaf, whatever its kind.
+        let same = compare_section("faults", &base, &base);
+        assert!(same.passed(), "{}", same.table());
+        assert_eq!(same.compared, 5);
+        // One violation more out of 15,000 fails; so does one
+        // nanosecond of signed margin.
+        assert_eq!(
+            differs(
+                "scale",
+                r#"{"n1000":{"violations":15000,"rounds":4}}"#,
+                r#"{"n1000":{"violations":15001,"rounds":4}}"#,
+            ),
+            triple("scale/n1000/violations", "15000", "15001")
+        );
+        assert_eq!(
+            differs(
+                "faults",
+                r#"{"sweep":[{"p99_margin_ns":-25000}]}"#,
+                r#"{"sweep":[{"p99_margin_ns":-25001}]}"#,
+            ),
+            triple("faults/sweep[0]/p99_margin_ns", "-25000", "-25001")
+        );
+        // A float leaf differing in its last printed digit.
+        assert_eq!(
+            differs(
+                "faults",
+                r#"{"sweep":[{"miss_rate":0.0312}]}"#,
+                r#"{"sweep":[{"miss_rate":0.0313}]}"#,
+            ),
+            triple("faults/sweep[0]/miss_rate", "0.0312", "0.0313")
+        );
+        // A leaf changing kind: a window with no admission decision
+        // (slack `null`) gains one.
+        assert_eq!(
+            differs(
+                "monitor",
+                r#"{"windows":[{"slack_ns":null}]}"#,
+                r#"{"windows":[{"slack_ns":0}]}"#,
+            ),
+            triple("monitor/windows[0]/slack_ns", "null", "0")
+        );
+        // A leaf only the fresh run has is named, not ignored.
+        assert_eq!(
+            differs("crash", r#"{"writes":62}"#, r#"{"writes":62,"torn":3}"#),
+            triple("crash/torn", "absent", "3")
+        );
     }
 
     #[test]
     fn cluster_section_gates_failover_leaves() {
-        let base = strandfs_testkit::json::validate(
-            r#"{"scaling":{"v1":{"n_max":2}},"failover":{"replicated_dropped":0,"failovers":1}}"#,
-        );
-        let same = compare_cluster(&base, &base);
-        assert!(same.passed());
-        assert_eq!(same.compared, 3);
-        // A replicated stream dropping blocks breaks the contract: 0
-        // has no relative headroom beyond the absolute floor, so any
-        // real drop count (> 100) regresses.
-        let broken = strandfs_testkit::json::validate(
-            r#"{"scaling":{"v1":{"n_max":2}},"failover":{"replicated_dropped":200,"failovers":1}}"#,
-        );
-        let out = compare_cluster(&base, &broken);
-        assert!(!out.passed());
+        // A replicated stream dropping a single block breaks the
+        // contract.
         assert_eq!(
-            out.regressions[0].name,
-            "cluster/failover/replicated_dropped"
+            differs(
+                "cluster",
+                r#"{"scaling":{"v1":{"n_max":2}},"failover":{"replicated_dropped":0,"failovers":1}}"#,
+                r#"{"scaling":{"v1":{"n_max":2}},"failover":{"replicated_dropped":1,"failovers":1}}"#,
+            ),
+            triple("cluster/failover/replicated_dropped", "0", "1")
         );
     }
 
     #[test]
     fn integrity_section_gates_corruption_and_hedge_leaves() {
-        let base = strandfs_testkit::json::validate(
-            r#"{"corruption":{"defended_corrupt_served":0,"defended_serves_corrupt":"no",
-                              "fsck":"clean"},
-                "fail_slow":{"hedged_dropped":0,"hedged_holds_baseline":"yes"}}"#,
-        );
-        let same = compare_integrity(&base, &base);
-        assert!(same.passed());
-        assert_eq!(same.compared, 5);
-        // The headline invariants are string leaves: a single corrupt
-        // payload on the wire flips "no" to "yes" and fails exactly —
-        // there is no numeric headroom to hide inside.
-        let leaked = strandfs_testkit::json::validate(
-            r#"{"corruption":{"defended_corrupt_served":1,"defended_serves_corrupt":"yes",
-                              "fsck":"clean"},
-                "fail_slow":{"hedged_dropped":0,"hedged_holds_baseline":"yes"}}"#,
-        );
-        let out = compare_integrity(&base, &leaked);
-        assert!(!out.passed());
-        assert_eq!(out.mismatched.len(), 1);
-        assert_eq!(
-            out.mismatched[0].0,
-            "integrity/corruption/defended_serves_corrupt"
-        );
+        // The verdicts are the counts themselves: one corrupt payload
+        // on the wire, or one block dropped past the hedge, fails.
+        let base = r#"{"corruption":{"defended_corrupt_served":0,"fsck":"clean"},
+                       "fail_slow":{"hedged_dropped":0}}"#;
+        for (path, was, now) in [
+            (
+                "integrity/corruption/defended_corrupt_served",
+                r#""defended_corrupt_served":0"#,
+                r#""defended_corrupt_served":1"#,
+            ),
+            (
+                "integrity/fail_slow/hedged_dropped",
+                r#""hedged_dropped":0"#,
+                r#""hedged_dropped":1"#,
+            ),
+        ] {
+            assert_eq!(
+                differs("integrity", base, &base.replace(was, now)),
+                triple(path, "0", "1")
+            );
+        }
     }
 
     #[test]
     fn section_string_leaves_compare_exactly() {
-        let base =
-            strandfs_testkit::json::validate(r#"{"writes":62,"fingerprint":"00aa11bb22cc33dd"}"#);
-        let same = compare_section("crash", &base, &base);
-        assert!(same.passed());
-        assert_eq!(same.compared, 2);
         // Any fingerprint change fails, no matter how "close".
-        let drifted =
-            strandfs_testkit::json::validate(r#"{"writes":62,"fingerprint":"00aa11bb22cc33de"}"#);
-        let out = compare_section("crash", &base, &drifted);
-        assert!(!out.passed());
-        assert_eq!(out.mismatched.len(), 1);
-        assert_eq!(out.mismatched[0].0, "crash/fingerprint");
-        assert!(out.table().contains("crash/fingerprint"));
-        // A vanished string leaf fails loudly too.
-        let shrunk = strandfs_testkit::json::validate(r#"{"writes":62}"#);
-        let out = compare_section("crash", &base, &shrunk);
-        assert_eq!(out.missing, vec!["crash/fingerprint".to_string()]);
+        assert_eq!(
+            differs(
+                "crash",
+                r#"{"writes":62,"fingerprint":"00aa11bb22cc33dd"}"#,
+                r#"{"writes":62,"fingerprint":"00aa11bb22cc33de"}"#,
+            ),
+            triple(
+                "crash/fingerprint",
+                "\"00aa11bb22cc33dd\"",
+                "\"00aa11bb22cc33de\""
+            )
+        );
+        // A vanished leaf fails loudly too.
+        assert_eq!(
+            differs(
+                "crash",
+                r#"{"writes":62,"fingerprint":"00aa11bb22cc33dd"}"#,
+                r#"{"writes":62}"#,
+            ),
+            triple("crash/fingerprint", "\"00aa11bb22cc33dd\"", "absent")
+        );
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!
 //! `STRANDFS_SCALE_CAP` bounds the swept sizes (sizes above the cap are
 //! skipped) so the tier-1 quick gate stays fast; the committed baseline
-//! is always generated uncapped, and `bench --check` drops baseline
-//! entries for capped-out sizes instead of reporting them missing.
+//! is always generated uncapped, and `bench --check` skips what
+//! [`capped_out`] names — benchmark entries and section leaves alike —
+//! instead of reporting it missing.
 
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -34,21 +35,38 @@ pub const SIZES: [usize; 3] = [1_000, 10_000, 100_000];
 /// over the 20-item clip.
 const K: u64 = 5;
 
-/// The sizes this process actually sweeps: [`SIZES`] bounded by the
-/// `STRANDFS_SCALE_CAP` environment variable (absent or unparsable =
-/// uncapped).
+/// The `STRANDFS_SCALE_CAP` environment variable (absent or
+/// unparsable = uncapped).
+fn cap() -> Option<usize> {
+    std::env::var("STRANDFS_SCALE_CAP")
+        .ok()
+        .and_then(|v| v.parse().ok())
+}
+
+/// The sizes this process actually sweeps: [`SIZES`] bounded by the cap.
 pub fn active_sizes() -> Vec<usize> {
-    sizes_under_cap(
-        std::env::var("STRANDFS_SCALE_CAP")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok()),
-    )
+    sizes_under_cap(cap())
 }
 
 /// [`active_sizes`] as a pure function of the cap, for tests.
 pub fn sizes_under_cap(cap: Option<usize>) -> Vec<usize> {
     let cap = cap.unwrap_or(usize::MAX);
     SIZES.iter().copied().filter(|&n| n <= cap).collect()
+}
+
+/// The population size a committed name belongs to: `scale/n<size>…`,
+/// be it a benchmark (`scale/n100000_playback_monitored`) or a section
+/// leaf (`scale/n100000/violations`).
+fn size_of(name: &str) -> Option<usize> {
+    let rest = name.strip_prefix("scale/n")?;
+    let digits = rest.split(|c: char| !c.is_ascii_digit()).next()?;
+    digits.parse().ok()
+}
+
+/// True when the cap keeps this process from producing `name`, so the
+/// gate must not count its absence from a fresh run as a failure.
+pub fn capped_out(name: &str) -> bool {
+    size_of(name).is_some_and(|n| cap().is_some_and(|cap| n > cap))
 }
 
 /// Outcome of one population size.
@@ -131,12 +149,15 @@ fn run_with_obs(n: usize, obs: ObsSink) -> Row {
 }
 
 /// The deterministic section for `BENCH_core.json`: one object per
-/// active size, keyed `n<size>`, wall-clock excluded. In `--check` mode
-/// each size is compared leaf-by-leaf independently, so a capped run
-/// still checks the sizes it swept.
+/// active size, keyed `n<size>`, wall-clock excluded.
 pub fn section_json() -> String {
+    section_json_for(&active_sizes())
+}
+
+/// [`section_json`] as a pure function of the sizes swept.
+pub fn section_json_for(sizes: &[usize]) -> String {
     let mut out = String::from("{");
-    for (i, &n) in active_sizes().iter().enumerate() {
+    for (i, &n) in sizes.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -185,7 +206,7 @@ pub fn table() -> Table {
         "wall-clock is measurement noise; the committed gate tracks it through bench tolerances",
     );
     t.note("virtual-time columns are deterministic and compared leaf-by-leaf by `bench --check`");
-    if let Ok(cap) = std::env::var("STRANDFS_SCALE_CAP") {
+    if let Some(cap) = cap() {
         t.note(format!("sizes capped by STRANDFS_SCALE_CAP={cap}"));
     }
     t
@@ -201,6 +222,16 @@ mod tests {
         assert_eq!(sizes_under_cap(Some(10_000)), vec![1_000, 10_000]);
         assert_eq!(sizes_under_cap(Some(999)), Vec::<usize>::new());
         assert_eq!(sizes_under_cap(Some(usize::MAX)), sizes_under_cap(None));
+    }
+
+    #[test]
+    fn committed_names_carry_their_size() {
+        assert_eq!(size_of("scale/n1000_playback"), Some(1_000));
+        assert_eq!(size_of("scale/n100000_playback_monitored"), Some(100_000));
+        assert_eq!(size_of("scale/n10000/violations"), Some(10_000));
+        assert_eq!(size_of("scale/n100000"), Some(100_000));
+        assert_eq!(size_of("fsx/n1000"), None);
+        assert_eq!(size_of("scale/nothing"), None);
     }
 
     #[test]

@@ -17,6 +17,7 @@
 pub mod check;
 pub mod experiments;
 pub mod obs_capture;
+pub mod sections;
 pub mod suites;
 pub mod table;
 

@@ -8,8 +8,9 @@
 //! (seek / rotation / transfer), allocation gap statistics, admission
 //! decision counters with Eq. 18 slack, and deadline-margin histograms.
 //!
-//! [`capture_full`] additionally keeps the simulation's own
-//! [`SimReport`] and the derived continuity-SLO document, so the bench
+//! Beside the capture (`sections/obs`) and the derived continuity-SLO
+//! document (`sections/slo`), [`capture_full`] keeps the simulation's
+//! own [`SimReport`], so the bench
 //! regression gate can cross-check that the two independent accountings
 //! (the event stream folded by `strandfs-obs`, the completion bookkeeping
 //! inside `strandfs-sim`) agree.
@@ -91,12 +92,6 @@ pub fn capture_full() -> Capture {
         obs_rounds: metrics.rounds,
         report,
     }
-}
-
-/// Run the instrumented session and render its capture as JSON (the
-/// `"obs"` section of `BENCH_core.json`).
-pub fn capture() -> String {
-    capture_full().obs_json
 }
 
 #[cfg(test)]

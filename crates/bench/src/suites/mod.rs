@@ -1,12 +1,9 @@
 //! Benchmark suites, one module per experiment family.
 //!
-//! Each module exposes `register(&mut Runner)`, so the same benchmark
-//! definitions back two entry points:
-//!
-//! * the per-suite bench targets (`cargo bench --bench fig4_k_vs_n`),
-//!   each a thin `main` over one `register`;
-//! * the aggregate runner (`cargo run -p strandfs-bench --release --bin
-//!   bench`), which registers every suite and writes `BENCH_core.json`.
+//! Each module exposes `register(&mut Runner)`; [`SUITES`] is the one
+//! list of them, which the aggregate runner (`cargo run -p
+//! strandfs-bench --release --bin bench [suite ...]`) registers, times
+//! and writes to `BENCH_core.json`.
 
 use strandfs_testkit::bench::Runner;
 
@@ -27,22 +24,25 @@ pub mod transient;
 pub mod unconstrained;
 pub mod vbr;
 
-/// Register every suite on one runner (the `BENCH_core.json` set).
-pub fn register_all(c: &mut Runner) {
-    fig4::register(c);
-    unconstrained::register(c);
-    architectures::register(c);
-    readahead::register(c);
-    capacity::register(c);
-    transient::register(c);
-    edit_copy::register(c);
-    silence::register(c);
-    allocators::register(c);
-    index::register(c);
-    vbr::register(c);
-    scan_order::register(c);
-    faults::register(c);
-    crash::register(c);
-    fsx::register(c);
-    scale::register(c);
-}
+/// A suite's `register` entry point.
+pub type Register = fn(&mut Runner);
+
+/// Every suite, in `BENCH_core.json` order, as `(name, register)`.
+pub const SUITES: &[(&str, Register)] = &[
+    ("fig4", fig4::register),
+    ("unconstrained", unconstrained::register),
+    ("architectures", architectures::register),
+    ("readahead", readahead::register),
+    ("capacity", capacity::register),
+    ("transient", transient::register),
+    ("edit_copy", edit_copy::register),
+    ("silence", silence::register),
+    ("allocators", allocators::register),
+    ("index", index::register),
+    ("vbr", vbr::register),
+    ("scan_order", scan_order::register),
+    ("faults", faults::register),
+    ("crash", crash::register),
+    ("fsx", fsx::register),
+    ("scale", scale::register),
+];

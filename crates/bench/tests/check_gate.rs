@@ -2,7 +2,7 @@
 //! document of the exact form `bench` writes, inject a synthetic
 //! 50 % slowdown, and watch the gate fail with a readable delta table.
 
-use strandfs_bench::check::{compare, compare_integrity, filter_suites, parse_baseline};
+use strandfs_bench::check::{compare, compare_section, filter_suites, parse_baseline};
 use strandfs_testkit::bench::BenchResult;
 use strandfs_testkit::json::validate;
 
@@ -80,16 +80,13 @@ fn gross_slowdown_fails_every_tier() {
 /// commits under `sections/integrity`.
 const INTEGRITY_BASELINE: &str = r#"{
   "corruption": {"corrupted": 3, "undefended_corrupt_served": 3,
-                 "undefended_serves_corrupt": "yes",
-                 "defended_corrupt_served": 0, "defended_serves_corrupt": "no",
-                 "defended_dropped": 0, "read_repairs": 3, "scrub_repaired": 0,
-                 "scrubbed": 40, "invalidated": 0, "repaired_all": "yes",
-                 "fsck": "clean"},
+                 "defended_corrupt_served": 0, "defended_dropped": 0,
+                 "read_repairs": 3, "scrub_repaired": 0,
+                 "scrubbed": 40, "invalidated": 0, "fsck": "clean"},
   "fail_slow": {"slow_factor": 10, "hedges": 4, "hedge_wins": 4,
                 "quarantines": 1, "readmits": 0, "hedged_dropped": 0,
                 "hedged_violations": 0, "bare_dropped": 0,
                 "bare_violations": 12, "healthy_violations": 0,
-                "hedged_holds_baseline": "yes", "bare_collapses": "yes",
                 "volume_slow_alerts": 1, "dump_events": 9},
   "scrub_perturbation": {"scrubbed": 40, "healthy_streams_perturbed": "no"}
 }"#;
@@ -97,34 +94,31 @@ const INTEGRITY_BASELINE: &str = r#"{
 #[test]
 fn integrity_leaf_gate_pins_the_contract_strings() {
     let base = validate(INTEGRITY_BASELINE);
-    let same = compare_integrity(&base, &base);
+    let same = compare_section("integrity", &base, &base);
     assert!(same.passed(), "{}", same.table());
-    // Every leaf of the section is gated: 21 numeric + 7 string.
-    assert_eq!(same.compared, 28);
-    // Losing the zero-perturbation invariant is an exact string
-    // mismatch — the numeric tier's absolute floor cannot absorb it.
-    let perturbed = validate(&INTEGRITY_BASELINE.replace(
-        r#""healthy_streams_perturbed": "no""#,
-        r#""healthy_streams_perturbed": "yes""#,
-    ));
-    let out = compare_integrity(&base, &perturbed);
-    assert!(!out.passed());
-    assert_eq!(
-        out.mismatched[0].0,
-        "integrity/scrub_perturbation/healthy_streams_perturbed"
-    );
-    // A hedging regression big enough to matter trips the numeric
-    // tier too: replicated drops jumping 0 -> 200 clears the
-    // 0 * 1.5 + 100 headroom.
-    let dropped =
-        validate(&INTEGRITY_BASELINE.replace(r#""hedged_dropped": 0"#, r#""hedged_dropped": 200"#));
-    let out = compare_integrity(&base, &dropped);
-    assert!(!out.passed());
-    assert_eq!(out.regressions.len(), 1);
-    assert_eq!(
-        out.regressions[0].name,
-        "integrity/fail_slow/hedged_dropped"
-    );
+    // Every leaf of the section is gated: 21 numeric + 2 string.
+    assert_eq!(same.compared, 23);
+    // Losing the zero-perturbation invariant fails, and so does a
+    // single replicated block dropped past the hedge: the numeric
+    // verdicts need no string beside them.
+    for (path, was, now) in [
+        (
+            "integrity/scrub_perturbation/healthy_streams_perturbed",
+            r#""healthy_streams_perturbed": "no""#,
+            r#""healthy_streams_perturbed": "yes""#,
+        ),
+        (
+            "integrity/fail_slow/hedged_dropped",
+            r#""hedged_dropped": 0"#,
+            r#""hedged_dropped": 1"#,
+        ),
+    ] {
+        let fresh = validate(&INTEGRITY_BASELINE.replace(was, now));
+        let out = compare_section("integrity", &base, &fresh);
+        assert!(!out.passed());
+        assert_eq!(out.mismatched.len(), 1, "{}", out.table());
+        assert_eq!(out.mismatched[0].0, path);
+    }
 }
 
 #[test]

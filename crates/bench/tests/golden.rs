@@ -3,12 +3,35 @@
 //! the admission arithmetic (Eqs. 15–18) shows up here as an exact
 //! mismatch, with the blessed numbers visible in the diff. The E18 /
 //! E19 cluster tables are pure virtual time, so they are pinned whole:
-//! byte-for-byte against the committed blocks of that file.
+//! byte-for-byte against the committed blocks of that file. So is
+//! every `sections/*` document of the committed `BENCH_core.json` —
+//! the same exact gate `bench --check` runs, here inside `cargo test`.
+//! After an intended model change, regenerate with `cargo run -p
+//! strandfs-bench --release --bin bench` (uncapped) and commit the
+//! `sections` diff.
 
 use strandfs_bench::experiments::{
     e18_cluster, e19_integrity, e1_fig4, e5_capacity, projected_env, standard_video_spec,
     vintage_env,
 };
+use strandfs_bench::sections;
+use strandfs_testkit::json::validate;
+
+const BENCH_CORE: &str = include_str!("../../../BENCH_core.json");
+
+#[test]
+fn every_committed_section_leaf_reproduces_exactly() {
+    let out = sections::check(&validate(BENCH_CORE), &[]);
+    assert!(out.passed(), "\n{}", out.table());
+}
+
+#[test]
+fn registry_labels_are_the_committed_section_keys() {
+    let doc = validate(BENCH_CORE);
+    let mut labels: Vec<&str> = sections::SECTIONS.iter().map(|(label, _)| *label).collect();
+    labels.sort_unstable();
+    assert_eq!(labels, doc.get("sections").expect("sections").keys());
+}
 
 /// The block of the committed `experiments_output.txt` under the
 /// `## <tag> ` heading, up to and excluding the blank line that ends it.

@@ -296,10 +296,11 @@ fn monitor_and_profile_sections_keep_their_shape() {
 
 #[test]
 fn scale_section_keeps_its_shape() {
-    // Cap the sweep to its smallest size: the shape is identical per
-    // size and the 100k cell is too slow for a schema check.
-    std::env::set_var("STRANDFS_SCALE_CAP", "1000");
-    let doc = validate(&strandfs_bench::experiments::e16_scale::section_json());
+    // The smallest size only: the shape is identical per size and the
+    // 100k cell is too slow for a schema check.
+    let doc = validate(&strandfs_bench::experiments::e16_scale::section_json_for(
+        &[1_000],
+    ));
     assert_eq!(doc.keys(), vec!["n1000"]);
     let row = doc.get("n1000").unwrap();
     assert_eq!(
@@ -374,28 +375,23 @@ fn integrity_section_keeps_its_shape() {
             "corrupted",
             "defended_corrupt_served",
             "defended_dropped",
-            "defended_serves_corrupt",
             "fsck",
             "invalidated",
             "read_repairs",
-            "repaired_all",
             "scrub_repaired",
             "scrubbed",
-            "undefended_corrupt_served",
-            "undefended_serves_corrupt"
+            "undefended_corrupt_served"
         ]
     );
     assert_eq!(
         doc.get("fail_slow").unwrap().keys(),
         vec![
-            "bare_collapses",
             "bare_dropped",
             "bare_violations",
             "dump_events",
             "healthy_violations",
             "hedge_wins",
             "hedged_dropped",
-            "hedged_holds_baseline",
             "hedged_violations",
             "hedges",
             "quarantines",
@@ -408,13 +404,9 @@ fn integrity_section_keeps_its_shape() {
         doc.get("scrub_perturbation").unwrap().keys(),
         vec!["healthy_streams_perturbed", "scrubbed"]
     );
-    // The contract leaves the gate compares exactly.
+    // The two facts no numeric leaf carries.
     for (path, want) in [
-        ("corruption/defended_serves_corrupt", "no"),
-        ("corruption/repaired_all", "yes"),
         ("corruption/fsck", "clean"),
-        ("fail_slow/hedged_holds_baseline", "yes"),
-        ("fail_slow/bare_collapses", "yes"),
         ("scrub_perturbation/healthy_streams_perturbed", "no"),
     ] {
         assert_eq!(doc.path(path).and_then(Json::as_str), Some(want), "{path}");

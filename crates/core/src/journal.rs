@@ -57,18 +57,9 @@ const RECORD_MAGIC: u32 = 0x4C4A_5453; // "STJL"
 /// Magic tag opening every checkpoint.
 const CKPT_MAGIC: u32 = 0x4B43_5453; // "STCK"
 
-/// FNV-1a-64 over a byte slice — the journal's integrity check (same
-/// parameters as the device image hash, no external dependency).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
+/// FNV-1a-64 over a byte slice — the journal's integrity check is the
+/// device's payload checksum.
+pub use strandfs_disk::fnv1a;
 
 /// Journal sizing, carried in [`crate::msm::MsmConfig`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

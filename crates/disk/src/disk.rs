@@ -8,19 +8,56 @@ use std::collections::HashMap;
 use strandfs_obs::{AccessDir, Event, ObsSink};
 use strandfs_units::{Instant, Nanos, Seconds};
 
-/// FNV-1a-64 over a byte slice — the crate-wide payload checksum (the
-/// same parameters as [`SimDisk::content_hash`], no external
-/// dependency). Every stored media block's sum is computed with this
-/// function at write time and re-checked on verified reads and scrubs.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+/// Running FNV-1a-64 state — the one copy of the hash behind the
+/// payload checksum ([`fnv1a`]), [`SimDisk::fetch_sum`], the image
+/// fingerprint ([`SimDisk::content_hash`]) and the journal's record
+/// sums. No external dependency.
+struct Fnv1a(u64);
+
+impl Fnv1a {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
+
+    /// The empty-input state.
+    fn new() -> Self {
+        Fnv1a(Self::OFFSET)
     }
-    h
+
+    /// Fold `bytes` in.
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut h = self.0;
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(Self::PRIME);
+        }
+        self.0 = h;
+    }
+
+    /// Fold in `n` zero bytes without reading any (an unwritten
+    /// sector: `h ^ 0` is `h`, so only the multiply remains).
+    #[inline]
+    fn write_zeros(&mut self, n: usize) {
+        let mut h = self.0;
+        for _ in 0..n {
+            h = h.wrapping_mul(Self::PRIME);
+        }
+        self.0 = h;
+    }
+
+    /// The hash of everything written so far.
+    fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+/// FNV-1a-64 over a byte slice — the crate-wide payload checksum.
+/// Every stored media block's sum is computed with this function at
+/// write time and re-checked on verified reads and scrubs.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.finish()
 }
 
 /// Whether an access reads or writes the medium.
@@ -303,26 +340,15 @@ impl SimDisk {
         if !self.geometry.extent_valid(extent) {
             return None;
         }
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
         let ss = self.geometry.sector_size.get() as usize;
-        let mut h = OFFSET;
+        let mut h = Fnv1a::new();
         for i in 0..extent.sectors {
             match self.store.get(&(extent.start + i)) {
-                Some(sector) => {
-                    for &b in sector.iter() {
-                        h ^= b as u64;
-                        h = h.wrapping_mul(PRIME);
-                    }
-                }
-                None => {
-                    for _ in 0..ss {
-                        h = h.wrapping_mul(PRIME);
-                    }
-                }
+                Some(sector) => h.write(sector),
+                None => h.write_zeros(ss),
             }
         }
-        Some(h)
+        Some(h.finish())
     }
 
     /// Drop the payload of `extent` (models discard; timing-neutral).
@@ -342,20 +368,14 @@ impl SimDisk {
     /// (crash-point determinism — same plan, seed and access sequence
     /// must freeze byte-identical post-crash images).
     pub fn content_hash(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut lbas: Vec<Lba> = self.store.keys().copied().collect();
         lbas.sort_unstable();
-        let mut h = OFFSET;
+        let mut h = Fnv1a::new();
         for lba in lbas {
-            for byte in lba.to_le_bytes() {
-                h = (h ^ byte as u64).wrapping_mul(PRIME);
-            }
-            for &byte in self.store[&lba].iter() {
-                h = (h ^ byte as u64).wrapping_mul(PRIME);
-            }
+            h.write(&lba.to_le_bytes());
+            h.write(&self.store[&lba]);
         }
-        h
+        h.finish()
     }
 }
 
