@@ -1,6 +1,6 @@
 //! **E17 — live monitoring**: the windowed health monitor watching a
-//! fault storm, with SLO burn-rate alerting, an anomaly-triggered
-//! flight dump, and service-loop self-profiling.
+//! fault storm, with SLO burn-rate alerting and an anomaly-triggered
+//! flight dump.
 //!
 //! E13 established *whole-run* fault outcomes; E17 asks the monitoring
 //! question: watching the same kind of faulty run live, does the
@@ -14,14 +14,10 @@
 //! same fault pattern turns into deadline misses that only the faults
 //! cause (the clean control run at these settings has zero).
 //!
-//! The same instrumented run carries the [`strandfs_obs::Profiler`]:
-//! its wall-clock phase times are human-facing only, but its span
-//! *counts* are deterministic and ride along as `sections/profile`.
 //! The monitored and unmonitored runs must produce byte-identical
 //! reports (the zero-perturbation pin), and the wall-clock ratio
 //! between them is the monitoring overhead the scale suite bounds.
 
-use std::fmt::Write as _;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -31,9 +27,9 @@ use strandfs_core::mrs::{compile_schedule, Mrs, PlaySchedule};
 use strandfs_core::rope::edit::{Interval, MediaSel};
 use strandfs_core::FsError;
 use strandfs_disk::FaultPlan;
-use strandfs_obs::{MonitorConfig, ObsSink, ProfSink, Profiler, SloRule, WindowedMonitor, PHASES};
+use strandfs_obs::{MonitorConfig, ObsSink, SloRule, WindowedMonitor};
 use strandfs_sim::playback::{simulate_playback, PlaybackConfig};
-use strandfs_sim::{faulty_volume, set_profiler, ClipSpec, SimReport};
+use strandfs_sim::{faulty_volume, ClipSpec, SimReport};
 use strandfs_units::Nanos;
 
 /// Transient-fault probability of the monitored scenario (the E13
@@ -89,8 +85,6 @@ pub struct Outcome {
     pub noop_report: SimReport,
     /// The monitor after `finish()`.
     pub monitor: WindowedMonitor,
-    /// The service-loop profiler attached to the monitored run.
-    pub profile: Profiler,
     /// Wall-clock of the monitored service loop.
     pub wall_monitored: Duration,
     /// Wall-clock of the unmonitored service loop.
@@ -123,10 +117,9 @@ fn build_scenario() -> (Mrs, Vec<PlaySchedule>) {
     (mrs, scheds)
 }
 
-fn run_once(obs: ObsSink, prof: ProfSink) -> (SimReport, Duration) {
+fn run_once(obs: ObsSink) -> (SimReport, Duration) {
     let (mut mrs, scheds) = build_scenario();
     mrs.set_obs(obs);
-    set_profiler(prof);
     let cfg = PlaybackConfig {
         read_ahead: 1,
         ..PlaybackConfig::with_k(K)
@@ -135,31 +128,25 @@ fn run_once(obs: ObsSink, prof: ProfSink) -> (SimReport, Duration) {
     let begin = std::time::Instant::now();
     let report = simulate_playback(&mut mrs, scheds, cfg).expect("simulate");
     let wall = begin.elapsed();
-    set_profiler(ProfSink::noop());
     (report, wall)
 }
 
-/// Run the scenario twice — monitored + profiled, then bare — and
-/// return both sides.
+/// Run the scenario twice — monitored, then bare — and return both
+/// sides.
 pub fn run() -> Outcome {
     let monitor = Rc::new(std::cell::RefCell::new(WindowedMonitor::new(
         monitor_config(),
     )));
-    let (prof_sink, profiler) = ProfSink::fresh();
-    let (report, wall_monitored) = run_once(ObsSink::shared(&monitor), prof_sink);
+    let (report, wall_monitored) = run_once(ObsSink::shared(&monitor));
     monitor.borrow_mut().finish();
-    let (noop_report, wall_noop) = run_once(ObsSink::noop(), ProfSink::noop());
+    let (noop_report, wall_noop) = run_once(ObsSink::noop());
     let monitor = Rc::try_unwrap(monitor)
         .expect("run dropped its sink")
-        .into_inner();
-    let profile = Rc::try_unwrap(profiler)
-        .expect("loop dropped its profiler handle")
         .into_inner();
     Outcome {
         report,
         noop_report,
         monitor,
-        profile,
         wall_monitored,
         wall_noop,
     }
@@ -188,17 +175,7 @@ pub fn section_json() -> String {
     )
 }
 
-/// The `sections/profile` JSON: the deterministic span counts of the
-/// monitored run's service loop (wall-clock stays out of the baseline).
-pub fn profile_json() -> String {
-    let out = run();
-    format!(
-        "{{\"scenario\":\"e17_fault_storm\",\"phases\":{}}}",
-        out.profile.counts_json()
-    )
-}
-
-/// Render the window series, the alerts and the profiler attribution.
+/// Render the window series and the alerts.
 pub fn table() -> Table {
     let out = run();
     let mut t = Table::new(
@@ -244,12 +221,6 @@ pub fn table() -> Table {
             d.dropped
         ));
     }
-    let mut spans = String::new();
-    for p in PHASES {
-        let s = out.profile.stats(p);
-        let _ = write!(spans, "{} {} ", p.label(), s.spans);
-    }
-    t.note(format!("profiler spans: {}", spans.trim_end()));
     t.note(format!(
         "monitoring overhead: {:.2}x wall-clock (reports byte-identical)",
         out.overhead()
@@ -298,14 +269,6 @@ mod tests {
     fn monitoring_perturbs_nothing() {
         let out = run();
         assert_eq!(out.report, out.noop_report);
-        // The profiler attributed spans to every phase of the loop.
-        for p in PHASES {
-            assert!(
-                out.profile.stats(p).spans > 0,
-                "phase {} recorded no spans",
-                p.label()
-            );
-        }
     }
 
     #[test]
@@ -315,8 +278,5 @@ mod tests {
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(!json.contains("NaN"));
         assert_eq!(json, section_json(), "same seed must give same bytes");
-        let profile = profile_json();
-        assert_eq!(profile, profile_json());
-        assert!(profile.contains("\"service\":{\"spans\":"));
     }
 }

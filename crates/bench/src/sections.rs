@@ -29,7 +29,6 @@ pub const SECTIONS: &[(&str, Render)] = &[
     ("fsx", e15_fsx::section_json),
     ("scale", e16_scale::section_json),
     ("monitor", e17_monitor::section_json),
-    ("profile", e17_monitor::profile_json),
     ("cluster", e18_cluster::section_json),
     ("integrity", e19_integrity::section_json),
 ];

@@ -155,7 +155,6 @@ fn bench_document_envelope_keeps_its_shape() {
     r.add_section("fsx", "{\"ops_attempted\":0}");
     r.add_section("scale", "{\"n1000\":{}}");
     r.add_section("monitor", "{\"monitor\":{}}");
-    r.add_section("profile", "{\"phases\":{}}");
     r.add_section("cluster", "{\"scaling\":{}}");
     r.add_section("integrity", "{\"corruption\":{}}");
     let doc = validate(&r.to_json());
@@ -187,7 +186,6 @@ fn bench_document_envelope_keeps_its_shape() {
             "integrity",
             "monitor",
             "obs",
-            "profile",
             "scale",
             "slo"
         ]
@@ -279,19 +277,6 @@ fn monitor_and_profile_sections_keep_their_shape() {
             "windows"
         ]
     );
-
-    let profile = validate(&strandfs_bench::experiments::e17_monitor::profile_json());
-    assert_eq!(profile.keys(), vec!["phases", "scenario"]);
-    assert_eq!(
-        profile.get("phases").unwrap().keys(),
-        vec!["admission", "bookkeeping", "service", "sort"]
-    );
-    for phase in ["admission", "bookkeeping", "service", "sort"] {
-        assert_eq!(
-            profile.path(&format!("phases/{phase}")).unwrap().keys(),
-            vec!["spans"]
-        );
-    }
 }
 
 #[test]

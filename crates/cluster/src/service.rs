@@ -1075,11 +1075,22 @@ impl<'a> Run<'a> {
             let on_time = match target {
                 // Nothing servable to probe; an empty member is harmless.
                 None => true,
-                Some(item) => match self.msm_mut(v).read_block(item.strand, item.block, now) {
-                    Ok((_, Some(op))) => op.completed - now <= item.duration,
-                    Ok(_) => true,
-                    Err(FsError::ChecksumMismatch { .. }) => false,
-                    Err(_) => {
+                // Only the probe's timing is consumed, so no payload.
+                Some(item) => match self.msm_mut(v).fetch_block(
+                    item.strand,
+                    item.block,
+                    now,
+                    Nanos::ZERO,
+                    None,
+                    false,
+                ) {
+                    Ok(BlockFetch::Data { op, .. }) => op.completed - now <= item.duration,
+                    Ok(BlockFetch::Silence) => true,
+                    Ok(BlockFetch::Failed {
+                        reason: FetchFailure::Corrupt,
+                        ..
+                    }) => false,
+                    Ok(BlockFetch::Failed { .. }) | Err(_) => {
                         self.cluster.mark_down(v);
                         self.lanes[v].quarantined = false;
                         continue;

@@ -321,11 +321,10 @@ pub trait BlockDevice {
     fn try_fetch(&self, extent: Extent) -> Option<Vec<u8>>;
     /// FNV-1a sum of the payload of `extent` ([`crate::fnv1a`] of
     /// [`BlockDevice::try_fetch`]), or `None` off-device — the cheap
-    /// primitive behind verified reads and scrubbing. Implementations
-    /// should hash in place rather than copy.
-    fn fetch_sum(&self, extent: Extent) -> Option<u64> {
-        self.try_fetch(extent).map(|d| crate::fnv1a(&d))
-    }
+    /// primitive behind verified reads and scrubbing. Required, so that
+    /// every device hashes in place: a default through `try_fetch` would
+    /// allocate a copy per verified read.
+    fn fetch_sum(&self, extent: Extent) -> Option<u64>;
     /// Drop the payload of `extent` (timing-neutral discard).
     fn discard_data(&mut self, extent: Extent);
     /// Number of sectors currently holding written payloads.

@@ -439,6 +439,12 @@ pub enum Event {
     },
 }
 
+/// A duration as a [`crate::QuantileSketch`] sample: signed
+/// nanoseconds, saturating at `i64::MAX`.
+pub(crate) fn signed_ns(d: Nanos) -> i64 {
+    i64::try_from(d.as_nanos()).unwrap_or(i64::MAX)
+}
+
 impl Event {
     /// For a [`Event::DiskOp`], the total service time; zero otherwise.
     pub fn service_time(&self) -> Nanos {
@@ -463,9 +469,9 @@ impl Event {
                 ..
             } => {
                 if completed <= deadline {
-                    (*deadline - *completed).as_nanos() as i64
+                    signed_ns(*deadline - *completed)
                 } else {
-                    -((*completed - *deadline).as_nanos() as i64)
+                    -signed_ns(*completed - *deadline)
                 }
             }
             _ => 0,

@@ -18,23 +18,15 @@
 //!   builds and pay one branch per call site;
 //! * [`RingRecorder`] — the bundled recorder: a bounded ring buffer of
 //!   recent events plus cumulative counters, [`NanosSummary`] timing
-//!   aggregates and log₂ [`NanosHistogram`]s, exportable as hand-rolled
+//!   aggregates and log₂ [`QuantileSketch`]es, exportable as hand-rolled
 //!   JSON (no external dependencies) for merging into `BENCH_*.json`;
 //! * [`WindowedMonitor`] — live health monitoring: the same event
 //!   stream folded into fixed-width virtual-time windows (miss rate,
-//!   margin quantiles via the mergeable [`QuantileSketch`], disk
-//!   utilization, Eq. 18 slack, fault/degradation rates) with
-//!   declarative [`SloRule`]s evaluated at window close and an
-//!   anomaly-triggered flight recorder ([`FlightDump`]) that snapshots
-//!   the raw-event ring around the offending span;
-//! * [`Profiler`]/[`ProfSink`] — wall-clock phase timers for the
-//!   service loop's hot phases, behind the same
-//!   never-touches-the-clock-when-disabled discipline.
-//!
-//! Environment knobs (read by [`RingRecorder::from_env`]):
-//!
-//! * `STRANDFS_OBS_CAP` — ring capacity in events (default 65 536);
-//!   the ring drops the *oldest* events once full, counters never stop.
+//!   margin quantiles via the same mergeable sketch, disk utilization,
+//!   Eq. 18 slack, fault/degradation rates) with declarative
+//!   [`SloRule`]s evaluated at window close and an anomaly-triggered
+//!   flight recorder ([`FlightDump`]) that snapshots the raw-event ring
+//!   around the offending span.
 //!
 //! The simulation is single-threaded by design (virtual time), so the
 //! shared handle is `Rc<RefCell<…>>`, not an atomic.
@@ -44,7 +36,6 @@
 
 mod alert;
 mod event;
-mod profile;
 mod recorder;
 mod sketch;
 mod summary;
@@ -52,8 +43,7 @@ mod window;
 
 pub use alert::{Alert, SloRule};
 pub use event::{AccessDir, DegradeAction, Event, FaultClass, JournalOp, RepairAction};
-pub use profile::{Phase, PhaseSpan, PhaseStats, ProfSink, Profiler, PHASES};
 pub use recorder::{ObsMetrics, ObsSink, Recorder, RingRecorder};
 pub use sketch::QuantileSketch;
-pub use summary::{NanosAcc, NanosHistogram, NanosSummary, U64Acc};
+pub use summary::{NanosAcc, NanosSummary, U64Acc};
 pub use window::{FlightDump, MonitorConfig, WindowStats, WindowWidth, WindowedMonitor};

@@ -8,11 +8,9 @@ use std::rc::Rc;
 
 use strandfs_units::Nanos;
 
-use crate::event::{AccessDir, DegradeAction, Event, FaultClass};
-use crate::summary::{NanosAcc, NanosHistogram, U64Acc};
-
-/// Default ring capacity when `STRANDFS_OBS_CAP` is unset.
-pub const DEFAULT_RING_CAP: usize = 65_536;
+use crate::event::{signed_ns, AccessDir, DegradeAction, Event, FaultClass};
+use crate::sketch::QuantileSketch;
+use crate::summary::{NanosAcc, U64Acc};
 
 /// A sink for structured [`Event`]s.
 ///
@@ -145,15 +143,15 @@ pub struct ObsMetrics {
     /// satisfied its read-ahead).
     pub display_starts: u64,
     /// Time-to-first-frame: admission (or re-admission) → display start.
-    pub startup_latency: NanosHistogram,
+    pub startup_latency: QuantileSketch,
     /// Deadline events seen.
     pub deadline_blocks: u64,
     /// Deadline events whose fetch completed late.
     pub deadline_late: u64,
     /// Margin (deadline − completion) for on-time blocks.
-    pub deadline_margin: NanosHistogram,
+    pub deadline_margin: QuantileSketch,
     /// Lateness (completion − deadline) for late blocks.
-    pub deadline_lateness: NanosHistogram,
+    pub deadline_lateness: QuantileSketch,
     /// Permanent media errors observed.
     pub faults_media: u64,
     /// Transient read errors observed.
@@ -277,19 +275,16 @@ impl ObsMetrics {
             Event::RoundIdle { .. } => self.rounds_idle += 1,
             Event::DisplayStart { latency, .. } => {
                 self.display_starts += 1;
-                self.startup_latency.record(latency);
+                self.startup_latency.record(signed_ns(latency));
             }
-            Event::Deadline {
-                deadline,
-                completed,
-                ..
-            } => {
+            Event::Deadline { .. } => {
                 self.deadline_blocks += 1;
-                if completed > deadline {
+                let margin = event.deadline_margin();
+                if margin < 0 {
                     self.deadline_late += 1;
-                    self.deadline_lateness.record(completed - deadline);
+                    self.deadline_lateness.record(-margin);
                 } else {
-                    self.deadline_margin.record(deadline - completed);
+                    self.deadline_margin.record(margin);
                 }
             }
             Event::Fault {
@@ -431,6 +426,50 @@ impl ObsMetrics {
     }
 }
 
+/// A bounded drop-oldest buffer of raw events: the last `cap` recorded,
+/// evictions counted. It folds nothing, so it is cheap enough for the
+/// per-event hot path of a 100k-stream run; [`RingRecorder`] and the
+/// [`crate::WindowedMonitor`] flight recorder both keep theirs in one.
+#[derive(Debug, Default)]
+pub(crate) struct EventRing {
+    cap: usize,
+    ring: VecDeque<Event>,
+    dropped: u64,
+}
+
+impl EventRing {
+    pub(crate) fn new(cap: usize) -> EventRing {
+        EventRing {
+            cap,
+            ring: VecDeque::with_capacity(cap.min(1 << 16)),
+            dropped: 0,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn record(&mut self, event: Event) {
+        if self.cap == 0 {
+            self.dropped += 1;
+            return;
+        }
+        if self.ring.len() == self.cap {
+            self.ring.pop_front();
+            self.dropped += 1;
+        }
+        self.ring.push_back(event);
+    }
+
+    /// The retained events, oldest first.
+    pub(crate) fn events(&self) -> impl ExactSizeIterator<Item = &Event> {
+        self.ring.iter()
+    }
+
+    /// Events evicted so far.
+    pub(crate) fn dropped(&self) -> u64 {
+        self.dropped
+    }
+}
+
 /// The bundled recorder: a bounded ring of recent raw events plus
 /// cumulative [`ObsMetrics`].
 ///
@@ -440,9 +479,7 @@ impl ObsMetrics {
 /// memory.
 #[derive(Debug, Default)]
 pub struct RingRecorder {
-    cap: usize,
-    ring: VecDeque<Event>,
-    dropped: u64,
+    ring: EventRing,
     metrics: ObsMetrics,
 }
 
@@ -450,41 +487,29 @@ impl RingRecorder {
     /// A recorder keeping at most `cap` raw events.
     pub fn new(cap: usize) -> RingRecorder {
         RingRecorder {
-            cap,
-            ring: VecDeque::with_capacity(cap.min(1 << 16)),
-            dropped: 0,
+            ring: EventRing::new(cap),
             metrics: ObsMetrics::default(),
         }
     }
 
-    /// A recorder whose capacity comes from `STRANDFS_OBS_CAP`
-    /// (default [`DEFAULT_RING_CAP`]; invalid values fall back to it).
-    pub fn from_env() -> RingRecorder {
-        let cap = std::env::var("STRANDFS_OBS_CAP")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(DEFAULT_RING_CAP);
-        RingRecorder::new(cap)
-    }
-
     /// The retained raw events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &Event> {
-        self.ring.iter()
+        self.ring.events()
     }
 
     /// Retained raw-event count (≤ capacity).
     pub fn len(&self) -> usize {
-        self.ring.len()
+        self.ring.events().len()
     }
 
     /// True if no events are retained.
     pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
+        self.len() == 0
     }
 
     /// Events evicted from the ring so far.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.ring.dropped()
     }
 
     /// The cumulative metrics (never dropped).
@@ -504,9 +529,9 @@ impl RingRecorder {
         format!(
             "{{\"metrics\":{},\"ring\":{{\"cap\":{},\"len\":{},\"dropped\":{}}}}}",
             self.metrics.to_json(),
-            self.cap,
-            self.ring.len(),
-            self.dropped
+            self.ring.cap,
+            self.len(),
+            self.dropped()
         )
     }
 }
@@ -514,15 +539,7 @@ impl RingRecorder {
 impl Recorder for RingRecorder {
     fn record(&mut self, event: Event) {
         self.metrics.fold(&event);
-        if self.cap == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.ring.len() == self.cap {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        self.ring.push_back(event);
+        self.ring.record(event);
     }
 }
 

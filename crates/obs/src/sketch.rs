@@ -1,4 +1,4 @@
-//! A mergeable quantile sketch over signed nanosecond margins.
+//! A mergeable quantile sketch over signed nanosecond samples.
 //!
 //! The windowed monitor needs per-window margin quantiles at 100k
 //! streams, which rules out holding samples. The classic choices are
@@ -7,8 +7,9 @@
 //! result depends on fold order. The log₂ variant is deterministic and
 //! mergeable — bucket counts add — at the cost of one-octave value
 //! resolution, which is plenty for "is the p1 margin collapsing"
-//! questions. Margins are *signed* (negative = late), so the sketch
-//! mirrors the [`crate::NanosHistogram`] layout on both sides of zero.
+//! questions. Margins are *signed* (negative = late), so the buckets
+//! mirror on both sides of zero; the duration distributions of
+//! [`crate::ObsMetrics`] use the positive half and the exact total.
 
 /// Log₂ buckets per sign, plus the zero bucket: indices `0..=63` hold
 /// negative values (most negative lowest; `i64::MIN` needs exponent
@@ -25,10 +26,13 @@ const ZERO: usize = 64;
 /// Quantile answers are bucket lower bounds clamped to the exact
 /// tracked min/max, so `quantile(0.0)` and `quantile(1.0)` are exact
 /// and interior quantiles are within one octave of the true value.
+/// The running total is exact (`i128` cannot overflow under `u64`-many
+/// `i64` samples), so the mean is too.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct QuantileSketch {
     buckets: [u64; BUCKETS],
     count: u64,
+    total: i128,
     min: i64,
     max: i64,
 }
@@ -38,6 +42,7 @@ impl Default for QuantileSketch {
         QuantileSketch {
             buckets: [0; BUCKETS],
             count: 0,
+            total: 0,
             min: 0,
             max: 0,
         }
@@ -90,6 +95,7 @@ impl QuantileSketch {
             self.max = self.max.max(v);
         }
         self.count += 1;
+        self.total += v as i128;
         self.buckets[index_of(v)] += 1;
     }
 
@@ -99,27 +105,29 @@ impl QuantileSketch {
         self.count
     }
 
+    /// Exact sum of every sample recorded so far.
+    pub fn total(&self) -> i128 {
+        self.total
+    }
+
+    /// Mean sample, rounded toward zero (zero when empty).
+    pub fn mean(&self) -> i64 {
+        (self.total / self.count.max(1) as i128) as i64
+    }
+
     /// Smallest sample (zero when empty).
     pub fn min(&self) -> i64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
+        self.min
     }
 
     /// Largest sample (zero when empty).
     pub fn max(&self) -> i64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.max
-        }
+        self.max
     }
 
-    /// Merge another sketch in: bucket counts add, min/max widen. The
-    /// result is identical to having recorded both sample sets into one
-    /// sketch, in any order.
+    /// Merge another sketch in: bucket counts and totals add, min/max
+    /// widen. The result is identical to having recorded both sample
+    /// sets into one sketch, in any order.
     pub fn merge(&mut self, other: &QuantileSketch) {
         if other.count == 0 {
             return;
@@ -132,6 +140,7 @@ impl QuantileSketch {
             self.max = self.max.max(other.max);
         }
         self.count += other.count;
+        self.total += other.total;
         for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *b += o;
         }
@@ -160,6 +169,23 @@ impl QuantileSketch {
             }
         }
         self.max
+    }
+
+    /// The sketch as a hand-rolled JSON object: exact summary plus the
+    /// non-empty buckets keyed by lower bound in nanoseconds.
+    pub fn to_json(&self) -> String {
+        let buckets: Vec<String> = (0..BUCKETS)
+            .filter(|&i| self.buckets[i] > 0)
+            .map(|i| format!("\"{}\":{}", lower_bound_of(i), self.buckets[i]))
+            .collect();
+        format!(
+            "{{\"summary\":{{\"count\":{},\"min_ns\":{},\"max_ns\":{},\"mean_ns\":{}}},\"buckets\":{{{}}}}}",
+            self.count,
+            self.min,
+            self.max,
+            self.mean(),
+            buckets.join(",")
+        )
     }
 }
 
@@ -240,6 +266,7 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a, both);
+        assert_eq!(a.total(), -50 - 1 + 7 + 300 - 9999 + 12);
         // Merging an empty sketch changes nothing, in either direction.
         let mut c = both.clone();
         c.merge(&QuantileSketch::new());
@@ -247,5 +274,63 @@ mod tests {
         let mut empty = QuantileSketch::new();
         empty.merge(&both);
         assert_eq!(empty, both);
+    }
+
+    #[test]
+    fn total_and_mean_are_exact() {
+        let mut s = QuantileSketch::new();
+        assert_eq!((s.total(), s.mean()), (0, 0));
+        s.record(0);
+        assert_eq!((s.count(), s.total(), s.mean()), (1, 0, 0));
+        s.record(1);
+        s.record(1 << 62);
+        s.record(1 << 62);
+        s.record(1 << 62);
+        // 3·2⁶² + 1 is past i64::MAX; the total holds it exactly.
+        assert_eq!(s.total(), 3 * (1i128 << 62) + 1);
+        assert_eq!(s.mean(), ((3 * (1i128 << 62) + 1) / 5) as i64);
+        let mut neg = QuantileSketch::new();
+        for v in [-7, -2, 3, i64::MIN] {
+            neg.record(v);
+        }
+        assert_eq!(neg.total(), i64::MIN as i128 - 6);
+        // Rounded toward zero.
+        assert_eq!(neg.mean(), ((i64::MIN as i128 - 6) / 4) as i64);
+        let mut small = QuantileSketch::new();
+        small.record(-3);
+        small.record(0);
+        assert_eq!(small.mean(), -1);
+    }
+
+    #[test]
+    fn durations_bucket_by_log2_with_sparse_json() {
+        // [0], [1,2), [4,8) twice, [1024,2048). Byte for byte: the
+        // committed `sections/obs` leaves are keyed by these strings.
+        let mut s = QuantileSketch::new();
+        for v in [0, 1, 5, 7, 1024] {
+            s.record(v);
+        }
+        assert_eq!(
+            s.to_json(),
+            "{\"summary\":{\"count\":5,\"min_ns\":0,\"max_ns\":1024,\"mean_ns\":207},\
+             \"buckets\":{\"0\":1,\"1\":1,\"4\":2,\"1024\":1}}"
+        );
+        let mut one = QuantileSketch::new();
+        one.record(4);
+        assert!(one.to_json().ends_with("\"buckets\":{\"4\":1}}"));
+        // A duration past i64::MAX ns arrives saturated, in the top octave.
+        let mut top = QuantileSketch::new();
+        top.record(i64::MAX);
+        assert!(top
+            .to_json()
+            .ends_with(&format!("\"buckets\":{{\"{}\":1}}}}", 1u64 << 62)));
+        // Late margins render under their (negative) lower bounds.
+        let mut late = QuantileSketch::new();
+        late.record(-5);
+        assert!(late.to_json().ends_with("\"buckets\":{\"-7\":1}}"));
+        assert_eq!(
+            QuantileSketch::new().to_json(),
+            "{\"summary\":{\"count\":0,\"min_ns\":0,\"max_ns\":0,\"mean_ns\":0},\"buckets\":{}}"
+        );
     }
 }

@@ -1,12 +1,9 @@
-//! Aggregate statistics: summaries, streaming accumulators, histograms.
+//! Aggregate statistics: summaries and streaming accumulators.
 //!
 //! [`NanosSummary`] is the workspace's canonical duration summary (it
 //! was born in `strandfs-sim` and now lives here so every layer can use
-//! it); [`NanosAcc`]/[`U64Acc`] build one incrementally without holding
-//! samples; [`NanosHistogram`] buckets durations by power-of-two width
-//! for bounded-memory distribution export.
-
-use std::fmt::Write as _;
+//! it); [`U64Acc`], and [`NanosAcc`] over it, build one incrementally
+//! without holding samples. Distributions are [`crate::QuantileSketch`]es.
 
 use strandfs_units::Nanos;
 
@@ -45,53 +42,37 @@ impl NanosSummary {
     }
 }
 
-/// Streaming accumulator for durations: O(1) memory, yields a
-/// [`NanosSummary`] at any point.
+/// Streaming accumulator for durations: a [`U64Acc`] over nanoseconds
+/// that yields a [`NanosSummary`] at any point.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NanosAcc {
-    count: u64,
-    min: Nanos,
-    max: Nanos,
-    total: Nanos,
-}
+pub struct NanosAcc(U64Acc);
 
 impl NanosAcc {
     /// Fold one sample in.
     #[inline]
     pub fn record(&mut self, sample: Nanos) {
-        if self.count == 0 {
-            self.min = sample;
-            self.max = sample;
-        } else {
-            self.min = self.min.min(sample);
-            self.max = self.max.max(sample);
-        }
-        self.count += 1;
-        self.total += sample;
+        self.0.record(sample.as_nanos());
     }
 
     /// Samples recorded so far.
     #[inline]
     pub fn count(&self) -> u64 {
-        self.count
+        self.0.count()
     }
 
     /// Sum of all samples.
     #[inline]
     pub fn total(&self) -> Nanos {
-        self.total
+        Nanos::from_nanos(self.0.total)
     }
 
     /// The summary of everything recorded so far.
     pub fn summary(&self) -> NanosSummary {
-        if self.count == 0 {
-            return NanosSummary::default();
-        }
         NanosSummary {
-            count: self.count,
-            min: self.min,
-            max: self.max,
-            mean: self.total / self.count,
+            count: self.0.count(),
+            min: Nanos::from_nanos(self.0.min()),
+            max: Nanos::from_nanos(self.0.max()),
+            mean: Nanos::from_nanos(self.0.mean()),
         }
     }
 }
@@ -164,85 +145,6 @@ impl U64Acc {
     }
 }
 
-/// Number of log₂ buckets: bucket `i` holds samples in
-/// `[2^(i−1), 2^i)` ns (bucket 0 holds zero), so 64 buckets cover the
-/// full `u64` nanosecond range.
-const BUCKETS: usize = 65;
-
-/// A fixed-size log₂-bucketed histogram of durations.
-///
-/// Bucket `i > 0` counts samples whose value `v` satisfies
-/// `2^(i−1) ≤ v < 2^i` nanoseconds; bucket 0 counts exact zeros. The
-/// memory footprint is constant regardless of sample count, which is
-/// what lets the recorder keep distributions for arbitrarily long runs.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NanosHistogram {
-    buckets: [u64; BUCKETS],
-    acc: NanosAcc,
-}
-
-impl Default for NanosHistogram {
-    fn default() -> Self {
-        NanosHistogram {
-            buckets: [0; BUCKETS],
-            acc: NanosAcc::default(),
-        }
-    }
-}
-
-impl NanosHistogram {
-    /// Fold one sample in.
-    #[inline]
-    pub fn record(&mut self, sample: Nanos) {
-        let v = sample.as_nanos();
-        let idx = if v == 0 {
-            0
-        } else {
-            64 - v.leading_zeros() as usize
-        };
-        self.buckets[idx] += 1;
-        self.acc.record(sample);
-    }
-
-    /// Samples recorded so far.
-    #[inline]
-    pub fn count(&self) -> u64 {
-        self.acc.count()
-    }
-
-    /// The summary of everything recorded so far.
-    pub fn summary(&self) -> NanosSummary {
-        self.acc.summary()
-    }
-
-    /// Iterate non-empty buckets as `(lower_bound_ns, count)` pairs.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (if i == 0 { 0 } else { 1u64 << (i - 1) }, c))
-    }
-
-    /// The histogram as a hand-rolled JSON object: summary plus sparse
-    /// buckets keyed by lower bound in nanoseconds.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"summary\":");
-        s.push_str(&self.summary().to_json());
-        s.push_str(",\"buckets\":{");
-        let mut first = true;
-        for (lo, count) in self.nonzero_buckets() {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            let _ = write!(s, "\"{lo}\":{count}");
-        }
-        s.push_str("}}");
-        s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,37 +193,12 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_by_log2() {
-        let mut h = NanosHistogram::default();
-        h.record(Nanos::ZERO); // bucket 0
-        h.record(Nanos::from_nanos(1)); // [1,2)
-        h.record(Nanos::from_nanos(5)); // [4,8)
-        h.record(Nanos::from_nanos(7)); // [4,8)
-        h.record(Nanos::from_nanos(1024)); // [1024,2048)
-        let buckets: Vec<_> = h.nonzero_buckets().collect();
-        assert_eq!(buckets, vec![(0, 1), (1, 1), (4, 2), (1024, 1)]);
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.summary().max, Nanos::from_nanos(1024));
-    }
-
-    #[test]
-    fn histogram_handles_extremes() {
-        let mut h = NanosHistogram::default();
-        h.record(Nanos::MAX);
-        let buckets: Vec<_> = h.nonzero_buckets().collect();
-        assert_eq!(buckets, vec![(1u64 << 63, 1)]);
-    }
-
-    #[test]
     fn json_shapes() {
         let s = NanosSummary::of([Nanos::from_nanos(4)]);
         assert_eq!(
             s.to_json(),
             "{\"count\":1,\"min_ns\":4,\"max_ns\":4,\"mean_ns\":4}"
         );
-        let mut h = NanosHistogram::default();
-        h.record(Nanos::from_nanos(4));
-        assert!(h.to_json().contains("\"buckets\":{\"4\":1}"));
         let mut u = U64Acc::default();
         u.record(9);
         assert_eq!(u.to_json(), "{\"count\":1,\"min\":9,\"max\":9,\"mean\":9}");

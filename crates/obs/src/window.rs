@@ -22,43 +22,8 @@ use strandfs_units::{Instant, Nanos};
 
 use crate::alert::{Alert, SloRule};
 use crate::event::Event;
-use crate::recorder::Recorder;
+use crate::recorder::{EventRing, Recorder};
 use crate::sketch::QuantileSketch;
-
-/// The pre-anomaly buffer behind the flight recorder: the last `cap`
-/// raw events, oldest dropped and counted. Unlike [`crate::RingRecorder`]
-/// it folds nothing — the monitor's windowed fold already summarises the
-/// stream, so the ring only has to be a cheap bounded copy (this is on
-/// the per-event hot path of a 100k-stream run).
-#[derive(Debug)]
-struct FlightRing {
-    cap: usize,
-    ring: VecDeque<Event>,
-    dropped: u64,
-}
-
-impl FlightRing {
-    fn new(cap: usize) -> FlightRing {
-        FlightRing {
-            cap,
-            ring: VecDeque::with_capacity(cap),
-            dropped: 0,
-        }
-    }
-
-    #[inline]
-    fn record(&mut self, event: Event) {
-        if self.cap == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.ring.len() == self.cap {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        self.ring.push_back(event);
-    }
-}
 
 /// How wide one monitoring window is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -481,7 +446,7 @@ pub struct WindowedMonitor {
     /// after a window in which its condition is false.
     latched: Vec<bool>,
     max_dumps: usize,
-    ring: FlightRing,
+    ring: EventRing,
     cur: WindowStats,
     series: VecDeque<WindowStats>,
     /// Closed windows evicted from the bounded series.
@@ -504,7 +469,7 @@ impl WindowedMonitor {
             rules: config.rules,
             latched,
             max_dumps: config.max_dumps,
-            ring: FlightRing::new(config.ring_cap),
+            ring: EventRing::new(config.ring_cap),
             cur: WindowStats::fresh(0, None),
             series: VecDeque::new(),
             evicted: 0,
@@ -628,8 +593,8 @@ impl WindowedMonitor {
                 self.dumps.push(FlightDump {
                     alert,
                     windows,
-                    events: self.ring.ring.iter().copied().collect(),
-                    dropped: self.ring.dropped,
+                    events: self.ring.events().copied().collect(),
+                    dropped: self.ring.dropped(),
                 });
             }
             self.alerts.push(alert);
@@ -659,7 +624,7 @@ impl WindowedMonitor {
             self.width.span(),
             self.closed,
             self.evicted,
-            self.ring.dropped,
+            self.ring.dropped(),
             windows.join(","),
             alerts.join(","),
             dumps.join(","),

@@ -1,8 +1,8 @@
-//! Regression test for ring wraparound under a tiny `STRANDFS_OBS_CAP`:
-//! the ring must drop the *oldest* events, report every drop, and keep
+//! Regression test for ring wraparound under a tiny capacity: the
+//! ring must drop the *oldest* events, report every drop, and keep
 //! folding cumulative metrics for events the ring no longer holds.
 
-use strandfs_obs::{Event, ObsSink, Recorder, RingRecorder};
+use strandfs_obs::{Event, ObsSink, RingRecorder};
 use strandfs_units::Instant;
 
 fn deadline(item: u64) -> Event {
@@ -19,10 +19,7 @@ fn deadline(item: u64) -> Event {
 
 #[test]
 fn tiny_env_cap_wraps_dropping_oldest_while_metrics_keep_folding() {
-    // The env knob is read at construction; a single-test binary keeps
-    // the mutation race-free.
-    std::env::set_var("STRANDFS_OBS_CAP", "3");
-    let recorder = std::rc::Rc::new(std::cell::RefCell::new(RingRecorder::from_env()));
+    let recorder = std::rc::Rc::new(std::cell::RefCell::new(RingRecorder::new(3)));
     let sink = ObsSink::shared(&recorder);
 
     const TOTAL: u64 = 10;
@@ -31,7 +28,7 @@ fn tiny_env_cap_wraps_dropping_oldest_while_metrics_keep_folding() {
     }
 
     let rec = recorder.borrow();
-    // Bounded at the env cap, oldest dropped first.
+    // Bounded at the cap, oldest dropped first.
     assert_eq!(rec.len(), 3);
     assert_eq!(rec.dropped(), TOTAL - 3);
     let retained: Vec<u64> = rec
@@ -56,16 +53,4 @@ fn tiny_env_cap_wraps_dropping_oldest_while_metrics_keep_folding() {
     assert!(json.contains("\"cap\":3"));
     assert!(json.contains("\"len\":3"));
     assert!(json.contains(&format!("\"dropped\":{}", TOTAL - 3)));
-    drop(rec);
-
-    // An invalid value falls back to the (unbounded-for-this-volume)
-    // default instead of poisoning the recorder. Same test body — the
-    // env var is process-global and tests run concurrently.
-    std::env::set_var("STRANDFS_OBS_CAP", "not-a-number");
-    let mut rec = RingRecorder::from_env();
-    for item in 0..TOTAL {
-        rec.record(deadline(item));
-    }
-    assert_eq!(rec.len(), TOTAL as usize);
-    assert_eq!(rec.dropped(), 0);
 }

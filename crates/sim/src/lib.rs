@@ -26,8 +26,7 @@ pub mod stream;
 
 pub use metrics::{NanosSummary, SimReport, StreamOutcome};
 pub use playback::{
-    set_profiler, simulate_degraded, simulate_playback, Arrival, DegradeMode, PlaybackConfig,
-    ServiceOrder,
+    simulate_degraded, simulate_playback, Arrival, DegradeMode, PlaybackConfig, ServiceOrder,
 };
 pub use scenario::{faulty_volume, record_clip, standard_volume, volume_on, ClipSpec, Volume};
 pub use stream::StreamState;

@@ -15,7 +15,7 @@ use crate::stream::StreamState;
 use strandfs_core::mrs::{Mrs, PlaySchedule};
 use strandfs_core::msm::BlockFetch;
 use strandfs_core::FsError;
-use strandfs_obs::{Event, Phase, ProfSink};
+use strandfs_obs::Event;
 use strandfs_units::{Instant, Nanos};
 
 /// How active streams are ordered within each service round.
@@ -205,7 +205,6 @@ pub fn simulate_degraded(
 
     let busy_before = mrs.msm().disk().stats().busy_time();
     let obs = mrs.msm().obs();
-    let prof = profiler();
     let mut t = Instant::EPOCH;
     let mut round: u64 = 0;
     // Consecutive fault-free rounds — the ladder's re-admission signal.
@@ -238,9 +237,6 @@ pub fn simulate_degraded(
     // previous sweep; the next sweep continues upward from here.
     let mut sweep_pos: u64 = 0;
     loop {
-        // Bookkeeping phase: activation, readmit checks, active-set
-        // construction, and the idle-round path.
-        let bookkeeping = prof.enter(Phase::Bookkeeping);
         // Activate arrivals due this round. Their read-ahead is sized
         // below, once the round's live population — and with it the
         // round's k — is known; sizing from `order.len()` here would
@@ -318,9 +314,6 @@ pub fn simulate_degraded(
         for &idx in &activated {
             states[idx].set_read_ahead(read_ahead_of_k(k).max(1));
         }
-        drop(bookkeeping);
-        // Sort phase: service-order key construction and the sweep.
-        let sort_span = prof.enter(Phase::Sort);
         let service: &[usize] = match order_policy {
             ServiceOrder::RoundRobin => &active,
             ServiceOrder::Scan | ServiceOrder::Cscan => {
@@ -358,7 +351,6 @@ pub fn simulate_degraded(
                 &sweep
             }
         };
-        drop(sort_span);
         obs.emit(|| Event::RoundStart {
             round,
             active: active.len(),
@@ -371,20 +363,15 @@ pub fn simulate_degraded(
         // no admitted requests (overload experiments bypass admission)
         // each fetch falls back to its own block's playback duration —
         // the slack one block of read-ahead buys.
-        let round_share: Option<Nanos> =
-            {
-                // Admission phase: the Eq. 18 slack query.
-                let _span = prof.enter(Phase::Admission);
-                match degrade {
-                    DegradeMode::Strict | DegradeMode::Abandon => None,
-                    DegradeMode::Ladder { .. } => mrs.msm().admission_ref().eq18_slack().map(|s| {
-                        Nanos::from_nanos(s.as_nanos() / (active.len() as u64 * k).max(1))
-                    }),
-                }
-            };
+        let round_share: Option<Nanos> = match degrade {
+            DegradeMode::Strict | DegradeMode::Abandon => None,
+            DegradeMode::Ladder { .. } => mrs
+                .msm()
+                .admission_ref()
+                .eq18_slack()
+                .map(|s| Nanos::from_nanos(s.as_nanos() / (active.len() as u64 * k).max(1))),
+        };
         let mut round_faults = false;
-        // Service phase: the per-stream k-block turns.
-        let service_span = prof.enter(Phase::Service);
         for &idx in service {
             let state = &mut states[idx];
             state.begin_turn(round, t, t);
@@ -443,7 +430,6 @@ pub fn simulate_degraded(
             }
             state.end_turn(t, &obs);
         }
-        drop(service_span);
         obs.emit(|| Event::RoundEnd { round, at: t });
         if round_faults {
             clean_streak = 0;
@@ -458,28 +444,6 @@ pub fn simulate_degraded(
         disk_busy: mrs.msm().disk().stats().busy_time() - busy_before,
         rounds: round,
     })
-}
-
-thread_local! {
-    /// The installed service-loop profiler. A thread-local (like
-    /// `LBA_PROBES` below) rather than a parameter so the profiler can
-    /// be switched on without touching every `simulate_*` signature;
-    /// the loop clones the handle once per simulation, and the default
-    /// noop sink never reads the clock.
-    static PROFILER: std::cell::RefCell<ProfSink> =
-        std::cell::RefCell::new(ProfSink::noop());
-}
-
-/// Install `sink` as this thread's service-loop profiler (pass
-/// [`ProfSink::noop`] to uninstall). Takes effect at the next
-/// `simulate_*` call on this thread.
-pub fn set_profiler(sink: ProfSink) {
-    PROFILER.with(|p| *p.borrow_mut() = sink);
-}
-
-/// The currently installed profiler handle.
-fn profiler() -> ProfSink {
-    PROFILER.with(|p| p.borrow().clone())
 }
 
 thread_local! {

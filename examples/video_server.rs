@@ -126,7 +126,7 @@ fn main() {
             m.rejects,
             m.admit_slack.summary().min,
             m.rounds,
-            m.deadline_margin.summary().min,
+            Nanos::from_nanos(m.deadline_margin.min() as u64),
         );
         assert_eq!(m.rejects, rejected, "every rejection was recorded");
         assert_eq!(m.deadline_late, 0, "continuous run has no late blocks");

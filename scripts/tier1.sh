@@ -18,6 +18,13 @@ cargo build --workspace --release --offline
 echo "==> cargo test --workspace -q --offline"
 cargo test --workspace -q --offline
 
+# The benchmark package (benchmark/, a workspace of its own, frozen by
+# BENCHMARK.json) binds a slice of the public API. Building and running
+# its own tests here makes a source-incompatible change to that surface
+# fail tier-1 rather than the benchmark driver.
+echo "==> cargo test --manifest-path benchmark/Cargo.toml --offline -q"
+cargo test --manifest-path benchmark/Cargo.toml --offline -q
+
 # Wall-clock medians go through the tolerance tiers; every leaf of the
 # virtual-time sections is compared exactly (the same gate
 # crates/bench/tests/golden.rs ran uncapped in the step above). The
@@ -71,5 +78,8 @@ FSX_OPS="${STRANDFS_FSX_OPS:-80}"
 echo "==> fsx chaos pass (STRANDFS_TEST_SEED=$CHAOS_SEED STRANDFS_FSX_OPS=$FSX_OPS)"
 STRANDFS_TEST_SEED="$CHAOS_SEED" STRANDFS_FSX_OPS="$FSX_OPS" \
     cargo test -q --offline --test fsx chaos_pass_bounded_by_env
+
+echo "==> scripts/loc.sh (non-test Rust lines per crate)"
+scripts/loc.sh
 
 echo "tier1: OK"

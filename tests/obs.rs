@@ -10,7 +10,7 @@ use strandfs::core::mrs::{compile_schedule, Mrs};
 use strandfs::core::msm::{Msm, MsmConfig};
 use strandfs::core::rope::edit::{Interval, MediaSel};
 use strandfs::disk::{DiskGeometry, GapBounds, SeekModel, SimDisk};
-use strandfs::obs::{Event, MonitorConfig, ObsSink, ProfSink, SloRule, WindowedMonitor, PHASES};
+use strandfs::obs::{Event, MonitorConfig, ObsSink, SloRule, WindowedMonitor};
 use strandfs::sim::playback::{simulate_playback, PlaybackConfig};
 use strandfs::sim::{record_clip, ClipSpec, SimReport};
 use strandfs::units::Nanos;
@@ -63,11 +63,10 @@ fn recording_perturbs_nothing() {
 }
 
 #[test]
-fn monitoring_and_profiling_perturb_nothing() {
+fn monitoring_perturbs_nothing() {
     let (baseline, baseline_busy) = session(ObsSink::noop());
 
-    // The full live-health stack: windowed fold + SLO rules + flight
-    // ring, with the service-loop profiler armed alongside.
+    // The full live-health stack: windowed fold + SLO rules + flight ring.
     let monitor = std::rc::Rc::new(std::cell::RefCell::new(WindowedMonitor::new(
         MonitorConfig::rounds(2).rule(SloRule::BurnRate {
             label: "miss-burn",
@@ -77,10 +76,7 @@ fn monitoring_and_profiling_perturb_nothing() {
             long_rate: 0.25,
         }),
     )));
-    let (prof_sink, profiler) = ProfSink::fresh();
-    strandfs::sim::set_profiler(prof_sink);
     let (monitored, monitored_busy) = session(ObsSink::shared(&monitor));
-    strandfs::sim::set_profiler(ProfSink::noop());
     monitor.borrow_mut().finish();
 
     assert_eq!(baseline, monitored, "monitor changed the simulation");
@@ -94,16 +90,6 @@ fn monitoring_and_profiling_perturb_nothing() {
     // This healthy session must never alert.
     assert!(m.alerts().is_empty(), "healthy run raised {:?}", m.alerts());
     assert!(m.dumps().is_empty());
-
-    // The profiler attributed wall-clock spans to every loop phase.
-    let p = profiler.borrow();
-    for phase in PHASES {
-        assert!(
-            p.stats(phase).spans > 0,
-            "phase {} recorded no spans",
-            phase.label()
-        );
-    }
 }
 
 #[test]
