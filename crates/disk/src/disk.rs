@@ -1,10 +1,9 @@
 //! The simulated disk: a single actuator, a spinning platter, and a sparse
-//! sector store.
+//! store of contiguous sector chunks.
 
 use crate::geometry::{DiskGeometry, Extent, Lba};
 use crate::seek::SeekModel;
 use crate::stats::DiskStats;
-use std::collections::HashMap;
 use strandfs_obs::{AccessDir, Event, ObsSink};
 use strandfs_units::{Instant, Nanos, Seconds};
 
@@ -34,17 +33,6 @@ impl Fnv1a {
         self.0 = h;
     }
 
-    /// Fold in `n` zero bytes without reading any (an unwritten
-    /// sector: `h ^ 0` is `h`, so only the multiply remains).
-    #[inline]
-    fn write_zeros(&mut self, n: usize) {
-        let mut h = self.0;
-        for _ in 0..n {
-            h = h.wrapping_mul(Self::PRIME);
-        }
-        self.0 = h;
-    }
-
     /// The hash of everything written so far.
     fn finish(self) -> u64 {
         self.0
@@ -58,6 +46,41 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a::new();
     h.write(bytes);
     h.finish()
+}
+
+/// Sectors per store chunk: one `u64` bitmap covers a chunk, and a media
+/// block (tens of sectors) spans at most three.
+const CHUNK_SECTORS: u64 = 64;
+
+/// `CHUNK_SECTORS` consecutive sector payloads in one allocation.
+#[derive(Debug)]
+struct Chunk {
+    /// Bit `i` set: sector `i` of the chunk holds a written payload.
+    written: u64,
+    /// `CHUNK_SECTORS × sector_size` bytes. A sector whose bit is clear
+    /// is all zeroes, so reads never consult the bitmap.
+    bytes: Box<[u8]>,
+}
+
+/// The pieces of `extent` that lie in one chunk each, in address order:
+/// `(chunk index, first sector within the chunk, sectors)`.
+fn chunk_runs(extent: Extent) -> impl Iterator<Item = (usize, usize, usize)> {
+    let mut lba = extent.start;
+    std::iter::from_fn(move || {
+        (lba < extent.end()).then(|| {
+            let first = lba % CHUNK_SECTORS;
+            let n = (CHUNK_SECTORS - first).min(extent.end() - lba);
+            let run = ((lba / CHUNK_SECTORS) as usize, first as usize, n as usize);
+            lba += n;
+            run
+        })
+    })
+}
+
+/// The bitmap bits of a run of `n` (1..=64) sectors starting at `first`.
+#[inline]
+fn run_mask(first: usize, n: usize) -> u64 {
+    (u64::MAX >> (CHUNK_SECTORS as usize - n)) << first
 }
 
 /// Whether an access reads or writes the medium.
@@ -112,14 +135,21 @@ impl DiskOp {
 /// and transfer crosses track/cylinder boundaries paying head-switch and
 /// track-to-track seek costs.
 ///
-/// Sector payloads are stored sparsely; unwritten sectors read back as
-/// zeroes, like a freshly-formatted drive.
+/// Sector payloads are stored sparsely, a chunk of [`CHUNK_SECTORS`] at
+/// a time; unwritten sectors read back as zeroes, like a
+/// freshly-formatted drive.
 #[derive(Debug)]
 pub struct SimDisk {
     geometry: DiskGeometry,
     seek_model: SeekModel,
     head_cylinder: u64,
-    store: HashMap<Lba, Box<[u8]>>,
+    /// Chunk `i` covers sectors `i × CHUNK_SECTORS ..`; `None` until one
+    /// of them is written and again once all are discarded.
+    store: Vec<Option<Chunk>>,
+    /// Set bits over every chunk's `written`.
+    sectors_written: usize,
+    /// One chunk of zeroes: what a read of a never-written chunk sees.
+    zeros: Box<[u8]>,
     stats: DiskStats,
     obs: ObsSink,
 }
@@ -132,7 +162,12 @@ impl SimDisk {
             geometry,
             seek_model,
             head_cylinder: 0,
-            store: HashMap::new(),
+            store: (0..geometry.total_sectors().div_ceil(CHUNK_SECTORS))
+                .map(|_| None)
+                .collect(),
+            sectors_written: 0,
+            zeros: vec![0; (CHUNK_SECTORS * geometry.sector_size.get()) as usize]
+                .into_boxed_slice(),
             stats: DiskStats::default(),
             obs: ObsSink::noop(),
         }
@@ -293,7 +328,7 @@ impl SimDisk {
 
     /// Write `data` into `extent` (data length must equal the extent's
     /// byte size). Only the payload store is touched; use [`Self::access`]
-    /// for timing.
+    /// for timing. Panics if the extent is off-device, like `access`.
     pub fn store_data(&mut self, extent: Extent, data: &[u8]) {
         let ss = self.geometry.sector_size.get() as usize;
         assert_eq!(
@@ -301,10 +336,34 @@ impl SimDisk {
             ss * extent.sectors as usize,
             "payload length must match extent size"
         );
-        for (i, chunk) in data.chunks(ss).enumerate() {
-            self.store
-                .insert(extent.start + i as u64, chunk.to_vec().into_boxed_slice());
+        assert!(
+            self.geometry.extent_valid(extent),
+            "store beyond device: {extent:?} on {} sectors",
+            self.geometry.total_sectors()
+        );
+        let mut rest = data;
+        for (idx, first, n) in chunk_runs(extent) {
+            let chunk = self.store[idx].get_or_insert_with(|| Chunk {
+                written: 0,
+                bytes: self.zeros.clone(),
+            });
+            let mask = run_mask(first, n);
+            self.sectors_written += (mask & !chunk.written).count_ones() as usize;
+            chunk.written |= mask;
+            let (run, tail) = rest.split_at(n * ss);
+            chunk.bytes[first * ss..][..n * ss].copy_from_slice(run);
+            rest = tail;
         }
+    }
+
+    /// The stored bytes of each chunk-sized piece of `extent`, in address
+    /// order; a piece no chunk backs reads from the shared zero chunk.
+    fn runs(&self, extent: Extent) -> impl Iterator<Item = &[u8]> {
+        let ss = self.geometry.sector_size.get() as usize;
+        chunk_runs(extent).map(move |(idx, first, n)| match self.store.get(idx) {
+            Some(Some(chunk)) => &chunk.bytes[first * ss..][..n * ss],
+            _ => &self.zeros[..n * ss],
+        })
     }
 
     /// Read the payload of `extent`, or `None` if any part of the extent
@@ -321,12 +380,9 @@ impl SimDisk {
     /// Read the payload of `extent`; unwritten sectors come back zeroed.
     pub fn fetch_data(&self, extent: Extent) -> Vec<u8> {
         let ss = self.geometry.sector_size.get() as usize;
-        let mut out = vec![0u8; ss * extent.sectors as usize];
-        for i in 0..extent.sectors {
-            if let Some(sector) = self.store.get(&(extent.start + i)) {
-                let off = i as usize * ss;
-                out[off..off + ss].copy_from_slice(sector);
-            }
+        let mut out = Vec::with_capacity(ss * extent.sectors as usize);
+        for run in self.runs(extent) {
+            out.extend_from_slice(run);
         }
         out
     }
@@ -340,27 +396,35 @@ impl SimDisk {
         if !self.geometry.extent_valid(extent) {
             return None;
         }
-        let ss = self.geometry.sector_size.get() as usize;
         let mut h = Fnv1a::new();
-        for i in 0..extent.sectors {
-            match self.store.get(&(extent.start + i)) {
-                Some(sector) => h.write(sector),
-                None => h.write_zeros(ss),
-            }
+        for run in self.runs(extent) {
+            h.write(run);
         }
         Some(h.finish())
     }
 
     /// Drop the payload of `extent` (models discard; timing-neutral).
     pub fn discard_data(&mut self, extent: Extent) {
-        for i in 0..extent.sectors {
-            self.store.remove(&(extent.start + i));
+        let ss = self.geometry.sector_size.get() as usize;
+        for (idx, first, n) in chunk_runs(extent) {
+            let Some(slot) = self.store.get_mut(idx) else {
+                continue;
+            };
+            let Some(chunk) = slot else { continue };
+            let mask = run_mask(first, n);
+            self.sectors_written -= (mask & chunk.written).count_ones() as usize;
+            chunk.written &= !mask;
+            if chunk.written == 0 {
+                *slot = None;
+            } else {
+                chunk.bytes[first * ss..][..n * ss].fill(0);
+            }
         }
     }
 
     /// Number of sectors currently holding written payloads.
     pub fn sectors_written(&self) -> usize {
-        self.store.len()
+        self.sectors_written
     }
 
     /// FNV-1a hash over every written sector in address order: a stable
@@ -368,12 +432,18 @@ impl SimDisk {
     /// (crash-point determinism — same plan, seed and access sequence
     /// must freeze byte-identical post-crash images).
     pub fn content_hash(&self) -> u64 {
-        let mut lbas: Vec<Lba> = self.store.keys().copied().collect();
-        lbas.sort_unstable();
+        let ss = self.geometry.sector_size.get() as usize;
         let mut h = Fnv1a::new();
-        for lba in lbas {
-            h.write(&lba.to_le_bytes());
-            h.write(&self.store[&lba]);
+        for (idx, chunk) in self.store.iter().enumerate() {
+            let Some(chunk) = chunk else { continue };
+            let mut left = chunk.written;
+            while left != 0 {
+                let i = left.trailing_zeros() as usize;
+                left &= left - 1;
+                let lba = idx as Lba * CHUNK_SECTORS + i as Lba;
+                h.write(&lba.to_le_bytes());
+                h.write(&chunk.bytes[i * ss..][..ss]);
+            }
         }
         h.finish()
     }

@@ -130,9 +130,11 @@ fn least_loaded_placement_is_deterministic_across_identical_runs() {
 /// in `tests/proptests_sim.rs` draw from — placement × kill / rejoin /
 /// wiped rejoin × restore × silent corruption × fail-slow × transient
 /// faults × scrub × hedging × audit, with a monitor ring attached —
-/// folded into one hash of everything observable: the report, the event
-/// stream and every member's disk image.
-fn cluster_fingerprint(seed: u64) -> u64 {
+/// folded into two hashes of everything observable: `(behaviour, image)`,
+/// the report plus the event stream, and every member's disk image. A
+/// change to what is *stored* (a checksum stamp, an index layout) moves
+/// only the second; a change to what the loop *does* moves the first.
+fn cluster_fingerprint(seed: u64) -> (u64, u64) {
     use strandfs::disk::{fnv1a, DegradedWindow, FaultPlan};
     use strandfs::obs::ObsSink;
     use strandfs::units::{Nanos, Prng};
@@ -267,45 +269,65 @@ fn cluster_fingerprint(seed: u64) -> u64 {
     for e in ring.borrow().events() {
         seen.extend_from_slice(format!("{e:?}").as_bytes());
     }
+    let mut image = Vec::new();
     for m in c.members() {
-        seen.extend_from_slice(&m.mrs().msm().disk().content_hash().to_le_bytes());
+        image.extend_from_slice(&m.mrs().msm().disk().content_hash().to_le_bytes());
     }
-    fnv1a(&seen)
+    (fnv1a(&seen), fnv1a(&image))
 }
 
 /// Byte-identity pin for `simulate_cluster`: fixed seeds (independent
-/// of `STRANDFS_TEST_SEED`), one committed hash each. A refactor of the
-/// cluster loop must reproduce every one; an intended behaviour change
-/// re-records them and says so. Between them the 32 runs take every
-/// branch of the loop: media failover, hedges won and lost, quarantine
-/// and probe re-admission, read-around, scrub repair / skip /
+/// of `STRANDFS_TEST_SEED`), one committed hash pair each. A refactor of
+/// the cluster loop must reproduce every one; an intended behaviour
+/// change re-records `BEHAVIOUR`, a change to the stored bytes alone
+/// re-records `IMAGE`, and either says so. Between them the 32 runs take
+/// every branch of the loop: media failover, hedges won and lost,
+/// quarantine and probe re-admission, read-around, scrub repair / skip /
 /// invalidation, restore, the revoke ladder and idle rounds — and seed
 /// 22 pins an `Err` (a restore pass reading a corrupt source under
 /// verified reads aborts the run).
 #[test]
 fn cluster_loop_fingerprints_are_pinned() {
     #[rustfmt::skip]
-    const PINNED: [u64; 32] = [
-        0x5bd8a35659fdb0f0, 0xe2c68234945de948, 0x5eec3f5168f4971c, 0xc076cb0abf7bcf7c,
-        0x2eb5727089f4afc7, 0x340168999c5a9d87, 0x39ad1f24b6cdf396, 0x2f60b384d7dfbda1,
-        0x2614aa33e9202879, 0x5d9da4bf36f74d11, 0xd8bbf117735ebf78, 0xc1d071fd6453bcfa,
-        0x75f20aa6f689ef5e, 0x49f2b87affd33b34, 0x358e07aa526c0155, 0x668d2fabb0a3c6ca,
-        0xb94e5e2baf13182b, 0x7abebef266480243, 0x219275fae7ab2577, 0x8022df4d917b7e93,
-        0x2104d95a021d4141, 0x694674ae4c4cec4c, 0xbb2e2522370a52a4, 0x8e0fb37b97af1adb,
-        0xb64839a75445b39c, 0x87616c611d69bddd, 0x2b6493a78fecc912, 0x20f08c3ac4359605,
-        0x00f417d2f7bcc673, 0x100e0521d5fe3b81, 0x02c407cb021a5bee, 0x424063425c4574d9,
+    const BEHAVIOUR: [u64; 32] = [
+        0x9179919fd0e484c0, 0x689c473c81d00bdc, 0xc468d0cba73c5374, 0xa5916e3570a82e88,
+        0xe0ac65a6b2e39cd6, 0xb03dba3de1c0c59f, 0xcfabcd99985bfc9c, 0xfb41508a9e1ed740,
+        0xbf5ce2821f094352, 0xc3c08e0ade068b29, 0x5103859cb35b0beb, 0x29937361435e4ad2,
+        0x66917a5133e8cfe4, 0xee5325ac2a86b8f7, 0x29319f067cc5dcb2, 0xd2b364c82afa6bc2,
+        0xa931d946022ecc13, 0x6affba4a156bad80, 0x0a1f8e6f3a439b6b, 0xe7a374891bcb3cd7,
+        0x2b24bb3ace0ac64e, 0x8a597b17dd178f9c, 0x4fb024abc15fa78d, 0x4db86efa357d5dfc,
+        0xd8ede8b3214ba762, 0x237218a3c533b2a9, 0xc5b6f8fa9bf514c4, 0xaa0cdbde9b7b5a02,
+        0x72c2be16cd30fd07, 0x1a6279f4cd85b85c, 0x18114701c13d0bda, 0xbfee6ad846f2d38d,
     ];
-    let got: Vec<u64> = (0..32).map(cluster_fingerprint).collect();
-    assert!(
-        got == PINNED,
-        "cluster loop fingerprints drifted; observed:\n{}",
+    #[rustfmt::skip]
+    const IMAGE: [u64; 32] = [
+        0x1792995684c9b961, 0x02aec23afa37f709, 0x9609b18e869c5b1d, 0x74150d948f1fb641,
+        0x55d381607a0b7df8, 0xf332e7b28f37b51d, 0x8f0297903c1cfa23, 0x790590640f6c9488,
+        0x774869b2e6fda482, 0x57a9a88d58f9149d, 0x97d493f2af24c412, 0x3d2609b58c7f81c9,
+        0x91bd28ee487d9e57, 0xb7148016b5259b72, 0x6b4891f87c5aedda, 0x0c8e0778cad42045,
+        0x5348cad4d0ff5ca1, 0x06192263ae06dbbe, 0x194d11f08f26d081, 0xa44aa29876f59729,
+        0x2a39472520932f1e, 0x69fdae8d9f2cf505, 0x28bc818acd8b22ac, 0x5ccdca05cc3095c2,
+        0xd56325db37a037cf, 0x06f8913424810691, 0x469839ae9757477b, 0xb5399e73a7d504e6,
+        0xc44e215964f9a949, 0x3bce60598f507e04, 0x5b736265db1dd531, 0x6b7838427cce4a91,
+    ];
+    let (behaviour, image): (Vec<u64>, Vec<u64>) = (0..32).map(cluster_fingerprint).unzip();
+    let table = |got: &[u64]| {
         got.chunks(4)
-            .map(|row| row
-                .iter()
-                .map(|h| format!("{h:#018x},"))
-                .collect::<Vec<_>>()
-                .join(" "))
+            .map(|row| {
+                let row: Vec<_> = row.iter().map(|h| format!("{h:#018x},")).collect();
+                row.join(" ")
+            })
             .collect::<Vec<_>>()
             .join("\n")
+    };
+    assert!(
+        behaviour == BEHAVIOUR,
+        "cluster loop behaviour (report + events) drifted; observed:\n{}",
+        table(&behaviour)
+    );
+    assert!(
+        image == IMAGE,
+        "member disk images drifted, behaviour unchanged; observed:\n{}",
+        table(&image)
     );
 }

@@ -14,7 +14,9 @@ use strandfs::core::strand::index::{
     SecondaryEntry,
 };
 use strandfs::core::{RopeId, StrandId};
-use strandfs::disk::{AllocPolicy, Allocator, Extent, GapBounds};
+use strandfs::disk::{
+    fnv1a, AllocPolicy, Allocator, DiskGeometry, Extent, GapBounds, Lba, SeekModel, SimDisk,
+};
 use strandfs::units::{BitRate, Bits, Nanos, Seconds};
 use strandfs_testkit::{
     any_bool, check, check_with, prop_assert, prop_assert_eq, prop_assume, vec as prop_vec,
@@ -468,6 +470,95 @@ fn freed_space_is_reusable() {
                 a.release(e);
             }
             prop_assert_eq!(a.freemap().used(), 0);
+            Ok(())
+        },
+    );
+}
+
+// ---------- the sector store against a naive model ----------
+
+/// `SimDisk`'s chunked payload store behaves as one map from sector to
+/// bytes: after every store / discard / torn store, each read-side
+/// answer equals the formula a `HashMap<Lba, [u8; 512]>` gives for it.
+/// Extents start on, end on and straddle chunk boundaries (64 sectors),
+/// overlap earlier writes and run off a device whose last chunk is half
+/// on it.
+#[test]
+fn sector_store_matches_a_sector_map() {
+    use std::collections::HashMap;
+    const CHUNK: u64 = 64;
+    const OFFSETS: [u64; 5] = [0, 1, 17, 62, 63];
+    let geometry = DiskGeometry {
+        cylinders: 7,
+        ..DiskGeometry::tiny_test()
+    };
+    let total = geometry.total_sectors();
+    assert_eq!(total % CHUNK, CHUNK / 2, "last chunk half off the device");
+    check_with(
+        &Config::with_cases(64),
+        "sector_store_matches_a_sector_map",
+        prop_vec(
+            (
+                0u8..4,
+                0..total / CHUNK + 2,
+                0usize..OFFSETS.len(),
+                1u64..150,
+                any_bool(),
+                0u8..=255,
+            ),
+            1..40,
+        ),
+        |ops| {
+            let mut disk = SimDisk::new(geometry, SeekModel::vintage_1991());
+            let mut model: HashMap<Lba, [u8; 512]> = HashMap::new();
+            for &(kind, chunk, off, len, snap, fill) in ops {
+                let start = chunk * CHUNK + OFFSETS[off];
+                let end = if snap {
+                    (start + len).next_multiple_of(CHUNK)
+                } else {
+                    start + len
+                };
+                let e = Extent::new(start, end - start);
+                let on_device = geometry.extent_valid(e);
+                let sector = |lba: Lba| -> [u8; 512] {
+                    std::array::from_fn(|i| fill ^ (lba as u8).wrapping_mul(31) ^ (i as u8))
+                };
+                let kept = match kind {
+                    // A whole store, and a torn one: the fault injector
+                    // stores the extent, then discards the lost tail.
+                    0 | 1 => e.sectors,
+                    2 => len % e.sectors,
+                    _ => 0,
+                };
+                if kind < 3 && on_device {
+                    let data: Vec<u8> = (e.start..e.end()).flat_map(sector).collect();
+                    disk.store_data(e, &data);
+                    model.extend((e.start..e.end()).map(|lba| (lba, sector(lba))));
+                }
+                if kind >= 2 {
+                    let lost = Extent::new(e.start + kept, e.sectors - kept);
+                    disk.discard_data(lost);
+                    for lba in lost.start..lost.end() {
+                        model.remove(&lba);
+                    }
+                }
+
+                let want: Vec<u8> = (e.start..e.end())
+                    .flat_map(|lba| model.get(&lba).copied().unwrap_or([0; 512]))
+                    .collect();
+                prop_assert_eq!(&disk.fetch_data(e), &want, "fetch_data {e:?}");
+                prop_assert_eq!(disk.try_fetch(e), on_device.then(|| want.clone()));
+                prop_assert_eq!(disk.fetch_sum(e), on_device.then(|| fnv1a(&want)));
+                prop_assert_eq!(disk.sectors_written(), model.len());
+                let mut image = Vec::new();
+                let mut lbas: Vec<Lba> = model.keys().copied().collect();
+                lbas.sort_unstable();
+                for lba in lbas {
+                    image.extend_from_slice(&lba.to_le_bytes());
+                    image.extend_from_slice(&model[&lba]);
+                }
+                prop_assert_eq!(disk.content_hash(), fnv1a(&image));
+            }
             Ok(())
         },
     );
