@@ -10,6 +10,7 @@ use strandfs_testkit::bench::Runner;
 pub mod allocators;
 pub mod architectures;
 pub mod capacity;
+pub mod checksum;
 pub mod crash;
 pub mod edit_copy;
 pub mod faults;
@@ -45,4 +46,5 @@ pub const SUITES: &[(&str, Register)] = &[
     ("crash", crash::register),
     ("fsx", fsx::register),
     ("scale", scale::register),
+    ("checksum", checksum::register),
 ];

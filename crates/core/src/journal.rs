@@ -57,8 +57,9 @@ const RECORD_MAGIC: u32 = 0x4C4A_5453; // "STJL"
 /// Magic tag opening every checkpoint.
 const CKPT_MAGIC: u32 = 0x4B43_5453; // "STCK"
 
-/// FNV-1a-64 over a byte slice — the journal's integrity check is the
-/// device's payload checksum.
+/// FNV-1a-64 over a byte slice — the integrity check over the journal's
+/// own record and checkpoint sectors. (The `payload_sum` a record
+/// *carries* is the media-block stamp, [`strandfs_disk::block_sum`].)
 pub use strandfs_disk::fnv1a;
 
 /// Journal sizing, carried in [`crate::msm::MsmConfig`].
@@ -125,7 +126,8 @@ pub enum Record {
         sectors: u64,
         /// Media units the block carries.
         units: u64,
-        /// FNV-1a-64 of the padded payload as stored on disk.
+        /// [`strandfs_disk::block_sum`] of the padded payload as stored
+        /// on disk — the same stamp the strand index will carry.
         payload_sum: u64,
     },
     /// A silence hole was appended (no data write to verify).

@@ -24,8 +24,8 @@ use crate::strand::{strand_from_index, Strand, StrandBuilder, StrandMeta};
 use crate::types::{BlockNo, StrandId};
 use std::collections::BTreeMap;
 use strandfs_disk::{
-    AccessKind, AllocPolicy, Allocator, BlockDevice, DiskOp, Extent, FaultKind, FaultPlan,
-    FaultStats, GapBounds, SeekModel, SimDisk,
+    block_sum, AccessKind, AllocPolicy, Allocator, BlockDevice, DiskOp, Extent, FaultKind,
+    FaultPlan, FaultStats, GapBounds, SeekModel, SimDisk,
 };
 use strandfs_obs::{Event, JournalOp, ObsSink};
 use strandfs_units::{Instant, Nanos, Seconds};
@@ -573,7 +573,7 @@ impl Msm {
             padded.resize(sectors as usize * sector_size, 0);
             &padded[..]
         };
-        let sum = journal::fnv1a(data);
+        let sum = block_sum(data);
         let builder = self.recording_mut(id)?;
         let anchor = builder.last_stored();
         let extent = match anchor {
@@ -889,7 +889,7 @@ impl Msm {
             });
         }
         let expected = strand.block_sum(n)?;
-        if expected != NO_SUM && journal::fnv1a(data) != expected {
+        if expected != NO_SUM && block_sum(data) != expected {
             return Err(FsError::ChecksumMismatch {
                 lba: e.start,
                 sectors: e.sectors,
@@ -1353,7 +1353,8 @@ impl Msm {
         let mut t = now;
         for i in 0..count {
             let n = first_block + i;
-            let src_extent = self.strand(src)?.block(n)?;
+            let src_strand = self.strand(src)?;
+            let (src_extent, src_sum) = (src_strand.block(n)?, src_strand.block_sum(n)?);
             match src_extent {
                 None => {
                     let (_, op) = self.append_silence(new_id, meta.granularity, t)?;
@@ -1369,7 +1370,14 @@ impl Msm {
                         Some(p) => self.alloc.allocate_after(p, e.sectors)?,
                         None => self.alloc.allocate_first(e.sectors)?,
                     };
-                    let sum = journal::fnv1a(&data);
+                    // The copy keeps the stamp the source was recorded
+                    // with: re-hashing the bytes just read would give
+                    // rot under the source a fresh, valid stamp.
+                    let sum = if src_sum == NO_SUM {
+                        block_sum(&data)
+                    } else {
+                        src_sum
+                    };
                     self.disk.store_data(dst, &data);
                     let write_op = self.timed_write(t, dst)?;
                     t = write_op.completed;
@@ -1602,12 +1610,7 @@ impl Msm {
             for (append, units) in blocks {
                 match append {
                     Some(a) if intact => {
-                        let verified = msm
-                            .disk
-                            .try_fetch(a.extent)
-                            .map(|d| journal::fnv1a(&d) == a.payload_sum)
-                            .unwrap_or(false);
-                        if verified {
+                        if msm.disk.fetch_sum(a.extent) == Some(a.payload_sum) {
                             t = msm.timed_read_bg(t, a.extent)?.completed;
                             msm.alloc.adopt(a.extent);
                             // The journaled sum just verified against the
@@ -1882,6 +1885,28 @@ mod tests {
             let (copy, _) = m.read_block(new_id, i, Instant::EPOCH).unwrap();
             assert_eq!(orig, copy, "block {i} differs");
         }
+    }
+
+    #[test]
+    fn edit_copy_carries_the_source_stamp() {
+        let mut m = msm();
+        let src = record_video(&mut m, 3);
+        // One bit rots under block 1 after it was stamped.
+        let e = m.strand(src).unwrap().block(1).unwrap().unwrap();
+        let mut data = m.disk.try_fetch(e).unwrap();
+        data[1_000] ^= 0x10;
+        m.disk.store_data(e, &data);
+        assert_eq!(m.check_block_sum(src, 1), Ok(Some(false)));
+
+        let copy = m
+            .copy_blocks_to_new_strand(src, 0, 3, None, Instant::EPOCH)
+            .unwrap();
+        // The copy is byte-for-byte the source, rot included, and still
+        // says so: a stamp computed from the bytes just read would have
+        // declared the rotten block clean.
+        assert_eq!(m.check_block_sum(copy, 0), Ok(Some(true)));
+        assert_eq!(m.check_block_sum(copy, 1), Ok(Some(false)));
+        assert_eq!(m.check_block_sum(copy, 2), Ok(Some(true)));
     }
 
     #[test]

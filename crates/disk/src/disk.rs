@@ -7,10 +7,11 @@ use crate::stats::DiskStats;
 use strandfs_obs::{AccessDir, Event, ObsSink};
 use strandfs_units::{Instant, Nanos, Seconds};
 
-/// Running FNV-1a-64 state — the one copy of the hash behind the
-/// payload checksum ([`fnv1a`]), [`SimDisk::fetch_sum`], the image
-/// fingerprint ([`SimDisk::content_hash`]) and the journal's record
-/// sums. No external dependency.
+/// Running FNV-1a-64 state — the one copy of the hash behind
+/// [`fnv1a`] (journal record and checkpoint sums, test and benchmark
+/// fingerprints) and the image fingerprint
+/// ([`SimDisk::content_hash`]). Payload stamps use [`block_sum`]. No
+/// external dependency.
 struct Fnv1a(u64);
 
 impl Fnv1a {
@@ -39,11 +40,106 @@ impl Fnv1a {
     }
 }
 
-/// FNV-1a-64 over a byte slice — the crate-wide payload checksum.
-/// Every stored media block's sum is computed with this function at
-/// write time and re-checked on verified reads and scrubs.
+/// FNV-1a-64 over a byte slice — the fingerprint hash: journal record
+/// and checkpoint sums, image and test fingerprints. Byte-serial (one
+/// dependent multiply per byte), so it is not what stamps media blocks;
+/// that is [`block_sum`].
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.finish()
+}
+
+/// Running state of [`block_sum`]. Each 32-byte stripe feeds one
+/// little-endian `u64` to each of four independent lanes, so a stripe's
+/// four multiplies overlap where FNV-1a's thirty-two queue behind one
+/// another.
+struct BlockSum {
+    lanes: [u64; 4],
+    len: u64,
+}
+
+impl BlockSum {
+    const STRIPE: usize = 32;
+    /// One odd multiplier per lane — distinct, so two words swapped
+    /// inside a stripe change the sum — and one for the fold.
+    const LANE_MUL: [u64; 4] = [
+        0x9E37_79B1_85EB_CA87,
+        0xC2B2_AE3D_27D4_EB4F,
+        0x1656_67B1_9E37_79F9,
+        0x85EB_CA77_C2B2_AE63,
+    ];
+    const FOLD_MUL: u64 = 0x27D4_EB2F_1656_67C5;
+
+    /// The empty-input state.
+    fn new() -> Self {
+        BlockSum {
+            lanes: Self::LANE_MUL,
+            len: 0,
+        }
+    }
+
+    /// One lane step. Xor, multiply by an odd constant and rotate are
+    /// each a bijection, so a changed word always changes its lane.
+    #[inline]
+    fn step(lane: u64, word: u64, mul: u64) -> u64 {
+        (lane ^ word).wrapping_mul(mul).rotate_left(29)
+    }
+
+    /// Fold `bytes` in. Every piece but the last must be a whole number
+    /// of stripes (sectors and chunks are); the last piece's tail goes
+    /// into lane 0 a byte at a time.
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        debug_assert!(
+            self.len.is_multiple_of(Self::STRIPE as u64),
+            "only the last piece may end inside a stripe"
+        );
+        self.len += bytes.len() as u64;
+        let mut lanes = self.lanes;
+        let mut stripes = bytes.chunks_exact(Self::STRIPE);
+        for stripe in &mut stripes {
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                let word = stripe[8 * i..8 * i + 8]
+                    .try_into()
+                    .expect("an 8-byte word of a 32-byte stripe");
+                *lane = Self::step(*lane, u64::from_le_bytes(word), Self::LANE_MUL[i]);
+            }
+        }
+        for &b in stripes.remainder() {
+            lanes[0] = Self::step(lanes[0], b as u64, Self::LANE_MUL[0]);
+        }
+        self.lanes = lanes;
+    }
+
+    /// The sum of everything written so far: length and lanes folded
+    /// (each fold step is a bijection in the lane it takes, so one
+    /// changed lane changes the result), mixed, and kept off zero.
+    fn finish(self) -> u64 {
+        let mut h = self.len.wrapping_mul(Self::FOLD_MUL);
+        for lane in self.lanes {
+            h = Self::step(h, lane, Self::FOLD_MUL);
+        }
+        h ^= h >> 32;
+        h = h.wrapping_mul(Self::LANE_MUL[0]);
+        h ^= h >> 29;
+        Self::off_zero(h)
+    }
+
+    /// Zero is the strand index's "unstamped" marker (`NO_SUM`); a block
+    /// whose sum lands there is stamped 1 instead.
+    fn off_zero(h: u64) -> u64 {
+        h.max(1)
+    }
+}
+
+/// The media-block checksum: what `append_block` stamps into the strand
+/// index and the journal's `Append.payload_sum`, and what verified
+/// reads, scrubs and recovery recompute through
+/// [`SimDisk::fetch_sum`]. Word-wide and four lanes deep, so checking a
+/// block costs about what reading it does. Never zero.
+pub fn block_sum(bytes: &[u8]) -> u64 {
+    let mut h = BlockSum::new();
     h.write(bytes);
     h.finish()
 }
@@ -144,12 +240,13 @@ pub struct SimDisk {
     seek_model: SeekModel,
     head_cylinder: u64,
     /// Chunk `i` covers sectors `i × CHUNK_SECTORS ..`; `None` until one
-    /// of them is written and again once all are discarded.
+    /// of them is written and again once all are discarded. Grown to the
+    /// highest chunk ever written, so an emptier disk is a shorter table.
     store: Vec<Option<Chunk>>,
     /// Set bits over every chunk's `written`.
     sectors_written: usize,
-    /// One chunk of zeroes: what a read of a never-written chunk sees.
-    zeros: Box<[u8]>,
+    /// What a read of a sector no chunk backs sees.
+    zero_sector: Box<[u8]>,
     stats: DiskStats,
     obs: ObsSink,
 }
@@ -158,16 +255,21 @@ impl SimDisk {
     /// A new disk with the head parked at cylinder 0 and observability
     /// disabled.
     pub fn new(geometry: DiskGeometry, seek_model: SeekModel) -> Self {
+        assert!(
+            geometry
+                .sector_size
+                .get()
+                .is_multiple_of(BlockSum::STRIPE as u64),
+            "sector size must be a whole number of {}-byte checksum stripes",
+            BlockSum::STRIPE
+        );
         SimDisk {
             geometry,
             seek_model,
             head_cylinder: 0,
-            store: (0..geometry.total_sectors().div_ceil(CHUNK_SECTORS))
-                .map(|_| None)
-                .collect(),
+            store: Vec::new(),
             sectors_written: 0,
-            zeros: vec![0; (CHUNK_SECTORS * geometry.sector_size.get()) as usize]
-                .into_boxed_slice(),
+            zero_sector: vec![0; geometry.sector_size.get() as usize].into_boxed_slice(),
             stats: DiskStats::default(),
             obs: ObsSink::noop(),
         }
@@ -341,11 +443,15 @@ impl SimDisk {
             "store beyond device: {extent:?} on {} sectors",
             self.geometry.total_sectors()
         );
+        let chunks = extent.end().div_ceil(CHUNK_SECTORS) as usize;
+        if self.store.len() < chunks {
+            self.store.resize_with(chunks, || None);
+        }
         let mut rest = data;
         for (idx, first, n) in chunk_runs(extent) {
             let chunk = self.store[idx].get_or_insert_with(|| Chunk {
                 written: 0,
-                bytes: self.zeros.clone(),
+                bytes: vec![0; CHUNK_SECTORS as usize * ss].into_boxed_slice(),
             });
             let mask = run_mask(first, n);
             self.sectors_written += (mask & !chunk.written).count_ones() as usize;
@@ -356,13 +462,17 @@ impl SimDisk {
         }
     }
 
-    /// The stored bytes of each chunk-sized piece of `extent`, in address
-    /// order; a piece no chunk backs reads from the shared zero chunk.
+    /// The stored bytes of `extent` in address order: one slice per chunk
+    /// it touches, or — where no chunk backs the sectors — the zero
+    /// sector once per sector.
     fn runs(&self, extent: Extent) -> impl Iterator<Item = &[u8]> {
         let ss = self.geometry.sector_size.get() as usize;
-        chunk_runs(extent).map(move |(idx, first, n)| match self.store.get(idx) {
-            Some(Some(chunk)) => &chunk.bytes[first * ss..][..n * ss],
-            _ => &self.zeros[..n * ss],
+        chunk_runs(extent).flat_map(move |(idx, first, n)| {
+            let (piece, times) = match self.store.get(idx) {
+                Some(Some(chunk)) => (&chunk.bytes[first * ss..][..n * ss], 1),
+                _ => (&self.zero_sector[..], n),
+            };
+            std::iter::repeat_n(piece, times)
         })
     }
 
@@ -387,8 +497,8 @@ impl SimDisk {
         out
     }
 
-    /// FNV-1a sum of the payload of `extent` (unwritten sectors count
-    /// as zeroes), or `None` off-device — [`fnv1a`] of
+    /// [`block_sum`] of the payload of `extent` (unwritten sectors count
+    /// as zeroes), or `None` off-device — the sum of
     /// [`SimDisk::try_fetch`] without materializing the copy. The
     /// verified-read and scrub paths call this per block, so it must
     /// not allocate.
@@ -396,7 +506,7 @@ impl SimDisk {
         if !self.geometry.extent_valid(extent) {
             return None;
         }
-        let mut h = Fnv1a::new();
+        let mut h = BlockSum::new();
         for run in self.runs(extent) {
             h.write(run);
         }
@@ -407,15 +517,14 @@ impl SimDisk {
     pub fn discard_data(&mut self, extent: Extent) {
         let ss = self.geometry.sector_size.get() as usize;
         for (idx, first, n) in chunk_runs(extent) {
-            let Some(slot) = self.store.get_mut(idx) else {
+            let Some(Some(chunk)) = self.store.get_mut(idx) else {
                 continue;
             };
-            let Some(chunk) = slot else { continue };
             let mask = run_mask(first, n);
             self.sectors_written -= (mask & chunk.written).count_ones() as usize;
             chunk.written &= !mask;
             if chunk.written == 0 {
-                *slot = None;
+                self.store[idx] = None;
             } else {
                 chunk.bytes[first * ss..][..n * ss].fill(0);
             }
@@ -452,6 +561,7 @@ impl SimDisk {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use strandfs_units::Prng;
 
     fn disk() -> SimDisk {
         SimDisk::new(DiskGeometry::tiny_test(), SeekModel::vintage_1991())
@@ -563,7 +673,7 @@ mod tests {
     }
 
     #[test]
-    fn fetch_sum_matches_fnv_of_fetched_bytes() {
+    fn fetch_sum_matches_sum_of_fetched_bytes() {
         let mut d = disk();
         let e = Extent::new(20, 3);
         let mut data = vec![0u8; 3 * 512];
@@ -571,17 +681,110 @@ mod tests {
             *b = (i % 251) as u8;
         }
         d.store_data(e, &data);
-        assert_eq!(d.fetch_sum(e), Some(fnv1a(&data)));
+        assert_eq!(d.fetch_sum(e), Some(block_sum(&data)));
         // Partially-written extents hash the zero-fill, same as fetch.
         let partial = Extent::new(21, 4);
         assert_eq!(
             d.fetch_sum(partial),
-            Some(fnv1a(&d.fetch_data(partial))),
+            Some(block_sum(&d.fetch_data(partial))),
             "unwritten sectors hash as zeroes"
         );
         // Off-device is a corrupt pointer, not a panic.
         let total = d.geometry().total_sectors();
         assert_eq!(d.fetch_sum(Extent::new(total - 1, 2)), None);
+    }
+
+    /// `len` seeded pseudo-random bytes.
+    fn noise(seed: u64, len: usize) -> Vec<u8> {
+        let mut bytes = vec![0u8; len];
+        Prng::seed_from_u64(seed).fill_bytes(&mut bytes);
+        bytes
+    }
+
+    #[test]
+    fn every_single_bit_flip_changes_the_block_sum() {
+        let mut block = noise(1, 4096);
+        let clean = block_sum(&block);
+        for bit in 0..8 * block.len() {
+            block[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(block_sum(&block), clean, "bit {bit} went unseen");
+            block[bit / 8] ^= 1 << (bit % 8);
+        }
+        assert_eq!(block_sum(&block), clean);
+    }
+
+    #[test]
+    fn block_sum_sees_order_and_length() {
+        let block = noise(2, 4096);
+        let clean = block_sum(&block);
+        let swapped = |a: usize, b: usize, len: usize| {
+            let mut v = block.clone();
+            let (lo, hi) = v.split_at_mut(b);
+            lo[a..a + len].swap_with_slice(&mut hi[..len]);
+            block_sum(&v)
+        };
+        // Two stripes trade places; two words of one stripe trade lanes.
+        assert_ne!(swapped(64, 96, 32), clean);
+        assert_ne!(swapped(3 * 32, 3 * 32 + 8, 8), clean);
+        // Trailing zeroes count: a longer block of the same content.
+        let mut longer = block.clone();
+        longer.resize(block.len() + 512, 0);
+        assert_ne!(block_sum(&longer), clean);
+        assert_ne!(block_sum(&[0; 512]), block_sum(&[0; 1024]));
+    }
+
+    #[test]
+    fn streaming_at_sector_boundaries_equals_one_shot() {
+        const SECTORS: usize = 7;
+        let block = noise(3, SECTORS * 512);
+        let whole = block_sum(&block);
+        // Bit `i` of `cuts` set: a piece ends after sector `i`.
+        for cuts in 0u32..1 << (SECTORS - 1) {
+            let mut h = BlockSum::new();
+            let mut from = 0;
+            for sector in 0..SECTORS {
+                if cuts >> sector & 1 == 1 || sector == SECTORS - 1 {
+                    h.write(&block[from..(sector + 1) * 512]);
+                    from = (sector + 1) * 512;
+                }
+            }
+            assert_eq!(h.finish(), whole, "cuts {cuts:#b}");
+        }
+    }
+
+    #[test]
+    fn a_tail_shorter_than_a_stripe_is_summed_and_pinned() {
+        // Pinned: these values are on disk in every strand index and
+        // journal `Append` record, so the algorithm cannot drift.
+        assert_eq!(block_sum(&[]), 0x124e_7514_4c57_4e80);
+        assert_eq!(block_sum(b"strandfs"), 0x90be_1f38_2c52_08d1);
+        let odd = noise(4, 3 * 32 + 5);
+        assert_eq!(block_sum(&odd), 0x0f19_a516_849c_330f);
+        // Every tail byte counts, and so does the tail's length.
+        for i in 3 * 32..odd.len() {
+            let mut v = odd.clone();
+            v[i] ^= 0x80;
+            assert_ne!(block_sum(&v), block_sum(&odd), "tail byte {i}");
+        }
+        assert_ne!(block_sum(&odd[..odd.len() - 1]), block_sum(&odd));
+    }
+
+    #[test]
+    fn no_block_sums_to_the_unstamped_marker() {
+        let mut rng = Prng::seed_from_u64(5);
+        for _ in 0..20_000 {
+            let len = rng.gen_range(0usize..700);
+            let mut bytes = vec![0u8; len];
+            if rng.gen_bool(0.8) {
+                rng.fill_bytes(&mut bytes);
+            }
+            assert_ne!(block_sum(&bytes), 0, "{len} bytes");
+        }
+        // The one input the mix could send to zero is moved off it, and
+        // nothing else moves.
+        assert_eq!(BlockSum::off_zero(0), 1);
+        assert_eq!(BlockSum::off_zero(1), 1);
+        assert_eq!(BlockSum::off_zero(u64::MAX), u64::MAX);
     }
 
     #[test]

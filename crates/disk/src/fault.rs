@@ -319,9 +319,10 @@ pub trait BlockDevice {
     /// Read the payload of `extent`; `None` if the extent is off-device.
     /// Unwritten sectors read back zeroed.
     fn try_fetch(&self, extent: Extent) -> Option<Vec<u8>>;
-    /// FNV-1a sum of the payload of `extent` ([`crate::fnv1a`] of
-    /// [`BlockDevice::try_fetch`]), or `None` off-device — the cheap
-    /// primitive behind verified reads and scrubbing. Required, so that
+    /// The block checksum of the payload of `extent`
+    /// ([`crate::block_sum`] of [`BlockDevice::try_fetch`]), or `None`
+    /// off-device — the cheap primitive behind verified reads, scrubbing
+    /// and recovery's prefix check. Required, so that
     /// every device hashes in place: a default through `try_fetch` would
     /// allocate a copy per verified read.
     fn fetch_sum(&self, extent: Extent) -> Option<u64>;
@@ -351,7 +352,8 @@ pub trait BlockDevice {
     fn power_cycle(&mut self) -> bool {
         false
     }
-    /// Stable FNV-1a fingerprint of the written device image, for
+    /// Stable fingerprint of the written device image ([`crate::fnv1a`]
+    /// over `(lba, bytes)` of written sectors in address order), for
     /// byte-identity assertions across crash replays.
     fn content_hash(&self) -> u64;
 }

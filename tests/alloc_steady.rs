@@ -11,7 +11,9 @@
 //! scales with the round count and fails this immediately.
 //!
 //! The cluster loop (`simulate_cluster`, defenses off) is held to the
-//! same bar in a second leg of the same test.
+//! same bar in a second leg of the same test, and a third pins that
+//! `SimDisk::fetch_sum` — what the defenses add per block — allocates
+//! nothing at all.
 //!
 //! This file holds exactly one test: the allocator count is global to
 //! the binary, and a parallel sibling test would pollute the deltas.
@@ -126,4 +128,22 @@ fn rounds_do_not_grow_the_heap() {
         "cluster: 8x rounds cost {allocs_many} allocations vs {allocs_few} — \
          the loop is allocating per round"
     );
+
+    // What the defenses add per block: the stored payload is summed in
+    // place, across a store-chunk boundary and over unwritten sectors,
+    // without a copy.
+    use strandfs::disk::{DiskGeometry, Extent, SeekModel, SimDisk};
+    let mut disk = SimDisk::new(DiskGeometry::tiny_test(), SeekModel::vintage_1991());
+    disk.store_data(Extent::new(40, 56), &[7; 56 * 512]);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let sums = [
+        disk.fetch_sum(Extent::new(40, 56)),
+        disk.fetch_sum(Extent::new(90, 200)),
+    ];
+    assert_eq!(
+        ALLOCS.load(Ordering::Relaxed),
+        before,
+        "fetch_sum allocated"
+    );
+    assert!(sums.iter().all(Option::is_some));
 }

@@ -301,14 +301,14 @@ fn cluster_loop_fingerprints_are_pinned() {
     ];
     #[rustfmt::skip]
     const IMAGE: [u64; 32] = [
-        0x1792995684c9b961, 0x02aec23afa37f709, 0x9609b18e869c5b1d, 0x74150d948f1fb641,
-        0x55d381607a0b7df8, 0xf332e7b28f37b51d, 0x8f0297903c1cfa23, 0x790590640f6c9488,
-        0x774869b2e6fda482, 0x57a9a88d58f9149d, 0x97d493f2af24c412, 0x3d2609b58c7f81c9,
-        0x91bd28ee487d9e57, 0xb7148016b5259b72, 0x6b4891f87c5aedda, 0x0c8e0778cad42045,
-        0x5348cad4d0ff5ca1, 0x06192263ae06dbbe, 0x194d11f08f26d081, 0xa44aa29876f59729,
-        0x2a39472520932f1e, 0x69fdae8d9f2cf505, 0x28bc818acd8b22ac, 0x5ccdca05cc3095c2,
-        0xd56325db37a037cf, 0x06f8913424810691, 0x469839ae9757477b, 0xb5399e73a7d504e6,
-        0xc44e215964f9a949, 0x3bce60598f507e04, 0x5b736265db1dd531, 0x6b7838427cce4a91,
+        0xd649fcea3c757d3f, 0xf5b169a176765eb1, 0x664407aff7b1b44d, 0xb67647c6c4ca8b8d,
+        0x44d7aa6dfa8407ed, 0xb63cc61e00d5890d, 0xd7f2e49b17c28e8a, 0x307a4bd39fd10aae,
+        0xe8ffc32878ee813f, 0x27f7155a238fc795, 0x76d639634294b305, 0x49ee3b3e24e15b54,
+        0xc5d042ebc1ca558e, 0x57a0713794f81f02, 0x64a4b3e85e8debe2, 0x3ee01a81174f2e91,
+        0x3f1bd66b4310057d, 0xd80501f37c9aac09, 0xab65187be70940e6, 0xd65cbcc8e5c3bb85,
+        0xda0a403e5bb5b35a, 0xda584ef6c1299e25, 0x239ead47980f514d, 0x74a7a91a8fac81c4,
+        0x47c8e877747b48b8, 0x79d1559496bf1f14, 0xb21e182cd9c6436f, 0x7fda19e87fb50536,
+        0xfcd620bace520351, 0xb13021cd07a1e975, 0x35af06617865fbd5, 0x27167f12b2406cf5,
     ];
     let (behaviour, image): (Vec<u64>, Vec<u64>) = (0..32).map(cluster_fingerprint).unzip();
     let table = |got: &[u64]| {
