@@ -100,8 +100,12 @@ pub struct CorruptionOutcome {
     pub read_repairs: u64,
     /// Corrupt blocks the scrub cursor found and repaired itself.
     pub scrub_repaired: u64,
-    /// Extents the scrubber verified across the run.
+    /// Stamped extents the scrub cursors covered across the run: probed
+    /// by the scrubber or credited.
     pub scrubbed: u64,
+    /// The covered extents the scrubber did not hash: the viewer's
+    /// verified read had already passed them in the same pass.
+    pub credited: u64,
     /// Replicas the repair path had to invalidate (must be 0 — every
     /// flip is fixable in place from the live copy).
     pub invalidated: u64,
@@ -144,6 +148,7 @@ pub fn run_corruption() -> CorruptionOutcome {
         read_repairs: defended.read_repairs,
         scrub_repaired: defended.scrub_repaired,
         scrubbed: defended.scrubbed_blocks,
+        credited: defended.scrub_credited,
         invalidated: defended.scrub_invalidated,
         converged_clean,
     }
@@ -261,7 +266,7 @@ pub fn section_json() -> String {
             "\"defended_corrupt_served\":{},",
             "\"defended_dropped\":{},",
             "\"read_repairs\":{},\"scrub_repaired\":{},\"scrubbed\":{},",
-            "\"invalidated\":{},\"fsck\":\"{}\"}}"
+            "\"credited\":{},\"invalidated\":{},\"fsck\":\"{}\"}}"
         ),
         c.corrupted,
         c.undefended_corrupt_served,
@@ -270,6 +275,7 @@ pub fn section_json() -> String {
         c.read_repairs,
         c.scrub_repaired,
         c.scrubbed,
+        c.credited,
         c.invalidated,
         if c.converged_clean { "clean" } else { "dirty" },
     );
@@ -339,11 +345,13 @@ pub fn table() -> Table {
     ]);
     t.note(format!(
         "corruption: {} flips armed; defended run repaired {} on the read \
-         path and {} by scrub ({} extents scrubbed), member {}",
+         path and {} by scrub ({} extents scrubbed, {} of them on read \
+         credit), member {}",
         c.corrupted,
         c.read_repairs,
         c.scrub_repaired,
         c.scrubbed,
+        c.credited,
         if c.converged_clean {
             "fsck-clean"
         } else {

@@ -82,7 +82,8 @@ const INTEGRITY_BASELINE: &str = r#"{
   "corruption": {"corrupted": 3, "undefended_corrupt_served": 3,
                  "defended_corrupt_served": 0, "defended_dropped": 0,
                  "read_repairs": 3, "scrub_repaired": 0,
-                 "scrubbed": 40, "invalidated": 0, "fsck": "clean"},
+                 "scrubbed": 40, "credited": 17, "invalidated": 0,
+                 "fsck": "clean"},
   "fail_slow": {"slow_factor": 10, "hedges": 4, "hedge_wins": 4,
                 "quarantines": 1, "readmits": 0, "hedged_dropped": 0,
                 "hedged_violations": 0, "bare_dropped": 0,
@@ -96,8 +97,8 @@ fn integrity_leaf_gate_pins_the_contract_strings() {
     let base = validate(INTEGRITY_BASELINE);
     let same = compare_section("integrity", &base, &base);
     assert!(same.passed(), "{}", same.table());
-    // Every leaf of the section is gated: 21 numeric + 2 string.
-    assert_eq!(same.compared, 23);
+    // Every leaf of the section is gated: 22 numeric + 2 string.
+    assert_eq!(same.compared, 24);
     // Losing the zero-perturbation invariant fails, and so does a
     // single replicated block dropped past the hedge: the numeric
     // verdicts need no string beside them.

@@ -358,6 +358,7 @@ fn integrity_section_keeps_its_shape() {
         doc.get("corruption").unwrap().keys(),
         vec![
             "corrupted",
+            "credited",
             "defended_corrupt_served",
             "defended_dropped",
             "fsck",

@@ -20,7 +20,9 @@
 
 use crate::catalog::{ReplicaState, TitleId};
 use crate::cluster::{Cluster, RejoinReport};
+use std::collections::BTreeMap;
 use strandfs_core::msm::{BlockFetch, FetchFailure, Msm};
+use strandfs_core::strand::index::NO_SUM;
 use strandfs_core::{FsError, StrandId};
 use strandfs_obs::{Event, ObsSink};
 use strandfs_sim::metrics::SimReport;
@@ -42,10 +44,12 @@ pub struct ClusterPlayback {
     /// Background re-replication budget per round, in media blocks
     /// (0 disables the restore pass).
     pub restore_blocks_per_round: u64,
-    /// Background scrub budget per volume per round, in blocks
+    /// Background scrub budget per volume per round, in probes
     /// (0 disables the scrubber). Scrub probes verify checksum stamps
     /// in place and are charged against spare round slack only — they
-    /// never extend a round or move the disk arm.
+    /// never extend a round or move the disk arm. A block a verified
+    /// read already checked this pass is covered without a probe and
+    /// spends none of the budget.
     pub scrub_blocks_per_round: u64,
     /// Race a replica when a primary fetch exceeds its block's play
     /// duration (the fail-slow defense): the hedge read issues at the
@@ -140,7 +144,9 @@ pub struct VolumeStats {
     pub fetched: u64,
     /// Rounds the volume spent marked down.
     pub rounds_down: u64,
-    /// Blocks the background scrubber verified on the volume.
+    /// Stamped blocks the scrub cursor covered on the volume: probed
+    /// (hashed by the scrubber) or credited (see
+    /// [`ClusterReport::scrub_credited`]).
     pub scrubbed: u64,
     /// Hedged reads fired because this volume's fetch ran slow.
     pub hedged: u64,
@@ -165,8 +171,16 @@ pub struct ClusterReport {
     pub restored_blocks: u64,
     /// Replicas brought back live by background re-replication.
     pub restored_replicas: u64,
-    /// Blocks the background scrubber verified.
+    /// Stamped blocks the scrub cursors *covered*: every block a cursor
+    /// passed that was either probed — hashed by the scrubber, one
+    /// `Event::Scrub` and one unit of budget and slack each — or
+    /// credited. Probes = `scrubbed_blocks - scrub_credited`.
     pub scrubbed_blocks: u64,
+    /// The covered blocks that cost the scrubber nothing: a verified
+    /// read had already passed them, on the bytes now stored, earlier in
+    /// the same scrub pass. Always 0 unless verified reads and scrub
+    /// are both on.
+    pub scrub_credited: u64,
     /// Corrupt blocks the scrubber detected.
     pub scrub_corrupt: u64,
     /// Corrupt blocks rewritten in place from a clean replica.
@@ -259,6 +273,8 @@ struct Lane {
     round_hedges: u64,
     /// The scrubber's position: `(strand raw id, block)`.
     scrub_cursor: (u64, u64),
+    /// What verified reads already checked during the current pass.
+    credits: Credits,
     /// Full scrub passes over the member's strands completed.
     scrub_passes: u64,
     /// The conservative slack charge for one scrub probe: worst-case
@@ -268,43 +284,96 @@ struct Lane {
     scrub_cost: Nanos,
 }
 
-/// One scrub probe on volume `v`: verify the next stamped block under
-/// the cursor `(strand raw id, block)`. Verification re-hashes the
-/// stored payload in place — no device access, no arm movement, no
-/// virtual time of its own (the caller charges slack). Returns `None`
-/// when the cursor wrapped: one full pass over the member's strands is
-/// complete.
-fn scrub_step(
-    cluster: &Cluster,
-    v: usize,
-    cursor: &mut (u64, u64),
-) -> Option<(strandfs_core::StrandId, u64, bool)> {
-    loop {
-        let msm = cluster.members()[v].mrs().msm();
-        let ids = msm.strand_ids();
-        let Some(id) = ids.iter().copied().find(|id| id.raw() >= cursor.0) else {
-            *cursor = (0, 0);
-            return None;
-        };
+/// The blocks of one member that passed read verification during its
+/// current scrub pass, as one bitset per strand raw id. A stamp check is
+/// a stamp check whoever asked for it: the cursor covers a marked block
+/// without hashing it again. Marks are only ever set by a verification
+/// that passed on the bytes now stored, and are dropped whenever those
+/// bytes or the meaning of a strand id may have changed under them — at
+/// the end of the pass, when the member is killed, rejoined or wiped
+/// (strand ids restart on fresh media), when a strand is deleted.
+#[derive(Default)]
+struct Credits {
+    strands: BTreeMap<u64, Vec<u64>>,
+}
+
+impl Credits {
+    fn mark(&mut self, strand: u64, block: u64) {
+        let bits = self.strands.entry(strand).or_default();
+        let word = (block / 64) as usize;
+        if bits.len() <= word {
+            bits.resize(word + 1, 0);
+        }
+        bits[word] |= 1 << (block % 64);
+    }
+
+    /// One strand's marks, for [`marked`].
+    fn of(&self, strand: u64) -> &[u64] {
+        self.strands.get(&strand).map_or(&[], Vec::as_slice)
+    }
+
+    fn drop_strand(&mut self, strand: u64) {
+        self.strands.remove(&strand);
+    }
+
+    /// Forget every mark, keeping the bitsets: a run's passes reuse them.
+    fn clear(&mut self) {
+        for bits in self.strands.values_mut() {
+            bits.fill(0);
+        }
+    }
+}
+
+fn marked(bits: &[u64], block: u64) -> bool {
+    bits.get((block / 64) as usize)
+        .is_some_and(|w| w >> (block % 64) & 1 == 1)
+}
+
+/// How far one [`scrub_step`] got.
+struct ScrubStep {
+    /// Stamped blocks the cursor passed on their read credit.
+    credited: u64,
+    /// The block probed, `(strand, block, ok)`; `None` when the cursor
+    /// wrapped instead: one full pass over the member is complete.
+    probe: Option<(StrandId, u64, bool)>,
+}
+
+/// Advance a member's scrub cursor `(strand raw id, block)` to the next
+/// stamped block no verified read has credited this pass, and probe it.
+/// A probe re-hashes the stored payload in place — no device access, no
+/// arm movement, no virtual time of its own (the caller charges slack).
+/// Silence holes and unstamped blocks verify nothing and credited
+/// blocks are already verified: the cursor walks all three for free,
+/// within the same budget unit.
+fn scrub_step(msm: &Msm, cursor: &mut (u64, u64), credits: &Credits) -> ScrubStep {
+    let mut credited = 0;
+    while let Some(strand) = msm.next_strand(StrandId::from_raw(cursor.0)) {
+        let id = strand.id();
         if id.raw() != cursor.0 {
             *cursor = (id.raw(), 0);
         }
-        let Ok(strand) = msm.strand(id) else {
-            *cursor = (id.raw() + 1, 0);
-            continue;
-        };
-        if cursor.1 >= strand.block_count() {
-            *cursor = (id.raw() + 1, 0);
-            continue;
+        let (sums, marks) = (strand.sums(), credits.of(id.raw()));
+        while let Some(&sum) = sums.get(cursor.1 as usize) {
+            let n = cursor.1;
+            cursor.1 += 1;
+            if sum == NO_SUM {
+                continue;
+            }
+            if marked(marks, n) {
+                credited += 1;
+                continue;
+            }
+            if let Ok(Some(ok)) = msm.check_block_sum(id, n) {
+                let probe = Some((id, n, ok));
+                return ScrubStep { credited, probe };
+            }
         }
-        let n = cursor.1;
-        cursor.1 += 1;
-        match msm.check_block_sum(id, n) {
-            Ok(Some(ok)) => return Some((id, n, ok)),
-            // Silence holes and unstamped blocks verify nothing and
-            // cost no slack; keep walking within this budget unit.
-            _ => continue,
-        }
+        *cursor = (id.raw() + 1, 0);
+    }
+    *cursor = (0, 0);
+    ScrubStep {
+        credited,
+        probe: None,
     }
 }
 
@@ -429,6 +498,16 @@ impl<'a> Run<'a> {
         self.cluster.member_mut(v).mrs_mut().msm_mut()
     }
 
+    /// A read of `(strand, block)` on volume `v` came back
+    /// [`BlockFetch::Data`]. If `v` verifies reads, that block has had
+    /// this scrub pass's check: credit it.
+    fn credit(&mut self, v: usize, strand: StrandId, block: u64) {
+        let verified = self.cluster.members()[v].mrs().msm().verify_reads();
+        if verified && self.cfg.scrub_blocks_per_round > 0 {
+            self.lanes[v].credits.mark(strand.raw(), block);
+        }
+    }
+
     fn busy_time(&self, v: usize) -> Nanos {
         self.cluster.members()[v]
             .mrs()
@@ -490,23 +569,22 @@ impl<'a> Run<'a> {
                 continue;
             }
             self.applied[si] = true;
-            let rejoined = match a.action {
-                ClusterAction::Kill(v) => {
+            use ClusterAction::{Kill, Rejoin, RejoinWiped};
+            let (Kill(v) | Rejoin(v) | RejoinWiped(v)) = a.action;
+            // Whatever was verified on `v` was verified on media, and
+            // under strand ids, that may not be there afterwards.
+            self.lanes[v].credits.clear();
+            let rejoin = match a.action {
+                Kill(_) => {
                     self.cluster.kill(v);
                     continue;
                 }
-                ClusterAction::Rejoin(v) => {
-                    let report = self.cluster.rejoin(v, self.t)?;
-                    self.report.rejoins.push(report);
-                    v
-                }
-                ClusterAction::RejoinWiped(v) => {
-                    self.report.rejoins.push(self.cluster.rejoin_wiped(v));
-                    v
-                }
+                Rejoin(_) => self.cluster.rejoin(v, self.t)?,
+                RejoinWiped(_) => self.cluster.rejoin_wiped(v),
             };
+            self.report.rejoins.push(rejoin);
             // Recovery I/O is mount work, not playback service.
-            self.lanes[rejoined].busy_mark = self.busy_time(rejoined);
+            self.lanes[v].busy_mark = self.busy_time(v);
         }
         Ok(())
     }
@@ -663,6 +741,7 @@ impl<'a> Run<'a> {
                         })
                     }
                     BlockFetch::Data { op, retries, .. } => {
+                        self.credit(vol, item.strand, item.block);
                         let done = self.served(idx, issue, op.completed, retries)?;
                         return Ok(Fetched::Served(done));
                     }
@@ -772,6 +851,7 @@ impl<'a> Run<'a> {
         self.report.hedges += 1;
         let mut won = None;
         if let BlockFetch::Data { op, .. } = hedge {
+            self.credit(hv, item.strand, item.block);
             self.lanes[hv].clock = op.completed;
             if op.completed < primary_done {
                 won = Some(op.completed);
@@ -940,13 +1020,18 @@ impl<'a> Run<'a> {
             }
         }
         self.cluster.invalidate_replica(title, rep)?;
+        for loc in &self.cluster.catalog().title(title).replicas[rep].strands {
+            self.lanes[v].credits.drop_strand(loc.strand.raw());
+        }
         Ok(ScrubRepair::Invalidated)
     }
 
     /// One budgeted scrub pass over every up volume, charged strictly
     /// against the slack between each volume's clock and `t_next` — the
     /// round end playback already decided — so scrub can never extend a
-    /// round or perturb a deadline.
+    /// round or perturb a deadline. Budget and slack are spent by
+    /// probes; blocks covered on read credit are counted and nothing
+    /// else.
     fn scrub_pass(&mut self, t_next: Instant) -> Result<(), FsError> {
         if self.cfg.scrub_blocks_per_round == 0 {
             return Ok(());
@@ -958,15 +1043,19 @@ impl<'a> Run<'a> {
             let mut budget = self.cfg.scrub_blocks_per_round;
             while budget > 0 && self.lanes[v].clock + self.lanes[v].scrub_cost <= t_next {
                 let lane = &mut self.lanes[v];
-                let Some((strand, block, ok)) = scrub_step(self.cluster, v, &mut lane.scrub_cursor)
-                else {
+                let msm = self.cluster.members()[v].mrs().msm();
+                let step = scrub_step(msm, &mut lane.scrub_cursor, &lane.credits);
+                let covered = step.credited + u64::from(step.probe.is_some());
+                lane.stats.scrubbed += covered;
+                self.report.scrubbed_blocks += covered;
+                self.report.scrub_credited += step.credited;
+                let Some((strand, block, ok)) = step.probe else {
                     lane.scrub_passes += 1;
+                    lane.credits.clear();
                     break;
                 };
                 budget -= 1;
                 lane.clock += lane.scrub_cost;
-                lane.stats.scrubbed += 1;
-                self.report.scrubbed_blocks += 1;
                 let (at, sid) = (lane.clock, strand.raw());
                 self.obs.emit(|| Event::Scrub {
                     volume: v,
@@ -1084,7 +1173,10 @@ impl<'a> Run<'a> {
                     None,
                     false,
                 ) {
-                    Ok(BlockFetch::Data { op, .. }) => op.completed - now <= item.duration,
+                    Ok(BlockFetch::Data { op, .. }) => {
+                        self.credit(v, item.strand, item.block);
+                        op.completed - now <= item.duration
+                    }
                     Ok(BlockFetch::Silence) => true,
                     Ok(BlockFetch::Failed {
                         reason: FetchFailure::Corrupt,
@@ -1433,32 +1525,117 @@ mod tests {
     #[test]
     fn scrub_off_vs_on_is_zero_perturbation_for_healthy_streams() {
         // Identical clusters, identical viewers; the only difference is
-        // the scrub budget. Per-stream completion times must match
-        // exactly: scrub runs strictly inside slack the round already
-        // paid for.
-        let run = |scrub: u64| {
+        // the scrub budget — against unverified reads, and against
+        // verified reads, whose credits change what the scrubber does
+        // with its slack. Per-stream outcomes must match exactly: scrub
+        // runs strictly inside slack the round already paid for, and a
+        // credit moves no clock.
+        let run = |verify: bool, scrub: u64| {
             let mut c = cluster(2, 2);
             let id = c
                 .ingest("hot", &ClipSpec::video_seconds(2.0).with_seed(29), 1.0)
                 .unwrap();
-            c.set_verify_reads(true);
-            let cfg = if scrub > 0 {
-                ClusterPlayback::with_k(3).scrub(scrub)
-            } else {
-                ClusterPlayback::with_k(3)
-            };
+            c.set_verify_reads(verify);
+            let cfg = ClusterPlayback::with_k(3).scrub(scrub);
             simulate_cluster(&mut c, &[id, id], &[], &cfg).expect("sim")
         };
-        let off = run(0);
-        let on = run(4);
-        assert!(on.scrubbed_blocks > 0);
-        assert_eq!(on.sim.total_violations(), off.sim.total_violations());
-        assert_eq!(on.sim.total_dropped(), off.sim.total_dropped());
-        for (a, b) in off.sim.streams.iter().zip(&on.sim.streams) {
-            assert_eq!(a.violations, b.violations);
-            assert_eq!(a.start_latency, b.start_latency);
-            assert_eq!(a.max_lateness, b.max_lateness);
+        for verify in [false, true] {
+            let off = run(verify, 0);
+            let on = run(verify, 4);
+            assert!(on.scrubbed_blocks > 0);
+            assert_eq!(on.scrub_credited > 0, verify, "credits need verified reads");
+            assert_eq!(off.sim.streams, on.sim.streams, "verify {verify}");
         }
+    }
+
+    /// `(strand, block, ok)` of every scrub probe on `volume`, in order.
+    fn probes(ring: &strandfs_obs::RingRecorder, volume: usize) -> Vec<(u64, u64, bool)> {
+        let scrubs = ring.events().filter_map(|e| match *e {
+            Event::Scrub {
+                volume: v,
+                strand,
+                block,
+                ok,
+                ..
+            } if v == volume => Some((strand, block, ok)),
+            _ => None,
+        });
+        scrubs.collect()
+    }
+
+    #[test]
+    fn a_read_that_fails_verification_earns_no_credit() {
+        // One copy only, so the flip under block 0 cannot be repaired:
+        // the viewer's verified read fails and drops the block, then
+        // reads blocks 1 and 2 clean. Only those two are credited — the
+        // scrubber's first probe of the pass is block 0, and it reports
+        // the corruption the read already tripped over.
+        let mut c = cluster(2, 1);
+        let (sink, ring) = ObsSink::ring(1 << 12);
+        c.set_obs(&sink);
+        let id = c
+            .ingest("solo", &ClipSpec::video_seconds(2.0).with_seed(21), 0.0)
+            .unwrap();
+        c.set_verify_reads(true);
+        corrupt_first_blocks(&mut c, id, 1);
+        // A second title's viewer keeps volume 1 the slower lane, so
+        // volume 0 has slack to scrub in from round 0 on.
+        let other = c
+            .ingest("other", &ClipSpec::video_seconds(2.0).with_seed(22), 0.0)
+            .unwrap();
+        let cfg = ClusterPlayback::with_k(3).scrub(4);
+        let report = simulate_cluster(&mut c, &[id, other, other], &[], &cfg).expect("sim");
+        assert_eq!(report.sim.streams[0].dropped_blocks, 1);
+        assert!(report.scrub_corrupt >= 1, "scrub must still see the flip");
+        assert_eq!(report.scrub_repaired, 0, "there is nothing to repair from");
+        let strand = c.catalog().title(id).replicas[0].strands[0].strand.raw();
+        let probed = probes(&ring.borrow(), 0);
+        assert_eq!(probed[0], (strand, 0, false), "{probed:?}");
+        assert!(
+            probed[1].1 > 2,
+            "blocks 1 and 2 ride their credit: {probed:?}"
+        );
+        assert_eq!(
+            report.scrubbed_blocks - report.scrub_credited,
+            ring.borrow().metrics().scrubbed,
+            "probes are the scrub events"
+        );
+    }
+
+    #[test]
+    fn credits_do_not_survive_a_wiped_rejoin() {
+        // The one viewer keeps volume 0 the slowest lane, so its
+        // scrubber never finds slack and the credits of rounds 0 and 1
+        // pile up ahead of the cursor. Then the member dies and comes
+        // back on fresh media, where strand ids restart: the restore
+        // pass of the rejoin round rebuilds the replica as strand 0
+        // again, under a cursor that is still mid-pass. Every restored
+        // block must be probed — the first of them first.
+        let mut c = cluster(2, 2);
+        let (sink, ring) = ObsSink::ring(1 << 12);
+        c.set_obs(&sink);
+        let id = c
+            .ingest("hot", &ClipSpec::video_seconds(2.0).with_seed(9), 1.0)
+            .unwrap();
+        c.set_verify_reads(true);
+        let strand = c.catalog().title(id).replicas[0].strands[0].strand;
+        let script = [
+            ScriptedAction {
+                at_round: 2,
+                action: ClusterAction::Kill(0),
+            },
+            ScriptedAction {
+                at_round: 4,
+                action: ClusterAction::RejoinWiped(0),
+            },
+        ];
+        let cfg = ClusterPlayback::with_k(3).scrub(4).restore(64);
+        let report = simulate_cluster(&mut c, &[id], &script, &cfg).expect("sim");
+        assert_eq!(report.restored_replicas, 1);
+        let restored = c.catalog().title(id).replicas[0].strands[0].strand;
+        assert_eq!(restored, strand, "fresh media reuses the strand id");
+        let probed = probes(&ring.borrow(), 0);
+        assert_eq!(probed[0], (strand.raw(), 0, true), "{probed:?}");
     }
 
     #[test]

@@ -791,6 +791,16 @@ impl Msm {
             .collect()
     }
 
+    /// The finished strand with the lowest id ≥ `from` — one step of an
+    /// ordered walk over the volume (the scrub cursor's) that collects
+    /// nothing.
+    pub fn next_strand(&self, from: StrandId) -> Option<&Strand> {
+        self.strands.range(from..).find_map(|(_, s)| match s {
+            StrandState::Finished(s) => Some(s),
+            StrandState::Recording(_) => None,
+        })
+    }
+
     /// Read media block `n` of a strand at `now`. Returns `(payload,
     /// op)`; both are `None` for a silence hole (no I/O happens).
     ///

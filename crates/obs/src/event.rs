@@ -388,10 +388,11 @@ pub enum Event {
         /// Virtual time of the decision.
         at: Instant,
     },
-    /// One background-scrub verification of a stored media block
+    /// One background-scrub probe of a stored media block
     /// (`strandfs-cluster`): during idle rounds or spare round slack the
     /// scrubber re-hashed the block's on-disk payload against the
-    /// checksum stamped in its strand index.
+    /// checksum stamped in its strand index. A block the cursor covers
+    /// because a verified read already checked it this pass emits none.
     Scrub {
         /// The member volume scrubbed.
         volume: usize,

@@ -188,7 +188,9 @@ pub struct ObsMetrics {
     pub degrade_revokes: u64,
     /// Revoked streams re-admitted after the fault window cleared.
     pub degrade_readmits: u64,
-    /// Blocks verified by the background scrubber.
+    /// Scrub *probes*: blocks the background scrubber hashed itself
+    /// (one `Scrub` event each). Blocks its cursor covered on the credit
+    /// of a verified read emit nothing and are not counted here.
     pub scrubbed: u64,
     /// Scrubbed blocks whose payload hash did not match the index stamp.
     pub scrub_corrupt: u64,

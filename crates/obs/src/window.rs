@@ -165,7 +165,8 @@ pub struct WindowStats {
     pub releases: u64,
     /// Display-clock starts (stream epochs satisfying read-ahead).
     pub display_starts: u64,
-    /// Blocks verified by the background scrubber.
+    /// Scrub probes in the window (`Scrub` events): blocks the scrubber
+    /// hashed itself, not blocks covered on read credit.
     pub scrubbed: u64,
     /// Scrubbed blocks whose checksum did not match.
     pub scrub_corrupt: u64,

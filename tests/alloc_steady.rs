@@ -10,10 +10,10 @@
 //! seed loop's fresh `active` vector and payload `Vec` per fetch —
 //! scales with the round count and fails this immediately.
 //!
-//! The cluster loop (`simulate_cluster`, defenses off) is held to the
-//! same bar in a second leg of the same test, and a third pins that
-//! `SimDisk::fetch_sum` — what the defenses add per block — allocates
-//! nothing at all.
+//! The cluster loop (`simulate_cluster`) is held to the same bar in two
+//! more legs of the same test — defenses off, then verified reads and
+//! scrub on — and a last one pins that `SimDisk::fetch_sum` — what the
+//! defenses add per block — allocates nothing at all.
 //!
 //! This file holds exactly one test: the allocator count is global to
 //! the binary, and a parallel sibling test would pollute the deltas.
@@ -127,6 +127,44 @@ fn rounds_do_not_grow_the_heap() {
         allocs_many <= allocs_few + slop,
         "cluster: 8x rounds cost {allocs_many} allocations vs {allocs_few} — \
          the loop is allocating per round"
+    );
+
+    // The cluster defended — verified reads and a scrub budget of 4 —
+    // to the same bound, long run against short: three volumes, a
+    // viewer on each of the first two, and on the third a clip nobody
+    // watches, so its scrubber has whole rounds of slack and probes
+    // every block while the other two cursors walk on read credit. A
+    // scrub step scales with the blocks stored, 8× from the short run
+    // to the long one; a step that collects the member's strand ids, as
+    // `scrub_step` did through `Msm::strand_ids`, pays that in
+    // allocations — 871 against 131 on the loop before it stopped. What
+    // may grow is the round series and, by doubling, one credit bitset
+    // per strand: 29 against 23.
+    let run_defended = |seconds: f64| {
+        let mut c = Cluster::new(ClusterConfig::round_robin(3, 7)).expect("cluster");
+        let titles: Vec<_> = (0..3)
+            .map(|i| {
+                c.ingest("clip", &ClipSpec::video_seconds(seconds).with_seed(i), 0.0)
+                    .expect("ingest")
+            })
+            .collect();
+        c.set_verify_reads(true);
+        let cfg = ClusterPlayback::with_k(8).scrub(4);
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let report = simulate_cluster(&mut c, &titles[..2], &[], &cfg).expect("simulate");
+        (report, ALLOCS.load(Ordering::Relaxed) - before)
+    };
+    let (long, allocs_long) = run_defended(24.0);
+    let (short, allocs_short) = run_defended(3.0);
+    let probes = |r: &strandfs::cluster::ClusterReport| r.scrubbed_blocks - r.scrub_credited;
+    assert!(long.scrub_credited >= 8 * short.scrub_credited && short.scrub_credited > 0);
+    assert!(probes(&long) >= 8 * probes(&short) && probes(&short) > 0);
+    assert!(
+        allocs_long <= allocs_short + slop,
+        "defended cluster: {} blocks scrubbed for {allocs_long} allocations vs {} for \
+         {allocs_short} — the scrub walk is allocating per step",
+        long.scrubbed_blocks,
+        short.scrubbed_blocks
     );
 
     // What the defenses add per block: the stored payload is summed in

@@ -265,7 +265,12 @@ fn cluster_fingerprint(seed: u64) -> (u64, u64) {
     }
     let report = simulate_cluster(&mut c, &[hot, cold, hot, hot], &script, &cfg);
 
-    let mut seen = format!("{report:?}").into_bytes();
+    // `ClusterReport::scrub_credited` is younger than the pin and is
+    // hashed only when a run credited something: a run that cannot —
+    // verified reads or scrub off — must reproduce the entry recorded
+    // before the field existed, bit for bit.
+    let report = format!("{report:?}").replace(" scrub_credited: 0,", "");
+    let mut seen = report.into_bytes();
     for e in ring.borrow().events() {
         seen.extend_from_slice(format!("{e:?}").as_bytes());
     }
@@ -290,14 +295,14 @@ fn cluster_fingerprint(seed: u64) -> (u64, u64) {
 fn cluster_loop_fingerprints_are_pinned() {
     #[rustfmt::skip]
     const BEHAVIOUR: [u64; 32] = [
-        0x9179919fd0e484c0, 0x689c473c81d00bdc, 0xc468d0cba73c5374, 0xa5916e3570a82e88,
-        0xe0ac65a6b2e39cd6, 0xb03dba3de1c0c59f, 0xcfabcd99985bfc9c, 0xfb41508a9e1ed740,
-        0xbf5ce2821f094352, 0xc3c08e0ade068b29, 0x5103859cb35b0beb, 0x29937361435e4ad2,
-        0x66917a5133e8cfe4, 0xee5325ac2a86b8f7, 0x29319f067cc5dcb2, 0xd2b364c82afa6bc2,
-        0xa931d946022ecc13, 0x6affba4a156bad80, 0x0a1f8e6f3a439b6b, 0xe7a374891bcb3cd7,
-        0x2b24bb3ace0ac64e, 0x8a597b17dd178f9c, 0x4fb024abc15fa78d, 0x4db86efa357d5dfc,
-        0xd8ede8b3214ba762, 0x237218a3c533b2a9, 0xc5b6f8fa9bf514c4, 0xaa0cdbde9b7b5a02,
-        0x72c2be16cd30fd07, 0x1a6279f4cd85b85c, 0x18114701c13d0bda, 0xbfee6ad846f2d38d,
+        0x8d879e5fbba23708, 0x47542ca1880c267f, 0xc468d0cba73c5374, 0xa5916e3570a82e88,
+        0xe0ac65a6b2e39cd6, 0xb03dba3de1c0c59f, 0x8504e46284c91ad4, 0xfb41508a9e1ed740,
+        0xbf5ce2821f094352, 0xc3c08e0ade068b29, 0x5103859cb35b0beb, 0xbc350085664ef57c,
+        0x66917a5133e8cfe4, 0xee5325ac2a86b8f7, 0x29319f067cc5dcb2, 0xee5d1b575fdd2b48,
+        0xa931d946022ecc13, 0x6affba4a156bad80, 0x0a1f8e6f3a439b6b, 0xc9c68b146297d830,
+        0x6181608546430d1d, 0x5eb895c88da340cd, 0x7a9f7b365862d8e9, 0x3bbfe0901fb45fb6,
+        0xd8ede8b3214ba762, 0x237218a3c533b2a9, 0x85786b4e37c98473, 0xaa0cdbde9b7b5a02,
+        0xf842118797344c5a, 0x1a6279f4cd85b85c, 0x18114701c13d0bda, 0xbfee6ad846f2d38d,
     ];
     #[rustfmt::skip]
     const IMAGE: [u64; 32] = [
@@ -306,7 +311,7 @@ fn cluster_loop_fingerprints_are_pinned() {
         0xe8ffc32878ee813f, 0x27f7155a238fc795, 0x76d639634294b305, 0x49ee3b3e24e15b54,
         0xc5d042ebc1ca558e, 0x57a0713794f81f02, 0x64a4b3e85e8debe2, 0x3ee01a81174f2e91,
         0x3f1bd66b4310057d, 0xd80501f37c9aac09, 0xab65187be70940e6, 0xd65cbcc8e5c3bb85,
-        0xda0a403e5bb5b35a, 0xda584ef6c1299e25, 0x239ead47980f514d, 0x74a7a91a8fac81c4,
+        0xda0a403e5bb5b35a, 0xda584ef6c1299e25, 0xb5135b3091d64bc7, 0x74a7a91a8fac81c4,
         0x47c8e877747b48b8, 0x79d1559496bf1f14, 0xb21e182cd9c6436f, 0x7fda19e87fb50536,
         0xfcd620bace520351, 0xb13021cd07a1e975, 0x35af06617865fbd5, 0x27167f12b2406cf5,
     ];

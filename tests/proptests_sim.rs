@@ -832,6 +832,167 @@ fn cluster_integrity_chaos_scrub_repairs_and_viewers_stay_clean() {
 }
 
 #[test]
+fn cluster_integrity_chaos_scrub_coverage() {
+    use std::collections::{BTreeMap, BTreeSet};
+    use strandfs::cluster::{simulate_cluster, Cluster, ClusterConfig, ClusterPlayback, Placement};
+    use strandfs::obs::{Event, ObsSink};
+    use strandfs::sim::ClipSpec;
+
+    // What the scrub cursor covers, against a model of what is stored
+    // and what was read. On a healthy cluster every viewer reads each
+    // block of its replica once, all in step, so a block can be credited
+    // at most once in a run — and only with verified reads, and only on
+    // the member the viewer read it from. A member's cursor walks its
+    // stamped blocks in order, round and round: after `covered` blocks
+    // it has passed block `x` a known number of times, every one of
+    // them either a probe (an `Event::Scrub`) or a credit.
+    check_with(
+        &Config::with_cases(8),
+        "cluster_integrity_chaos_scrub_coverage",
+        (
+            (0u64..1_000, 2usize..5, 0u8..3, 1usize..3),
+            prop_vec(0usize..3, 1..6),
+            (1u64..5, 1u64..6, any_bool()),
+        ),
+        |&((seed, volumes, placement_sel, base_replicas), ref viewers, (k, budget, verify))| {
+            let placement = match placement_sel {
+                0 => Placement::RoundRobin,
+                1 => Placement::LeastLoaded,
+                _ => Placement::Popularity {
+                    hot_threshold: 0.5,
+                    extra: 1,
+                },
+            };
+            let mut c = Cluster::new(ClusterConfig {
+                volumes,
+                placement,
+                base_replicas,
+                seed,
+            })
+            .expect("cluster");
+            let (sink, ring) = ObsSink::ring(1 << 16);
+            c.set_obs(&sink);
+            let titles: Vec<_> = [(0.6, 1.0), (1.1, 0.4), (1.7, 0.0)]
+                .iter()
+                .enumerate()
+                .map(|(t, &(secs, popularity))| {
+                    let clip = ClipSpec::video_seconds(secs).with_seed(seed ^ t as u64);
+                    c.ingest("title", &clip, popularity).expect("ingest")
+                })
+                .collect();
+            c.set_verify_reads(verify);
+
+            // The model: every stamped block, and every block a viewer
+            // will read — viewer `i` plays replica `i mod n` — as
+            // `(volume, strand, block)`.
+            let mut stamped = BTreeSet::new();
+            for (v, m) in c.members().iter().enumerate() {
+                let msm = m.mrs().msm();
+                for id in msm.strand_ids() {
+                    let sums = msm.strand(id).unwrap().sums();
+                    let blocks = (0..sums.len()).filter(|&b| sums[b] != 0);
+                    stamped.extend(blocks.map(|b| (v, id.raw(), b as u64)));
+                }
+            }
+            // At most two viewers a member — the load it can carry
+            // without dropping a block.
+            let mut read = BTreeSet::new();
+            let mut load = vec![0; volumes];
+            let mut admitted = Vec::new();
+            for &t in viewers {
+                let replicas = &c.catalog().title(titles[t]).replicas;
+                let r = &replicas[admitted.len() % replicas.len()];
+                if load[r.volume] == 2 {
+                    continue;
+                }
+                load[r.volume] += 1;
+                admitted.push(titles[t]);
+                let items = r.schedule.items.iter().filter(|it| !it.silence);
+                read.extend(items.map(|it| (r.volume, it.strand.raw(), it.block)));
+            }
+            let viewers = admitted;
+            prop_assert!(read.is_subset(&stamped), "every stored block is stamped");
+
+            let cfg = ClusterPlayback::with_k(k).scrub(budget);
+            let report = simulate_cluster(&mut c, &viewers, &[], &cfg).expect("cluster sim");
+            prop_assert_eq!(
+                report.sim.total_dropped(),
+                0,
+                "a healthy cluster drops nothing"
+            );
+
+            let ring = ring.borrow();
+            prop_assert_eq!(ring.dropped(), 0, "ring too small for the run");
+            let mut probes: BTreeMap<usize, Vec<(u64, u64)>> = BTreeMap::new();
+            for e in ring.events() {
+                if let Event::Scrub {
+                    volume,
+                    strand,
+                    block,
+                    ok,
+                    ..
+                } = *e
+                {
+                    prop_assert!(ok, "a healthy block failed its probe");
+                    probes.entry(volume).or_default().push((strand, block));
+                }
+            }
+            let probed: u64 = probes.values().map(|p| p.len() as u64).sum();
+            prop_assert_eq!(report.scrubbed_blocks - report.scrub_credited, probed);
+            prop_assert_eq!(ring.metrics().scrubbed, probed);
+            let by_volume: u64 = report.volumes.iter().map(|v| v.scrubbed).sum();
+            prop_assert_eq!(by_volume, report.scrubbed_blocks);
+            if !verify {
+                prop_assert_eq!(report.scrub_credited, 0, "credit without verification");
+            }
+
+            for v in 0..volumes {
+                let walk: Vec<(u64, u64)> = stamped
+                    .range((v, 0, 0)..(v + 1, 0, 0))
+                    .map(|&(_, s, b)| (s, b))
+                    .collect();
+                let probes = probes.remove(&v).unwrap_or_default();
+                let covered = report.volumes[v].scrubbed as usize;
+                if walk.is_empty() {
+                    prop_assert_eq!(covered, 0, "volume {} stores nothing", v);
+                    continue;
+                }
+                // The run ends only after a full pass over every member.
+                prop_assert!(covered >= walk.len(), "volume {} was never covered", v);
+                // The probes fall on the cursor's walk, in its order.
+                let mut at = 0;
+                for p in &probes {
+                    while walk[at % walk.len()] != *p {
+                        at += 1;
+                        prop_assert!(at < covered, "volume {} probed {:?} off the walk", v, p);
+                    }
+                    at += 1;
+                }
+                prop_assert!(at <= covered, "volume {}: probes outrun the cursor", v);
+                // Each time the cursor passed a block it probed it — or,
+                // at most once and only if a verified read had been
+                // there, took the credit.
+                for (pos, &(s, b)) in walk.iter().enumerate() {
+                    let passed = covered / walk.len() + usize::from(pos < covered % walk.len());
+                    let probed = probes.iter().filter(|&&p| p == (s, b)).count();
+                    let credit = usize::from(verify && read.contains(&(v, s, b)));
+                    prop_assert!(
+                        probed <= passed && passed - probed <= credit,
+                        "volume {} block {:?}: passed {}, probed {}, creditable {}",
+                        v,
+                        (s, b),
+                        passed,
+                        probed,
+                        credit
+                    );
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
 fn fsx_model_checks_on_random_streams() {
     // The fsx exerciser as a shrinking property: any (seed, ops) stream
     // must keep the real MRS and the in-memory model rope in lockstep
