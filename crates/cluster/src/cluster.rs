@@ -3,6 +3,7 @@
 
 use crate::catalog::{Catalog, ReconcileReport, Replica, ReplicaState, StrandLoc, TitleId};
 use crate::placement::{hypothetical_slack, standard_spec, Placement, VolumeLoad};
+use std::sync::Arc;
 use strandfs_core::fsck;
 use strandfs_core::journal::JournalConfig;
 use strandfs_core::mrs::{compile_schedule, Mrs, PlaySchedule};
@@ -638,12 +639,17 @@ impl Cluster {
             progress.finished_at = progress.finished_at.max(t);
             if job.cur == src_strands.len() {
                 // Rebuild the replica: the source schedule with strand
-                // ids remapped onto the fresh copies.
+                // ids remapped onto the fresh copies. The clone shares
+                // the source's items with every viewer pinned to it;
+                // `make_mut` copies them before the first write.
                 let mut schedule: PlaySchedule = self.catalog.title(job.title).replicas
                     [job.src_replica]
                     .schedule
                     .clone();
-                for item in schedule.items.iter_mut().filter(|i| !i.silence) {
+                for item in Arc::make_mut(&mut schedule.items)
+                    .iter_mut()
+                    .filter(|i| !i.silence)
+                {
                     let (_, dst) = job
                         .map
                         .iter()
@@ -700,7 +706,7 @@ mod tests {
         let (a, b) = (&t.replicas[0], &t.replicas[1]);
         assert_ne!(a.volume, b.volume);
         assert_eq!(a.schedule.items.len(), b.schedule.items.len());
-        for (x, y) in a.schedule.items.iter().zip(&b.schedule.items) {
+        for (x, y) in a.schedule.items.iter().zip(b.schedule.items.iter()) {
             assert_eq!(x.at, y.at);
             assert_eq!(x.units, y.units);
             assert_eq!(x.silence, y.silence);
@@ -750,6 +756,9 @@ mod tests {
         assert!(report.wiped);
         assert_eq!(report.reconcile.lost, 1);
         assert!(c.restorable_lost());
+        // A viewer pinned to the surviving replica shares its items.
+        let viewer = c.catalog().title(id).replicas[1].schedule.clone();
+        let source_before = viewer.items.to_vec();
         // Drain the restore queue in small budgeted steps.
         let mut t = Instant::EPOCH;
         let mut steps = 0;
@@ -762,6 +771,14 @@ mod tests {
         assert!(steps > 1, "budget should split the copy across steps");
         let replica = &c.catalog().title(id).replicas[0];
         assert_eq!(replica.state, ReplicaState::Live);
+        // The restore rewrote strand ids in a copy of its own: the
+        // source replica and its viewer still share one untouched
+        // allocation.
+        let source = &c.catalog().title(id).replicas[1].schedule;
+        assert!(Arc::ptr_eq(&source.items, &viewer.items));
+        assert_eq!(source.items[..], source_before[..]);
+        assert!(!Arc::ptr_eq(&replica.schedule.items, &source.items));
+        assert_eq!(replica.schedule.items.len(), source.items.len());
         // The restored copy is servable block-for-block.
         let items: Vec<_> = replica
             .schedule

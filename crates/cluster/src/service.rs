@@ -1307,6 +1307,20 @@ mod tests {
     }
 
     #[test]
+    fn viewers_of_one_replica_share_its_schedule_items() {
+        let mut c = cluster(1, 1);
+        let id = c
+            .ingest("a", &ClipSpec::video_seconds(1.0).with_seed(1), 0.0)
+            .unwrap();
+        let cfg = ClusterPlayback::with_k(3);
+        let run = Run::new(&mut c, &[id, id], &[], &cfg).expect("run");
+        let items = |i: usize| run.streams[i].state.pending_items().as_ptr();
+        let catalogued = &run.cluster.catalog().title(id).replicas[0].schedule.items;
+        assert_eq!(items(0), items(1));
+        assert_eq!(items(0), catalogued.as_ptr());
+    }
+
+    #[test]
     fn clean_cluster_plays_every_stream_continuously() {
         let mut c = cluster(2, 1);
         let a = c

@@ -25,6 +25,7 @@ use crate::rope::{split_proportional, Rope, Segment, StrandRef, Trigger};
 use crate::strand::StrandMeta;
 use crate::types::{BlockNo, RequestId, RopeId, StrandId};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use strandfs_disk::DiskOp;
 use strandfs_media::silence::{BlockClass, SilenceDetector};
 use strandfs_media::Medium;
@@ -69,10 +70,15 @@ pub struct PlayItem {
 }
 
 /// A compiled playback schedule for one `PLAY` request.
+///
+/// The items are shared, not owned: a clone — one per viewer of a
+/// title, one per failover — copies a pointer, the way a rope only
+/// refers to its immutable strands (§4). The few places that edit
+/// items go through [`Arc::make_mut`].
 #[derive(Clone, Debug, Default)]
 pub struct PlaySchedule {
     /// The block fetches in deadline order.
-    pub items: Vec<PlayItem>,
+    pub items: Arc<[PlayItem]>,
     /// Total playback duration.
     pub duration: Nanos,
     /// Text triggers within the played interval, shifted to playback
@@ -1178,7 +1184,7 @@ pub fn compile_schedule(
     }
     items.sort_by_key(|i| i.at);
     Ok(PlaySchedule {
-        items,
+        items: items.into(),
         duration: sub.duration(),
         // `substring` already filtered the triggers to the interval and
         // shifted them to interval-relative time.
@@ -1190,7 +1196,7 @@ impl Mrs {
     /// Resolve the `silence` flags of a schedule against the stored
     /// strands (silence holes need no disk fetch).
     pub fn resolve_silence(&self, schedule: &mut PlaySchedule) -> Result<(), FsError> {
-        for item in &mut schedule.items {
+        for item in Arc::make_mut(&mut schedule.items) {
             let strand = self.msm.strand(item.strand)?;
             item.silence = strand.block(item.block)?.is_none();
         }
@@ -1273,7 +1279,7 @@ pub fn apply_play_mode(schedule: &PlaySchedule, speed: f64, skip: bool) -> PlayS
     let mut per_medium_ordinal: std::collections::BTreeMap<(Medium, StrandId), u64> =
         std::collections::BTreeMap::new();
     let mut items = Vec::new();
-    for item in &schedule.items {
+    for item in schedule.items.iter() {
         let ordinal = per_medium_ordinal
             .entry((item.medium, item.strand))
             .or_insert(0);
@@ -1299,7 +1305,7 @@ pub fn apply_play_mode(schedule: &PlaySchedule, speed: f64, skip: bool) -> PlayS
     items.sort_by_key(|i| i.at);
     let scale = if stride > 1 { stride as f64 } else { speed };
     PlaySchedule {
-        items,
+        items: items.into(),
         duration: Nanos::from_secs_f64(schedule.duration.as_secs_f64() / scale),
         triggers: schedule
             .triggers
@@ -1414,7 +1420,7 @@ mod tests {
         m.resolve_silence(&mut schedule).unwrap();
         assert!(!schedule.items.is_empty());
         let mut prev = Nanos::ZERO;
-        for item in &schedule.items {
+        for item in schedule.items.iter() {
             assert!(item.at >= prev);
             prev = item.at;
         }
@@ -1588,7 +1594,7 @@ mod tests {
         let ff = apply_play_mode(&base, 2.0, false);
         assert_eq!(ff.items.len(), base.items.len(), "no-skip keeps all blocks");
         // Deadlines compress by 2.
-        for (a, b) in base.items.iter().zip(&ff.items) {
+        for (a, b) in base.items.iter().zip(ff.items.iter()) {
             let ratio = a.at.as_secs_f64() / b.at.as_secs_f64().max(1e-12);
             if a.at > Nanos::ZERO {
                 assert!((ratio - 2.0).abs() < 1e-6);

@@ -179,6 +179,47 @@ fn run_mask(first: usize, n: usize) -> u64 {
     (u64::MAX >> (CHUNK_SECTORS as usize - n)) << first
 }
 
+/// Every `f64 → ns` conversion an access needs, made once per disk.
+/// Geometry and seek model are fixed at construction, so each entry is
+/// the value the float expression beside it yields on every call — the
+/// tables change when a number is computed, never which number.
+#[derive(Debug)]
+struct Timing {
+    /// `seek_time(d).to_nanos()` by cylinder distance `d`.
+    seek: Box<[Nanos]>,
+    /// Angle of each sector of a track, in nanoseconds of rotation past
+    /// the index mark.
+    sector_angle_ns: Box<[u64]>,
+    /// One revolution, in nanoseconds.
+    rot_ns: u64,
+    /// One sector passing under the head.
+    sector: Nanos,
+    /// A head switch: paid at every track boundary inside a transfer.
+    head_switch: Nanos,
+    /// A one-cylinder seek: paid at every cylinder boundary inside a
+    /// transfer.
+    track_seek: Nanos,
+}
+
+impl Timing {
+    fn new(g: &DiskGeometry, seek_model: &SeekModel) -> Self {
+        let rot_ns = g.rotation_time().to_nanos().as_nanos();
+        let spt = g.sectors_per_track;
+        Timing {
+            seek: (0..g.cylinders)
+                .map(|d| seek_model.seek_time(d).to_nanos())
+                .collect(),
+            sector_angle_ns: (0..spt)
+                .map(|sector| (sector as f64 / spt as f64 * rot_ns as f64) as u64)
+                .collect(),
+            rot_ns,
+            sector: g.sector_time().to_nanos(),
+            head_switch: g.head_switch.to_nanos(),
+            track_seek: seek_model.seek_time(1).to_nanos(),
+        }
+    }
+}
+
 /// Whether an access reads or writes the medium.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum AccessKind {
@@ -238,6 +279,7 @@ impl DiskOp {
 pub struct SimDisk {
     geometry: DiskGeometry,
     seek_model: SeekModel,
+    timing: Timing,
     head_cylinder: u64,
     /// Chunk `i` covers sectors `i × CHUNK_SECTORS ..`; `None` until one
     /// of them is written and again once all are discarded. Grown to the
@@ -264,6 +306,7 @@ impl SimDisk {
             BlockSum::STRIPE
         );
         SimDisk {
+            timing: Timing::new(&geometry, &seek_model),
             geometry,
             seek_model,
             head_cylinder: 0,
@@ -339,7 +382,7 @@ impl SimDisk {
 
         let target_cyl = self.geometry.cylinder_of(extent.start);
         let distance = target_cyl.abs_diff(self.head_cylinder);
-        let seek = self.seek_model.seek_time(distance).to_nanos();
+        let seek = self.timing.seek[distance as usize];
 
         // Rotational delay: the platter angle is a pure function of time.
         let at_cylinder = now + seek;
@@ -386,13 +429,11 @@ impl SimDisk {
     /// revolution are therefore treated as zero.
     fn rotational_delay(&self, at: Instant, lba: Lba) -> Nanos {
         const ROT_EPSILON_NS: u64 = 256;
-        let rot_ns = self.geometry.rotation_time().to_nanos().as_nanos();
+        let rot_ns = self.timing.rot_ns;
         if rot_ns == 0 {
             return Nanos::ZERO;
         }
-        let spt = self.geometry.sectors_per_track;
-        let target_angle_ns =
-            (self.geometry.sector_of(lba) as f64 / spt as f64 * rot_ns as f64) as u64;
+        let target_angle_ns = self.timing.sector_angle_ns[self.geometry.sector_of(lba) as usize];
         let now_angle_ns = at.as_nanos() % rot_ns;
         let wait = if target_angle_ns >= now_angle_ns {
             target_angle_ns - now_angle_ns
@@ -410,8 +451,7 @@ impl SimDisk {
     /// track boundary and a track-to-track seek at every cylinder boundary.
     fn transfer_time(&self, extent: Extent) -> Nanos {
         let g = &self.geometry;
-        let sector = g.sector_time().to_nanos();
-        let mut total = sector.mul_u64(extent.sectors);
+        let mut total = self.timing.sector.mul_u64(extent.sectors);
         // Boundary crossings within the run.
         let first_track = extent.start / g.sectors_per_track;
         let last_track = (extent.end() - 1) / g.sectors_per_track;
@@ -419,12 +459,8 @@ impl SimDisk {
         let first_cyl = g.cylinder_of(extent.start);
         let last_cyl = g.cylinder_of(extent.end() - 1);
         let cyl_switches = last_cyl - first_cyl;
-        total += g.head_switch.to_nanos().mul_u64(track_switches);
-        total += self
-            .seek_model
-            .seek_time(1)
-            .to_nanos()
-            .mul_u64(cyl_switches);
+        total += self.timing.head_switch.mul_u64(track_switches);
+        total += self.timing.track_seek.mul_u64(cyl_switches);
         total
     }
 

@@ -18,6 +18,7 @@
 //! shares nothing with the loops it checks.
 
 use crate::metrics::{NanosSummary, RoundSample, StreamOutcome};
+use std::sync::Arc;
 use strandfs_core::mrs::{PlayItem, PlaySchedule};
 use strandfs_core::FsError;
 use strandfs_obs::{DegradeAction, Event, ObsSink};
@@ -49,27 +50,65 @@ struct Epoch {
     resumed_at: Option<Instant>,
 }
 
+/// What the engine keeps of one served schedule item — 16 bytes, so a
+/// turn's pushes land on one cache line.
+#[derive(Clone, Copy)]
+struct Served {
+    /// Fetch completion instant, or the drop decision instant of a
+    /// degradation hole.
+    done: Instant,
+    /// The round whose service fetched the item — lets a deadline
+    /// violation be attributed to the round that fetched the late
+    /// block — with [`Served::DROPPED`] set if a hole was spliced in,
+    /// which exempts the item from deadline accounting.
+    tag: u64,
+}
+
+impl Served {
+    const DROPPED: u64 = 1 << 63;
+
+    #[inline]
+    fn new(done: Instant, round: u64, dropped: bool) -> Self {
+        debug_assert!(round < Self::DROPPED, "round numbers stay below 2^63");
+        Served {
+            done,
+            tag: if dropped {
+                round | Self::DROPPED
+            } else {
+                round
+            },
+        }
+    }
+
+    #[inline]
+    fn round(self) -> u64 {
+        self.tag & !Self::DROPPED
+    }
+
+    #[inline]
+    fn dropped(self) -> bool {
+        self.tag & Self::DROPPED != 0
+    }
+}
+
 /// The service state of one stream. See the module docs.
 pub struct StreamState {
     /// The stream's index in its simulation — the `stream` of every
     /// event it emits.
     id: usize,
-    schedule: PlaySchedule,
-    /// Fetch completion instant per item, filled in service order.
-    completions: Vec<Instant>,
-    /// The round whose service fetched each item, parallel to
-    /// `completions` — lets a deadline violation be attributed to the
-    /// specific round that fetched the late block.
-    fetch_rounds: Vec<u64>,
-    /// Parallel to `completions`: the item was dropped (a degradation
-    /// hole was spliced in), so its "completion" is the drop decision
-    /// instant and it is exempt from deadline accounting.
-    dropped: Vec<bool>,
-    next: usize,
+    /// The schedule's items, shared with every other viewer of the same
+    /// copy of the title.
+    items: Arc<[PlayItem]>,
+    /// One record per served item, in service order; `served.len()` is
+    /// the index of the next item to serve.
+    served: Vec<Served>,
     read_ahead: u64,
     service_start: Option<Instant>,
-    /// Display epochs, oldest first; always non-empty.
-    epochs: Vec<Epoch>,
+    /// The initial display epoch, inline: most streams never open
+    /// another.
+    first_epoch: Epoch,
+    /// Epochs opened by re-admissions, oldest first.
+    later_epochs: Vec<Epoch>,
     /// Transient-fault retries spent on this stream's fetches.
     retries: u64,
     /// Drops since the stream was (re-)admitted — the revocation
@@ -96,23 +135,22 @@ pub struct StreamState {
 
 impl StreamState {
     /// A stream about to play `schedule`, displaying once `read_ahead`
-    /// blocks are buffered. `id` labels its events.
+    /// blocks are buffered. `id` labels its events. Only the shared
+    /// items are kept: the stream costs one allocation, its records.
     pub fn new(id: usize, schedule: PlaySchedule, read_ahead: u64) -> Self {
-        let n = schedule.items.len();
+        let items = schedule.items;
         StreamState {
             id,
-            schedule,
-            completions: Vec::with_capacity(n),
-            fetch_rounds: Vec::with_capacity(n),
-            dropped: Vec::with_capacity(n),
-            next: 0,
+            served: Vec::with_capacity(items.len()),
+            items,
             read_ahead,
             service_start: None,
-            epochs: vec![Epoch {
+            first_epoch: Epoch {
                 first_item: 0,
                 display_start: None,
                 resumed_at: None,
-            }],
+            },
+            later_epochs: Vec::new(),
             retries: 0,
             drops_since_admit: 0,
             revoked_at: None,
@@ -128,7 +166,7 @@ impl StreamState {
     /// True once every schedule item has been served or dropped.
     #[inline]
     pub fn finished(&self) -> bool {
-        self.next >= self.schedule.items.len()
+        self.served.len() >= self.items.len()
     }
 
     /// True while the stream is revoked (dropped out of service until
@@ -147,19 +185,19 @@ impl StreamState {
     /// Index of the next schedule item to serve.
     #[inline]
     pub fn next_index(&self) -> usize {
-        self.next
+        self.served.len()
     }
 
     /// The next schedule item to serve. Panics on a finished stream.
     #[inline]
     pub fn next_item(&self) -> PlayItem {
-        self.schedule.items[self.next]
+        self.items[self.served.len()]
     }
 
     /// The schedule items not yet served, next first.
     #[inline]
     pub fn pending_items(&self) -> &[PlayItem] {
-        &self.schedule.items[self.next..]
+        &self.items[self.served.len()..]
     }
 
     /// The latest instant recorded for the stream (a completion or a
@@ -168,22 +206,29 @@ impl StreamState {
     /// trails.
     #[inline]
     pub fn last_completion(&self) -> Instant {
-        self.completions.last().copied().unwrap_or(Instant::EPOCH)
+        self.served.last().map_or(Instant::EPOCH, |s| s.done)
     }
 
     /// Playback deadline of the next item to serve, if known.
     #[inline]
     pub fn next_deadline(&self) -> Option<Instant> {
-        self.deadline_of(self.next)
+        self.deadline_of(self.served.len())
     }
 
     /// Playback deadline of item `j` under its covering epoch; `None`
     /// while that epoch's display has not started.
     fn deadline_of(&self, j: usize) -> Option<Instant> {
-        let ep = self.epochs.iter().rev().find(|e| e.first_item <= j)?;
+        // The covering epoch: the latest one that starts at or before
+        // `j` (the initial epoch starts at item 0).
+        let ep = self
+            .later_epochs
+            .iter()
+            .rev()
+            .find(|e| e.first_item <= j)
+            .unwrap_or(&self.first_epoch);
         let ds = ep.display_start?;
-        let base = self.schedule.items[ep.first_item].at;
-        Some(ds + (self.schedule.items[j].at - base))
+        let base = self.items[ep.first_item].at;
+        Some(ds + (self.items[j].at - base))
     }
 
     /// Set the blocks buffered before a display epoch opens.
@@ -192,15 +237,16 @@ impl StreamState {
     }
 
     /// Re-pin the stream onto another copy of the same content: swap in
-    /// `schedule`, keeping every completion, epoch and item offset. The
-    /// copies must be structurally identical — only addresses change.
+    /// `schedule`'s items (a pointer copy), keeping every completion,
+    /// epoch and item offset. The copies must be structurally identical
+    /// — only addresses change.
     pub fn repin(&mut self, schedule: &PlaySchedule) -> Result<(), FsError> {
-        if schedule.items.len() != self.schedule.items.len() {
+        if schedule.items.len() != self.items.len() {
             return Err(FsError::InvalidScenario {
                 reason: "replica schedules are not structurally identical",
             });
         }
-        self.schedule = schedule.clone();
+        self.items = Arc::clone(&schedule.items);
         Ok(())
     }
 
@@ -232,8 +278,7 @@ impl StreamState {
     /// `done`.
     #[inline]
     pub fn record(&mut self, done: Instant, clock: Instant, obs: &ObsSink) {
-        self.completions.push(done);
-        self.dropped.push(false);
+        self.served.push(Served::new(done, self.turn_round, false));
         self.advance(clock, obs);
     }
 
@@ -248,10 +293,9 @@ impl StreamState {
         revoke_after: u64,
         obs: &ObsSink,
     ) -> bool {
-        self.completions.push(at);
-        self.dropped.push(true);
+        let (stream, round, item) = (self.id, self.turn_round, self.served.len() as u64);
+        self.served.push(Served::new(at, round, true));
         self.drops_since_admit += 1;
-        let (stream, round, item) = (self.id, self.turn_round, self.next as u64);
         let degrade = |action| Event::Degrade {
             stream,
             round,
@@ -275,13 +319,15 @@ impl StreamState {
     /// schedule ran out first).
     #[inline]
     fn advance(&mut self, clock: Instant, obs: &ObsSink) {
-        self.fetch_rounds.push(self.turn_round);
-        self.next += 1;
         self.turn_blocks += 1;
+        let next = self.served.len();
         let finished = self.finished();
-        let ep = self.epochs.last_mut().expect("epochs never empty");
+        let ep = self
+            .later_epochs
+            .last_mut()
+            .unwrap_or(&mut self.first_epoch);
         if ep.display_start.is_none()
-            && ((self.next - ep.first_item) as u64 >= self.read_ahead || finished)
+            && ((next - ep.first_item) as u64 >= self.read_ahead || finished)
         {
             ep.display_start = Some(clock);
             // Time-to-first-frame: how long the viewer waited since the
@@ -322,15 +368,15 @@ impl StreamState {
         };
         self.recovery_time += now - since;
         self.drops_since_admit = 0;
-        self.epochs.push(Epoch {
-            first_item: self.next,
+        self.later_epochs.push(Epoch {
+            first_item: self.served.len(),
             display_start: None,
             resumed_at: Some(now),
         });
         obs.emit(|| Event::Degrade {
             stream: self.id,
             round,
-            item: self.next as u64,
+            item: self.served.len() as u64,
             action: DegradeAction::Readmit,
             at: now,
         });
@@ -340,9 +386,9 @@ impl StreamState {
         Event::Deadline {
             stream: self.id,
             item: j as u64,
-            round: self.fetch_rounds[j],
+            round: self.served[j].round(),
             deadline,
-            completed: self.completions[j],
+            completed: self.served[j].done,
         }
     }
 
@@ -353,27 +399,24 @@ impl StreamState {
     /// serviced, because later epochs start at `next`, past every
     /// recorded item.
     fn emit_due_deadlines(&mut self, obs: &ObsSink) {
-        while self.deadline_emitted < self.completions.len() {
+        // The live epoch is the last one opened; every item at or past
+        // its first is covered by it.
+        let live_from = self.later_epochs.last().map_or(0, |e| e.first_item);
+        while self.deadline_emitted < self.served.len() {
             let j = self.deadline_emitted;
-            if self.dropped[j] {
+            if self.served[j].dropped() {
                 self.deadline_emitted += 1;
                 continue;
             }
-            let pos = self
-                .epochs
-                .iter()
-                .rposition(|e| e.first_item <= j)
-                .expect("epoch 0 covers every item");
-            match self.epochs[pos].display_start {
-                Some(_) => {
-                    let deadline = self.deadline_of(j).expect("covering epoch has started");
+            match self.deadline_of(j) {
+                Some(deadline) => {
                     obs.emit(|| self.deadline_event(j, deadline));
                     self.deadline_emitted += 1;
                 }
                 // The covering epoch's display has not started. The
                 // live (last) epoch still may — wait here; a superseded
                 // epoch never will — skip the item for good.
-                None if pos + 1 == self.epochs.len() => break,
+                None if j >= live_from => break,
                 None => self.deadline_emitted += 1,
             }
         }
@@ -383,13 +426,13 @@ impl StreamState {
     /// never-serviced items count as dropped) — the visible glitch
     /// length.
     pub fn miss_burst(&self) -> u64 {
-        let serviced = self.completions.len();
+        let serviced = self.served.len();
         let mut burst = 0u64;
         let mut run = 0u64;
-        for j in 0..self.schedule.items.len() {
+        for j in 0..self.items.len() {
             let missed = j >= serviced
-                || self.dropped[j]
-                || self.deadline_of(j).is_some_and(|d| self.completions[j] > d);
+                || self.served[j].dropped()
+                || self.deadline_of(j).is_some_and(|d| self.served[j].done > d);
             if missed {
                 run += 1;
                 burst = burst.max(run);
@@ -402,13 +445,19 @@ impl StreamState {
 
     /// The stream's outcome; also emits the [`Event::Deadline`]s the
     /// live pointer never reached.
+    ///
+    /// One forward pass per quantity: item instants, completions and —
+    /// within an epoch — deadlines are all non-decreasing, so the two
+    /// backlog counts walk a cursor, and binary-search only when a value
+    /// steps back (an epoch boundary).
     pub fn outcome(&self, obs: &ObsSink) -> StreamOutcome {
-        let items = &self.schedule.items;
-        let serviced = self.completions.len();
+        let items = &self.items[..];
+        let served = &self.served[..];
+        let serviced = served.len();
         // Completions are filled in virtual-time order by the round
         // loop; the backlog computation below depends on that.
         debug_assert!(
-            self.completions.windows(2).all(|w| w[0] <= w[1]),
+            served.windows(2).all(|w| w[0].done <= w[1].done),
             "fetch completions must be non-decreasing"
         );
         // Items the simulation never serviced (a stream revoked to the
@@ -418,9 +467,9 @@ impl StreamState {
         let mut violations = 0u64;
         let mut lateness = Vec::new();
         let mut first_violation = None;
-        let first_display = self.epochs.first().and_then(|e| e.display_start);
-        for (j, item) in items.iter().enumerate().take(serviced) {
-            if self.dropped[j] {
+        let first_display = self.first_epoch.display_start;
+        for (j, (item, rec)) in items.iter().zip(served).enumerate() {
+            if rec.dropped() {
                 dropped_blocks += 1;
                 continue;
             }
@@ -430,7 +479,6 @@ impl StreamState {
             let Some(deadline) = self.deadline_of(j) else {
                 continue;
             };
-            let done = self.completions[j];
             // Items past the live-emission pointer were never flushed
             // by `emit_due_deadlines` (possible only when the loop
             // ended mid-buffer); emit them now so the event set is
@@ -438,9 +486,9 @@ impl StreamState {
             if j >= self.deadline_emitted {
                 obs.emit(|| self.deadline_event(j, deadline));
             }
-            if done > deadline {
+            if rec.done > deadline {
                 violations += 1;
-                lateness.push(done - deadline);
+                lateness.push(rec.done - deadline);
                 if first_violation.is_none() {
                     if let Some(ds) = first_display {
                         first_violation = Some(deadline - ds);
@@ -449,20 +497,26 @@ impl StreamState {
             }
         }
         // The per-round time series: group items by the round that
-        // fetched them (`fetch_rounds` is non-decreasing by
-        // construction), take the tightest margin in each group, and
-        // measure the backlog right after the group's last fetch.
-        // Dropped items have no fetch to measure and are skipped.
+        // fetched them (rounds are non-decreasing by construction),
+        // take the tightest margin in each group, and measure the
+        // backlog right after the group's last fetch. Dropped items
+        // have no fetch to measure and are skipped.
         let mut series = Vec::new();
+        // Items consumed by a group's `turn_end`: deadlines are
+        // non-decreasing within an epoch; count them epoch-free via the
+        // first display clock (good enough for the backlog gauge).
+        // Turn ends and item instants only move forward, so the count
+        // does too.
+        let mut consumed = 0;
         let mut j = 0;
         while j < serviced {
-            let round = self.fetch_rounds[j];
+            let round = served[j].round();
             let mut worst = i64::MAX;
             let mut last = j;
-            while last < serviced && self.fetch_rounds[last] == round {
-                if !self.dropped[last] {
+            while last < serviced && served[last].round() == round {
+                if !served[last].dropped() {
                     if let Some(deadline) = self.deadline_of(last) {
-                        worst = worst.min(signed_margin(deadline, self.completions[last]));
+                        worst = worst.min(signed_margin(deadline, served[last].done));
                     }
                 }
                 last += 1;
@@ -471,14 +525,12 @@ impl StreamState {
                 // The round fetched only drops or pre-display items.
                 worst = 0;
             }
-            let turn_end = self.completions[last - 1];
-            // Items consumed by `turn_end`: deadlines are non-decreasing
-            // within an epoch; count them epoch-free via the first
-            // display clock (good enough for the backlog gauge).
-            let consumed = match first_display {
-                Some(ds) => items.partition_point(|it| ds + it.at <= turn_end),
-                None => 0,
-            };
+            let turn_end = served[last - 1].done;
+            if let Some(ds) = first_display {
+                while consumed < items.len() && ds + items[consumed].at <= turn_end {
+                    consumed += 1;
+                }
+            }
             series.push(RoundSample {
                 round,
                 blocks: (last - j) as u64,
@@ -494,11 +546,22 @@ impl StreamState {
         // fetches resident (open-loop display consumes items whether or
         // not they arrived), and its backlog is then 0, not negative.
         let mut max_buffered = 0u64;
+        let mut fetched_by = 0;
+        let mut prev_deadline = Instant::EPOCH;
         for j in 0..serviced {
             let Some(deadline) = self.deadline_of(j) else {
                 continue;
             };
-            let fetched_by = self.completions.partition_point(|c| *c <= deadline);
+            if deadline < prev_deadline {
+                // A later epoch can open on an earlier display clock
+                // than the one before it had run ahead to.
+                fetched_by = served.partition_point(|s| s.done <= deadline);
+            } else {
+                while fetched_by < serviced && served[fetched_by].done <= deadline {
+                    fetched_by += 1;
+                }
+            }
+            prev_deadline = deadline;
             max_buffered = max_buffered.max((fetched_by as u64).saturating_sub(j as u64));
         }
         StreamOutcome {
@@ -526,44 +589,118 @@ impl StreamState {
 mod tests {
     use super::*;
 
+    /// Three items 100 ms apart on strand `strand`.
+    fn schedule_on(strand: u64) -> PlaySchedule {
+        let item_at = |ms: u64| PlayItem {
+            at: Nanos::from_millis(ms),
+            medium: strandfs_media::Medium::Video,
+            strand: strandfs_core::StrandId::from_raw(strand),
+            block: 0,
+            units: 1,
+            duration: Nanos::from_millis(100),
+            silence: false,
+        };
+        PlaySchedule {
+            items: vec![item_at(0), item_at(100), item_at(200)].into(),
+            duration: Nanos::from_millis(300),
+            triggers: Vec::new(),
+        }
+    }
+
     /// A deliberately starved stream: the display clock consumes items
     /// faster than fetches complete, so `fetched_by < j` for late items
     /// and the backlog computation must clamp at zero, not underflow.
     #[test]
     fn starved_stream_backlog_clamps_to_zero() {
-        fn item_at(ms: u64) -> PlayItem {
-            PlayItem {
-                at: Nanos::from_millis(ms),
-                medium: strandfs_media::Medium::Video,
-                strand: strandfs_core::StrandId::from_raw(1),
-                block: 0,
-                units: 1,
-                duration: Nanos::from_millis(100),
-                silence: false,
-            }
-        }
-        let schedule = PlaySchedule {
-            items: vec![item_at(0), item_at(100), item_at(200)],
-            duration: Nanos::from_millis(300),
-            triggers: Vec::new(),
-        };
-        let mut state = StreamState::new(0, schedule, 1);
+        let mut state = StreamState::new(0, schedule_on(1), 1);
         state.service_start = Some(Instant::EPOCH);
-        state.epochs[0].display_start = Some(Instant::EPOCH);
+        state.first_epoch.display_start = Some(Instant::EPOCH);
         // Only the first fetch lands before its deadline; the rest
         // straggle in long after the display has moved past them.
-        state.completions = vec![
-            Instant::EPOCH,
-            Instant::EPOCH + Nanos::from_millis(500),
-            Instant::EPOCH + Nanos::from_millis(600),
-        ];
-        state.fetch_rounds = vec![0, 1, 2];
-        state.dropped = vec![false, false, false];
-        state.next = 3;
+        state.served = [0, 500, 600]
+            .iter()
+            .zip(0..)
+            .map(|(ms, round)| Served::new(Instant::EPOCH + Nanos::from_millis(*ms), round, false))
+            .collect();
         let out = state.outcome(&ObsSink::noop());
         assert_eq!(out.violations, 2);
         // When item 2 plays (t = 200 ms) only one fetch is resident:
         // backlog saturates to 0 rather than wrapping.
         assert_eq!(out.max_buffered, 1);
+    }
+
+    /// A stream fetched ahead of its display, then revoked and
+    /// re-admitted: the second epoch opens before the first had played
+    /// out, so its deadlines restart *below* the first's and the
+    /// backlog cursor steps back with them.
+    #[test]
+    fn backlog_cursor_steps_back_at_an_epoch_boundary() {
+        let at = |ms| Instant::EPOCH + Nanos::from_millis(ms);
+        let mut state = StreamState::new(0, schedule_on(1), 1);
+        state.service_start = Some(at(0));
+        state.first_epoch.display_start = Some(at(0));
+        state.later_epochs.push(Epoch {
+            first_item: 2,
+            display_start: Some(at(60)),
+            resumed_at: Some(at(30)),
+        });
+        state.served = vec![
+            Served::new(at(0), 0, false),
+            Served::new(at(10), 0, false),
+            Served::new(at(80), 1, false),
+        ];
+        // Deadlines 0, 100, then 60 under the second epoch: item 1 plays
+        // with all three fetches resident (3 − 1), item 2 — 20 ms late —
+        // with the first two (2 − 2).
+        let naive = (0..3)
+            .map(|j| {
+                let deadline = state.deadline_of(j).unwrap();
+                let resident = state.served.iter().filter(|s| s.done <= deadline).count();
+                resident.saturating_sub(j) as u64
+            })
+            .max();
+        let out = state.outcome(&ObsSink::noop());
+        assert_eq!(Some(out.max_buffered), naive);
+        assert_eq!(out.max_buffered, 2);
+        assert_eq!(out.violations, 1);
+    }
+
+    /// Viewers of one copy share its items, and a failover swaps that
+    /// one pointer: every record, epoch and offset stays where it was.
+    #[test]
+    fn repin_swaps_the_items_pointer_and_nothing_else() {
+        let (here, there) = (schedule_on(1), schedule_on(2));
+        let obs = ObsSink::noop();
+        let mut state = StreamState::new(0, here.clone(), 1);
+        let other = StreamState::new(1, here.clone(), 1);
+        assert!(Arc::ptr_eq(&state.items, &here.items));
+        assert!(Arc::ptr_eq(&state.items, &other.items));
+
+        let at = |ms| Instant::EPOCH + Nanos::from_millis(ms);
+        state.begin_turn(4, at(10), at(10));
+        state.record(at(20), at(20), &obs);
+        state.record_drop(at(30), at(30), u64::MAX, &obs);
+        let records = |s: &StreamState| -> Vec<_> {
+            s.served
+                .iter()
+                .map(|r| (r.done, r.round(), r.dropped()))
+                .collect()
+        };
+        let before = records(&state);
+        assert_eq!(before, [(at(20), 4, false), (at(30), 4, true)]);
+
+        state.repin(&there).expect("same shape");
+        assert!(Arc::ptr_eq(&state.items, &there.items));
+        assert!(
+            Arc::ptr_eq(&other.items, &here.items),
+            "only this viewer moved"
+        );
+        assert_eq!(records(&state), before);
+        assert_eq!(state.service_start, Some(at(10)));
+        assert_eq!(state.first_epoch.display_start, Some(at(20)));
+        assert!(state.later_epochs.is_empty());
+        assert_eq!(state.next_index(), 2);
+        assert_eq!(state.next_item().strand, there.items[2].strand);
+        assert_eq!(state.next_deadline(), Some(at(220)));
     }
 }

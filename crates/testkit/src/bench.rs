@@ -84,7 +84,15 @@ impl Bencher {
     /// [`BenchConfig::sample_target`], then record the configured number
     /// of samples. The closure's result is passed through
     /// [`black_box`] so the optimizer cannot delete the work.
-    pub fn iter<R, F: FnMut() -> R>(&mut self, mut f: F) {
+    pub fn iter<R, F: FnMut() -> R>(&mut self, f: F) {
+        self.iter_units(1, f)
+    }
+
+    /// [`Bencher::iter`] for a closure that does `units` units of work
+    /// per call (a pass over a buffer of `units` blocks): the report is
+    /// nanoseconds per unit, while the batch — and so the tolerance tier
+    /// `bench --check` picks — still counts calls.
+    pub fn iter_units<R, F: FnMut() -> R>(&mut self, units: u64, mut f: F) {
         // Warmup, measuring a running iteration-time estimate.
         let warmup_start = Instant::now();
         let mut warm_iters = 0u64;
@@ -105,7 +113,7 @@ impl Bencher {
             for _ in 0..batch {
                 black_box(f());
             }
-            samples.push(t0.elapsed().as_nanos() as f64 / batch as f64);
+            samples.push(t0.elapsed().as_nanos() as f64 / (batch * units) as f64);
         }
         self.result = Some((batch, samples));
     }

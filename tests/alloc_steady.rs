@@ -13,7 +13,9 @@
 //! The cluster loop (`simulate_cluster`) is held to the same bar in two
 //! more legs of the same test — defenses off, then verified reads and
 //! scrub on — and a last one pins that `SimDisk::fetch_sum` — what the
-//! defenses add per block — allocates nothing at all.
+//! defenses add per block — allocates nothing at all. The footprint leg
+//! counts bytes as well as calls: a stream's state is one allocation of
+//! 16-byte records over schedule items it shares, never a deep copy.
 //!
 //! This file holds exactly one test: the allocator count is global to
 //! the binary, and a parallel sibling test would pollute the deltas.
@@ -24,20 +26,27 @@ use std::sync::atomic::{AtomicU64, Ordering};
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes asked of the heap: every allocation's size, every growth of a
+/// reallocation.
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        let grown = new_size.saturating_sub(layout.size());
+        BYTES.fetch_add(grown as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -184,4 +193,38 @@ fn rounds_do_not_grow_the_heap() {
         "fetch_sum allocated"
     );
     assert!(sums.iter().all(Option::is_some));
+
+    // What a stream costs: 10,000 viewers of 16 clips, fanned out the
+    // way the benchmark's `volume_overload` does it. A schedule clone
+    // shares its items, and a stream's own state is one vector of
+    // 16-byte records — so a stream is at most two allocations and a
+    // fixed part plus 24 bytes an item. A deep copy of the schedule per
+    // viewer (48 bytes an item) or parallel per-item vectors (six
+    // allocations a stream) fail here instead of in the benchmark.
+    use strandfs::sim::StreamState;
+    const STREAMS: usize = 10_000;
+    let clips = [ClipSpec::video_seconds(4.0); 16];
+    let (mut mrs, ropes) = standard_volume(&clips).expect("build volume");
+    let scheds = schedules(&mut mrs, &ropes);
+    let items: usize = (0..STREAMS).map(|i| scheds[i % 16].items.len()).sum();
+    let (allocs_before, bytes_before) = (
+        ALLOCS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    );
+    let fanned: Vec<PlaySchedule> = (0..STREAMS).map(|i| scheds[i % 16].clone()).collect();
+    let mut states = Vec::with_capacity(STREAMS);
+    for (i, s) in fanned.into_iter().enumerate() {
+        states.push(StreamState::new(i, s, 5));
+    }
+    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
+    let bytes = BYTES.load(Ordering::Relaxed) - bytes_before;
+    assert!(states.iter().all(|s| !s.finished()));
+    assert!(
+        allocs <= 2 * STREAMS as u64,
+        "{allocs} allocations for {STREAMS} stream states"
+    );
+    assert!(
+        bytes <= (320 * STREAMS + 24 * items) as u64,
+        "{bytes} bytes for {STREAMS} stream states over {items} items"
+    );
 }

@@ -374,7 +374,7 @@ fn substring_exact_boundaries_share_everything() {
     let sb = compile_schedule(&b, MediaSel::Both, Interval::whole(total)).unwrap();
     let sw = compile_schedule(&w, MediaSel::Both, Interval::whole(total)).unwrap();
     assert_eq!(sb.items.len(), sw.items.len());
-    for (x, y) in sb.items.iter().zip(&sw.items) {
+    for (x, y) in sb.items.iter().zip(sw.items.iter()) {
         assert_eq!((x.strand, x.block, x.units), (y.strand, y.block, y.units));
     }
     // Degenerate interval: rejected, not an empty rope.

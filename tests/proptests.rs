@@ -566,6 +566,169 @@ fn sector_store_matches_a_sector_map() {
     );
 }
 
+// ---------- the disk's timing tables against the formulas ----------
+
+/// `SimDisk::access` answers from tables built once per disk. Every
+/// field of every `DiskOp` must equal the value recomputed per access
+/// from the public formulas — `seek_model().seek_time(d).to_nanos()`,
+/// `rotation_time()`, `sector_time()`, `head_switch` — over random
+/// geometries and both seek-model shapes. The access kinds steer at the
+/// edges: a second access on the cylinder the arm rests on (distance
+/// 0), the last cylinder, an extent run up to the end of its cylinder
+/// and past it (track and cylinder switches), and an issue instant that
+/// puts the head a few nanoseconds short of, on, or past the target
+/// sector (the 256 ns rotation-epsilon wrap).
+#[test]
+fn table_driven_access_matches_the_timing_formulas() {
+    use strandfs::disk::{AccessKind, DiskOp};
+    use strandfs::units::Instant;
+    const ROT_EPSILON_NS: u64 = 256;
+
+    fn expected(disk: &SimDisk, now: Instant, e: Extent, kind: AccessKind) -> DiskOp {
+        let g = disk.geometry();
+        let model = disk.seek_model();
+        let distance = g.cylinder_of(e.start).abs_diff(disk.head_cylinder());
+        let seek = model.seek_time(distance).to_nanos();
+        let at = now + seek;
+        let rot_ns = g.rotation_time().to_nanos().as_nanos();
+        let target =
+            (g.sector_of(e.start) as f64 / g.sectors_per_track as f64 * rot_ns as f64) as u64;
+        let angle = at.as_nanos() % rot_ns;
+        let wait = if target >= angle {
+            target - angle
+        } else {
+            rot_ns - (angle - target)
+        };
+        let rotation = if wait + ROT_EPSILON_NS >= rot_ns {
+            Nanos::ZERO
+        } else {
+            Nanos::from_nanos(wait)
+        };
+        let last = e.end() - 1;
+        let track_switches = last / g.sectors_per_track - e.start / g.sectors_per_track;
+        let cyl_switches = g.cylinder_of(last) - g.cylinder_of(e.start);
+        let transfer = g.sector_time().to_nanos().mul_u64(e.sectors)
+            + g.head_switch.to_nanos().mul_u64(track_switches)
+            + model.seek_time(1).to_nanos().mul_u64(cyl_switches);
+        DiskOp {
+            extent: e,
+            kind,
+            issued: now,
+            seek,
+            rotation,
+            transfer,
+            completed: at + rotation + transfer,
+        }
+    }
+
+    check_with(
+        &Config::with_cases(96),
+        "table_driven_access_matches_the_timing_formulas",
+        (
+            (
+                1u64..300,
+                1u64..6,
+                1u64..80,
+                600.0f64..15_000.0,
+                0.0f64..2.0,
+            ),
+            (
+                any_bool(),
+                0.0f64..5.0,
+                0.0f64..1.0,
+                0.0f64..0.05,
+                0u64..400,
+            ),
+            prop_vec(
+                (
+                    0u8..5,
+                    0u64..1 << 40,
+                    1u64..200,
+                    0u64..40_000_000,
+                    0u64..600,
+                ),
+                1..40,
+            ),
+        ),
+        |&(
+            (cylinders, tracks, spt, rpm, switch_ms),
+            (affine, settle, a, linear, threshold),
+            ref ops,
+        )| {
+            let geometry = DiskGeometry {
+                cylinders,
+                tracks_per_cylinder: tracks,
+                sectors_per_track: spt,
+                rpm,
+                head_switch: Seconds::from_millis(switch_ms),
+                ..DiskGeometry::tiny_test()
+            };
+            let settle = Seconds::from_millis(settle);
+            let model = if affine {
+                SeekModel::Affine {
+                    settle,
+                    per_cylinder: Seconds::from_millis(linear),
+                }
+            } else {
+                SeekModel::HybridSqrt {
+                    settle,
+                    accel: Seconds::from_millis(a),
+                    linear: Seconds::from_millis(linear),
+                    threshold,
+                }
+            };
+            let mut disk = SimDisk::new(geometry, model);
+            let total = geometry.total_sectors();
+            let per_cyl = geometry.sectors_per_cylinder();
+            let rot_ns = geometry.rotation_time().to_nanos().as_nanos();
+            let mut now = Instant::EPOCH;
+            for &(edge, pick, len, gap, skew) in ops {
+                let start = match edge {
+                    // On the cylinder the arm rests on: distance 0.
+                    0 => disk.head_cylinder() * per_cyl + pick % per_cyl,
+                    // On the last cylinder: the longest seeks.
+                    1 => total - 1 - pick % per_cyl,
+                    _ => pick % total,
+                };
+                let sectors = match edge {
+                    // Up to the end of the cylinder, then (if the device
+                    // goes on) one sector past it.
+                    2 => per_cyl - start % per_cyl,
+                    3 => per_cyl - start % per_cyl + 1,
+                    _ => len,
+                }
+                .min(total - start);
+                let e = Extent::new(start, sectors);
+                now += Nanos::from_nanos(gap);
+                if edge == 4 {
+                    // Land the head `skew − 300` ns from the target
+                    // sector once the seek is done.
+                    let want = expected(&disk, now, e, AccessKind::Read);
+                    let late = want.rotation.as_nanos() + rot_ns + 300 - skew;
+                    now += Nanos::from_nanos(late % rot_ns);
+                }
+                let kind = if pick % 2 == 0 {
+                    AccessKind::Read
+                } else {
+                    AccessKind::Write
+                };
+                let want = expected(&disk, now, e, kind);
+                let got = disk.access(now, e, kind);
+                prop_assert_eq!(got.extent, want.extent);
+                prop_assert_eq!(got.kind, want.kind);
+                prop_assert_eq!(got.issued, want.issued);
+                prop_assert_eq!(got.seek, want.seek, "seek, {e:?}");
+                prop_assert_eq!(got.rotation, want.rotation, "rotation, {e:?} at {now:?}");
+                prop_assert_eq!(got.transfer, want.transfer, "transfer, {e:?}");
+                prop_assert_eq!(got.completed, want.completed);
+                prop_assert_eq!(disk.head_cylinder(), geometry.cylinder_of(e.end() - 1));
+                now = got.completed;
+            }
+            Ok(())
+        },
+    );
+}
+
 // ---------- admission monotonicity ----------
 
 #[test]

@@ -167,7 +167,7 @@ fn play_mode_identity_at_unit_speed() {
         let out = apply_play_mode(&s, 1.0, false);
         prop_assert_eq!(out.items.len(), s.items.len());
         prop_assert_eq!(out.duration, s.duration);
-        for (a, b) in s.items.iter().zip(&out.items) {
+        for (a, b) in s.items.iter().zip(out.items.iter()) {
             prop_assert_eq!(a.at, b.at);
         }
         Ok(())
