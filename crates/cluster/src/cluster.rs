@@ -97,12 +97,13 @@ pub struct RejoinReport {
 }
 
 /// Progress of one background re-replication step.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct RestoreProgress {
     /// Media blocks copied this step (silence holes included).
     pub copied_blocks: u64,
-    /// Replicas brought back to `Live` this step.
-    pub completed_replicas: u64,
+    /// The destination member of each replica brought back to `Live`
+    /// this step.
+    pub completed_on: Vec<usize>,
     /// Virtual time the step's last disk operation completed (equals
     /// the step's start when nothing was copied).
     pub finished_at: Instant,
@@ -670,7 +671,7 @@ impl Cluster {
                 replica.strands = strands;
                 replica.state = ReplicaState::Live;
                 self.placed[dst_v] += 1;
-                progress.completed_replicas += 1;
+                progress.completed_on.push(dst_v);
             } else {
                 self.restore = Some(job);
                 break;

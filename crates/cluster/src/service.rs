@@ -49,7 +49,10 @@ pub struct ClusterPlayback {
     /// in place and are charged against spare round slack only — they
     /// never extend a round or move the disk arm. A block a verified
     /// read already checked this pass is covered without a probe and
-    /// spends none of the budget.
+    /// spends none of the budget. A member whose pass is complete is
+    /// left alone until its image is suspect again: it was killed or
+    /// rejoined, a restore completed a replica on it, or a verified
+    /// read of it came back corrupt.
     pub scrub_blocks_per_round: u64,
     /// Race a replica when a primary fetch exceeds its block's play
     /// duration (the fail-slow defense): the hedge read issues at the
@@ -275,6 +278,9 @@ struct Lane {
     scrub_cursor: (u64, u64),
     /// What verified reads already checked during the current pass.
     credits: Credits,
+    /// The last pass is complete and nothing has made the member's image
+    /// suspect since ([`Run::suspect`]): the scrubber leaves it alone.
+    resting: bool,
     /// Full scrub passes over the member's strands completed.
     scrub_passes: u64,
     /// The conservative slack charge for one scrub probe: worst-case
@@ -290,8 +296,9 @@ struct Lane {
 /// without hashing it again. Marks are only ever set by a verification
 /// that passed on the bytes now stored, and are dropped whenever those
 /// bytes or the meaning of a strand id may have changed under them — at
-/// the end of the pass, when the member is killed, rejoined or wiped
-/// (strand ids restart on fresh media), when a strand is deleted.
+/// the end of the pass and again when a rested lane's next one opens,
+/// when the member is killed, rejoined or wiped (strand ids restart on
+/// fresh media), when a strand is deleted.
 #[derive(Default)]
 struct Credits {
     strands: BTreeMap<u64, Vec<u64>>,
@@ -508,6 +515,19 @@ impl<'a> Run<'a> {
         }
     }
 
+    /// Member `v`'s image is suspect — it was killed or rejoined, a
+    /// restore finished a replica on it, or a verified read of it came
+    /// back corrupt: a scrub pass must be open on it. A lane mid-pass has
+    /// one (strand ids only grow, so whatever was written lies ahead of
+    /// the cursor); a resting lane opens a new pass from the start, and
+    /// that pass owes nothing to reads verified before the suspicion.
+    fn suspect(&mut self, v: usize) {
+        let lane = &mut self.lanes[v];
+        if std::mem::take(&mut lane.resting) {
+            lane.credits.clear();
+        }
+    }
+
     fn busy_time(&self, v: usize) -> Nanos {
         self.cluster.members()[v]
             .mrs()
@@ -572,8 +592,11 @@ impl<'a> Run<'a> {
             use ClusterAction::{Kill, Rejoin, RejoinWiped};
             let (Kill(v) | Rejoin(v) | RejoinWiped(v)) = a.action;
             // Whatever was verified on `v` was verified on media, and
-            // under strand ids, that may not be there afterwards.
+            // under strand ids, that may not be there afterwards: the
+            // pass in progress, if any, starts over.
             self.lanes[v].credits.clear();
+            self.lanes[v].scrub_cursor = (0, 0);
+            self.suspect(v);
             let rejoin = match a.action {
                 Kill(_) => {
                     self.cluster.kill(v);
@@ -767,6 +790,7 @@ impl<'a> Run<'a> {
                     // member problem: only when no verifiable copy
                     // exists does the stream switch replicas below.
                     FetchFailure::Corrupt => {
+                        self.suspect(vol);
                         if let Some(done) = self.read_around(idx, fail_at) {
                             return Ok(Fetched::Served(done));
                         }
@@ -850,14 +874,21 @@ impl<'a> Run<'a> {
         )?;
         self.report.hedges += 1;
         let mut won = None;
-        if let BlockFetch::Data { op, .. } = hedge {
-            self.credit(hv, item.strand, item.block);
-            self.lanes[hv].clock = op.completed;
-            if op.completed < primary_done {
-                won = Some(op.completed);
-                self.lanes[hv].stats.fetched += 1;
-                self.report.hedge_wins += 1;
+        match hedge {
+            BlockFetch::Data { op, .. } => {
+                self.credit(hv, item.strand, item.block);
+                self.lanes[hv].clock = op.completed;
+                if op.completed < primary_done {
+                    won = Some(op.completed);
+                    self.lanes[hv].stats.fetched += 1;
+                    self.report.hedge_wins += 1;
+                }
             }
+            BlockFetch::Failed {
+                reason: FetchFailure::Corrupt,
+                ..
+            } => self.suspect(hv),
+            _ => {}
         }
         self.obs.emit(|| Event::Hedge {
             stream: idx,
@@ -903,8 +934,13 @@ impl<'a> Run<'a> {
         not_before: Instant,
     ) -> Option<(Vec<u8>, Instant)> {
         let src = self.cluster.members()[sv].mrs().msm();
-        if !matches!(src.check_block_sum(strand, block), Ok(Some(true))) {
-            return None;
+        match src.check_block_sum(strand, block) {
+            Ok(Some(true)) => {}
+            Ok(Some(false)) => {
+                self.suspect(sv);
+                return None;
+            }
+            _ => return None,
         }
         let issue = self.lanes[sv].clock.max(not_before);
         let Ok((Some(payload), Some(op))) = self.msm_mut(sv).read_block(strand, block, issue)
@@ -1037,7 +1073,7 @@ impl<'a> Run<'a> {
             return Ok(());
         }
         for v in 0..self.lanes.len() {
-            if !self.cluster.is_up(v) {
+            if !self.cluster.is_up(v) || self.lanes[v].resting {
                 continue;
             }
             let mut budget = self.cfg.scrub_blocks_per_round;
@@ -1052,6 +1088,7 @@ impl<'a> Run<'a> {
                 let Some((strand, block, ok)) = step.probe else {
                     lane.scrub_passes += 1;
                     lane.credits.clear();
+                    lane.resting = true;
                     break;
                 };
                 budget -= 1;
@@ -1092,7 +1129,10 @@ impl<'a> Run<'a> {
             .cluster
             .re_replicate(now, self.cfg.restore_blocks_per_round)?;
         self.report.restored_blocks += p.copied_blocks;
-        self.report.restored_replicas += p.completed_replicas;
+        self.report.restored_replicas += p.completed_on.len() as u64;
+        for &v in &p.completed_on {
+            self.suspect(v);
+        }
         Ok(now.max(p.finished_at))
     }
 
@@ -1181,7 +1221,10 @@ impl<'a> Run<'a> {
                     Ok(BlockFetch::Failed {
                         reason: FetchFailure::Corrupt,
                         ..
-                    }) => false,
+                    }) => {
+                        self.suspect(v);
+                        false
+                    }
                     Ok(BlockFetch::Failed { .. }) | Err(_) => {
                         self.cluster.mark_down(v);
                         self.lanes[v].quarantined = false;
@@ -1650,6 +1693,50 @@ mod tests {
         assert_eq!(restored, strand, "fresh media reuses the strand id");
         let probed = probes(&ring.borrow(), 0);
         assert_eq!(probed[0], (strand.raw(), 0, true), "{probed:?}");
+    }
+
+    #[test]
+    fn a_rejoined_member_is_scrubbed_from_the_start() {
+        // Volume 1's two viewers keep it the slower lane, so volume 0
+        // scrubs from round 0 and is a few blocks into its first pass
+        // when it dies. Journal recovery may hand back anything: the
+        // pass after the rejoin owes the whole image a check, head
+        // included, not just what lay ahead of the old cursor.
+        let mut c = cluster(2, 1);
+        let (sink, ring) = ObsSink::ring(1 << 12);
+        c.set_obs(&sink);
+        let solo = c
+            .ingest("solo", &ClipSpec::video_seconds(2.0).with_seed(21), 0.0)
+            .unwrap();
+        let other = c
+            .ingest("other", &ClipSpec::video_seconds(2.0).with_seed(22), 0.0)
+            .unwrap();
+        let script = [
+            ScriptedAction {
+                at_round: 2,
+                action: ClusterAction::Kill(0),
+            },
+            ScriptedAction {
+                at_round: 4,
+                action: ClusterAction::Rejoin(0),
+            },
+        ];
+        let cfg = ClusterPlayback::with_k(3).scrub(2);
+        simulate_cluster(&mut c, &[solo, other, other], &script, &cfg).expect("sim");
+        let loc = c.catalog().title(solo).replicas[0].strands[0];
+        assert_eq!(c.members()[0].mrs().msm().strand_ids(), [loc.strand]);
+        let probed = probes(&ring.borrow(), 0);
+        let restart = probed.iter().rposition(|p| p.1 == 0).expect("block 0");
+        let (before, after) = probed.split_at(restart);
+        assert!(
+            !before.is_empty() && (before.len() as u64) < loc.blocks,
+            "the kill must land mid-pass: {probed:?}"
+        );
+        let whole: Vec<_> = (0..loc.blocks)
+            .map(|n| (loc.strand.raw(), n, true))
+            .collect();
+        assert_eq!(after, whole, "one pass over the whole image: {probed:?}");
+        assert!(before.iter().all(|p| after.contains(p)));
     }
 
     #[test]

@@ -683,6 +683,24 @@ fn cluster_chaos_replicated_streams_survive_member_loss() {
     );
 }
 
+/// The first `(volume, strand, block)` on an up member whose stored
+/// payload no longer hashes to its stamp.
+fn first_corrupt_block(c: &strandfs::cluster::Cluster) -> Option<(usize, StrandId, u64)> {
+    let up = (0..c.members().len()).filter(|&v| c.is_up(v));
+    up.flat_map(|v| {
+        let msm = c.members()[v].mrs().msm();
+        let strands = msm.strand_ids().into_iter();
+        strands.flat_map(move |sid| {
+            let blocks = 0..msm.strand(sid).unwrap().block_count();
+            blocks.map(move |b| (v, sid, b))
+        })
+    })
+    .find(|&(v, sid, b)| {
+        let msm = c.members()[v].mrs().msm();
+        msm.check_block_sum(sid, b).unwrap() == Some(false)
+    })
+}
+
 #[test]
 fn cluster_integrity_chaos_scrub_repairs_and_viewers_stay_clean() {
     use strandfs::cluster::{simulate_cluster, Cluster, ClusterConfig, ClusterPlayback, Placement};
@@ -788,27 +806,7 @@ fn cluster_integrity_chaos_scrub_repairs_and_viewers_stay_clean() {
                 "gray faults must not down members"
             );
             // No corrupt block survives anywhere in the cluster.
-            for v in 0..volumes {
-                let ids = c.members()[v].mrs().msm().strand_ids();
-                for sid in ids {
-                    let blocks = c.members()[v]
-                        .mrs()
-                        .msm()
-                        .strand(sid)
-                        .unwrap()
-                        .block_count();
-                    for b in 0..blocks {
-                        let ok = c.members()[v].mrs().msm().check_block_sum(sid, b).unwrap();
-                        prop_assert!(
-                            ok != Some(false),
-                            "corrupt block survives on volume {} strand {:?} block {}",
-                            v,
-                            sid,
-                            b
-                        );
-                    }
-                }
-            }
+            prop_assert_eq!(first_corrupt_block(&c), None, "a corrupt block survives");
             // Every replica is live again, members are fsck-clean, and
             // a fresh reconciliation pass is a no-op.
             let far_future = Instant::from_nanos(u64::MAX / 4);
@@ -842,10 +840,11 @@ fn cluster_integrity_chaos_scrub_coverage() {
     // and what was read. On a healthy cluster every viewer reads each
     // block of its replica once, all in step, so a block can be credited
     // at most once in a run — and only with verified reads, and only on
-    // the member the viewer read it from. A member's cursor walks its
-    // stamped blocks in order, round and round: after `covered` blocks
-    // it has passed block `x` a known number of times, every one of
-    // them either a probe (an `Event::Scrub`) or a credit.
+    // the member the viewer read it from. Nothing here makes an image
+    // suspect, so a member's cursor walks its stamped blocks in order
+    // exactly once and then rests, however long the other members and
+    // the viewers keep the run open: every stamped block is covered
+    // once, by a probe (an `Event::Scrub`) or by its credit.
     check_with(
         &Config::with_cases(8),
         "cluster_integrity_chaos_scrub_coverage",
@@ -942,6 +941,7 @@ fn cluster_integrity_chaos_scrub_coverage() {
             prop_assert_eq!(ring.metrics().scrubbed, probed);
             let by_volume: u64 = report.volumes.iter().map(|v| v.scrubbed).sum();
             prop_assert_eq!(by_volume, report.scrubbed_blocks);
+            prop_assert_eq!(report.scrubbed_blocks, stamped.len() as u64);
             if !verify {
                 prop_assert_eq!(report.scrub_credited, 0, "credit without verification");
             }
@@ -952,41 +952,172 @@ fn cluster_integrity_chaos_scrub_coverage() {
                     .map(|&(_, s, b)| (s, b))
                     .collect();
                 let probes = probes.remove(&v).unwrap_or_default();
-                let covered = report.volumes[v].scrubbed as usize;
-                if walk.is_empty() {
-                    prop_assert_eq!(covered, 0, "volume {} stores nothing", v);
-                    continue;
-                }
-                // The run ends only after a full pass over every member.
-                prop_assert!(covered >= walk.len(), "volume {} was never covered", v);
-                // The probes fall on the cursor's walk, in its order.
-                let mut at = 0;
+                // The run ends only after a full pass over every member,
+                // and a finished pass is not followed by another.
+                prop_assert_eq!(
+                    report.volumes[v].scrubbed as usize,
+                    walk.len(),
+                    "volume {} was not covered exactly once",
+                    v
+                );
+                // The probes fall on the cursor's walk, in its order —
+                // so none falls on a block twice.
+                let mut ahead = walk.iter();
                 for p in &probes {
-                    while walk[at % walk.len()] != *p {
-                        at += 1;
-                        prop_assert!(at < covered, "volume {} probed {:?} off the walk", v, p);
-                    }
-                    at += 1;
-                }
-                prop_assert!(at <= covered, "volume {}: probes outrun the cursor", v);
-                // Each time the cursor passed a block it probed it — or,
-                // at most once and only if a verified read had been
-                // there, took the credit.
-                for (pos, &(s, b)) in walk.iter().enumerate() {
-                    let passed = covered / walk.len() + usize::from(pos < covered % walk.len());
-                    let probed = probes.iter().filter(|&&p| p == (s, b)).count();
-                    let credit = usize::from(verify && read.contains(&(v, s, b)));
                     prop_assert!(
-                        probed <= passed && passed - probed <= credit,
-                        "volume {} block {:?}: passed {}, probed {}, creditable {}",
+                        ahead.any(|w| w == p),
+                        "volume {} probed {:?} off the walk or twice",
                         v,
-                        (s, b),
-                        passed,
-                        probed,
-                        credit
+                        p
+                    );
+                }
+                // What the cursor passed without a probe it passed on
+                // credit, which takes a verified read of that block.
+                for &(s, b) in walk.iter().filter(|w| !probes.contains(w)) {
+                    prop_assert!(
+                        verify && read.contains(&(v, s, b)),
+                        "volume {} block {:?} was neither probed nor creditable",
+                        v,
+                        (s, b)
                     );
                 }
             }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn cluster_integrity_chaos_scrub_passes_open_on_suspicion_only() {
+    use std::collections::BTreeMap;
+    use strandfs::cluster::{
+        simulate_cluster, Cluster, ClusterAction, ClusterConfig, ClusterPlayback, Placement,
+        ScriptedAction,
+    };
+    use strandfs::disk::FaultPlan;
+    use strandfs::obs::{Event, ObsSink};
+    use strandfs::sim::ClipSpec;
+
+    // The same accounting with everything that makes an image suspect
+    // switched on: a member killed and rejoined (with its media or
+    // wiped), a throttled restore that keeps the run idling long after
+    // the viewers are done, and bit flips under a replica viewers read.
+    // A pass never probes a block twice, and a new pass opens only on a
+    // trigger — so a member's probes split into at most one ascending
+    // sweep more than the triggers it saw. The triggers are not in the
+    // event stream; the model counts them: the script's actions on the
+    // member, the replicas restored, and — on the flipped member, whose
+    // clean partner is never the victim, so every read that trips over a
+    // flip is repaired — the read repairs. And the chaos contract holds:
+    // no flip survives on a member that is up at the end.
+    check_with(
+        &Config::with_cases(8),
+        "cluster_integrity_chaos_scrub_passes_open_on_suspicion_only",
+        (
+            (0u64..1_000, 2usize..5, prop_vec(0usize..3, 1..5)),
+            (1u64..4, 1u64..5, any_bool()),
+            (1u64..4, 1u64..6, any_bool()),
+            (0u64..24, 1u64..4),
+        ),
+        |&(
+            (seed, volumes, ref viewers),
+            (k, budget, verify),
+            (kill_round, rejoin_delay, wiped),
+            (start, len),
+        )| {
+            let mut c = Cluster::new(ClusterConfig {
+                volumes,
+                placement: Placement::RoundRobin,
+                base_replicas: 2,
+                seed,
+            })
+            .expect("cluster");
+            let (sink, ring) = ObsSink::ring(1 << 17);
+            c.set_obs(&sink);
+            let titles: Vec<_> = [0.6, 1.1, 1.7]
+                .iter()
+                .enumerate()
+                .map(|(t, &secs)| {
+                    let clip = ClipSpec::video_seconds(secs).with_seed(seed ^ t as u64);
+                    c.ingest("title", &clip, 0.5).expect("ingest")
+                })
+                .collect();
+            c.set_verify_reads(verify);
+
+            // Flips under the first title's first replica; its partner
+            // stays clean and up, everyone else may die.
+            let (flipped, loc) = {
+                let rep = &c.catalog().title(titles[0]).replicas[0];
+                (rep.volume, rep.strands[0])
+            };
+            let partner = c.catalog().title(titles[0]).replicas[1].volume;
+            let mut plan = FaultPlan::clean();
+            let first = start % loc.blocks;
+            for n in first..(first + len).min(loc.blocks) {
+                let msm = c.members()[flipped].mrs().msm();
+                let e = msm.strand(loc.strand).unwrap().block(n).unwrap();
+                plan = plan.with_silent_corruption(e.expect("video blocks are stored"));
+            }
+            prop_assert!(c.arm_member_faults(flipped, plan));
+            let mortal: Vec<usize> = (0..volumes).filter(|&v| v != partner).collect();
+            let victim = mortal[seed as usize % mortal.len()];
+            let script = [
+                ScriptedAction {
+                    at_round: kill_round,
+                    action: ClusterAction::Kill(victim),
+                },
+                ScriptedAction {
+                    at_round: kill_round + rejoin_delay,
+                    action: if wiped {
+                        ClusterAction::RejoinWiped(victim)
+                    } else {
+                        ClusterAction::Rejoin(victim)
+                    },
+                },
+            ];
+            let viewers: Vec<_> = viewers.iter().map(|&t| titles[t]).collect();
+            let mut cfg = ClusterPlayback::with_k(k)
+                .scrub(budget)
+                .restore(1)
+                .audited();
+            cfg.quarantine_after_rounds = 0;
+            let report = simulate_cluster(&mut c, &viewers, &script, &cfg).expect("cluster sim");
+            if verify {
+                prop_assert_eq!(report.corrupt_served, 0, "a corrupt block reached a viewer");
+            }
+
+            let ring = ring.borrow();
+            prop_assert_eq!(ring.dropped(), 0, "ring too small for the run");
+            let mut probes: BTreeMap<usize, Vec<(u64, u64)>> = BTreeMap::new();
+            for e in ring.events() {
+                if let Event::Scrub {
+                    volume,
+                    strand,
+                    block,
+                    ..
+                } = *e
+                {
+                    probes.entry(volume).or_default().push((strand, block));
+                }
+            }
+            let probed: u64 = probes.values().map(|p| p.len() as u64).sum();
+            prop_assert_eq!(report.scrubbed_blocks - report.scrub_credited, probed);
+            for (&v, probes) in &probes {
+                let sweeps = 1 + probes.windows(2).filter(|w| w[1] <= w[0]).count() as u64;
+                let triggers = 2 * u64::from(v == victim)
+                    + report.restored_replicas
+                    + u64::from(v == flipped) * report.read_repairs;
+                prop_assert!(
+                    sweeps <= 1 + triggers,
+                    "volume {}: {} sweeps on {} triggers: {:?}",
+                    v,
+                    sweeps,
+                    triggers,
+                    probes
+                );
+            }
+
+            prop_assert_eq!(first_corrupt_block(&c), None, "a corrupt block survives");
             Ok(())
         },
     );
