@@ -17,6 +17,7 @@ pub mod faults;
 pub mod fig4;
 pub mod fsx;
 pub mod index;
+pub mod ingest;
 pub mod readahead;
 pub mod scale;
 pub mod scan_order;
@@ -47,4 +48,5 @@ pub const SUITES: &[(&str, Register)] = &[
     ("fsx", fsx::register),
     ("scale", scale::register),
     ("checksum", checksum::register),
+    ("ingest", ingest::register),
 ];

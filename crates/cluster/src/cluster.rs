@@ -131,6 +131,9 @@ struct RestoreJob {
 /// and the background restore queue.
 pub struct Cluster {
     config: ClusterConfig,
+    /// Never written: every member's disk is built like it, so all of
+    /// them — a wiped member's replacement too — share one timing table.
+    disk_model: SimDisk,
     members: Vec<Member>,
     catalog: Catalog,
     /// Round-robin placement rotation.
@@ -165,9 +168,8 @@ impl Cluster {
         })
     }
 
-    fn fresh_member(seed: u64) -> Member {
-        let disk = SimDisk::new(DiskGeometry::vintage_1991(), SeekModel::vintage_1991());
-        let injector = FaultInjector::new(disk, FaultPlan::clean(), seed);
+    fn fresh_member(disk_model: &SimDisk, seed: u64) -> Member {
+        let injector = FaultInjector::new(SimDisk::new_like(disk_model), FaultPlan::clean(), seed);
         Member {
             mrs: Mrs::new(Msm::new(injector, Self::member_config())),
             state: MemberState::Up,
@@ -181,10 +183,12 @@ impl Cluster {
                 reason: "a cluster needs at least one volume",
             });
         }
+        let disk_model = SimDisk::new(DiskGeometry::vintage_1991(), SeekModel::vintage_1991());
         let members = (0..config.volumes)
-            .map(|v| Self::fresh_member(mix_seed(config.seed, v as u64)))
+            .map(|v| Self::fresh_member(&disk_model, mix_seed(config.seed, v as u64)))
             .collect();
         Ok(Cluster {
+            disk_model,
             placed: vec![0; config.volumes],
             config,
             members,
@@ -372,7 +376,7 @@ impl Cluster {
     /// survive the remount — by design, playback needs only the
     /// catalog's schedules.
     pub fn rejoin(&mut self, volume: usize, now: Instant) -> Result<RejoinReport, FsError> {
-        let placeholder = Self::fresh_member(0);
+        let placeholder = Self::fresh_member(&self.disk_model, 0);
         let old = std::mem::replace(&mut self.members[volume], placeholder);
         let mut msm = old.mrs.into_msm();
         // The media is repaired/replaced before remount; recovery must
@@ -404,8 +408,10 @@ impl Cluster {
     /// replaced): every replica it held is marked lost, to be restored
     /// by background re-replication.
     pub fn rejoin_wiped(&mut self, volume: usize) -> RejoinReport {
-        self.members[volume] =
-            Self::fresh_member(mix_seed(self.config.seed, 0x5749_5045 ^ volume as u64));
+        self.members[volume] = Self::fresh_member(
+            &self.disk_model,
+            mix_seed(self.config.seed, 0x5749_5045 ^ volume as u64),
+        );
         self.members[volume].mrs.set_obs(self.obs.clone());
         self.members[volume]
             .mrs

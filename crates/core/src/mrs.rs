@@ -345,7 +345,7 @@ impl Mrs {
         now: Instant,
         payload: &[u8],
     ) -> Result<Option<DiskOp>, FsError> {
-        let state = self.record_state(req)?;
+        let state = Self::record_state(&mut self.sessions, req)?;
         let track = state.video.as_mut().ok_or(FsError::BadRequestState {
             request: req,
             expected: "session recording video",
@@ -354,12 +354,14 @@ impl Mrs {
         track.pending_units += 1;
         track.units_total += 1;
         if track.pending_units == track.opts.meta.granularity {
-            let strand = track.strand;
-            let units = track.pending_units;
-            let data = std::mem::take(&mut track.pending);
+            // The buffer is emptied whether or not the append succeeds
+            // and keeps its capacity for the next block.
+            let appended =
+                self.msm
+                    .append_block(track.strand, now, &track.pending, track.pending_units);
+            track.pending.clear();
             track.pending_units = 0;
-            let (_, op) = self.msm.append_block(strand, now, &data, units)?;
-            Ok(Some(op))
+            Ok(Some(appended?.1))
         } else {
             Ok(None)
         }
@@ -379,7 +381,7 @@ impl Mrs {
         // calls).
         let mut flushes: Vec<(StrandId, Option<Vec<u8>>, u64)> = Vec::new();
         {
-            let state = self.record_state(req)?;
+            let state = Self::record_state(&mut self.sessions, req)?;
             let track = state.audio.as_mut().ok_or(FsError::BadRequestState {
                 request: req,
                 expected: "session recording audio",
@@ -427,8 +429,13 @@ impl Mrs {
         Ok(ops)
     }
 
-    fn record_state(&mut self, req: RequestId) -> Result<&mut RecordState, FsError> {
-        match self.sessions.get_mut(&req) {
+    /// Over the session table alone, so a caller can hold the track
+    /// while it writes through `self.msm`.
+    fn record_state(
+        sessions: &mut BTreeMap<RequestId, Session>,
+        req: RequestId,
+    ) -> Result<&mut RecordState, FsError> {
+        match sessions.get_mut(&req) {
             Some(Session::Record(s)) => Ok(s),
             Some(Session::Play(_)) => Err(FsError::BadRequestState {
                 request: req,

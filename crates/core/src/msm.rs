@@ -24,8 +24,8 @@ use crate::strand::{strand_from_index, Strand, StrandBuilder, StrandMeta};
 use crate::types::{BlockNo, StrandId};
 use std::collections::BTreeMap;
 use strandfs_disk::{
-    block_sum, AccessKind, AllocPolicy, Allocator, BlockDevice, DiskOp, Extent, FaultKind,
-    FaultPlan, FaultStats, GapBounds, SeekModel, SimDisk,
+    block_sum, block_sum_padded, AccessKind, AllocPolicy, Allocator, BlockDevice, DiskOp, Extent,
+    FaultKind, FaultPlan, FaultStats, GapBounds, SeekModel, SimDisk,
 };
 use strandfs_obs::{Event, JournalOp, ObsSink};
 use strandfs_units::{Instant, Nanos, Seconds};
@@ -564,16 +564,8 @@ impl Msm {
         let sectors = payload.len().div_ceil(sector_size).max(1) as u64;
         // The stamped checksum covers the *padded* on-disk payload — the
         // exact bytes `fetch_sum` will hash back — matching the journal's
-        // `payload_sum` convention.
-        let mut padded;
-        let data = if payload.len() == sectors as usize * sector_size {
-            payload
-        } else {
-            padded = payload.to_vec();
-            padded.resize(sectors as usize * sector_size, 0);
-            &padded[..]
-        };
-        let sum = block_sum(data);
+        // `payload_sum` convention. The device pads as it stores.
+        let sum = block_sum_padded(payload, sectors as usize * sector_size);
         let builder = self.recording_mut(id)?;
         let anchor = builder.last_stored();
         let extent = match anchor {
@@ -616,7 +608,7 @@ impl Msm {
                 t = op.completed;
             }
         }
-        self.disk.store_data(extent, data);
+        self.disk.store_data(extent, payload);
         let op = self.timed_write(t, extent)?;
         Ok((block_no, op))
     }
@@ -1411,9 +1403,7 @@ impl Msm {
         let mut extents = Vec::new();
         for chunk in data.chunks(ss) {
             let e = self.alloc.allocate_anywhere(1)?;
-            let mut sector = chunk.to_vec();
-            sector.resize(ss, 0);
-            self.disk.store_data(e, &sector);
+            self.disk.store_data(e, chunk);
             self.timed_write(now, e)?;
             extents.push(e);
         }

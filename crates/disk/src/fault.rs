@@ -314,7 +314,8 @@ pub trait BlockDevice {
     /// timing. Panics if the extent is off-device (a file-system bug,
     /// not an I/O error — validate with [`DiskGeometry::extent_valid`]).
     fn access(&mut self, now: Instant, extent: Extent, kind: AccessKind) -> AccessResult;
-    /// Write `data` into `extent` (length must match the extent).
+    /// Write `data` into `extent`, zero-padded to the extent's size in
+    /// the device image (never in a copy): every sector is written.
     fn store_data(&mut self, extent: Extent, data: &[u8]);
     /// Read the payload of `extent`; `None` if the extent is off-device.
     /// Unwritten sectors read back zeroed.

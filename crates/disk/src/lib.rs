@@ -38,7 +38,7 @@ pub mod stats;
 
 pub use alloc::{AllocError, AllocPolicy, Allocator, GapBounds};
 pub use array::{DiskArray, StripedExtent};
-pub use disk::{block_sum, fnv1a, AccessKind, DiskOp, SimDisk};
+pub use disk::{block_sum, block_sum_padded, fnv1a, AccessKind, DiskOp, SimDisk};
 pub use fault::{
     AccessResult, BlockDevice, CrashPoint, DegradedWindow, FaultInjector, FaultKind, FaultPlan,
     FaultStats, Faulted, RandomTransients, SilentCorruption, SpikeCfg, TransientFault,

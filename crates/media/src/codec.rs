@@ -169,10 +169,18 @@ impl VideoCodec {
     /// Deterministic; used when actually storing frames on the simulated
     /// disk so read-back verification is meaningful.
     pub fn frame_payload(&self, index: u64, bytes: usize) -> Vec<u8> {
-        let mut rng = self.frame_rng(index ^ 0x5061_796c_6f61_6421);
-        let mut out = vec![0u8; bytes];
-        rng.fill_bytes(&mut out[..]);
+        let mut out = Vec::new();
+        self.frame_payload_into(index, bytes, &mut out);
         out
+    }
+
+    /// [`Self::frame_payload`] into a caller-owned buffer, replacing
+    /// its contents: a recording loop reuses one buffer for every frame
+    /// instead of allocating, filling and freeing one each.
+    pub fn frame_payload_into(&self, index: u64, bytes: usize, out: &mut Vec<u8>) {
+        out.resize(bytes, 0);
+        self.frame_rng(index ^ 0x5061_796c_6f61_6421)
+            .fill_bytes(out);
     }
 
     fn frame_rng(&self, index: u64) -> Prng {
@@ -251,6 +259,13 @@ mod tests {
         assert_eq!(p1.len(), 256);
         assert_eq!(p1, p2);
         assert_ne!(p1, p3);
+        // A reused buffer holds exactly the frame asked for, whatever
+        // it held before — longer, shorter or empty.
+        let mut buf = vec![0xEE; 999];
+        for (index, bytes) in [(4, 256), (5, 256), (4, 0), (4, 256), (7, 1001)] {
+            c.frame_payload_into(index, bytes, &mut buf);
+            assert_eq!(buf, c.frame_payload(index, bytes));
+        }
     }
 
     #[test]

@@ -170,9 +170,10 @@ pub fn record_clip(mrs: &mut Mrs, spec: &ClipSpec) -> Result<RopeId, FsError> {
             VideoCodec::uvc_ntsc(spec.seed)
         };
         let frames = (30.0 * spec.seconds).round() as u64;
+        let mut payload = Vec::new();
         for i in 0..frames {
             let bytes = codec.frame_bits(i).to_bytes_ceil().get() as usize;
-            let payload = codec.frame_payload(i, bytes);
+            codec.frame_payload_into(i, bytes, &mut payload);
             if let Some(op) = mrs.record_video_frame(req, t, &payload)? {
                 t = op.completed;
             }

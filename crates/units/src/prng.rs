@@ -114,11 +114,18 @@ impl Prng {
         }
     }
 
-    /// Fill a byte slice with uniform random bytes.
+    /// Fill a byte slice with uniform random bytes: one output per
+    /// started group of 8, little-endian, a short last group taking the
+    /// low bytes. Every recorded payload byte is synthesized here.
     pub fn fill_bytes(&mut self, out: &mut [u8]) {
-        for chunk in out.chunks_mut(8) {
+        let mut words = out.chunks_exact_mut(8);
+        for word in &mut words {
+            word.copy_from_slice(&self.next_u64().to_le_bytes());
+        }
+        let tail = words.into_remainder();
+        if !tail.is_empty() {
             let v = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]);
+            tail.copy_from_slice(&v[..tail.len()]);
         }
     }
 
@@ -298,6 +305,35 @@ mod tests {
         Prng::seed_from_u64(5).fill_bytes(&mut b);
         assert_eq!(a, b);
         assert!(a.iter().any(|&x| x != 0));
+    }
+
+    /// Content seeds, fault schedules and every image fingerprint sit
+    /// downstream of both the bytes a fill writes and the state it
+    /// leaves, so both are held to a byte-serial reference.
+    #[test]
+    fn fill_bytes_matches_the_byte_serial_stream_and_state() {
+        for seed in [0, 1, 5, 41, u64::MAX] {
+            for len in 0..=40usize {
+                let mut reference = Prng::seed_from_u64(seed);
+                let mut want = vec![0u8; len];
+                let mut word = [0u8; 8];
+                for (i, b) in want.iter_mut().enumerate() {
+                    if i % 8 == 0 {
+                        word = reference.next_u64().to_le_bytes();
+                    }
+                    *b = word[i % 8];
+                }
+                let mut rng = Prng::seed_from_u64(seed);
+                let mut got = vec![0xA5u8; len];
+                rng.fill_bytes(&mut got);
+                assert_eq!(got, want, "seed {seed}, {len} bytes");
+                assert_eq!(
+                    rng.next_u64(),
+                    reference.next_u64(),
+                    "state after {len} bytes, seed {seed}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -44,6 +44,11 @@ function per_workload(m, fmt,    i, s) {
         s = s (i > 1 ? ", " : "") sprintf("\"%s\": " fmt, W[i], last[W[i], m])
     return "{" s "}"
 }
+function medians(m, fmt,    i, s) {
+    for (i = 1; i <= 4; i++)
+        s = s (i > 1 ? ", " : "") sprintf("\"%s\": " fmt, W[i], median(W[i], m))
+    return "{" s "}"
+}
 BEGIN { split("vod_defended vod_bare volume_overload failover_storm", W, " ") }
 /^#/ || NF != 4 { next }
 # The traced run comes last and prints the end-to-end names once more,
@@ -51,15 +56,14 @@ BEGIN { split("vod_defended vod_bare volume_overload failover_storm", W, " ") }
 $2 ~ /\./ { traced[$1] = 1 }
 { last[$1, $2] = $3; seen[$1, $2] = seen[$1, $2] " " $3 }
 END {
-    for (i = 1; i <= 4; i++)
-        v = v (i > 1 ? ", " : "") sprintf("\"%s\": %.2f", W[i], median(W[i], "viewers_per_s"))
     covered = last["failover_storm", "cluster.service.scrubbed_blocks"]
     printf "{\"pr\": %s, \"parent\": \"%s\", ", pr, parent
     printf "\"source\": \"scripts/history_line.sh: benchmark/run.sh --runs 5 --trace --seed 1 (medians of the untraced runs; per-layer from the traced run)\", "
-    printf "\"nproc\": %d, \"viewers_per_s\": {%s}, ", nproc, v
+    printf "\"nproc\": %d, \"viewers_per_s\": %s, ", nproc, medians("viewers_per_s", "%.2f")
+    printf "\"setup_s\": %s, ", medians("setup_s", "%.4f")
     printf "\"cluster.defense.all_ratio\": %.1f, ", last["vod_defended", "cluster.defense.all_ratio"]
     printf "\"scale/n100000_playback_median_ns\": %d, ", scale
-    printf "\"peak_rss_mb\": {\"volume_overload\": %.2f}, ", median("volume_overload", "peak_rss_mb")
+    printf "\"peak_rss_mb\": %s, ", medians("peak_rss_mb", "%.2f")
     printf "\"obs.overhead_ratio\": %s, ", per_workload("obs.overhead_ratio", "%.2f")
     printf "\"cluster.defense.monitor_ratio\": %.2f, ", last["vod_defended", "cluster.defense.monitor_ratio"]
     printf "\"cluster.scale.us_per_viewer\": {"
@@ -68,6 +72,7 @@ END {
         printf "%s\"%s\": %.2f", (i > 1 ? ", " : ""), V[i], last["vod_bare", "cluster.scale.us_per_viewer." V[i]]
     printf "}, \"cluster.defense.verify_us_per_block\": %.2f, ", last["vod_defended", "cluster.defense.verify_us_per_block"]
     printf "\"cluster.cluster.ingest_us_per_block\": %.2f, ", last["vod_defended", "cluster.cluster.ingest_us_per_block"]
+    printf "\"media.frame_payload_ns\": %d, ", last["vod_defended", "media.frame_payload_ns"]
     printf "\"scrub.failover_storm\": {\"covered\": %d, \"probes\": %d, \"credited\": %d}, ", covered, probes, covered - probes
     printf "\"host_mode\": {\"mode\": \"%s\", \"checksum/block_sum_28k_streamed_us\": %.2f}}\n", (streamed < 3.5 ? "fast" : "slow"), streamed
 }' "$suite"

@@ -16,6 +16,8 @@
 //! defenses add per block — allocates nothing at all. The footprint leg
 //! counts bytes as well as calls: a stream's state is one allocation of
 //! 16-byte records over schedule items it shares, never a deep copy.
+//! The RECORD leg counts both too: ingesting a title asks the heap for
+//! little more than the bytes the device stores.
 //!
 //! This file holds exactly one test: the allocator count is global to
 //! the binary, and a parallel sibling test would pollute the deltas.
@@ -193,6 +195,43 @@ fn rounds_do_not_grow_the_heap() {
         "fetch_sum allocated"
     );
     assert!(sums.iter().all(Option::is_some));
+
+    // What RECORD costs: a 100-block VBR title, volume construction
+    // included. The heap is asked for little more than the image the
+    // device keeps (its store chunks) — frames are synthesized into one
+    // reused buffer, a track's block buffer keeps its capacity across
+    // flushes, and a block is stamped and stored from where it lies,
+    // padded inside the device. A fresh `Vec` per frame, a block buffer
+    // regrown from nothing per block or a padded copy per append each
+    // fail both bounds (all three: 5.4× the stored bytes and 9.3
+    // allocations a block).
+    let (allocs_before, bytes_before) = (
+        ALLOCS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    );
+    let vbr_title = ClipSpec {
+        vbr: true,
+        ..ClipSpec::video_seconds(10.0)
+    };
+    let (mrs, ropes) = standard_volume(&[vbr_title]).expect("build volume");
+    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
+    let bytes = BYTES.load(Ordering::Relaxed) - bytes_before;
+    let strand = mrs.rope(ropes[0]).unwrap().segments[0]
+        .video
+        .unwrap()
+        .strand;
+    let blocks = mrs.msm().strand(strand).unwrap().block_count();
+    let disk = mrs.msm().disk();
+    let stored = disk.sectors_written() as u64 * disk.geometry().sector_size.get();
+    assert_eq!(blocks, 100);
+    assert!(
+        4 * bytes <= 5 * stored,
+        "recording asked the heap for {bytes} bytes to store {stored}"
+    );
+    assert!(
+        allocs <= 4 * blocks,
+        "{allocs} allocations to record {blocks} blocks"
+    );
 
     // What a stream costs: 10,000 viewers of 16 clips, fanned out the
     // way the benchmark's `volume_overload` does it. A schedule clone

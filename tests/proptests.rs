@@ -15,10 +15,10 @@ use strandfs::core::strand::index::{
 };
 use strandfs::core::{RopeId, StrandId};
 use strandfs::disk::{
-    block_sum, fnv1a, AllocPolicy, Allocator, DiskGeometry, Extent, GapBounds, Lba, SeekModel,
-    SimDisk,
+    block_sum, block_sum_padded, fnv1a, AllocPolicy, Allocator, DiskGeometry, Extent, GapBounds,
+    Lba, SeekModel, SimDisk,
 };
-use strandfs::units::{BitRate, Bits, Nanos, Seconds};
+use strandfs::units::{BitRate, Bits, Bytes, Nanos, Prng, Seconds};
 use strandfs_testkit::{
     any_bool, check, check_with, prop_assert, prop_assert_eq, prop_assume, vec as prop_vec,
     CaseError, Config,
@@ -561,6 +561,177 @@ fn sector_store_matches_a_sector_map() {
                 }
                 prop_assert_eq!(disk.content_hash(), fnv1a(&image));
             }
+            Ok(())
+        },
+    );
+}
+
+// ---------- the padded store and stamp against a padded copy ----------
+
+/// `len` seeded bytes, none of them zero — a pad that fails to replace
+/// them cannot hide behind a byte that was zero anyway.
+fn nonzero_noise(seed: u64, len: usize) -> Vec<u8> {
+    let mut bytes = vec![0u8; len];
+    Prng::seed_from_u64(seed).fill_bytes(&mut bytes);
+    bytes.iter_mut().for_each(|b| *b |= 1);
+    bytes
+}
+
+/// `payload` followed by zeroes up to `len`: the copy `append_block`
+/// used to materialise, here as the reference.
+fn padded_copy(payload: &[u8], len: usize) -> Vec<u8> {
+    let mut padded = payload.to_vec();
+    padded.resize(len, 0);
+    padded
+}
+
+/// The stamp of a short payload is the stamp of its padded copy, for
+/// every payload length up to two sectors and a stripe past, padded to
+/// its own sector count and to sectors beyond (rewrites of a longer
+/// extent).
+#[test]
+fn padded_stamp_is_the_stamp_of_the_padded_copy() {
+    check(
+        "padded_stamp_is_the_stamp_of_the_padded_copy",
+        (any_bool(), 0usize..2 * 4096 + 34, 0u64..3, 0u64..1 << 32),
+        |&(big, raw_len, extra_sectors, seed)| {
+            let ss = if big { 4096 } else { 512 };
+            let len = raw_len % (2 * ss + 34);
+            let payload = nonzero_noise(seed, len);
+            let padded_len = (len.div_ceil(ss).max(1) + extra_sectors as usize) * ss;
+            prop_assert_eq!(
+                block_sum_padded(&payload, padded_len),
+                block_sum(&padded_copy(&payload, padded_len)),
+                "{len} bytes padded to {padded_len}"
+            );
+            // Not only to sector multiples: any length at or past the
+            // payload's.
+            let odd = len + (seed % 97) as usize;
+            prop_assert_eq!(
+                block_sum_padded(&payload, odd),
+                block_sum(&padded_copy(&payload, odd)),
+                "{len} bytes padded to {odd}"
+            );
+            Ok(())
+        },
+    );
+}
+
+/// Storing a short payload leaves the device exactly as storing its
+/// padded copy does on a twin disk — image fingerprint, fetched bytes,
+/// in-place sum and written-sector count — for extents inside one store
+/// chunk and straddling two and three, on fresh sectors and over sectors
+/// that held non-zero bytes (heal copies, `rewrite_block` and reused
+/// extents store over old data: the pad must really zero it).
+#[test]
+fn short_store_equals_the_store_of_the_padded_copy() {
+    const CHUNK: u64 = 64;
+    const OFFSETS: [u64; 5] = [0, 1, 17, 62, 63];
+    check_with(
+        &Config::with_cases(64),
+        "short_store_equals_the_store_of_the_padded_copy",
+        (
+            any_bool(),
+            prop_vec(
+                (
+                    0u64..6,
+                    0usize..OFFSETS.len(),
+                    1u64..150,
+                    0usize..2 * 4096,
+                    any_bool(),
+                    0u64..1 << 32,
+                ),
+                1..12,
+            ),
+        ),
+        |(big, ops)| {
+            let ss = if *big { 4096 } else { 512 };
+            let geometry = DiskGeometry {
+                sector_size: Bytes::new(ss as u64),
+                ..DiskGeometry::tiny_test()
+            };
+            let mut short = SimDisk::new(geometry, SeekModel::vintage_1991());
+            let mut twin = SimDisk::new(geometry, SeekModel::vintage_1991());
+            for &(chunk, off, sectors, cut, dirty, seed) in ops {
+                let e = Extent::new(chunk * CHUNK + OFFSETS[off], sectors);
+                let bytes = sectors as usize * ss;
+                if dirty {
+                    let old = nonzero_noise(!seed, bytes);
+                    short.store_data(e, &old);
+                    twin.store_data(e, &old);
+                }
+                // Anything from the empty payload to the full extent;
+                // mostly ending inside the last sector or two.
+                let payload = nonzero_noise(seed, bytes - cut % (2 * ss).min(bytes + 1));
+                short.store_data(e, &payload);
+                twin.store_data(e, &padded_copy(&payload, bytes));
+                prop_assert_eq!(short.try_fetch(e), twin.try_fetch(e), "{e:?}");
+                prop_assert_eq!(
+                    short.fetch_sum(e),
+                    Some(block_sum_padded(&payload, bytes)),
+                    "{e:?}"
+                );
+                prop_assert_eq!(short.fetch_sum(e), twin.fetch_sum(e), "{e:?}");
+                prop_assert_eq!(short.sectors_written(), twin.sectors_written());
+                prop_assert_eq!(short.content_hash(), twin.content_hash(), "{e:?}");
+            }
+            Ok(())
+        },
+    );
+}
+
+/// Behind a `FaultInjector` the short store is the same store: a torn
+/// extent persists only its seeded sector prefix of the padded block,
+/// and a crashed device drops it on the floor.
+#[test]
+fn faults_treat_a_short_store_as_the_store_of_the_padded_copy() {
+    use strandfs::disk::{
+        AccessKind, BlockDevice, CrashPoint, FaultInjector, FaultKind, FaultPlan,
+    };
+    use strandfs::units::Instant;
+    check_with(
+        &Config::with_cases(64),
+        "faults_treat_a_short_store_as_the_store_of_the_padded_copy",
+        (1u64..150, 1usize..512, 0u64..1 << 32),
+        |&(sectors, cut, seed)| {
+            let e = Extent::new(40, sectors);
+            let bytes = sectors as usize * 512;
+            let payload = nonzero_noise(seed, bytes - cut.min(bytes));
+            let padded = padded_copy(&payload, bytes);
+            let plan = FaultPlan::clean()
+                .with_torn_extent(e)
+                .with_crash_point(CrashPoint::AfterWrites(1));
+            let device = || {
+                let mut disk = SimDisk::new(DiskGeometry::tiny_test(), SeekModel::vintage_1991());
+                disk.store_data(e, &nonzero_noise(!seed, bytes));
+                FaultInjector::new(disk, plan.clone(), seed)
+            };
+            let (mut short, mut twin) = (device(), device());
+            let write = |d: &mut FaultInjector, data: &[u8]| {
+                d.store_data(e, data);
+                d.access(Instant::EPOCH, e, AccessKind::Write)
+                    .expect_err("torn, then crashed")
+                    .kind
+            };
+            // Write 0 tears: a seeded prefix of the padded block's
+            // sectors survives, the last sector never does.
+            prop_assert_eq!(write(&mut short, &payload), FaultKind::Torn);
+            prop_assert_eq!(write(&mut twin, &padded), FaultKind::Torn);
+            let torn = short.try_fetch(e).expect("on device");
+            let kept = short.sectors_written() * 512;
+            prop_assert!(kept < bytes);
+            prop_assert_eq!(&torn[..kept], &padded[..kept]);
+            prop_assert!(torn[kept..].iter().all(|&b| b == 0));
+            prop_assert_eq!(short.content_hash(), twin.content_hash());
+            // Write 1 is the crash point: the image freezes, and stores
+            // after it — short or padded — leave no trace.
+            prop_assert_eq!(write(&mut short, &payload), FaultKind::Crashed);
+            prop_assert_eq!(write(&mut twin, &padded), FaultKind::Crashed);
+            let frozen = short.content_hash();
+            short.store_data(e, &payload);
+            twin.store_data(e, &padded);
+            prop_assert_eq!(short.content_hash(), frozen);
+            prop_assert_eq!(twin.content_hash(), frozen);
             Ok(())
         },
     );
