@@ -33,7 +33,7 @@ pub const SIZES: [usize; 3] = [1_000, 10_000, 100_000];
 
 /// Round size (blocks fetched per stream per round): four CSCAN sweeps
 /// over the 20-item clip.
-const K: u64 = 5;
+pub const K: u64 = 5;
 
 /// The `STRANDFS_SCALE_CAP` environment variable (absent or
 /// unparsable = uncapped).

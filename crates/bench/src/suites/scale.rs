@@ -7,10 +7,23 @@
 //! and the timed service loop — so the measured medians move with the
 //! loop's real per-round cost, scheduler noise absorbed by the macro
 //! tolerance tier.
+//!
+//! E16 plays copies of one clip, so its first sweep visits streams in
+//! index order. The `titles16` entries spread the streams over sixteen
+//! titles instead, where the loop's storage order (first-sweep order)
+//! and index order part: they are what fails if the layout is undone.
 
 use crate::experiments::e16_scale;
 use std::hint::black_box;
-use strandfs_testkit::bench::Runner;
+use strandfs_core::mrs::compile_schedule;
+use strandfs_core::rope::edit::{Interval, MediaSel};
+use strandfs_sim::playback::{simulate_playback, PlaybackConfig};
+use strandfs_sim::{standard_volume, ClipSpec};
+use strandfs_testkit::bench::{Bencher, Runner};
+use strandfs_units::Prng;
+
+/// Titles the `titles16` entries spread their streams over.
+const TITLES: usize = 16;
 
 /// Register the suite's benchmarks.
 pub fn register(c: &mut Runner) {
@@ -35,5 +48,40 @@ pub fn register(c: &mut Runner) {
             })
         });
     }
+    for n in e16_scale::active_sizes()
+        .into_iter()
+        .filter(|&n| n >= 10_000)
+    {
+        g.bench_function(&format!("n{n}_titles{TITLES}_playback"), move |b| {
+            titles_playback(b, n)
+        });
+    }
     g.finish();
+}
+
+/// `n` streams over [`TITLES`] two-second titles, each stream's title
+/// drawn by a seeded [`Prng`], under E16's CSCAN rounds of k = 5. The
+/// volume, its schedules and the assignment are built once; an
+/// iteration fans the streams out and serves them.
+fn titles_playback(b: &mut Bencher, n: usize) {
+    let (mut mrs, ropes) =
+        standard_volume(&[ClipSpec::video_seconds(2.0); TITLES]).expect("build titles volume");
+    let scheds: Vec<_> = ropes
+        .iter()
+        .map(|r| {
+            let rope = mrs.rope(*r).expect("recorded rope");
+            let mut s = compile_schedule(rope, MediaSel::Both, Interval::whole(rope.duration()))
+                .expect("compile schedule");
+            mrs.resolve_silence(&mut s).expect("resolve silence");
+            s
+        })
+        .collect();
+    let mut rng = Prng::seed_from_u64(TITLES as u64);
+    let titles: Vec<usize> = (0..n).map(|_| rng.gen_range(0..TITLES)).collect();
+    b.iter(|| {
+        let streams = titles.iter().map(|&t| scheds[t].clone()).collect();
+        let cfg = PlaybackConfig::with_k(e16_scale::K).cscan();
+        let report = simulate_playback(&mut mrs, streams, cfg).expect("titles simulation");
+        black_box(report.rounds)
+    });
 }

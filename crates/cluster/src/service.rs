@@ -1280,9 +1280,11 @@ impl<'a> Run<'a> {
 
     fn finish(mut self) -> ClusterReport {
         let streams = &self.streams;
-        self.report.sim.streams = streams.iter().map(|s| s.state.outcome(&self.obs)).collect();
+        (self.report.sim.streams, self.report.miss_bursts) = streams
+            .iter()
+            .map(|s| s.state.outcome_and_miss_burst(&self.obs))
+            .unzip();
         self.report.sim.rounds = self.round;
-        self.report.miss_bursts = streams.iter().map(|s| s.state.miss_burst()).collect();
         self.report.failovers = streams.iter().map(|s| s.failovers).sum();
         self.report.volumes = self.lanes.iter().map(|l| l.stats).collect();
         self.report

@@ -12,7 +12,7 @@
 
 use crate::metrics::SimReport;
 use crate::stream::StreamState;
-use strandfs_core::mrs::{Mrs, PlaySchedule};
+use strandfs_core::mrs::{Mrs, PlayItem, PlaySchedule};
 use strandfs_core::msm::BlockFetch;
 use strandfs_core::FsError;
 use strandfs_obs::Event;
@@ -166,9 +166,12 @@ pub fn simulate_with_arrivals(
 /// per-round Eq. 18 slack query is O(1) against the admission
 /// controller's incremental cache. After the first few rounds warm the
 /// buffers, a round allocates nothing — 100k-stream rounds run at a flat
-/// memory footprint (`tests/alloc_steady.rs` pins this). Per-stream
-/// accounting lives in [`StreamState`]; this loop decides only what to
-/// fetch, in which order, and what a fault costs.
+/// memory footprint (`tests/alloc_steady.rs` pins this). Under SCAN and
+/// CSCAN the streams are stored in first-sweep order, so a sweep walks
+/// its streams' memory in order; everything observable keeps stream
+/// index and activation order. Per-stream accounting lives in
+/// [`StreamState`]; this loop decides only what to fetch, in which
+/// order, and what a fault costs.
 /// `crates/sim/src/reference.rs` keeps a direct transliteration of the
 /// seed loop; a property test pins this implementation to it
 /// report-for-report.
@@ -184,22 +187,61 @@ pub fn simulate_degraded(
     order_policy: ServiceOrder,
     degrade: DegradeMode,
 ) -> Result<SimReport, FsError> {
-    let mut states: Vec<StreamState> = Vec::new();
-    let mut order: Vec<usize> = Vec::new(); // admitted stream indices
+    let sweeps = order_policy != ServiceOrder::RoundRobin;
     let initial_k = k_of_round(0, streams.len().max(1));
-    for s in streams {
-        order.push(states.len());
-        states.push(StreamState::new(
-            states.len(),
-            s,
-            read_ahead_of_k(initial_k),
-        ));
+    let total = streams.len() + arrivals.len();
+    // The sweep's memo, one slot per stream: `(lba, item)` — the disk
+    // address of the stream's first non-silence schedule item at or
+    // after `item` (`u64::MAX`/`usize::MAX` once only silence remains).
+    // Valid while the stream's next index has not passed `item`: every
+    // item in between was silence, so advancing through that run cannot
+    // change which block the arm would seek to. One index probe per
+    // *consumed stored block*, instead of the O(n log n) probes per
+    // round a sort key re-invocation costs.
+    let mut lba_memo: Vec<Option<(u64, usize)>> = Vec::with_capacity(total);
+    // Storage order. A sweep serves streams in address order, and a
+    // turn's work is appending records to the stream's own buffer, so
+    // under SCAN/CSCAN the initial streams are laid out — states and the
+    // record buffers they allocate, in that order — by first-sweep key:
+    // (LBA of the first stored block, stream index), what round 0 sorts
+    // by. Its probe is made here and left in the memo for round 0.
+    // Arrivals follow in arrival-list order; their slot is their index.
+    let mut first: Vec<(usize, Option<(u64, usize)>)> = streams
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            let probe = (sweeps && !s.items.is_empty()).then(|| next_lba_probe(mrs, &s.items, 0));
+            (i, probe)
+        })
+        .collect();
+    first.sort_unstable_by_key(|&(i, probe)| (probe.map_or(u64::MAX, |p| p.0), i));
+    // Stream index → storage slot: the report, re-admissions and the
+    // end-of-run deadline flush run in index order through it.
+    let mut slot_of: Vec<usize> = vec![0; streams.len()];
+    let mut streams: Vec<Option<PlaySchedule>> = streams.into_iter().map(Some).collect();
+    let mut states: Vec<StreamState> = Vec::with_capacity(total);
+    // A slot's activation ordinal, its position in `order` (`u32::MAX`
+    // until activated): sweep keys break address ties by it, so streams
+    // at one address keep activation order whatever their slots.
+    let mut ordinal: Vec<u32> = Vec::with_capacity(total);
+    for (i, probe) in first {
+        let s = streams[i].take().expect("each stream is laid out once");
+        slot_of[i] = states.len();
+        lba_memo.push(probe);
+        ordinal.push(i as u32);
+        states.push(StreamState::new(i, s, read_ahead_of_k(initial_k)));
     }
+    // Admitted slots in activation order: the initial streams in index
+    // order, then arrivals as they activate.
+    let mut order: Vec<usize> = slot_of.clone();
     let mut pending: Vec<(u64, usize)> = Vec::new();
     for a in arrivals {
         // Placeholder read-ahead; fixed at activation below.
         let idx = states.len();
         states.push(StreamState::new(idx, a.schedule, 0));
+        slot_of.push(idx);
+        lba_memo.push(None);
+        ordinal.push(u32::MAX);
         pending.push((a.at_round, idx));
     }
 
@@ -222,17 +264,8 @@ pub fn simulate_degraded(
     // resulting sweep order.
     let mut active: Vec<usize> = Vec::with_capacity(order.len());
     let mut activated: Vec<usize> = Vec::new();
-    let mut keys: Vec<(u64, u32)> = Vec::new();
+    let mut keys: Vec<(u64, u32, u32)> = Vec::new();
     let mut sweep: Vec<usize> = Vec::new();
-    // The sweep's memo, one slot per stream: `(lba, item)` — the disk
-    // address of the stream's first non-silence schedule item at or
-    // after `item` (`u64::MAX`/`usize::MAX` once only silence remains).
-    // Valid while the stream's next index has not passed `item`: every
-    // item in between was silence, so advancing through that run cannot
-    // change which block the arm would seek to. One index probe per
-    // *consumed stored block*, instead of the O(n log n) probes per
-    // round a sort key re-invocation costs.
-    let mut lba_memo: Vec<Option<(u64, usize)>> = vec![None; states.len()];
     // CSCAN head position: the key of the last stream serviced in the
     // previous sweep; the next sweep continues upward from here.
     let mut sweep_pos: u64 = 0;
@@ -244,6 +277,7 @@ pub fn simulate_degraded(
         activated.clear();
         pending.retain(|(at, idx)| {
             if *at <= round {
+                ordinal[*idx] = order.len() as u32;
                 order.push(*idx);
                 activated.push(*idx);
                 false
@@ -260,13 +294,21 @@ pub fn simulate_degraded(
         } = degrade
         {
             if clean_streak >= readmit_clean_rounds {
-                for state in states.iter_mut() {
-                    state.readmit(round, t, &obs);
+                for &slot in &slot_of {
+                    states[slot].readmit(round, t, &obs);
                 }
             }
         }
         active.clear();
-        active.extend(order.iter().copied().filter(|i| states[*i].in_service()));
+        if sweeps {
+            // The sweep sorts `active` anyway: collect it by walking
+            // storage, which is (nearly) the order the sweep visits.
+            active.extend(
+                (0..states.len()).filter(|&i| ordinal[i] != u32::MAX && states[i].in_service()),
+            );
+        } else {
+            active.extend(order.iter().copied().filter(|&i| states[i].in_service()));
+        }
         if active.is_empty() {
             let revoked = || {
                 order
@@ -320,20 +362,21 @@ pub fn simulate_degraded(
                 // One ascending-address sweep: sort by the disk address
                 // of each stream's next non-silence block. Keys come
                 // from the per-stream memo (one index probe per consumed
-                // stored block, amortized) and carry the stream's
-                // position in `active`, so ties keep activation order —
-                // exactly the stable `sort_by_key` the seed loop ran,
-                // without re-invoking the key O(n log n) times.
+                // stored block, amortized), break ties by activation
+                // ordinal and carry the storage slot — exactly the
+                // stable `sort_by_key` the seed loop ran over activation
+                // order, without re-invoking the key O(n log n) times.
                 keys.clear();
-                for (pos, &i) in active.iter().enumerate() {
-                    keys.push((next_lba_memo(mrs, &states[i], &mut lba_memo[i]), pos as u32));
+                for &i in &active {
+                    let lba = next_lba_memo(mrs, &states[i], &mut lba_memo[i]);
+                    keys.push((lba, ordinal[i], i as u32));
                 }
                 keys.sort_unstable();
                 let start = match order_policy {
                     // CSCAN: continue the sweep from where the last
                     // round's arm stopped; lower-addressed streams wrap
                     // to the end of this round.
-                    ServiceOrder::Cscan => keys.partition_point(|&(lba, _)| lba < sweep_pos),
+                    ServiceOrder::Cscan => keys.partition_point(|&(lba, ..)| lba < sweep_pos),
                     _ => 0,
                 };
                 sweep.clear();
@@ -341,7 +384,7 @@ pub fn simulate_degraded(
                     keys[start..]
                         .iter()
                         .chain(keys[..start].iter())
-                        .map(|&(_, pos)| active[pos as usize]),
+                        .map(|&(.., slot)| slot as usize),
                 );
                 sweep_pos = if start > 0 {
                     keys[start - 1].0
@@ -440,7 +483,7 @@ pub fn simulate_degraded(
     }
 
     Ok(SimReport {
-        streams: states.iter().map(|s| s.outcome(&obs)).collect(),
+        streams: slot_of.iter().map(|&i| states[i].outcome(&obs)).collect(),
         disk_busy: mrs.msm().disk().stats().busy_time() - busy_before,
         rounds: round,
     })
@@ -466,13 +509,13 @@ pub(crate) fn count_lba_probe() {
     LBA_PROBES.with(|c| c.set(c.get() + 1));
 }
 
-/// Resolve `(lba, item)` for the stream's first non-silence schedule
-/// item at or after its next index: the disk address the arm would visit
-/// next (`u64::MAX`/`usize::MAX` when only silence or nothing remains,
-/// sorting the stream last).
-fn next_lba_probe(mrs: &Mrs, state: &StreamState) -> (u64, usize) {
+/// Resolve `(lba, item)` for the first non-silence item of `pending`, a
+/// stream's unserved schedule items from index `next` on: the disk
+/// address the arm would visit next (`u64::MAX`/`usize::MAX` when only
+/// silence or nothing remains, sorting the stream last).
+fn next_lba_probe(mrs: &Mrs, pending: &[PlayItem], next: usize) -> (u64, usize) {
     count_lba_probe();
-    for (off, item) in state.pending_items().iter().enumerate() {
+    for (off, item) in pending.iter().enumerate() {
         if !item.silence {
             let lba = mrs
                 .msm()
@@ -482,7 +525,7 @@ fn next_lba_probe(mrs: &Mrs, state: &StreamState) -> (u64, usize) {
                 .flatten()
                 .map(|e| e.start)
                 .unwrap_or(u64::MAX);
-            return (lba, state.next_index() + off);
+            return (lba, next + off);
         }
     }
     (u64::MAX, usize::MAX)
@@ -498,7 +541,7 @@ fn next_lba_memo(mrs: &Mrs, state: &StreamState, memo: &mut Option<(u64, usize)>
             return lba;
         }
     }
-    let probed = next_lba_probe(mrs, state);
+    let probed = next_lba_probe(mrs, state.pending_items(), state.next_index());
     *memo = Some(probed);
     probed.0
 }

@@ -17,11 +17,11 @@
 //! `crate::reference` deliberately does not use this type: the oracle
 //! shares nothing with the loops it checks.
 
-use crate::metrics::{NanosSummary, RoundSample, StreamOutcome};
+use crate::metrics::{RoundSample, StreamOutcome};
 use std::sync::Arc;
 use strandfs_core::mrs::{PlayItem, PlaySchedule};
 use strandfs_core::FsError;
-use strandfs_obs::{DegradeAction, Event, ObsSink};
+use strandfs_obs::{DegradeAction, Event, NanosAcc, ObsSink};
 use strandfs_units::{Instant, Nanos};
 
 /// Signed deadline margin in nanoseconds: positive = early, negative =
@@ -422,35 +422,24 @@ impl StreamState {
         }
     }
 
-    /// Longest run of dropped-or-late schedule items (trailing
-    /// never-serviced items count as dropped) — the visible glitch
-    /// length.
-    pub fn miss_burst(&self) -> u64 {
-        let serviced = self.served.len();
-        let mut burst = 0u64;
-        let mut run = 0u64;
-        for j in 0..self.items.len() {
-            let missed = j >= serviced
-                || self.served[j].dropped()
-                || self.deadline_of(j).is_some_and(|d| self.served[j].done > d);
-            if missed {
-                run += 1;
-                burst = burst.max(run);
-            } else {
-                run = 0;
-            }
-        }
-        burst
-    }
-
     /// The stream's outcome; also emits the [`Event::Deadline`]s the
     /// live pointer never reached.
-    ///
-    /// One forward pass per quantity: item instants, completions and —
-    /// within an epoch — deadlines are all non-decreasing, so the two
-    /// backlog counts walk a cursor, and binary-search only when a value
-    /// steps back (an epoch boundary).
     pub fn outcome(&self, obs: &ObsSink) -> StreamOutcome {
+        self.outcome_and_miss_burst(obs).0
+    }
+
+    /// [`StreamState::outcome`] together with the miss burst: the
+    /// longest run of dropped-or-late schedule items (trailing
+    /// never-serviced items count as dropped) — the visible glitch
+    /// length.
+    ///
+    /// One forward pass over the served items with an epoch cursor, so
+    /// each deadline is computed once and feeds every quantity. Item
+    /// instants, completions and — within an epoch — deadlines are all
+    /// non-decreasing, so the two backlog counts walk cursors too, and
+    /// binary-search only when a deadline steps back (an epoch
+    /// boundary).
+    pub fn outcome_and_miss_burst(&self, obs: &ObsSink) -> (StreamOutcome, u64) {
         let items = &self.items[..];
         let served = &self.served[..];
         let serviced = served.len();
@@ -465,80 +454,27 @@ impl StreamState {
         let mut dropped_blocks = (items.len() - serviced) as u64;
         let mut fetched = 0u64;
         let mut violations = 0u64;
-        let mut lateness = Vec::new();
+        let mut lateness = NanosAcc::default();
         let mut first_violation = None;
         let first_display = self.first_epoch.display_start;
-        for (j, (item, rec)) in items.iter().zip(served).enumerate() {
-            if rec.dropped() {
-                dropped_blocks += 1;
-                continue;
-            }
-            if !item.silence {
-                fetched += 1;
-            }
-            let Some(deadline) = self.deadline_of(j) else {
-                continue;
-            };
-            // Items past the live-emission pointer were never flushed
-            // by `emit_due_deadlines` (possible only when the loop
-            // ended mid-buffer); emit them now so the event set is
-            // complete. Items before it already went out live.
-            if j >= self.deadline_emitted {
-                obs.emit(|| self.deadline_event(j, deadline));
-            }
-            if rec.done > deadline {
-                violations += 1;
-                lateness.push(rec.done - deadline);
-                if first_violation.is_none() {
-                    if let Some(ds) = first_display {
-                        first_violation = Some(deadline - ds);
-                    }
-                }
-            }
-        }
-        // The per-round time series: group items by the round that
-        // fetched them (rounds are non-decreasing by construction),
-        // take the tightest margin in each group, and measure the
-        // backlog right after the group's last fetch. Dropped items
-        // have no fetch to measure and are skipped.
-        let mut series = Vec::new();
-        // Items consumed by a group's `turn_end`: deadlines are
+        let (mut burst, mut run) = (0u64, 0u64);
+        // The per-round time series: items grouped by the round that
+        // fetched them (rounds are non-decreasing by construction), the
+        // tightest margin in each group, and the backlog right after
+        // the group's last fetch. Dropped items have no fetch to
+        // measure and are skipped. A stream is served at most once a
+        // round, so its round span bounds the series.
+        let mut series = Vec::with_capacity(match (served.first(), served.last()) {
+            (Some(a), Some(b)) => (b.round() - a.round() + 1) as usize,
+            _ => 0,
+        });
+        let (mut group_start, mut worst) = (0, i64::MAX);
+        // Items consumed by a group's turn end: deadlines are
         // non-decreasing within an epoch; count them epoch-free via the
         // first display clock (good enough for the backlog gauge).
         // Turn ends and item instants only move forward, so the count
         // does too.
         let mut consumed = 0;
-        let mut j = 0;
-        while j < serviced {
-            let round = served[j].round();
-            let mut worst = i64::MAX;
-            let mut last = j;
-            while last < serviced && served[last].round() == round {
-                if !served[last].dropped() {
-                    if let Some(deadline) = self.deadline_of(last) {
-                        worst = worst.min(signed_margin(deadline, served[last].done));
-                    }
-                }
-                last += 1;
-            }
-            if worst == i64::MAX {
-                // The round fetched only drops or pre-display items.
-                worst = 0;
-            }
-            let turn_end = served[last - 1].done;
-            if let Some(ds) = first_display {
-                while consumed < items.len() && ds + items[consumed].at <= turn_end {
-                    consumed += 1;
-                }
-            }
-            series.push(RoundSample {
-                round,
-                blocks: (last - j) as u64,
-                worst_margin_ns: worst,
-                buffered: (last as u64).saturating_sub(consumed as u64),
-            });
-            j = last;
-        }
         // Required buffering: completions are non-decreasing, so the
         // backlog when item j starts playing is (#completions ≤ its
         // deadline) − j. The subtraction saturates by design: a starved
@@ -548,28 +484,85 @@ impl StreamState {
         let mut max_buffered = 0u64;
         let mut fetched_by = 0;
         let mut prev_deadline = Instant::EPOCH;
-        for j in 0..serviced {
-            let Some(deadline) = self.deadline_of(j) else {
-                continue;
-            };
-            if deadline < prev_deadline {
-                // A later epoch can open on an earlier display clock
-                // than the one before it had run ahead to.
-                fetched_by = served.partition_point(|s| s.done <= deadline);
+        // The covering epoch of item j: the latest one that starts at
+        // or before it (epochs open in item order).
+        let mut epoch = &self.first_epoch;
+        let mut later = self.later_epochs.iter().peekable();
+        for (j, (item, rec)) in items.iter().zip(served).enumerate() {
+            while let Some(e) = later.next_if(|e| e.first_item <= j) {
+                epoch = e;
+            }
+            let deadline = epoch
+                .display_start
+                .map(|ds| ds + (item.at - items[epoch.first_item].at));
+            if let Some(deadline) = deadline {
+                if deadline < prev_deadline {
+                    // A later epoch can open on an earlier display clock
+                    // than the one before it had run ahead to.
+                    fetched_by = served.partition_point(|s| s.done <= deadline);
+                } else {
+                    while fetched_by < serviced && served[fetched_by].done <= deadline {
+                        fetched_by += 1;
+                    }
+                }
+                prev_deadline = deadline;
+                max_buffered = max_buffered.max((fetched_by as u64).saturating_sub(j as u64));
+            }
+            let late = !rec.dropped() && deadline.is_some_and(|d| rec.done > d);
+            run = if rec.dropped() || late { run + 1 } else { 0 };
+            burst = burst.max(run);
+            if rec.dropped() {
+                dropped_blocks += 1;
             } else {
-                while fetched_by < serviced && served[fetched_by].done <= deadline {
-                    fetched_by += 1;
+                if !item.silence {
+                    fetched += 1;
+                }
+                if let Some(deadline) = deadline {
+                    // Items past the live-emission pointer were never
+                    // flushed by `emit_due_deadlines` (possible only
+                    // when the loop ended mid-buffer); emit them now so
+                    // the event set is complete. Items before it
+                    // already went out live.
+                    if j >= self.deadline_emitted {
+                        obs.emit(|| self.deadline_event(j, deadline));
+                    }
+                    worst = worst.min(signed_margin(deadline, rec.done));
+                    if late {
+                        violations += 1;
+                        lateness.record(rec.done - deadline);
+                        if first_violation.is_none() {
+                            if let Some(ds) = first_display {
+                                first_violation = Some(deadline - ds);
+                            }
+                        }
+                    }
                 }
             }
-            prev_deadline = deadline;
-            max_buffered = max_buffered.max((fetched_by as u64).saturating_sub(j as u64));
+            if served.get(j + 1).is_none_or(|n| n.round() != rec.round()) {
+                if let Some(ds) = first_display {
+                    while consumed < items.len() && ds + items[consumed].at <= rec.done {
+                        consumed += 1;
+                    }
+                }
+                series.push(RoundSample {
+                    round: rec.round(),
+                    blocks: (j + 1 - group_start) as u64,
+                    // 0 if the round fetched only drops or pre-display
+                    // items.
+                    worst_margin_ns: if worst == i64::MAX { 0 } else { worst },
+                    buffered: ((j + 1) as u64).saturating_sub(consumed as u64),
+                });
+                (group_start, worst) = (j + 1, i64::MAX);
+            }
         }
-        StreamOutcome {
+        let burst = burst.max(run + (items.len() - serviced) as u64);
+        let lateness = lateness.summary();
+        let outcome = StreamOutcome {
             blocks: items.len() as u64,
             fetched,
             violations,
-            max_lateness: lateness.iter().copied().max().unwrap_or(Nanos::ZERO),
-            lateness: NanosSummary::of(lateness),
+            max_lateness: lateness.max,
+            lateness,
             start_latency: match (first_display, self.service_start) {
                 (Some(ds), Some(ss)) => ds - ss,
                 _ => Nanos::ZERO,
@@ -581,7 +574,8 @@ impl StreamState {
             retries: self.retries,
             revokes: self.revokes,
             recovery_time: self.recovery_time,
-        }
+        };
+        (outcome, burst)
     }
 }
 

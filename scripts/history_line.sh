@@ -26,11 +26,14 @@ probes=$(grep -o '"name": *"scrub"[^}]*"rep": *0, *"count": *[0-9]*' \
 streamed_us=$(cargo run -q -p strandfs-bench --release --offline --bin bench -- \
     --check --quick checksum 2>/dev/null |
     awk '$1 == "checksum/block_sum_28k_streamed" { print $3 }')
-scale_ns=$(grep '"scale/n100000_playback"' BENCH_core.json |
-    sed 's/.*"median_ns": *\([0-9]*\).*/\1/')
+median_of() {
+    grep "\"$1\"" BENCH_core.json | sed 's/.*"median_ns": *\([0-9]*\).*/\1/'
+}
+scale_ns=$(median_of scale/n100000_playback)
+titles_ns=$(median_of scale/n100000_titles16_playback)
 
 awk -v pr="$pr" -v parent="$(git rev-parse HEAD)" -v nproc="$(nproc)" \
-    -v probes="$probes" -v streamed="$streamed_us" -v scale="$scale_ns" '
+    -v probes="$probes" -v streamed="$streamed_us" -v scale="$scale_ns" -v titles="$titles_ns" '
 function median(w, m,    n, i, j, t, a) {
     n = split(seen[w, m], a, " ") - traced[w]
     for (i = 2; i <= n; i++)
@@ -63,6 +66,10 @@ END {
     printf "\"setup_s\": %s, ", medians("setup_s", "%.4f")
     printf "\"cluster.defense.all_ratio\": %.1f, ", last["vod_defended", "cluster.defense.all_ratio"]
     printf "\"scale/n100000_playback_median_ns\": %d, ", scale
+    printf "\"scale/n100000_titles16_playback_median_ns\": %d, ", titles
+    printf "\"sim.playback.rep_ms_p50\": %.1f, ", last["volume_overload", "sim.playback.rep_ms_p50"]
+    printf "\"sim.playback.ns_per_block\": %.1f, ", last["volume_overload", "sim.playback.ns_per_block"]
+    printf "\"sim.playback.order_share\": %.3f, ", last["volume_overload", "sim.playback.order_share"]
     printf "\"peak_rss_mb\": %s, ", medians("peak_rss_mb", "%.2f")
     printf "\"obs.overhead_ratio\": %s, ", per_workload("obs.overhead_ratio", "%.2f")
     printf "\"cluster.defense.monitor_ratio\": %.2f, ", last["vod_defended", "cluster.defense.monitor_ratio"]

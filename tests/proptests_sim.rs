@@ -9,7 +9,7 @@ use strandfs::core::StrandId;
 use strandfs::disk::{AccessKind, DiskGeometry, Extent, SeekModel, SimDisk};
 use strandfs::media::silence::SilenceDetector;
 use strandfs::media::{Medium, VideoCodec};
-use strandfs::units::{Instant, Nanos};
+use strandfs::units::{Instant, Nanos, Prng};
 use strandfs_testkit::fsx::{try_run as fsx_try_run, FsxConfig};
 use strandfs_testkit::{
     any_bool, check, check_with, prop_assert, prop_assert_eq, vec as prop_vec, CaseError, Config,
@@ -459,11 +459,27 @@ fn optimized_service_loop_matches_the_reference_loop() {
     // populations, service orders, degradation modes, fault plans and
     // mid-flight arrivals. Both runs build the same volume from the
     // same seed, so any divergence is the loops', not the scenario's.
+    //
+    // `extra` > 0 gives every clip `1 + extra` viewers, plus one viewer
+    // of an edit that cuts from the last clip into the first, in a
+    // seeded shuffled order, and lists the arrivals out of activation
+    // order. The sweep loop then lays streams out in an order that is
+    // not index order, and the edit's viewer meets the first clip's
+    // viewers at one address with its slot and its activation ordinal
+    // ranked differently against theirs.
     check_with(
         &Config::with_cases(8),
         "optimized_service_loop_matches_the_reference_loop",
-        (0u64..1_000, 1usize..4, 0u8..3, 0u8..3, any_bool(), 2u64..6),
-        |&(seed, n, order_sel, degrade_sel, with_arrival, k)| {
+        (
+            0u64..1_000,
+            1usize..4,
+            0u8..3,
+            0u8..3,
+            any_bool(),
+            2u64..6,
+            0usize..4,
+        ),
+        |&(seed, n, order_sel, degrade_sel, with_arrival, k, extra)| {
             let order = match order_sel {
                 0 => ServiceOrder::RoundRobin,
                 1 => ServiceOrder::Scan,
@@ -515,15 +531,31 @@ fn optimized_service_loop_matches_the_reference_loop() {
                     }
                     assert!(mrs.msm_mut().arm_faults(plan));
                 }
-                let arrivals = if with_arrival {
-                    vec![Arrival {
+                let mut arrivals = Vec::new();
+                if with_arrival {
+                    arrivals.push(Arrival {
                         at_round: 3,
                         schedule: scheds[0].clone(),
-                    }]
-                } else {
-                    Vec::new()
-                };
-                (mrs, scheds, arrivals)
+                    });
+                    if extra > 0 {
+                        arrivals.push(Arrival {
+                            at_round: 2,
+                            schedule: scheds[n - 1].clone(),
+                        });
+                    }
+                }
+                let mut streams: Vec<_> = (0..=extra).flat_map(|_| scheds.clone()).collect();
+                if extra > 0 {
+                    // The cut: the last clip's first two items, then the
+                    // first clip from its third (clips share timing).
+                    let (head, tail) = (&scheds[n - 1].items, &scheds[0].items);
+                    streams.push(PlaySchedule {
+                        items: head[..2].iter().chain(&tail[2..]).copied().collect(),
+                        ..scheds[0].clone()
+                    });
+                    Prng::seed_from_u64(seed).shuffle(&mut streams);
+                }
+                (mrs, streams, arrivals)
             };
             let k_of_round = move |round: u64, live: usize| k + (round + live as u64) % 2;
 

@@ -12,19 +12,23 @@
 //! Each test fails against the pre-fix loop and passes against both the
 //! optimized loop and its reference transliteration
 //! (`strandfs::sim::reference`).
+//!
+//! A fourth pins the event order of the SCAN/CSCAN loop, which lays its
+//! streams out in first-sweep order rather than index order.
 
 use std::cell::RefCell;
 
 use strandfs::core::mrs::{compile_schedule, Mrs, PlaySchedule};
 use strandfs::core::rope::edit::{Interval, MediaSel};
-use strandfs::disk::FaultPlan;
-use strandfs::obs::{Event, ObsSink};
+use strandfs::disk::{fnv1a, FaultPlan};
+use strandfs::obs::{DegradeAction, Event, ObsSink};
 use strandfs::sim::playback::{
     lba_probe_count, simulate_degraded, simulate_playback, Arrival, DegradeMode, PlaybackConfig,
+    ServiceOrder,
 };
 use strandfs::sim::reference::simulate_degraded_reference;
 use strandfs::sim::{faulty_volume, standard_volume, ClipSpec};
-use strandfs::units::Nanos;
+use strandfs::units::{Nanos, Prng};
 
 fn schedules(mrs: &mut Mrs, ropes: &[strandfs::core::RopeId]) -> Vec<PlaySchedule> {
     ropes
@@ -216,4 +220,102 @@ fn idle_rounds_advance_the_outage_clock() {
     assert!(idle_span > Nanos::ZERO);
     assert_eq!(s.recovery_time, idle_span);
     assert!(r.metrics().rounds_idle >= 1);
+}
+
+/// The SCAN/CSCAN loop lays its streams out in first-sweep order, which
+/// is not index order once viewers share titles in a shuffled order.
+/// Nothing observable may follow storage: sweep ties keep activation
+/// order, and re-admissions, the report and the end-of-run deadline
+/// flush run in stream-index order. Every recorded event and the report
+/// of SCAN and CSCAN, strict and laddered, over one shuffled multi-title
+/// population with an arrival, are pinned to hashes recorded on the
+/// index-order loop before the layout existed.
+#[test]
+fn sweep_layout_leaves_every_event_in_place() {
+    let run = |order: ServiceOrder, ladder: bool| -> u64 {
+        let clips = [ClipSpec::video_seconds(2.0); 3];
+        let (mut mrs, ropes) = faulty_volume(&clips, 5).expect("build volume");
+        let scheds = schedules(&mut mrs, &ropes);
+        // Three viewers a title, plus one of an edit that cuts from the
+        // last title into the first after two items: it is laid out
+        // after the first title's viewers but indexed among them.
+        let mut streams: Vec<_> = (0..3).flat_map(|_| scheds.clone()).collect();
+        let (head, tail) = (&scheds[2].items, &scheds[0].items);
+        streams.push(PlaySchedule {
+            items: head[..2].iter().chain(&tail[2..]).copied().collect(),
+            ..scheds[0].clone()
+        });
+        Prng::seed_from_u64(3).shuffle(&mut streams);
+        let arrivals = vec![Arrival {
+            at_round: 2,
+            schedule: scheds[1].clone(),
+        }];
+        let degrade = if ladder {
+            // One bad block under the first title, past the cut: its
+            // three viewers and the edit's meet it in one round.
+            let item = scheds[0].items[6];
+            let e = mrs
+                .msm()
+                .strand(item.strand)
+                .unwrap()
+                .block(item.block)
+                .unwrap()
+                .unwrap();
+            assert!(mrs
+                .msm_mut()
+                .arm_faults(FaultPlan::clean().with_bad_extent(e)));
+            DegradeMode::Ladder {
+                revoke_after_drops: 1,
+                readmit_clean_rounds: 2,
+            }
+        } else {
+            DegradeMode::Strict
+        };
+        let (sink, rec) = ObsSink::ring(1 << 16);
+        mrs.set_obs(sink);
+        let report =
+            simulate_degraded(&mut mrs, streams, arrivals, |k| k, |_, _| 3, order, degrade)
+                .expect("simulate");
+        let rec = rec.borrow();
+        assert_eq!(rec.dropped(), 0, "the ring must hold every event");
+        let readmits: Vec<u64> = rec
+            .events()
+            .filter_map(|e| match e {
+                Event::Degrade {
+                    action: DegradeAction::Readmit,
+                    round,
+                    ..
+                } => Some(*round),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            !ladder || readmits.windows(2).any(|w| w[0] == w[1]),
+            "streams must be re-admitted together: {readmits:?}"
+        );
+        let mut seen = format!("{report:?}").into_bytes();
+        for e in rec.events() {
+            seen.extend_from_slice(format!("{e:?}").as_bytes());
+        }
+        fnv1a(&seen)
+    };
+    const PINNED: [(ServiceOrder, bool, u64); 4] = [
+        (ServiceOrder::Scan, false, 0x1ae7d073600768df),
+        (ServiceOrder::Scan, true, 0xaa0244e440281725),
+        (ServiceOrder::Cscan, false, 0x91e3dc11b6e3cc82),
+        (ServiceOrder::Cscan, true, 0xbf0883d57581f8e2),
+    ];
+    let observed: Vec<_> = PINNED
+        .iter()
+        .map(|&(order, ladder, _)| (order, ladder, run(order, ladder)))
+        .collect();
+    assert_eq!(
+        observed,
+        PINNED,
+        "event or report order moved; observed:\n{}",
+        observed
+            .iter()
+            .map(|(o, l, h)| format!("        (ServiceOrder::{o:?}, {l}, {h:#018x}),\n"))
+            .collect::<String>()
+    );
 }
