@@ -2,7 +2,7 @@
 //!
 //! The continuity analysis (Eqs. 1–18) assumes the disk always delivers;
 //! real media fault. E13 replays the same two-stream load over a
-//! fault-injecting disk at increasing transient-fault rates under two
+//! faulting disk at increasing transient-fault rates under two
 //! policies — `abandon` (a faulted fetch is dropped immediately) and the
 //! degradation ladder (retry within the Eq. 18 slack share, then drop,
 //! then revoke through admission control) — and measures miss rate, p99
@@ -10,7 +10,7 @@
 //! targeted scenario corrupts a run of one stream's blocks permanently
 //! and checks that revoking the victim shields the healthy stream.
 //!
-//! Everything runs in virtual time on the seeded injector, so the whole
+//! Everything runs in virtual time on a seeded fault plan, so the whole
 //! section is deterministic: same seed, same numbers.
 
 use std::fmt::Write as _;
@@ -33,7 +33,7 @@ pub const STREAMS: usize = 2;
 /// Round size (blocks fetched per stream per round).
 const K: u64 = 4;
 
-/// Injector seed — the whole experiment is deterministic under it.
+/// Fault seed — the whole experiment is deterministic under it.
 const SEED: u64 = 99;
 
 /// The full degradation ladder used in the sweep and shield scenarios:
@@ -100,9 +100,8 @@ pub fn run_cell(rate: f64, policy: &'static str, mode: DegradeMode) -> Row {
     let clips = [ClipSpec::video_seconds(4.0); STREAMS];
     let (mut mrs, ropes) = faulty_volume(&clips, SEED).expect("build faulty volume");
     let scheds = schedules(&mut mrs, &ropes).expect("compile schedules");
-    assert!(mrs
-        .msm_mut()
-        .arm_faults(FaultPlan::clean().with_random_transients(rate, 1)));
+    mrs.msm_mut()
+        .arm_faults(FaultPlan::clean().with_random_transients(rate, 1));
     let report = simulate_playback(&mut mrs, scheds, PlaybackConfig::with_k(K).degraded(mode))
         .expect("simulate");
     let slo = report.slo();
@@ -145,7 +144,7 @@ pub fn run_shield() -> Shield {
             .expect("video schedules have no silence holes");
         plan = plan.with_bad_extent(e);
     }
-    assert!(mrs.msm_mut().arm_faults(plan));
+    mrs.msm_mut().arm_faults(plan);
     let report = simulate_playback(
         &mut mrs,
         scheds,

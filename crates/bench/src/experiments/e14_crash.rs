@@ -12,7 +12,7 @@
 //! the regression gate pins the byte-level outcome of the whole sweep,
 //! not just its totals.
 //!
-//! Everything runs in virtual time on the seeded injector: same seed,
+//! Everything runs in virtual time on a seeded fault plan: same seed,
 //! same numbers, same fingerprint.
 
 use std::fmt::Write as _;
@@ -20,7 +20,7 @@ use std::fmt::Write as _;
 use crate::table::Table;
 use strandfs_testkit::crash::{sweep, SweepSummary};
 
-/// Injector seed — the whole sweep is deterministic under it.
+/// Fault seed — the whole sweep is deterministic under it.
 pub const SEED: u64 = 41;
 
 /// Run the full crash-point sweep at the committed seed.

@@ -15,7 +15,7 @@
 //! the journal that shifts a single byte of the final image shows up
 //! here.
 //!
-//! Everything runs in virtual time on the seeded injector: same seed,
+//! Everything runs in virtual time on a seeded fault plan: same seed,
 //! same numbers, same fingerprints.
 
 use std::fmt::Write as _;

@@ -48,7 +48,7 @@ const CLIP_SECONDS: f64 = 8.0;
 /// Service rounds per monitoring window.
 pub const WINDOW_ROUNDS: u64 = 4;
 
-/// Injector seed — same as the E13 sweep, so the fault pattern is the
+/// Fault seed — same as the E13 sweep, so the fault pattern is the
 /// one the committed baseline already pins.
 const SEED: u64 = 99;
 
@@ -111,9 +111,8 @@ fn build_scenario() -> (Mrs, Vec<PlaySchedule>) {
         })
         .collect::<Result<_, _>>()
         .expect("compile schedules");
-    assert!(mrs
-        .msm_mut()
-        .arm_faults(FaultPlan::clean().with_random_transients(RATE, 1)));
+    mrs.msm_mut()
+        .arm_faults(FaultPlan::clean().with_random_transients(RATE, 1));
     (mrs, scheds)
 }
 

@@ -37,7 +37,7 @@ use strandfs_sim::ClipSpec;
 /// Member counts of the scaling sweep.
 pub const VOLUMES: [usize; 4] = [1, 2, 4, 8];
 
-/// Fault-injector seed shared by every cluster in the experiment (the
+/// Fault seed shared by every cluster in the experiment (the
 /// clusters are fault-free until a scripted kill arms a plan, so the
 /// seed only has to be fixed, not interesting).
 const SEED: u64 = 0xE18;

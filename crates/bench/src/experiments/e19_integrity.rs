@@ -36,7 +36,7 @@ use strandfs_obs::{MonitorConfig, ObsSink, SloRule, WindowedMonitor};
 use strandfs_sim::ClipSpec;
 use strandfs_units::Instant;
 
-/// Fault-injector seed shared by every cluster in the experiment.
+/// Fault seed shared by every cluster in the experiment.
 const SEED: u64 = 0xE19;
 
 /// Blocks whose payloads the corruption leg flips a bit in.

@@ -10,9 +10,7 @@ use strandfs_core::mrs::{compile_schedule, Mrs, PlaySchedule};
 use strandfs_core::msm::{Msm, MsmConfig, RecoveryReport};
 use strandfs_core::rope::edit::{Interval, MediaSel};
 use strandfs_core::{FsError, StrandId};
-use strandfs_disk::{
-    DiskGeometry, Extent, FaultInjector, FaultPlan, GapBounds, SeekModel, SimDisk,
-};
+use strandfs_disk::{DiskGeometry, Extent, FaultPlan, GapBounds, SeekModel, SimDisk};
 use strandfs_obs::ObsSink;
 use strandfs_sim::scenario::{record_clip, ClipSpec};
 use strandfs_units::prng::mix_seed;
@@ -31,8 +29,8 @@ pub enum MemberState {
     Down,
 }
 
-/// One member volume: a full rope server over its own fault-injecting
-/// disk, with its own journal and admission controller.
+/// One member volume: a full rope server over its own disk and fault
+/// plan, with its own journal and admission controller.
 pub struct Member {
     mrs: Mrs,
     state: MemberState,
@@ -64,7 +62,7 @@ pub struct ClusterConfig {
     pub placement: Placement,
     /// Replicas per title before any popularity boost.
     pub base_replicas: usize,
-    /// Seed for the members' fault-injector PRNGs.
+    /// Seed for the members' fault PRNGs.
     pub seed: u64,
 }
 
@@ -169,9 +167,9 @@ impl Cluster {
     }
 
     fn fresh_member(disk_model: &SimDisk, seed: u64) -> Member {
-        let injector = FaultInjector::new(SimDisk::new_like(disk_model), FaultPlan::clean(), seed);
+        let disk = SimDisk::new_like(disk_model).with_fault_seed(seed);
         Member {
-            mrs: Mrs::new(Msm::new(injector, Self::member_config())),
+            mrs: Mrs::new(Msm::new(disk, Self::member_config())),
             state: MemberState::Up,
         }
     }
@@ -338,9 +336,8 @@ impl Cluster {
 
     /// Kill a member: arm a whole-device bad-extent plan, so every
     /// future read on it surfaces a media error. The member is *not*
-    /// marked down — detection happens at the read path. Returns false
-    /// if the member's device does not support fault arming.
-    pub fn kill(&mut self, volume: usize) -> bool {
+    /// marked down — detection happens at the read path.
+    pub fn kill(&mut self, volume: usize) {
         // A member dying mid-restore must not strand the catalog
         // half-reconciled: drop the in-flight job before the device
         // starts failing, unwinding any half-written copies on the
@@ -353,20 +350,15 @@ impl Cluster {
         };
         m.mrs
             .msm_mut()
-            .arm_faults(FaultPlan::clean().with_bad_extent(whole))
+            .arm_faults(FaultPlan::clean().with_bad_extent(whole));
     }
 
     /// Arm an arbitrary fault plan on one member's device — silent
-    /// corruption, fail-slow stretch, latency shaping. Returns false if
-    /// the member's device does not support fault arming.
+    /// corruption, fail-slow stretch, latency shaping. Always `true`:
+    /// the result stays because the benchmark harness tests it.
     pub fn arm_member_faults(&mut self, volume: usize, plan: FaultPlan) -> bool {
-        self.members[volume].mrs.msm_mut().arm_faults(plan)
-    }
-
-    /// Clear every armed fault on a member (the device was serviced in
-    /// place); media, catalog and member state are untouched.
-    pub fn heal(&mut self, volume: usize) -> bool {
-        self.arm_member_faults(volume, FaultPlan::clean())
+        self.members[volume].mrs.msm_mut().arm_faults(plan);
+        true
     }
 
     /// Rejoin a downed member whose media survived: disarm the fault
@@ -382,8 +374,7 @@ impl Cluster {
         // The media is repaired/replaced before remount; recovery must
         // be able to read the journal and every surviving block.
         msm.arm_faults(FaultPlan::clean());
-        let device = msm.into_device();
-        let (mut msm, recovery) = Msm::recover(device, Self::member_config(), now)?;
+        let (mut msm, recovery) = Msm::recover(msm.into_device(), Self::member_config(), now)?;
         let repair = fsck::repair_msm(&mut msm, recovery.finished_at);
         let mut mrs = Mrs::new(msm);
         mrs.set_obs(self.obs.clone());
@@ -725,7 +716,7 @@ mod tests {
         let mut c = two_volume_cluster();
         c.ingest("clip", &ClipSpec::video_seconds(1.0), 0.0)
             .expect("ingest");
-        assert!(c.kill(0));
+        c.kill(0);
         // Detection: a read on the killed member fails.
         let loc = c.catalog().title(0).replicas[0].strands[0];
         let err = c

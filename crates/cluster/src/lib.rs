@@ -5,7 +5,7 @@
 //! treats one disk as the whole world; this crate is the
 //! master/chunkserver split that makes "millions of users" meaningful.
 //! A [`cluster::Cluster`] owns N members, each a full [`Mrs`] volume
-//! with its own `BlockDevice`, fault plan, journal and Eq. 15–18
+//! with its own disk, fault plan, journal and Eq. 15–18
 //! admission; a [`catalog::Catalog`] maps every title to its replicas
 //! (volume, strands, compiled schedule); and [`placement::Placement`]
 //! decides where recordings land — round-robin, least-loaded by live

@@ -346,12 +346,12 @@ struct ScrubStep {
 }
 
 /// Advance a member's scrub cursor `(strand raw id, block)` to the next
-/// stamped block no verified read has credited this pass, and probe it.
+/// stored block no verified read has credited this pass, and probe it.
 /// A probe re-hashes the stored payload in place — no device access, no
 /// arm movement, no virtual time of its own (the caller charges slack).
-/// Silence holes and unstamped blocks verify nothing and credited
-/// blocks are already verified: the cursor walks all three for free,
-/// within the same budget unit.
+/// Silence holes (sum [`NO_SUM`]) store nothing to verify and credited
+/// blocks are already verified: the cursor walks both for free, within
+/// the same budget unit.
 fn scrub_step(msm: &Msm, cursor: &mut (u64, u64), credits: &Credits) -> ScrubStep {
     let mut credited = 0;
     while let Some(strand) = msm.next_strand(StrandId::from_raw(cursor.0)) {
@@ -364,7 +364,7 @@ fn scrub_step(msm: &Msm, cursor: &mut (u64, u64), credits: &Credits) -> ScrubSte
             let n = cursor.1;
             cursor.1 += 1;
             if sum == NO_SUM {
-                continue;
+                continue; // a silence hole
             }
             if marked(marks, n) {
                 credited += 1;

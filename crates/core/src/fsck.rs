@@ -738,10 +738,10 @@ mod tests {
 
     #[test]
     fn bad_media_under_a_strand_is_reported() {
-        use strandfs_disk::{FaultInjector, FaultPlan};
+        use strandfs_disk::FaultPlan;
         let disk = SimDisk::new(DiskGeometry::vintage_1991(), SeekModel::vintage_1991());
         let mut m = Msm::new(
-            FaultInjector::new(disk, FaultPlan::clean(), 7),
+            disk.with_fault_seed(7),
             MsmConfig::constrained(
                 GapBounds {
                     min_sectors: 0,

@@ -18,14 +18,14 @@ use crate::journal::{self, CatalogEntry, Checkpoint, Journal, JournalConfig, Rec
 use crate::rope::scattering::{copy_bound, plan_boundary, CopyPlan, CopySide, Occupancy};
 use crate::rope::StrandRef;
 use crate::strand::index::{
-    build_primaries, HeaderBlock, IndexPtr, PrimaryBlock, SecondaryBlock, SecondaryEntry, NO_SUM,
+    build_primaries, HeaderBlock, IndexPtr, PrimaryBlock, SecondaryBlock, SecondaryEntry,
 };
 use crate::strand::{strand_from_index, Strand, StrandBuilder, StrandMeta};
 use crate::types::{BlockNo, StrandId};
 use std::collections::BTreeMap;
 use strandfs_disk::{
-    block_sum, block_sum_padded, AccessKind, AllocPolicy, Allocator, BlockDevice, DiskOp, Extent,
-    FaultKind, FaultPlan, FaultStats, GapBounds, SeekModel, SimDisk,
+    block_sum, block_sum_padded, AccessKind, AllocPolicy, Allocator, DiskOp, Extent, FaultKind,
+    FaultPlan, GapBounds, SeekModel, SimDisk,
 };
 use strandfs_obs::{Event, JournalOp, ObsSink};
 use strandfs_units::{Instant, Nanos, Seconds};
@@ -147,7 +147,7 @@ enum StrandState {
 
 /// The Multimedia Storage Manager.
 pub struct Msm {
-    disk: Box<dyn BlockDevice>,
+    disk: SimDisk,
     alloc: Allocator,
     gap_bounds: GapBounds,
     strands: BTreeMap<StrandId, StrandState>,
@@ -176,17 +176,12 @@ pub struct Msm {
 }
 
 impl Msm {
-    /// Create a storage manager over any [`BlockDevice`] — a bare
-    /// [`SimDisk`] or a fault-injecting wrapper.
-    pub fn new(disk: impl BlockDevice + 'static, config: MsmConfig) -> Self {
-        Self::build(Box::new(disk), &config)
-    }
-
-    fn build(disk: Box<dyn BlockDevice>, config: &MsmConfig) -> Self {
+    /// Create a storage manager over `disk`.
+    pub fn new(disk: SimDisk, config: MsmConfig) -> Self {
         let total = disk.geometry().total_sectors();
         let sector_size = disk.geometry().sector_size.get() as usize;
-        let env = Self::service_env(disk.as_ref(), config.gap_bounds);
-        let mut alloc = Allocator::new(total, config.policy.clone(), config.seed);
+        let env = Self::service_env(&disk, config.gap_bounds);
+        let mut alloc = Allocator::new(total, config.policy, config.seed);
         let journal = config.journal.map(|jc| {
             let j = Journal::new(0, jc, sector_size);
             let region = j.region();
@@ -257,7 +252,7 @@ impl Msm {
         Some(Msm::new(disk, MsmConfig::constrained(bounds, seed)))
     }
 
-    fn service_env(disk: &(impl BlockDevice + ?Sized), bounds: GapBounds) -> ServiceEnv {
+    fn service_env(disk: &SimDisk, bounds: GapBounds) -> ServiceEnv {
         let spc = disk.geometry().sectors_per_cylinder();
         let avg_gap_cyl = (bounds.min_sectors + bounds.max_sectors) / 2 / spc.max(1);
         ServiceEnv {
@@ -268,24 +263,16 @@ impl Msm {
     }
 
     /// The underlying device (read-only).
-    pub fn disk(&self) -> &dyn BlockDevice {
-        self.disk.as_ref()
+    pub fn disk(&self) -> &SimDisk {
+        &self.disk
     }
 
     /// Install (or replace) a fault plan on the underlying device.
-    /// Returns `false` when the device cannot inject faults (a bare
-    /// [`SimDisk`]); the plan is then ignored.
-    pub fn arm_faults(&mut self, plan: FaultPlan) -> bool {
+    pub fn arm_faults(&mut self, plan: FaultPlan) {
         // Media may decay (or be torn) under a cached traversal — every
         // future reload must go back to the disk image.
         self.index_cache.clear();
-        self.disk.arm_faults(plan)
-    }
-
-    /// Cumulative fault counters from the underlying device (all-zero
-    /// for faultless devices).
-    pub fn fault_stats(&self) -> FaultStats {
-        self.disk.fault_stats()
+        self.disk.arm_faults(plan);
     }
 
     /// The allocator (read-only; exposes free-map statistics).
@@ -352,7 +339,7 @@ impl Msm {
 
     /// Tear down the manager and hand back the device — the crash side
     /// of a simulated remount ([`Msm::recover`] is the mount side).
-    pub fn into_device(self) -> Box<dyn BlockDevice> {
+    pub fn into_device(self) -> SimDisk {
         self.disk
     }
 
@@ -852,19 +839,15 @@ impl Msm {
 
     /// Verify block `n`'s stored payload against the checksum stamped in
     /// the strand index, without virtual time or fault injection — the
-    /// scrub / fsck primitive. `Ok(None)` when there is nothing to check
-    /// (a silence hole or an unstamped block); otherwise `Ok(Some(ok))`.
+    /// scrub / fsck primitive. `Ok(None)` for a silence hole, which
+    /// stores nothing to check; otherwise `Ok(Some(ok))`.
     pub fn check_block_sum(&self, id: StrandId, n: BlockNo) -> Result<Option<bool>, FsError> {
         let strand = self.strand(id)?;
         let e = match strand.block(n)? {
             None => return Ok(None),
             Some(e) => e,
         };
-        let expected = strand.block_sum(n)?;
-        if expected == NO_SUM {
-            return Ok(None);
-        }
-        Ok(Some(self.disk.fetch_sum(e) == Some(expected)))
+        Ok(Some(self.disk.fetch_sum(e) == Some(strand.block_sum(n)?)))
     }
 
     /// Overwrite block `n`'s on-disk payload in place — the scrubber's
@@ -890,8 +873,7 @@ impl Msm {
                 reason: "rewrite payload does not span the block's extent",
             });
         }
-        let expected = strand.block_sum(n)?;
-        if expected != NO_SUM && block_sum(data) != expected {
+        if block_sum(data) != strand.block_sum(n)? {
             return Err(FsError::ChecksumMismatch {
                 lba: e.start,
                 sectors: e.sectors,
@@ -956,10 +938,7 @@ impl Msm {
                     // stored payload against the index stamp before
                     // handing it up; a mismatch is unretryable (the
                     // platter holds the wrong bits).
-                    if self.verify_reads
-                        && expected != NO_SUM
-                        && self.disk.fetch_sum(e) != Some(expected)
-                    {
+                    if self.verify_reads && self.disk.fetch_sum(e) != Some(expected) {
                         return Ok(BlockFetch::Failed {
                             reason: FetchFailure::Corrupt,
                             at: op.completed,
@@ -1201,11 +1180,8 @@ impl Msm {
                 meta.granularity
             };
             match b {
-                Some(e) => {
-                    // Kept blocks keep their original checksum stamp.
-                    let sum = strand.sums().get(i).copied().unwrap_or(NO_SUM);
-                    builder.push_block(*e, units, sum)?
-                }
+                // Kept blocks keep their original checksum stamp.
+                Some(e) => builder.push_block(*e, units, strand.sums()[i])?,
                 None => builder.push_silence(units)?,
             };
         }
@@ -1372,19 +1348,14 @@ impl Msm {
                         Some(p) => self.alloc.allocate_after(p, e.sectors)?,
                         None => self.alloc.allocate_first(e.sectors)?,
                     };
-                    // The copy keeps the stamp the source was recorded
-                    // with: re-hashing the bytes just read would give
-                    // rot under the source a fresh, valid stamp.
-                    let sum = if src_sum == NO_SUM {
-                        block_sum(&data)
-                    } else {
-                        src_sum
-                    };
                     self.disk.store_data(dst, &data);
                     let write_op = self.timed_write(t, dst)?;
                     t = write_op.completed;
+                    // The copy keeps the stamp the source was recorded
+                    // with: re-hashing the bytes just read would give
+                    // rot under the source a fresh, valid stamp.
                     let builder = self.recording_mut(new_id)?;
-                    builder.push_block(dst, meta.granularity, sum)?;
+                    builder.push_block(dst, meta.granularity, src_sum)?;
                     prev = Some(dst);
                 }
             }
@@ -1423,12 +1394,12 @@ impl Msm {
     /// journaled blocks against their checksums, keep the longest
     /// intact prefix, roll the rest back, and finish the strand with a
     /// fresh index. The device must have been power-cycled first if a
-    /// crash point froze it ([`BlockDevice::power_cycle`]).
+    /// crash point froze it ([`SimDisk::power_cycle`]).
     ///
     /// `config` must enable the journal with the same sizing the volume
     /// was created with.
     pub fn recover(
-        device: Box<dyn BlockDevice>,
+        device: SimDisk,
         config: MsmConfig,
         now: Instant,
     ) -> Result<(Msm, RecoveryReport), FsError> {
@@ -1437,7 +1408,7 @@ impl Msm {
                 what: "recovery requires a journal-enabled config",
             });
         }
-        let mut msm = Msm::build(device, &config);
+        let mut msm = Msm::new(device, config);
         let mut report = RecoveryReport::default();
         let mut t = now;
 

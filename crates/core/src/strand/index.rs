@@ -24,10 +24,9 @@ use strandfs_media::Medium;
 /// Sentinel disk address marking an eliminated-silence hole.
 pub const NULL_SECTOR: u64 = u64::MAX;
 
-/// Sentinel payload checksum for entries that carry none: silence holes
-/// and strands built by paths that never saw the payload bytes.
-/// Verification skips these entries. (FNV-1a of real data collides with
-/// 0 with probability 2⁻⁶⁴ — an acceptable sentinel.)
+/// The payload checksum of a silence hole, which stores no payload.
+/// `strandfs_disk::block_sum` never returns it, so every stored block's
+/// stamp differs from it.
 pub const NO_SUM: u64 = 0;
 
 const PRIMARY_MAGIC: u32 = 0x5342_4c50; // "PBLS"
@@ -43,14 +42,13 @@ pub struct PrimaryEntry {
     pub sector: u64,
     /// Length of the media block in sectors (0 for silence).
     pub sector_count: u32,
-    /// FNV-1a sum of the block's stored payload, stamped at write time;
-    /// [`NO_SUM`] for silence and unstamped entries.
+    /// Checksum of the block's stored payload, stamped at write time;
+    /// [`NO_SUM`] for silence.
     pub sum: u64,
 }
 
 impl PrimaryEntry {
-    /// An entry for a stored media block with its payload checksum
-    /// ([`NO_SUM`] when the writer never saw the payload bytes).
+    /// An entry for a stored media block with its payload checksum.
     pub fn stored(e: Extent, sum: u64) -> Self {
         PrimaryEntry {
             sector: e.start,
@@ -370,16 +368,16 @@ impl HeaderBlock {
 
 /// Split a strand's block map into Primary Blocks of the given capacity.
 ///
-/// `sums` is the parallel per-block payload-checksum vector (entries
-/// beyond its length default to [`NO_SUM`]). Returns `(primary blocks,
-/// coverage)` where `coverage[i]` is the `(start_block, block_count)`
-/// range of `primaries[i]`.
+/// `sums` is the parallel per-block payload-checksum vector. Returns
+/// `(primary blocks, coverage)` where `coverage[i]` is the
+/// `(start_block, block_count)` range of `primaries[i]`.
 pub fn build_primaries(
     blocks: &[Option<Extent>],
     sums: &[u64],
     per_primary: usize,
 ) -> (Vec<PrimaryBlock>, Vec<(u64, u32)>) {
     assert!(per_primary > 0, "primary capacity must be positive");
+    assert_eq!(blocks.len(), sums.len(), "one sum per block");
     let mut primaries = Vec::new();
     let mut coverage = Vec::new();
     for (chunk_idx, chunk) in blocks.chunks(per_primary).enumerate() {
@@ -388,7 +386,7 @@ pub fn build_primaries(
             .iter()
             .enumerate()
             .map(|(i, b)| match b {
-                Some(e) => PrimaryEntry::stored(*e, sums.get(base + i).copied().unwrap_or(NO_SUM)),
+                Some(e) => PrimaryEntry::stored(*e, sums[base + i]),
                 None => PrimaryEntry::SILENCE,
             })
             .collect();
@@ -418,7 +416,7 @@ mod tests {
             entries: vec![
                 PrimaryEntry::stored(Extent::new(100, 8), 0x1234_5678_9ABC_DEF0),
                 PrimaryEntry::SILENCE,
-                PrimaryEntry::stored(Extent::new(300, 8), NO_SUM),
+                PrimaryEntry::stored(Extent::new(300, 8), 0x42),
             ],
         };
         let bytes = pb.encode(512);
@@ -556,8 +554,5 @@ mod tests {
         assert_eq!(pbs[0].entries[1].sum, 1001);
         assert_eq!(pbs[1].entries[1].sum, 1043);
         assert_eq!(pbs[2].entries[1].sum, 1085);
-        // Missing sums default to the unstamped sentinel.
-        let (pbs2, _) = build_primaries(&blocks, &[], 42);
-        assert_eq!(pbs2[0].entries[1].sum, NO_SUM);
     }
 }

@@ -54,9 +54,8 @@ pub struct Strand {
     id: StrandId,
     meta: StrandMeta,
     blocks: Vec<Option<Extent>>,
-    /// FNV-1a checksum of each block's padded on-disk payload, parallel
-    /// to `blocks` ([`index::NO_SUM`] for silence holes and unstamped
-    /// blocks).
+    /// Checksum of each block's padded on-disk payload, parallel to
+    /// `blocks` ([`index::NO_SUM`] for silence holes).
     sums: Vec<u64>,
     unit_count: u64,
     /// Where the strand's on-disk index lives (header, secondaries,
@@ -149,13 +148,13 @@ impl Strand {
     }
 
     /// Per-block payload checksums, parallel to [`Strand::blocks`]
-    /// ([`index::NO_SUM`] for silence holes and unstamped blocks).
+    /// ([`index::NO_SUM`] for silence holes).
     pub fn sums(&self) -> &[u64] {
         &self.sums
     }
 
     /// The payload checksum stamped for block `n` ([`index::NO_SUM`] if
-    /// the block is silence or was recorded before checksumming).
+    /// the block is silence).
     pub fn block_sum(&self, n: BlockNo) -> Result<u64, FsError> {
         self.sums
             .get(n as usize)
@@ -238,9 +237,10 @@ impl StrandBuilder {
     }
 
     /// Append a stored media block of `units` media units at `extent`,
-    /// stamped with the FNV-1a checksum of its padded on-disk payload
-    /// (pass [`index::NO_SUM`] to leave the block unstamped).
+    /// stamped with the checksum of its padded on-disk payload
+    /// (`strandfs_disk::block_sum`, never [`index::NO_SUM`]).
     pub fn push_block(&mut self, extent: Extent, units: u64, sum: u64) -> Result<BlockNo, FsError> {
+        assert_ne!(sum, index::NO_SUM, "a stored block must carry its stamp");
         self.push(Some(extent), units, sum)
     }
 
@@ -293,8 +293,16 @@ pub fn strand_from_index(
     let mut sums = Vec::with_capacity(header.block_count as usize);
     for pb in primaries {
         for e in &pb.entries {
+            sums.push(match e.extent() {
+                None => index::NO_SUM,
+                Some(_) if e.sum == index::NO_SUM => {
+                    return Err(FsError::CorruptIndex {
+                        what: "stored block without a checksum stamp",
+                    })
+                }
+                Some(_) => e.sum,
+            });
             blocks.push(e.extent());
-            sums.push(if e.is_silence() { index::NO_SUM } else { e.sum });
         }
     }
     if blocks.len() as u64 != header.block_count {
@@ -390,7 +398,7 @@ mod tests {
         assert!(s.is_silence(1).unwrap());
         assert!(!s.is_silence(0).unwrap());
         assert!((s.silence_fraction() - 1.0 / 3.0).abs() < 1e-12);
-        // Silence holes carry the unstamped sentinel.
+        // Silence holes carry the no-sum encoding.
         assert_eq!(s.sums(), &[0xA, index::NO_SUM, 0xB]);
         // Silence still advances media time.
         assert_eq!(s.unit_count(), 2_400);
@@ -406,7 +414,7 @@ mod tests {
     fn last_stored_skips_holes() {
         let mut b = StrandBuilder::new(StrandId::from_raw(3), meta());
         assert_eq!(b.last_stored(), None);
-        b.push_block(Extent::new(10, 8), 3, 0).unwrap();
+        b.push_block(Extent::new(10, 8), 3, 0x10).unwrap();
         b.push_silence(3).unwrap();
         assert_eq!(b.last_stored(), Some(Extent::new(10, 8)));
     }
@@ -414,8 +422,8 @@ mod tests {
     #[test]
     fn partial_final_block() {
         let mut b = StrandBuilder::new(StrandId::from_raw(4), meta());
-        b.push_block(Extent::new(0, 8), 3, 0).unwrap();
-        b.push_block(Extent::new(100, 8), 2, 0).unwrap(); // partial
+        b.push_block(Extent::new(0, 8), 3, 0x20).unwrap();
+        b.push_block(Extent::new(100, 8), 2, 0x21).unwrap(); // partial
         let s = b.freeze(vec![]);
         assert_eq!(s.unit_count(), 5);
         assert_eq!(s.block_of_unit(4).unwrap(), 1);
@@ -425,7 +433,7 @@ mod tests {
     #[should_panic(expected = "1..=granularity")]
     fn oversized_block_rejected() {
         let mut b = StrandBuilder::new(StrandId::from_raw(5), meta());
-        let _ = b.push_block(Extent::new(0, 8), 4, 0);
+        let _ = b.push_block(Extent::new(0, 8), 4, 0x30);
     }
 
     #[test]
@@ -468,6 +476,18 @@ mod tests {
         };
         assert!(matches!(
             strand_from_index(StrandId::from_raw(7), &header, &[pb], vec![]),
+            Err(FsError::CorruptIndex { .. })
+        ));
+        // A stored block whose entry carries the silence-hole sum.
+        let mut entries = vec![index::PrimaryEntry::SILENCE; 3];
+        entries[1] = index::PrimaryEntry::stored(Extent::new(80, 8), index::NO_SUM);
+        assert!(matches!(
+            strand_from_index(
+                StrandId::from_raw(7),
+                &header,
+                &[index::PrimaryBlock { entries }],
+                vec![]
+            ),
             Err(FsError::CorruptIndex { .. })
         ));
     }

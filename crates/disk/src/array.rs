@@ -85,7 +85,9 @@ impl DiskArray {
                 !std::mem::replace(&mut seen[i], true),
                 "two concurrent stripes on disk {i}"
             );
-            let op = self.disks[i].access(now, extent, kind);
+            let op = self.disks[i]
+                .access(now, extent, kind)
+                .expect("array members are never armed");
             if op.completed > done {
                 done = op.completed;
             }
@@ -196,7 +198,8 @@ mod tests {
         let mut a = array(2);
         let far = a.disk(0).geometry().sectors_per_cylinder() * 30;
         a.disk_mut(0)
-            .access(Instant::EPOCH, Extent::new(far, 1), AccessKind::Read);
+            .access(Instant::EPOCH, Extent::new(far, 1), AccessKind::Read)
+            .unwrap();
         assert_eq!(a.disk(0).head_cylinder(), 30);
         assert_eq!(a.disk(1).head_cylinder(), 0);
     }

@@ -1,11 +1,12 @@
 //! The simulated disk: a single actuator, a spinning platter, and a sparse
 //! store of contiguous sector chunks.
 
+use crate::fault::{AccessResult, Applied, FaultPlan, FaultStats, Faulted, Faults};
 use crate::geometry::{DiskGeometry, Extent, Lba};
 use crate::seek::SeekModel;
 use crate::stats::DiskStats;
 use std::sync::Arc;
-use strandfs_obs::{AccessDir, Event, ObsSink};
+use strandfs_obs::{AccessDir, Event, FaultClass, ObsSink};
 use strandfs_units::{Instant, Nanos, Seconds};
 
 /// Running FNV-1a-64 state — the one copy of the hash behind
@@ -127,8 +128,8 @@ impl BlockSum {
         Self::off_zero(h)
     }
 
-    /// Zero is the strand index's "unstamped" marker (`NO_SUM`); a block
-    /// whose sum lands there is stamped 1 instead.
+    /// Zero is the strand index's silence-hole encoding (`NO_SUM`); a
+    /// block whose sum lands there is stamped 1 instead.
     fn off_zero(h: u64) -> u64 {
         h.max(1)
     }
@@ -298,6 +299,10 @@ impl DiskOp {
 /// Sector payloads are stored sparsely, a chunk of [`CHUNK_SECTORS`] at
 /// a time; unwritten sectors read back as zeroes, like a
 /// freshly-formatted drive.
+///
+/// A disk executes a [`FaultPlan`] once one is armed
+/// ([`SimDisk::arm_faults`]); until then, and under
+/// [`FaultPlan::clean`], no access fails.
 #[derive(Debug)]
 pub struct SimDisk {
     geometry: DiskGeometry,
@@ -315,6 +320,10 @@ pub struct SimDisk {
     zero_sector: Box<[u8]>,
     stats: DiskStats,
     obs: ObsSink,
+    /// Seeds the fault PRNG at every arm.
+    fault_seed: u64,
+    /// The armed plan and its state; `None` until the first arm.
+    faults: Option<Box<Faults>>,
 }
 
 impl SimDisk {
@@ -351,6 +360,71 @@ impl SimDisk {
             zero_sector: vec![0; geometry.sector_size.get() as usize].into_boxed_slice(),
             stats: DiskStats::default(),
             obs: ObsSink::noop(),
+            fault_seed: 0,
+            faults: None,
+        }
+    }
+
+    /// The same disk with its fault PRNG seeded from `seed` (0 by
+    /// default): the same plan, seed and access sequence replay
+    /// byte-identically.
+    pub fn with_fault_seed(mut self, seed: u64) -> Self {
+        self.fault_seed = seed;
+        self
+    }
+
+    /// Install (or replace) a fault plan, resetting the plan's state and
+    /// re-seeding the fault PRNG; [`SimDisk::fault_stats`] keeps
+    /// counting. A plan's silent corruption rots the stored image now.
+    pub fn arm_faults(&mut self, plan: FaultPlan) {
+        let stats = self
+            .faults
+            .take()
+            .map_or(FaultStats::default(), |f| f.stats);
+        let mut f = Faults::new(plan, self.fault_seed, stats);
+        // Rot before the op-level PRNG stream starts, so the same plan
+        // and seed rot the same bits. The disk keeps serving the extent
+        // with nominal timing — only a checksum can tell.
+        for c in &f.plan.corrupt {
+            let Some(mut data) = self.try_fetch(c.extent) else {
+                continue;
+            };
+            if data.is_empty() {
+                continue;
+            }
+            let bit = f.prng.bounded_u64(data.len() as u64 * 8);
+            data[(bit / 8) as usize] ^= 1 << (bit % 8);
+            self.store_data(c.extent, &data);
+            f.stats.corrupted += 1;
+        }
+        self.faults = Some(Box::new(f));
+    }
+
+    /// Cumulative fault counters (all zero until a plan fires).
+    pub fn fault_stats(&self) -> FaultStats {
+        self.faults
+            .as_ref()
+            .map_or(FaultStats::default(), |f| f.stats)
+    }
+
+    /// Known-bad extents of the armed plan — first-class metadata for
+    /// fsck, not a panic.
+    pub fn bad_extents(&self) -> &[Extent] {
+        self.faults.as_ref().map_or(&[], |f| &f.plan.bad)
+    }
+
+    /// True once the crash point fired and no power cycle has cleared it.
+    pub fn is_crashed(&self) -> bool {
+        self.faults.as_ref().is_some_and(|f| f.crashed)
+    }
+
+    /// Clear a crash-point freeze so the post-crash image can be
+    /// remounted: the disk accepts operations again and the spent crash
+    /// point is disarmed (other fault state is retained).
+    pub fn power_cycle(&mut self) {
+        if let Some(f) = &mut self.faults {
+            f.crashed = false;
+            f.plan.crash = None;
         }
     }
 
@@ -407,9 +481,11 @@ impl SimDisk {
     }
 
     /// Perform a timed access of `extent`, returning its decomposed
-    /// timing. Panics if the extent is off-device (a file-system bug, not
-    /// an I/O error — real drivers validate requests before issue).
-    pub fn access(&mut self, now: Instant, extent: Extent, kind: AccessKind) -> DiskOp {
+    /// timing — stretched, or failed with the wasted attempt's timing, as
+    /// the armed plan says. Panics if the extent is off-device (a
+    /// file-system bug, not an I/O error — real drivers validate requests
+    /// before issue).
+    pub fn access(&mut self, now: Instant, extent: Extent, kind: AccessKind) -> AccessResult {
         assert!(
             self.geometry.extent_valid(extent),
             "access beyond device: {extent:?} on {} sectors",
@@ -429,7 +505,7 @@ impl SimDisk {
         let completed = at_cylinder + rotation + transfer;
         self.head_cylinder = self.geometry.cylinder_of(extent.end() - 1);
 
-        let op = DiskOp {
+        let mut op = DiskOp {
             extent,
             kind,
             issued: now,
@@ -438,22 +514,52 @@ impl SimDisk {
             transfer,
             completed,
         };
+        let applied = match self.faults.as_deref_mut() {
+            Some(f) => f.apply(&mut op),
+            None => Applied::default(),
+        };
+        if let Some(lost) = applied.lost {
+            self.drop_sectors(lost);
+        }
         self.stats.record(&op);
+        let dir = match kind {
+            AccessKind::Read => AccessDir::Read,
+            AccessKind::Write => AccessDir::Write,
+        };
         self.obs.emit(|| Event::DiskOp {
-            dir: match kind {
-                AccessKind::Read => AccessDir::Read,
-                AccessKind::Write => AccessDir::Write,
-            },
+            dir,
             lba: extent.start,
             sectors: extent.sectors,
             cylinder: target_cyl,
             cyl_distance: distance,
             issued: now,
-            seek,
-            rotation,
-            transfer,
+            seek: op.seek,
+            rotation: op.rotation,
+            transfer: op.transfer,
         });
-        op
+        let fault = |class, penalty| Event::Fault {
+            class,
+            dir,
+            lba: extent.start,
+            sectors: extent.sectors,
+            issued: now,
+            detected: op.completed,
+            penalty,
+        };
+        if applied.degraded > Nanos::ZERO {
+            self.obs
+                .emit(|| fault(FaultClass::Degraded, applied.degraded));
+        }
+        if applied.spike > Nanos::ZERO {
+            self.obs.emit(|| fault(FaultClass::Spike, applied.spike));
+        }
+        match applied.fault {
+            None => Ok(op),
+            Some(kind) => {
+                self.obs.emit(|| fault(kind.class(), op.service_time()));
+                Err(Faulted { kind, op })
+            }
+        }
     }
 
     /// Rotational wait from `at` until sector `lba` first passes under the
@@ -503,8 +609,12 @@ impl SimDisk {
     /// Write `data`, zero-padded to the extent's byte size (it may not be
     /// longer), into `extent`: the pad replaces whatever the sectors held.
     /// Only the payload store is touched; use [`Self::access`] for
-    /// timing. Panics if the extent is off-device, like `access`.
+    /// timing. Panics if the extent is off-device, like `access`. A
+    /// crashed disk drops the store: its image froze at the crash point.
     pub fn store_data(&mut self, extent: Extent, data: &[u8]) {
+        if self.is_crashed() {
+            return;
+        }
         let ss = self.geometry.sector_size.get() as usize;
         assert!(
             data.len() <= ss * extent.sectors as usize,
@@ -588,7 +698,14 @@ impl SimDisk {
     }
 
     /// Drop the payload of `extent` (models discard; timing-neutral).
+    /// A crashed disk keeps its frozen image.
     pub fn discard_data(&mut self, extent: Extent) {
+        if !self.is_crashed() {
+            self.drop_sectors(extent);
+        }
+    }
+
+    fn drop_sectors(&mut self, extent: Extent) {
         let ss = self.geometry.sector_size.get() as usize;
         for (idx, first, n) in chunk_runs(extent) {
             let Some(Some(chunk)) = self.store.get_mut(idx) else {
@@ -644,7 +761,9 @@ mod tests {
     #[test]
     fn access_timing_decomposes() {
         let mut d = disk();
-        let op = d.access(Instant::EPOCH, Extent::new(0, 4), AccessKind::Read);
+        let op = d
+            .access(Instant::EPOCH, Extent::new(0, 4), AccessKind::Read)
+            .unwrap();
         assert_eq!(op.seek, Nanos::ZERO, "head starts at cylinder 0");
         assert_eq!(
             op.completed,
@@ -662,11 +781,15 @@ mod tests {
     fn seek_charged_for_cylinder_moves() {
         let mut d = disk();
         let far = d.geometry().sectors_per_cylinder() * 40; // cylinder 40
-        let op = d.access(Instant::EPOCH, Extent::new(far, 1), AccessKind::Read);
+        let op = d
+            .access(Instant::EPOCH, Extent::new(far, 1), AccessKind::Read)
+            .unwrap();
         assert!(op.seek > Nanos::ZERO);
         assert_eq!(d.head_cylinder(), 40);
         // Returning to cylinder 40 is then free of seek.
-        let op2 = d.access(op.completed, Extent::new(far + 1, 1), AccessKind::Read);
+        let op2 = d
+            .access(op.completed, Extent::new(far + 1, 1), AccessKind::Read)
+            .unwrap();
         assert_eq!(op2.seek, Nanos::ZERO);
     }
 
@@ -677,7 +800,7 @@ mod tests {
         let mut t = Instant::EPOCH;
         for i in 0..50 {
             let lba = (i * 7) % d.geometry().total_sectors();
-            let op = d.access(t, Extent::new(lba, 1), AccessKind::Read);
+            let op = d.access(t, Extent::new(lba, 1), AccessKind::Read).unwrap();
             assert!(op.rotation < rev, "rotation {} >= rev {}", op.rotation, rev);
             t = op.completed;
         }
@@ -688,16 +811,20 @@ mod tests {
         let mut d1 = disk();
         let mut d2 = disk();
         let e = Extent::new(5, 1);
-        let a = d1.access(
-            Instant::EPOCH + Nanos::from_micros(123),
-            e,
-            AccessKind::Read,
-        );
-        let b = d2.access(
-            Instant::EPOCH + Nanos::from_micros(123),
-            e,
-            AccessKind::Read,
-        );
+        let a = d1
+            .access(
+                Instant::EPOCH + Nanos::from_micros(123),
+                e,
+                AccessKind::Read,
+            )
+            .unwrap();
+        let b = d2
+            .access(
+                Instant::EPOCH + Nanos::from_micros(123),
+                e,
+                AccessKind::Read,
+            )
+            .unwrap();
         assert_eq!(a.rotation, b.rotation);
         assert_eq!(a.completed, b.completed);
     }
@@ -706,8 +833,12 @@ mod tests {
     fn sequential_same_track_reads_have_zero_rotation_gap() {
         // After reading sector s, sector s+1 is immediately under the head.
         let mut d = disk();
-        let op1 = d.access(Instant::EPOCH, Extent::new(0, 1), AccessKind::Read);
-        let op2 = d.access(op1.completed, Extent::new(1, 1), AccessKind::Read);
+        let op1 = d
+            .access(Instant::EPOCH, Extent::new(0, 1), AccessKind::Read)
+            .unwrap();
+        let op2 = d
+            .access(op1.completed, Extent::new(1, 1), AccessKind::Read)
+            .unwrap();
         assert_eq!(op2.rotation, Nanos::ZERO);
         assert_eq!(op2.seek, Nanos::ZERO);
     }
@@ -718,7 +849,9 @@ mod tests {
         let g = *d.geometry();
         // Span one full cylinder boundary: start on last track of cyl 0.
         let start = g.sectors_per_cylinder() - 2;
-        let op = d.access(Instant::EPOCH, Extent::new(start, 4), AccessKind::Read);
+        let op = d
+            .access(Instant::EPOCH, Extent::new(start, 4), AccessKind::Read)
+            .unwrap();
         let plain = g.sector_time().to_nanos().mul_u64(4);
         assert!(op.transfer > plain, "boundary crossing must cost extra");
     }
@@ -742,8 +875,8 @@ mod tests {
             } else {
                 AccessKind::Write
             };
-            let a = shared[which].access(t, e, kind);
-            let b = own[which].access(t, e, kind);
+            let a = shared[which].access(t, e, kind).unwrap();
+            let b = own[which].access(t, e, kind).unwrap();
             assert_eq!(
                 (a.seek, a.rotation, a.transfer, a.completed),
                 (b.seek, b.rotation, b.transfer, b.completed),
@@ -768,7 +901,8 @@ mod tests {
     fn off_device_access_panics() {
         let mut d = disk();
         let total = d.geometry().total_sectors();
-        d.access(Instant::EPOCH, Extent::new(total - 1, 2), AccessKind::Read);
+        d.access(Instant::EPOCH, Extent::new(total - 1, 2), AccessKind::Read)
+            .unwrap();
     }
 
     #[test]
@@ -904,8 +1038,12 @@ mod tests {
     #[test]
     fn stats_accumulate() {
         let mut d = disk();
-        let op1 = d.access(Instant::EPOCH, Extent::new(0, 2), AccessKind::Read);
-        let _ = d.access(op1.completed, Extent::new(100, 2), AccessKind::Write);
+        let op1 = d
+            .access(Instant::EPOCH, Extent::new(0, 2), AccessKind::Read)
+            .unwrap();
+        let _ = d
+            .access(op1.completed, Extent::new(100, 2), AccessKind::Write)
+            .unwrap();
         assert_eq!(d.stats().reads, 1);
         assert_eq!(d.stats().writes, 1);
         assert_eq!(d.stats().sectors_transferred, 4);
@@ -916,8 +1054,12 @@ mod tests {
         let (sink, recorder) = ObsSink::ring(16);
         let mut d = disk();
         d.set_obs(sink);
-        let op1 = d.access(Instant::EPOCH, Extent::new(0, 2), AccessKind::Read);
-        let op2 = d.access(op1.completed, Extent::new(100, 2), AccessKind::Write);
+        let op1 = d
+            .access(Instant::EPOCH, Extent::new(0, 2), AccessKind::Read)
+            .unwrap();
+        let op2 = d
+            .access(op1.completed, Extent::new(100, 2), AccessKind::Write)
+            .unwrap();
         let r = recorder.borrow();
         let events: Vec<_> = r.events().collect();
         assert_eq!(events.len(), 2);

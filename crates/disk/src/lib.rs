@@ -18,10 +18,11 @@
 //!   *random* (the conventional-file-server strawman), *contiguous* (the
 //!   fragmentation-prone alternative) and *constrained* (the paper's
 //!   scattering-bounded policy), plus gap infill for non-real-time data;
-//! * [`fault`] — deterministic, seeded fault injection behind the small
-//!   [`BlockDevice`] trait: permanently bad extents, transient read
-//!   errors with success-after-N-retries, PRNG latency spikes and
-//!   region-wide degraded-transfer windows;
+//! * [`fault`] — the deterministic, seeded [`FaultPlan`] a [`SimDisk`]
+//!   executes once armed: permanently bad extents, transient read
+//!   errors with success-after-N-retries, PRNG latency spikes,
+//!   region-wide degraded-transfer windows, torn writes, crash points,
+//!   silent corruption and fail-slow;
 //! * [`stats`] — cumulative utilization statistics ([`stats::DiskStats`]).
 
 #![forbid(unsafe_code)]
@@ -40,9 +41,14 @@ pub use alloc::{AllocError, AllocPolicy, Allocator, GapBounds};
 pub use array::{DiskArray, StripedExtent};
 pub use disk::{block_sum, block_sum_padded, fnv1a, AccessKind, DiskOp, SimDisk};
 pub use fault::{
-    AccessResult, BlockDevice, CrashPoint, DegradedWindow, FaultInjector, FaultKind, FaultPlan,
-    FaultStats, Faulted, RandomTransients, SilentCorruption, SpikeCfg, TransientFault,
+    AccessResult, CrashPoint, DegradedWindow, FaultKind, FaultPlan, FaultStats, Faulted,
+    RandomTransients, SilentCorruption, SpikeCfg, TransientFault,
 };
 pub use freemap::FreeMap;
 pub use geometry::{DiskGeometry, Extent, Lba};
 pub use seek::SeekModel;
+
+/// The device type under its older name, kept because the benchmark
+/// harness (`benchmark/`, frozen) imports it: every device is a
+/// [`SimDisk`].
+pub type BlockDevice = SimDisk;

@@ -10,7 +10,7 @@ use crate::disk::{AccessKind, DiskOp};
 use strandfs_units::Nanos;
 
 /// Cumulative counters over all operations a disk has served.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DiskStats {
     /// Number of read operations.
     pub reads: u64,

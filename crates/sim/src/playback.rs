@@ -700,7 +700,7 @@ mod tests {
         let run = |mode| {
             let (mut mrs, ropes) = faulty_volume(&clips, 99).unwrap();
             let scheds = schedules(&mut mrs, &ropes);
-            assert!(mrs.msm_mut().arm_faults(plan.clone()));
+            mrs.msm_mut().arm_faults(plan.clone());
             simulate_playback(&mut mrs, scheds, PlaybackConfig::with_k(4).degraded(mode)).unwrap()
         };
         let abandon = run(DegradeMode::Abandon);
@@ -738,7 +738,7 @@ mod tests {
                 .unwrap();
             plan = plan.with_bad_extent(e);
         }
-        assert!(mrs.msm_mut().arm_faults(plan));
+        mrs.msm_mut().arm_faults(plan);
         let report = simulate_playback(
             &mut mrs,
             scheds,
@@ -778,9 +778,8 @@ mod tests {
             .block(item.block)
             .unwrap()
             .unwrap();
-        assert!(mrs
-            .msm_mut()
-            .arm_faults(FaultPlan::clean().with_bad_extent(e)));
+        mrs.msm_mut()
+            .arm_faults(FaultPlan::clean().with_bad_extent(e));
         let err = simulate_playback(&mut mrs, scheds, PlaybackConfig::with_k(2));
         assert!(
             matches!(err, Err(strandfs_core::FsError::MediaError { .. })),

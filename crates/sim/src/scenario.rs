@@ -4,7 +4,7 @@ use strandfs_core::mrs::{Mrs, RecordOpts, TrackOpts};
 use strandfs_core::msm::{Msm, MsmConfig};
 use strandfs_core::strand::StrandMeta;
 use strandfs_core::{FsError, RopeId};
-use strandfs_disk::{DiskGeometry, FaultInjector, FaultPlan, GapBounds, SeekModel, SimDisk};
+use strandfs_disk::{DiskGeometry, GapBounds, SeekModel, SimDisk};
 use strandfs_media::silence::{SilenceDetector, TalkSpurtSource};
 use strandfs_media::{Medium, VideoCodec};
 use strandfs_units::{Bits, Instant};
@@ -86,43 +86,26 @@ pub fn standard_audio_meta() -> StrandMeta {
 /// recording that produced no rope) surface as [`FsError`], never as a
 /// panic.
 pub fn standard_volume(clips: &[ClipSpec]) -> Result<Volume, FsError> {
-    volume_on(
-        DiskGeometry::vintage_1991(),
-        SeekModel::vintage_1991(),
-        MsmConfig::constrained(
-            GapBounds {
-                min_sectors: 0,
-                max_sectors: 40_000,
-            },
-            1,
-        ),
-        clips,
-    )
+    faulty_volume(clips, 0)
 }
 
-/// [`standard_volume`] on a fault-injecting disk. The volume records
-/// clean (the injector is armed with an empty plan); arm the real
+/// [`standard_volume`] on a disk whose fault PRNG is seeded with `seed`
+/// (the standard volume's is 0). The volume records clean; arm a
 /// [`FaultPlan`] afterwards via `mrs.msm_mut().arm_faults(plan)` so
 /// recording is never disturbed — media decays after the write.
+///
+/// [`FaultPlan`]: strandfs_disk::FaultPlan
 pub fn faulty_volume(clips: &[ClipSpec], seed: u64) -> Result<Volume, FsError> {
     let disk = SimDisk::new(DiskGeometry::vintage_1991(), SeekModel::vintage_1991());
-    let injector = FaultInjector::new(disk, FaultPlan::clean(), seed);
-    let mut mrs = Mrs::new(Msm::new(
-        injector,
-        MsmConfig::constrained(
-            GapBounds {
-                min_sectors: 0,
-                max_sectors: 40_000,
-            },
-            1,
-        ),
-    ));
-    let ropes = clips
-        .iter()
-        .enumerate()
-        .map(|(i, c)| record_clip(&mut mrs, &c.with_seed(c.seed + i as u64)))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok((mrs, ropes))
+    let bounds = GapBounds {
+        min_sectors: 0,
+        max_sectors: 40_000,
+    };
+    record_volume(
+        disk.with_fault_seed(seed),
+        MsmConfig::constrained(bounds, 1),
+        clips,
+    )
 }
 
 /// Build a rope server over an arbitrary disk and placement policy, and
@@ -133,7 +116,10 @@ pub fn volume_on(
     config: MsmConfig,
     clips: &[ClipSpec],
 ) -> Result<Volume, FsError> {
-    let disk = SimDisk::new(geometry, seek);
+    record_volume(SimDisk::new(geometry, seek), config, clips)
+}
+
+fn record_volume(disk: SimDisk, config: MsmConfig, clips: &[ClipSpec]) -> Result<Volume, FsError> {
     let mut mrs = Mrs::new(Msm::new(disk, config));
     let ropes = clips
         .iter()

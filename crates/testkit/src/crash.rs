@@ -3,8 +3,8 @@
 //!
 //! The harness drives one deterministic recording scenario — a finished
 //! video strand, a finished-then-deleted strand, an audio strand with
-//! silence holes, and an unjournaled text file — on a
-//! [`FaultInjector`]-backed volume, crashing at **every** device-write
+//! silence holes, and an unjournaled text file — on a volume whose disk
+//! is armed with a crash point, crashing at **every** device-write
 //! index in turn ([`CrashPoint::AfterWrites`]). After each crash the
 //! device is power-cycled, remounted through [`Msm::recover`], and the
 //! recovered volume is checked against the intended scenario:
@@ -29,9 +29,7 @@ use strandfs_core::journal::{fnv1a, JournalConfig};
 use strandfs_core::msm::{Msm, MsmConfig};
 use strandfs_core::strand::StrandMeta;
 use strandfs_core::{FsError, StrandId};
-use strandfs_disk::{
-    CrashPoint, DiskGeometry, FaultInjector, FaultPlan, GapBounds, SeekModel, SimDisk,
-};
+use strandfs_disk::{CrashPoint, DiskGeometry, FaultPlan, GapBounds, SeekModel, SimDisk};
 use strandfs_media::Medium;
 use strandfs_units::{Bits, Instant};
 
@@ -180,12 +178,12 @@ pub fn block_payload(raw: u64, block: u64) -> Vec<u8> {
 }
 
 fn fresh_msm(crash: Option<u64>, seed: u64) -> Msm {
-    let disk = SimDisk::new(DiskGeometry::tiny_test(), SeekModel::vintage_1991());
-    let mut plan = FaultPlan::clean();
+    let mut disk =
+        SimDisk::new(DiskGeometry::tiny_test(), SeekModel::vintage_1991()).with_fault_seed(seed);
     if let Some(i) = crash {
-        plan = plan.with_crash_point(CrashPoint::AfterWrites(i));
+        disk.arm_faults(FaultPlan::clean().with_crash_point(CrashPoint::AfterWrites(i)));
     }
-    Msm::new(FaultInjector::new(disk, plan, seed), msm_config())
+    Msm::new(disk, msm_config())
 }
 
 /// Run the scenario, calling `mark` after each durability milestone
@@ -353,7 +351,7 @@ pub fn crash_once(crash_at: u64, seed: u64, marks: &WriteMarks) -> CrashOutcome 
         );
     }
     let mut device = msm.into_device();
-    assert!(device.power_cycle(), "sweep devices can power-cycle");
+    device.power_cycle();
     let (mut rec, report) =
         Msm::recover(device, msm_config(), Instant::EPOCH).unwrap_or_else(|e| {
             panic!("crash {crash_at}: recovery failed: {e}");

@@ -48,9 +48,7 @@ use strandfs_core::rope::edit::{Interval, MediaSel};
 use strandfs_core::rope::{split_balanced, Rope};
 use strandfs_core::strand::StrandMeta;
 use strandfs_core::{FsError, RequestId, RopeId, StrandId};
-use strandfs_disk::{
-    CrashPoint, DiskGeometry, FaultInjector, FaultPlan, GapBounds, SeekModel, SimDisk,
-};
+use strandfs_disk::{CrashPoint, DiskGeometry, FaultPlan, GapBounds, SeekModel, SimDisk};
 use strandfs_media::silence::SilenceDetector;
 use strandfs_media::Medium;
 use strandfs_units::prng::{mix_seed, Prng};
@@ -573,7 +571,7 @@ fn model_concat(first: &ModelRope, second: &ModelRope) -> ModelRope {
 /// Parameters of one exerciser run.
 #[derive(Clone, Debug)]
 pub struct FsxConfig {
-    /// Seed for the op stream (and the fault injector's PRNG).
+    /// Seed for the op stream (and the disk's fault PRNG).
     pub seed: u64,
     /// Number of ops to attempt (a firing crash point ends the run
     /// early, at the crashing op).
@@ -714,9 +712,10 @@ fn benign(e: &FsError) -> bool {
 
 impl Harness {
     fn new(cfg: &FsxConfig) -> Harness {
-        let disk = SimDisk::new(DiskGeometry::vintage_1991(), SeekModel::vintage_1991());
-        let injector = FaultInjector::new(disk, cfg.plan.clone(), mix_seed(cfg.seed, 0xD15C));
-        let msm = Msm::new(injector, volume_config(cfg.journal));
+        let mut disk = SimDisk::new(DiskGeometry::vintage_1991(), SeekModel::vintage_1991())
+            .with_fault_seed(mix_seed(cfg.seed, 0xD15C));
+        disk.arm_faults(cfg.plan.clone());
+        let msm = Msm::new(disk, volume_config(cfg.journal));
         Harness {
             mrs: Mrs::new(msm),
             model: BTreeMap::new(),
@@ -1575,9 +1574,7 @@ impl Harness {
         // stats start from zero, but the image keeps the placements.
         let wraps = self.mrs.msm().allocator().stats().wraps;
         let mut device = self.mrs.into_msm().into_device();
-        if !device.power_cycle() {
-            return Err("crashed device refused to power-cycle".into());
-        }
+        device.power_cycle();
         let (mut rec, report) = Msm::recover(device, volume_config(true), Instant::EPOCH)
             .map_err(|e| format!("recovery failed: {e}"))?;
         self.out.image_hash = rec.disk().content_hash();

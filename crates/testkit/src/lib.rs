@@ -17,7 +17,7 @@
 //!   hand-rolled writers across the workspace, so tests can validate
 //!   and navigate exported documents instead of grepping substrings.
 //! * [`crash`] — the crash-point sweep harness: records a fixed
-//!   scenario on a fault-injecting device, crashes at every write
+//!   scenario on a disk armed with a crash point, crashes at every write
 //!   index, remounts through journal recovery, and asserts the
 //!   crash-consistency invariants (tests and the E14 bench section
 //!   share it).

@@ -4,7 +4,7 @@
 //! recovery, durability floors, free-map coverage, fsck-clean,
 //! writability). The harness itself lives in `strandfs_testkit::crash`
 //! so the E14 bench section reports the same numbers; this test is the
-//! tier-1 gate. `STRANDFS_TEST_SEED` reseeds the injector for chaos
+//! tier-1 gate. `STRANDFS_TEST_SEED` reseeds the fault plan for chaos
 //! runs.
 
 use strandfs_testkit::crash::{baseline_marks, crash_once, sweep};

@@ -1,14 +1,15 @@
 //! Failure injection: corrupt indices, exhausted volumes, degenerate
 //! geometries and scattering anomalies.
 
-use strandfs::core::mrs::{Mrs, RecordOpts, TrackOpts};
+use strandfs::core::mrs::{compile_schedule, Mrs, RecordOpts, TrackOpts};
 use strandfs::core::msm::{BlockFetch, FetchFailure, Msm, MsmConfig};
+use strandfs::core::rope::edit::{Interval, MediaSel};
 use strandfs::core::strand::StrandMeta;
 use strandfs::core::{FsError, StrandId};
-use strandfs::disk::{
-    AccessKind, DiskGeometry, Extent, FaultInjector, FaultPlan, GapBounds, SeekModel, SimDisk,
-};
+use strandfs::disk::{AccessKind, DiskGeometry, Extent, FaultPlan, GapBounds, SeekModel, SimDisk};
 use strandfs::media::Medium;
+use strandfs::sim::playback::{simulate_playback, PlaybackConfig};
+use strandfs::sim::{standard_volume, ClipSpec};
 use strandfs::units::{Bits, Instant, Nanos};
 
 fn small_msm() -> Msm {
@@ -174,16 +175,12 @@ fn degenerate_single_cylinder_disk_works() {
     };
     let mut disk = SimDisk::new(geometry, SeekModel::vintage_1991());
     // No seek is ever charged on one cylinder.
-    let op1 = disk.access(
-        Instant::EPOCH,
-        strandfs::disk::Extent::new(0, 4),
-        AccessKind::Read,
-    );
-    let op2 = disk.access(
-        op1.completed,
-        strandfs::disk::Extent::new(100, 4),
-        AccessKind::Read,
-    );
+    let op1 = disk
+        .access(Instant::EPOCH, Extent::new(0, 4), AccessKind::Read)
+        .unwrap();
+    let op2 = disk
+        .access(op1.completed, Extent::new(100, 4), AccessKind::Read)
+        .unwrap();
     assert_eq!(op1.seek.as_nanos(), 0);
     assert_eq!(op2.seek.as_nanos(), 0);
     assert_eq!(disk.max_positioning_time(), {
@@ -247,13 +244,12 @@ fn empty_strand_finishes_and_deletes_cleanly() {
     msm.delete_strand(id).unwrap();
 }
 
-/// A five-block strand on a fault-injecting tiny disk, recorded clean
-/// (faults are armed afterwards, so recording is never disturbed).
+/// A five-block strand on a seeded tiny disk, recorded clean (faults
+/// are armed afterwards, so recording is never disturbed).
 fn faulted_msm() -> (Msm, StrandId, Instant) {
     let disk = SimDisk::new(DiskGeometry::tiny_test(), SeekModel::vintage_1991());
-    let injector = FaultInjector::new(disk, FaultPlan::clean(), 42);
     let mut msm = Msm::new(
-        injector,
+        disk.with_fault_seed(42),
         MsmConfig::constrained(
             GapBounds {
                 min_sectors: 0,
@@ -280,7 +276,7 @@ fn block_extent(msm: &Msm, id: StrandId, n: u64) -> Extent {
 fn bad_media_read_surfaces_as_media_error() {
     let (mut msm, id, t) = faulted_msm();
     let victim = block_extent(&msm, id, 2);
-    assert!(msm.arm_faults(FaultPlan::clean().with_bad_extent(victim)));
+    msm.arm_faults(FaultPlan::clean().with_bad_extent(victim));
     let err = msm.read_block(id, 2, t);
     assert!(
         matches!(err, Err(FsError::MediaError { lba, .. }) if lba == victim.start),
@@ -291,11 +287,31 @@ fn bad_media_read_surfaces_as_media_error() {
     assert_eq!(payload.unwrap()[0], 0);
 }
 
+/// Every volume's disk executes the plan armed on it — the standard
+/// volume's too, not only a seeded `faulty_volume`'s.
+#[test]
+fn a_plan_armed_on_a_standard_volume_fails_strict_playback() {
+    let (mut mrs, ropes) = standard_volume(&[ClipSpec::video_seconds(2.0)]).unwrap();
+    let rope = mrs.rope(ropes[0]).unwrap().clone();
+    let mut schedule =
+        compile_schedule(&rope, MediaSel::Both, Interval::whole(rope.duration())).unwrap();
+    mrs.resolve_silence(&mut schedule).unwrap();
+    let item = schedule.items[3];
+    let victim = block_extent(mrs.msm(), item.strand, item.block);
+    mrs.msm_mut()
+        .arm_faults(FaultPlan::clean().with_bad_extent(victim));
+    let played = simulate_playback(&mut mrs, vec![schedule], PlaybackConfig::with_k(2));
+    assert!(
+        matches!(played, Err(FsError::MediaError { lba, .. }) if lba == victim.start),
+        "got {played:?}"
+    );
+}
+
 #[test]
 fn transient_fault_with_zero_budget_exhausts_retries() {
     let (mut msm, id, t) = faulted_msm();
     let victim = block_extent(&msm, id, 1);
-    assert!(msm.arm_faults(FaultPlan::clean().with_transient(victim, 3)));
+    msm.arm_faults(FaultPlan::clean().with_transient(victim, 3));
     // `read_block` runs with a zero retry budget: the first transient
     // fault exhausts it.
     let err = msm.read_block(id, 1, t);
@@ -309,7 +325,7 @@ fn transient_fault_with_zero_budget_exhausts_retries() {
 fn resilient_read_recovers_within_budget() {
     let (mut msm, id, t) = faulted_msm();
     let victim = block_extent(&msm, id, 1);
-    assert!(msm.arm_faults(FaultPlan::clean().with_transient(victim, 1)));
+    msm.arm_faults(FaultPlan::clean().with_transient(victim, 1));
     let fetch = msm
         .fetch_block(id, 1, t, Nanos::from_millis(500), None, true)
         .unwrap();

@@ -525,7 +525,7 @@ fn sector_store_matches_a_sector_map() {
                     std::array::from_fn(|i| fill ^ (lba as u8).wrapping_mul(31) ^ (i as u8))
                 };
                 // Sectors that survive the op: a whole store; a torn one
-                // (the fault injector stores the extent, then discards
+                // (the armed disk stores the extent, then discards
                 // the lost tail); a discard of the whole extent.
                 let kept = match kind {
                     0 | 1 => e.sectors,
@@ -680,14 +680,12 @@ fn short_store_equals_the_store_of_the_padded_copy() {
     );
 }
 
-/// Behind a `FaultInjector` the short store is the same store: a torn
-/// extent persists only its seeded sector prefix of the padded block,
-/// and a crashed device drops it on the floor.
+/// On an armed disk the short store is the same store: a torn extent
+/// persists only its seeded sector prefix of the padded block, and a
+/// crashed device drops it on the floor.
 #[test]
 fn faults_treat_a_short_store_as_the_store_of_the_padded_copy() {
-    use strandfs::disk::{
-        AccessKind, BlockDevice, CrashPoint, FaultInjector, FaultKind, FaultPlan,
-    };
+    use strandfs::disk::{AccessKind, CrashPoint, FaultKind, FaultPlan};
     use strandfs::units::Instant;
     check_with(
         &Config::with_cases(64),
@@ -702,12 +700,14 @@ fn faults_treat_a_short_store_as_the_store_of_the_padded_copy() {
                 .with_torn_extent(e)
                 .with_crash_point(CrashPoint::AfterWrites(1));
             let device = || {
-                let mut disk = SimDisk::new(DiskGeometry::tiny_test(), SeekModel::vintage_1991());
+                let mut disk = SimDisk::new(DiskGeometry::tiny_test(), SeekModel::vintage_1991())
+                    .with_fault_seed(seed);
                 disk.store_data(e, &nonzero_noise(!seed, bytes));
-                FaultInjector::new(disk, plan.clone(), seed)
+                disk.arm_faults(plan.clone());
+                disk
             };
             let (mut short, mut twin) = (device(), device());
-            let write = |d: &mut FaultInjector, data: &[u8]| {
+            let write = |d: &mut SimDisk, data: &[u8]| {
                 d.store_data(e, data);
                 d.access(Instant::EPOCH, e, AccessKind::Write)
                     .expect_err("torn, then crashed")
@@ -884,7 +884,9 @@ fn table_driven_access_matches_the_timing_formulas() {
                     AccessKind::Write
                 };
                 let want = expected(&disk, now, e, kind);
-                let got = disk.access(now, e, kind);
+                let got = disk
+                    .access(now, e, kind)
+                    .expect("an unarmed disk never faults");
                 prop_assert_eq!(got.extent, want.extent);
                 prop_assert_eq!(got.kind, want.kind);
                 prop_assert_eq!(got.issued, want.issued);

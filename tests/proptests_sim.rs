@@ -27,8 +27,8 @@ fn disk_access_is_deterministic() {
         |&(now_us, lba, sectors)| {
             let e = Extent::new(lba, sectors);
             let t = Instant::EPOCH + Nanos::from_micros(now_us);
-            let op1 = tiny_disk().access(t, e, AccessKind::Read);
-            let op2 = tiny_disk().access(t, e, AccessKind::Read);
+            let op1 = tiny_disk().access(t, e, AccessKind::Read).unwrap();
+            let op2 = tiny_disk().access(t, e, AccessKind::Read).unwrap();
             prop_assert_eq!(op1.completed, op2.completed);
             prop_assert_eq!(op1.seek, op2.seek);
             prop_assert_eq!(op1.rotation, op2.rotation);
@@ -46,9 +46,13 @@ fn disk_timing_physics_hold() {
         |&(now_us, lba, sectors, warm_lba)| {
             let mut disk = tiny_disk();
             // Warm the arm to an arbitrary position first.
-            let w = disk.access(Instant::EPOCH, Extent::new(warm_lba, 1), AccessKind::Read);
+            let w = disk
+                .access(Instant::EPOCH, Extent::new(warm_lba, 1), AccessKind::Read)
+                .unwrap();
             let t = w.completed + Nanos::from_micros(now_us);
-            let op = disk.access(t, Extent::new(lba, sectors), AccessKind::Read);
+            let op = disk
+                .access(t, Extent::new(lba, sectors), AccessKind::Read)
+                .unwrap();
             // Completion after issue; decomposition sums.
             prop_assert!(op.completed > t || op.service_time() == Nanos::ZERO);
             prop_assert_eq!(op.completed, t + op.seek + op.rotation + op.transfer);
@@ -243,7 +247,7 @@ fn random_fault_plans_keep_trace_invariants_and_shield_non_victims() {
                     .unwrap();
                 plan = plan.with_bad_extent(e);
             }
-            prop_assert!(mrs.msm_mut().arm_faults(plan));
+            mrs.msm_mut().arm_faults(plan);
             let (sink, rec) = ObsSink::ring(1 << 16);
             mrs.set_obs(sink);
             let report = simulate_playback(
@@ -318,7 +322,7 @@ fn random_crash_points_recover_to_a_verified_prefix() {
     use strandfs::core::msm::{Msm, MsmConfig};
     use strandfs::core::strand::StrandMeta;
     use strandfs::core::{fsck, StrandId as Sid};
-    use strandfs::disk::{CrashPoint, FaultInjector, FaultPlan, GapBounds};
+    use strandfs::disk::{CrashPoint, FaultPlan, GapBounds};
     use strandfs::units::Bits;
 
     fn config() -> MsmConfig {
@@ -359,9 +363,10 @@ fn random_crash_points_recover_to_a_verified_prefix() {
         counts: &[u64],
         delete_first: bool,
     ) -> Result<Msm, strandfs::core::FsError> {
-        let disk = SimDisk::new(DiskGeometry::tiny_test(), SeekModel::vintage_1991());
-        let plan = FaultPlan::clean().with_crash_point(CrashPoint::AfterWrites(crash_at));
-        let mut msm = Msm::new(FaultInjector::new(disk, plan, seed), config());
+        let mut disk = SimDisk::new(DiskGeometry::tiny_test(), SeekModel::vintage_1991())
+            .with_fault_seed(seed);
+        disk.arm_faults(FaultPlan::clean().with_crash_point(CrashPoint::AfterWrites(crash_at)));
+        let mut msm = Msm::new(disk, config());
         let mut t = Instant::EPOCH;
         let workload = |msm: &mut Msm, t: &mut Instant| -> Result<(), strandfs::core::FsError> {
             for (i, &blocks) in counts.iter().enumerate() {
@@ -529,7 +534,7 @@ fn optimized_service_loop_matches_the_reference_loop() {
                             plan = plan.with_bad_extent(e);
                         }
                     }
-                    assert!(mrs.msm_mut().arm_faults(plan));
+                    mrs.msm_mut().arm_faults(plan);
                 }
                 let mut arrivals = Vec::new();
                 if with_arrival {

@@ -186,9 +186,8 @@ fn idle_rounds_advance_the_outage_clock() {
         .block(item.block)
         .unwrap()
         .unwrap();
-    assert!(mrs
-        .msm_mut()
-        .arm_faults(FaultPlan::clean().with_bad_extent(e)));
+    mrs.msm_mut()
+        .arm_faults(FaultPlan::clean().with_bad_extent(e));
     let (sink, rec) = ObsSink::ring(1 << 14);
     mrs.set_obs(sink);
     let report = simulate_playback(
@@ -261,9 +260,8 @@ fn sweep_layout_leaves_every_event_in_place() {
                 .block(item.block)
                 .unwrap()
                 .unwrap();
-            assert!(mrs
-                .msm_mut()
-                .arm_faults(FaultPlan::clean().with_bad_extent(e)));
+            mrs.msm_mut()
+                .arm_faults(FaultPlan::clean().with_bad_extent(e));
             DegradeMode::Ladder {
                 revoke_after_drops: 1,
                 readmit_clean_rounds: 2,
