@@ -5,14 +5,17 @@
 //! reference. A stamp that fell back to FNV speed reads ~20× its
 //! committed median here and fails `bench --check`.
 //!
-//! The last two entries price hashing on a second core (ROADMAP item 5):
-//! the stamp streamed over a buffer no cache level holds, by one thread
-//! and then by two scoped threads on disjoint halves, both in aggregate
-//! nanoseconds per block. Where the pair reads the same, one thread
-//! already takes all the memory bandwidth there is.
+//! The last three stream the stamp over a buffer no cache level holds,
+//! in aggregate nanoseconds per block: one thread; two scoped threads on
+//! disjoint halves; and `strandfs_disk::stamp_batch` — what a cluster
+//! round hashes its verified reads ahead with, two stamps per pass on
+//! every core — over the same bytes in a `SimDisk`. The last two read
+//! well under the first: one thread does not take all the bandwidth.
 
 use std::hint::black_box;
-use strandfs_disk::{block_sum, fnv1a, DiskGeometry, Extent, SeekModel, SimDisk};
+use strandfs_disk::{
+    block_sum, fnv1a, stamp_batch, DiskGeometry, Extent, SeekModel, SimDisk, StampJob,
+};
 use strandfs_testkit::bench::Runner;
 
 /// Sectors in the benchmarked block: 28 KiB, a media block's order of
@@ -53,6 +56,17 @@ pub fn register(c: &mut Runner) {
             })
         });
     }
+    c.bench_function("checksum/stamp_batch_28k", |b| {
+        let mut disk = SimDisk::new(DiskGeometry::vintage_1991(), SeekModel::vintage_1991());
+        let blocks = STREAMED_BLOCKS as u64;
+        disk.store_data(Extent::new(0, BLOCK_SECTORS * blocks), &streamed);
+        let extents = (0..blocks).map(|i| Extent::new(i * BLOCK_SECTORS, BLOCK_SECTORS));
+        let mut jobs: Vec<_> = extents.map(|e| StampJob::new(0, e)).collect();
+        let stores = [disk.payload()];
+        stamp_batch(&stores, &mut jobs);
+        assert!(jobs.iter().all(|j| j.sum == block_sum(&block)));
+        b.iter_units(blocks, || stamp_batch(black_box(&stores), &mut jobs))
+    });
 }
 
 /// Stamp every `block_len` block of `buffer` on `threads` scoped

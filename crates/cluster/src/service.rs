@@ -24,6 +24,7 @@ use std::collections::BTreeMap;
 use strandfs_core::msm::{BlockFetch, FetchFailure, Msm};
 use strandfs_core::strand::index::NO_SUM;
 use strandfs_core::{FsError, StrandId};
+use strandfs_disk::{stamp_batch, PayloadView, StampJob};
 use strandfs_obs::{Event, ObsSink};
 use strandfs_sim::metrics::SimReport;
 use strandfs_sim::StreamState;
@@ -336,6 +337,13 @@ fn marked(bits: &[u64], block: u64) -> bool {
         .is_some_and(|w| w >> (block % 64) & 1 == 1)
 }
 
+/// `views` emptied and free to borrow anew, in the same allocation: a
+/// vector collected from its own iterator keeps its buffer.
+fn recycle<'b>(mut views: Vec<PayloadView<'_>>) -> Vec<PayloadView<'b>> {
+    views.clear();
+    views.into_iter().map(|_| unreachable!()).collect()
+}
+
 /// How far one [`scrub_step`] got.
 struct ScrubStep {
     /// Stamped blocks the cursor passed on their read credit.
@@ -430,6 +438,10 @@ struct Run<'a> {
     /// Consecutive fault-free rounds — the ladder's re-admission signal.
     clean_streak: u64,
     round_faults: bool,
+    /// The round's stamp checks, hashed ahead ([`Run::hash_ahead`]).
+    stamp_jobs: Vec<StampJob>,
+    /// Empty between rounds, kept for its capacity ([`recycle`]).
+    views: Vec<PayloadView<'static>>,
 }
 
 impl<'a> Run<'a> {
@@ -498,6 +510,8 @@ impl<'a> Run<'a> {
             round: 0,
             clean_streak: 0,
             round_faults: false,
+            stamp_jobs: Vec::new(),
+            views: Vec::new(),
         })
     }
 
@@ -686,17 +700,68 @@ impl<'a> Run<'a> {
         Ok(())
     }
 
-    /// Open a service round for `active` streams.
-    fn begin_round(&mut self, active: usize) {
+    /// A service round for the `active` streams, up to the barrier: open
+    /// it, hash its stamp checks ahead, and serve the turns in order.
+    fn serve_round(&mut self, active: &[usize]) -> Result<(), FsError> {
         let (round, k, at) = (self.round, self.k, self.t);
         self.obs.emit(|| Event::RoundStart {
             round,
-            active,
+            active: active.len(),
             k,
             at,
         });
         self.start_lanes();
         self.round_faults = false;
+        self.hash_ahead(active);
+        for &idx in active {
+            self.serve_turn(idx)?;
+        }
+        Ok(())
+    }
+
+    /// Hash ahead the stamp checks the round's turns will make — each
+    /// `active` stream's next `k` stored items on its pinned member, if up
+    /// and verifying — in one [`stamp_batch`], joined before the first
+    /// turn, and offer each sum to its member's disk: twice in an audited
+    /// run, whose audit checks what its read checked. An offer answers
+    /// one check on the bytes it was hashed from, so no output can tell.
+    fn hash_ahead(&mut self, active: &[usize]) {
+        let members = self.cluster.members();
+        if !members.iter().any(|m| m.mrs().msm().verify_reads()) {
+            return;
+        }
+        for s in active.iter().map(|&idx| &self.streams[idx]) {
+            let msm = members[s.vol].mrs().msm();
+            if !self.cluster.is_up(s.vol) || !msm.verify_reads() {
+                continue;
+            }
+            let turn = s.state.pending_items().iter().take(self.k as usize);
+            for item in turn.filter(|i| !i.silence) {
+                let extent = msm.strand(item.strand).and_then(|st| st.block(item.block));
+                if let Ok(Some(extent)) = extent {
+                    self.stamp_jobs.push(StampJob::new(s.vol, extent));
+                }
+            }
+        }
+        let mut views = recycle(std::mem::take(&mut self.views));
+        views.extend(members.iter().map(|m| m.mrs().msm().disk().payload()));
+        stamp_batch(&views, &mut self.stamp_jobs);
+        self.views = recycle(views);
+        let uses = if self.cfg.audit_integrity { 2 } else { 1 };
+        for job in &self.stamp_jobs {
+            let disk = members[job.store].mrs().msm().disk();
+            for _ in 0..uses {
+                disk.offer_sum(job.extent, job.sum);
+            }
+        }
+    }
+
+    /// Drop the offers a failover, a hedge or a drop left unused.
+    fn drop_unconsumed(&mut self) {
+        let members = self.cluster.members();
+        for job in self.stamp_jobs.drain(..) {
+            members[job.store].mrs().msm().disk().drop_offered();
+        }
     }
 
     /// One stream's turn: up to `k` blocks, each served on the clock of
@@ -1254,6 +1319,7 @@ impl<'a> Run<'a> {
     /// belongs to the scrubber; then slow members are quarantined or
     /// probed and each disk's busy time is booked.
     fn barrier(&mut self) -> Result<(), FsError> {
+        self.drop_unconsumed();
         let slowest = self.lanes.iter().map(|l| l.clock).max().unwrap_or(self.t);
         let t_next = self.restore_pass(slowest)?;
         self.scrub_pass(t_next)?;
@@ -1276,6 +1342,32 @@ impl<'a> Run<'a> {
             self.clean_streak + 1
         };
         Ok(())
+    }
+
+    /// Play rounds until nobody is in service and nothing else is
+    /// pending, or until the round bound.
+    fn play(&mut self) -> Result<(), FsError> {
+        // The streams in service this round: a buffer the run reuses.
+        let mut active: Vec<usize> = Vec::with_capacity(self.streams.len());
+        loop {
+            self.apply_script()?;
+            self.readmit()?;
+            active.clear();
+            active.extend((0..self.streams.len()).filter(|&i| self.streams[i].state.in_service()));
+            if active.is_empty() {
+                if self.drained() {
+                    return Ok(());
+                }
+                self.idle_round()?;
+            } else {
+                self.serve_round(&active)?;
+                self.barrier()?;
+            }
+            self.round += 1;
+            if self.round >= self.cfg.max_rounds {
+                return Ok(());
+            }
+        }
     }
 
     fn finish(mut self) -> ClusterReport {
@@ -1305,31 +1397,10 @@ pub fn simulate_cluster(
     cfg: &ClusterPlayback,
 ) -> Result<ClusterReport, FsError> {
     let mut run = Run::new(cluster, viewers, script, cfg)?;
-    // The streams in service this round: a buffer the run reuses.
-    let mut active: Vec<usize> = Vec::with_capacity(viewers.len());
-    loop {
-        run.apply_script()?;
-        run.readmit()?;
-        active.clear();
-        active.extend((0..run.streams.len()).filter(|&i| run.streams[i].state.in_service()));
-        if active.is_empty() {
-            if run.drained() {
-                break;
-            }
-            run.idle_round()?;
-        } else {
-            run.begin_round(active.len());
-            for &idx in &active {
-                run.serve_turn(idx)?;
-            }
-            run.barrier()?;
-        }
-        run.round += 1;
-        if run.round >= cfg.max_rounds {
-            break;
-        }
-    }
-    Ok(run.finish())
+    let played = run.play();
+    // A round an error cut short leaves its offers behind.
+    run.drop_unconsumed();
+    played.map(|()| run.finish())
 }
 
 #[cfg(test)]
@@ -1363,6 +1434,64 @@ mod tests {
         let catalogued = &run.cluster.catalog().title(id).replicas[0].schedule.items;
         assert_eq!(items(0), items(1));
         assert_eq!(items(0), catalogued.as_ptr());
+    }
+
+    #[test]
+    fn recycled_views_keep_their_allocation() {
+        let c = cluster(3, 1);
+        let mut views: Vec<_> = c
+            .members()
+            .iter()
+            .map(|m| m.mrs().msm().disk().payload())
+            .collect();
+        let heap = views.as_ptr() as usize;
+        views = recycle(views);
+        assert!(views.is_empty() && views.capacity() >= 3);
+        assert_eq!(views.as_ptr() as usize, heap);
+    }
+
+    #[test]
+    fn a_clean_run_uses_every_sum_it_hashes_ahead() {
+        let mut c = cluster(2, 2);
+        let a = c
+            .ingest("a", &ClipSpec::video_seconds(2.0).with_seed(31), 1.0)
+            .unwrap();
+        let b = c
+            .ingest("b", &ClipSpec::video_seconds(3.0).with_seed(32), 1.0)
+            .unwrap();
+        c.set_verify_reads(true);
+        let cfg = ClusterPlayback::with_k(3).scrub(4).audited();
+        let mut run = Run::new(&mut c, &[a, a, b, b], &[], &cfg).expect("run");
+        // `Run::play`, looking at every disk before each barrier.
+        let (mut active, mut hashed) = (Vec::new(), 0);
+        loop {
+            run.apply_script().unwrap();
+            run.readmit().unwrap();
+            active.clear();
+            active.extend((0..run.streams.len()).filter(|&i| run.streams[i].state.in_service()));
+            if active.is_empty() {
+                if run.drained() {
+                    break;
+                }
+                run.idle_round().unwrap();
+            } else {
+                run.serve_round(&active).unwrap();
+                hashed += run.stamp_jobs.len() as u64;
+                let members = run.cluster.members();
+                let left: usize = members
+                    .iter()
+                    .map(|m| m.mrs().msm().disk().drop_offered())
+                    .sum();
+                assert_eq!(left, 0, "round {} left offers unused", run.round);
+                run.barrier().unwrap();
+            }
+            run.round += 1;
+        }
+        let report = run.finish();
+        assert!(report.sim.all_continuous());
+        assert_eq!(report.corrupt_served, 0);
+        let fetched: u64 = report.volumes.iter().map(|v| v.fetched).sum();
+        assert_eq!(hashed, fetched, "every read was hashed ahead, once");
     }
 
     #[test]

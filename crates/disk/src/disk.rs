@@ -5,7 +5,11 @@ use crate::fault::{AccessResult, Applied, FaultPlan, FaultStats, Faulted, Faults
 use crate::geometry::{DiskGeometry, Extent, Lba};
 use crate::seek::SeekModel;
 use crate::stats::DiskStats;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::iter::zip;
+use std::sync::{Arc, OnceLock};
+use std::thread::available_parallelism;
 use strandfs_obs::{AccessDir, Event, FaultClass, ObsSink};
 use strandfs_units::{Instant, Nanos, Seconds};
 
@@ -88,6 +92,12 @@ impl BlockSum {
         (lane ^ word).wrapping_mul(mul).rotate_left(29)
     }
 
+    /// Word `i` of a stripe, little-endian.
+    #[inline]
+    fn word(stripe: &[u8], i: usize) -> u64 {
+        u64::from_le_bytes(stripe[8 * i..][..8].try_into().expect("a stripe's word"))
+    }
+
     /// Fold `bytes` in. Every piece but the last must be a whole number
     /// of stripes (sectors and chunks are); the last piece's tail goes
     /// into lane 0 a byte at a time.
@@ -102,16 +112,31 @@ impl BlockSum {
         let mut stripes = bytes.chunks_exact(Self::STRIPE);
         for stripe in &mut stripes {
             for (i, lane) in lanes.iter_mut().enumerate() {
-                let word = stripe[8 * i..8 * i + 8]
-                    .try_into()
-                    .expect("an 8-byte word of a 32-byte stripe");
-                *lane = Self::step(*lane, u64::from_le_bytes(word), Self::LANE_MUL[i]);
+                *lane = Self::step(*lane, Self::word(stripe, i), Self::LANE_MUL[i]);
             }
         }
         for &b in stripes.remainder() {
             lanes[0] = Self::step(lanes[0], b as u64, Self::LANE_MUL[0]);
         }
         self.lanes = lanes;
+    }
+
+    /// Fold `a` into `self` and `b` into `other` in one pass: the steps
+    /// two [`BlockSum::write`]s take, as eight independent lane chains
+    /// instead of four. The pieces are the same whole number of stripes.
+    #[inline]
+    fn write_pair(&mut self, a: &[u8], other: &mut BlockSum, b: &[u8]) {
+        debug_assert!(a.len() == b.len() && a.len().is_multiple_of(Self::STRIPE));
+        self.len += a.len() as u64;
+        other.len += b.len() as u64;
+        let (mut la, mut lb) = (self.lanes, other.lanes);
+        for (sa, sb) in zip(a.chunks_exact(Self::STRIPE), b.chunks_exact(Self::STRIPE)) {
+            for i in 0..4 {
+                la[i] = Self::step(la[i], Self::word(sa, i), Self::LANE_MUL[i]);
+                lb[i] = Self::step(lb[i], Self::word(sb, i), Self::LANE_MUL[i]);
+            }
+        }
+        (self.lanes, other.lanes) = (la, lb);
     }
 
     /// The sum of everything written so far: length and lanes folded
@@ -201,6 +226,130 @@ fn chunk_runs(extent: Extent) -> impl Iterator<Item = (usize, usize, usize)> {
 #[inline]
 fn run_mask(first: usize, n: usize) -> u64 {
     (u64::MAX >> (CHUNK_SECTORS as usize - n)) << first
+}
+
+/// A disk's payload store, read-only: chunk table and zero sector. A
+/// [`SimDisk`] holds its event sink and is not `Sync`; this view is, so
+/// a [`stamp_batch`] can hash it on any core.
+#[derive(Clone, Copy)]
+pub struct PayloadView<'a> {
+    store: &'a [Option<Chunk>],
+    zero_sector: &'a [u8],
+}
+
+impl<'a> PayloadView<'a> {
+    /// The stored bytes of `extent` in address order: one slice per chunk
+    /// it touches, or — where no chunk backs the sectors — the zero
+    /// sector once per sector.
+    fn runs(self, extent: Extent) -> impl Iterator<Item = &'a [u8]> {
+        let ss = self.zero_sector.len();
+        chunk_runs(extent).flat_map(move |(idx, first, n)| {
+            let (piece, times) = match self.store.get(idx) {
+                Some(Some(chunk)) => (&chunk.bytes[first * ss..][..n * ss], 1),
+                _ => (self.zero_sector, n),
+            };
+            std::iter::repeat_n(piece, times)
+        })
+    }
+
+    /// [`block_sum`] of the payload of `extent`.
+    fn stamp(self, extent: Extent) -> u64 {
+        let mut h = BlockSum::new();
+        self.runs(extent).for_each(|run| h.write(run));
+        h.finish()
+    }
+}
+
+/// One stamp to hash ahead: `extent` on view `store` of a
+/// [`stamp_batch`], which fills in `sum`.
+#[derive(Clone, Copy, Debug)]
+pub struct StampJob {
+    /// Index of the job's view in the batch's `stores`.
+    pub store: usize,
+    /// The block's extent, on its device.
+    pub extent: Extent,
+    /// [`block_sum`] of the extent's stored bytes, once the batch returns.
+    pub sum: u64,
+}
+
+impl StampJob {
+    /// A job for `extent` on view `store`, its sum not yet hashed.
+    pub fn new(store: usize, extent: Extent) -> Self {
+        StampJob {
+            store,
+            extent,
+            sum: 0,
+        }
+    }
+}
+
+/// The least each share of a split [`stamp_batch`] hashes: ≈ 70 µs at
+/// the 7–8 GB/s one core streams, against ≈ 26 µs to spawn and join a
+/// scoped thread on the two-core host behind `BENCH_core.json`.
+pub const STAMP_SHARE_MIN_BYTES: u64 = 512 << 10;
+
+/// Fill every job's `sum` with [`block_sum`] of its extent's stored
+/// bytes, two jobs per pass. A batch that gives every core
+/// [`STAMP_SHARE_MIN_BYTES`] is cut into a share per core, on scoped
+/// threads joined before it returns; a smaller one allocates nothing.
+pub fn stamp_batch(stores: &[PayloadView<'_>], jobs: &mut [StampJob]) {
+    // Asked once: the answer costs ≈ 13 µs and allocates.
+    static CORES: OnceLock<u64> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| available_parallelism().map_or(1, |n| n.get() as u64));
+    let ss = |j: &StampJob| stores[j.store].zero_sector.len() as u64;
+    let bytes: u64 = jobs.iter().map(|j| j.extent.sectors * ss(j)).sum();
+    let shares = (bytes / STAMP_SHARE_MIN_BYTES).min(cores) as usize;
+    if shares < 2 {
+        return stamp_pairs(stores, jobs);
+    }
+    std::thread::scope(|s| {
+        let mut parts = jobs.chunks_mut(jobs.len().div_ceil(shares));
+        let own = parts.next().expect("a batch worth splitting has jobs");
+        for part in parts {
+            s.spawn(|| stamp_pairs(stores, part));
+        }
+        stamp_pairs(stores, own);
+    });
+}
+
+/// Stamp `jobs` on this thread, two per pass.
+fn stamp_pairs(stores: &[PayloadView<'_>], jobs: &mut [StampJob]) {
+    let mut pairs = jobs.chunks_exact_mut(2);
+    for pair in &mut pairs {
+        if let [a, b] = pair {
+            (a.sum, b.sum) = sum_pair(stores[a.store], a.extent, stores[b.store], b.extent);
+        }
+    }
+    for job in pairs.into_remainder() {
+        job.sum = stores[job.store].stamp(job.extent);
+    }
+}
+
+/// The stamps of `ea` on `pa` and `eb` on `pb`: their common length in
+/// one interleaved pass, then the longer one's rest alone. Runs are whole
+/// sectors, so every piece is whole stripes.
+fn sum_pair(pa: PayloadView<'_>, ea: Extent, pb: PayloadView<'_>, eb: Extent) -> (u64, u64) {
+    let (mut ha, mut hb) = (BlockSum::new(), BlockSum::new());
+    let (mut runs_a, mut runs_b) = (pa.runs(ea), pb.runs(eb));
+    let (mut a, mut b): (&[u8], &[u8]) = (&[], &[]);
+    loop {
+        if a.is_empty() {
+            let Some(run) = runs_a.next() else { break };
+            a = run;
+        }
+        if b.is_empty() {
+            let Some(run) = runs_b.next() else { break };
+            b = run;
+        }
+        let n = a.len().min(b.len());
+        ha.write_pair(&a[..n], &mut hb, &b[..n]);
+        (a, b) = (&a[n..], &b[n..]);
+    }
+    ha.write(a);
+    hb.write(b);
+    runs_a.for_each(|run| ha.write(run));
+    runs_b.for_each(|run| hb.write(run));
+    (ha.finish(), hb.finish())
 }
 
 /// Every `f64 → ns` conversion an access needs, made once per disk.
@@ -318,6 +467,9 @@ pub struct SimDisk {
     sectors_written: usize,
     /// What a read of a sector no chunk backs sees.
     zero_sector: Box<[u8]>,
+    /// Sums hashed ahead ([`SimDisk::offer_sum`]), oldest first; any
+    /// change to the store voids them all.
+    offered: RefCell<VecDeque<(Extent, u64)>>,
     stats: DiskStats,
     obs: ObsSink,
     /// Seeds the fault PRNG at every arm.
@@ -358,6 +510,7 @@ impl SimDisk {
             store: Vec::new(),
             sectors_written: 0,
             zero_sector: vec![0; geometry.sector_size.get() as usize].into_boxed_slice(),
+            offered: RefCell::default(),
             stats: DiskStats::default(),
             obs: ObsSink::noop(),
             fault_seed: 0,
@@ -612,6 +765,7 @@ impl SimDisk {
     /// timing. Panics if the extent is off-device, like `access`. A
     /// crashed disk drops the store: its image froze at the crash point.
     pub fn store_data(&mut self, extent: Extent, data: &[u8]) {
+        self.offered.get_mut().clear();
         if self.is_crashed() {
             return;
         }
@@ -646,18 +800,12 @@ impl SimDisk {
         }
     }
 
-    /// The stored bytes of `extent` in address order: one slice per chunk
-    /// it touches, or — where no chunk backs the sectors — the zero
-    /// sector once per sector.
-    fn runs(&self, extent: Extent) -> impl Iterator<Item = &[u8]> {
-        let ss = self.geometry.sector_size.get() as usize;
-        chunk_runs(extent).flat_map(move |(idx, first, n)| {
-            let (piece, times) = match self.store.get(idx) {
-                Some(Some(chunk)) => (&chunk.bytes[first * ss..][..n * ss], 1),
-                _ => (&self.zero_sector[..], n),
-            };
-            std::iter::repeat_n(piece, times)
-        })
+    /// The payload store as a `Sync` view, for [`stamp_batch`].
+    pub fn payload(&self) -> PayloadView<'_> {
+        PayloadView {
+            store: &self.store,
+            zero_sector: &self.zero_sector,
+        }
     }
 
     /// Read the payload of `extent`, or `None` if any part of the extent
@@ -675,7 +823,7 @@ impl SimDisk {
     pub fn fetch_data(&self, extent: Extent) -> Vec<u8> {
         let ss = self.geometry.sector_size.get() as usize;
         let mut out = Vec::with_capacity(ss * extent.sectors as usize);
-        for run in self.runs(extent) {
+        for run in self.payload().runs(extent) {
             out.extend_from_slice(run);
         }
         out
@@ -685,16 +833,32 @@ impl SimDisk {
     /// as zeroes), or `None` off-device — the sum of
     /// [`SimDisk::try_fetch`] without materializing the copy. The
     /// verified-read and scrub paths call this per block, so it must
-    /// not allocate.
+    /// not allocate. A sum offered for `extent` ([`SimDisk::offer_sum`])
+    /// answers instead of a hash, and is used up.
     pub fn fetch_sum(&self, extent: Extent) -> Option<u64> {
         if !self.geometry.extent_valid(extent) {
             return None;
         }
-        let mut h = BlockSum::new();
-        for run in self.runs(extent) {
-            h.write(run);
-        }
-        Some(h.finish())
+        let mut offered = self.offered.borrow_mut();
+        let Some(i) = offered.iter().position(|&(e, _)| e == extent) else {
+            return Some(self.payload().stamp(extent));
+        };
+        let (_, sum) = offered.remove(i).expect("the offer just found");
+        debug_assert_eq!(sum, self.payload().stamp(extent), "stale offer {extent:?}");
+        Some(sum)
+    }
+
+    /// Offer `sum`, hashed ahead by a [`stamp_batch`], as the stamp of
+    /// `extent`: the next [`SimDisk::fetch_sum`] of `extent` takes it
+    /// instead of hashing (debug builds hash anyway, and compare). Every
+    /// store, discard, lost write or rot voids every offer first.
+    pub fn offer_sum(&self, extent: Extent, sum: u64) {
+        self.offered.borrow_mut().push_back((extent, sum));
+    }
+
+    /// Drop every offer not yet taken; returns how many there were.
+    pub fn drop_offered(&self) -> usize {
+        self.offered.borrow_mut().drain(..).count()
     }
 
     /// Drop the payload of `extent` (models discard; timing-neutral).
@@ -706,6 +870,7 @@ impl SimDisk {
     }
 
     fn drop_sectors(&mut self, extent: Extent) {
+        self.offered.get_mut().clear();
         let ss = self.geometry.sector_size.get() as usize;
         for (idx, first, n) in chunk_runs(extent) {
             let Some(Some(chunk)) = self.store.get_mut(idx) else {
@@ -1033,6 +1198,74 @@ mod tests {
         assert_eq!(BlockSum::off_zero(0), 1);
         assert_eq!(BlockSum::off_zero(1), 1);
         assert_eq!(BlockSum::off_zero(u64::MAX), u64::MAX);
+    }
+
+    /// Hash `extent` of `d` in a batch and offer the sum to `d`.
+    fn offer(d: &SimDisk, extent: Extent) -> u64 {
+        let mut jobs = [StampJob {
+            store: 0,
+            extent,
+            sum: 0,
+        }];
+        stamp_batch(&[d.payload()], &mut jobs);
+        d.offer_sum(extent, jobs[0].sum);
+        jobs[0].sum
+    }
+
+    #[test]
+    fn an_offered_sum_answers_one_check() {
+        let mut d = disk();
+        // Across the chunk boundary at sector 64.
+        let e = Extent::new(60, 8);
+        d.store_data(e, &noise(7, 8 * 512));
+        let sum = offer(&d, e);
+        assert_eq!(sum, block_sum(&d.fetch_data(e)));
+        offer(&d, Extent::new(200, 4));
+        assert_eq!(d.fetch_sum(e), Some(sum));
+        assert_eq!(d.drop_offered(), 1, "the check took its own offer only");
+        // Offered twice, asked three times: the third check hashes.
+        offer(&d, e);
+        offer(&d, e);
+        for _ in 0..3 {
+            assert_eq!(d.fetch_sum(e), Some(sum));
+        }
+        assert_eq!(d.drop_offered(), 0);
+        // Off the device an offer answers nothing.
+        let total = d.geometry().total_sectors();
+        let off = Extent::new(total - 1, 2);
+        d.offer_sum(off, 1);
+        assert_eq!(d.fetch_sum(off), None);
+    }
+
+    #[test]
+    fn a_sum_offered_never_outlives_its_bytes() {
+        use crate::fault::CrashPoint;
+        type Change = fn(&mut SimDisk);
+        let e = Extent::new(60, 8);
+        let changes: [(&str, Change); 4] = [
+            ("a store", |d| {
+                d.store_data(Extent::new(60, 8), &[0xA5; 700])
+            }),
+            ("silent corruption", |d| {
+                d.arm_faults(FaultPlan::clean().with_silent_corruption(Extent::new(60, 8)))
+            }),
+            ("a discard", |d| d.discard_data(Extent::new(63, 2))),
+            ("a crash freeze", |d| {
+                d.arm_faults(FaultPlan::clean().with_crash_point(CrashPoint::AfterWrites(0)));
+                let torn = d.access(Instant::EPOCH, Extent::new(60, 8), AccessKind::Write);
+                assert!(torn.is_err() && d.is_crashed());
+            }),
+        ];
+        for (what, change) in changes {
+            let mut d = disk();
+            d.store_data(e, &noise(8, 8 * 512));
+            let before = offer(&d, e);
+            change(&mut d);
+            let now = block_sum(&d.fetch_data(e));
+            assert_ne!(now, before, "{what} left the bytes as they were");
+            assert_eq!(d.fetch_sum(e), Some(now), "{what}");
+            assert_eq!(d.drop_offered(), 0, "{what}");
+        }
     }
 
     #[test]

@@ -39,7 +39,10 @@ pub mod stats;
 
 pub use alloc::{AllocError, AllocPolicy, Allocator, GapBounds};
 pub use array::{DiskArray, StripedExtent};
-pub use disk::{block_sum, block_sum_padded, fnv1a, AccessKind, DiskOp, SimDisk};
+pub use disk::{
+    block_sum, block_sum_padded, fnv1a, stamp_batch, AccessKind, DiskOp, PayloadView, SimDisk,
+    StampJob, STAMP_SHARE_MIN_BYTES,
+};
 pub use fault::{
     AccessResult, CrashPoint, DegradedWindow, FaultKind, FaultPlan, FaultStats, Faulted,
     RandomTransients, SilentCorruption, SpikeCfg, TransientFault,

@@ -8,7 +8,9 @@
 # traced storm's span file is read from benchmark/out/, and the host
 # mode from a fresh `bench --check --quick checksum`: the box flips
 # between ≈ 2.3 and ≈ 5.5 µs a streamed 28 KiB block, and a line's
-# levels mean little without knowing which it sat in.
+# levels mean little without knowing which it sat in. The same run
+# gives the line its `checksum/stamp_batch_28k` reading (its verdict is
+# not this script's business, so a flagged entry does not stop it).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 pr="${1:?usage: scripts/history_line.sh PR [SUITE_OUTPUT]}"
@@ -23,9 +25,12 @@ fi
 # run's first repetition, counting that round's `Event::Scrub`s.
 probes=$(grep -o '"name": *"scrub"[^}]*"rep": *0, *"count": *[0-9]*' \
     benchmark/out/failover_storm.trace.json | awk -F: '{ n += $NF } END { print n + 0 }')
-streamed_us=$(cargo run -q -p strandfs-bench --release --offline --bin bench -- \
-    --check --quick checksum 2>/dev/null |
-    awk '$1 == "checksum/block_sum_28k_streamed" { print $3 }')
+checksum=$(cargo run -q -p strandfs-bench --release --offline --bin bench -- \
+    --check --quick checksum 2>/dev/null || true)
+streamed_us=$(awk '$1 == "checksum/block_sum_28k_streamed" { print $3 }' <<< "$checksum")
+# The production batch kernel, in ns a block whatever unit the runner chose.
+stamp_ns=$(awk '$1 == "checksum/stamp_batch_28k" {
+    print $3 * ($4 == "ms" ? 1e6 : $4 == "µs" ? 1e3 : 1) }' <<< "$checksum")
 median_of() {
     grep "\"$1\"" BENCH_core.json | sed 's/.*"median_ns": *\([0-9]*\).*/\1/'
 }
@@ -33,7 +38,8 @@ scale_ns=$(median_of scale/n100000_playback)
 titles_ns=$(median_of scale/n100000_titles16_playback)
 
 awk -v pr="$pr" -v parent="$(git rev-parse HEAD)" -v nproc="$(nproc)" \
-    -v probes="$probes" -v streamed="$streamed_us" -v scale="$scale_ns" -v titles="$titles_ns" '
+    -v probes="$probes" -v streamed="$streamed_us" -v stamp="$stamp_ns" \
+    -v scale="$scale_ns" -v titles="$titles_ns" '
 function median(w, m,    n, i, j, t, a) {
     n = split(seen[w, m], a, " ") - traced[w]
     for (i = 2; i <= n; i++)
@@ -81,5 +87,6 @@ END {
     printf "\"cluster.cluster.ingest_us_per_block\": %.2f, ", last["vod_defended", "cluster.cluster.ingest_us_per_block"]
     printf "\"media.frame_payload_ns\": %d, ", last["vod_defended", "media.frame_payload_ns"]
     printf "\"scrub.failover_storm\": {\"covered\": %d, \"probes\": %d, \"credited\": %d}, ", covered, probes, covered - probes
+    printf "\"checksum/stamp_batch_28k_ns\": %.1f, ", stamp
     printf "\"host_mode\": {\"mode\": \"%s\", \"checksum/block_sum_28k_streamed_us\": %.2f}}\n", (streamed < 3.5 ? "fast" : "slow"), streamed
 }' "$suite"

@@ -12,7 +12,9 @@
 //!
 //! The cluster loop (`simulate_cluster`) is held to the same bar in two
 //! more legs of the same test — defenses off, then verified reads and
-//! scrub on — and a last one pins that `SimDisk::fetch_sum` — what the
+//! scrub on — a third holds a round whose stamp checks are split across
+//! cores to the scoped spawn's handful, however many blocks it hashes,
+//! and a last one pins that `SimDisk::fetch_sum` — what the
 //! defenses add per block — allocates nothing at all. The footprint leg
 //! counts bytes as well as calls: a stream's state is one allocation of
 //! 16-byte records over schedule items it shares, never a deep copy.
@@ -177,6 +179,47 @@ fn rounds_do_not_grow_the_heap() {
         long.scrubbed_blocks,
         short.scrubbed_blocks
     );
+
+    // A defended round big enough to split its stamp checks across
+    // cores: 16 volumes, two viewers of each one's title, so 2.3 MB of
+    // verified reads a round at k = 2 and 8× that at k = 16 — 2,048
+    // blocks either way. Against the same run unverified, hashing ahead
+    // adds the growth of its buffers (the round's jobs, the members'
+    // views, each disk's offers), once, and then per round what a scoped
+    // spawn allocates: ≈ 4 on std today, whatever the blocks a round.
+    // One allocation a block would be 2,048 more.
+    let run_split = |k: u64, verify: bool| {
+        let mut c = Cluster::new(ClusterConfig::round_robin(16, 7)).expect("cluster");
+        let titles: Vec<_> = (0..16)
+            .map(|i| {
+                c.ingest("clip", &ClipSpec::video_seconds(6.4).with_seed(i), 0.0)
+                    .expect("ingest")
+            })
+            .collect();
+        c.set_verify_reads(verify);
+        let viewers: Vec<_> = (0..32).map(|i| titles[i / 2]).collect();
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let report =
+            simulate_cluster(&mut c, &viewers, &[], &ClusterPlayback::with_k(k)).expect("simulate");
+        (report.sim.rounds, ALLOCS.load(Ordering::Relaxed) - before)
+    };
+    let splits = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
+    let (handful, growth) = (8, 96);
+    for k in [2, 16] {
+        let (rounds, verified) = run_split(k, true);
+        let (bare_rounds, bare) = run_split(k, false);
+        assert_eq!(rounds, 64 / k);
+        assert_eq!(bare_rounds, rounds);
+        let added = verified - bare;
+        assert!(
+            added <= handful * rounds + growth,
+            "k = {k}: hashing ahead cost {added} allocations over {rounds} rounds"
+        );
+        assert!(
+            !splits || added >= rounds,
+            "k = {k}: {added} allocations over {rounds} rounds — the rounds did not split"
+        );
+    }
 
     // What the defenses add per block: the stored payload is summed in
     // place, across a store-chunk boundary and over unwritten sectors,

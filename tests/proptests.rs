@@ -566,6 +566,68 @@ fn sector_store_matches_a_sector_map() {
     );
 }
 
+/// A batch hashed ahead is the stamp: every sum `stamp_batch` fills in
+/// is `block_sum` of its extent's stored bytes. Two disks of 512- or
+/// 4096-byte sectors, written in seeded runs that straddle store chunks
+/// around unwritten ones; batches of any size from empty up, their
+/// extents of unequal lengths paired across both disks, and — when
+/// `split` — repeated past what a split needs on every core.
+#[test]
+fn a_batched_stamp_is_the_stamp_of_the_stored_bytes() {
+    use strandfs::disk::{stamp_batch, StampJob, STAMP_SHARE_MIN_BYTES};
+    const CHUNK: u64 = 64;
+    const OFFSETS: [u64; 5] = [0, 1, 17, 62, 63];
+    check_with(
+        &Config::with_cases(32),
+        "a_batched_stamp_is_the_stamp_of_the_stored_bytes",
+        (
+            any_bool(),
+            any_bool(),
+            0u64..1 << 32,
+            prop_vec(
+                (any_bool(), 0u64..28, 0usize..OFFSETS.len(), 1u64..150),
+                0..10,
+            ),
+        ),
+        |(big, split, seed, drawn)| {
+            let ss = if *big { 4096 } else { 512 };
+            let geometry = DiskGeometry {
+                sector_size: Bytes::new(ss),
+                ..DiskGeometry::tiny_test()
+            };
+            let mut disks = [0, 1].map(|_| SimDisk::new(geometry, SeekModel::vintage_1991()));
+            for (d, disk) in disks.iter_mut().enumerate() {
+                for c in (0..28).filter(|c| seed >> (c + d as u64) & 1 == 1) {
+                    let e = Extent::new(c * CHUNK + 7, 90);
+                    disk.store_data(e, &nonzero_noise(seed ^ c, 90 * ss as usize));
+                }
+            }
+            let mut jobs: Vec<StampJob> = drawn
+                .iter()
+                .map(|&(second, chunk, off, sectors)| StampJob {
+                    store: usize::from(second),
+                    extent: Extent::new(chunk * CHUNK + OFFSETS[off], sectors),
+                    sum: 0,
+                })
+                .collect();
+            let bytes = |jobs: &[StampJob]| jobs.iter().map(|j| j.extent.sectors * ss).sum::<u64>();
+            if *split && !jobs.is_empty() {
+                let cores = std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
+                let drawn_jobs = jobs.clone();
+                while bytes(&jobs) < cores.max(2) * STAMP_SHARE_MIN_BYTES {
+                    jobs.extend_from_slice(&drawn_jobs);
+                }
+            }
+            stamp_batch(&disks.each_ref().map(SimDisk::payload), &mut jobs);
+            for job in &jobs {
+                let stored = disks[job.store].fetch_data(job.extent);
+                prop_assert_eq!(job.sum, block_sum(&stored), "{job:?} of {}", jobs.len());
+            }
+            Ok(())
+        },
+    );
+}
+
 // ---------- the padded store and stamp against a padded copy ----------
 
 /// `len` seeded bytes, none of them zero — a pad that fails to replace
