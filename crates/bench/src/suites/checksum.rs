@@ -5,12 +5,18 @@
 //! reference. A stamp that fell back to FNV speed reads ~20× its
 //! committed median here and fails `bench --check`.
 //!
-//! The last three stream the stamp over a buffer no cache level holds,
+//! The next three stream the stamp over a buffer no cache level holds,
 //! in aggregate nanoseconds per block: one thread; two scoped threads on
 //! disjoint halves; and `strandfs_disk::stamp_batch` — what a cluster
-//! round hashes its verified reads ahead with, two stamps per pass on
-//! every core — over the same bytes in a `SimDisk`. The last two read
-//! well under the first: one thread does not take all the bandwidth.
+//! round hashes its verified reads and scrub probes ahead with, two
+//! stamps per pass on every core — over the same bytes in a `SimDisk`.
+//! The last two read well under the first: one thread does not take all
+//! the bandwidth. The last hashes the same blocks laid out the way a
+//! scrub pass-ahead finds them — over 32 members, a gap after each, in
+//! cursor order — as one batch: what scattering costs the kernel. It
+//! reads as `stamp_batch_28k` does, so what a batch loses in situ is not
+//! layout but warmth: a run's images are colder than bytes hashed again
+//! and again.
 
 use std::hint::black_box;
 use strandfs_disk::{
@@ -66,6 +72,26 @@ pub fn register(c: &mut Runner) {
         stamp_batch(&stores, &mut jobs);
         assert!(jobs.iter().all(|j| j.sum == block_sum(&block)));
         b.iter_units(blocks, || stamp_batch(black_box(&stores), &mut jobs))
+    });
+    c.bench_function("checksum/stamp_batch_28k_scattered", |b| {
+        // 37 blocks on each of 32 members, 72 sectors apart: a gap after
+        // each, and consecutive ones aligned differently to the chunks.
+        let first = SimDisk::new(DiskGeometry::vintage_1991(), SeekModel::vintage_1991());
+        let mut disks: Vec<_> = (0..32).map(|_| SimDisk::new_like(&first)).collect();
+        let per_disk = STREAMED_BLOCKS.div_ceil(disks.len()) as u64;
+        let slot = |i: u64| Extent::new(i % per_disk * 72, BLOCK_SECTORS);
+        let jobs =
+            (0..STREAMED_BLOCKS as u64).map(|i| StampJob::new((i / per_disk) as usize, slot(i)));
+        let mut jobs: Vec<_> = jobs.collect();
+        for j in &jobs {
+            disks[j.store].store_data(j.extent, &block);
+        }
+        let stores: Vec<_> = disks.iter().map(SimDisk::payload).collect();
+        stamp_batch(&stores, &mut jobs);
+        assert!(jobs.iter().all(|j| j.sum == block_sum(&block)));
+        b.iter_units(jobs.len() as u64, || {
+            stamp_batch(black_box(&stores), &mut jobs)
+        })
     });
 }
 

@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 use strandfs_core::msm::{BlockFetch, FetchFailure, Msm};
 use strandfs_core::strand::index::NO_SUM;
 use strandfs_core::{FsError, StrandId};
-use strandfs_disk::{stamp_batch, PayloadView, StampJob};
+use strandfs_disk::{stamp_batch, Extent, PayloadView, StampJob};
 use strandfs_obs::{Event, ObsSink};
 use strandfs_sim::metrics::SimReport;
 use strandfs_sim::StreamState;
@@ -289,6 +289,9 @@ struct Lane {
     /// volume's clock plus this charge stays inside the already-decided
     /// round end, so it can never extend a round.
     scrub_cost: Nanos,
+    /// The member's disk may hold sums hashed ahead; in an idle round,
+    /// the rest of the lane's pass is among them ([`Run::scrub_ahead`]).
+    offered: bool,
 }
 
 /// The blocks of one member that passed read verification during its
@@ -348,15 +351,15 @@ fn recycle<'b>(mut views: Vec<PayloadView<'_>>) -> Vec<PayloadView<'b>> {
 struct ScrubStep {
     /// Stamped blocks the cursor passed on their read credit.
     credited: u64,
-    /// The block probed, `(strand, block, ok)`; `None` when the cursor
-    /// wrapped instead: one full pass over the member is complete.
-    probe: Option<(StrandId, u64, bool)>,
+    /// The block a probe owes, `(strand, block, extent, stamp)`; `None`
+    /// when the cursor wrapped instead: one full pass over the member is
+    /// complete.
+    owed: Option<(StrandId, u64, Extent, u64)>,
 }
 
 /// Advance a member's scrub cursor `(strand raw id, block)` to the next
-/// stored block no verified read has credited this pass, and probe it.
-/// A probe re-hashes the stored payload in place — no device access, no
-/// arm movement, no virtual time of its own (the caller charges slack).
+/// stored block no verified read has credited this pass: what
+/// [`Run::scrub_pass`] probes and [`Run::scrub_ahead`] hashes ahead.
 /// Silence holes (sum [`NO_SUM`]) store nothing to verify and credited
 /// blocks are already verified: the cursor walks both for free, within
 /// the same budget unit.
@@ -378,9 +381,9 @@ fn scrub_step(msm: &Msm, cursor: &mut (u64, u64), credits: &Credits) -> ScrubSte
                 credited += 1;
                 continue;
             }
-            if let Ok(Some(ok)) = msm.check_block_sum(id, n) {
-                let probe = Some((id, n, ok));
-                return ScrubStep { credited, probe };
+            if let Some(&Some(extent)) = strand.blocks().get(n as usize) {
+                let owed = Some((id, n, extent, sum));
+                return ScrubStep { credited, owed };
             }
         }
         *cursor = (id.raw() + 1, 0);
@@ -388,7 +391,7 @@ fn scrub_step(msm: &Msm, cursor: &mut (u64, u64), credits: &Credits) -> ScrubSte
     *cursor = (0, 0);
     ScrubStep {
         credited,
-        probe: None,
+        owed: None,
     }
 }
 
@@ -438,7 +441,8 @@ struct Run<'a> {
     /// Consecutive fault-free rounds — the ladder's re-admission signal.
     clean_streak: u64,
     round_faults: bool,
-    /// The round's stamp checks, hashed ahead ([`Run::hash_ahead`]).
+    /// The last batch hashed ahead ([`Run::hash_ahead`],
+    /// [`Run::scrub_ahead`]).
     stamp_jobs: Vec<StampJob>,
     /// Empty between rounds, kept for its capacity ([`recycle`]).
     views: Vec<PayloadView<'static>>,
@@ -610,6 +614,7 @@ impl<'a> Run<'a> {
             // pass in progress, if any, starts over.
             self.lanes[v].credits.clear();
             self.lanes[v].scrub_cursor = (0, 0);
+            self.drop_offers(v);
             self.suspect(v);
             let rejoin = match a.action {
                 Kill(_) => {
@@ -693,6 +698,7 @@ impl<'a> Run<'a> {
             advanced,
         });
         self.start_lanes();
+        self.scrub_ahead(None);
         self.scrub_pass(at + advanced)?;
         self.probe_quarantined(at);
         self.t = self.restore_pass(at + advanced)?;
@@ -726,6 +732,7 @@ impl<'a> Run<'a> {
     /// run, whose audit checks what its read checked. An offer answers
     /// one check on the bytes it was hashed from, so no output can tell.
     fn hash_ahead(&mut self, active: &[usize]) {
+        self.stamp_jobs.clear();
         let members = self.cluster.members();
         if !members.iter().any(|m| m.mrs().msm().verify_reads()) {
             return;
@@ -743,12 +750,50 @@ impl<'a> Run<'a> {
                 }
             }
         }
+        self.offer_ahead(if self.cfg.audit_integrity { 2 } else { 1 });
+    }
+
+    /// Hash ahead the scrub probes whose blocks are already known, for
+    /// [`Run::scrub_pass`] to take: at a barrier ending at `t_next`, each
+    /// open lane's exact probes (budget and slack allowing); in an idle
+    /// round, where no read can credit a block, the rest of every open
+    /// pass not on offer yet, the offers lasting across idle rounds.
+    fn scrub_ahead(&mut self, t_next: Option<Instant>) {
+        let budget = self.cfg.scrub_blocks_per_round;
+        if budget == 0 {
+            return;
+        }
+        self.stamp_jobs.clear();
+        let members = self.cluster.members();
+        for (v, lane) in self.lanes.iter().enumerate() {
+            if !self.cluster.is_up(v) || lane.resting || lane.offered {
+                continue;
+            }
+            let cost = lane.scrub_cost.as_nanos().max(1);
+            let probes = t_next.map_or(u64::MAX, |t| {
+                (t.since(lane.clock).as_nanos() / cost).min(budget)
+            });
+            let (msm, mut cursor) = (members[v].mrs().msm(), lane.scrub_cursor);
+            for _ in 0..probes {
+                let Some((.., extent, _)) = scrub_step(msm, &mut cursor, &lane.credits).owed else {
+                    break;
+                };
+                self.stamp_jobs.push(StampJob::new(v, extent));
+            }
+        }
+        self.offer_ahead(1);
+    }
+
+    /// Hash `stamp_jobs` in one [`stamp_batch`], joined before it
+    /// returns, and offer each sum `uses` times to its member's disk.
+    fn offer_ahead(&mut self, uses: usize) {
+        let members = self.cluster.members();
         let mut views = recycle(std::mem::take(&mut self.views));
         views.extend(members.iter().map(|m| m.mrs().msm().disk().payload()));
         stamp_batch(&views, &mut self.stamp_jobs);
         self.views = recycle(views);
-        let uses = if self.cfg.audit_integrity { 2 } else { 1 };
         for job in &self.stamp_jobs {
+            self.lanes[job.store].offered = true;
             let disk = members[job.store].mrs().msm().disk();
             for _ in 0..uses {
                 disk.offer_sum(job.extent, job.sum);
@@ -756,11 +801,17 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// Drop the offers a failover, a hedge or a drop left unused.
+    /// Drop the offers member `v`'s disk still holds.
+    fn drop_offers(&mut self, v: usize) {
+        if std::mem::take(&mut self.lanes[v].offered) {
+            self.cluster.members()[v].mrs().msm().disk().drop_offered();
+        }
+    }
+
+    /// Drop the offers a failover, hedge, drop or repair left unused.
     fn drop_unconsumed(&mut self) {
-        let members = self.cluster.members();
-        for job in self.stamp_jobs.drain(..) {
-            members[job.store].mrs().msm().disk().drop_offered();
+        for v in 0..self.lanes.len() {
+            self.drop_offers(v);
         }
     }
 
@@ -1132,7 +1183,9 @@ impl<'a> Run<'a> {
     /// round end playback already decided — so scrub can never extend a
     /// round or perturb a deadline. Budget and slack are spent by
     /// probes; blocks covered on read credit are counted and nothing
-    /// else.
+    /// else. A probe checks the stored payload against its stamp in
+    /// place — no device access, no arm movement, no virtual time of its
+    /// own — with the sum hashed ahead for it if one is on offer.
     fn scrub_pass(&mut self, t_next: Instant) -> Result<(), FsError> {
         if self.cfg.scrub_blocks_per_round == 0 {
             return Ok(());
@@ -1146,16 +1199,18 @@ impl<'a> Run<'a> {
                 let lane = &mut self.lanes[v];
                 let msm = self.cluster.members()[v].mrs().msm();
                 let step = scrub_step(msm, &mut lane.scrub_cursor, &lane.credits);
-                let covered = step.credited + u64::from(step.probe.is_some());
+                let covered = step.credited + u64::from(step.owed.is_some());
                 lane.stats.scrubbed += covered;
                 self.report.scrubbed_blocks += covered;
                 self.report.scrub_credited += step.credited;
-                let Some((strand, block, ok)) = step.probe else {
+                let Some((strand, block, extent, stamp)) = step.owed else {
                     lane.scrub_passes += 1;
                     lane.credits.clear();
                     lane.resting = true;
+                    self.drop_offers(v);
                     break;
                 };
+                let ok = msm.disk().fetch_sum(extent) == Some(stamp);
                 budget -= 1;
                 lane.clock += lane.scrub_cost;
                 let (at, sid) = (lane.clock, strand.raw());
@@ -1322,7 +1377,9 @@ impl<'a> Run<'a> {
         self.drop_unconsumed();
         let slowest = self.lanes.iter().map(|l| l.clock).max().unwrap_or(self.t);
         let t_next = self.restore_pass(slowest)?;
+        self.scrub_ahead(Some(t_next));
         self.scrub_pass(t_next)?;
+        self.drop_unconsumed();
         let round = self.round;
         self.obs.emit(|| Event::RoundEnd { round, at: t_next });
         self.t = t_next;
@@ -1492,6 +1549,88 @@ mod tests {
         assert_eq!(report.corrupt_served, 0);
         let fetched: u64 = report.volumes.iter().map(|v| v.fetched).sum();
         assert_eq!(hashed, fetched, "every read was hashed ahead, once");
+    }
+
+    #[test]
+    fn a_known_pass_is_hashed_once() {
+        // A storm in small: member 3 dies at round 2 and rejoins with
+        // its media at round 5, so its pass reopens from the start;
+        // reads are verified and audited, the scrubber probes at every
+        // barrier with slack and through the idle tail, and no restore
+        // writes beside it.
+        let mut c = cluster(4, 2);
+        let titles: Vec<_> = (0..4)
+            .map(|i| {
+                let clip = ClipSpec::video_seconds(2.0 + i as f64).with_seed(40 + i);
+                c.ingest("t", &clip, 1.0).unwrap()
+            })
+            .collect();
+        c.set_verify_reads(true);
+        let script = [
+            ScriptedAction {
+                at_round: 2,
+                action: ClusterAction::Kill(3),
+            },
+            ScriptedAction {
+                at_round: 5,
+                action: ClusterAction::Rejoin(3),
+            },
+        ];
+        let cfg = ClusterPlayback::with_k(3).scrub(4).audited();
+        let viewers = [titles[0], titles[1], titles[1], titles[3]];
+        let mut run = Run::new(&mut c, &viewers, &script, &cfg).expect("run");
+        let left = |run: &Run| -> usize {
+            let members = run.cluster.members();
+            members
+                .iter()
+                .map(|m| m.mrs().msm().disk().drop_offered())
+                .sum()
+        };
+        let probes = |run: &Run| run.report.scrubbed_blocks - run.report.scrub_credited;
+        // `Run::play`, counting the sums each barrier and idle round
+        // hashes ahead against the probes they answer.
+        let (mut active, mut idle, mut at_barriers) = (Vec::new(), 0, 0);
+        loop {
+            run.apply_script().unwrap();
+            run.readmit().unwrap();
+            active.clear();
+            active.extend((0..run.streams.len()).filter(|&i| run.streams[i].state.in_service()));
+            if active.is_empty() {
+                if run.drained() {
+                    break;
+                }
+                run.idle_round().unwrap();
+                idle += run.stamp_jobs.len() as u64;
+            } else {
+                assert_eq!(
+                    left(&run),
+                    0,
+                    "round {}: offers outlived an idle round",
+                    run.round
+                );
+                run.serve_round(&active).unwrap();
+                let before = probes(&run);
+                run.barrier().unwrap();
+                let hashed = run.stamp_jobs.len() as u64;
+                let probed = probes(&run) - before;
+                assert_eq!(hashed, probed, "round {}: the barrier's probes", run.round);
+                at_barriers += hashed;
+            }
+            run.round += 1;
+        }
+        assert_eq!(left(&run), 0, "a pass on offer outlived the run");
+        let report = run.finish();
+        assert!(report.failovers > 0 && report.rejoins.len() == 1);
+        assert!(
+            idle > 0 && at_barriers > 0,
+            "{idle} idle, {at_barriers} at barriers"
+        );
+        let probed = report.scrubbed_blocks - report.scrub_credited;
+        assert_eq!(
+            idle + at_barriers,
+            probed,
+            "every probe was hashed ahead, once"
+        );
     }
 
     #[test]

@@ -467,8 +467,8 @@ pub struct SimDisk {
     sectors_written: usize,
     /// What a read of a sector no chunk backs sees.
     zero_sector: Box<[u8]>,
-    /// Sums hashed ahead ([`SimDisk::offer_sum`]), oldest first; any
-    /// change to the store voids them all.
+    /// Sums hashed ahead ([`SimDisk::offer_sum`]), oldest first; a
+    /// change to the store voids those it overlaps.
     offered: RefCell<VecDeque<(Extent, u64)>>,
     stats: DiskStats,
     obs: ObsSink,
@@ -765,7 +765,7 @@ impl SimDisk {
     /// timing. Panics if the extent is off-device, like `access`. A
     /// crashed disk drops the store: its image froze at the crash point.
     pub fn store_data(&mut self, extent: Extent, data: &[u8]) {
-        self.offered.get_mut().clear();
+        self.void_offers(extent);
         if self.is_crashed() {
             return;
         }
@@ -850,8 +850,8 @@ impl SimDisk {
 
     /// Offer `sum`, hashed ahead by a [`stamp_batch`], as the stamp of
     /// `extent`: the next [`SimDisk::fetch_sum`] of `extent` takes it
-    /// instead of hashing (debug builds hash anyway, and compare). Every
-    /// store, discard, lost write or rot voids every offer first.
+    /// instead of hashing (debug builds hash anyway, and compare). A
+    /// store, discard, lost write or rot voids every offer it overlaps.
     pub fn offer_sum(&self, extent: Extent, sum: u64) {
         self.offered.borrow_mut().push_back((extent, sum));
     }
@@ -859,6 +859,11 @@ impl SimDisk {
     /// Drop every offer not yet taken; returns how many there were.
     pub fn drop_offered(&self) -> usize {
         self.offered.borrow_mut().drain(..).count()
+    }
+
+    /// Drop the offers whose bytes a change to `extent` may touch.
+    fn void_offers(&mut self, extent: Extent) {
+        self.offered.get_mut().retain(|(e, _)| !e.overlaps(extent));
     }
 
     /// Drop the payload of `extent` (models discard; timing-neutral).
@@ -870,7 +875,7 @@ impl SimDisk {
     }
 
     fn drop_sectors(&mut self, extent: Extent) {
-        self.offered.get_mut().clear();
+        self.void_offers(extent);
         let ss = self.geometry.sector_size.get() as usize;
         for (idx, first, n) in chunk_runs(extent) {
             let Some(Some(chunk)) = self.store.get_mut(idx) else {
@@ -1265,6 +1270,50 @@ mod tests {
             assert_ne!(now, before, "{what} left the bytes as they were");
             assert_eq!(d.fetch_sum(e), Some(now), "{what}");
             assert_eq!(d.drop_offered(), 0, "{what}");
+        }
+        // A change voids exactly the offers it overlaps: one abutting
+        // `e` at either end, or far off, leaves its offer to be taken;
+        // one overlapping either end, inside it or around it voids it.
+        type Touch = fn(&mut SimDisk, Extent);
+        let touches: [(&str, Touch); 3] = [
+            ("a store", |d, x| d.store_data(x, &[0x5A; 300])),
+            ("a discard", |d, x| d.discard_data(x)),
+            ("armed rot", |d, x| {
+                d.arm_faults(FaultPlan::clean().with_silent_corruption(x))
+            }),
+        ];
+        let disjoint = [Extent::new(56, 4), Extent::new(68, 4), Extent::new(200, 8)];
+        let overlapping = [
+            Extent::new(56, 6),
+            Extent::new(66, 4),
+            Extent::new(63, 2),
+            Extent::new(58, 12),
+        ];
+        for (what, touch) in touches {
+            let fresh = |x: Extent| {
+                let mut d = disk();
+                d.store_data(e, &noise(9, 8 * 512));
+                d.store_data(x, &noise(10, 300));
+                d
+            };
+            for x in disjoint {
+                let mut d = fresh(x);
+                let sum = offer(&d, e);
+                offer(&d, e);
+                touch(&mut d, x);
+                assert_eq!(d.fetch_sum(e), Some(sum), "{what} at {x:?}");
+                assert_eq!(d.drop_offered(), 1, "{what} at {x:?} voided an offer apart");
+            }
+            for x in overlapping {
+                let mut d = fresh(x);
+                offer(&d, e);
+                touch(&mut d, x);
+                assert_eq!(
+                    d.drop_offered(),
+                    0,
+                    "{what} at {x:?} kept an offer it touched"
+                );
+            }
         }
     }
 

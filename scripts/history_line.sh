@@ -9,8 +9,9 @@
 # mode from a fresh `bench --check --quick checksum`: the box flips
 # between ≈ 2.3 and ≈ 5.5 µs a streamed 28 KiB block, and a line's
 # levels mean little without knowing which it sat in. The same run
-# gives the line its `checksum/stamp_batch_28k` reading (its verdict is
-# not this script's business, so a flagged entry does not stop it).
+# gives the line its `checksum/stamp_batch_28k` and `_scattered`
+# readings (its verdict is not this script's business, so a flagged
+# entry does not stop it).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 pr="${1:?usage: scripts/history_line.sh PR [SUITE_OUTPUT]}"
@@ -29,8 +30,12 @@ checksum=$(cargo run -q -p strandfs-bench --release --offline --bin bench -- \
     --check --quick checksum 2>/dev/null || true)
 streamed_us=$(awk '$1 == "checksum/block_sum_28k_streamed" { print $3 }' <<< "$checksum")
 # The production batch kernel, in ns a block whatever unit the runner chose.
-stamp_ns=$(awk '$1 == "checksum/stamp_batch_28k" {
-    print $3 * ($4 == "ms" ? 1e6 : $4 == "µs" ? 1e3 : 1) }' <<< "$checksum")
+ns_of() {
+    awk -v name="$1" '$1 == name {
+        print $3 * ($4 == "ms" ? 1e6 : $4 == "µs" ? 1e3 : 1) }' <<< "$checksum"
+}
+stamp_ns=$(ns_of checksum/stamp_batch_28k)
+scattered_ns=$(ns_of checksum/stamp_batch_28k_scattered)
 median_of() {
     grep "\"$1\"" BENCH_core.json | sed 's/.*"median_ns": *\([0-9]*\).*/\1/'
 }
@@ -39,6 +44,7 @@ titles_ns=$(median_of scale/n100000_titles16_playback)
 
 awk -v pr="$pr" -v parent="$(git rev-parse HEAD)" -v nproc="$(nproc)" \
     -v probes="$probes" -v streamed="$streamed_us" -v stamp="$stamp_ns" \
+    -v scattered="$scattered_ns" \
     -v scale="$scale_ns" -v titles="$titles_ns" '
 function median(w, m,    n, i, j, t, a) {
     n = split(seen[w, m], a, " ") - traced[w]
@@ -88,5 +94,6 @@ END {
     printf "\"media.frame_payload_ns\": %d, ", last["vod_defended", "media.frame_payload_ns"]
     printf "\"scrub.failover_storm\": {\"covered\": %d, \"probes\": %d, \"credited\": %d}, ", covered, probes, covered - probes
     printf "\"checksum/stamp_batch_28k_ns\": %.1f, ", stamp
+    printf "\"checksum/stamp_batch_28k_scattered_ns\": %.1f, ", scattered
     printf "\"host_mode\": {\"mode\": \"%s\", \"checksum/block_sum_28k_streamed_us\": %.2f}}\n", (streamed < 3.5 ? "fast" : "slow"), streamed
 }' "$suite"

@@ -14,6 +14,8 @@
 //! more legs of the same test — defenses off, then verified reads and
 //! scrub on — a third holds a round whose stamp checks are split across
 //! cores to the scoped spawn's handful, however many blocks it hashes,
+//! a fourth holds an idle round's pass-ahead — the rest of every scrub
+//! pass hashed in one batch — flat as the pass grows 8×,
 //! and a last one pins that `SimDisk::fetch_sum` — what the
 //! defenses add per block — allocates nothing at all. The footprint leg
 //! counts bytes as well as calls: a stream's state is one allocation of
@@ -220,6 +222,36 @@ fn rounds_do_not_grow_the_heap() {
             "k = {k}: {added} allocations over {rounds} rounds — the rounds did not split"
         );
     }
+
+    // An idle pass-ahead: four members nobody watches, so every round
+    // is idle and the first hashes the whole of each member's pass in
+    // one batch, split across cores, that later rounds' probes take
+    // from. The short run's count is the run's own set-up, the scoped
+    // spawn and its buffers grown from empty (29 on std today). 8× the
+    // blocks and ≈ 8× the rounds may cost those buffers (the batch's
+    // jobs, each disk's offers) three more doublings each, and nothing
+    // else: one allocation a block or a round would be hundreds more.
+    let run_idle = |seconds: f64| {
+        let mut c = Cluster::new(ClusterConfig::round_robin(4, 7)).expect("cluster");
+        for i in 0..4 {
+            c.ingest("clip", &ClipSpec::video_seconds(seconds).with_seed(i), 0.0)
+                .expect("ingest");
+        }
+        let cfg = ClusterPlayback::with_k(8).scrub(4);
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let report = simulate_cluster(&mut c, &[], &[], &cfg).expect("simulate");
+        (report, ALLOCS.load(Ordering::Relaxed) - before)
+    };
+    let (long, allocs_long) = run_idle(24.0);
+    let (short, allocs_short) = run_idle(3.0);
+    assert!(probes(&long) >= 8 * probes(&short) && long.sim.rounds > 7 * short.sim.rounds);
+    let (handful, doublings) = (40, 3 * 5);
+    assert!(
+        allocs_short <= handful && allocs_long <= allocs_short + doublings,
+        "idle pass-ahead: {} probes for {allocs_long} allocations vs {} for {allocs_short}",
+        probes(&long),
+        probes(&short)
+    );
 
     // What the defenses add per block: the stored payload is summed in
     // place, across a store-chunk boundary and over unwritten sectors,
