@@ -12,9 +12,8 @@ use crate::table::{ms, Table};
 use strandfs_core::admission::{Aggregates, RequestSpec, ServiceEnv};
 use strandfs_core::model::continuity::max_scattering_pipelined;
 use strandfs_core::model::vbr::VbrParams;
-use strandfs_core::mrs::compile_schedule;
 use strandfs_core::msm::MsmConfig;
-use strandfs_core::rope::edit::{Interval, MediaSel};
+use strandfs_core::rope::edit::MediaSel;
 use strandfs_disk::{DiskGeometry, GapBounds, SeekModel};
 use strandfs_media::VideoCodec;
 use strandfs_sim::playback::{simulate_playback, PlaybackConfig};
@@ -117,13 +116,7 @@ pub fn play_statistical(n: usize) -> Played {
     let k = agg.k_transient(n).expect("statistically admissible");
     let schedules: Vec<_> = ropes
         .iter()
-        .map(|r| {
-            let rope = mrs.rope(*r).unwrap().clone();
-            let mut s =
-                compile_schedule(&rope, MediaSel::Both, Interval::whole(rope.duration())).unwrap();
-            mrs.resolve_silence(&mut s).unwrap();
-            s
-        })
+        .map(|r| mrs.schedule(*r, MediaSel::Both).unwrap())
         .collect();
     let report =
         simulate_playback(&mut mrs, schedules, PlaybackConfig::with_k(k)).expect("simulate");

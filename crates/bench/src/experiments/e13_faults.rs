@@ -16,8 +16,8 @@
 use std::fmt::Write as _;
 
 use crate::table::Table;
-use strandfs_core::mrs::{compile_schedule, Mrs, PlaySchedule};
-use strandfs_core::rope::edit::{Interval, MediaSel};
+use strandfs_core::mrs::{Mrs, PlaySchedule};
+use strandfs_core::rope::edit::MediaSel;
 use strandfs_core::{FsError, RopeId};
 use strandfs_disk::FaultPlan;
 use strandfs_sim::playback::{simulate_playback, DegradeMode, PlaybackConfig};
@@ -82,15 +82,10 @@ pub struct Shield {
     pub victim_recovery: Nanos,
 }
 
-fn schedules(mrs: &mut Mrs, ropes: &[RopeId]) -> Result<Vec<PlaySchedule>, FsError> {
+fn schedules(mrs: &Mrs, ropes: &[RopeId]) -> Result<Vec<PlaySchedule>, FsError> {
     ropes
         .iter()
-        .map(|r| {
-            let rope = mrs.rope(*r)?.clone();
-            let mut s = compile_schedule(&rope, MediaSel::Both, Interval::whole(rope.duration()))?;
-            mrs.resolve_silence(&mut s)?;
-            Ok(s)
-        })
+        .map(|r| mrs.schedule(*r, MediaSel::Both))
         .collect()
 }
 
@@ -99,7 +94,7 @@ fn schedules(mrs: &mut Mrs, ropes: &[RopeId]) -> Result<Vec<PlaySchedule>, FsErr
 pub fn run_cell(rate: f64, policy: &'static str, mode: DegradeMode) -> Row {
     let clips = [ClipSpec::video_seconds(4.0); STREAMS];
     let (mut mrs, ropes) = faulty_volume(&clips, SEED).expect("build faulty volume");
-    let scheds = schedules(&mut mrs, &ropes).expect("compile schedules");
+    let scheds = schedules(&mrs, &ropes).expect("compile schedules");
     mrs.msm_mut()
         .arm_faults(FaultPlan::clean().with_random_transients(rate, 1));
     let report = simulate_playback(&mut mrs, scheds, PlaybackConfig::with_k(K).degraded(mode))
@@ -132,7 +127,7 @@ pub fn run_sweep() -> Vec<Row> {
 pub fn run_shield() -> Shield {
     let clips = [ClipSpec::video_seconds(4.0); STREAMS];
     let (mut mrs, ropes) = faulty_volume(&clips, 7).expect("build faulty volume");
-    let scheds = schedules(&mut mrs, &ropes).expect("compile schedules");
+    let scheds = schedules(&mrs, &ropes).expect("compile schedules");
     let mut plan = FaultPlan::clean();
     for item in &scheds[1].items[10..14] {
         let e = mrs

@@ -21,8 +21,7 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use crate::table::Table;
-use strandfs_core::mrs::compile_schedule;
-use strandfs_core::rope::edit::{Interval, MediaSel};
+use strandfs_core::rope::edit::MediaSel;
 use strandfs_obs::{MonitorConfig, ObsSink, SloRule, WindowedMonitor};
 use strandfs_sim::playback::{simulate_degraded, DegradeMode, ServiceOrder};
 use strandfs_sim::{standard_volume, ClipSpec};
@@ -121,10 +120,9 @@ fn run_with_obs(n: usize, obs: ObsSink) -> Row {
     let (mut mrs, ropes) =
         standard_volume(&[ClipSpec::video_seconds(2.0)]).expect("build scale volume");
     mrs.set_obs(obs);
-    let rope = mrs.rope(ropes[0]).expect("recorded rope").clone();
-    let mut sched = compile_schedule(&rope, MediaSel::Both, Interval::whole(rope.duration()))
+    let sched = mrs
+        .schedule(ropes[0], MediaSel::Both)
         .expect("compile schedule");
-    mrs.resolve_silence(&mut sched).expect("resolve silence");
     let streams: Vec<_> = (0..n).map(|_| sched.clone()).collect();
     let begin = std::time::Instant::now();
     let report = simulate_degraded(

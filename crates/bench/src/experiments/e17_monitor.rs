@@ -23,9 +23,8 @@ use std::time::Duration;
 
 use crate::experiments::e13_faults;
 use crate::table::Table;
-use strandfs_core::mrs::{compile_schedule, Mrs, PlaySchedule};
-use strandfs_core::rope::edit::{Interval, MediaSel};
-use strandfs_core::FsError;
+use strandfs_core::mrs::{Mrs, PlaySchedule};
+use strandfs_core::rope::edit::MediaSel;
 use strandfs_disk::FaultPlan;
 use strandfs_obs::{MonitorConfig, ObsSink, SloRule, WindowedMonitor};
 use strandfs_sim::playback::{simulate_playback, PlaybackConfig};
@@ -103,12 +102,7 @@ fn build_scenario() -> (Mrs, Vec<PlaySchedule>) {
     let (mut mrs, ropes) = faulty_volume(&clips, SEED).expect("build faulty volume");
     let scheds: Vec<PlaySchedule> = ropes
         .iter()
-        .map(|r| -> Result<PlaySchedule, FsError> {
-            let rope = mrs.rope(*r)?.clone();
-            let mut s = compile_schedule(&rope, MediaSel::Both, Interval::whole(rope.duration()))?;
-            mrs.resolve_silence(&mut s)?;
-            Ok(s)
-        })
+        .map(|r| mrs.schedule(*r, MediaSel::Both))
         .collect::<Result<_, _>>()
         .expect("compile schedules");
     mrs.msm_mut()

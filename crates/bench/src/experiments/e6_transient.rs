@@ -12,9 +12,8 @@
 
 use crate::table::Table;
 use strandfs_core::admission::{Aggregates, ServiceEnv};
-use strandfs_core::mrs::compile_schedule;
 use strandfs_core::msm::MsmConfig;
-use strandfs_core::rope::edit::{Interval, MediaSel};
+use strandfs_core::rope::edit::MediaSel;
 use strandfs_disk::{DiskGeometry, GapBounds, SeekModel};
 use strandfs_sim::playback::{simulate_with_arrivals, Arrival};
 use strandfs_sim::{volume_on, ClipSpec, SimReport};
@@ -87,13 +86,7 @@ pub fn run_with_obs(policy: TransitionPolicy, obs: strandfs_obs::ObsSink) -> Out
     mrs.set_obs(obs);
     let schedules: Vec<_> = ropes
         .iter()
-        .map(|r| {
-            let rope = mrs.rope(*r).unwrap().clone();
-            let mut s =
-                compile_schedule(&rope, MediaSel::Both, Interval::whole(rope.duration())).unwrap();
-            mrs.resolve_silence(&mut s).unwrap();
-            s
-        })
+        .map(|r| mrs.schedule(*r, MediaSel::Both).unwrap())
         .collect();
 
     let env: ServiceEnv = *mrs.msm().admission_ref().env();

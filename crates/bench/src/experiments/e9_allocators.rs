@@ -9,9 +9,8 @@
 //! playback load.
 
 use crate::table::Table;
-use strandfs_core::mrs::compile_schedule;
 use strandfs_core::msm::MsmConfig;
-use strandfs_core::rope::edit::{Interval, MediaSel};
+use strandfs_core::rope::edit::MediaSel;
 use strandfs_disk::{AllocPolicy, DiskGeometry, GapBounds, SeekModel};
 use strandfs_sim::playback::{simulate_playback, PlaybackConfig};
 use strandfs_sim::{volume_on, ClipSpec};
@@ -54,13 +53,7 @@ fn run_policy(policy: AllocPolicy, label: &'static str) -> Row {
     .expect("build volume");
     let schedules: Vec<_> = ropes
         .iter()
-        .map(|r| {
-            let rope = mrs.rope(*r).unwrap().clone();
-            let mut s =
-                compile_schedule(&rope, MediaSel::Both, Interval::whole(rope.duration())).unwrap();
-            mrs.resolve_silence(&mut s).unwrap();
-            s
-        })
+        .map(|r| mrs.schedule(*r, MediaSel::Both).unwrap())
         .collect();
     let busy_before = mrs.msm().disk().stats().clone();
     let report =

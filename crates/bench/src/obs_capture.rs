@@ -32,7 +32,7 @@ pub struct Capture {
     /// The observability capture ([`strandfs_obs::RingRecorder::to_json`]).
     pub obs_json: String,
     /// The continuity SLO report derived from the simulation
-    /// ([`strandfs_sim::ContinuitySloReport::to_json`]).
+    /// ([`strandfs_sim::metrics::ContinuitySloReport::to_json`]).
     pub slo_json: String,
     /// The simulation's own report (independent of the event stream).
     pub report: SimReport,

@@ -15,8 +15,7 @@
 
 use crate::experiments::e16_scale;
 use std::hint::black_box;
-use strandfs_core::mrs::compile_schedule;
-use strandfs_core::rope::edit::{Interval, MediaSel};
+use strandfs_core::rope::edit::MediaSel;
 use strandfs_sim::playback::{simulate_playback, PlaybackConfig};
 use strandfs_sim::{standard_volume, ClipSpec};
 use strandfs_testkit::bench::{Bencher, Runner};
@@ -68,13 +67,7 @@ fn titles_playback(b: &mut Bencher, n: usize) {
         standard_volume(&[ClipSpec::video_seconds(2.0); TITLES]).expect("build titles volume");
     let scheds: Vec<_> = ropes
         .iter()
-        .map(|r| {
-            let rope = mrs.rope(*r).expect("recorded rope");
-            let mut s = compile_schedule(rope, MediaSel::Both, Interval::whole(rope.duration()))
-                .expect("compile schedule");
-            mrs.resolve_silence(&mut s).expect("resolve silence");
-            s
-        })
+        .map(|r| mrs.schedule(*r, MediaSel::Both).expect("compile schedule"))
         .collect();
     let mut rng = Prng::seed_from_u64(TITLES as u64);
     let titles: Vec<usize> = (0..n).map(|_| rng.gen_range(0..TITLES)).collect();

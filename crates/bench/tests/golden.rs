@@ -15,7 +15,7 @@ use strandfs_bench::experiments::{
     vintage_env,
 };
 use strandfs_bench::sections;
-use strandfs_testkit::json::validate;
+use strandfs_testkit::json::{validate, Json};
 
 const BENCH_CORE: &str = include_str!("../../../BENCH_core.json");
 
@@ -31,6 +31,49 @@ fn registry_labels_are_the_committed_section_keys() {
     let mut labels: Vec<&str> = sections::SECTIONS.iter().map(|(label, _)| *label).collect();
     labels.sort_unstable();
     assert_eq!(labels, doc.get("sections").expect("sections").keys());
+}
+
+/// Every string leaf under `doc`.
+fn string_leaves<'a>(doc: &'a Json, out: &mut Vec<&'a str>) {
+    match doc {
+        Json::Str(s) => out.push(s),
+        Json::Arr(a) => a.iter().for_each(|v| string_leaves(v, out)),
+        Json::Obj(m) => m.values().for_each(|v| string_leaves(v, out)),
+        _ => {}
+    }
+}
+
+/// A fingerprint quoted in the prose must be one the exact gate holds:
+/// every backticked 16-hex-digit token of README, DESIGN and
+/// EXPERIMENTS is a string leaf of a committed `sections/*` document.
+#[test]
+fn quoted_fingerprints_are_committed_section_leaves() {
+    let doc = validate(BENCH_CORE);
+    let mut leaves = Vec::new();
+    string_leaves(doc.get("sections").expect("sections"), &mut leaves);
+    let docs = [
+        ("README.md", include_str!("../../../README.md")),
+        ("DESIGN.md", include_str!("../../../DESIGN.md")),
+        ("EXPERIMENTS.md", include_str!("../../../EXPERIMENTS.md")),
+    ];
+    let hex = |c: &u8| c.is_ascii_digit() || (b'a'..=b'f').contains(c);
+    let mut quoted = Vec::new();
+    for (name, text) in docs {
+        let b = text.as_bytes();
+        for i in 0..b.len().saturating_sub(17) {
+            if b[i] == b'`' && b[i + 17] == b'`' && b[i + 1..i + 17].iter().all(hex) {
+                let token = &text[i + 1..i + 17];
+                assert!(
+                    leaves.contains(&token),
+                    "{name} quotes `{token}`, which no committed sections/* leaf holds"
+                );
+                quoted.push(token);
+            }
+        }
+    }
+    // At least the crash sweep's fingerprint and fsx's op-log and image
+    // hashes: a scan that finds fewer has stopped looking.
+    assert!(quoted.len() >= 3, "quoted fingerprints: {quoted:?}");
 }
 
 /// The block of the committed `experiments_output.txt` under the

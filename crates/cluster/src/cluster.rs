@@ -6,9 +6,9 @@ use crate::placement::{hypothetical_slack, standard_spec, Placement, VolumeLoad}
 use std::sync::Arc;
 use strandfs_core::fsck;
 use strandfs_core::journal::JournalConfig;
-use strandfs_core::mrs::{compile_schedule, Mrs, PlaySchedule};
+use strandfs_core::mrs::{Mrs, PlaySchedule};
 use strandfs_core::msm::{Msm, MsmConfig, RecoveryReport};
-use strandfs_core::rope::edit::{Interval, MediaSel};
+use strandfs_core::rope::edit::MediaSel;
 use strandfs_core::{FsError, StrandId};
 use strandfs_disk::{DiskGeometry, Extent, FaultPlan, GapBounds, SeekModel, SimDisk};
 use strandfs_obs::ObsSink;
@@ -278,14 +278,12 @@ impl Cluster {
         clip: &ClipSpec,
     ) -> Result<Replica, FsError> {
         let rid = record_clip(&mut member.mrs, clip)?;
-        let rope = member.mrs.rope(rid)?;
         let sel = match (clip.video, clip.audio) {
             (true, false) => MediaSel::Video,
             (false, true) => MediaSel::Audio,
             _ => MediaSel::Both,
         };
-        let mut schedule = compile_schedule(rope, sel, Interval::whole(rope.duration()))?;
-        member.mrs.resolve_silence(&mut schedule)?;
+        let schedule = member.mrs.schedule(rid, sel)?;
         let mut strands: Vec<StrandLoc> = Vec::new();
         for item in schedule.items.iter().filter(|i| !i.silence) {
             if !strands.iter().any(|l| l.strand == item.strand) {

@@ -30,6 +30,10 @@ use strandfs_sim::metrics::SimReport;
 use strandfs_sim::StreamState;
 use strandfs_units::{Instant, Nanos};
 
+/// Consecutive on-time probes before a quarantined volume is
+/// re-admitted.
+const READMIT_PROBE_ROUNDS: u64 = 2;
+
 /// Configuration of a cluster playback run.
 #[derive(Clone, Copy, Debug)]
 pub struct ClusterPlayback {
@@ -63,9 +67,6 @@ pub struct ClusterPlayback {
     /// quarantined — taken out of placement and serving while it is
     /// probed (0 disables quarantine).
     pub quarantine_after_rounds: u64,
-    /// Consecutive on-time probes before a quarantined volume is
-    /// re-admitted.
-    pub readmit_probe_rounds: u64,
     /// Audit every payload served to a viewer against its checksum
     /// stamp (an untimed oracle for experiments; counts what silent
     /// corruption actually reached the audience).
@@ -87,7 +88,6 @@ impl ClusterPlayback {
             scrub_blocks_per_round: 0,
             hedge: false,
             quarantine_after_rounds: 3,
-            readmit_probe_rounds: 2,
             audit_integrity: false,
             max_rounds: 100_000,
         }
@@ -1354,7 +1354,7 @@ impl<'a> Run<'a> {
             };
             let lane = &mut self.lanes[v];
             lane.clean_probes = if on_time { lane.clean_probes + 1 } else { 0 };
-            if lane.clean_probes >= self.cfg.readmit_probe_rounds.max(1) {
+            if lane.clean_probes >= READMIT_PROBE_ROUNDS {
                 lane.quarantined = false;
                 self.report.quarantine_readmits += 1;
                 let rounds = lane.clean_probes;

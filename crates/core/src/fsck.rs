@@ -229,8 +229,7 @@ pub fn check_msm(msm: &mut Msm, now: Instant) -> Report {
     let bad: Vec<Extent> = msm.disk().bad_extents().to_vec();
     let bounds = msm.gap_bounds();
     let ids = msm.strand_ids();
-    // Sector claims for overlap detection: (start sector -> (len, owner)).
-    let mut claims: BTreeMap<u64, (u64, StrandId)> = BTreeMap::new();
+    let mut claims = Claims::new();
 
     for id in &ids {
         report.strands_checked += 1;
@@ -294,7 +293,7 @@ fn check_extent(
     e: Extent,
     total: u64,
     bad: &[Extent],
-    claims: &mut BTreeMap<u64, (u64, StrandId)>,
+    claims: &mut Claims,
     report: &mut Report,
 ) {
     if e.end() > total {
@@ -319,27 +318,38 @@ fn check_extent(
             extent: e,
         });
     }
-    // Overlap detection against earlier claims: check the predecessor
-    // (may span into us) and any claims starting inside us.
-    if let Some((&start, &(len, owner))) = claims.range(..=e.start).next_back() {
-        if (owner != id || start != e.start) && start + len > e.start {
-            report.findings.push(Finding::OverlappingExtents {
-                a: owner,
-                b: id,
-                at: e.start,
-            });
-        }
-    }
-    if let Some((&start, &(_, owner))) = claims.range(e.start..e.end()).next() {
-        if !(owner == id && start == e.start) {
-            report.findings.push(Finding::OverlappingExtents {
-                a: owner,
-                b: id,
-                at: start,
-            });
-        }
+    for (a, at) in overlaps(claims, id, e) {
+        report
+            .findings
+            .push(Finding::OverlappingExtents { a, b: id, at });
     }
     claims.insert(e.start, (e.sectors, id));
+}
+
+/// Sector claims of a walk: start sector → (length, owner).
+type Claims = BTreeMap<u64, (u64, StrandId)>;
+
+/// The earlier claims `e` overlaps, as `(owner, first shared sector)`:
+/// the claim before `e` that reaches into it, then the first claim that
+/// starts inside it. `id` claiming the very same start again is not an
+/// overlap.
+fn overlaps(
+    claims: &Claims,
+    id: StrandId,
+    e: Extent,
+) -> impl Iterator<Item = (StrandId, u64)> + '_ {
+    let other = move |start: u64, owner: StrandId| owner != id || start != e.start;
+    let before = claims
+        .range(..=e.start)
+        .next_back()
+        .filter(|&(&start, &(len, owner))| other(start, owner) && start + len > e.start)
+        .map(|(_, &(_, owner))| (owner, e.start));
+    let inside = claims
+        .range(e.start..e.end())
+        .next()
+        .filter(|&(&start, &(_, owner))| other(start, owner))
+        .map(|(&start, &(_, owner))| (owner, start));
+    before.into_iter().chain(inside)
 }
 
 /// Check the rope layer on top of the storage layer.
@@ -382,30 +392,11 @@ const RESERVED_OWNER: u64 = u64::MAX;
 /// True when an extent cannot be part of a healthy strand: it runs off
 /// the device, the free map does not hold it allocated, or an earlier
 /// claimant already owns (part of) its sectors.
-fn extent_bad(
-    msm: &Msm,
-    id: StrandId,
-    e: Extent,
-    total: u64,
-    claims: &BTreeMap<u64, (u64, StrandId)>,
-) -> bool {
-    if e.end() > total || e.sectors == 0 {
-        return true;
-    }
-    if !msm.allocator().freemap().extent_used(e) {
-        return true;
-    }
-    if let Some((&start, &(len, owner))) = claims.range(..=e.start).next_back() {
-        if (owner != id || start != e.start) && start + len > e.start {
-            return true;
-        }
-    }
-    if let Some((&start, &(_, owner))) = claims.range(e.start..e.end()).next() {
-        if !(owner == id && start == e.start) {
-            return true;
-        }
-    }
-    false
+fn extent_bad(msm: &Msm, id: StrandId, e: Extent, total: u64, claims: &Claims) -> bool {
+    e.end() > total
+        || e.sectors == 0
+        || !msm.allocator().freemap().extent_used(e)
+        || overlaps(claims, id, e).next().is_some()
 }
 
 /// Merge possibly-overlapping `(start, end)` intervals into a sorted
@@ -462,7 +453,7 @@ pub fn repair_msm(msm: &mut Msm, now: Instant) -> Report {
     let mut report = Report::default();
     let total = msm.disk().geometry().total_sectors();
     let ids = msm.strand_ids();
-    let mut claims: BTreeMap<u64, (u64, StrandId)> = BTreeMap::new();
+    let mut claims = Claims::new();
     let reserved = StrandId::from_raw(RESERVED_OWNER);
     if let Some(region) = msm.journal_region() {
         claims.insert(region.start, (region.sectors, reserved));
@@ -551,12 +542,7 @@ pub fn repair_msm(msm: &mut Msm, now: Instant) -> Report {
     }
     for id in msm.strand_ids() {
         let s = msm.strand(id).expect("listed id");
-        for (_n, e) in s.stored_iter() {
-            reachable.push((e.start, e.end()));
-        }
-        for e in s.index_extents() {
-            reachable.push((e.start, e.end()));
-        }
+        reachable.extend(s.extents().map(|e| (e.start, e.end())));
     }
     let reachable = merge_intervals(reachable);
     let mut allocated: Vec<(u64, u64)> = Vec::new();
@@ -572,7 +558,7 @@ pub fn repair_msm(msm: &mut Msm, now: Instant) -> Report {
     }
     for (s, e) in subtract_intervals(&allocated, &reachable) {
         let extent = Extent::new(s, e - s);
-        msm.reclaim_extent(extent);
+        msm.free(extent);
         report
             .findings
             .push(Finding::RepairedLeakedExtent { extent });

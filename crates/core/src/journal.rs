@@ -87,14 +87,6 @@ impl Default for JournalConfig {
     }
 }
 
-impl JournalConfig {
-    /// Override the checkpoint slot size (in sectors).
-    pub fn with_ckpt_sectors(mut self, sectors: u64) -> Self {
-        self.ckpt_sectors = sectors;
-        self
-    }
-}
-
 /// One write-ahead intent record.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Record {

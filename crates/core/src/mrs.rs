@@ -125,11 +125,6 @@ impl EditReport {
         self.heals.iter().map(|h| h.copied).sum()
     }
 
-    /// The largest per-boundary copy count.
-    pub fn max_copied(&self) -> u64 {
-        self.heals.iter().map(|h| h.copied).max().unwrap_or(0)
-    }
-
     /// True if every healed boundary respected its Eq. 19/20 bound.
     pub fn within_bounds(&self) -> bool {
         self.heals.iter().all(|h| h.copied <= h.bound)
@@ -160,6 +155,19 @@ struct TrackAccum {
     /// Audio only: buffered raw samples for silence classification.
     pending_samples: Vec<i32>,
     units_total: u64,
+}
+
+impl TrackAccum {
+    fn new(msm: &mut Msm, opts: TrackOpts) -> TrackAccum {
+        TrackAccum {
+            strand: msm.begin_strand(opts.meta),
+            opts,
+            pending: Vec::new(),
+            pending_units: 0,
+            pending_samples: Vec::new(),
+            units_total: 0,
+        }
+    }
 }
 
 struct RecordState {
@@ -274,6 +282,38 @@ impl Mrs {
         id
     }
 
+    /// Admit one stream per spec, in order, or none (Eq. 15–18): a
+    /// rejected stream uses up its id, and the streams admitted before
+    /// it are released.
+    fn admit_all(&mut self, specs: &[RequestSpec]) -> Result<Vec<RequestId>, FsError> {
+        let mut ids = Vec::new();
+        for spec in specs {
+            let rid = self.fresh_request();
+            if let Err(e) = self.msm.admission().try_admit(rid, *spec) {
+                self.release_all(&ids);
+                return Err(e);
+            }
+            ids.push(rid);
+        }
+        Ok(ids)
+    }
+
+    fn release_all(&mut self, ids: &[RequestId]) {
+        for id in ids {
+            self.msm.admission().release(*id).ok();
+        }
+    }
+
+    /// Put a new rope created by `user` in the catalog under a fresh id.
+    fn catalog(&mut self, mut rope: Rope, user: &str) -> RopeId {
+        let id = self.fresh_rope();
+        rope.id = id;
+        rope.creator = user.to_string();
+        self.interests.register(&rope);
+        self.ropes.insert(id, rope);
+        id
+    }
+
     // ----- RECORD ------------------------------------------------------
 
     /// `RECORD [media] → requestID`: begin recording a new rope. Runs
@@ -284,46 +324,14 @@ impl Mrs {
             opts.video.is_some() || opts.audio.is_some(),
             "RECORD needs at least one medium"
         );
-        // Admit each medium's stream before allocating anything.
-        let mut admission_ids = Vec::new();
-        let mut admitted_specs = Vec::new();
-        for t in [&opts.video, &opts.audio].into_iter().flatten() {
-            let spec = RequestSpec {
-                q: t.meta.granularity,
-                unit_bits: t.meta.unit_bits,
-                unit_rate: t.meta.unit_rate,
-            };
-            let rid = self.fresh_request();
-            match self.msm.admission().try_admit(rid, spec) {
-                Ok(_) => {
-                    admission_ids.push(rid);
-                    admitted_specs.push(spec);
-                }
-                Err(e) => {
-                    // Roll back the streams admitted so far.
-                    for done in &admission_ids {
-                        self.msm.admission().release(*done).ok();
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        let video = opts.video.clone().map(|t| TrackAccum {
-            strand: self.msm.begin_strand(t.meta),
-            opts: t,
-            pending: Vec::new(),
-            pending_units: 0,
-            pending_samples: Vec::new(),
-            units_total: 0,
-        });
-        let audio = opts.audio.clone().map(|t| TrackAccum {
-            strand: self.msm.begin_strand(t.meta),
-            opts: t,
-            pending: Vec::new(),
-            pending_units: 0,
-            pending_samples: Vec::new(),
-            units_total: 0,
-        });
+        let specs: Vec<RequestSpec> = [&opts.video, &opts.audio]
+            .into_iter()
+            .flatten()
+            .map(|t| t.meta.request_spec())
+            .collect();
+        let admission_ids = self.admit_all(&specs)?;
+        let video = opts.video.map(|t| TrackAccum::new(&mut self.msm, t));
+        let audio = opts.audio.map(|t| TrackAccum::new(&mut self.msm, t));
         let req = self.fresh_request();
         self.sessions.insert(
             req,
@@ -453,25 +461,19 @@ impl Mrs {
             .sessions
             .remove(&req)
             .ok_or(FsError::UnknownRequest(req))?;
-        match session {
-            Session::Play(p) => {
-                if !p.destructive_pause {
-                    for id in &p.admission_ids {
-                        self.msm.admission().release(*id).ok();
-                    }
-                }
-                Ok(None)
-            }
+        // A destructive pause has already released a session's slots
+        // and left it none to release.
+        let (admission_ids, result) = match session {
+            Session::Play(p) => (p.admission_ids, Ok(None)),
+            // Finalize the tracks, but release the admission slots no
+            // matter what — a full disk must not leak capacity.
             Session::Record(mut r) => {
-                // Finalize the tracks, but release the admission slots
-                // no matter what — a full disk must not leak capacity.
                 let result = self.finalize_record(&mut r, now);
-                for id in &r.admission_ids {
-                    self.msm.admission().release(*id).ok();
-                }
-                result
+                (r.admission_ids, result)
             }
-        }
+        };
+        self.release_all(&admission_ids);
+        result
     }
 
     fn finalize_record(
@@ -479,68 +481,62 @@ impl Mrs {
         r: &mut RecordState,
         now: Instant,
     ) -> Result<Option<RopeId>, FsError> {
-        {
-            {
-                let mut t = now;
-                let mut video_ref = None;
-                let mut audio_ref = None;
-                for (is_video, track) in [(true, r.video.as_mut()), (false, r.audio.as_mut())] {
-                    let Some(track) = track else { continue };
-                    // Flush partials.
-                    if !is_video {
-                        if !track.pending_samples.is_empty() {
-                            let payload: Vec<u8> = track
-                                .pending_samples
-                                .iter()
-                                .map(|&s| s.clamp(-128, 127) as i8 as u8)
-                                .collect();
-                            let units = track.pending_samples.len() as u64;
-                            let (_, op) =
-                                self.msm.append_block(track.strand, t, &payload, units)?;
-                            t = op.completed;
-                            track.pending_samples.clear();
-                        }
-                    } else if track.pending_units > 0 {
-                        let data = std::mem::take(&mut track.pending);
-                        let (_, op) =
-                            self.msm
-                                .append_block(track.strand, t, &data, track.pending_units)?;
-                        t = op.completed;
-                        track.pending_units = 0;
-                    }
-                    if track.units_total == 0 {
-                        // Nothing recorded on this track: drop the empty
-                        // strand quietly.
-                        self.msm.finish_strand(track.strand, t)?;
-                        self.msm.delete_strand(track.strand)?;
-                        continue;
-                    }
-                    self.msm.finish_strand(track.strand, t)?;
-                    let meta = *self.msm.strand(track.strand)?.meta();
-                    let sref = StrandRef {
-                        strand: track.strand,
-                        start_unit: 0,
-                        len_units: self.msm.strand(track.strand)?.unit_count(),
-                        unit_rate: meta.unit_rate,
-                        granularity: meta.granularity,
-                    };
-                    if is_video {
-                        video_ref = Some(sref);
-                    } else {
-                        audio_ref = Some(sref);
-                    }
+        let mut t = now;
+        let mut video_ref = None;
+        let mut audio_ref = None;
+        for (is_video, track) in [(true, r.video.as_mut()), (false, r.audio.as_mut())] {
+            let Some(track) = track else { continue };
+            // Flush partials.
+            if !is_video {
+                if !track.pending_samples.is_empty() {
+                    let payload: Vec<u8> = track
+                        .pending_samples
+                        .iter()
+                        .map(|&s| s.clamp(-128, 127) as i8 as u8)
+                        .collect();
+                    let units = track.pending_samples.len() as u64;
+                    let (_, op) = self.msm.append_block(track.strand, t, &payload, units)?;
+                    t = op.completed;
+                    track.pending_samples.clear();
                 }
-                if video_ref.is_none() && audio_ref.is_none() {
-                    return Ok(None);
-                }
-                let rope_id = self.fresh_rope();
-                let mut rope = Rope::new(rope_id, &r.user);
-                rope.segments.push(Segment::new(video_ref, audio_ref));
-                self.interests.register(&rope);
-                self.ropes.insert(rope_id, rope);
-                Ok(Some(rope_id))
+            } else if track.pending_units > 0 {
+                let data = std::mem::take(&mut track.pending);
+                let (_, op) = self
+                    .msm
+                    .append_block(track.strand, t, &data, track.pending_units)?;
+                t = op.completed;
+                track.pending_units = 0;
+            }
+            self.msm.finish_strand(track.strand, t)?;
+            if track.units_total == 0 {
+                // Nothing recorded on this track: drop the empty strand
+                // quietly.
+                self.msm.delete_strand(track.strand)?;
+                continue;
+            }
+            let strand = self.msm.strand(track.strand)?;
+            let sref = StrandRef {
+                strand: track.strand,
+                start_unit: 0,
+                len_units: strand.unit_count(),
+                unit_rate: strand.meta().unit_rate,
+                granularity: strand.meta().granularity,
+            };
+            if is_video {
+                video_ref = Some(sref);
+            } else {
+                audio_ref = Some(sref);
             }
         }
+        if video_ref.is_none() && audio_ref.is_none() {
+            return Ok(None);
+        }
+        let rope_id = self.fresh_rope();
+        let mut rope = Rope::new(rope_id, &r.user);
+        rope.segments.push(Segment::new(video_ref, audio_ref));
+        self.interests.register(&rope);
+        self.ropes.insert(rope_id, rope);
+        Ok(Some(rope_id))
     }
 
     // ----- PLAY --------------------------------------------------------
@@ -555,53 +551,27 @@ impl Mrs {
         sel: MediaSel,
         interval: Interval,
     ) -> Result<(RequestId, PlaySchedule), FsError> {
-        let rope = self.rope(rope_id)?;
-        if !rope.can_play(user) {
-            return Err(FsError::AccessDenied {
-                user: user.to_string(),
-                right: "play",
-            });
-        }
-        let rope = rope.clone();
-        let schedule = compile_schedule(&rope, sel, interval)?;
-        // One admission entry per distinct medium actually scheduled.
-        let mut specs: Vec<(Medium, RequestSpec)> = Vec::new();
+        let rope = self.playable(user, rope_id)?;
+        let schedule = compile_schedule(rope, sel, interval)?;
+        // One admission entry per distinct medium actually scheduled, in
+        // the order the segments first carry it.
+        let mut media = Vec::new();
+        let mut specs = Vec::new();
         for seg in &rope.segments {
             for (m, r) in [(Medium::Video, &seg.video), (Medium::Audio, &seg.audio)] {
-                let include = match m {
+                let wanted = match m {
                     Medium::Video => sel.video(),
                     Medium::Audio => sel.audio(),
                 };
-                if !include {
-                    continue;
-                }
-                if let Some(r) = r {
-                    if !specs.iter().any(|(sm, _)| *sm == m) {
-                        specs.push((
-                            m,
-                            RequestSpec {
-                                q: r.granularity,
-                                unit_bits: self.msm.strand(r.strand)?.meta().unit_bits,
-                                unit_rate: r.unit_rate,
-                            },
-                        ));
+                if let (true, Some(r)) = (wanted, r) {
+                    if !media.contains(&m) {
+                        media.push(m);
+                        specs.push(self.msm.strand(r.strand)?.meta().request_spec());
                     }
                 }
             }
         }
-        let mut admission_ids = Vec::new();
-        for (_m, spec) in &specs {
-            let rid = self.fresh_request();
-            match self.msm.admission().try_admit(rid, *spec) {
-                Ok(_) => admission_ids.push(rid),
-                Err(e) => {
-                    for done in &admission_ids {
-                        self.msm.admission().release(*done).ok();
-                    }
-                    return Err(e);
-                }
-            }
-        }
+        let admission_ids = self.admit_all(&specs)?;
         let req = self.fresh_request();
         self.sessions.insert(
             req,
@@ -610,7 +580,7 @@ impl Mrs {
                 rope: rope_id,
                 schedule: schedule.clone(),
                 admission_ids,
-                specs: specs.into_iter().map(|(_, s)| s).collect(),
+                specs,
                 paused: false,
                 destructive_pause: false,
             }),
@@ -632,10 +602,8 @@ impl Mrs {
         state.paused = true;
         state.destructive_pause = destructive;
         if destructive {
-            let ids = state.admission_ids.clone();
-            for id in ids {
-                self.msm.admission().release(id).ok();
-            }
+            let ids = std::mem::take(&mut state.admission_ids);
+            self.release_all(&ids);
         }
         Ok(())
     }
@@ -652,25 +620,12 @@ impl Mrs {
         }
         if state.destructive_pause {
             let specs = state.specs.clone();
-            let mut new_ids = Vec::new();
-            for spec in &specs {
-                let rid = self.fresh_request();
-                match self.msm.admission().try_admit(rid, *spec) {
-                    Ok(_) => new_ids.push(rid),
-                    Err(e) => {
-                        for done in &new_ids {
-                            self.msm.admission().release(*done).ok();
-                        }
-                        return Err(e);
-                    }
-                }
-            }
-            let state = self.play_state(req)?;
-            state.admission_ids = new_ids;
-            state.destructive_pause = false;
+            let ids = self.admit_all(&specs)?;
+            self.play_state(req)?.admission_ids = ids;
         }
         let state = self.play_state(req)?;
         state.paused = false;
+        state.destructive_pause = false;
         Ok(())
     }
 
@@ -763,41 +718,16 @@ impl Mrs {
         sel: MediaSel,
         interval: Interval,
     ) -> Result<RopeId, FsError> {
-        let base_rope = self.rope(base)?;
-        if !base_rope.can_play(user) {
-            return Err(FsError::AccessDenied {
-                user: user.to_string(),
-                right: "play",
-            });
-        }
-        let mut sub = edit::substring(&base_rope.clone(), sel, interval)?;
-        let id = self.fresh_rope();
-        sub.id = id;
-        sub.creator = user.to_string();
-        self.interests.register(&sub);
-        self.ropes.insert(id, sub);
-        Ok(id)
+        let sub = edit::substring(self.playable(user, base)?, sel, interval)?;
+        Ok(self.catalog(sub, user))
     }
 
     /// `CONCATE [rope1, rope2]` → a *new* rope.
     pub fn concat(&mut self, user: &str, first: RopeId, second: RopeId) -> Result<RopeId, FsError> {
-        let a = self.rope(first)?.clone();
-        let b = self.rope(second)?.clone();
-        for r in [&a, &b] {
-            if !r.can_play(user) {
-                return Err(FsError::AccessDenied {
-                    user: user.to_string(),
-                    right: "play",
-                });
-            }
-        }
-        let mut joined = edit::concat(&a, &b);
-        let id = self.fresh_rope();
-        joined.id = id;
-        joined.creator = user.to_string();
-        self.interests.register(&joined);
-        self.ropes.insert(id, joined);
-        Ok(id)
+        // An unknown rope is reported before a refused one.
+        self.rope(first).and(self.rope(second))?;
+        let joined = edit::concat(self.playable(user, first)?, self.playable(user, second)?);
+        Ok(self.catalog(joined, user))
     }
 
     /// Add a text trigger to a rope.
@@ -822,13 +752,18 @@ impl Mrs {
         Ok(())
     }
 
+    fn playable(&self, user: &str, id: RopeId) -> Result<&Rope, FsError> {
+        let rope = self.rope(id)?;
+        if !rope.can_play(user) {
+            return Err(denied(user, "play"));
+        }
+        Ok(rope)
+    }
+
     fn editable(&mut self, user: &str, id: RopeId) -> Result<&mut Rope, FsError> {
-        let rope = self.ropes.get_mut(&id).ok_or(FsError::UnknownRope(id))?;
+        let rope = self.rope_mut(id)?;
         if !rope.can_edit(user) {
-            return Err(FsError::AccessDenied {
-                user: user.to_string(),
-                right: "edit",
-            });
+            return Err(denied(user, "edit"));
         }
         Ok(rope)
     }
@@ -995,15 +930,7 @@ impl Mrs {
 
     /// Delete a rope from the catalog, dropping its interests.
     pub fn delete_rope(&mut self, user: &str, id: RopeId) -> Result<(), FsError> {
-        {
-            let rope = self.ropes.get(&id).ok_or(FsError::UnknownRope(id))?;
-            if !rope.can_edit(user) {
-                return Err(FsError::AccessDenied {
-                    user: user.to_string(),
-                    right: "edit",
-                });
-            }
-        }
+        self.editable(user, id)?;
         self.ropes.remove(&id);
         self.interests.unregister(id);
         Ok(())
@@ -1018,6 +945,13 @@ impl Mrs {
             self.msm.delete_strand(*id).ok();
         }
         dead
+    }
+}
+
+fn denied(user: &str, right: &'static str) -> FsError {
+    FsError::AccessDenied {
+        user: user.to_string(),
+        right,
     }
 }
 
@@ -1208,6 +1142,15 @@ impl Mrs {
             item.silence = strand.block(item.block)?.is_none();
         }
         Ok(())
+    }
+
+    /// A cataloged rope's whole timeline, compiled and with its silence
+    /// resolved — the schedule a simulator plays.
+    pub fn schedule(&self, id: RopeId, sel: MediaSel) -> Result<PlaySchedule, FsError> {
+        let rope = self.rope(id)?;
+        let mut schedule = compile_schedule(rope, sel, Interval::whole(rope.duration()))?;
+        self.resolve_silence(&mut schedule)?;
+        Ok(schedule)
     }
 
     /// Grant or restrict a rope's access lists. Requires edit rights.

@@ -25,7 +25,7 @@ use crate::types::{BlockNo, StrandId};
 use std::collections::BTreeMap;
 use strandfs_disk::{
     block_sum, block_sum_padded, AccessKind, AllocPolicy, Allocator, DiskOp, Extent, FaultKind,
-    FaultPlan, GapBounds, SeekModel, SimDisk,
+    FaultPlan, GapBounds, SimDisk,
 };
 use strandfs_obs::{Event, JournalOp, ObsSink};
 use strandfs_units::{Instant, Nanos, Seconds};
@@ -235,21 +235,6 @@ impl Msm {
     /// when observability is off).
     pub fn obs(&self) -> ObsSink {
         self.obs.clone()
-    }
-
-    /// A volume on a fresh disk with gap bounds derived from scattering
-    /// *time* bounds via the disk's seek geometry. `None` if the bounds
-    /// are infeasible on this disk.
-    pub fn with_time_bounds(
-        geometry: strandfs_disk::DiskGeometry,
-        seek: SeekModel,
-        lower: Seconds,
-        upper: Seconds,
-        seed: u64,
-    ) -> Option<Self> {
-        let disk = SimDisk::new(geometry, seek);
-        let bounds = GapBounds::from_times(&disk, lower, upper)?;
-        Some(Msm::new(disk, MsmConfig::constrained(bounds, seed)))
     }
 
     fn service_env(disk: &SimDisk, bounds: GapBounds) -> ServiceEnv {
@@ -578,23 +563,16 @@ impl Msm {
         // Intent before data: the journal record carries the padded
         // payload's checksum, so recovery can tell a complete block
         // from a torn one.
-        let mut t = now;
-        if self.journal.is_some() {
-            t = self.ensure_begun(id, t)?;
-            if let Some(op) = self.journal_append(
-                Record::Append {
-                    strand: id.raw(),
-                    block: block_no,
-                    lba: extent.start,
-                    sectors: extent.sectors,
-                    units,
-                    payload_sum: sum,
-                },
-                t,
-            )? {
-                t = op.completed;
-            }
-        }
+        let t = self.ensure_begun(id, now)?;
+        let record = Record::Append {
+            strand: id.raw(),
+            block: block_no,
+            lba: extent.start,
+            sectors: extent.sectors,
+            units,
+            payload_sum: sum,
+        };
+        let t = self.journal_append(record, t)?.map_or(t, |o| o.completed);
         self.disk.store_data(extent, payload);
         let op = self.timed_write(t, extent)?;
         Ok((block_no, op))
@@ -611,19 +589,13 @@ impl Msm {
         now: Instant,
     ) -> Result<(BlockNo, Option<DiskOp>), FsError> {
         let block_no = self.recording_mut(id)?.push_silence(units)?;
-        let mut op = None;
-        if self.journal.is_some() {
-            let t = self.ensure_begun(id, now)?;
-            op = self.journal_append(
-                Record::Silence {
-                    strand: id.raw(),
-                    block: block_no,
-                    units,
-                },
-                t,
-            )?;
-        }
-        Ok((block_no, op))
+        let t = self.ensure_begun(id, now)?;
+        let record = Record::Silence {
+            strand: id.raw(),
+            block: block_no,
+            units,
+        };
+        Ok((block_no, self.journal_append(record, t)?))
     }
 
     /// Finish a recording: write the 3-level index to disk and freeze the
@@ -636,108 +608,88 @@ impl Msm {
     /// (recovery rebuilds a fresh index from the journaled blocks); a
     /// crash after it leaves the strand durable.
     pub fn finish_strand(&mut self, id: StrandId, now: Instant) -> Result<Extent, FsError> {
-        let mut t = now;
-        if self.journal.is_some()
-            && matches!(self.strands.get(&id), Some(StrandState::Recording(_)))
-        {
-            t = self.ensure_begun(id, t)?;
-            if let Some(op) = self.journal_append(Record::FinishIntent { strand: id.raw() }, t)? {
-                t = op.completed;
-            }
-        }
-        let state = self.strands.remove(&id).ok_or(FsError::UnknownStrand(id))?;
-        let builder = match state {
-            StrandState::Recording(b) => b,
-            StrandState::Finished(s) => {
-                self.strands.insert(id, StrandState::Finished(s));
-                return Err(FsError::StrandImmutable(id));
-            }
+        self.recording_mut(id)?;
+        let t = self.ensure_begun(id, now)?;
+        let t = self
+            .journal_append(Record::FinishIntent { strand: id.raw() }, t)?
+            .map_or(t, |o| o.completed);
+        let Some(StrandState::Recording(builder)) = self.strands.remove(&id) else {
+            unreachable!("state checked above");
         };
-        let meta = *builder.meta();
-        let (header_extent, index_extents) = self.write_index(
-            builder.blocks().to_vec(),
-            builder.sums().to_vec(),
-            builder.unit_count(),
-            &meta,
-            t,
-        )?;
+        self.commit_index(builder, t)
+    }
+
+    /// Make `builder` a finished strand: write its 3-level index at
+    /// `now`, freeze it, then journal the `FinishCommit` record and
+    /// checkpoint. Returns the header-block extent (the on-disk root).
+    fn commit_index(&mut self, builder: StrandBuilder, now: Instant) -> Result<Extent, FsError> {
+        let (header, index_extents) = self.write_index(&builder, now)?;
+        let id = builder.id();
         let strand = builder.freeze(index_extents);
         self.strands.insert(id, StrandState::Finished(strand));
-        if self.journal.is_some() {
-            let op = self.journal_append(
-                Record::FinishCommit {
-                    strand: id.raw(),
-                    header_lba: header_extent.start,
-                    header_sectors: header_extent.sectors,
-                },
-                self.last_io,
-            )?;
-            let t = op.map_or(self.last_io, |o| o.completed);
-            self.write_checkpoint(t)?;
-        }
-        Ok(header_extent)
+        let record = Record::FinishCommit {
+            strand: id.raw(),
+            header_lba: header.start,
+            header_sectors: header.sectors,
+        };
+        let t = self.last_io;
+        let t = self.journal_append(record, t)?.map_or(t, |o| o.completed);
+        self.write_checkpoint(t)?;
+        Ok(header)
     }
 
     fn write_index(
         &mut self,
-        blocks: Vec<Option<Extent>>,
-        sums: Vec<u64>,
-        unit_count: u64,
-        meta: &StrandMeta,
+        builder: &StrandBuilder,
         now: Instant,
     ) -> Result<(Extent, Vec<Extent>), FsError> {
         let block_bytes = self.disk.geometry().sector_size.get() as usize;
         let per_primary = PrimaryBlock::capacity(block_bytes).max(1);
-        let (primaries, coverage) = build_primaries(&blocks, &sums, per_primary);
-
+        let (primaries, coverage) = build_primaries(builder.blocks(), builder.sums(), per_primary);
+        // Primaries first: `index_extents[i]` locates primary `i`.
         let mut index_extents = Vec::new();
-        // Write primaries, collecting their locations.
-        let mut primary_ptrs = Vec::with_capacity(primaries.len());
         for pb in &primaries {
-            let e = self.alloc.allocate_anywhere(1)?;
-            self.disk.store_data(e, &pb.encode(block_bytes));
-            self.timed_write(now, e)?;
-            primary_ptrs.push(e);
-            index_extents.push(e);
+            index_extents.push(self.write_anywhere(&pb.encode(block_bytes), now)?);
         }
         // Secondary blocks point at runs of primaries.
         let per_secondary = SecondaryBlock::capacity(block_bytes).max(1);
-        let mut secondary_ptrs = Vec::new();
+        let mut secondaries = Vec::new();
         for chunk_start in (0..primaries.len()).step_by(per_secondary) {
             let end = (chunk_start + per_secondary).min(primaries.len());
             let entries = (chunk_start..end)
                 .map(|i| SecondaryEntry {
                     start_block: coverage[i].0,
                     block_count: coverage[i].1,
-                    sector: primary_ptrs[i].start,
-                    sector_count: primary_ptrs[i].sectors as u32,
+                    sector: index_extents[i].start,
+                    sector_count: index_extents[i].sectors as u32,
                 })
                 .collect();
-            let sb = SecondaryBlock { entries };
-            let e = self.alloc.allocate_anywhere(1)?;
-            self.disk.store_data(e, &sb.encode(block_bytes));
-            self.timed_write(now, e)?;
-            secondary_ptrs.push(e);
+            let e = self.write_anywhere(&SecondaryBlock { entries }.encode(block_bytes), now)?;
+            secondaries.push(IndexPtr::from_extent(e));
             index_extents.push(e);
         }
         // Header block roots the index.
+        let meta = builder.meta();
         let header = HeaderBlock {
             medium: meta.medium,
             unit_rate: meta.unit_rate,
             granularity: meta.granularity,
             unit_bits: meta.unit_bits.get(),
-            unit_count,
-            block_count: blocks.len() as u64,
-            secondaries: secondary_ptrs
-                .iter()
-                .map(|e| IndexPtr::from_extent(*e))
-                .collect(),
+            unit_count: builder.unit_count(),
+            block_count: builder.block_count(),
+            secondaries,
         };
-        let he = self.alloc.allocate_anywhere(1)?;
-        self.disk.store_data(he, &header.encode(block_bytes));
-        self.timed_write(now, he)?;
+        let he = self.write_anywhere(&header.encode(block_bytes), now)?;
         index_extents.push(he);
         Ok((he, index_extents))
+    }
+
+    /// Write one sector of `bytes` wherever the free map first has room.
+    fn write_anywhere(&mut self, bytes: &[u8], now: Instant) -> Result<Extent, FsError> {
+        let e = self.alloc.allocate_anywhere(1)?;
+        self.disk.store_data(e, bytes);
+        self.timed_write(now, e)?;
+        Ok(e)
     }
 
     fn recording_mut(&mut self, id: StrandId) -> Result<&mut StrandBuilder, FsError> {
@@ -1058,38 +1010,27 @@ impl Msm {
     /// checkpoint (which drops the strand from the catalog) follows, so
     /// a crash anywhere in between replays the deletion at recovery.
     pub fn delete_strand(&mut self, id: StrandId) -> Result<(), FsError> {
-        match self.strands.get(&id) {
-            Some(StrandState::Finished(_)) => {}
-            Some(StrandState::Recording(_)) => return Err(FsError::StrandNotFinished(id)),
-            None => return Err(FsError::UnknownStrand(id)),
-        }
+        self.strand(id)?;
         self.index_cache.remove(&id);
-        if self.journal.is_some() {
-            let t = self.last_io;
-            self.journal_append(Record::Delete { strand: id.raw() }, t)?;
-        }
+        self.journal_append(Record::Delete { strand: id.raw() }, self.last_io)?;
         let Some(StrandState::Finished(strand)) = self.strands.remove(&id) else {
             unreachable!("state checked above");
         };
-        // Skip extents the free map does not actually hold (a corrupt
-        // image being repaired) rather than double-freeing them.
-        for (_n, e) in strand.stored_iter() {
-            self.disk.discard_data(e);
-            if self.alloc.freemap().extent_used(e) {
-                self.alloc.release(e);
-            }
+        for e in strand.extents() {
+            self.free(e);
         }
-        for e in strand.index_extents() {
-            self.disk.discard_data(*e);
-            if self.alloc.freemap().extent_used(*e) {
-                self.alloc.release(*e);
-            }
-        }
-        if self.journal.is_some() {
-            let t = self.last_io;
-            self.write_checkpoint(t)?;
-        }
+        self.write_checkpoint(self.last_io)?;
         Ok(())
+    }
+
+    /// Discard `e` and return it to the free map — unless the map does
+    /// not hold it: an image being repaired may not, and a double free
+    /// would corrupt the map further.
+    pub(crate) fn free(&mut self, e: Extent) {
+        self.disk.discard_data(e);
+        if self.alloc.freemap().extent_used(e) {
+            self.alloc.release(e);
+        }
     }
 
     /// Abort a strand that is still recording: journal a `Delete`
@@ -1099,28 +1040,18 @@ impl Msm {
     /// strand when its source volume dies mid-copy, so the surviving
     /// member stays fsck-clean and leak-free.
     pub fn abort_strand(&mut self, id: StrandId) -> Result<(), FsError> {
-        match self.strands.get(&id) {
-            Some(StrandState::Recording(_)) => {}
-            Some(StrandState::Finished(_)) => return self.delete_strand(id),
-            None => return Err(FsError::UnknownStrand(id)),
+        if self.recording_mut(id).is_err() {
+            // Finished, or unknown: the delete tells which.
+            return self.delete_strand(id);
         }
-        if self.journal.is_some() {
-            let t = self.last_io;
-            self.journal_append(Record::Delete { strand: id.raw() }, t)?;
-        }
+        self.journal_append(Record::Delete { strand: id.raw() }, self.last_io)?;
         let Some(StrandState::Recording(builder)) = self.strands.remove(&id) else {
             unreachable!("state checked above");
         };
         for e in builder.blocks().iter().flatten() {
-            self.disk.discard_data(*e);
-            if self.alloc.freemap().extent_used(*e) {
-                self.alloc.release(*e);
-            }
+            self.free(*e);
         }
-        if self.journal.is_some() {
-            let t = self.last_io;
-            self.write_checkpoint(t)?;
-        }
+        self.write_checkpoint(self.last_io)?;
         Ok(())
     }
 
@@ -1136,11 +1067,7 @@ impl Msm {
         keep: u64,
         now: Instant,
     ) -> Result<(), FsError> {
-        match self.strands.get(&id) {
-            Some(StrandState::Finished(_)) => {}
-            Some(StrandState::Recording(_)) => return Err(FsError::StrandNotFinished(id)),
-            None => return Err(FsError::UnknownStrand(id)),
-        }
+        self.strand(id)?;
         if keep == 0 {
             return self.delete_strand(id);
         }
@@ -1151,21 +1078,13 @@ impl Msm {
         let count = strand.block_count();
         let keep = keep.min(count);
         let meta = *strand.meta();
-        // Drop the tail blocks and the old index; keep only extents the
-        // free map really holds.
-        for (n, e) in strand.stored_iter() {
-            if n >= keep {
-                self.disk.discard_data(e);
-                if self.alloc.freemap().extent_used(e) {
-                    self.alloc.release(e);
-                }
-            }
-        }
-        for e in strand.index_extents() {
-            self.disk.discard_data(*e);
-            if self.alloc.freemap().extent_used(*e) {
-                self.alloc.release(*e);
-            }
+        // Drop the tail blocks, then the old index.
+        let tail = strand.stored_iter().filter(|&(n, _)| n >= keep);
+        for e in tail
+            .map(|(_, e)| e)
+            .chain(strand.index_extents().iter().copied())
+        {
+            self.free(e);
         }
         // Rebuild: every block carries `granularity` units except the
         // original final block, which keeps its partial fill.
@@ -1185,36 +1104,8 @@ impl Msm {
                 None => builder.push_silence(units)?,
             };
         }
-        let (header_extent, index_extents) = self.write_index(
-            builder.blocks().to_vec(),
-            builder.sums().to_vec(),
-            builder.unit_count(),
-            &meta,
-            now,
-        )?;
-        let rebuilt = builder.freeze(index_extents);
-        self.strands.insert(id, StrandState::Finished(rebuilt));
-        if self.journal.is_some() {
-            let t = self.last_io;
-            let op = self.journal_append(
-                Record::FinishCommit {
-                    strand: id.raw(),
-                    header_lba: header_extent.start,
-                    header_sectors: header_extent.sectors,
-                },
-                t,
-            )?;
-            let t = op.map_or(t, |o| o.completed);
-            self.write_checkpoint(t)?;
-        }
+        self.commit_index(builder, now)?;
         Ok(())
-    }
-
-    /// Release a fully-allocated region back to the free map and scrub
-    /// its data — fsck's primitive for reclaiming leaked space.
-    pub(crate) fn reclaim_extent(&mut self, e: Extent) {
-        self.disk.discard_data(e);
-        self.alloc.release(e);
     }
 
     /// Direct allocator access for hand-corrupting volumes in fsck
@@ -1253,14 +1144,14 @@ impl Msm {
             CopySide::Right => {
                 // Copy the first blocks of `right`, anchored after the
                 // last block of `left`.
-                let anchor = self.last_stored_block_of(left)?;
+                let anchor = self.stored_end_of(left, true)?;
                 (right, right.start_block(), anchor)
             }
             CopySide::Left => {
                 // Copy the last blocks of `left`, anchored (in reverse)
                 // before the first block of `right`; we anchor after the
                 // preceding left block for forward allocation.
-                let anchor = self.first_stored_block_of(right)?;
+                let anchor = self.stored_end_of(right, false)?;
                 (left, left.end_block() + 1 - plan.count, anchor)
             }
         };
@@ -1294,19 +1185,13 @@ impl Msm {
         copy_bound(l_seek_max, l_lower, self.occupancy())
     }
 
-    fn last_stored_block_of(&self, r: &StrandRef) -> Result<Option<Extent>, FsError> {
+    /// The first stored block of `r`'s interval — or, with `last`, the
+    /// last one.
+    fn stored_end_of(&self, r: &StrandRef, last: bool) -> Result<Option<Extent>, FsError> {
         let s = self.strand(r.strand)?;
-        for n in (r.start_block()..=r.end_block()).rev() {
-            if let Some(e) = s.block(n)? {
-                return Ok(Some(e));
-            }
-        }
-        Ok(None)
-    }
-
-    fn first_stored_block_of(&self, r: &StrandRef) -> Result<Option<Extent>, FsError> {
-        let s = self.strand(r.strand)?;
-        for n in r.start_block()..=r.end_block() {
+        let (first, end) = (r.start_block(), r.end_block());
+        for n in first..=end {
+            let n = if last { first + end - n } else { n };
             if let Some(e) = s.block(n)? {
                 return Ok(Some(e));
             }
@@ -1371,13 +1256,10 @@ impl Msm {
     /// data. Returns the extents used.
     pub fn store_text_file(&mut self, data: &[u8], now: Instant) -> Result<Vec<Extent>, FsError> {
         let ss = self.disk.geometry().sector_size.get() as usize;
-        let mut extents = Vec::new();
-        for chunk in data.chunks(ss) {
-            let e = self.alloc.allocate_anywhere(1)?;
-            self.disk.store_data(e, chunk);
-            self.timed_write(now, e)?;
-            extents.push(e);
-        }
+        let extents = data
+            .chunks(ss)
+            .map(|chunk| self.write_anywhere(chunk, now))
+            .collect::<Result<Vec<_>, _>>()?;
         // Remember the placement so fsck can tell infill from leaked
         // space. Text files are not journaled: a crash orphans them and
         // recovery's fsck sweep reclaims the sectors.
@@ -1545,10 +1427,7 @@ impl Msm {
             if deleted.contains(&entry.strand) {
                 continue;
             }
-            let id = StrandId::from_raw(entry.strand);
-            let strand = msm.load_strand(id, entry.header, t)?;
-            msm.adopt_strand_extents(&strand);
-            msm.strands.insert(id, StrandState::Finished(strand));
+            msm.adopt_durable(StrandId::from_raw(entry.strand), entry.header, t)?;
             report.durable_strands += 1;
         }
 
@@ -1559,9 +1438,7 @@ impl Msm {
             if msm.strands.contains_key(&id) {
                 continue;
             }
-            let strand = msm.load_strand(id, header, t)?;
-            msm.adopt_strand_extents(&strand);
-            msm.strands.insert(id, StrandState::Finished(strand));
+            msm.adopt_durable(id, header, t)?;
             report.durable_strands += 1;
         }
 
@@ -1648,13 +1525,15 @@ impl Msm {
         Ok((msm, report))
     }
 
-    fn adopt_strand_extents(&mut self, strand: &Strand) {
-        for (_n, e) in strand.stored_iter() {
+    /// Load a durable strand from its index root, claim its extents in
+    /// the free map and install it.
+    fn adopt_durable(&mut self, id: StrandId, header: Extent, now: Instant) -> Result<(), FsError> {
+        let strand = self.load_strand(id, header, now)?;
+        for e in strand.extents() {
             self.alloc.adopt(e);
         }
-        for e in strand.index_extents() {
-            self.alloc.adopt(*e);
-        }
+        self.strands.insert(id, StrandState::Finished(strand));
+        Ok(())
     }
 }
 
@@ -1671,7 +1550,7 @@ type ReplayBlocks = Vec<(Option<ReplayAppend>, u64)>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use strandfs_disk::DiskGeometry;
+    use strandfs_disk::{DiskGeometry, SeekModel};
     use strandfs_media::Medium;
     use strandfs_units::Bits;
 
@@ -1820,6 +1699,25 @@ mod tests {
         m.delete_strand(id).unwrap();
         assert_eq!(m.allocator().freemap().used(), before);
         assert!(matches!(m.strand(id), Err(FsError::UnknownStrand(_))));
+    }
+
+    #[test]
+    fn a_delete_frees_stored_blocks_before_index_blocks() {
+        // A corrupt image: a strand's stored block spans its own index
+        // root. Whichever is freed first is released whole, and the
+        // other is then not held and is skipped — so the order shows.
+        let mut m = msm();
+        let id = m.begin_strand(video_meta());
+        let stored = m.alloc.allocate_anywhere(4).unwrap();
+        let root = Extent::new(stored.start + 2, 1);
+        let mut builder = StrandBuilder::new(id, video_meta());
+        builder.push_block(stored, 3, 7).unwrap();
+        let strand = builder.freeze(vec![root]);
+        m.strands.insert(id, StrandState::Finished(strand));
+        m.delete_strand(id).unwrap();
+        // Index first would have left the stored block's other three
+        // sectors allocated.
+        assert_eq!(m.allocator().freemap().used(), 0);
     }
 
     #[test]

@@ -9,6 +9,7 @@ pub mod hetero;
 pub mod index;
 pub mod wire;
 
+use crate::admission::RequestSpec;
 use crate::error::FsError;
 use crate::types::{BlockNo, StrandId};
 use strandfs_disk::Extent;
@@ -32,6 +33,16 @@ impl StrandMeta {
     /// Playback duration of one full media block.
     pub fn block_duration(&self) -> Seconds {
         Seconds::new(self.granularity as f64 / self.unit_rate)
+    }
+
+    /// The admission request a stream of this strand makes — the one
+    /// place a medium becomes an Eq. 15–18 term.
+    pub fn request_spec(&self) -> RequestSpec {
+        RequestSpec {
+            q: self.granularity,
+            unit_bits: self.unit_bits,
+            unit_rate: self.unit_rate,
+        }
     }
 
     /// True if all parameters are positive and finite.
@@ -172,6 +183,13 @@ impl Strand {
             .iter()
             .enumerate()
             .filter_map(|(i, b)| b.map(|e| (i as u64, e)))
+    }
+
+    /// Every extent the strand occupies: its stored blocks in order,
+    /// then its index blocks.
+    pub(crate) fn extents(&self) -> impl Iterator<Item = Extent> + '_ {
+        let stored = self.stored_iter().map(|(_, e)| e);
+        stored.chain(self.index_extents.iter().copied())
     }
 }
 

@@ -445,7 +445,7 @@ impl DiskOp {
 /// and transfer crosses track/cylinder boundaries paying head-switch and
 /// track-to-track seek costs.
 ///
-/// Sector payloads are stored sparsely, a chunk of [`CHUNK_SECTORS`] at
+/// Sector payloads are stored sparsely, a chunk of `CHUNK_SECTORS` at
 /// a time; unwritten sectors read back as zeroes, like a
 /// freshly-formatted drive.
 ///

@@ -61,13 +61,6 @@ impl FreeMap {
         (self.bits[(lba / WORD) as usize] >> (lba % WORD)) & 1 == 1
     }
 
-    /// True if `lba` is allocated.
-    #[inline]
-    pub fn is_used(&self, lba: Lba) -> bool {
-        debug_assert!(lba < self.total);
-        self.is_set(lba)
-    }
-
     /// True if every sector of `e` is free.
     pub fn extent_free(&self, e: Extent) -> bool {
         if e.end() > self.total {

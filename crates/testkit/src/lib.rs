@@ -10,7 +10,7 @@
 //!   iteratively shrunk to a minimal counterexample. The seed is
 //!   overridable via `STRANDFS_TEST_SEED` and printed on failure, so any
 //!   counterexample is reproducible by exporting one variable.
-//! * [`bench`] — a benchmark runner in the spirit of `criterion`:
+//! * [`bench`](mod@bench) — a benchmark runner in the spirit of `criterion`:
 //!   warmup, automatic batch sizing, timed samples, median/p95
 //!   statistics, and machine-readable JSON output for `BENCH_*.json`.
 //! * [`json`] — a strict minimal JSON reader, the counterpart to the

@@ -13,7 +13,7 @@
 //!
 //! Strategies are deliberately plain: ranges (`0u64..100`,
 //! `-1.0f64..=1.0`) are strategies, tuples of strategies are strategies,
-//! and [`vec`] builds collection strategies. Structured values are built
+//! and [`vec()`] builds collection strategies. Structured values are built
 //! *inside the property body* from scalar inputs, which keeps shrinking
 //! well-defined (every candidate a shrinker proposes is itself a value
 //! the strategy could have generated).
@@ -152,7 +152,7 @@ where
     out
 }
 
-/// Helper for [`shrink_int`]: `(hi - lo) / 2` and the unit step without
+/// Helper for `shrink_int`: `(hi - lo) / 2` and the unit step without
 /// assuming a signed/unsigned representation.
 pub trait HalfDiff: Sized {
     /// `(hi - lo) / 2`.
@@ -257,7 +257,7 @@ impl<T: Clone + Debug> Strategy for Just<T> {
 
 // ---------- combinators ----------
 
-/// Collection strategy built by [`vec`].
+/// Collection strategy built by [`vec()`].
 #[derive(Clone, Debug)]
 pub struct VecStrategy<S> {
     elem: S,

@@ -70,12 +70,6 @@ impl Prng {
         result
     }
 
-    /// The next 32-bit output (upper half of [`Self::next_u64`]).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform `f64` in `[0, 1)` with 53 random mantissa bits.
     #[inline]
     pub fn gen_f64(&mut self) -> f64 {

@@ -74,12 +74,6 @@ impl Nanos {
         self.0 as f64 / 1e9
     }
 
-    /// The span as [`Seconds`] for use in the analytic model.
-    #[inline]
-    pub fn to_seconds(self) -> Seconds {
-        Seconds(self.as_secs_f64())
-    }
-
     /// Saturating subtraction: returns zero instead of underflowing.
     #[inline]
     pub const fn saturating_sub(self, rhs: Nanos) -> Nanos {
@@ -311,12 +305,6 @@ impl Seconds {
     #[inline]
     pub const fn get(self) -> f64 {
         self.0
-    }
-
-    /// The value in milliseconds.
-    #[inline]
-    pub fn as_millis(self) -> f64 {
-        self.0 * 1e3
     }
 
     /// Convert to exact nanoseconds, rounding (negative saturates to zero).

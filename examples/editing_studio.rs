@@ -10,7 +10,6 @@
 //! cargo run --release --example editing_studio
 //! ```
 
-use strandfs::core::mrs::compile_schedule;
 use strandfs::core::msm::MsmConfig;
 use strandfs::core::rope::edit::{Interval, MediaSel};
 use strandfs::disk::{DiskGeometry, GapBounds, SeekModel};
@@ -142,9 +141,7 @@ fn main() {
     );
 
     // The edited rope still plays continuously.
-    let mut schedule =
-        compile_schedule(&story, MediaSel::Both, Interval::whole(story.duration())).unwrap();
-    mrs.resolve_silence(&mut schedule).unwrap();
+    let schedule = mrs.schedule(take1, MediaSel::Both).unwrap();
     let report =
         simulate_playback(&mut mrs, vec![schedule], PlaybackConfig::with_k(2)).expect("simulate");
     println!(

@@ -100,10 +100,8 @@ fn main() {
 
     // Scrub controls: preview track A at 4x with skipping, then replay
     // the chorus in slow motion.
-    let rope = mrs.rope(track_a).unwrap().clone();
-    let base = compile_schedule(&rope, MediaSel::Video, Interval::whole(rope.duration())).unwrap();
-    let mut preview = apply_play_mode(&base, 4.0, true);
-    mrs.resolve_silence(&mut preview).unwrap();
+    let base = mrs.schedule(track_a, MediaSel::Video).unwrap();
+    let preview = apply_play_mode(&base, 4.0, true);
     println!(
         "4x skip preview: {} of {} blocks fetched, {} wall time",
         preview.items.len(),
@@ -111,7 +109,7 @@ fn main() {
         preview.duration
     );
     let chorus = compile_schedule(
-        &rope,
+        mrs.rope(track_a).unwrap(),
         MediaSel::Video,
         Interval::new(Nanos::from_secs(4), Nanos::from_secs(2)),
     )

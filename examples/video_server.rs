@@ -11,7 +11,6 @@
 //! ```
 
 use strandfs::core::admission::Aggregates;
-use strandfs::core::mrs::compile_schedule;
 use strandfs::core::msm::MsmConfig;
 use strandfs::core::rope::edit::{Interval, MediaSel};
 use strandfs::core::FsError;
@@ -134,9 +133,7 @@ fn main() {
 
     // A rejected client can still compile a schedule for later (e.g.
     // reservation), it just cannot be serviced now.
-    let rope = mrs.rope(ropes[0]).unwrap().clone();
-    let offline =
-        compile_schedule(&rope, MediaSel::Both, Interval::whole(rope.duration())).unwrap();
+    let offline = mrs.schedule(ropes[0], MediaSel::Both).unwrap();
     println!(
         "(offline schedule for a waitlisted client: {} blocks)",
         offline.items.len()

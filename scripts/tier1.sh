@@ -12,6 +12,11 @@ cargo fmt --all --check
 echo "==> cargo clippy --workspace --offline -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Rustdoc with warnings denied: a doc link left dangling by a deletion
+# fails here rather than rotting quietly.
+echo "==> cargo doc --workspace --no-deps --offline (RUSTDOCFLAGS=-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> cargo build --workspace --release --offline"
 cargo build --workspace --release --offline
 

@@ -410,6 +410,247 @@ fn delete_to_rope_end_keeps_tail_boundary_exact() {
     assert_eq!(units, 60, "2 s of NTSC video after the tail delete");
 }
 
+/// Every rope-server path with a rule of its own — admission of every
+/// medium or none, the journaled commit, extent release, the access
+/// checks and their precedence over unknown ids — driven on one
+/// journaled volume, pinned by hashes taken before those rules were
+/// each given one home. The event stream, the image, every id handed
+/// out and every error returned must stay byte-identical.
+#[test]
+fn rope_server_paths_are_pinned_on_a_journaled_volume() {
+    use strandfs::core::fsck::{check_volume, repair_volume};
+    use strandfs::core::journal::JournalConfig;
+    use strandfs::core::mrs::{Mrs, RecordOpts, TrackOpts};
+    use strandfs::core::msm::{Msm, MsmConfig};
+    use strandfs::core::rope::AccessList;
+    use strandfs::core::RopeId;
+    use strandfs::disk::{fnv1a, DiskGeometry, FaultPlan, GapBounds, SeekModel, SimDisk};
+    use strandfs::media::silence::SilenceDetector;
+    use strandfs::obs::ObsSink;
+    use strandfs::sim::record_clip;
+    use strandfs::sim::scenario::{standard_audio_meta, standard_video_meta};
+
+    let config =
+        MsmConfig::constrained(GapBounds::up_to(40_000), 1).with_journal(JournalConfig::default());
+    let disk = SimDisk::new(DiskGeometry::vintage_1991(), SeekModel::vintage_1991());
+    let mut mrs = Mrs::new(Msm::new(disk, config.clone()));
+    let (sink, ring) = ObsSink::ring(1 << 16);
+    mrs.set_obs(sink);
+    let mut log: Vec<String> = Vec::new();
+    let t = Instant::EPOCH;
+    let ms = Nanos::from_millis;
+
+    // RECORD: an A/V clip with silence holes, a video clip, then
+    // sessions until admission refuses one.
+    let av = record_clip(&mut mrs, &ClipSpec::av_seconds(3.0)).unwrap();
+    let v = record_clip(&mut mrs, &ClipSpec::video_seconds(2.0).with_seed(5)).unwrap();
+    log.push(format!("record {av:?} {v:?}"));
+    let both = || RecordOpts {
+        video: Some(TrackOpts {
+            meta: standard_video_meta(),
+            silence: None,
+        }),
+        audio: Some(TrackOpts {
+            meta: standard_audio_meta(),
+            silence: Some(SilenceDetector::telephone()),
+        }),
+    };
+    let active = |mrs: &Mrs| mrs.msm().admission_ref().active();
+    let mut open = Vec::new();
+    let rejected = loop {
+        match mrs.record("sim", both()) {
+            Ok(req) => open.push(req),
+            Err(e) => break e,
+        }
+        assert!(open.len() < 64, "admission never refused a RECORD");
+    };
+    log.push(format!(
+        "sessions {open:?} then {rejected:?} {}",
+        active(&mrs)
+    ));
+    for req in open {
+        log.push(format!("stop {req:?} {:?}", mrs.stop(req, t)));
+    }
+
+    // PLAY, PAUSE and RESUME, one rejected while other viewers hold
+    // the slots.
+    let (p, sched) = mrs
+        .play("sim", av, MediaSel::Both, Interval::whole(secs(3)))
+        .unwrap();
+    log.push(format!(
+        "play {p:?} {:x}",
+        fnv1a(format!("{sched:?}").as_bytes())
+    ));
+    log.push(format!("pause {:?} {}", mrs.pause(p, false), active(&mrs)));
+    log.push(format!("resume {:?}", mrs.resume(p)));
+    log.push(format!("resume again {:?}", mrs.resume(p)));
+    log.push(format!("pause {:?} {}", mrs.pause(p, true), active(&mrs)));
+    let mut viewers = Vec::new();
+    let refused = loop {
+        match mrs.play("sim", v, MediaSel::Video, Interval::whole(secs(2))) {
+            Ok((req, _)) => viewers.push(req),
+            Err(e) => break e,
+        }
+        assert!(viewers.len() < 64, "admission never refused a PLAY");
+    };
+    log.push(format!(
+        "viewers {viewers:?} then {refused:?} {}",
+        active(&mrs)
+    ));
+    log.push(format!("resume full {:?} {}", mrs.resume(p), active(&mrs)));
+    let req = viewers.pop().unwrap();
+    log.push(format!("stop {req:?} {:?}", mrs.stop(req, t)));
+    log.push(format!("resume {:?} {}", mrs.resume(p), active(&mrs)));
+    let refused = mrs.play("sim", av, MediaSel::Both, Interval::whole(secs(3)));
+    log.push(format!("play full {:?} {}", refused.err(), active(&mrs)));
+    for req in viewers.into_iter().chain([p]) {
+        log.push(format!("stop {req:?} {:?}", mrs.stop(req, t)));
+    }
+    log.push(format!("stop gone {:?}", mrs.stop(p, t)));
+    log.push(format!("pause gone {:?}", mrs.pause(p, false)));
+
+    // The edits, each healing its boundaries.
+    let r = mrs.insert(
+        "sim",
+        av,
+        secs(1),
+        MediaSel::Both,
+        v,
+        Interval::new(ms(500), secs(1)),
+        t,
+    );
+    log.push(format!("insert {r:?} {:?}", mrs.last_edit_report()));
+    let r = mrs.replace(
+        "sim",
+        av,
+        MediaSel::Video,
+        Interval::new(ms(200), ms(700)),
+        v,
+        Interval::new(secs(1), ms(700)),
+        t,
+    );
+    log.push(format!("replace {r:?} {:?}", mrs.last_edit_report()));
+    let r = mrs.delete(
+        "sim",
+        av,
+        MediaSel::Both,
+        Interval::new(secs(2), secs(1)),
+        t,
+    );
+    log.push(format!("delete {r:?} {:?}", mrs.last_edit_report()));
+    log.push(format!("{:?}", mrs.edit_stats()));
+    let sub = mrs.substring("sim", av, MediaSel::Both, Interval::new(ms(300), secs(2)));
+    log.push(format!("substring {sub:?}"));
+    let sub = sub.unwrap();
+    let joined = mrs.concat("sim", sub, v);
+    log.push(format!("concat {joined:?}"));
+
+    // Who may play or edit, and which error wins when the rope is
+    // unknown as well.
+    let ghost = RopeId::from_raw(999);
+    let only_sim = AccessList::only(&["sim"]);
+    let r = mrs.set_access("sim", v, only_sim.clone(), only_sim.clone());
+    log.push(format!("set_access {r:?}"));
+    let whole = Interval::whole(secs(1));
+    let m = "mallory";
+    log.push(format!("{:?}", mrs.play(m, v, MediaSel::Both, whole).err()));
+    log.push(format!(
+        "{:?}",
+        mrs.play(m, ghost, MediaSel::Both, whole).err()
+    ));
+    log.push(format!("{:?}", mrs.substring(m, v, MediaSel::Both, whole)));
+    log.push(format!(
+        "{:?}",
+        mrs.substring(m, ghost, MediaSel::Both, whole)
+    ));
+    log.push(format!("{:?}", mrs.concat(m, ghost, v)));
+    log.push(format!("{:?}", mrs.concat(m, v, ghost)));
+    log.push(format!("{:?}", mrs.concat(m, ghost, RopeId::from_raw(998))));
+    log.push(format!("{:?}", mrs.concat(m, v, sub)));
+    log.push(format!("{:?}", mrs.concat(m, sub, v)));
+    log.push(format!("{:?}", mrs.delete_rope(m, v)));
+    log.push(format!("{:?}", mrs.delete_rope(m, ghost)));
+    log.push(format!(
+        "{:?}",
+        mrs.insert(m, v, Nanos::ZERO, MediaSel::Both, ghost, whole, t)
+    ));
+    log.push(format!(
+        "{:?}",
+        mrs.insert("sim", v, Nanos::ZERO, MediaSel::Both, ghost, whole, t)
+    ));
+    log.push(format!(
+        "{:?}",
+        mrs.insert(m, ghost, Nanos::ZERO, MediaSel::Both, v, whole, t)
+    ));
+    log.push(format!(
+        "{:?}",
+        mrs.replace(m, v, MediaSel::Both, whole, sub, whole, t)
+    ));
+    log.push(format!("{:?}", mrs.delete(m, v, MediaSel::Both, whole, t)));
+    log.push(format!(
+        "{:?}",
+        mrs.delete(m, ghost, MediaSel::Both, whole, t)
+    ));
+    log.push(format!("{:?}", mrs.add_trigger(m, v, Nanos::ZERO, "x")));
+    log.push(format!(
+        "{:?}",
+        mrs.set_access(m, v, only_sim.clone(), only_sim)
+    ));
+
+    // Deletion, collection, infill, fsck and a remount.
+    log.push(format!("delete_rope {:?}", mrs.delete_rope("sim", av)));
+    log.push(format!("gc {:?}", mrs.gc()));
+    log.push(format!("delete_rope {:?}", mrs.delete_rope("sim", sub)));
+    log.push(format!("gc {:?}", mrs.gc()));
+    let text = mrs.msm_mut().store_text_file(&[0x5A; 1_500], t);
+    log.push(format!("text {text:?}"));
+    // Media decays under the video clip's index root: fsck's repair
+    // rebuilds the index through the journaled commit.
+    let strand = mrs.rope(v).unwrap().segments[0].video.unwrap().strand;
+    let root = *mrs
+        .msm()
+        .strand(strand)
+        .unwrap()
+        .index_extents()
+        .last()
+        .unwrap();
+    mrs.msm_mut()
+        .arm_faults(FaultPlan::clean().with_bad_extent(root));
+    log.push(format!("check {:?}", check_volume(&mut mrs, t).findings));
+    log.push(format!("repair {:?}", repair_volume(&mut mrs, t).findings));
+    log.push(format!("check {:?}", check_volume(&mut mrs, t).findings));
+    mrs.msm_mut().arm_faults(FaultPlan::clean());
+    log.push(format!("ropes {:?}", mrs.rope_ids()));
+    let events = {
+        let ring = ring.borrow();
+        assert_eq!(ring.dropped(), 0, "the ring must hold the whole run");
+        let text: Vec<String> = ring.events().map(|e| format!("{e:?}")).collect();
+        (text.len(), fnv1a(text.join("\n").as_bytes()))
+    };
+    let image = mrs.msm().disk().content_hash();
+    let (remounted, report) = Msm::recover(mrs.into_msm().into_device(), config, t).unwrap();
+    log.push(format!("recover {report:?} {:?}", remounted.strand_ids()));
+    let remounted_image = remounted.disk().content_hash();
+
+    let observed = (
+        events,
+        image,
+        remounted_image,
+        fnv1a(log.join("\n").as_bytes()),
+    );
+    assert_eq!(
+        observed,
+        (
+            (740, 15415090825240775575),
+            9551356293016627825,
+            5359260385759819795,
+            3654341984400146176
+        ),
+        "observed {observed:?}; log:\n{}",
+        log.join("\n")
+    );
+}
+
 #[test]
 fn gc_spares_strands_reachable_only_through_chained_edits() {
     // A concat-of-substrings rope is the only holder of its sources'
