@@ -321,26 +321,6 @@ impl Rope {
         user == self.creator || self.edit_access.allows(user)
     }
 
-    /// The segment containing rope time `at`, with the offset into it.
-    /// `None` at or past the end of the rope.
-    pub fn segment_at(&self, at: Nanos) -> Option<(usize, Nanos)> {
-        let mut t = Nanos::ZERO;
-        for (i, s) in self.segments.iter().enumerate() {
-            if at < t + s.duration {
-                return Some((i, at - t));
-            }
-            t += s.duration;
-        }
-        None
-    }
-
-    /// Drop zero-duration segments and merge nothing else (segments with
-    /// distinct strands must stay distinct).
-    pub fn normalized(mut self) -> Rope {
-        self.segments.retain(|s| !s.duration.is_zero());
-        self
-    }
-
     /// Internal consistency: per-segment media durations agree with the
     /// segment duration to within one media unit; triggers lie within
     /// the rope. Used by tests and debug assertions.
@@ -465,19 +445,6 @@ mod tests {
     }
 
     #[test]
-    fn segment_lookup_by_time() {
-        let mut rope = Rope::new(RopeId::from_raw(1), "alice");
-        rope.segments.push(Segment::new(Some(vref(1, 0, 30)), None));
-        rope.segments.push(Segment::new(Some(vref(2, 0, 30)), None));
-        assert_eq!(rope.segment_at(Nanos::ZERO), Some((0, Nanos::ZERO)));
-        assert_eq!(
-            rope.segment_at(Nanos::from_millis(1500)),
-            Some((1, Nanos::from_millis(500)))
-        );
-        assert_eq!(rope.segment_at(Nanos::from_secs(2)), None);
-    }
-
-    #[test]
     fn access_control() {
         let mut rope = Rope::new(RopeId::from_raw(1), "alice");
         rope.play_access = AccessList::only(&["bob"]);
@@ -507,15 +474,5 @@ mod tests {
             text: "late".into(),
         });
         assert!(rope2.check_invariants().is_err());
-    }
-
-    #[test]
-    fn normalized_drops_empty_segments() {
-        let mut rope = Rope::new(RopeId::from_raw(1), "alice");
-        rope.segments
-            .push(Segment::with_duration(None, None, Nanos::ZERO));
-        rope.segments.push(Segment::new(Some(vref(1, 0, 30)), None));
-        let n = rope.normalized();
-        assert_eq!(n.segments.len(), 1);
     }
 }

@@ -66,11 +66,6 @@ impl HeteroBlock {
         let audio = buf[vlen..vlen + alen].to_vec();
         Ok(HeteroBlock { video, audio })
     }
-
-    /// Total payload bytes once encoded.
-    pub fn encoded_len(&self) -> usize {
-        12 + self.video.len() + self.audio.len()
-    }
 }
 
 #[cfg(test)]
@@ -84,7 +79,7 @@ mod tests {
             audio: vec![9, 8, 7],
         };
         let enc = b.encode();
-        assert_eq!(enc.len(), b.encoded_len());
+        assert_eq!(enc.len(), 12 + 5 + 3);
         assert_eq!(HeteroBlock::decode(&enc).unwrap(), b);
     }
 

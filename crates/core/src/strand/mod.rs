@@ -30,11 +30,6 @@ pub struct StrandMeta {
 }
 
 impl StrandMeta {
-    /// Playback duration of one full media block.
-    pub fn block_duration(&self) -> Seconds {
-        Seconds::new(self.granularity as f64 / self.unit_rate)
-    }
-
     /// The admission request a stream of this strand makes — the one
     /// place a medium becomes an Eq. 15–18 term.
     pub fn request_spec(&self) -> RequestSpec {
@@ -120,19 +115,6 @@ impl Strand {
     /// True if block `n` is an eliminated-silence hole.
     pub fn is_silence(&self, n: BlockNo) -> Result<bool, FsError> {
         Ok(self.block(n)?.is_none())
-    }
-
-    /// The block containing media unit `unit`.
-    pub fn block_of_unit(&self, unit: u64) -> Result<BlockNo, FsError> {
-        let b = unit / self.meta.granularity;
-        if unit >= self.unit_count {
-            return Err(FsError::BlockOutOfRange {
-                strand: self.id,
-                block: b,
-                len: self.block_count(),
-            });
-        }
-        Ok(b)
     }
 
     /// Number of stored (non-hole) blocks.
@@ -391,10 +373,6 @@ mod tests {
                 ..
             })
         ));
-        assert_eq!(s.block_of_unit(0).unwrap(), 0);
-        assert_eq!(s.block_of_unit(3).unwrap(), 1);
-        assert_eq!(s.block_of_unit(14).unwrap(), 4);
-        assert!(s.block_of_unit(15).is_err());
     }
 
     #[test]
@@ -444,7 +422,7 @@ mod tests {
         b.push_block(Extent::new(100, 8), 2, 0x21).unwrap(); // partial
         let s = b.freeze(vec![]);
         assert_eq!(s.unit_count(), 5);
-        assert_eq!(s.block_of_unit(4).unwrap(), 1);
+        assert_eq!(s.block_count(), 2);
     }
 
     #[test]
@@ -513,7 +491,6 @@ mod tests {
     #[test]
     fn meta_validity_and_block_duration() {
         assert!(meta().is_valid());
-        assert!((meta().block_duration().get() - 0.1).abs() < 1e-12);
         let bad = StrandMeta {
             unit_rate: 0.0,
             ..meta()

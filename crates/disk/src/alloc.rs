@@ -119,26 +119,12 @@ pub enum AllocPolicy {
 pub enum AllocError {
     /// No free run of the requested length anywhere on the device.
     NoSpace,
-    /// No free run inside the constrained placement window.
-    ConstraintUnsatisfiable {
-        /// First admissible start sector that was searched.
-        window_start: Lba,
-        /// One past the last admissible start sector.
-        window_end: Lba,
-    },
 }
 
 impl fmt::Display for AllocError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             AllocError::NoSpace => write!(f, "no free space for requested extent"),
-            AllocError::ConstraintUnsatisfiable {
-                window_start,
-                window_end,
-            } => write!(
-                f,
-                "no free run in constrained window [{window_start}, {window_end})"
-            ),
         }
     }
 }
@@ -313,35 +299,6 @@ impl Allocator {
         }
         None
     }
-
-    /// Like [`Self::allocate_after`] but reports the constrained window on
-    /// failure instead of the generic [`AllocError::NoSpace`].
-    pub fn allocate_after_strict(
-        &mut self,
-        prev: Extent,
-        sectors: u64,
-    ) -> Result<Extent, AllocError> {
-        match self.policy.clone() {
-            AllocPolicy::Constrained { bounds, .. } => {
-                let found = self.constrained_fit(prev, sectors, bounds, false);
-                match found {
-                    Some(e) => {
-                        self.map.allocate(e);
-                        self.stats.allocations += 1;
-                        Ok(e)
-                    }
-                    None => {
-                        self.stats.failures += 1;
-                        Err(AllocError::ConstraintUnsatisfiable {
-                            window_start: prev.end() + bounds.min_sectors,
-                            window_end: prev.end() + bounds.max_sectors + 1,
-                        })
-                    }
-                }
-            }
-            _ => self.allocate_after(prev, sectors),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -436,23 +393,6 @@ mod tests {
         let next = a.allocate_after(prev, 8).unwrap();
         assert!(next.start < 100, "wrapped to the front");
         assert_eq!(a.stats().wraps, 1);
-    }
-
-    #[test]
-    fn strict_reports_window() {
-        let mut a = constrained(16, 64);
-        let prev = Extent::new(TOTAL - 8, 8);
-        a.adopt(prev);
-        match a.allocate_after_strict(prev, 8) {
-            Err(AllocError::ConstraintUnsatisfiable {
-                window_start,
-                window_end,
-            }) => {
-                assert_eq!(window_start, TOTAL + 16);
-                assert_eq!(window_end, TOTAL + 65);
-            }
-            other => panic!("expected constraint failure, got {other:?}"),
-        }
     }
 
     #[test]

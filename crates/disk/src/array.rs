@@ -54,11 +54,6 @@ impl DiskArray {
         &self.disks[i]
     }
 
-    /// Mutable access to a member disk.
-    pub fn disk_mut(&mut self, i: usize) -> &mut SimDisk {
-        &mut self.disks[i]
-    }
-
     /// Aggregate sustained transfer rate: `p ×` one member's track rate.
     pub fn aggregate_transfer_rate(&self) -> BitRate {
         self.disks[0].geometry().track_transfer_rate() * self.degree() as f64
@@ -197,9 +192,10 @@ mod tests {
     fn members_keep_independent_arm_positions() {
         let mut a = array(2);
         let far = a.disk(0).geometry().sectors_per_cylinder() * 30;
-        a.disk_mut(0)
-            .access(Instant::EPOCH, Extent::new(far, 1), AccessKind::Read)
-            .unwrap();
+        let se = StripedExtent {
+            stripes: vec![(0, Extent::new(far, 1))],
+        };
+        a.access_striped(Instant::EPOCH, &se, AccessKind::Read);
         assert_eq!(a.disk(0).head_cylinder(), 30);
         assert_eq!(a.disk(1).head_cylinder(), 0);
     }

@@ -624,15 +624,6 @@ impl SimDisk {
         self.seek_model.seek_time(cylinder_distance) + self.geometry.rotation_time() / 2.0
     }
 
-    /// Expected gap time between two extents: positioning from the end of
-    /// `from` to the start of `to`.
-    pub fn gap_time(&self, from: Extent, to: Extent) -> Seconds {
-        let d = self
-            .geometry
-            .cylinder_distance(from.end().saturating_sub(1), to.start);
-        self.positioning_time(d)
-    }
-
     /// Perform a timed access of `extent`, returning its decomposed
     /// timing — stretched, or failed with the wasted attempt's timing, as
     /// the armed plan says. Panics if the extent is off-device (a
@@ -1364,17 +1355,5 @@ mod tests {
         }
         // Cumulative obs metrics agree with the disk's own stats.
         assert_eq!(r.disk_service_total(), d.stats().busy_time());
-    }
-
-    #[test]
-    fn gap_time_uses_cylinder_distance() {
-        let d = disk();
-        let g = *d.geometry();
-        let a = Extent::new(0, 2);
-        let near = Extent::new(4, 2);
-        let far = Extent::new(g.sectors_per_cylinder() * 50, 2);
-        assert!(d.gap_time(a, near) < d.gap_time(a, far));
-        // Worst case bounded by max positioning.
-        assert!(d.gap_time(a, far) <= d.max_positioning_time());
     }
 }

@@ -190,20 +190,6 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// True if the plan injects nothing at all.
-    pub fn is_clean(&self) -> bool {
-        self.bad.is_empty()
-            && self.transients.is_empty()
-            && self.random_transients.is_none()
-            && self.spikes.is_none()
-            && self.degraded.is_empty()
-            && self.torn.is_empty()
-            && self.write_transients.is_empty()
-            && self.crash.is_none()
-            && self.corrupt.is_empty()
-            && self.fail_slow <= 1.0
-    }
-
     /// Add a permanently bad extent.
     pub fn with_bad_extent(mut self, extent: Extent) -> Self {
         self.bad.push(extent);
@@ -827,7 +813,6 @@ mod tests {
     #[test]
     fn fail_slow_stretches_every_op_without_erroring() {
         let plan = FaultPlan::clean().with_fail_slow(10.0);
-        assert!(!plan.is_clean());
         let mut slow = armed(plan, 1);
         let mut bare = base_disk();
         let e = Extent::new(64, 8);

@@ -153,12 +153,6 @@ impl DiskGeometry {
         lba / self.sectors_per_cylinder()
     }
 
-    /// The track (surface index within its cylinder) containing `lba`.
-    #[inline]
-    pub const fn track_of(&self, lba: Lba) -> u64 {
-        (lba % self.sectors_per_cylinder()) / self.sectors_per_track
-    }
-
     /// The sector index within its track.
     #[inline]
     pub const fn sector_of(&self, lba: Lba) -> u64 {
@@ -211,11 +205,9 @@ mod tests {
         assert_eq!(g.total_sectors(), 64 * 32);
         // LBA 33 = cylinder 1, track 0, sector 1.
         assert_eq!(g.cylinder_of(33), 1);
-        assert_eq!(g.track_of(33), 0);
         assert_eq!(g.sector_of(33), 1);
         // LBA 48 = cylinder 1, track 1, sector 0.
         assert_eq!(g.cylinder_of(48), 1);
-        assert_eq!(g.track_of(48), 1);
         assert_eq!(g.sector_of(48), 0);
         assert_eq!(g.cylinder_distance(0, 33), 1);
         assert_eq!(g.cylinder_distance(33, 0), 1);

@@ -1,4 +1,5 @@
-//! Media device models: capture and display peripherals.
+//! Media device models: the display peripheral and the retrieval
+//! architectures that feed it.
 //!
 //! §3.3.4 of the paper derives storage granularity from the *internal
 //! buffers of the display device*: with `f` frame buffers, a pipelined
@@ -8,7 +9,7 @@
 //! information.
 
 use crate::codec::CodecTiming;
-use crate::format::{AudioFormat, VideoFormat};
+use crate::format::VideoFormat;
 use strandfs_units::{BitRate, Seconds};
 
 /// The disk-to-display organization of §3.1 (Figs. 1–3).
@@ -116,33 +117,6 @@ impl DisplayDevice {
     }
 }
 
-/// A capture peripheral: digitizer + compressor with internal staging
-/// buffers, the write-path mirror of [`DisplayDevice`].
-#[derive(Clone, Debug)]
-pub struct CaptureDevice {
-    /// The video format the device captures (if video).
-    pub video: Option<VideoFormat>,
-    /// The audio format the device captures (if audio).
-    pub audio: Option<AudioFormat>,
-    /// Codec timing (the capture direction is used).
-    pub timing: CodecTiming,
-    /// Internal staging capacity in frames.
-    pub frame_buffers: u32,
-}
-
-impl CaptureDevice {
-    /// The paper's combined UVC capture station: NTSC video plus
-    /// telephone-quality audio.
-    pub fn uvc_station(frame_buffers: u32) -> Self {
-        CaptureDevice {
-            video: Some(VideoFormat::UVC_NTSC),
-            audio: Some(AudioFormat::UVC_TELEPHONE),
-            timing: CodecTiming::real_time(&VideoFormat::UVC_NTSC, 0.5),
-            frame_buffers,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,13 +170,6 @@ mod tests {
         // than one frame period.
         let frame = dev.format.raw_frame_bits();
         assert!(dev.block_display_time(1, frame) < dev.format.rate.frame_time());
-    }
-
-    #[test]
-    fn capture_station_has_both_media() {
-        let c = CaptureDevice::uvc_station(8);
-        assert!(c.video.is_some());
-        assert!(c.audio.is_some());
     }
 
     #[test]

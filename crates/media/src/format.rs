@@ -52,14 +52,6 @@ impl VideoFormat {
         rate: FrameRate::HDTV60,
     };
 
-    /// Quarter-size conferencing video.
-    pub const QCIF: VideoFormat = VideoFormat {
-        width: 176,
-        height: 144,
-        bits_per_pixel: 12,
-        rate: FrameRate::per_sec(15.0),
-    };
-
     /// Bits per uncompressed frame (the paper's `s_vf` before
     /// compression).
     #[inline]
@@ -90,12 +82,6 @@ impl AudioFormat {
         bits_per_sample: 8,
     };
 
-    /// CD-quality stereo (treated as one interleaved sample stream).
-    pub const CD_STEREO: AudioFormat = AudioFormat {
-        sample_rate: SampleRate::CD,
-        bits_per_sample: 32,
-    };
-
     /// Bits per sample as a size.
     #[inline]
     pub fn sample_bits(&self) -> Bits {
@@ -106,12 +92,6 @@ impl AudioFormat {
     #[inline]
     pub fn bit_rate(&self) -> BitRate {
         BitRate::bits_per_sec(self.bits_per_sample as f64 * self.sample_rate.get())
-    }
-
-    /// Samples covering `seconds` of audio, rounded down.
-    #[inline]
-    pub fn samples_in(&self, seconds: f64) -> u64 {
-        (self.sample_rate.get() * seconds) as u64
     }
 }
 
@@ -140,7 +120,6 @@ mod tests {
     fn telephone_audio_is_8_kbytes_per_sec() {
         let a = AudioFormat::UVC_TELEPHONE;
         assert!((a.bit_rate().get() - 64_000.0).abs() < 1e-9); // 8 KB/s
-        assert_eq!(a.samples_in(2.5), 20_000);
     }
 
     #[test]

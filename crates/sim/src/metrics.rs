@@ -68,15 +68,6 @@ pub struct StreamOutcome {
 }
 
 impl StreamOutcome {
-    /// Violations as a fraction of fetched blocks (0 for idle streams).
-    pub fn violation_rate(&self) -> f64 {
-        if self.fetched == 0 {
-            0.0
-        } else {
-            self.violations as f64 / self.fetched as f64
-        }
-    }
-
     /// True if the stream played with full continuity.
     pub fn continuous(&self) -> bool {
         self.violations == 0
@@ -321,10 +312,8 @@ mod tests {
             violations: 2,
             ..Default::default()
         };
-        assert!((o.violation_rate() - 0.25).abs() < 1e-12);
         assert!(!o.continuous());
         let idle = StreamOutcome::default();
-        assert_eq!(idle.violation_rate(), 0.0);
         assert!(idle.continuous());
     }
 

@@ -1,6 +1,6 @@
 //! Rates: data transfer, video frame and audio sample rates.
 
-use crate::{Bits, Bytes, Seconds};
+use crate::{Bits, Seconds};
 use std::fmt;
 use std::ops::{Div, Mul};
 
@@ -49,12 +49,6 @@ impl BitRate {
     #[inline]
     pub fn transfer_time(self, size: Bits) -> Seconds {
         Seconds(size.as_f64() / self.0)
-    }
-
-    /// Time to transfer `size` bytes at this rate.
-    #[inline]
-    pub fn transfer_time_bytes(self, size: Bytes) -> Seconds {
-        self.transfer_time(size.to_bits())
     }
 
     /// True if the rate is finite and strictly positive.
@@ -108,10 +102,6 @@ pub struct FrameRate(f64);
 impl FrameRate {
     /// NTSC broadcast frame rate.
     pub const NTSC: FrameRate = FrameRate(30.0);
-    /// PAL broadcast frame rate.
-    pub const PAL: FrameRate = FrameRate(25.0);
-    /// Cinematic frame rate.
-    pub const FILM: FrameRate = FrameRate(24.0);
     /// HDTV (progressive 60 Hz) frame rate.
     pub const HDTV60: FrameRate = FrameRate(60.0);
 
@@ -175,10 +165,6 @@ impl SampleRate {
     /// Telephone-quality 8 kHz (the paper's UVC hardware digitized at
     /// 8 KBytes/s with 8-bit samples).
     pub const TELEPHONE: SampleRate = SampleRate(8_000.0);
-    /// CD-quality 44.1 kHz.
-    pub const CD: SampleRate = SampleRate(44_100.0);
-    /// DAT/professional 48 kHz.
-    pub const DAT: SampleRate = SampleRate(48_000.0);
 
     /// `n` samples per second.
     #[inline]
@@ -234,9 +220,6 @@ mod tests {
         let r = BitRate::mbit_per_sec(8.0);
         let t = r.transfer_time(Bits::new(8_000_000));
         assert!((t.get() - 1.0).abs() < 1e-12);
-        // 1 MiB at 8 Mbit/s: (1048576 * 8) / 8e6 s.
-        let t2 = r.transfer_time_bytes(Bytes::mib(1));
-        assert!((t2.get() - 1.048_576).abs() < 1e-9);
     }
 
     #[test]

@@ -24,18 +24,6 @@ impl Bytes {
         Bytes(n * 1024)
     }
 
-    /// `n` mebibytes.
-    #[inline]
-    pub const fn mib(n: u64) -> Self {
-        Bytes(n * 1024 * 1024)
-    }
-
-    /// `n` gibibytes.
-    #[inline]
-    pub const fn gib(n: u64) -> Self {
-        Bytes(n * 1024 * 1024 * 1024)
-    }
-
     /// The value in bytes.
     #[inline]
     pub const fn get(self) -> u64 {
@@ -235,8 +223,6 @@ mod tests {
     #[test]
     fn bytes_constructors() {
         assert_eq!(Bytes::kib(4), Bytes::new(4096));
-        assert_eq!(Bytes::mib(1), Bytes::kib(1024));
-        assert_eq!(Bytes::gib(1), Bytes::mib(1024));
     }
 
     #[test]
@@ -267,7 +253,7 @@ mod tests {
     fn display_human_readable() {
         assert_eq!(format!("{}", Bytes::new(512)), "512B");
         assert_eq!(format!("{}", Bytes::kib(4)), "4.00KiB");
-        assert_eq!(format!("{}", Bytes::mib(3)), "3.00MiB");
+        assert_eq!(format!("{}", Bytes::kib(3 * 1024)), "3.00MiB");
         assert_eq!(format!("{}", Bits::new(2_500_000_000)), "2.50Gbit");
     }
 }

@@ -80,25 +80,10 @@ impl Nanos {
         Nanos(self.0.saturating_sub(rhs.0))
     }
 
-    /// Checked addition.
-    #[inline]
-    pub const fn checked_add(self, rhs: Nanos) -> Option<Nanos> {
-        match self.0.checked_add(rhs.0) {
-            Some(v) => Some(Nanos(v)),
-            None => None,
-        }
-    }
-
     /// Multiply the span by an integer count (e.g. `k` blocks × per-block time).
     #[inline]
     pub const fn mul_u64(self, k: u64) -> Nanos {
         Nanos(self.0 * k)
-    }
-
-    /// Integer division of the span by a count.
-    #[inline]
-    pub const fn div_u64(self, k: u64) -> Nanos {
-        Nanos(self.0 / k)
     }
 
     /// The larger of two spans.

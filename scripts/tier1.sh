@@ -87,4 +87,10 @@ STRANDFS_TEST_SEED="$CHAOS_SEED" STRANDFS_FSX_OPS="$FSX_OPS" \
 echo "==> scripts/loc.sh (non-test Rust lines per crate)"
 scripts/loc.sh
 
+# Orphans: a public item nothing calls but its own unit tests is deleted,
+# or listed in scripts/orphans.allow with the equation or ROADMAP item it
+# waits for.
+echo "==> scripts/orphans.sh (public items only their own unit tests call)"
+scripts/orphans.sh
+
 echo "tier1: OK"

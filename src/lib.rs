@@ -9,8 +9,8 @@
 //! * [`units`] — strongly-typed time, size and rate units;
 //! * [`disk`] — the deterministic disk simulator (geometry, seek and
 //!   rotation models, arrays, constrained allocation);
-//! * [`media`] — media formats, synthetic codecs, device models, silence
-//!   detection and workload generators;
+//! * [`media`] — media formats, synthetic codecs, the display device
+//!   model and silence detection;
 //! * [`core`] — the paper's contribution: the continuity model, admission
 //!   control, strands, ropes, the Multimedia Storage Manager (MSM) and
 //!   the Multimedia Rope Server (MRS);
