@@ -11,7 +11,9 @@
 //! ```
 //!
 //! With no suite arguments every suite runs; otherwise only the named
-//! ones (e.g. `bench fig4 allocators`). Sample counts and durations
+//! ones (e.g. `bench fig4 allocators`), which write only to an explicit
+//! `--baseline PATH` (without one the run exits 2 rather than overwrite
+//! the committed baseline with a fragment). Sample counts and durations
 //! follow `STRANDFS_BENCH_SAMPLES` / `STRANDFS_BENCH_WARMUP_MS` /
 //! `STRANDFS_BENCH_SAMPLE_MS`; `--quick` lowers their defaults for a
 //! smoke-level run (explicit variables still win).
@@ -29,10 +31,13 @@ use strandfs_bench::suites::SUITES;
 use strandfs_bench::{check, sections};
 use strandfs_testkit::bench::Runner;
 
+/// The committed baseline: what `--check` reads and a full run writes.
+const BASELINE: &str = "BENCH_core.json";
+
 struct Cli {
     check: bool,
     quick: bool,
-    baseline: String,
+    baseline: Option<String>,
     suites: Vec<String>,
 }
 
@@ -46,7 +51,7 @@ fn parse_args() -> Cli {
     let mut cli = Cli {
         check: false,
         quick: false,
-        baseline: "BENCH_core.json".to_string(),
+        baseline: None,
         suites: Vec::new(),
     };
     let mut args = std::env::args().skip(1);
@@ -55,7 +60,7 @@ fn parse_args() -> Cli {
             "--check" => cli.check = true,
             "--quick" => cli.quick = true,
             "--baseline" => match args.next() {
-                Some(path) => cli.baseline = path,
+                Some(path) => cli.baseline = Some(path),
                 None => fail("--baseline needs a path".into()),
             },
             flag if flag.starts_with("--") => fail(format!("unknown flag `{flag}`")),
@@ -88,8 +93,22 @@ fn run_suites(wanted: &[String], quiet: bool) -> Runner {
     c
 }
 
+/// Where a measuring run writes: an explicit `--baseline PATH`, or
+/// [`BASELINE`] when every suite runs. A suite-filtered run would
+/// otherwise overwrite the committed baseline with that suite alone.
+fn output_path(cli: &Cli) -> Result<&str, String> {
+    match (&cli.baseline, cli.suites.is_empty()) {
+        (Some(path), _) => Ok(path),
+        (None, true) => Ok(BASELINE),
+        (None, false) => Err(format!(
+            "a run of `{}` alone would overwrite {BASELINE}: name the output with --baseline PATH",
+            cli.suites.join(" ")
+        )),
+    }
+}
+
 fn run_check(cli: &Cli) -> ! {
-    let path = &cli.baseline;
+    let path = cli.baseline.as_deref().unwrap_or(BASELINE);
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| fail(format!("cannot read baseline {path}: {e}")));
     let doc = strandfs_testkit::json::Json::parse(&text)
@@ -176,6 +195,7 @@ fn main() {
     if cli.check {
         run_check(&cli);
     }
+    let path = output_path(&cli).unwrap_or_else(|e| fail(e));
 
     let mut c = run_suites(&cli.suites, false);
     // The virtual-time sections ride along under "sections" (the
@@ -186,12 +206,37 @@ fn main() {
     }
     c.report();
 
-    let path = "BENCH_core.json";
     match c.write_json(path) {
         Ok(()) => eprintln!("wrote {path} ({} results)", c.results().len()),
         Err(e) => {
             eprintln!("failed to write {path}: {e}");
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn cli(baseline: Option<&str>, suites: &[&str]) -> Cli {
+        Cli {
+            check: false,
+            quick: false,
+            baseline: baseline.map(str::to_string),
+            suites: suites.iter().map(|s| s.to_string()).collect(),
+        }
+    }
+
+    #[test]
+    fn only_a_full_run_or_an_explicit_baseline_is_written() {
+        assert_eq!(output_path(&cli(None, &[])), Ok(BASELINE));
+        assert_eq!(output_path(&cli(Some("out.json"), &[])), Ok("out.json"));
+        assert_eq!(
+            output_path(&cli(Some("fsx.json"), &["fsx"])),
+            Ok("fsx.json")
+        );
+        let err = output_path(&cli(None, &["fsx"])).expect_err("a filtered run is refused");
+        assert!(err.contains("--baseline PATH"), "{err}");
     }
 }

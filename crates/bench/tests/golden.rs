@@ -76,6 +76,87 @@ fn quoted_fingerprints_are_committed_section_leaves() {
     assert!(quoted.len() >= 3, "quoted fingerprints: {quoted:?}");
 }
 
+/// Every count the E14 and E15 paragraphs of EXPERIMENTS.md quote, as
+/// the phrase that quotes it and the `sections/*` leaf it reads: `{}`
+/// stands for the committed value, with thousands separators.
+const QUOTED_COUNTS: &[(&str, &str)] = &[
+    (
+        "crash/writes",
+        "every one of the scenario's {} device writes",
+    ),
+    ("crash/blocks_recovered", "**{} blocks recovered**"),
+    ("crash/blocks_rolled_back", "**{} rolled back**"),
+    (
+        "crash/completed_strands",
+        "**{} in-flight strands completed**",
+    ),
+    ("crash/durable_strands", "**{} durable strands**"),
+    ("crash/deleted_strands", "**{} journaled deletion**"),
+    ("crash/writes", "across all {} remounts"),
+    ("fsx/ops_attempted", "(seed 23, {} ops,"),
+    ("fsx/ops_applied", "applies {} of"),
+    ("fsx/ops_attempted", "of {} random ops"),
+    ("fsx/ops_rejected", "({} correctly rejected"),
+    ("fsx/edits", "**{} committed edits**"),
+    ("fsx/boundaries_healed", "**{} boundaries**"),
+    ("fsx/blocks_copied", "**{} strand blocks**"),
+    ("fsx/max_copied_per_boundary", "copying **{} blocks"),
+    ("fsx/max_bound_seen", "Eq. 19/20 bound of {}**"),
+    ("fsx/gc_runs", "; {} GC sweeps"),
+    ("fsx/strands_collected", "collect {} dead strands"),
+    ("fsx/play_cycles", "; {} play/pause/resume cycles"),
+    ("fsx/verifies", "and {} model-vs-device verification passes"),
+    ("fsx/cells_checked", "**{} media units**"),
+];
+
+/// `n` with a comma every three digits, as the prose writes counts.
+fn with_commas(n: u64) -> String {
+    let digits = n.to_string();
+    let mut out = String::new();
+    for (i, c) in digits.chars().enumerate() {
+        if i > 0 && (digits.len() - i).is_multiple_of(3) {
+            out.push(',');
+        }
+        out.push(c);
+    }
+    out
+}
+
+/// A count quoted in the prose must be the committed leaf it reads:
+/// each phrase of [`QUOTED_COUNTS`], filled with its leaf's value, is in
+/// the E14 / E15 paragraphs, and so are the recovery time and the
+/// per-crash mean derived from `crash/recovery_ns_total`.
+#[test]
+fn quoted_counts_are_committed_section_leaves() {
+    let doc = validate(BENCH_CORE);
+    let leaf = |path: &str| {
+        let v = doc.path(&format!("sections/{path}")).and_then(Json::as_num);
+        v.unwrap_or_else(|| panic!("no numeric leaf sections/{path}"))
+    };
+    let text = include_str!("../../../EXPERIMENTS.md");
+    let start = text.find("### E14 ").expect("E14 paragraph");
+    let end = text.find("### E16 ").expect("E16 paragraph");
+    let prose = text[start..end]
+        .split_whitespace()
+        .collect::<Vec<_>>()
+        .join(" ");
+    let mut phrases: Vec<String> = QUOTED_COUNTS
+        .iter()
+        .map(|(path, phrase)| phrase.replace("{}", &with_commas(leaf(path) as u64)))
+        .collect();
+    let recovery_s = leaf("crash/recovery_ns_total") / 1e9;
+    phrases.push(format!(
+        "{recovery_s:.3} s (~{:.0} ms per crash",
+        1e3 * recovery_s / leaf("crash/writes")
+    ));
+    for phrase in phrases {
+        assert!(
+            prose.contains(&phrase),
+            "EXPERIMENTS.md E14/E15 no longer says `{phrase}`"
+        );
+    }
+}
+
 /// The block of the committed `experiments_output.txt` under the
 /// `## <tag> ` heading, up to and excluding the blank line that ends it.
 fn committed_block(tag: &str) -> &'static str {

@@ -27,7 +27,7 @@
 use strandfs_core::fsck;
 use strandfs_core::journal::{fnv1a, JournalConfig};
 use strandfs_core::msm::{Msm, MsmConfig};
-use strandfs_core::strand::StrandMeta;
+use strandfs_core::strand::{Strand, StrandMeta};
 use strandfs_core::{FsError, StrandId};
 use strandfs_disk::{CrashPoint, DiskGeometry, FaultPlan, GapBounds, SeekModel, SimDisk};
 use strandfs_media::Medium;
@@ -238,6 +238,47 @@ pub fn baseline_marks(seed: u64) -> WriteMarks {
     }
 }
 
+/// Every block of a strand as read off the device, `None` for a
+/// silence hole.
+pub(crate) type Image = Vec<Option<Vec<u8>>>;
+
+/// Block `k` of `strand` read off the device, `None` for a silence hole.
+pub(crate) fn block_image(msm: &Msm, strand: &Strand, k: u64) -> Result<Option<Vec<u8>>, String> {
+    match strand.block(k).map_err(|e| format!("block {k}: {e}"))? {
+        None => Ok(None),
+        Some(e) => (msm.disk().try_fetch(e).map(Some))
+            .ok_or_else(|| format!("block {k}: extent {e:?} off-device")),
+    }
+}
+
+/// Every block of `strand` read off the device: its [`Image`].
+pub(crate) fn strand_image(msm: &Msm, strand: &Strand) -> Result<Image, String> {
+    (0..strand.block_count())
+        .map(|k| block_image(msm, strand, k))
+        .collect()
+}
+
+/// A recovered strand's image is a prefix of its write intent: no more
+/// blocks, each the same hole or the same bytes.
+pub(crate) fn check_prefix(image: &Image, intent: &Image) -> Result<(), String> {
+    let (n, of) = (image.len(), intent.len());
+    match image.iter().zip(intent).position(|(got, want)| got != want) {
+        _ if n > of => Err(format!("recovered {n} blocks, intent had {of}")),
+        Some(k) => Err(format!("block {k} differs from its write intent")),
+        None => Ok(()),
+    }
+}
+
+/// The recovered volume must remain a working recorder: a fresh strand
+/// takes a block and finishes.
+pub(crate) fn probe_writable(rec: &mut Msm, at: Instant) -> Result<(), String> {
+    let probe = rec.begin_strand(meta_video());
+    let (_, op) = (rec.append_block(probe, at, &block_payload(3, 0), 2))
+        .map_err(|e| format!("post-recovery append failed: {e}"))?;
+    (rec.finish_strand(probe, op.completed).map(drop))
+        .map_err(|e| format!("post-recovery finish failed: {e}"))
+}
+
 /// Check every recovery invariant on a freshly recovered volume.
 /// Panics (with `crash_at` in the message) on any violation.
 fn verify(rec: &mut Msm, crash_at: u64, marks: &WriteMarks) {
@@ -248,82 +289,50 @@ fn verify(rec: &mut Msm, crash_at: u64, marks: &WriteMarks) {
         );
     }
     for raw in 0..3u64 {
-        let id = StrandId::from_raw(raw);
-        let Ok(strand) = rec.strand(id) else {
+        let Ok(strand) = rec.strand(StrandId::from_raw(raw)) else {
             continue; // absent: the empty prefix
         };
         let exp = expected_blocks(raw);
-        let n = strand.block_count();
-        assert!(
-            n as usize <= exp.len(),
-            "crash {crash_at}: strand {raw} has {n} blocks, intent had {}",
-            exp.len()
-        );
-        let mut units = 0;
-        for k in 0..n {
-            match (strand.block(k).unwrap(), exp[k as usize]) {
-                (Some(e), PlannedBlock::Data { units: u }) => {
-                    assert_eq!(
-                        e.sectors as usize * 512,
-                        PAYLOAD_BYTES,
-                        "crash {crash_at}: strand {raw} block {k} has wrong size"
-                    );
-                    let bytes = rec.disk().try_fetch(e).expect("stored block on device");
-                    assert_eq!(
-                        bytes,
-                        block_payload(raw, k),
-                        "crash {crash_at}: strand {raw} block {k} content differs from intent"
-                    );
-                    units += u;
-                }
-                (None, PlannedBlock::Silence { units: u }) => units += u,
-                (got, want) => panic!(
-                    "crash {crash_at}: strand {raw} block {k} is {} but intent was {want:?}",
-                    if got.is_some() { "data" } else { "silence" }
-                ),
-            }
-        }
+        let intent: Image = (exp.iter().zip(0..))
+            .map(|(b, k)| matches!(b, PlannedBlock::Data { .. }).then(|| block_payload(raw, k)))
+            .collect();
+        strand_image(rec, strand)
+            .and_then(|image| check_prefix(&image, &intent))
+            .unwrap_or_else(|e| panic!("crash {crash_at}: strand {raw}: {e}"));
+        let units: u64 = exp[..strand.block_count() as usize]
+            .iter()
+            .map(|&(PlannedBlock::Data { units } | PlannedBlock::Silence { units })| units)
+            .sum();
         assert_eq!(
             strand.unit_count(),
             units,
             "crash {crash_at}: strand {raw} unit count disagrees with its blocks"
         );
         let fm = rec.allocator().freemap();
-        for (_, e) in strand.stored_iter() {
+        let index = strand.index_extents().iter().copied();
+        for e in strand.stored_iter().map(|(_, e)| e).chain(index) {
             assert!(
                 fm.extent_used(e),
-                "crash {crash_at}: strand {raw} block at {e:?} not in free map"
-            );
-        }
-        for e in strand.index_extents() {
-            assert!(
-                fm.extent_used(*e),
-                "crash {crash_at}: strand {raw} index at {e:?} not in free map"
+                "crash {crash_at}: strand {raw} block or index at {e:?} not in free map"
             );
         }
     }
     // Durability floors: work whose commit landed before the crash
     // must survive in full.
-    if crash_at >= marks.a_durable {
-        let s = rec.strand(StrandId::from_raw(0)).expect("strand 0 durable");
-        assert_eq!(
-            s.block_count(),
-            expected_blocks(0).len() as u64,
-            "crash {crash_at}: durable strand 0 lost blocks"
-        );
+    for (durable, raw) in [(marks.a_durable, 0), (marks.b_durable, 2)] {
+        if crash_at >= durable {
+            let s = rec.strand(StrandId::from_raw(raw)).ok();
+            assert_eq!(
+                s.map(|s| s.block_count()),
+                Some(expected_blocks(raw).len() as u64),
+                "crash {crash_at}: durable strand {raw} lost blocks"
+            );
+        }
     }
     if crash_at >= marks.c_deleted {
         assert!(
             rec.strand(StrandId::from_raw(1)).is_err(),
             "crash {crash_at}: journaled deletion of strand 1 resurrected"
-        );
-    }
-    if crash_at >= marks.b_durable {
-        let s = rec.strand(StrandId::from_raw(2)).expect("strand 2 durable");
-        assert_eq!(
-            s.block_count(),
-            expected_blocks(2).len() as u64,
-            "crash {crash_at}: durable strand 2 lost blocks"
         );
     }
     let region = rec.journal_region().expect("sweep volumes are journaled");
@@ -358,13 +367,8 @@ pub fn crash_once(crash_at: u64, seed: u64, marks: &WriteMarks) -> CrashOutcome 
         });
     let image_hash = rec.disk().content_hash();
     verify(&mut rec, crash_at, marks);
-    // The recovered volume must remain a working recorder.
-    let probe = rec.begin_strand(meta_video());
-    let (_, op) = rec
-        .append_block(probe, report.finished_at, &block_payload(3, 0), 2)
-        .unwrap_or_else(|e| panic!("crash {crash_at}: post-recovery append failed: {e}"));
-    rec.finish_strand(probe, op.completed)
-        .unwrap_or_else(|e| panic!("crash {crash_at}: post-recovery finish failed: {e}"));
+    probe_writable(&mut rec, report.finished_at)
+        .unwrap_or_else(|e| panic!("crash {crash_at}: {e}"));
     CrashOutcome {
         crash_at,
         durable_strands: report.durable_strands,

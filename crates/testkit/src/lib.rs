@@ -21,12 +21,14 @@
 //!   index, remounts through journal recovery, and asserts the
 //!   crash-consistency invariants (tests and the E14 bench section
 //!   share it).
-//! * [`fsx`] — the fsx-style random rope-editing exerciser: a seeded op
-//!   stream drives interleaved edits, pause/resume, delete and GC
-//!   against a live MRS, cross-checked byte-for-byte against a model
-//!   rope, with Eq. 19/20 copy-bound enforcement and optional
-//!   fault/crash composition (tests and the E15 bench section share
-//!   it).
+//! * [`fsx`] — the fsx-style random rope-editing exerciser: a driver
+//!   (seeded op loop, draw tape, op-log hash, crash hook, replay line)
+//!   and its rope model, which drives interleaved edits, pause/resume,
+//!   delete and GC against a live MRS, cross-checked byte-for-byte
+//!   against a model rope, with Eq. 19/20 copy-bound enforcement and
+//!   optional fault/crash composition; a failing run shrinks its op
+//!   stream with [`prop`]'s shrinker (tests and the E15 bench section
+//!   share it).
 //!
 //! Both harnesses are deterministic where it matters: property tests
 //! replay bit-identically for a fixed seed, and bench *structure* (which

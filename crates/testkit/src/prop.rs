@@ -281,17 +281,14 @@ impl<S: Strategy> Strategy for VecStrategy<S> {
     fn shrink(&self, v: &Vec<S::Value>) -> Vec<Vec<S::Value>> {
         let min = self.len.start;
         let mut out = Vec::new();
-        // Structural shrinks first: halve, then drop single elements.
-        if v.len() > min {
-            let half = (v.len() + min) / 2;
-            if half < v.len() {
-                out.push(v[..half].to_vec());
+        // Structural shrinks first: delete a chunk at every offset,
+        // halving the chunk from all that may go down to one element.
+        let mut chunk = v.len().saturating_sub(min);
+        while chunk > 0 {
+            for at in (0..=v.len() - chunk).step_by(chunk) {
+                out.push([&v[..at], &v[at + chunk..]].concat());
             }
-            for i in (0..v.len()).take(8) {
-                let mut w = v.clone();
-                w.remove(i);
-                out.push(w);
-            }
+            chunk /= 2;
         }
         // Then element-wise shrinks.
         for (i, e) in v.iter().enumerate().take(16) {
@@ -359,7 +356,7 @@ where
     S: Strategy,
     P: Fn(&S::Value) -> Result<(), CaseError>,
 {
-    let stream = fnv1a(name.as_bytes());
+    let stream = stream_key(name.as_bytes());
     let mut discards = 0u32;
     for case in 0..cfg.cases {
         // Each case gets its own decorrelated PRNG so a failure replays
@@ -431,8 +428,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Greedily descend through shrink candidates while the property keeps
-/// failing, bounded by `cfg.max_shrink_steps` evaluations.
-fn shrink_loop<S, P>(
+/// failing, bounded by `cfg.max_shrink_steps` evaluations: the one
+/// shrinker, behind [`check_with`] and the fsx exerciser's op streams.
+pub fn shrink_loop<S, P>(
     cfg: &Config,
     strategy: &S,
     prop: &P,
@@ -461,7 +459,11 @@ where
     (input, msg)
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// The key of a property's case stream. FNV-1a's shape but not its
+/// multiplier (`0x1_0000_01b3`, where FNV-1a-64 multiplies by
+/// `0x100_0000_01b3`), so it is not `strandfs_disk::fnv1a`: swapping
+/// that in would re-key every property's cases.
+fn stream_key(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         h ^= b as u64;
@@ -590,6 +592,30 @@ mod tests {
         }));
         let msg = panic_message(r.expect_err("property must fail"));
         assert!(msg.contains("minimal input: [5]"), "got: {msg}");
+    }
+
+    #[test]
+    fn chunk_deletion_finds_a_buried_pair() {
+        // 200 elements; the failure needs both the 7 at index 57 and the
+        // 9 at index 183, and nothing else. Deleting chunks at every
+        // offset reaches the pair in 59 evaluations; dropping only single
+        // elements among the first 8 takes 499, past this budget.
+        let mut v: Vec<u32> = (100..300).collect();
+        (v[57], v[183]) = (7, 9);
+        let pair = |v: &Vec<u32>| {
+            if v.contains(&7) && v.contains(&9) {
+                Err(CaseError::fail("7 and 9"))
+            } else {
+                Ok(())
+            }
+        };
+        let cfg = Config {
+            cases: 1,
+            seed: 0,
+            max_shrink_steps: 100,
+        };
+        let (min, _) = shrink_loop(&cfg, &vec(0u32..1000, 0..300), &pair, v, String::new());
+        assert_eq!(min, [7, 9]);
     }
 
     #[test]

@@ -78,7 +78,9 @@ STRANDFS_TEST_SEED="$CHAOS_SEED" STRANDFS_TEST_CASES="$INTEGRITY_CASES" \
 # Bounded fsx chaos: one seeded random rope-editing stream, model-checked
 # at every step with Eq. 19/20 copy-bound enforcement (tests/fsx.rs,
 # `chaos_pass_bounded_by_env`). STRANDFS_FSX_OPS bounds the stream
-# length (default 80); replay any failure with the printed seed.
+# length (default 80). A failure prints the seed and op index, then the
+# stream shrunk by testkit::prop's shrinker and a replay line that pastes
+# as a call to strandfs_testkit::fsx::replay; no variable to set.
 FSX_OPS="${STRANDFS_FSX_OPS:-80}"
 echo "==> fsx chaos pass (STRANDFS_TEST_SEED=$CHAOS_SEED STRANDFS_FSX_OPS=$FSX_OPS)"
 STRANDFS_TEST_SEED="$CHAOS_SEED" STRANDFS_FSX_OPS="$FSX_OPS" \
