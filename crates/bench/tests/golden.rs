@@ -76,9 +76,9 @@ fn quoted_fingerprints_are_committed_section_leaves() {
     assert!(quoted.len() >= 3, "quoted fingerprints: {quoted:?}");
 }
 
-/// Every count the E14 and E15 paragraphs of EXPERIMENTS.md quote, as
-/// the phrase that quotes it and the `sections/*` leaf it reads: `{}`
-/// stands for the committed value, with thousands separators.
+/// Every count the E14, E15, E18 and E19 paragraphs of EXPERIMENTS.md
+/// quote, as the phrase that quotes it and the `sections/*` leaf it
+/// reads: `{}` stands for the committed value, with thousands separators.
 const QUOTED_COUNTS: &[(&str, &str)] = &[
     (
         "crash/writes",
@@ -107,6 +107,79 @@ const QUOTED_COUNTS: &[(&str, &str)] = &[
     ("fsx/play_cycles", "; {} play/pause/resume cycles"),
     ("fsx/verifies", "and {} model-vs-device verification passes"),
     ("fsx/cells_checked", "**{} media units**"),
+    ("cluster/scaling/v1/n_max", "cluster `n_max` = {} →"),
+    ("cluster/scaling/v8/n_max", "→ {} (volumes × per-member"),
+    (
+        "cluster/failover/volumes",
+        "leg runs {} volumes under popularity",
+    ),
+    ("cluster/failover/kill_round", "only volume at round {} and"),
+    ("cluster/failover/rejoin_round", "rejoins it at round {}."),
+    (
+        "cluster/failover/replicated_dropped",
+        "mid-playback with {} dropped",
+    ),
+    (
+        "cluster/failover/replicated_miss_burst",
+        "a {}-item miss burst**",
+    ),
+    (
+        "cluster/failover/unreplicated_dropped",
+        "dropping {} blocks during",
+    ),
+    (
+        "cluster/failover/dump_events",
+        "with a {}-event flight dump covering",
+    ),
+    ("cluster/failover/fsck_findings", "reports {} fsck findings"),
+    ("cluster/failover/reconcile_lost", "and {} replicas lost"),
+    ("integrity/corruption/corrupted", "arms {} silent bit-flips"),
+    (
+        "integrity/corruption/undefended_corrupt_served",
+        "all **{} corrupt payloads reach the audience**",
+    ),
+    (
+        "integrity/corruption/defended_corrupt_served",
+        "**{} corrupt and",
+    ),
+    (
+        "integrity/corruption/defended_dropped",
+        "and {} dropped blocks served**",
+    ),
+    (
+        "integrity/corruption/read_repairs",
+        "({} read-path repairs,",
+    ),
+    ("integrity/corruption/invalidated", "{} invalidations,"),
+    ("integrity/corruption/scrubbed", "{} extents scrubbed —"),
+    ("integrity/corruption/scrubbed", "the {} stamped blocks"),
+    ("integrity/corruption/credited", "— {} of them covered"),
+    ("integrity/corruption/corrupted", "of {} repaired with"),
+    (
+        "integrity/corruption/invalidated",
+        "repaired with {} invalidated",
+    ),
+    ("integrity/fail_slow/slow_factor", "member at {}× latency"),
+    ("integrity/fail_slow/hedges", "fires {} hedge,"),
+    (
+        "integrity/fail_slow/hedged_violations",
+        "exactly — {} violations,",
+    ),
+    (
+        "integrity/fail_slow/hedged_dropped",
+        "violations, {} drops**",
+    ),
+    ("integrity/fail_slow/bare_violations", "({} violations,"),
+    ("integrity/fail_slow/bare_dropped", "{} dropped blocks);"),
+    ("integrity/fail_slow/bare_violations", "against {} bare"),
+    (
+        "integrity/fail_slow/dump_events",
+        "with a {}-event flight dump**",
+    ),
+    (
+        "integrity/scrub_perturbation/scrubbed",
+        "({} extents scrubbed for free",
+    ),
 ];
 
 /// `n` with a comma every three digits, as the prose writes counts.
@@ -124,8 +197,9 @@ fn with_commas(n: u64) -> String {
 
 /// A count quoted in the prose must be the committed leaf it reads:
 /// each phrase of [`QUOTED_COUNTS`], filled with its leaf's value, is in
-/// the E14 / E15 paragraphs, and so are the recovery time and the
-/// per-crash mean derived from `crash/recovery_ns_total`.
+/// the E14 / E15 or E18 / E19 paragraphs, and so are the recovery time
+/// and the per-crash mean derived from `crash/recovery_ns_total` and
+/// E19's probes, the scrubbed blocks no read credited.
 #[test]
 fn quoted_counts_are_committed_section_leaves() {
     let doc = validate(BENCH_CORE);
@@ -134,12 +208,22 @@ fn quoted_counts_are_committed_section_leaves() {
         v.unwrap_or_else(|| panic!("no numeric leaf sections/{path}"))
     };
     let text = include_str!("../../../EXPERIMENTS.md");
-    let start = text.find("### E14 ").expect("E14 paragraph");
-    let end = text.find("### E16 ").expect("E16 paragraph");
-    let prose = text[start..end]
-        .split_whitespace()
-        .collect::<Vec<_>>()
-        .join(" ");
+    let between = |from: &str, to: &str| {
+        let start = text.find(from).unwrap_or_else(|| panic!("no `{from}`"));
+        &text[start
+            ..start
+                + text[start..]
+                    .find(to)
+                    .unwrap_or_else(|| panic!("no `{to}`"))]
+    };
+    let prose = [
+        between("### E14 ", "### E16 "),
+        between("### E18 ", "## Invariant checks"),
+    ]
+    .join(" ")
+    .split_whitespace()
+    .collect::<Vec<_>>()
+    .join(" ");
     let mut phrases: Vec<String> = QUOTED_COUNTS
         .iter()
         .map(|(path, phrase)| phrase.replace("{}", &with_commas(leaf(path) as u64)))
@@ -149,10 +233,12 @@ fn quoted_counts_are_committed_section_leaves() {
         "{recovery_s:.3} s (~{:.0} ms per crash",
         1e3 * recovery_s / leaf("crash/writes")
     ));
+    let probes = leaf("integrity/corruption/scrubbed") - leaf("integrity/corruption/credited");
+    phrases.push(format!("so {probes} hashed by the scrubber"));
     for phrase in phrases {
         assert!(
             prose.contains(&phrase),
-            "EXPERIMENTS.md E14/E15 no longer says `{phrase}`"
+            "EXPERIMENTS.md E14/E15/E18/E19 no longer says `{phrase}`"
         );
     }
 }

@@ -14,7 +14,7 @@ use strandfs_disk::{DiskGeometry, Extent, FaultPlan, GapBounds, SeekModel, SimDi
 use strandfs_obs::ObsSink;
 use strandfs_sim::scenario::{record_clip, ClipSpec};
 use strandfs_units::prng::mix_seed;
-use strandfs_units::Instant;
+use strandfs_units::{Instant, Nanos};
 
 /// Whether a member is believed servable. `Down` is a *belief*, not a
 /// command: [`Cluster::kill`] only arms the fault plan, and the member
@@ -102,13 +102,20 @@ pub struct RestoreProgress {
     /// The destination member of each replica brought back to `Live`
     /// this step.
     pub completed_on: Vec<usize>,
-    /// Virtual time the step's last disk operation completed (equals
-    /// the step's start when nothing was copied).
-    pub finished_at: Instant,
 }
 
-/// In-flight state of one replica restoration, kept across budgeted
-/// steps so a long title copies a few blocks per service round.
+/// The one slack rule every background step obeys: a step charged
+/// `charge` may start on a lane whose clock reads `clock` only while the
+/// lane's slack, `round_end − clock`, covers it. A `None` round end is an
+/// idle round's: no admitted stream waits on the lane.
+pub(crate) fn fits(clock: Instant, charge: Nanos, round_end: Option<Instant>) -> bool {
+    round_end.is_none_or(|end| charge <= end.since(clock))
+}
+
+/// In-flight state of one replica restoration, kept across steps so a
+/// long title copies a few blocks per service round. The cluster keeps
+/// at most one per destination member.
+#[derive(Default)]
 struct RestoreJob {
     title: TitleId,
     /// Index of the lost replica being rebuilt.
@@ -138,7 +145,8 @@ pub struct Cluster {
     cursor: usize,
     /// Replicas placed per member (the load input to placement).
     placed: Vec<usize>,
-    restore: Option<RestoreJob>,
+    /// In-flight restorations, at most one per destination member.
+    restore: Vec<RestoreJob>,
     /// The shared sink, re-installed on members rebuilt by rejoin.
     obs: ObsSink,
     /// Whether member fetches verify payload checksums; re-applied to
@@ -192,7 +200,7 @@ impl Cluster {
             members,
             catalog: Catalog::new(),
             cursor: 0,
-            restore: None,
+            restore: Vec::new(),
             obs: ObsSink::noop(),
             verify_reads: false,
         })
@@ -366,6 +374,8 @@ impl Cluster {
     /// survive the remount — by design, playback needs only the
     /// catalog's schedules.
     pub fn rejoin(&mut self, volume: usize, now: Instant) -> Result<RejoinReport, FsError> {
+        // The remount drops a restore's open strands on the member.
+        self.void_restore_for(volume);
         let placeholder = Self::fresh_member(&self.disk_model, 0);
         let old = std::mem::replace(&mut self.members[volume], placeholder);
         let mut msm = old.mrs.into_msm();
@@ -449,50 +459,45 @@ impl Cluster {
     /// True if some lost replica could be restored right now (its
     /// volume is up and a live source exists on another up member).
     pub fn restorable_lost(&self) -> bool {
-        self.catalog.lost_replicas().iter().any(|&(t, i)| {
-            let r = &self.catalog.title(t).replicas[i];
-            self.is_up(r.volume)
-                && self
-                    .catalog
-                    .live_replica(t, Some(i), |v| self.is_up(v) && v != r.volume)
-                    .is_some()
-        })
+        let mut lost = self.catalog.lost_replicas().into_iter();
+        lost.any(|(t, i)| self.restore_job(t, i).is_some())
     }
 
-    /// Drop the in-flight restore job. With `unwind_dst` (the
-    /// destination member is still healthy) its half-written strands
-    /// are deleted — completed copies and the open recording one — so
-    /// the member stays fsck-clean and leak-free; the replica stays
-    /// `Lost` and a later pass restarts it from another live source.
-    fn void_restore(&mut self, unwind_dst: bool) {
-        let Some(job) = self.restore.take() else {
-            return;
-        };
-        if !unwind_dst {
-            return;
-        }
-        let dst = self.catalog.title(job.title).replicas[job.replica].volume;
-        let msm = self.members[dst].mrs.msm_mut();
-        for (_, d) in &job.map {
-            let _ = msm.delete_strand(*d);
-        }
-        if let Some(open) = job.dst_open {
-            let _ = msm.abort_strand(open);
+    /// The `(source, destination)` members of an in-flight job.
+    fn job_volumes(&self, job: &RestoreJob) -> (usize, usize) {
+        let r = &self.catalog.title(job.title).replicas;
+        (r[job.src_replica].volume, r[job.replica].volume)
+    }
+
+    /// Drop the in-flight jobs `hit` names. Where it says `Some(true)`
+    /// (the destination is still healthy) the job's half-written strands
+    /// are deleted, so the member stays fsck-clean and leak-free; the
+    /// replica stays `Lost` for a later step to restart.
+    fn void_restores(&mut self, hit: impl Fn(&Self, &RestoreJob) -> Option<bool>) {
+        for job in std::mem::take(&mut self.restore) {
+            match hit(self, &job) {
+                None => self.restore.push(job),
+                Some(false) => {}
+                Some(true) => {
+                    let dst = self.job_volumes(&job).1;
+                    let msm = self.members[dst].mrs.msm_mut();
+                    for &(_, d) in &job.map {
+                        let _ = msm.delete_strand(d);
+                    }
+                    let _ = job.dst_open.map(|open| msm.abort_strand(open));
+                }
+            }
         }
     }
 
-    /// Void an in-flight restore touching `volume` (killed or wiped).
+    /// Void the in-flight restores touching `volume` (killed or wiped).
     /// A dying destination's half-written strands die with the device;
     /// a surviving destination (its *source* died) is unwound.
     fn void_restore_for(&mut self, volume: usize) {
-        let Some(job) = &self.restore else {
-            return;
-        };
-        let dst = self.catalog.title(job.title).replicas[job.replica].volume;
-        let src = self.catalog.title(job.title).replicas[job.src_replica].volume;
-        if dst == volume || src == volume {
-            self.void_restore(dst != volume);
-        }
+        self.void_restores(|c, job| {
+            let (src, dst) = c.job_volumes(job);
+            (src == volume || dst == volume).then_some(dst != volume)
+        });
     }
 
     /// Take a live replica out of service because scrub proved it
@@ -502,15 +507,10 @@ impl Cluster {
     /// live copy — the same path a wiped rejoin uses. Callers must
     /// first re-pin any streams playing from the replica.
     pub fn invalidate_replica(&mut self, title: TitleId, replica: usize) -> Result<(), FsError> {
-        let voids = self.restore.as_ref().map(|job| {
-            (
-                job.title == title && (job.replica == replica || job.src_replica == replica),
-                job.replica != replica,
-            )
+        self.void_restores(|_, job| {
+            let touched = job.replica == replica || job.src_replica == replica;
+            (job.title == title && touched).then_some(job.replica != replica)
         });
-        if let Some((true, unwind_dst)) = voids {
-            self.void_restore(unwind_dst);
-        }
         let (volume, strands, was_live) = {
             let r = &self.catalog.title(title).replicas[replica];
             (r.volume, r.strands.clone(), r.state == ReplicaState::Live)
@@ -529,150 +529,167 @@ impl Cluster {
         Ok(())
     }
 
-    fn next_restore_job(&self) -> Option<RestoreJob> {
-        for (t, i) in self.catalog.lost_replicas() {
-            let r = &self.catalog.title(t).replicas[i];
-            if !self.is_up(r.volume) {
-                continue;
-            }
-            if let Some(src) = self
-                .catalog
-                .live_replica(t, Some(i), |v| self.is_up(v) && v != r.volume)
-            {
-                return Some(RestoreJob {
-                    title: t,
-                    replica: i,
-                    src_replica: src,
-                    map: Vec::new(),
-                    cur: 0,
-                    block: 0,
-                    dst_open: None,
-                });
-            }
+    /// The job rebuilding `title`'s replica `replica`, if it is lost, its
+    /// member is up and a live copy sits on another up member.
+    fn restore_job(&self, title: TitleId, replica: usize) -> Option<RestoreJob> {
+        let r = &self.catalog.title(title).replicas[replica];
+        if r.state != ReplicaState::Lost || !self.is_up(r.volume) {
+            return None;
         }
-        None
+        let up = |v| self.is_up(v) && v != r.volume;
+        Some(RestoreJob {
+            title,
+            replica,
+            src_replica: self.catalog.live_replica(title, Some(replica), up)?,
+            ..RestoreJob::default()
+        })
     }
 
-    /// One budgeted step of background re-replication: copy up to
-    /// `max_blocks` media blocks of lost replicas from live copies on
-    /// other members (reads bill the source volume, writes the
-    /// destination). When a replica's last strand finishes, its
-    /// schedule is rebuilt by strand-id remapping from the source
-    /// replica and the copy goes live.
+    /// One step of background re-replication: every up member receives
+    /// up to `cap` blocks of its lost replicas from live copies elsewhere,
+    /// each read on the source's lane clock and written on the
+    /// destination's (`clocks`, advanced in place), while both lanes'
+    /// slack before `round_end` covers its charge. A replica whose last
+    /// strand finishes gets the source's schedule, strand ids remapped.
     pub fn re_replicate(
         &mut self,
-        now: Instant,
-        max_blocks: u64,
+        clocks: &mut [Instant],
+        round_end: Option<Instant>,
+        cap: u64,
     ) -> Result<RestoreProgress, FsError> {
-        let mut progress = RestoreProgress {
-            finished_at: now,
-            ..RestoreProgress::default()
-        };
-        while progress.copied_blocks < max_blocks {
-            let Some(mut job) = self.restore.take().or_else(|| self.next_restore_job()) else {
-                break;
-            };
-            let (src_v, dst_v, src_strands) = {
-                let title = self.catalog.title(job.title);
-                (
-                    title.replicas[job.src_replica].volume,
-                    title.replicas[job.replica].volume,
-                    title.replicas[job.src_replica].strands.clone(),
-                )
-            };
-            let mut t = progress.finished_at;
-            // Split-borrow the two members involved.
-            let (lo, hi) = (src_v.min(dst_v), src_v.max(dst_v));
-            let (head, tail) = self.members.split_at_mut(hi);
-            let (src_m, dst_m) = if src_v < dst_v {
-                (&mut head[lo], &mut tail[0])
-            } else {
-                (&mut tail[0], &mut head[lo])
-            };
-            while job.cur < src_strands.len() && progress.copied_blocks < max_blocks {
-                let loc = src_strands[job.cur];
-                let (meta, unit_count) = {
-                    let s = src_m.mrs.msm().strand(loc.strand)?;
-                    (*s.meta(), s.unit_count())
-                };
-                let dst_id = match job.dst_open {
-                    Some(id) => id,
-                    None => {
-                        let id = dst_m.mrs.msm_mut().begin_strand(meta);
-                        job.dst_open = Some(id);
-                        id
-                    }
-                };
-                while job.block < loc.blocks && progress.copied_blocks < max_blocks {
-                    let n = job.block;
-                    let units = meta.granularity.min(unit_count - n * meta.granularity);
-                    match src_m.mrs.msm_mut().read_block(loc.strand, n, t)? {
-                        (None, _) => {
-                            dst_m.mrs.msm_mut().append_silence(dst_id, units, t)?;
-                        }
-                        (Some(payload), op) => {
-                            if let Some(op) = op {
-                                t = t.max(op.completed);
-                            }
-                            let (_, wop) = dst_m
-                                .mrs
-                                .msm_mut()
-                                .append_block(dst_id, t, &payload, units)?;
-                            t = t.max(wop.completed);
-                        }
-                    }
-                    job.block += 1;
-                    progress.copied_blocks += 1;
-                }
-                if job.block == loc.blocks {
-                    dst_m.mrs.msm_mut().finish_strand(dst_id, t)?;
-                    job.map.push((loc.strand, dst_id));
-                    job.dst_open = None;
-                    job.block = 0;
-                    job.cur += 1;
-                }
-            }
-            progress.finished_at = progress.finished_at.max(t);
-            if job.cur == src_strands.len() {
-                // Rebuild the replica: the source schedule with strand
-                // ids remapped onto the fresh copies. The clone shares
-                // the source's items with every viewer pinned to it;
-                // `make_mut` copies them before the first write.
-                let mut schedule: PlaySchedule = self.catalog.title(job.title).replicas
-                    [job.src_replica]
-                    .schedule
-                    .clone();
-                for item in Arc::make_mut(&mut schedule.items)
-                    .iter_mut()
-                    .filter(|i| !i.silence)
-                {
-                    let (_, dst) = job
-                        .map
-                        .iter()
-                        .find(|(s, _)| *s == item.strand)
-                        .expect("every scheduled strand was copied");
-                    item.strand = *dst;
-                }
-                let strands = src_strands
+        let mut progress = RestoreProgress::default();
+        let lost = self.catalog.lost_replicas();
+        for dst in 0..self.members.len() {
+            let mut copied = 0;
+            while copied < cap {
+                let running = self
+                    .restore
                     .iter()
-                    .zip(job.map.iter())
-                    .map(|(loc, (_, dst))| StrandLoc {
-                        strand: *dst,
-                        blocks: loc.blocks,
-                    })
-                    .collect();
-                let replica = self.catalog.replica_mut(job.title, job.replica);
-                replica.schedule = schedule;
-                replica.strands = strands;
-                replica.state = ReplicaState::Live;
-                self.placed[dst_v] += 1;
-                progress.completed_on.push(dst_v);
-            } else {
-                self.restore = Some(job);
+                    .position(|j| self.job_volumes(j).1 == dst);
+                let Some(job) = running.map(|i| self.restore.swap_remove(i)).or_else(|| {
+                    let mut mine = lost
+                        .iter()
+                        .filter(|&&(t, i)| self.catalog.title(t).replicas[i].volume == dst);
+                    mine.find_map(|&(t, i)| self.restore_job(t, i))
+                }) else {
+                    break;
+                };
+                let (job, n) = self.copy_blocks(job, clocks, round_end, cap - copied)?;
+                copied += n;
+                let Some(job) = job else {
+                    progress.completed_on.push(dst);
+                    continue;
+                };
+                self.restore.push(job);
                 break;
             }
+            progress.copied_blocks += copied;
         }
         Ok(progress)
+    }
+
+    /// Copy up to `cap` blocks of `job` while they fit, each disk op
+    /// charged worst-case positioning, a revolution and the transfer: the
+    /// source's read; the destination's write, journal record and, at a
+    /// strand's first block, `Begin` record. Returns the job (`None` once
+    /// live) and the blocks copied.
+    fn copy_blocks(
+        &mut self,
+        mut job: RestoreJob,
+        clocks: &mut [Instant],
+        round_end: Option<Instant>,
+        cap: u64,
+    ) -> Result<(Option<RestoreJob>, u64), FsError> {
+        let (src_v, dst_v) = self.job_volumes(&job);
+        let src_strands = self.catalog.title(job.title).replicas[job.src_replica]
+            .strands
+            .clone();
+        let d = &self.disk_model;
+        let positioning = (d.max_positioning_time() + d.geometry().rotation_time()).to_nanos();
+        let journaled = u64::from(self.members[dst_v].mrs.msm().journal_region().is_some());
+        let mut copied = 0;
+        let [src, dst] = self
+            .members
+            .get_disjoint_mut([src_v, dst_v])
+            .expect("two members");
+        let (src, dst) = (src.mrs.msm_mut(), dst.mrs.msm_mut());
+        while job.cur < src_strands.len() && copied < cap {
+            let loc = src_strands[job.cur];
+            let s = src.strand(loc.strand)?;
+            let (meta, unit_count) = (*s.meta(), s.unit_count());
+            while job.block < loc.blocks && copied < cap {
+                let n = job.block;
+                let extent = src.strand(loc.strand)?.block(n)?;
+                let op = positioning + extent.map_or(Nanos::ZERO, |e| d.transfer_time(e));
+                let read = if extent.is_some() { op } else { Nanos::ZERO };
+                let writes = u64::from(extent.is_some()) + journaled * (1 + u64::from(n == 0));
+                let (s0, d0) = (clocks[src_v], clocks[dst_v].max(clocks[src_v] + read));
+                if !fits(s0, read, round_end) || !fits(d0, op.mul_u64(writes), round_end) {
+                    return Ok((Some(job), copied));
+                }
+                let units = meta.granularity.min(unit_count - n * meta.granularity);
+                // The strand opens at the first copy that fits.
+                let dst_id = *job.dst_open.get_or_insert_with(|| dst.begin_strand(meta));
+                match src.read_block(loc.strand, n, clocks[src_v])? {
+                    (None, _) => {
+                        let at = clocks[dst_v];
+                        let (_, jop) = dst.append_silence(dst_id, units, at)?;
+                        clocks[dst_v] = jop.map_or(at, |o| o.completed);
+                    }
+                    (Some(payload), op) => {
+                        if let Some(op) = op {
+                            clocks[src_v] = op.completed;
+                        }
+                        let at = clocks[dst_v].max(clocks[src_v]);
+                        let (_, wop) = dst.append_block(dst_id, at, &payload, units)?;
+                        clocks[dst_v] = wop.completed;
+                    }
+                }
+                job.block += 1;
+                copied += 1;
+            }
+            if job.block == loc.blocks {
+                let dst_id = *job.dst_open.get_or_insert_with(|| dst.begin_strand(meta));
+                dst.finish_strand(dst_id, clocks[dst_v])?;
+                job.map.push((loc.strand, dst_id));
+                job.dst_open = None;
+                job.block = 0;
+                job.cur += 1;
+            }
+        }
+        if job.cur < src_strands.len() {
+            return Ok((Some(job), copied));
+        }
+        // Rebuild the replica: the source schedule with strand ids
+        // remapped; `make_mut` copies the items viewers share first.
+        let mut schedule: PlaySchedule = self.catalog.title(job.title).replicas[job.src_replica]
+            .schedule
+            .clone();
+        for item in Arc::make_mut(&mut schedule.items)
+            .iter_mut()
+            .filter(|i| !i.silence)
+        {
+            let (_, dst) = job
+                .map
+                .iter()
+                .find(|(s, _)| *s == item.strand)
+                .expect("every scheduled strand was copied");
+            item.strand = *dst;
+        }
+        let strands = src_strands
+            .iter()
+            .zip(job.map.iter())
+            .map(|(loc, (_, dst))| StrandLoc {
+                strand: *dst,
+                blocks: loc.blocks,
+            })
+            .collect();
+        let replica = self.catalog.replica_mut(job.title, job.replica);
+        replica.schedule = schedule;
+        replica.strands = strands;
+        replica.state = ReplicaState::Live;
+        self.placed[dst_v] += 1;
+        Ok((None, copied))
     }
 }
 
@@ -689,6 +706,45 @@ mod tests {
             seed: 7,
         })
         .expect("cluster")
+    }
+
+    /// Drain the restore queue in idle steps of `cap` blocks per
+    /// destination, every lane starting a step 1 ms after the last one's
+    /// latest copy. Returns the steps taken and the final instant.
+    fn drain(c: &mut Cluster, cap: u64, mut t: Instant) -> (u64, Instant) {
+        let mut steps = 0;
+        while c.restorable_lost() {
+            let mut clocks = vec![t; c.members().len()];
+            c.re_replicate(&mut clocks, None, cap)
+                .expect("restore step");
+            t = clocks.into_iter().fold(t, Instant::max) + Nanos::from_millis(1);
+            steps += 1;
+            assert!(steps < 1_000, "restore did not converge");
+        }
+        (steps, t)
+    }
+
+    /// Four members, two titles replicated on the pairs (0, 1) and
+    /// (2, 3), and members 0 and 2 rejoined wiped: two restore jobs, one
+    /// per destination, read from 1 and 3.
+    fn two_wiped_pairs() -> Cluster {
+        let mut c = Cluster::new(ClusterConfig {
+            volumes: 4,
+            placement: Placement::RoundRobin,
+            base_replicas: 2,
+            seed: 7,
+        })
+        .expect("cluster");
+        for seed in [13, 14] {
+            c.ingest("clip", &ClipSpec::av_seconds(1.0).with_seed(seed), 0.0)
+                .expect("ingest");
+        }
+        for v in [0, 2] {
+            c.kill(v);
+            c.mark_down(v);
+            c.rejoin_wiped(v);
+        }
+        c
     }
 
     #[test]
@@ -755,16 +811,21 @@ mod tests {
         // A viewer pinned to the surviving replica shares its items.
         let viewer = c.catalog().title(id).replicas[1].schedule.clone();
         let source_before = viewer.items.to_vec();
-        // Drain the restore queue in small budgeted steps.
-        let mut t = Instant::EPOCH;
-        let mut steps = 0;
-        while c.restorable_lost() {
-            let p = c.re_replicate(t, 8).expect("restore step");
-            t = p.finished_at + Nanos::from_millis(1);
-            steps += 1;
-            assert!(steps < 1_000, "restore did not converge");
-        }
-        assert!(steps > 1, "budget should split the copy across steps");
+        // A service round's step spends only slack: none, no copy; a
+        // little, a copy that ends inside it on both lanes.
+        let end = Instant::from_nanos(1_000_000_000);
+        let mut clocks = [end; 2];
+        let p = c.re_replicate(&mut clocks, Some(end), 8).expect("no slack");
+        assert_eq!(p.copied_blocks, 0);
+        let mut clocks = [end - Nanos::from_millis(600); 2];
+        let p = c
+            .re_replicate(&mut clocks, Some(end), 1_000)
+            .expect("some slack");
+        assert!(p.copied_blocks > 0 && c.restore.len() == 1, "{p:?}");
+        assert!(clocks.iter().all(|&t| t <= end), "{clocks:?}");
+        // Drain the restore queue in small capped steps.
+        let (steps, t) = drain(&mut c, 8, end);
+        assert!(steps > 1, "the cap should split the copy across steps");
         let replica = &c.catalog().title(id).replicas[0];
         assert_eq!(replica.state, ReplicaState::Live);
         // The restore rewrote strand ids in a copy of its own: the
@@ -793,48 +854,58 @@ mod tests {
     }
 
     #[test]
+    fn one_step_copies_onto_every_destination_member() {
+        let mut c = two_wiped_pairs();
+        let mut clocks = [Instant::EPOCH; 4];
+        let p = c.re_replicate(&mut clocks, None, 1).expect("step");
+        assert_eq!(p.copied_blocks, 2, "one block onto each destination");
+        let mut dsts: Vec<usize> = c.restore.iter().map(|j| c.job_volumes(j).1).collect();
+        dsts.sort_unstable();
+        assert_eq!(dsts, [0, 2]);
+        // Each copy ran on its own pair's lanes: every lane moved.
+        assert!(clocks.iter().all(|&t| t > Instant::EPOCH), "{clocks:?}");
+    }
+
+    #[test]
     fn killing_the_restore_source_mid_copy_unwinds_cleanly() {
-        let mut c = two_volume_cluster();
-        let id = c
-            .ingest("clip", &ClipSpec::av_seconds(1.0).with_seed(13), 0.0)
-            .expect("ingest");
-        c.kill(0);
-        c.mark_down(0);
-        c.rejoin_wiped(0);
-        // One tiny budgeted step leaves the job in flight with a
-        // half-written destination strand open on volume 0.
-        let p = c.re_replicate(Instant::EPOCH, 3).expect("first step");
-        assert_eq!(p.copied_blocks, 3);
-        assert!(c.restore.is_some(), "the job must be in flight");
-        // The *source* dies mid-copy. The job must be voided and the
-        // half-written copies unwound — not resumed into a media error.
+        let mut c = two_wiped_pairs();
+        // One small step leaves both jobs in flight, each with a
+        // half-written destination strand open.
+        let mut clocks = [Instant::EPOCH; 4];
+        let p = c.re_replicate(&mut clocks, None, 3).expect("first step");
+        assert_eq!(p.copied_blocks, 6);
+        assert_eq!(c.restore.len(), 2, "both jobs must be in flight");
+        // Member 1, the source of member 0's copy, dies mid-copy. Its
+        // job must be voided and its half-written copies unwound — not
+        // resumed into a media error — and the other job left running.
         c.kill(1);
         c.mark_down(1);
-        assert!(c.restore.is_none(), "kill must void the in-flight job");
+        assert_eq!(c.restore.len(), 1, "kill must void only the job it touches");
+        assert_eq!(c.job_volumes(&c.restore[0]), (3, 2));
         let t = Instant::from_nanos(1_000_000_000);
-        let p = c.re_replicate(t, 100).expect("no live source: a no-op");
-        assert_eq!(p.copied_blocks, 0);
-        // The surviving destination holds no leaked half-copies.
+        // The surviving destination holds no leaked half-copies; the
+        // other keeps its open strand.
         assert_eq!(c.members()[0].mrs().msm().strand_ids().len(), 0);
-        assert!(c.fsck_member(0, t).clean());
+        for v in [0, 2] {
+            assert!(c.fsck_member(v, t).clean(), "member {v}");
+        }
+        // No live source for title 0: member 2's copy alone converges.
+        drain(&mut c, 100, t);
+        let state = |c: &Cluster, title: TitleId| c.catalog().title(title).replicas[0].state;
         assert_eq!(
-            c.catalog().title(id).replicas[0].state,
+            state(&c, 0),
             ReplicaState::Lost,
-            "the replica stays lost until a live source returns"
+            "lost until a source returns"
         );
+        assert_eq!(state(&c, 1), ReplicaState::Live);
         // Once the source rejoins, restore restarts from scratch and
         // converges.
         c.rejoin(1, t).expect("rejoin source");
-        let mut t = t;
-        let mut steps = 0;
-        while c.restorable_lost() {
-            let p = c.re_replicate(t, 8).expect("restore step");
-            t = p.finished_at + Nanos::from_millis(1);
-            steps += 1;
-            assert!(steps < 1_000, "restore did not converge");
+        let (_, t) = drain(&mut c, 8, t);
+        assert_eq!(state(&c, 0), ReplicaState::Live);
+        for v in [0, 2] {
+            assert!(c.fsck_member(v, t).clean(), "member {v}");
         }
-        assert_eq!(c.catalog().title(id).replicas[0].state, ReplicaState::Live);
-        assert!(c.fsck_member(0, t).clean());
     }
 
     #[test]
@@ -854,11 +925,7 @@ mod tests {
         );
         assert!(c.fsck_member(0, Instant::EPOCH).clean());
         // The lost copy is rebuilt through the ordinary restore path.
-        let mut t = Instant::EPOCH;
-        while c.restorable_lost() {
-            let p = c.re_replicate(t, 16).expect("restore step");
-            t = p.finished_at + Nanos::from_millis(1);
-        }
+        let (_, t) = drain(&mut c, 16, Instant::EPOCH);
         assert_eq!(c.catalog().title(id).replicas[0].state, ReplicaState::Live);
         assert!(c.fsck_member(0, t).clean());
     }

@@ -4,11 +4,12 @@
 //! Time model: all volumes start round `r` at the same instant `T_r`
 //! and serve their pinned streams on their own disks concurrently
 //! (each volume has its own clock within the round); `T_{r+1}` is the
-//! latest clock when every volume — and the round's background
-//! re-replication budget — is done. Deadlines stay coherent across a
-//! failover because replica schedules are structurally identical: a
-//! stream switching volumes keeps its epochs, completions and item
-//! offsets, only the strand/block addresses change.
+//! latest turn completion. Background work — restore first, scrub
+//! second — spends only each volume's slack before it. Deadlines stay
+//! coherent across a failover because replica schedules are
+//! structurally identical: a stream switching volumes keeps its epochs,
+//! completions and item offsets, only the strand/block addresses
+//! change.
 //!
 //! The per-stream bookkeeping (epochs, deadline accounting, the
 //! degradation ladder) is not re-grown here: each viewer is a
@@ -19,7 +20,7 @@
 //! hedging, read-around, scrub and quarantine do about its outcome.
 
 use crate::catalog::{ReplicaState, TitleId};
-use crate::cluster::{Cluster, RejoinReport};
+use crate::cluster::{fits, Cluster, RejoinReport};
 use std::collections::BTreeMap;
 use strandfs_core::msm::{BlockFetch, FetchFailure, Msm};
 use strandfs_core::strand::index::NO_SUM;
@@ -46,8 +47,9 @@ pub struct ClusterPlayback {
     pub revoke_after_drops: u64,
     /// Consecutive fault-free rounds before revoked streams return.
     pub readmit_clean_rounds: u64,
-    /// Background re-replication budget per round, in media blocks
-    /// (0 disables the restore pass).
+    /// Background re-replication cap per round: the most media blocks
+    /// each destination member receives, within its lanes' slack in a
+    /// service round (0 disables the restore pass).
     pub restore_blocks_per_round: u64,
     /// Background scrub budget per volume per round, in probes
     /// (0 disables the scrubber). Scrub probes verify checksum stamps
@@ -93,7 +95,7 @@ impl ClusterPlayback {
         }
     }
 
-    /// Enable the per-round background restore budget.
+    /// Enable background re-replication, capped per destination member.
     pub fn restore(mut self, blocks_per_round: u64) -> ClusterPlayback {
         self.restore_blocks_per_round = blocks_per_round;
         self
@@ -546,6 +548,12 @@ impl<'a> Run<'a> {
         }
     }
 
+    /// Service time every member's disk has lost to faults so far.
+    fn fault_penalty(&self) -> Nanos {
+        let disks = self.cluster.members().iter().map(|m| m.mrs().msm().disk());
+        disks.map(|d| d.fault_stats().penalty).sum()
+    }
+
     fn busy_time(&self, v: usize) -> Nanos {
         self.cluster.members()[v]
             .mrs()
@@ -681,9 +689,11 @@ impl<'a> Run<'a> {
 
     /// A round with nobody in service: no playback I/O, but revoked
     /// viewers' displays sit frozen while it passes — advance the clock
-    /// so recovery accounting sees the outage. The whole advanced window
-    /// is spare slack: it belongs to the scrubber and the quarantine
-    /// probes.
+    /// so recovery accounting sees the outage. Background work runs from
+    /// the window's start: restore bounded by its cap alone, so it
+    /// progresses even where one copy outlasts the window, then scrub
+    /// and the quarantine probes. The round ends at the later of the
+    /// window's end and the last copy.
     fn idle_round(&mut self) -> Result<(), FsError> {
         let min_dur = self
             .revoked()
@@ -698,10 +708,12 @@ impl<'a> Run<'a> {
             advanced,
         });
         self.start_lanes();
+        let end = at + advanced;
+        self.restore_pass(None)?;
         self.scrub_ahead(None);
-        self.scrub_pass(at + advanced)?;
+        self.scrub_pass(end)?;
         self.probe_quarantined(at);
-        self.t = self.restore_pass(at + advanced)?;
+        self.t = self.lanes.iter().map(|l| l.clock).fold(end, Instant::max);
         self.clean_streak += 1;
         Ok(())
     }
@@ -1195,7 +1207,7 @@ impl<'a> Run<'a> {
                 continue;
             }
             let mut budget = self.cfg.scrub_blocks_per_round;
-            while budget > 0 && self.lanes[v].clock + self.lanes[v].scrub_cost <= t_next {
+            while budget > 0 && fits(self.lanes[v].clock, self.lanes[v].scrub_cost, Some(t_next)) {
                 let lane = &mut self.lanes[v];
                 let msm = self.cluster.members()[v].mrs().msm();
                 let step = scrub_step(msm, &mut lane.scrub_cursor, &lane.credits);
@@ -1239,21 +1251,25 @@ impl<'a> Run<'a> {
         Ok(())
     }
 
-    /// One budgeted background re-replication pass starting at `now`;
-    /// returns the instant it is done.
-    fn restore_pass(&mut self, now: Instant) -> Result<Instant, FsError> {
-        if self.cfg.restore_blocks_per_round == 0 {
-            return Ok(now);
+    /// One background re-replication step on the lanes' own clocks,
+    /// each copy fitting its two lanes' slack before `round_end` (`None`
+    /// in an idle round).
+    fn restore_pass(&mut self, round_end: Option<Instant>) -> Result<(), FsError> {
+        let cap = self.cfg.restore_blocks_per_round;
+        if cap == 0 {
+            return Ok(());
         }
-        let p = self
-            .cluster
-            .re_replicate(now, self.cfg.restore_blocks_per_round)?;
+        let mut clocks: Vec<Instant> = self.lanes.iter().map(|l| l.clock).collect();
+        let p = self.cluster.re_replicate(&mut clocks, round_end, cap)?;
+        for (lane, clock) in self.lanes.iter_mut().zip(clocks) {
+            lane.clock = clock;
+        }
         self.report.restored_blocks += p.copied_blocks;
         self.report.restored_replicas += p.completed_on.len() as u64;
         for &v in &p.completed_on {
             self.suspect(v);
         }
-        Ok(now.max(p.finished_at))
+        Ok(())
     }
 
     /// Fail-slow quarantine: a member that kept firing hedges sits out —
@@ -1368,15 +1384,20 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// The round barrier. The cluster round ends when the slowest
-    /// volume — and the round's background restore budget — is done;
-    /// with that instant decided, whatever slack remains on each lane
-    /// belongs to the scrubber; then slow members are quarantined or
-    /// probed and each disk's busy time is booked.
+    /// The round barrier. The cluster round ends at the latest turn
+    /// completion, and nothing moves it: each lane's slack before it
+    /// goes to restore, then to the scrubber. Then slow members are
+    /// quarantined or probed and each disk's busy time is booked.
     fn barrier(&mut self) -> Result<(), FsError> {
         self.drop_unconsumed();
-        let slowest = self.lanes.iter().map(|l| l.clock).max().unwrap_or(self.t);
-        let t_next = self.restore_pass(slowest)?;
+        let t_next = self.lanes.iter().map(|l| l.clock).max().unwrap_or(self.t);
+        let penalty = self.fault_penalty();
+        self.restore_pass(Some(t_next))?;
+        // Copy charges are nominal: only a fault's stretch outruns one.
+        debug_assert!(
+            self.lanes.iter().all(|l| l.clock <= t_next) || self.fault_penalty() > penalty,
+            "a restore copy overran its lane's slack on nominal timing"
+        );
         self.scrub_ahead(Some(t_next));
         self.scrub_pass(t_next)?;
         self.drop_unconsumed();

@@ -735,7 +735,7 @@ impl SimDisk {
 
     /// Media transfer time for `extent`, paying a head switch at every
     /// track boundary and a track-to-track seek at every cylinder boundary.
-    fn transfer_time(&self, extent: Extent) -> Nanos {
+    pub fn transfer_time(&self, extent: Extent) -> Nanos {
         let g = &self.geometry;
         let mut total = self.timing.sector.mul_u64(extent.sectors);
         // Boundary crossings within the run.

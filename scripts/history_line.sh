@@ -93,6 +93,8 @@ END {
     printf "\"cluster.cluster.ingest_us_per_block\": %.2f, ", last["vod_defended", "cluster.cluster.ingest_us_per_block"]
     printf "\"media.frame_payload_ns\": %d, ", last["vod_defended", "media.frame_payload_ns"]
     printf "\"scrub.failover_storm\": {\"covered\": %d, \"probes\": %d, \"credited\": %d}, ", covered, probes, covered - probes
+    printf "\"virt_makespan_s\": {\"failover_storm\": %.3f}, ", last["failover_storm", "virt_makespan_s"]
+    printf "\"cluster.service.rounds\": {\"failover_storm\": %d}, ", last["failover_storm", "cluster.service.rounds"]
     printf "\"checksum/stamp_batch_28k_ns\": %.1f, ", stamp
     printf "\"checksum/stamp_batch_28k_scattered_ns\": %.1f, ", scattered
     printf "\"host_mode\": {\"mode\": \"%s\", \"checksum/block_sum_28k_streamed_us\": %.2f}}\n", (streamed < 3.5 ? "fast" : "slow"), streamed

@@ -30,6 +30,17 @@ cargo test --workspace -q --offline
 echo "==> cargo test --manifest-path benchmark/Cargo.toml --offline -q"
 cargo test --manifest-path benchmark/Cargo.toml --offline -q
 
+# Finding 1 of benchmark/README.md: restore at eight blocks a round
+# once dropped replicated blocks at a short round size. Re-replication
+# now spends only round slack, so both of the finding's reproducers
+# must pass every storm check (exit 0) through the benchmark's own flags.
+for storm in "--storm-k 2 --storm-slow-factor 1" "--storm-k 3"; do
+    echo "==> finding-1 reproducer: failover_storm $storm --storm-restore 8"
+    # shellcheck disable=SC2086
+    benchmark/run.sh --workload failover_storm --seed 1 --seconds 1 --trace 0 \
+        $storm --storm-restore 8 > /dev/null
+done
+
 # Wall-clock medians go through the tolerance tiers; every leaf of the
 # virtual-time sections is compared exactly (the same gate
 # crates/bench/tests/golden.rs ran uncapped in the step above). The

@@ -395,7 +395,7 @@ fn cluster_loop_fingerprints_are_pinned() {
         0xbf5ce2821f094352, 0xc3c08e0ade068b29, 0x5103859cb35b0beb, 0xbc350085664ef57c,
         0x66917a5133e8cfe4, 0xee5325ac2a86b8f7, 0xbdf9855bc92f6106, 0x07d25087d8ae8aed,
         0xa931d946022ecc13, 0x1e7d8753a04e18d0, 0x0a88070551a4cc13, 0xef0abc43d672322c,
-        0x864c2a81ba20247d, 0xea8065953f1a4c9c, 0x833c61eb8eece419, 0xe3598b9710dd3d43,
+        0x864c2a81ba20247d, 0xb0c2961069f4ec6d, 0x3a822be73885374a, 0xb461ec2aa5b9f765,
         0xd8ede8b3214ba762, 0x237218a3c533b2a9, 0x85786b4e37c98473, 0x7ac8157a76895307,
         0xaf01e29bd0093b1e, 0xdc4ddc610450f2e1, 0x579e91a287ad6fa2, 0xbfee6ad846f2d38d,
     ];
@@ -406,7 +406,7 @@ fn cluster_loop_fingerprints_are_pinned() {
         0xe8ffc32878ee813f, 0x27f7155a238fc795, 0x76d639634294b305, 0x49ee3b3e24e15b54,
         0xc5d042ebc1ca558e, 0x57a0713794f81f02, 0x64a4b3e85e8debe2, 0x3ee01a81174f2e91,
         0x3f1bd66b4310057d, 0xd80501f37c9aac09, 0xab65187be70940e6, 0xd65cbcc8e5c3bb85,
-        0xda0a403e5bb5b35a, 0xda584ef6c1299e25, 0xb5135b3091d64bc7, 0x74a7a91a8fac81c4,
+        0xda0a403e5bb5b35a, 0xda584ef6c1299e25, 0x058f607da1a1c08a, 0x74a7a91a8fac81c4,
         0x47c8e877747b48b8, 0x79d1559496bf1f14, 0xb21e182cd9c6436f, 0x7fda19e87fb50536,
         0xfcd620bace520351, 0xb13021cd07a1e975, 0x35af06617865fbd5, 0x27167f12b2406cf5,
     ];

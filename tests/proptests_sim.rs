@@ -720,6 +720,122 @@ fn cluster_chaos_replicated_streams_survive_member_loss() {
     );
 }
 
+/// Restore spends slack, never the round: kill / rejoin / wiped-rejoin
+/// scripts on otherwise fault-free members, one victim per volume pair
+/// and one viewer per member (so a survivor carries two), over `k` in
+/// 2..=5 and a restore cap of 1, 2 or 8 blocks per destination. Every service round ends at its latest turn completion,
+/// no disk read or restore data write issued in it completes after that,
+/// replicated viewers drop nothing, and every replica is live again at
+/// the end.
+#[test]
+fn restore_in_slack_never_moves_a_round_end() {
+    use strandfs::cluster::{
+        simulate_cluster, Cluster, ClusterAction, ClusterConfig, ClusterPlayback, Placement,
+        ReplicaState, ScriptedAction,
+    };
+    use strandfs::obs::{AccessDir, Event, ObsSink};
+    use strandfs::sim::ClipSpec;
+
+    check_with(
+        &Config::with_cases(8),
+        "restore_in_slack_never_moves_a_round_end",
+        (
+            (0u64..1_000, 2usize..4, 2u32..5),
+            (2u64..6, 0usize..3, any_bool()),
+            prop_vec((0usize..2, 0u8..3, 1u64..5, 1u64..6), 3..4),
+        ),
+        |&((seed, pairs, halves), (k, cap, scrub), ref victims)| {
+            let mut c = Cluster::new(ClusterConfig {
+                volumes: 2 * pairs,
+                placement: Placement::RoundRobin,
+                base_replicas: 2,
+                seed,
+            })
+            .expect("cluster");
+            let (sink, ring) = ObsSink::ring(1 << 17);
+            c.set_obs(&sink);
+            // Round-robin puts title `p` on the pair (2p, 2p + 1).
+            let mut viewers = Vec::new();
+            for p in 0..pairs as u64 {
+                let clip = ClipSpec::video_seconds(f64::from(halves) / 2.0).with_seed(seed ^ p);
+                let title = c.ingest("clip", &clip, 0.0).expect("ingest");
+                viewers.extend([title, title]);
+            }
+            let mut script = Vec::new();
+            for (p, &(side, kind, at_round, delay)) in victims.iter().take(pairs).enumerate() {
+                let v = 2 * p + side;
+                let back = match kind {
+                    0 => continue,
+                    1 => ClusterAction::Rejoin(v),
+                    _ => ClusterAction::RejoinWiped(v),
+                };
+                script.push(ScriptedAction {
+                    at_round,
+                    action: ClusterAction::Kill(v),
+                });
+                script.push(ScriptedAction {
+                    at_round: at_round + delay,
+                    action: back,
+                });
+            }
+            let mut cfg = ClusterPlayback::with_k(k).restore([1, 2, 8][cap]);
+            if scrub {
+                cfg = cfg.scrub(2);
+            }
+            let report = simulate_cluster(&mut c, &viewers, &script, &cfg).expect("cluster sim");
+            prop_assert_eq!(report.replicated_dropped(), 0, "replicated blocks dropped");
+            for t in c.catalog().titles() {
+                for r in &t.replicas {
+                    prop_assert_eq!(r.state, ReplicaState::Live, "replica on {}", r.volume);
+                }
+            }
+
+            let ring = ring.borrow();
+            prop_assert_eq!(ring.dropped(), 0, "ring too small for the run");
+            // Per open service round: its start, its latest turn end and
+            // the latest completion of a read or data write issued in it.
+            let mut open = None;
+            let mut data_write = None;
+            let mut checked = 0;
+            for e in ring.events() {
+                match *e {
+                    Event::RoundStart { at, .. } => open = Some((at, at)),
+                    Event::StreamService { end, .. } => {
+                        if let Some((latest, _)) = &mut open {
+                            *latest = end.max(*latest);
+                        }
+                    }
+                    Event::Alloc { lba, .. } => data_write = Some(lba),
+                    Event::DiskOp {
+                        dir,
+                        lba,
+                        issued,
+                        seek,
+                        rotation,
+                        transfer,
+                        ..
+                    } => {
+                        let done = issued + seek + rotation + transfer;
+                        let bounded = dir == AccessDir::Read || Some(lba) == data_write;
+                        if let (Some((_, last)), true) = (&mut open, bounded) {
+                            *last = done.max(*last);
+                        }
+                    }
+                    Event::RoundEnd { round, at } => {
+                        let (latest, last) = open.take().expect("a round end closes a start");
+                        prop_assert_eq!(at, latest, "round {} ends past its last turn", round);
+                        prop_assert!(last <= at, "round {} has I/O past its end", round);
+                        checked += 1;
+                    }
+                    _ => {}
+                }
+            }
+            prop_assert!(checked > 0, "no service round ran");
+            Ok(())
+        },
+    );
+}
+
 /// The first `(volume, strand, block)` on an up member whose stored
 /// payload no longer hashes to its stamp.
 fn first_corrupt_block(c: &strandfs::cluster::Cluster) -> Option<(usize, StrandId, u64)> {
