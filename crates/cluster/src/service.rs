@@ -11,29 +11,20 @@
 //! completions and item offsets, only the strand/block addresses
 //! change.
 //!
-//! The per-stream bookkeeping (epochs, deadline accounting, the
-//! degradation ladder) is not re-grown here: each viewer is a
-//! [`strandfs_sim::StreamState`] — the same value the single-volume
-//! loop drives — wrapped in the cluster's replica pin. This module
-//! owns only what happens between a stream's `begin_turn` and
-//! `end_turn`: which member a fetch goes to, and what failover,
-//! hedging, read-around, scrub and quarantine do about its outcome.
+//! Each viewer is a [`strandfs_sim::StreamState`] — the value the
+//! single-volume loop drives — wrapped in the cluster's replica pin;
+//! this module owns only what happens between its `begin_turn` and
+//! `end_turn`. A member's *lane* (`lane.rs`) holds its clock and every
+//! step that touches only its own member; the *run* (`run.rs`) holds
+//! the rounds, the barrier and every step that charges another lane.
 
-use crate::catalog::{ReplicaState, TitleId};
-use crate::cluster::{fits, Cluster, RejoinReport};
-use std::collections::BTreeMap;
-use strandfs_core::msm::{BlockFetch, FetchFailure, Msm};
-use strandfs_core::strand::index::NO_SUM;
-use strandfs_core::{FsError, StrandId};
-use strandfs_disk::{stamp_batch, Extent, PayloadView, StampJob};
-use strandfs_obs::{Event, ObsSink};
+use crate::cluster::RejoinReport;
 use strandfs_sim::metrics::SimReport;
-use strandfs_sim::StreamState;
-use strandfs_units::{Instant, Nanos};
 
-/// Consecutive on-time probes before a quarantined volume is
-/// re-admitted.
-const READMIT_PROBE_ROUNDS: u64 = 2;
+mod lane;
+mod run;
+
+pub use run::simulate_cluster;
 
 /// Configuration of a cluster playback run.
 #[derive(Clone, Copy, Debug)]
@@ -65,8 +56,8 @@ pub struct ClusterPlayback {
     /// duration (the fail-slow defense): the hedge read issues at the
     /// threshold and the earlier completion wins.
     pub hedge: bool,
-    /// Consecutive rounds a volume fires hedges before it is
-    /// quarantined — taken out of placement and serving while it is
+    /// Consecutive rounds with a slow primary fetch on a volume before it
+    /// is quarantined — taken out of placement and serving while it is
     /// probed (0 disables quarantine).
     pub quarantine_after_rounds: u64,
     /// Audit every payload served to a viewer against its checksum
@@ -154,7 +145,9 @@ pub struct VolumeStats {
     /// (hashed by the scrubber) or credited (see
     /// [`ClusterReport::scrub_credited`]).
     pub scrubbed: u64,
-    /// Hedged reads fired because this volume's fetch ran slow.
+    /// Primary fetches on this volume that ran slower than their block
+    /// plays, whether or not a replica was there to race: what quarantine
+    /// keys on, not the hedges issued ([`ClusterReport::hedges`]).
     pub hedged: u64,
 }
 
@@ -225,1272 +218,31 @@ impl ClusterReport {
     }
 
     fn zip_dropped(&self, replicated: bool) -> u64 {
-        self.sim
-            .streams
-            .iter()
-            .zip(&self.replicated)
-            .filter(|(_, r)| **r == replicated)
-            .map(|(s, _)| s.dropped_blocks)
-            .sum()
+        let streams = self.sim.streams.iter().zip(&self.replicated);
+        let picked = streams.filter(|(_, r)| **r == replicated);
+        picked.map(|(s, _)| s.dropped_blocks).sum()
     }
 
     /// The worst glitch any replicated stream saw, in schedule items.
     pub fn replicated_miss_burst(&self) -> u64 {
-        self.miss_bursts
-            .iter()
-            .zip(&self.replicated)
-            .filter(|(_, r)| **r)
-            .map(|(b, _)| *b)
-            .max()
-            .unwrap_or(0)
+        let bursts = self.miss_bursts.iter().zip(&self.replicated);
+        let replicated = bursts.filter(|(_, r)| **r).map(|(b, _)| *b);
+        replicated.max().unwrap_or(0)
     }
-}
-
-/// A viewer stream: the shared per-stream service state plus the
-/// cluster's pin — which title it plays, from which replica (on which
-/// volume), and how often that changed mid-playback.
-struct CStream {
-    title: TitleId,
-    replica: usize,
-    /// The volume holding `replica`; follows every re-pin.
-    vol: usize,
-    failovers: u64,
-    state: StreamState,
-}
-
-/// One member volume's lane through a run: its clock within the round
-/// and the bookkeeping of every per-volume defense.
-#[derive(Default)]
-struct Lane {
-    /// The volume's clock within the current round. Every lane starts a
-    /// round at the same instant; the round ends at the latest one.
-    clock: Instant,
-    /// Disk busy time already booked into the report.
-    busy_mark: Nanos,
-    stats: VolumeStats,
-    /// Sitting out — no serving where an alternative exists — for
-    /// breaching the read-latency SLO.
-    quarantined: bool,
-    /// Consecutive on-time probes while quarantined.
-    clean_probes: u64,
-    /// Consecutive rounds in which the volume fired hedges.
-    hedged_rounds: u64,
-    /// Hedges the volume fired this round.
-    round_hedges: u64,
-    /// The scrubber's position: `(strand raw id, block)`.
-    scrub_cursor: (u64, u64),
-    /// What verified reads already checked during the current pass.
-    credits: Credits,
-    /// The last pass is complete and nothing has made the member's image
-    /// suspect since ([`Run::suspect`]): the scrubber leaves it alone.
-    resting: bool,
-    /// Full scrub passes over the member's strands completed.
-    scrub_passes: u64,
-    /// The conservative slack charge for one scrub probe: worst-case
-    /// positioning plus one revolution. Scrub only runs while the
-    /// volume's clock plus this charge stays inside the already-decided
-    /// round end, so it can never extend a round.
-    scrub_cost: Nanos,
-    /// The member's disk may hold sums hashed ahead; in an idle round,
-    /// the rest of the lane's pass is among them ([`Run::scrub_ahead`]).
-    offered: bool,
-}
-
-/// The blocks of one member that passed read verification during its
-/// current scrub pass, as one bitset per strand raw id. A stamp check is
-/// a stamp check whoever asked for it: the cursor covers a marked block
-/// without hashing it again. Marks are only ever set by a verification
-/// that passed on the bytes now stored, and are dropped whenever those
-/// bytes or the meaning of a strand id may have changed under them — at
-/// the end of the pass and again when a rested lane's next one opens,
-/// when the member is killed, rejoined or wiped (strand ids restart on
-/// fresh media), when a strand is deleted.
-#[derive(Default)]
-struct Credits {
-    strands: BTreeMap<u64, Vec<u64>>,
-}
-
-impl Credits {
-    fn mark(&mut self, strand: u64, block: u64) {
-        let bits = self.strands.entry(strand).or_default();
-        let word = (block / 64) as usize;
-        if bits.len() <= word {
-            bits.resize(word + 1, 0);
-        }
-        bits[word] |= 1 << (block % 64);
-    }
-
-    /// One strand's marks, for [`marked`].
-    fn of(&self, strand: u64) -> &[u64] {
-        self.strands.get(&strand).map_or(&[], Vec::as_slice)
-    }
-
-    fn drop_strand(&mut self, strand: u64) {
-        self.strands.remove(&strand);
-    }
-
-    /// Forget every mark, keeping the bitsets: a run's passes reuse them.
-    fn clear(&mut self) {
-        for bits in self.strands.values_mut() {
-            bits.fill(0);
-        }
-    }
-}
-
-fn marked(bits: &[u64], block: u64) -> bool {
-    bits.get((block / 64) as usize)
-        .is_some_and(|w| w >> (block % 64) & 1 == 1)
-}
-
-/// `views` emptied and free to borrow anew, in the same allocation: a
-/// vector collected from its own iterator keeps its buffer.
-fn recycle<'b>(mut views: Vec<PayloadView<'_>>) -> Vec<PayloadView<'b>> {
-    views.clear();
-    views.into_iter().map(|_| unreachable!()).collect()
-}
-
-/// How far one [`scrub_step`] got.
-struct ScrubStep {
-    /// Stamped blocks the cursor passed on their read credit.
-    credited: u64,
-    /// The block a probe owes, `(strand, block, extent, stamp)`; `None`
-    /// when the cursor wrapped instead: one full pass over the member is
-    /// complete.
-    owed: Option<(StrandId, u64, Extent, u64)>,
-}
-
-/// Advance a member's scrub cursor `(strand raw id, block)` to the next
-/// stored block no verified read has credited this pass: what
-/// [`Run::scrub_pass`] probes and [`Run::scrub_ahead`] hashes ahead.
-/// Silence holes (sum [`NO_SUM`]) store nothing to verify and credited
-/// blocks are already verified: the cursor walks both for free, within
-/// the same budget unit.
-fn scrub_step(msm: &Msm, cursor: &mut (u64, u64), credits: &Credits) -> ScrubStep {
-    let mut credited = 0;
-    while let Some(strand) = msm.next_strand(StrandId::from_raw(cursor.0)) {
-        let id = strand.id();
-        if id.raw() != cursor.0 {
-            *cursor = (id.raw(), 0);
-        }
-        let (sums, marks) = (strand.sums(), credits.of(id.raw()));
-        while let Some(&sum) = sums.get(cursor.1 as usize) {
-            let n = cursor.1;
-            cursor.1 += 1;
-            if sum == NO_SUM {
-                continue; // a silence hole
-            }
-            if marked(marks, n) {
-                credited += 1;
-                continue;
-            }
-            if let Some(&Some(extent)) = strand.blocks().get(n as usize) {
-                let owed = Some((id, n, extent, sum));
-                return ScrubStep { credited, owed };
-            }
-        }
-        *cursor = (id.raw() + 1, 0);
-    }
-    *cursor = (0, 0);
-    ScrubStep {
-        credited,
-        owed: None,
-    }
-}
-
-/// What the scrubber did about a corrupt block.
-enum ScrubRepair {
-    /// The block was rewritten in place from a clean replica.
-    Repaired,
-    /// In-place repair was impossible; the whole replica was
-    /// invalidated for background re-replication and its viewers
-    /// re-pinned off it.
-    Invalidated,
-    /// No live copy to repair from: detected, not repairable.
-    Skipped,
-}
-
-/// How the cross-replica fetch of one block ended.
-enum Fetched {
-    /// The block was resident at this instant.
-    Served(Instant),
-    /// No replica could supply it; the stream gave up at this instant.
-    Lost(Instant),
-}
-
-/// One `simulate_cluster` run: the cluster, its viewers and lanes, the
-/// round clock and the report being built. Every step of a round, and
-/// every defense, is one method.
-///
-/// Within a round the engine is *viewer-major*: streams take their
-/// turns in viewer order and each turn charges the clock of whichever
-/// lane it lands on. That order is observable — a hedge issues at the
-/// other lane's clock, a read-around charges its source lane — so a
-/// lane's clock mid-round depends on which viewers ran before.
-struct Run<'a> {
-    cluster: &'a mut Cluster,
-    cfg: &'a ClusterPlayback,
-    script: &'a [ScriptedAction],
-    /// Script entries already fired, parallel to `script`.
-    applied: Vec<bool>,
-    obs: ObsSink,
-    k: u64,
-    streams: Vec<CStream>,
-    lanes: Vec<Lane>,
-    report: ClusterReport,
-    /// The instant the current round started on every volume.
-    t: Instant,
-    round: u64,
-    /// Consecutive fault-free rounds — the ladder's re-admission signal.
-    clean_streak: u64,
-    round_faults: bool,
-    /// The last batch hashed ahead ([`Run::hash_ahead`],
-    /// [`Run::scrub_ahead`]).
-    stamp_jobs: Vec<StampJob>,
-    /// Empty between rounds, kept for its capacity ([`recycle`]).
-    views: Vec<PayloadView<'static>>,
-}
-
-impl<'a> Run<'a> {
-    /// Pin one stream per viewer — viewers of a multi-replica title
-    /// spread across its replicas round-robin — and open a lane per
-    /// member.
-    fn new(
-        cluster: &'a mut Cluster,
-        viewers: &[TitleId],
-        script: &'a [ScriptedAction],
-        cfg: &'a ClusterPlayback,
-    ) -> Result<Run<'a>, FsError> {
-        let mut streams = Vec::with_capacity(viewers.len());
-        for (i, &title) in viewers.iter().enumerate() {
-            let replicas = &cluster.catalog().title(title).replicas;
-            let nrep = replicas.len();
-            let start = i % nrep.max(1);
-            let replica = (0..nrep)
-                .map(|d| (start + d) % nrep)
-                .find(|&r| {
-                    replicas[r].state == ReplicaState::Live && cluster.is_up(replicas[r].volume)
-                })
-                .ok_or(FsError::InvalidScenario {
-                    reason: "viewer title has no live replica on an up member",
-                })?;
-            let schedule = replicas[replica].schedule.clone();
-            streams.push(CStream {
-                title,
-                replica,
-                vol: replicas[replica].volume,
-                failovers: 0,
-                state: StreamState::new(i, schedule, cfg.read_ahead.max(1)),
-            });
-        }
-        let lanes = cluster
-            .members()
-            .iter()
-            .map(|m| {
-                let d = m.mrs().msm().disk();
-                Lane {
-                    busy_mark: d.stats().busy_time(),
-                    scrub_cost: (d.max_positioning_time() + d.geometry().rotation_time())
-                        .to_nanos(),
-                    ..Lane::default()
-                }
-            })
-            .collect();
-        let report = ClusterReport {
-            replicated: viewers
-                .iter()
-                .map(|&t| cluster.catalog().title(t).replicas.len() >= 2)
-                .collect(),
-            ..ClusterReport::default()
-        };
-        Ok(Run {
-            obs: cluster.obs(),
-            cluster,
-            cfg,
-            script,
-            applied: vec![false; script.len()],
-            k: cfg.k.max(1),
-            streams,
-            lanes,
-            report,
-            t: Instant::EPOCH,
-            round: 0,
-            clean_streak: 0,
-            round_faults: false,
-            stamp_jobs: Vec::new(),
-            views: Vec::new(),
-        })
-    }
-
-    fn msm_mut(&mut self, v: usize) -> &mut Msm {
-        self.cluster.member_mut(v).mrs_mut().msm_mut()
-    }
-
-    /// A read of `(strand, block)` on volume `v` came back
-    /// [`BlockFetch::Data`]. If `v` verifies reads, that block has had
-    /// this scrub pass's check: credit it.
-    fn credit(&mut self, v: usize, strand: StrandId, block: u64) {
-        let verified = self.cluster.members()[v].mrs().msm().verify_reads();
-        if verified && self.cfg.scrub_blocks_per_round > 0 {
-            self.lanes[v].credits.mark(strand.raw(), block);
-        }
-    }
-
-    /// Member `v`'s image is suspect — it was killed or rejoined, a
-    /// restore finished a replica on it, or a verified read of it came
-    /// back corrupt: a scrub pass must be open on it. A lane mid-pass has
-    /// one (strand ids only grow, so whatever was written lies ahead of
-    /// the cursor); a resting lane opens a new pass from the start, and
-    /// that pass owes nothing to reads verified before the suspicion.
-    fn suspect(&mut self, v: usize) {
-        let lane = &mut self.lanes[v];
-        if std::mem::take(&mut lane.resting) {
-            lane.credits.clear();
-        }
-    }
-
-    /// Service time every member's disk has lost to faults so far.
-    fn fault_penalty(&self) -> Nanos {
-        let disks = self.cluster.members().iter().map(|m| m.mrs().msm().disk());
-        disks.map(|d| d.fault_stats().penalty).sum()
-    }
-
-    fn busy_time(&self, v: usize) -> Nanos {
-        self.cluster.members()[v]
-            .mrs()
-            .msm()
-            .disk()
-            .stats()
-            .busy_time()
-    }
-
-    /// Unfinished streams sitting revoked.
-    fn revoked(&self) -> impl Iterator<Item = &CStream> {
-        self.streams
-            .iter()
-            .filter(|s| !s.state.finished() && s.state.is_revoked())
-    }
-
-    /// The first live replica of `title` on an up, unquarantined member,
-    /// excluding `not`.
-    fn healthy_replica(&self, title: TitleId, not: Option<usize>) -> Option<usize> {
-        self.cluster.catalog().live_replica(title, not, |v| {
-            self.cluster.is_up(v) && !self.lanes[v].quarantined
-        })
-    }
-
-    /// The replica of `title` to play from, excluding `not`: a healthy
-    /// one, else — when every healthy copy is quarantined — any live
-    /// replica on an up member (serving slow beats not serving at all).
-    fn find_replica(&self, title: TitleId, not: Option<usize>) -> Option<usize> {
-        self.healthy_replica(title, not).or_else(|| {
-            self.cluster
-                .catalog()
-                .live_replica(title, not, |v| self.cluster.is_up(v))
-        })
-    }
-
-    /// Re-pin stream `idx` to replica `r` of its title: swap in the
-    /// replica's schedule in place, keeping every completion, epoch and
-    /// item offset.
-    fn repin(&mut self, idx: usize, r: usize) -> Result<(), FsError> {
-        let s = &mut self.streams[idx];
-        let rep = &self.cluster.catalog().title(s.title).replicas[r];
-        s.state.repin(&rep.schedule)?;
-        (s.replica, s.vol) = (r, rep.volume);
-        Ok(())
-    }
-
-    /// Re-pin a stream mid-playback, counting the switch.
-    fn fail_over(&mut self, idx: usize, r: usize) -> Result<(), FsError> {
-        self.repin(idx, r)?;
-        self.streams[idx].failovers += 1;
-        Ok(())
-    }
-
-    /// Fire the scripted membership changes due at this round boundary.
-    fn apply_script(&mut self) -> Result<(), FsError> {
-        let script = self.script;
-        for (si, a) in script.iter().enumerate() {
-            if self.applied[si] || a.at_round > self.round {
-                continue;
-            }
-            self.applied[si] = true;
-            use ClusterAction::{Kill, Rejoin, RejoinWiped};
-            let (Kill(v) | Rejoin(v) | RejoinWiped(v)) = a.action;
-            // Whatever was verified on `v` was verified on media, and
-            // under strand ids, that may not be there afterwards: the
-            // pass in progress, if any, starts over.
-            self.lanes[v].credits.clear();
-            self.lanes[v].scrub_cursor = (0, 0);
-            self.drop_offers(v);
-            self.suspect(v);
-            let rejoin = match a.action {
-                Kill(_) => {
-                    self.cluster.kill(v);
-                    continue;
-                }
-                Rejoin(_) => self.cluster.rejoin(v, self.t)?,
-                RejoinWiped(_) => self.cluster.rejoin_wiped(v),
-            };
-            self.report.rejoins.push(rejoin);
-            // Recovery I/O is mount work, not playback service.
-            self.lanes[v].busy_mark = self.busy_time(v);
-        }
-        Ok(())
-    }
-
-    /// Ladder re-admission: the fault window stayed clear long enough
-    /// AND the stream has somewhere live to play from.
-    fn readmit(&mut self) -> Result<(), FsError> {
-        if self.clean_streak < self.cfg.readmit_clean_rounds {
-            return Ok(());
-        }
-        for idx in 0..self.streams.len() {
-            let s = &self.streams[idx];
-            if !s.state.is_revoked() || s.state.finished() {
-                continue;
-            }
-            let Some(r) = self.find_replica(s.title, None) else {
-                continue;
-            };
-            if r != s.replica {
-                self.repin(idx, r)?;
-            }
-            self.streams[idx]
-                .state
-                .readmit(self.round, self.t, &self.obs);
-        }
-        Ok(())
-    }
-
-    /// With nobody in service, is anything left worth running rounds
-    /// for — a scripted action, a restorable replica, a first scrub
-    /// pass, a revoked stream with somewhere to return to?
-    fn drained(&self) -> bool {
-        let script_pending = self.applied.iter().any(|done| !done);
-        let restore_pending =
-            self.cfg.restore_blocks_per_round > 0 && self.cluster.restorable_lost();
-        let scrub_pending = self.cfg.scrub_blocks_per_round > 0
-            && (0..self.lanes.len())
-                .any(|v| self.cluster.is_up(v) && self.lanes[v].scrub_passes == 0);
-        let can_return = self
-            .revoked()
-            .any(|s| self.find_replica(s.title, None).is_some());
-        !(script_pending || restore_pending || scrub_pending || can_return)
-    }
-
-    /// Every volume starts the round at `t`.
-    fn start_lanes(&mut self) {
-        for lane in &mut self.lanes {
-            lane.clock = self.t;
-            lane.round_hedges = 0;
-        }
-    }
-
-    /// A round with nobody in service: no playback I/O, but revoked
-    /// viewers' displays sit frozen while it passes — advance the clock
-    /// so recovery accounting sees the outage. Background work runs from
-    /// the window's start: restore bounded by its cap alone, so it
-    /// progresses even where one copy outlasts the window, then scrub
-    /// and the quarantine probes. The round ends at the later of the
-    /// window's end and the last copy.
-    fn idle_round(&mut self) -> Result<(), FsError> {
-        let min_dur = self
-            .revoked()
-            .map(|s| s.state.next_item().duration)
-            .min()
-            .unwrap_or(Nanos::from_millis(100));
-        let advanced = Nanos::from_nanos(self.k.saturating_mul(min_dur.as_nanos()));
-        let (round, at) = (self.round, self.t);
-        self.obs.emit(|| Event::RoundIdle {
-            round,
-            at,
-            advanced,
-        });
-        self.start_lanes();
-        let end = at + advanced;
-        self.restore_pass(None)?;
-        self.scrub_ahead(None);
-        self.scrub_pass(end)?;
-        self.probe_quarantined(at);
-        self.t = self.lanes.iter().map(|l| l.clock).fold(end, Instant::max);
-        self.clean_streak += 1;
-        Ok(())
-    }
-
-    /// A service round for the `active` streams, up to the barrier: open
-    /// it, hash its stamp checks ahead, and serve the turns in order.
-    fn serve_round(&mut self, active: &[usize]) -> Result<(), FsError> {
-        let (round, k, at) = (self.round, self.k, self.t);
-        self.obs.emit(|| Event::RoundStart {
-            round,
-            active: active.len(),
-            k,
-            at,
-        });
-        self.start_lanes();
-        self.round_faults = false;
-        self.hash_ahead(active);
-        for &idx in active {
-            self.serve_turn(idx)?;
-        }
-        Ok(())
-    }
-
-    /// Hash ahead the stamp checks the round's turns will make — each
-    /// `active` stream's next `k` stored items on its pinned member, if up
-    /// and verifying — in one [`stamp_batch`], joined before the first
-    /// turn, and offer each sum to its member's disk: twice in an audited
-    /// run, whose audit checks what its read checked. An offer answers
-    /// one check on the bytes it was hashed from, so no output can tell.
-    fn hash_ahead(&mut self, active: &[usize]) {
-        self.stamp_jobs.clear();
-        let members = self.cluster.members();
-        if !members.iter().any(|m| m.mrs().msm().verify_reads()) {
-            return;
-        }
-        for s in active.iter().map(|&idx| &self.streams[idx]) {
-            let msm = members[s.vol].mrs().msm();
-            if !self.cluster.is_up(s.vol) || !msm.verify_reads() {
-                continue;
-            }
-            let turn = s.state.pending_items().iter().take(self.k as usize);
-            for item in turn.filter(|i| !i.silence) {
-                let extent = msm.strand(item.strand).and_then(|st| st.block(item.block));
-                if let Ok(Some(extent)) = extent {
-                    self.stamp_jobs.push(StampJob::new(s.vol, extent));
-                }
-            }
-        }
-        self.offer_ahead(if self.cfg.audit_integrity { 2 } else { 1 });
-    }
-
-    /// Hash ahead the scrub probes whose blocks are already known, for
-    /// [`Run::scrub_pass`] to take: at a barrier ending at `t_next`, each
-    /// open lane's exact probes (budget and slack allowing); in an idle
-    /// round, where no read can credit a block, the rest of every open
-    /// pass not on offer yet, the offers lasting across idle rounds.
-    fn scrub_ahead(&mut self, t_next: Option<Instant>) {
-        let budget = self.cfg.scrub_blocks_per_round;
-        if budget == 0 {
-            return;
-        }
-        self.stamp_jobs.clear();
-        let members = self.cluster.members();
-        for (v, lane) in self.lanes.iter().enumerate() {
-            if !self.cluster.is_up(v) || lane.resting || lane.offered {
-                continue;
-            }
-            let cost = lane.scrub_cost.as_nanos().max(1);
-            let probes = t_next.map_or(u64::MAX, |t| {
-                (t.since(lane.clock).as_nanos() / cost).min(budget)
-            });
-            let (msm, mut cursor) = (members[v].mrs().msm(), lane.scrub_cursor);
-            for _ in 0..probes {
-                let Some((.., extent, _)) = scrub_step(msm, &mut cursor, &lane.credits).owed else {
-                    break;
-                };
-                self.stamp_jobs.push(StampJob::new(v, extent));
-            }
-        }
-        self.offer_ahead(1);
-    }
-
-    /// Hash `stamp_jobs` in one [`stamp_batch`], joined before it
-    /// returns, and offer each sum `uses` times to its member's disk.
-    fn offer_ahead(&mut self, uses: usize) {
-        let members = self.cluster.members();
-        let mut views = recycle(std::mem::take(&mut self.views));
-        views.extend(members.iter().map(|m| m.mrs().msm().disk().payload()));
-        stamp_batch(&views, &mut self.stamp_jobs);
-        self.views = recycle(views);
-        for job in &self.stamp_jobs {
-            self.lanes[job.store].offered = true;
-            let disk = members[job.store].mrs().msm().disk();
-            for _ in 0..uses {
-                disk.offer_sum(job.extent, job.sum);
-            }
-        }
-    }
-
-    /// Drop the offers member `v`'s disk still holds.
-    fn drop_offers(&mut self, v: usize) {
-        if std::mem::take(&mut self.lanes[v].offered) {
-            self.cluster.members()[v].mrs().msm().disk().drop_offered();
-        }
-    }
-
-    /// Drop the offers a failover, hedge, drop or repair left unused.
-    fn drop_unconsumed(&mut self) {
-        for v in 0..self.lanes.len() {
-            self.drop_offers(v);
-        }
-    }
-
-    /// One stream's turn: up to `k` blocks, each served on the clock of
-    /// the volume the stream is pinned to by then — a failover or a won
-    /// hedge moves the pin mid-turn. That clock is also where a display
-    /// epoch opens and the turn ends, and after a read-around it is
-    /// *not* the completion just recorded.
-    fn serve_turn(&mut self, idx: usize) -> Result<(), FsError> {
-        let clock = self.lanes[self.streams[idx].vol].clock;
-        self.streams[idx]
-            .state
-            .begin_turn(self.round, self.t, clock);
-        for _ in 0..self.k {
-            let s = &self.streams[idx];
-            if !s.state.in_service() {
-                break;
-            }
-            let fetched = if s.state.next_item().silence {
-                Fetched::Served(self.lanes[s.vol].clock.max(s.state.last_completion()))
-            } else {
-                self.fetch(idx)?
-            };
-            let s = &mut self.streams[idx];
-            let clock = self.lanes[s.vol].clock;
-            match fetched {
-                Fetched::Served(done) => s.state.record(done, clock, &self.obs),
-                Fetched::Lost(at) => {
-                    self.round_faults = true;
-                    s.state
-                        .record_drop(at, clock, self.cfg.revoke_after_drops, &self.obs);
-                }
-            }
-        }
-        let s = &mut self.streams[idx];
-        s.state.end_turn(self.lanes[s.vol].clock, &self.obs);
-        Ok(())
-    }
-
-    /// Fetch stream `idx`'s next (stored) block, crossing replicas as
-    /// the fetch demands: a media error downs the volume and fails the
-    /// stream over — the glitch stays bounded by read-ahead because the
-    /// re-fetch happens in the same round — and a corrupt payload is
-    /// read around.
-    fn fetch(&mut self, idx: usize) -> Result<Fetched, FsError> {
-        let floor = self.streams[idx].state.last_completion();
-        let mut fail_at = self.lanes[self.streams[idx].vol].clock.max(floor);
-        for _attempt in 0..=self.lanes.len() {
-            let s = &self.streams[idx];
-            let vol = s.vol;
-            if self.cluster.is_up(vol) {
-                let (item, deadline) = (s.state.next_item(), s.state.next_deadline());
-                let issue = self.lanes[vol].clock.max(fail_at);
-                let budget = item.duration;
-                let (reason, at, retries) = match self.msm_mut(vol).fetch_block(
-                    item.strand,
-                    item.block,
-                    issue,
-                    budget,
-                    deadline,
-                    false,
-                )? {
-                    BlockFetch::Silence => {
-                        return Err(FsError::InvalidScenario {
-                            reason: "non-silence schedule item resolves to a silence hole",
-                        })
-                    }
-                    BlockFetch::Data { op, retries, .. } => {
-                        self.credit(vol, item.strand, item.block);
-                        let done = self.served(idx, issue, op.completed, retries)?;
-                        return Ok(Fetched::Served(done));
-                    }
-                    BlockFetch::Failed {
-                        reason,
-                        at,
-                        retries,
-                    } => (reason, at, retries),
-                };
-                self.round_faults = true;
-                self.streams[idx].state.add_retries(retries);
-                fail_at = fail_at.max(at);
-                self.lanes[vol].clock = self.lanes[vol].clock.max(at);
-                match reason {
-                    // Volume-failure detection: the read path, not an
-                    // oracle.
-                    FetchFailure::Media => self.cluster.mark_down(vol),
-                    // The deadline is gone on every volume — drop, don't
-                    // failover.
-                    FetchFailure::Abandoned => break,
-                    FetchFailure::RetriesExhausted => {}
-                    // A corrupt payload is a replica problem, not a
-                    // member problem: only when no verifiable copy
-                    // exists does the stream switch replicas below.
-                    FetchFailure::Corrupt => {
-                        self.suspect(vol);
-                        if let Some(done) = self.read_around(idx, fail_at) {
-                            return Ok(Fetched::Served(done));
-                        }
-                    }
-                }
-            }
-            let s = &self.streams[idx];
-            let Some(r) = self.find_replica(s.title, Some(s.replica)) else {
-                break;
-            };
-            self.fail_over(idx, r)?;
-        }
-        let clock = self.lanes[self.streams[idx].vol].clock;
-        Ok(Fetched::Lost(clock.max(fail_at).max(floor)))
-    }
-
-    /// Stream `idx`'s pinned volume delivered the block, issued at
-    /// `issue`, at `done`: book it, race a hedge if it ran slow, audit
-    /// what the viewer got. Returns when the block was resident.
-    fn served(
-        &mut self,
-        idx: usize,
-        issue: Instant,
-        mut done: Instant,
-        retries: u32,
-    ) -> Result<Instant, FsError> {
-        let vol = self.streams[idx].vol;
-        self.lanes[vol].clock = done;
-        self.lanes[vol].stats.fetched += 1;
-        if retries > 0 {
-            self.round_faults = true;
-            self.streams[idx].state.add_retries(retries);
-        }
-        if self.cfg.hedge && done - issue > self.streams[idx].state.next_item().duration {
-            if let Some(hedged) = self.hedge(idx, issue, done)? {
-                done = hedged;
-            }
-        }
-        if self.cfg.audit_integrity {
-            // After a won hedge the pin names the copy that was served.
-            let s = &self.streams[idx];
-            let item = s.state.next_item();
-            let msm = self.cluster.members()[s.vol].mrs().msm();
-            if let Ok(Some(false)) = msm.check_block_sum(item.strand, item.block) {
-                self.report.corrupt_served += 1;
-            }
-        }
-        Ok(done)
-    }
-
-    /// Fail-slow defense: stream `idx`'s fetch, issued at `issue` and
-    /// done at `primary_done`, ran slower than its block's play
-    /// duration, which cannot sustain continuity — race a healthy
-    /// replica from the moment the threshold passed; the earlier
-    /// completion wins. Returns the hedge's completion if it won; the
-    /// stream then stays on the faster copy for the rest of the run.
-    fn hedge(
-        &mut self,
-        idx: usize,
-        issue: Instant,
-        primary_done: Instant,
-    ) -> Result<Option<Instant>, FsError> {
-        let s = &self.streams[idx];
-        let vol = s.vol;
-        self.lanes[vol].round_hedges += 1;
-        self.lanes[vol].stats.hedged += 1;
-        let Some(r) = self.healthy_replica(s.title, Some(s.replica)) else {
-            return Ok(None);
-        };
-        let (threshold, deadline) = (s.state.next_item().duration, s.state.next_deadline());
-        let rep = &self.cluster.catalog().title(s.title).replicas[r];
-        let (hv, item) = (rep.volume, rep.schedule.items[s.state.next_index()]);
-        let h_issue = self.lanes[hv].clock.max(issue + threshold);
-        let hedge = self.msm_mut(hv).fetch_block(
-            item.strand,
-            item.block,
-            h_issue,
-            threshold,
-            deadline,
-            false,
-        )?;
-        self.report.hedges += 1;
-        let mut won = None;
-        match hedge {
-            BlockFetch::Data { op, .. } => {
-                self.credit(hv, item.strand, item.block);
-                self.lanes[hv].clock = op.completed;
-                if op.completed < primary_done {
-                    won = Some(op.completed);
-                    self.lanes[hv].stats.fetched += 1;
-                    self.report.hedge_wins += 1;
-                }
-            }
-            BlockFetch::Failed {
-                reason: FetchFailure::Corrupt,
-                ..
-            } => self.suspect(hv),
-            _ => {}
-        }
-        self.obs.emit(|| Event::Hedge {
-            stream: idx,
-            volume: vol,
-            hedge_volume: hv,
-            primary: primary_done - issue,
-            won: won.is_some(),
-            at: won.unwrap_or(primary_done),
-        });
-        if won.is_some() {
-            self.fail_over(idx, r)?;
-        }
-        Ok(won)
-    }
-
-    /// Where a corrupt block of `title`'s replica `rep` can be repaired
-    /// from: every other live copy on an up member, healthy members
-    /// before quarantined ones, as `(volume, replica)`.
-    fn repair_sources(&self, title: TitleId, rep: usize) -> Vec<(usize, usize)> {
-        let replicas = &self.cluster.catalog().title(title).replicas;
-        let mut sources: Vec<(usize, usize)> = (0..replicas.len())
-            .filter(|&r| {
-                r != rep
-                    && replicas[r].state == ReplicaState::Live
-                    && self.cluster.is_up(replicas[r].volume)
-            })
-            .map(|r| (replicas[r].volume, r))
-            .collect();
-        sources.sort_by_key(|&(sv, _)| self.lanes[sv].quarantined);
-        sources
-    }
-
-    /// Read a repair payload from volume `sv`, issued no earlier than
-    /// `not_before` and charged to `sv`'s clock. Refuses a copy that
-    /// fails (or cannot pass) verification itself — repair must never
-    /// serve or launder corruption. Returns the payload and when it
-    /// arrived.
-    fn read_clean_copy(
-        &mut self,
-        sv: usize,
-        strand: StrandId,
-        block: u64,
-        not_before: Instant,
-    ) -> Option<(Vec<u8>, Instant)> {
-        let src = self.cluster.members()[sv].mrs().msm();
-        match src.check_block_sum(strand, block) {
-            Ok(Some(true)) => {}
-            Ok(Some(false)) => {
-                self.suspect(sv);
-                return None;
-            }
-            _ => return None,
-        }
-        let issue = self.lanes[sv].clock.max(not_before);
-        let Ok((Some(payload), Some(op))) = self.msm_mut(sv).read_block(strand, block, issue)
-        else {
-            return None;
-        };
-        self.lanes[sv].clock = op.completed;
-        Some((payload, op.completed))
-    }
-
-    /// Overwrite a corrupt block on volume `v` in place, on `v`'s clock.
-    /// False when the payload does not hash to the block's stamp — the
-    /// copies diverged.
-    fn rewrite(&mut self, v: usize, strand: StrandId, block: u64, payload: &[u8]) -> bool {
-        let at = self.lanes[v].clock;
-        match self.msm_mut(v).rewrite_block(strand, block, at, payload) {
-            Ok(op) => {
-                self.lanes[v].clock = op.completed;
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// A viewer read hit a corrupt payload: serve that one block from
-    /// another live replica and rewrite the corrupt extent in place
-    /// (read-around repair). The stream keeps its pin — one corrupt
-    /// block costs one remote read instead of a permanent switch onto
-    /// whatever replica remains, which may sit on a quarantined
-    /// fail-slow member. The remote read cannot be issued before the
-    /// corrupt local read failed (`not_before` keeps completions
-    /// monotonic), and the stream's next fetch is issued after this
-    /// serve — the pinned volume's own clock is not charged for the
-    /// remote read. Returns the completion, or `None` when no other
-    /// replica holds a verifiable copy of the block.
-    fn read_around(&mut self, idx: usize, not_before: Instant) -> Option<Instant> {
-        let s = &self.streams[idx];
-        let (title, rep, j) = (s.title, s.replica, s.state.next_index());
-        let dst = &self.cluster.catalog().title(title).replicas[rep];
-        let (dst_vol, dst_item) = (dst.volume, dst.schedule.items[j]);
-        for (sv, r) in self.repair_sources(title, rep) {
-            let src = self.cluster.catalog().title(title).replicas[r]
-                .schedule
-                .items[j];
-            let Some((payload, done)) = self.read_clean_copy(sv, src.strand, src.block, not_before)
-            else {
-                continue;
-            };
-            // Best effort: a failed rewrite (diverged stamp) still
-            // served a verified payload; the scrubber deals with the bad
-            // copy later.
-            self.rewrite(dst_vol, dst_item.strand, dst_item.block, &payload);
-            self.lanes[sv].stats.fetched += 1;
-            self.report.read_repairs += 1;
-            return Some(done);
-        }
-        None
-    }
-
-    /// Scrub found a corrupt block on volume `v`: repair it surgically
-    /// by fetching the true payload of the same block from a clean live
-    /// replica and rewriting the corrupt extent in place — viewers stay
-    /// pinned, nothing moves. Only when no source payload hashes to the
-    /// stamped checksum (a diverged or doubly-corrupt copy) does the
-    /// repair fall back to invalidating the whole replica so background
-    /// re-replication rebuilds it — the same path a wiped rejoin uses.
-    fn repair_corrupt_block(
-        &mut self,
-        v: usize,
-        strand: StrandId,
-        block: u64,
-    ) -> Result<ScrubRepair, FsError> {
-        // The live replica on `v` that owns `strand`, and the strand's
-        // slot in it: `(title, replica, slot)`.
-        let titles = self.cluster.catalog().titles().iter().enumerate();
-        let owner = titles
-            .flat_map(|(t, title)| {
-                let live = title.replicas.iter().enumerate();
-                live.filter(|(_, r)| r.volume == v && r.state == ReplicaState::Live)
-                    .filter_map(move |(i, r)| {
-                        let slot = r.strands.iter().position(|l| l.strand == strand)?;
-                        Some((t, i, slot))
-                    })
-            })
-            .last();
-        let Some((title, rep, slot)) = owner else {
-            return Ok(ScrubRepair::Skipped);
-        };
-        let sources = self.repair_sources(title, rep);
-        if sources.is_empty() {
-            return Ok(ScrubRepair::Skipped);
-        }
-        for (sv, r) in sources {
-            let src = self.cluster.catalog().title(title).replicas[r].strands[slot].strand;
-            let Some((payload, _)) = self.read_clean_copy(sv, src, block, Instant::EPOCH) else {
-                continue;
-            };
-            // A diverged source: try the next one, or fall through to
-            // the wholesale rebuild.
-            if self.rewrite(v, strand, block, &payload) {
-                return Ok(ScrubRepair::Repaired);
-            }
-        }
-        // Every source is unreadable or diverged: rebuild the replica
-        // wholesale through the restore path.
-        for idx in 0..self.streams.len() {
-            let s = &self.streams[idx];
-            if s.title != title || s.replica != rep || s.state.finished() {
-                continue;
-            }
-            if let Some(r) = self.find_replica(title, Some(rep)) {
-                self.fail_over(idx, r)?;
-            }
-        }
-        self.cluster.invalidate_replica(title, rep)?;
-        for loc in &self.cluster.catalog().title(title).replicas[rep].strands {
-            self.lanes[v].credits.drop_strand(loc.strand.raw());
-        }
-        Ok(ScrubRepair::Invalidated)
-    }
-
-    /// One budgeted scrub pass over every up volume, charged strictly
-    /// against the slack between each volume's clock and `t_next` — the
-    /// round end playback already decided — so scrub can never extend a
-    /// round or perturb a deadline. Budget and slack are spent by
-    /// probes; blocks covered on read credit are counted and nothing
-    /// else. A probe checks the stored payload against its stamp in
-    /// place — no device access, no arm movement, no virtual time of its
-    /// own — with the sum hashed ahead for it if one is on offer.
-    fn scrub_pass(&mut self, t_next: Instant) -> Result<(), FsError> {
-        if self.cfg.scrub_blocks_per_round == 0 {
-            return Ok(());
-        }
-        for v in 0..self.lanes.len() {
-            if !self.cluster.is_up(v) || self.lanes[v].resting {
-                continue;
-            }
-            let mut budget = self.cfg.scrub_blocks_per_round;
-            while budget > 0 && fits(self.lanes[v].clock, self.lanes[v].scrub_cost, Some(t_next)) {
-                let lane = &mut self.lanes[v];
-                let msm = self.cluster.members()[v].mrs().msm();
-                let step = scrub_step(msm, &mut lane.scrub_cursor, &lane.credits);
-                let covered = step.credited + u64::from(step.owed.is_some());
-                lane.stats.scrubbed += covered;
-                self.report.scrubbed_blocks += covered;
-                self.report.scrub_credited += step.credited;
-                let Some((strand, block, extent, stamp)) = step.owed else {
-                    lane.scrub_passes += 1;
-                    lane.credits.clear();
-                    lane.resting = true;
-                    self.drop_offers(v);
-                    break;
-                };
-                let ok = msm.disk().fetch_sum(extent) == Some(stamp);
-                budget -= 1;
-                lane.clock += lane.scrub_cost;
-                let (at, sid) = (lane.clock, strand.raw());
-                self.obs.emit(|| Event::Scrub {
-                    volume: v,
-                    strand: sid,
-                    block,
-                    ok,
-                    at,
-                });
-                if !ok {
-                    self.report.scrub_corrupt += 1;
-                    match self.repair_corrupt_block(v, strand, block)? {
-                        ScrubRepair::Repaired => self.report.scrub_repaired += 1,
-                        ScrubRepair::Invalidated => {
-                            self.report.scrub_invalidated += 1;
-                            // The replica's strands just vanished from
-                            // under the cursor; resume next round.
-                            break;
-                        }
-                        ScrubRepair::Skipped => {}
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// One background re-replication step on the lanes' own clocks,
-    /// each copy fitting its two lanes' slack before `round_end` (`None`
-    /// in an idle round).
-    fn restore_pass(&mut self, round_end: Option<Instant>) -> Result<(), FsError> {
-        let cap = self.cfg.restore_blocks_per_round;
-        if cap == 0 {
-            return Ok(());
-        }
-        let mut clocks: Vec<Instant> = self.lanes.iter().map(|l| l.clock).collect();
-        let p = self.cluster.re_replicate(&mut clocks, round_end, cap)?;
-        for (lane, clock) in self.lanes.iter_mut().zip(clocks) {
-            lane.clock = clock;
-        }
-        self.report.restored_blocks += p.copied_blocks;
-        self.report.restored_replicas += p.completed_on.len() as u64;
-        for &v in &p.completed_on {
-            self.suspect(v);
-        }
-        Ok(())
-    }
-
-    /// Fail-slow quarantine: a member that kept firing hedges sits out —
-    /// no placement, no serving where an alternative exists — until
-    /// probes come back on time.
-    fn quarantine_slow_members(&mut self) -> Result<(), FsError> {
-        if self.cfg.quarantine_after_rounds == 0 {
-            return Ok(());
-        }
-        for v in 0..self.lanes.len() {
-            let lane = &mut self.lanes[v];
-            if lane.quarantined {
-                continue;
-            }
-            lane.hedged_rounds = if lane.round_hedges > 0 {
-                lane.hedged_rounds + 1
-            } else {
-                0
-            };
-            if lane.hedged_rounds < self.cfg.quarantine_after_rounds || !self.cluster.is_up(v) {
-                continue;
-            }
-            lane.quarantined = true;
-            lane.clean_probes = 0;
-            let (rounds, at) = (std::mem::take(&mut lane.hedged_rounds), self.t);
-            self.report.quarantines += 1;
-            self.obs.emit(|| Event::Quarantine {
-                volume: v,
-                entered: true,
-                rounds,
-                at,
-            });
-            // Walk every pinned stream off the slow member; sole-copy
-            // streams stay as a fallback.
-            for idx in 0..self.streams.len() {
-                let s = &self.streams[idx];
-                if s.state.finished() || s.vol != v {
-                    continue;
-                }
-                if let Some(r) = self.healthy_replica(s.title, Some(s.replica)) {
-                    self.fail_over(idx, r)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Probe quarantined members at `now` and re-admit after enough
-    /// consecutive on-time probes. A probe that surfaces a media error
-    /// converts the quarantine into a detected failure (`Down`).
-    fn probe_quarantined(&mut self, now: Instant) {
-        for v in 0..self.lanes.len() {
-            if !self.lanes[v].quarantined {
-                continue;
-            }
-            if !self.cluster.is_up(v) {
-                // Down supersedes quarantine; rejoin handles the return.
-                self.lanes[v].quarantined = false;
-                continue;
-            }
-            // Probe target: the first stored block of a live replica.
-            let target = self.cluster.catalog().titles().iter().find_map(|t| {
-                t.replicas
-                    .iter()
-                    .find(|r| r.volume == v && r.state == ReplicaState::Live)
-                    .and_then(|r| r.schedule.items.iter().find(|i| !i.silence).copied())
-            });
-            let on_time = match target {
-                // Nothing servable to probe; an empty member is harmless.
-                None => true,
-                // Only the probe's timing is consumed, so no payload.
-                Some(item) => match self.msm_mut(v).fetch_block(
-                    item.strand,
-                    item.block,
-                    now,
-                    Nanos::ZERO,
-                    None,
-                    false,
-                ) {
-                    Ok(BlockFetch::Data { op, .. }) => {
-                        self.credit(v, item.strand, item.block);
-                        op.completed - now <= item.duration
-                    }
-                    Ok(BlockFetch::Silence) => true,
-                    Ok(BlockFetch::Failed {
-                        reason: FetchFailure::Corrupt,
-                        ..
-                    }) => {
-                        self.suspect(v);
-                        false
-                    }
-                    Ok(BlockFetch::Failed { .. }) | Err(_) => {
-                        self.cluster.mark_down(v);
-                        self.lanes[v].quarantined = false;
-                        continue;
-                    }
-                },
-            };
-            let lane = &mut self.lanes[v];
-            lane.clean_probes = if on_time { lane.clean_probes + 1 } else { 0 };
-            if lane.clean_probes >= READMIT_PROBE_ROUNDS {
-                lane.quarantined = false;
-                self.report.quarantine_readmits += 1;
-                let rounds = lane.clean_probes;
-                self.obs.emit(|| Event::Quarantine {
-                    volume: v,
-                    entered: false,
-                    rounds,
-                    at: now,
-                });
-            }
-        }
-    }
-
-    /// The round barrier. The cluster round ends at the latest turn
-    /// completion, and nothing moves it: each lane's slack before it
-    /// goes to restore, then to the scrubber. Then slow members are
-    /// quarantined or probed and each disk's busy time is booked.
-    fn barrier(&mut self) -> Result<(), FsError> {
-        self.drop_unconsumed();
-        let t_next = self.lanes.iter().map(|l| l.clock).max().unwrap_or(self.t);
-        let penalty = self.fault_penalty();
-        self.restore_pass(Some(t_next))?;
-        // Copy charges are nominal: only a fault's stretch outruns one.
-        debug_assert!(
-            self.lanes.iter().all(|l| l.clock <= t_next) || self.fault_penalty() > penalty,
-            "a restore copy overran its lane's slack on nominal timing"
-        );
-        self.scrub_ahead(Some(t_next));
-        self.scrub_pass(t_next)?;
-        self.drop_unconsumed();
-        let round = self.round;
-        self.obs.emit(|| Event::RoundEnd { round, at: t_next });
-        self.t = t_next;
-        self.quarantine_slow_members()?;
-        self.probe_quarantined(t_next);
-        for v in 0..self.lanes.len() {
-            let busy = self.busy_time(v);
-            self.report.sim.disk_busy += busy - self.lanes[v].busy_mark;
-            self.lanes[v].busy_mark = busy;
-            if !self.cluster.is_up(v) {
-                self.lanes[v].stats.rounds_down += 1;
-            }
-        }
-        self.clean_streak = if self.round_faults {
-            0
-        } else {
-            self.clean_streak + 1
-        };
-        Ok(())
-    }
-
-    /// Play rounds until nobody is in service and nothing else is
-    /// pending, or until the round bound.
-    fn play(&mut self) -> Result<(), FsError> {
-        // The streams in service this round: a buffer the run reuses.
-        let mut active: Vec<usize> = Vec::with_capacity(self.streams.len());
-        loop {
-            self.apply_script()?;
-            self.readmit()?;
-            active.clear();
-            active.extend((0..self.streams.len()).filter(|&i| self.streams[i].state.in_service()));
-            if active.is_empty() {
-                if self.drained() {
-                    return Ok(());
-                }
-                self.idle_round()?;
-            } else {
-                self.serve_round(&active)?;
-                self.barrier()?;
-            }
-            self.round += 1;
-            if self.round >= self.cfg.max_rounds {
-                return Ok(());
-            }
-        }
-    }
-
-    fn finish(mut self) -> ClusterReport {
-        let streams = &self.streams;
-        (self.report.sim.streams, self.report.miss_bursts) = streams
-            .iter()
-            .map(|s| s.state.outcome_and_miss_burst(&self.obs))
-            .unzip();
-        self.report.sim.rounds = self.round;
-        self.report.failovers = streams.iter().map(|s| s.failovers).sum();
-        self.report.volumes = self.lanes.iter().map(|l| l.stats).collect();
-        self.report
-    }
-}
-
-/// Simulate cluster playback: one viewer stream per entry of
-/// `viewers` (each a catalog title), with `script` driving member
-/// kills and rejoins at round boundaries.
-///
-/// Viewers of a multi-replica title are spread across its replicas
-/// round-robin. Install a shared sink via [`Cluster::set_obs`] before
-/// calling to observe the whole cluster in one monitor.
-pub fn simulate_cluster(
-    cluster: &mut Cluster,
-    viewers: &[TitleId],
-    script: &[ScriptedAction],
-    cfg: &ClusterPlayback,
-) -> Result<ClusterReport, FsError> {
-    let mut run = Run::new(cluster, viewers, script, cfg)?;
-    let played = run.play();
-    // A round an error cut short leaves its offers behind.
-    run.drop_unconsumed();
-    played.map(|()| run.finish())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog::ReplicaState;
-    use crate::cluster::{ClusterConfig, MemberState};
+    use crate::cluster::{Cluster, ClusterConfig, MemberState};
     use crate::placement::Placement;
     use strandfs_disk::FaultPlan;
+    use strandfs_obs::{Event, ObsSink};
     use strandfs_sim::scenario::ClipSpec;
+    use strandfs_units::{Instant, Nanos};
 
-    fn cluster(volumes: usize, base_replicas: usize) -> Cluster {
+    pub(super) fn cluster(volumes: usize, base_replicas: usize) -> Cluster {
         Cluster::new(ClusterConfig {
             volumes,
             placement: Placement::RoundRobin,
@@ -1498,160 +250,6 @@ mod tests {
             seed: 42,
         })
         .expect("cluster")
-    }
-
-    #[test]
-    fn viewers_of_one_replica_share_its_schedule_items() {
-        let mut c = cluster(1, 1);
-        let id = c
-            .ingest("a", &ClipSpec::video_seconds(1.0).with_seed(1), 0.0)
-            .unwrap();
-        let cfg = ClusterPlayback::with_k(3);
-        let run = Run::new(&mut c, &[id, id], &[], &cfg).expect("run");
-        let items = |i: usize| run.streams[i].state.pending_items().as_ptr();
-        let catalogued = &run.cluster.catalog().title(id).replicas[0].schedule.items;
-        assert_eq!(items(0), items(1));
-        assert_eq!(items(0), catalogued.as_ptr());
-    }
-
-    #[test]
-    fn recycled_views_keep_their_allocation() {
-        let c = cluster(3, 1);
-        let mut views: Vec<_> = c
-            .members()
-            .iter()
-            .map(|m| m.mrs().msm().disk().payload())
-            .collect();
-        let heap = views.as_ptr() as usize;
-        views = recycle(views);
-        assert!(views.is_empty() && views.capacity() >= 3);
-        assert_eq!(views.as_ptr() as usize, heap);
-    }
-
-    #[test]
-    fn a_clean_run_uses_every_sum_it_hashes_ahead() {
-        let mut c = cluster(2, 2);
-        let a = c
-            .ingest("a", &ClipSpec::video_seconds(2.0).with_seed(31), 1.0)
-            .unwrap();
-        let b = c
-            .ingest("b", &ClipSpec::video_seconds(3.0).with_seed(32), 1.0)
-            .unwrap();
-        c.set_verify_reads(true);
-        let cfg = ClusterPlayback::with_k(3).scrub(4).audited();
-        let mut run = Run::new(&mut c, &[a, a, b, b], &[], &cfg).expect("run");
-        // `Run::play`, looking at every disk before each barrier.
-        let (mut active, mut hashed) = (Vec::new(), 0);
-        loop {
-            run.apply_script().unwrap();
-            run.readmit().unwrap();
-            active.clear();
-            active.extend((0..run.streams.len()).filter(|&i| run.streams[i].state.in_service()));
-            if active.is_empty() {
-                if run.drained() {
-                    break;
-                }
-                run.idle_round().unwrap();
-            } else {
-                run.serve_round(&active).unwrap();
-                hashed += run.stamp_jobs.len() as u64;
-                let members = run.cluster.members();
-                let left: usize = members
-                    .iter()
-                    .map(|m| m.mrs().msm().disk().drop_offered())
-                    .sum();
-                assert_eq!(left, 0, "round {} left offers unused", run.round);
-                run.barrier().unwrap();
-            }
-            run.round += 1;
-        }
-        let report = run.finish();
-        assert!(report.sim.all_continuous());
-        assert_eq!(report.corrupt_served, 0);
-        let fetched: u64 = report.volumes.iter().map(|v| v.fetched).sum();
-        assert_eq!(hashed, fetched, "every read was hashed ahead, once");
-    }
-
-    #[test]
-    fn a_known_pass_is_hashed_once() {
-        // A storm in small: member 3 dies at round 2 and rejoins with
-        // its media at round 5, so its pass reopens from the start;
-        // reads are verified and audited, the scrubber probes at every
-        // barrier with slack and through the idle tail, and no restore
-        // writes beside it.
-        let mut c = cluster(4, 2);
-        let titles: Vec<_> = (0..4)
-            .map(|i| {
-                let clip = ClipSpec::video_seconds(2.0 + i as f64).with_seed(40 + i);
-                c.ingest("t", &clip, 1.0).unwrap()
-            })
-            .collect();
-        c.set_verify_reads(true);
-        let script = [
-            ScriptedAction {
-                at_round: 2,
-                action: ClusterAction::Kill(3),
-            },
-            ScriptedAction {
-                at_round: 5,
-                action: ClusterAction::Rejoin(3),
-            },
-        ];
-        let cfg = ClusterPlayback::with_k(3).scrub(4).audited();
-        let viewers = [titles[0], titles[1], titles[1], titles[3]];
-        let mut run = Run::new(&mut c, &viewers, &script, &cfg).expect("run");
-        let left = |run: &Run| -> usize {
-            let members = run.cluster.members();
-            members
-                .iter()
-                .map(|m| m.mrs().msm().disk().drop_offered())
-                .sum()
-        };
-        let probes = |run: &Run| run.report.scrubbed_blocks - run.report.scrub_credited;
-        // `Run::play`, counting the sums each barrier and idle round
-        // hashes ahead against the probes they answer.
-        let (mut active, mut idle, mut at_barriers) = (Vec::new(), 0, 0);
-        loop {
-            run.apply_script().unwrap();
-            run.readmit().unwrap();
-            active.clear();
-            active.extend((0..run.streams.len()).filter(|&i| run.streams[i].state.in_service()));
-            if active.is_empty() {
-                if run.drained() {
-                    break;
-                }
-                run.idle_round().unwrap();
-                idle += run.stamp_jobs.len() as u64;
-            } else {
-                assert_eq!(
-                    left(&run),
-                    0,
-                    "round {}: offers outlived an idle round",
-                    run.round
-                );
-                run.serve_round(&active).unwrap();
-                let before = probes(&run);
-                run.barrier().unwrap();
-                let hashed = run.stamp_jobs.len() as u64;
-                let probed = probes(&run) - before;
-                assert_eq!(hashed, probed, "round {}: the barrier's probes", run.round);
-                at_barriers += hashed;
-            }
-            run.round += 1;
-        }
-        assert_eq!(left(&run), 0, "a pass on offer outlived the run");
-        let report = run.finish();
-        assert!(report.failovers > 0 && report.rejoins.len() == 1);
-        assert!(
-            idle > 0 && at_barriers > 0,
-            "{idle} idle, {at_barriers} at barriers"
-        );
-        let probed = report.scrubbed_blocks - report.scrub_credited;
-        assert_eq!(
-            idle + at_barriers,
-            probed,
-            "every probe was hashed ahead, once"
-        );
     }
 
     #[test]

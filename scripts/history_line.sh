@@ -11,7 +11,9 @@
 # levels mean little without knowing which it sat in. The same run
 # gives the line its `checksum/stamp_batch_28k` and `_scattered`
 # readings (its verdict is not this script's business, so a flagged
-# entry does not stop it).
+# entry does not stop it). `host_mode` also says whether the mode is the
+# one the file's last line recorded: levels compare across lines only
+# when it is.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 pr="${1:?usage: scripts/history_line.sh PR [SUITE_OUTPUT]}"
@@ -41,11 +43,13 @@ median_of() {
 }
 scale_ns=$(median_of scale/n100000_playback)
 titles_ns=$(median_of scale/n100000_titles16_playback)
+prev_mode=$(tail -n 1 BENCH_history.jsonl 2>/dev/null |
+    sed -n 's/.*"host_mode": *{ *"mode": *"\([a-z]*\)".*/\1/p' || true)
 
 awk -v pr="$pr" -v parent="$(git rev-parse HEAD)" -v nproc="$(nproc)" \
     -v probes="$probes" -v streamed="$streamed_us" -v stamp="$stamp_ns" \
     -v scattered="$scattered_ns" \
-    -v scale="$scale_ns" -v titles="$titles_ns" '
+    -v scale="$scale_ns" -v titles="$titles_ns" -v prev_mode="$prev_mode" '
 function median(w, m,    n, i, j, t, a) {
     n = split(seen[w, m], a, " ") - traced[w]
     for (i = 2; i <= n; i++)
@@ -97,5 +101,7 @@ END {
     printf "\"cluster.service.rounds\": {\"failover_storm\": %d}, ", last["failover_storm", "cluster.service.rounds"]
     printf "\"checksum/stamp_batch_28k_ns\": %.1f, ", stamp
     printf "\"checksum/stamp_batch_28k_scattered_ns\": %.1f, ", scattered
-    printf "\"host_mode\": {\"mode\": \"%s\", \"checksum/block_sum_28k_streamed_us\": %.2f}}\n", (streamed < 3.5 ? "fast" : "slow"), streamed
+    mode = streamed < 3.5 ? "fast" : "slow"
+    printf "\"host_mode\": {\"mode\": \"%s\", \"checksum/block_sum_28k_streamed_us\": %.2f, ", mode, streamed
+    printf "\"same_mode_as_previous\": %s}}\n", (mode == prev_mode ? "true" : "false")
 }' "$suite"
