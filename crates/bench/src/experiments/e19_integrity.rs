@@ -13,15 +13,15 @@
 //! priced in. Hedged reads race the healthy replica past the
 //! deadline-derived threshold and quarantine the laggard, holding the
 //! replicated streams at the healthy baseline's zero misses, while the
-//! identical non-hedged run collapses (its round barrier waits on the
-//! 10× member every round). The hedged run is watched live by the
+//! identical non-hedged run's viewer on the 10× member misses its
+//! deadlines. The hedged run is watched live by the
 //! windowed monitor carrying the `volume-slow` tripwire (`max_hedges:
 //! 0` — any hedge means some member is breaching its service-time
 //! bound), so the gray failure also produces a deterministic alert and
 //! a flight dump. Third, **zero perturbation**: on a healthy cluster
-//! the scrubber's probes are charged strictly against Eq. 18 slack the
-//! round already paid for, so scrub-on vs scrub-off per-stream timing
-//! must match exactly.
+//! the scrubber probes only on lanes no viewer served that round, in
+//! their Eq. 18 slack, so scrub-on vs scrub-off per-stream timing must
+//! match exactly.
 
 use std::cell::RefCell;
 use std::fmt::Write as _;

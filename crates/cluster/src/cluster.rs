@@ -106,10 +106,11 @@ pub struct RestoreProgress {
 
 /// The one slack rule every background step obeys: a step charged
 /// `charge` may start on a lane whose clock reads `clock` only while the
-/// lane's slack, `round_end − clock`, covers it. A `None` round end is an
-/// idle round's: no admitted stream waits on the lane.
+/// lane's slack, `round_end − clock`, covers it; a lane at the round end
+/// has none, not even for a step charged nothing. A `None` round end is
+/// an idle round's: no admitted stream waits on the lane.
 pub(crate) fn fits(clock: Instant, charge: Nanos, round_end: Option<Instant>) -> bool {
-    round_end.is_none_or(|end| charge <= end.since(clock))
+    round_end.is_none_or(|end| clock < end && charge <= end - clock)
 }
 
 /// In-flight state of one replica restoration, kept across steps so a
@@ -370,8 +371,8 @@ impl Cluster {
     /// Rejoin a downed member whose media survived: disarm the fault
     /// plan, remount the image through `Msm::recover` (journal replay),
     /// run fsck's repair pass, and reconcile the catalog against the
-    /// recovered strand inventory. The member's rope layer does not
-    /// survive the remount — by design, playback needs only the
+    /// recovered strand inventory. The member's rope layer (not its sink)
+    /// does not survive the remount — by design, playback needs only the
     /// catalog's schedules.
     pub fn rejoin(&mut self, volume: usize, now: Instant) -> Result<RejoinReport, FsError> {
         // The remount drops a restore's open strands on the member.
@@ -379,13 +380,14 @@ impl Cluster {
         let placeholder = Self::fresh_member(&self.disk_model, 0);
         let old = std::mem::replace(&mut self.members[volume], placeholder);
         let mut msm = old.mrs.into_msm();
+        let obs = msm.obs();
         // The media is repaired/replaced before remount; recovery must
         // be able to read the journal and every surviving block.
         msm.arm_faults(FaultPlan::clean());
         let (mut msm, recovery) = Msm::recover(msm.into_device(), Self::member_config(), now)?;
         let repair = fsck::repair_msm(&mut msm, recovery.finished_at);
         let mut mrs = Mrs::new(msm);
-        mrs.set_obs(self.obs.clone());
+        mrs.set_obs(obs);
         mrs.msm_mut().set_verify_reads(self.verify_reads);
         self.members[volume] = Member {
             mrs,
@@ -404,14 +406,15 @@ impl Cluster {
     }
 
     /// Rejoin a downed member with *fresh* media (the disk was
-    /// replaced): every replica it held is marked lost, to be restored
-    /// by background re-replication.
+    /// replaced), keeping its sink: every replica it held is marked lost,
+    /// to be restored by background re-replication.
     pub fn rejoin_wiped(&mut self, volume: usize) -> RejoinReport {
+        let obs = self.members[volume].mrs.msm().obs();
         self.members[volume] = Self::fresh_member(
             &self.disk_model,
             mix_seed(self.config.seed, 0x5749_5045 ^ volume as u64),
         );
-        self.members[volume].mrs.set_obs(self.obs.clone());
+        self.members[volume].mrs.set_obs(obs);
         self.members[volume]
             .mrs
             .msm_mut()

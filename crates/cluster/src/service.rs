@@ -1,11 +1,12 @@
-//! The cluster service loop: synchronized rounds across member
-//! volumes, with mid-playback failover to surviving replicas.
+//! The cluster service loop: numbered rounds across member volumes,
+//! each on its own clock, with mid-playback failover to surviving replicas.
 //!
-//! Time model: all volumes start round `r` at the same instant `T_r`
-//! and serve their pinned streams on their own disks concurrently
-//! (each volume has its own clock within the round); `T_{r+1}` is the
-//! latest turn completion. Background work — restore first, scrub
-//! second — spends only each volume's slack before it. Deadlines stay
+//! Time model: each volume serves its pinned streams on its own disk and
+//! clock. A volume that served a viewer in round `r` starts `r + 1`
+//! where its turns ended; any other waits at the frontier, the latest
+//! volume clock. Background work — restore first, scrub second — runs
+//! only on a volume no viewer used, in its slack before the frontier,
+//! so it never delays a viewer's next fetch. Deadlines stay
 //! coherent across a failover because replica schedules are
 //! structurally identical: a stream switching volumes keeps its epochs,
 //! completions and item offsets, only the strand/block addresses
@@ -335,16 +336,22 @@ mod tests {
     }
 
     /// Flip one bit in each of the first `blocks` stored blocks of the
-    /// title's replica on volume 0, invisibly to the device.
-    fn corrupt_first_blocks(c: &mut Cluster, id: crate::catalog::TitleId, blocks: u64) {
+    /// title's replica on volume `v` (its replica `v`), invisibly to the
+    /// device.
+    pub(super) fn corrupt_first_blocks(
+        c: &mut Cluster,
+        id: crate::catalog::TitleId,
+        v: usize,
+        blocks: u64,
+    ) {
         let loc = {
-            let rep = &c.catalog().title(id).replicas[0];
-            assert_eq!(rep.volume, 0);
+            let rep = &c.catalog().title(id).replicas[v];
+            assert_eq!(rep.volume, v);
             rep.strands[0]
         };
         let mut plan = FaultPlan::clean();
         for n in 0..blocks.min(loc.blocks) {
-            let e = c.members()[0]
+            let e = c.members()[v]
                 .mrs()
                 .msm()
                 .strand(loc.strand)
@@ -354,7 +361,7 @@ mod tests {
                 .expect("stored block");
             plan = plan.with_silent_corruption(e);
         }
-        assert!(c.arm_member_faults(0, plan));
+        assert!(c.arm_member_faults(v, plan));
     }
 
     #[test]
@@ -364,7 +371,7 @@ mod tests {
             .ingest("hot", &ClipSpec::video_seconds(2.0).with_seed(21), 1.0)
             .unwrap();
         c.set_verify_reads(true);
-        corrupt_first_blocks(&mut c, id, 3);
+        corrupt_first_blocks(&mut c, id, 0, 3);
         let cfg = ClusterPlayback::with_k(3).scrub(4).restore(2).audited();
         let report = simulate_cluster(&mut c, &[id], &[], &cfg).expect("sim");
         assert!(report.scrubbed_blocks > 0);
@@ -401,7 +408,7 @@ mod tests {
             .ingest("hot", &ClipSpec::video_seconds(2.0).with_seed(21), 1.0)
             .unwrap();
         c.set_verify_reads(true);
-        corrupt_first_blocks(&mut c, id, 3);
+        corrupt_first_blocks(&mut c, id, 0, 3);
         let cfg = ClusterPlayback::with_k(3).scrub(4).restore(2).audited();
         let report = simulate_cluster(&mut c, &[], &[], &cfg).expect("sim");
         assert!(report.scrubbed_blocks > 0);
@@ -419,12 +426,51 @@ mod tests {
     }
 
     #[test]
+    fn a_scrub_repair_waits_for_its_source_lane_to_go_free() {
+        // The one viewer plays from volume 0, while volume 1, serving
+        // nobody, scrubs its copy and finds the first of three flips.
+        // The only clean copy sits on the serving lane, which lends
+        // nothing to background work: the repair waits until the viewer
+        // is done, then every flip is rewritten in place.
+        let mut c = cluster(2, 2);
+        let id = c
+            .ingest("hot", &ClipSpec::video_seconds(2.0).with_seed(21), 1.0)
+            .unwrap();
+        c.set_verify_reads(true);
+        corrupt_first_blocks(&mut c, id, 1, 3);
+        let (sink, ring) = ObsSink::ring(1 << 12);
+        c.set_obs(&sink);
+        let cfg = ClusterPlayback::with_k(3).scrub(4).audited();
+        let report = simulate_cluster(&mut c, &[id], &[], &cfg).expect("sim");
+        assert_eq!(report.volumes[1].fetched, 0, "the viewer stays on volume 0");
+        assert_eq!(report.corrupt_served + report.read_repairs, 0);
+        assert_eq!((report.scrub_corrupt, report.scrub_repaired), (3, 3));
+        assert_eq!(report.scrub_invalidated, 0);
+        assert!(c.fsck_member(1, Instant::from_nanos(u64::MAX / 4)).clean());
+        let ring = ring.borrow();
+        let ends = ring.events().filter_map(|e| match *e {
+            Event::StreamService { end, .. } => Some(end),
+            _ => None,
+        });
+        let done = ends.max().expect("the viewer was served");
+        let rewrites = ring.events().filter_map(|e| match *e {
+            Event::DiskOp {
+                dir: strandfs_obs::AccessDir::Write,
+                issued,
+                ..
+            } => Some(issued),
+            _ => None,
+        });
+        assert!(rewrites.min().is_some_and(|first| first >= done));
+    }
+
+    #[test]
     fn without_scrub_or_verification_corruption_reaches_viewers() {
         let mut c = cluster(2, 2);
         let id = c
             .ingest("hot", &ClipSpec::video_seconds(2.0).with_seed(21), 1.0)
             .unwrap();
-        corrupt_first_blocks(&mut c, id, 3);
+        corrupt_first_blocks(&mut c, id, 0, 3);
         let cfg = ClusterPlayback::with_k(3).audited();
         let report = simulate_cluster(&mut c, &[id], &[], &cfg).expect("sim");
         assert!(
@@ -451,8 +497,8 @@ mod tests {
         assert!(hedged.quarantines >= 1, "the slow member must sit out");
         assert_eq!(hedged.replicated_dropped(), 0);
         assert!(c.is_up(0), "fail-slow is gray: the member never errors");
-        // The same scenario without hedging: the round barrier waits on
-        // the 10x member every round and deadlines collapse.
+        // The same scenario without hedging: the viewer pinned to the
+        // 10x member misses its deadlines.
         let mut c2 = cluster(2, 2);
         let id2 = c2
             .ingest("hot", &ClipSpec::video_seconds(2.0).with_seed(23), 1.0)
@@ -513,9 +559,10 @@ mod tests {
     fn a_read_that_fails_verification_earns_no_credit() {
         // One copy only, so the flip under block 0 cannot be repaired:
         // the viewer's verified read fails and drops the block, then
-        // reads blocks 1 and 2 clean. Only those two are credited — the
-        // scrubber's first probe of the pass is block 0, and it reports
-        // the corruption the read already tripped over.
+        // reads the rest clean. Volume 0 lends the scrubber no slack
+        // while it serves the viewer; then its pass probes block 0
+        // alone — every other block rides its read's credit — and
+        // reports the corruption the read already tripped over.
         let mut c = cluster(2, 1);
         let (sink, ring) = ObsSink::ring(1 << 12);
         c.set_obs(&sink);
@@ -523,24 +570,17 @@ mod tests {
             .ingest("solo", &ClipSpec::video_seconds(2.0).with_seed(21), 0.0)
             .unwrap();
         c.set_verify_reads(true);
-        corrupt_first_blocks(&mut c, id, 1);
-        // A second title's viewer keeps volume 1 the slower lane, so
-        // volume 0 has slack to scrub in from round 0 on.
-        let other = c
-            .ingest("other", &ClipSpec::video_seconds(2.0).with_seed(22), 0.0)
-            .unwrap();
+        corrupt_first_blocks(&mut c, id, 0, 1);
         let cfg = ClusterPlayback::with_k(3).scrub(4);
-        let report = simulate_cluster(&mut c, &[id, other, other], &[], &cfg).expect("sim");
+        let report = simulate_cluster(&mut c, &[id], &[], &cfg).expect("sim");
         assert_eq!(report.sim.streams[0].dropped_blocks, 1);
-        assert!(report.scrub_corrupt >= 1, "scrub must still see the flip");
+        assert_eq!(report.scrub_corrupt, 1, "scrub must still see the flip");
         assert_eq!(report.scrub_repaired, 0, "there is nothing to repair from");
-        let strand = c.catalog().title(id).replicas[0].strands[0].strand.raw();
+        let loc = c.catalog().title(id).replicas[0].strands[0];
         let probed = probes(&ring.borrow(), 0);
-        assert_eq!(probed[0], (strand, 0, false), "{probed:?}");
-        assert!(
-            probed[1].1 > 2,
-            "blocks 1 and 2 ride their credit: {probed:?}"
-        );
+        assert_eq!(probed, [(loc.strand.raw(), 0, false)]);
+        assert_eq!(report.volumes[0].scrubbed, loc.blocks, "one whole pass");
+        assert_eq!(report.scrub_credited, loc.blocks - 1);
         assert_eq!(
             report.scrubbed_blocks - report.scrub_credited,
             ring.borrow().metrics().scrubbed,
@@ -586,8 +626,8 @@ mod tests {
 
     #[test]
     fn a_rejoined_member_is_scrubbed_from_the_start() {
-        // Volume 1's two viewers keep it the slower lane, so volume 0
-        // scrubs from round 0 and is a few blocks into its first pass
+        // Nobody plays `solo`, so volume 0 lends its slack to the
+        // scrubber from round 0 and is a few blocks into its first pass
         // when it dies. Journal recovery may hand back anything: the
         // pass after the rejoin owes the whole image a check, head
         // included, not just what lay ahead of the old cursor.
@@ -611,7 +651,7 @@ mod tests {
             },
         ];
         let cfg = ClusterPlayback::with_k(3).scrub(2);
-        simulate_cluster(&mut c, &[solo, other, other], &script, &cfg).expect("sim");
+        simulate_cluster(&mut c, &[other, other], &script, &cfg).expect("sim");
         let loc = c.catalog().title(solo).replicas[0].strands[0];
         assert_eq!(c.members()[0].mrs().msm().strand_ids(), [loc.strand]);
         let probed = probes(&ring.borrow(), 0);

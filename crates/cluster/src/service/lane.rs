@@ -16,13 +16,20 @@ use strandfs_units::{Instant, Nanos};
 /// Consecutive on-time probes that re-admit a quarantined volume.
 const READMIT_PROBE_ROUNDS: u64 = 2;
 
-/// One member volume's lane through a run: its clock within the round
-/// and the bookkeeping of every per-volume defense.
+/// One member volume's lane through a run: its clock and the
+/// bookkeeping of every per-volume defense.
 #[derive(Default)]
 pub(super) struct Lane {
-    /// The volume's clock within the current round. Every lane starts a
-    /// round at the same instant; the round ends at the latest one.
+    /// The volume's clock. A lane serving a viewer starts the next round
+    /// where its turns ended; any other waits at the run's frontier.
     pub(super) clock: Instant,
+    /// The clock the current round opened at: a first turn's anchor.
+    pub(super) opened: Instant,
+    /// A viewer's turn was pinned to the lane this round: it lends no slack.
+    pub(super) serving: bool,
+    /// A corrupt block whose every clean copy sat on a serving lane: the
+    /// lane's pass waits on its repair.
+    pub(super) unrepaired: Option<(StrandId, u64)>,
     /// Disk busy time already booked into the report.
     busy_mark: Nanos,
     pub(super) stats: VolumeStats,
@@ -154,8 +161,12 @@ impl Lane {
         }
     }
 
-    pub(super) fn start_round(&mut self, t: Instant) {
-        self.clock = t;
+    /// Open a round on the lane, at `frontier` if given, else at its own
+    /// clock: nothing has served on it yet.
+    pub(super) fn start_round(&mut self, frontier: Option<Instant>) {
+        self.clock = frontier.unwrap_or(self.clock);
+        self.opened = self.clock;
+        self.serving = false;
         self.round_hedges = 0;
     }
 
@@ -186,6 +197,7 @@ impl Lane {
         self.credits.clear();
         self.scrub_cursor = (0, 0);
         self.resting = false;
+        self.unrepaired = None;
         self.drop_offers(msm);
     }
 

@@ -58,7 +58,7 @@ struct Run<'a> {
     streams: Vec<CStream>,
     lanes: Vec<Lane>,
     report: ClusterReport,
-    /// The instant the current round started on every volume.
+    /// The frontier: the latest lane clock, where a lane no viewer served waits.
     t: Instant,
     round: u64,
     /// Consecutive fault-free rounds — the ladder's re-admission signal.
@@ -215,14 +215,18 @@ impl<'a> Run<'a> {
                 RejoinWiped(_) => self.cluster.rejoin_wiped(v),
             };
             self.report.rejoins.push(rejoin);
+            let t = self.t;
             let (lane, msm) = self.lane(v);
             lane.skip_busy(msm);
+            // Back at the frontier: nothing lands on the member before it.
+            lane.clock = lane.clock.max(t);
         }
         Ok(())
     }
 
     /// Ladder re-admission: the fault window stayed clear long enough
-    /// AND the stream has somewhere live to play from.
+    /// AND the stream has somewhere live to play from, at its lane's
+    /// clock but no earlier than its revocation.
     fn readmit(&mut self) -> Result<(), FsError> {
         if self.clean_streak < self.cfg.readmit_clean_rounds {
             return Ok(());
@@ -238,22 +242,25 @@ impl<'a> Run<'a> {
             if r != s.replica {
                 self.repin(idx, r)?;
             }
-            let (round, t) = (self.round, self.t);
-            self.streams[idx].state.readmit(round, t, &self.obs);
+            let (round, now) = (self.round, self.lanes[self.streams[idx].vol].clock);
+            self.streams[idx].state.readmit(round, now, &self.obs);
         }
         Ok(())
     }
 
     /// With nobody in service, is anything left worth running rounds
     /// for — a scripted action, a restorable replica, a first scrub
-    /// pass, a revoked stream with somewhere to return to?
+    /// pass or a block waiting on its repair, a revoked stream with
+    /// somewhere to return to?
     fn drained(&self) -> bool {
         let script_pending = self.applied.iter().any(|done| !done);
         let restore_pending =
             self.cfg.restore_blocks_per_round > 0 && self.cluster.restorable_lost();
         let scrub_pending = self.cfg.scrub_blocks_per_round > 0
-            && (0..self.lanes.len())
-                .any(|v| self.cluster.is_up(v) && self.lanes[v].scrub_passes == 0);
+            && (0..self.lanes.len()).any(|v| {
+                let lane = &self.lanes[v];
+                self.cluster.is_up(v) && (lane.scrub_passes == 0 || lane.unrepaired.is_some())
+            });
         let can_return = self
             .revoked()
             .any(|s| self.find_replica(s.title, None).is_some());
@@ -265,7 +272,7 @@ impl<'a> Run<'a> {
     /// work runs from the window's start — restore bounded by its cap
     /// alone, so one copy may outlast the window, then scrub and the
     /// quarantine probes — and the round ends at the later of the
-    /// window's end and the last copy.
+    /// window's end and the last copy, where every lane then stands.
     fn idle_round(&mut self) -> Result<(), FsError> {
         let durations = self.revoked().map(|s| s.state.next_item().duration);
         let min_dur = durations.min().unwrap_or(Nanos::from_millis(100));
@@ -276,28 +283,38 @@ impl<'a> Run<'a> {
             at,
             advanced,
         });
-        self.lanes.iter_mut().for_each(|l| l.start_round(at));
+        self.lanes.iter_mut().for_each(|l| l.start_round(Some(at)));
         let end = at + advanced;
         self.restore_pass(None)?;
         self.scrub_ahead(None);
         self.scrub_pass(end)?;
         self.probe_quarantined(at);
         self.t = self.lanes.iter().map(|l| l.clock).fold(end, Instant::max);
+        let t = self.t;
+        self.lanes.iter_mut().for_each(|l| l.clock = t);
         self.clean_streak += 1;
         Ok(())
     }
 
     /// A service round for the `active` streams, up to the barrier: open
-    /// it, hash its stamp checks ahead, and serve the turns in order.
+    /// it on every lane at the lane's own clock, hash its stamp checks
+    /// ahead, and serve the turns in order. It starts on its earliest
+    /// serving lane.
     fn serve_round(&mut self, active: &[usize]) -> Result<(), FsError> {
-        let (round, k, at) = (self.round, self.k, self.t);
+        self.lanes.iter_mut().for_each(|l| l.start_round(None));
+        let mut at = self.t;
+        for &idx in active {
+            let lane = &mut self.lanes[self.streams[idx].vol];
+            lane.serving = true;
+            at = at.min(lane.clock);
+        }
+        let (round, k) = (self.round, self.k);
         self.obs.emit(|| Event::RoundStart {
             round,
             active: active.len(),
             k,
             at,
         });
-        self.lanes.iter_mut().for_each(|l| l.start_round(at));
         self.round_faults = false;
         self.hash_ahead(active);
         for &idx in active {
@@ -347,7 +364,8 @@ impl<'a> Run<'a> {
         self.stamp_jobs.clear();
         let members = self.cluster.members();
         for (v, lane) in self.lanes.iter().enumerate() {
-            if !self.cluster.is_up(v) || lane.resting || lane.offered {
+            let busy = lane.serving || lane.unrepaired.is_some();
+            if !self.cluster.is_up(v) || busy || lane.resting || lane.offered {
                 continue;
             }
             let cost = lane.scrub_cost.as_nanos().max(1);
@@ -391,10 +409,12 @@ impl<'a> Run<'a> {
     /// One stream's turn: up to `k` blocks, each on the clock of the lane
     /// the stream is pinned to by then (a failover or a won hedge moves
     /// the pin mid-turn), where a display epoch opens and the turn ends —
-    /// after a read-around, *not* the completion just recorded.
+    /// after a read-around, *not* the completion just recorded. A first
+    /// turn is anchored where its lane opened the round.
     fn serve_turn(&mut self, idx: usize) -> Result<(), FsError> {
-        let (round, t, s) = (self.round, self.t, &mut self.streams[idx]);
-        s.state.begin_turn(round, t, self.lanes[s.vol].clock);
+        let (round, s) = (self.round, &mut self.streams[idx]);
+        let lane = &self.lanes[s.vol];
+        s.state.begin_turn(round, lane.opened, lane.clock);
         for _ in 0..self.k {
             let s = &self.streams[idx];
             if !s.state.in_service() {
@@ -417,7 +437,9 @@ impl<'a> Run<'a> {
             }
         }
         let s = &mut self.streams[idx];
-        s.state.end_turn(self.lanes[s.vol].clock, &self.obs);
+        let lane = &mut self.lanes[s.vol];
+        lane.serving = true;
+        s.state.end_turn(lane.clock, &self.obs);
         Ok(())
     }
 
@@ -654,10 +676,12 @@ impl<'a> Run<'a> {
 
     /// Scrub found a corrupt block on volume `v`: read the same block
     /// from a clean live replica on its lane and rewrite it in place on
-    /// `v`'s — viewers stay pinned. Only when no source payload hashes to
-    /// the stamp (a diverged or doubly-corrupt copy) is the whole replica
-    /// invalidated, its viewers walked off, for re-replication to rebuild
-    /// as after a wiped rejoin. True when it was; with no live copy to
+    /// `v`'s — viewers stay pinned; a serving lane is no source. Only when
+    /// no source payload hashes to the stamp (a diverged or doubly-corrupt
+    /// copy) is the whole replica invalidated, its viewers walked off,
+    /// for re-replication to rebuild as after a wiped rejoin. True when
+    /// `v`'s pass stops for the round: it was, or every clean copy sits
+    /// on a serving lane and the block waits on `v`. With no live copy to
     /// repair from, the block stays detected, not repaired.
     fn scrub_repair(&mut self, v: usize, strand: StrandId, block: u64) -> Result<bool, FsError> {
         // The live replica on `v` that owns `strand`, and the strand's
@@ -680,7 +704,12 @@ impl<'a> Run<'a> {
         if sources.is_empty() {
             return Ok(false);
         }
+        let mut wait = false;
         for (sv, r) in sources {
+            if self.lanes[sv].serving {
+                wait = true;
+                continue;
+            }
             let src = self.cluster.catalog().title(title).replicas[r].strands[slot].strand;
             let Some((payload, _)) = self.read_clean_copy(sv, src, block, Instant::EPOCH) else {
                 continue;
@@ -691,6 +720,10 @@ impl<'a> Run<'a> {
                 self.report.scrub_repaired += 1;
                 return Ok(false);
             }
+        }
+        if wait {
+            self.lanes[v].unrepaired = Some((strand, block));
+            return Ok(true);
         }
         // Every source is unreadable or diverged: rebuild the replica
         // wholesale through the restore path.
@@ -711,28 +744,31 @@ impl<'a> Run<'a> {
         Ok(true)
     }
 
-    /// One budgeted scrub pass over every up volume, each lane's probes
-    /// charged strictly against its slack before `t_next`
-    /// ([`Lane::scrub`]), each corrupt block they find repaired here.
+    /// One budgeted scrub pass over every up volume no viewer served,
+    /// each lane's probes charged strictly against its slack before
+    /// `t_next` ([`Lane::scrub`]), each corrupt block they find repaired
+    /// here — a block left waiting first, unless a read repaired it since.
     fn scrub_pass(&mut self, t_next: Instant) -> Result<(), FsError> {
         if self.cfg.scrub_blocks_per_round == 0 {
             return Ok(());
         }
         for v in 0..self.lanes.len() {
-            if !self.cluster.is_up(v) {
+            if !self.cluster.is_up(v) || self.lanes[v].serving {
                 continue;
             }
+            let msm = self.cluster.members()[v].mrs().msm();
+            let corrupt = |&(strand, block): &_| {
+                matches!(msm.check_block_sum(strand, block), Ok(Some(false)))
+            };
+            let mut waiting = self.lanes[v].unrepaired.take().filter(corrupt);
             let mut budget = self.cfg.scrub_blocks_per_round;
-            while let Some((strand, block)) = self.lanes[v].scrub(
-                self.cluster.members()[v].mrs().msm(),
-                v,
-                &mut budget,
-                t_next,
-                &mut self.report,
-                &self.obs,
-            ) {
-                // An invalidated replica's strands just vanished from
-                // under the cursor; resume next round.
+            while let Some((strand, block)) = waiting.take().or_else(|| {
+                let msm = self.cluster.members()[v].mrs().msm();
+                let (report, obs) = (&mut self.report, &self.obs);
+                self.lanes[v].scrub(msm, v, &mut budget, t_next, report, obs)
+            }) {
+                // The block waits, or an invalidated replica's strands
+                // just vanished from under the cursor; resume next round.
                 if self.scrub_repair(v, strand, block)? {
                     break;
                 }
@@ -744,16 +780,20 @@ impl<'a> Run<'a> {
     /// One background re-replication step, each copy fitting its two
     /// lanes' slack before `round_end` (`None` in an idle round): every
     /// lane's clock goes to [`Cluster::re_replicate`] and comes back
-    /// advanced by the copies it served.
+    /// advanced by the copies it served; a serving lane goes in at
+    /// `round_end`, lending nothing, and keeps its own.
     fn restore_pass(&mut self, round_end: Option<Instant>) -> Result<(), FsError> {
         let cap = self.cfg.restore_blocks_per_round;
         if cap == 0 {
             return Ok(());
         }
-        let mut clocks: Vec<Instant> = self.lanes.iter().map(|l| l.clock).collect();
+        let lend = |l: &Lane| round_end.filter(|_| l.serving).unwrap_or(l.clock);
+        let mut clocks: Vec<Instant> = self.lanes.iter().map(lend).collect();
         let p = self.cluster.re_replicate(&mut clocks, round_end, cap)?;
         for (lane, clock) in self.lanes.iter_mut().zip(clocks) {
-            lane.clock = clock;
+            if !lane.serving {
+                lane.clock = clock;
+            }
         }
         self.report.restored_blocks += p.copied_blocks;
         self.report.restored_replicas += p.completed_on.len() as u64;
@@ -825,10 +865,11 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// The round barrier. The cluster round ends at the latest turn
-    /// completion, and nothing moves it: each lane's slack before it
-    /// goes to restore, then to the scrubber. Then slow members are
-    /// quarantined or probed and each disk's busy time is booked.
+    /// The round barrier. The round ends at the frontier, the latest lane
+    /// clock, and nothing moves it. A lane no viewer's turn was pinned to
+    /// spends its slack before it on restore, then on the scrubber, and
+    /// waits there. Then slow members are quarantined or probed and each
+    /// disk's busy time is booked.
     fn barrier(&mut self) -> Result<(), FsError> {
         self.drop_unconsumed();
         let t_next = self.lanes.iter().map(|l| l.clock).max().unwrap_or(self.t);
@@ -845,6 +886,9 @@ impl<'a> Run<'a> {
         let round = self.round;
         self.obs.emit(|| Event::RoundEnd { round, at: t_next });
         self.t = t_next;
+        for lane in self.lanes.iter_mut().filter(|l| !l.serving) {
+            lane.clock = t_next;
+        }
         self.quarantine_slow_members()?;
         self.probe_quarantined(t_next);
         for (v, lane) in self.lanes.iter_mut().enumerate() {
@@ -1054,6 +1098,192 @@ mod tests {
             probed,
             "every probe was hashed ahead, once"
         );
+    }
+
+    #[test]
+    fn a_stream_behind_the_frontier_waits_from_its_own_lane() {
+        // One title per volume, one viewer each. Volume 0's lane trails
+        // the frontier volume 1's sets: the viewer first served there,
+        // and again once re-admitted there, waits from its own lane's
+        // clock — the frontier would have it displaying before it began.
+        let mut c = cluster(2, 1);
+        let (sink, ring) = ObsSink::ring(1 << 12);
+        c.set_obs(&sink);
+        let a = c
+            .ingest("a", &ClipSpec::video_seconds(2.0).with_seed(1), 0.0)
+            .unwrap();
+        let b = c
+            .ingest("b", &ClipSpec::video_seconds(2.0).with_seed(2), 0.0)
+            .unwrap();
+        let cfg = ClusterPlayback::with_k(3);
+        let mut run = Run::new(&mut c, &[a, b], &[], &cfg).expect("run");
+        assert_eq!((run.streams[0].vol, run.streams[1].vol), (0, 1));
+        let ms = |n| Instant::EPOCH + Nanos::from_millis(n);
+        (run.lanes[0].clock, run.lanes[1].clock, run.t) = (ms(200), ms(900), ms(900));
+        let displays = |ring: &strandfs_obs::RingRecorder| -> Vec<(Instant, Nanos)> {
+            let starts = ring.events().filter_map(|e| match *e {
+                Event::DisplayStart {
+                    stream: 0,
+                    at,
+                    latency,
+                } => Some((at, latency)),
+                _ => None,
+            });
+            starts.collect()
+        };
+        run.serve_round(&[0]).unwrap();
+        let (at, latency) = displays(&ring.borrow())[0];
+        assert!(at < run.t, "the viewer displays before the frontier");
+        assert_eq!(latency, at - ms(200));
+        // Revoke the viewer where its lane stands and re-admit it there.
+        let revoked = run.lanes[0].clock;
+        let quiet = ObsSink::noop();
+        assert!(run.streams[0]
+            .state
+            .record_drop(revoked, revoked, 1, &quiet));
+        run.clean_streak = cfg.readmit_clean_rounds;
+        run.lanes[0].clock = revoked + Nanos::from_millis(50);
+        run.readmit().unwrap();
+        run.serve_round(&[0]).unwrap();
+        let (at, latency) = displays(&ring.borrow())[1];
+        assert!(at < run.t, "the viewer displays before the frontier");
+        assert_eq!(latency, at - (revoked + Nanos::from_millis(50)));
+        let s = &run.finish().sim.streams[0];
+        assert_eq!(s.recovery_time, Nanos::from_millis(50));
+    }
+
+    #[test]
+    fn a_stream_repinned_to_a_trailing_lane_resumes_no_earlier_than_its_revocation() {
+        // The viewer is revoked on volume 0 at 900 ms; volume 0 is then
+        // found down, so it is re-admitted onto the copy on volume 1, whose
+        // clock trails at 200 ms. It resumes at the revocation, not on
+        // the trailing clock: no recovery is counted before the freeze,
+        // and its new display epoch opens after the re-admission.
+        let mut c = cluster(2, 2);
+        let (sink, ring) = ObsSink::ring(1 << 12);
+        c.set_obs(&sink);
+        let a = c
+            .ingest("a", &ClipSpec::video_seconds(2.0).with_seed(1), 0.0)
+            .unwrap();
+        let cfg = ClusterPlayback::with_k(3);
+        let mut run = Run::new(&mut c, &[a], &[], &cfg).expect("run");
+        assert_eq!(run.streams[0].vol, 0);
+        let ms = |n| Instant::EPOCH + Nanos::from_millis(n);
+        (run.lanes[0].clock, run.lanes[1].clock, run.t) = (ms(900), ms(200), ms(900));
+        let obs = run.obs.clone();
+        assert!(run.streams[0].state.record_drop(ms(900), ms(900), 1, &obs));
+        run.cluster.mark_down(0);
+        run.clean_streak = cfg.readmit_clean_rounds;
+        run.readmit().unwrap();
+        assert_eq!(run.streams[0].vol, 1, "re-pinned to the trailing lane");
+        run.serve_round(&[0]).unwrap();
+        let ring = ring.borrow();
+        let degrade = |want| {
+            ring.events().find_map(|e| match *e {
+                Event::Degrade { action, at, .. } if action == want => Some(at),
+                _ => None,
+            })
+        };
+        let revoked = degrade(strandfs_obs::DegradeAction::Revoke).expect("revoked");
+        let readmitted = degrade(strandfs_obs::DegradeAction::Readmit).expect("re-admitted");
+        assert_eq!((revoked, readmitted), (ms(900), ms(900)));
+        let (at, latency) = ring
+            .events()
+            .filter_map(|e| match *e {
+                Event::DisplayStart { at, latency, .. } => Some((at, latency)),
+                _ => None,
+            })
+            .last()
+            .expect("the resumed epoch displays");
+        assert!(at >= readmitted);
+        assert_eq!(latency, at - readmitted);
+        drop(ring);
+        let s = &run.finish().sim.streams[0];
+        assert_eq!(s.recovery_time, Nanos::ZERO);
+    }
+
+    #[test]
+    fn a_block_left_waiting_by_the_last_service_round_is_repaired() {
+        // Both lanes have finished a pass, so only the waiting block can
+        // hold the run open. The viewer's turn pins volume 0; volume 1,
+        // free, scrubs its copy at the barrier and finds block 0 flipped,
+        // with its one clean source on the serving lane. Once nobody is
+        // in service the run is not drained: an idle round repairs it.
+        let mut c = cluster(2, 2);
+        let id = c
+            .ingest("hot", &ClipSpec::video_seconds(2.0).with_seed(21), 1.0)
+            .unwrap();
+        c.set_verify_reads(true);
+        crate::service::tests::corrupt_first_blocks(&mut c, id, 1, 1);
+        let cfg = ClusterPlayback::with_k(3).scrub(4);
+        let mut run = Run::new(&mut c, &[id], &[], &cfg).expect("run");
+        assert_eq!(run.streams[0].vol, 0);
+        run.lanes.iter_mut().for_each(|l| l.scrub_passes = 1);
+        run.serve_round(&[0]).unwrap();
+        run.barrier().unwrap();
+        assert!(run.lanes[1].unrepaired.is_some(), "the repair waits");
+        assert!(!run.drained(), "a waiting block holds the run open");
+        run.idle_round().unwrap();
+        assert_eq!(run.lanes[1].unrepaired, None);
+        assert_eq!(
+            (run.report.scrub_corrupt, run.report.scrub_repaired),
+            (1, 1)
+        );
+        assert!(run.drained());
+    }
+
+    #[test]
+    fn a_viewer_revoked_through_idle_rounds_resumes_at_the_last_ones_end() {
+        // The sole copy's member dies in round 1 and the viewer is
+        // revoked; the member rejoins in round 2, but re-admission waits
+        // on five clean rounds, all idle. Every lane stands at the last
+        // idle round's end: the viewer resumes there, its outage counts
+        // the whole last window, and no turn begins inside it.
+        let mut c = cluster(2, 1);
+        let (sink, ring) = ObsSink::ring(1 << 14);
+        c.set_obs(&sink);
+        let a = c
+            .ingest("a", &ClipSpec::video_seconds(2.0).with_seed(1), 0.0)
+            .unwrap();
+        let script = [
+            ScriptedAction {
+                at_round: 1,
+                action: ClusterAction::Kill(0),
+            },
+            ScriptedAction {
+                at_round: 2,
+                action: ClusterAction::Rejoin(0),
+            },
+        ];
+        let mut cfg = ClusterPlayback::with_k(3);
+        cfg.readmit_clean_rounds = 5;
+        let report = simulate_cluster(&mut c, &[a], &script, &cfg).expect("sim");
+        let ring = ring.borrow();
+        let degrade = |want| {
+            ring.events().find_map(|e| match *e {
+                Event::Degrade { action, at, .. } if action == want => Some(at),
+                _ => None,
+            })
+        };
+        let revoked = degrade(strandfs_obs::DegradeAction::Revoke).expect("revoked");
+        let readmitted = degrade(strandfs_obs::DegradeAction::Readmit).expect("re-admitted");
+        let readmit = |e: &Event| matches!(e, Event::Degrade { action, .. } if *action == strandfs_obs::DegradeAction::Readmit);
+        let window_end = ring
+            .events()
+            .take_while(|e| !readmit(e))
+            .filter_map(|e| match *e {
+                Event::RoundIdle { at, advanced, .. } => Some(at + advanced),
+                _ => None,
+            })
+            .last()
+            .expect("idle rounds ran");
+        assert_eq!(readmitted, window_end);
+        assert_eq!(report.sim.streams[0].recovery_time, readmitted - revoked);
+        let resumed = ring.events().filter_map(|e| match *e {
+            Event::StreamService { begin, .. } if begin >= revoked => Some(begin),
+            _ => None,
+        });
+        assert!(resumed.min().is_some_and(|begin| begin >= readmitted));
     }
 
     #[test]

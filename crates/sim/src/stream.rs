@@ -253,8 +253,8 @@ impl StreamState {
     /// Open the stream's service turn of `round`. `clock` is where the
     /// serving volume's clock stands; `anchor` is the instant a first
     /// turn stamps as the stream's service start (the single-volume
-    /// loop passes its running clock, the cluster the round-start
-    /// instant all volumes share).
+    /// loop passes its running clock, the cluster the clock the
+    /// stream's lane opened the round at).
     #[inline]
     pub fn begin_turn(&mut self, round: u64, anchor: Instant, clock: Instant) {
         if self.service_start.is_none() {
@@ -329,16 +329,19 @@ impl StreamState {
         if ep.display_start.is_none()
             && ((next - ep.first_item) as u64 >= self.read_ahead || finished)
         {
-            ep.display_start = Some(clock);
             // Time-to-first-frame: how long the viewer waited since the
             // epoch entered service — first service turn for the
-            // initial epoch, re-admission for later ones.
+            // initial epoch, re-admission for later ones. A display
+            // opens no earlier: a cluster lane the stream moved to may
+            // trail that instant, and a silence hole moves no clock.
             let anchor = ep.resumed_at.or(self.service_start).unwrap_or(clock);
+            let at = clock.max(anchor);
+            ep.display_start = Some(at);
             let stream = self.id;
             obs.emit(|| Event::DisplayStart {
                 stream,
-                at: clock,
-                latency: clock - anchor,
+                at,
+                latency: at - anchor,
             });
         }
     }
@@ -359,13 +362,16 @@ impl StreamState {
         }
     }
 
-    /// Re-admit a revoked stream at `now`: its viewer resumes from
-    /// where the freeze left off under a fresh display epoch. A no-op
-    /// on a stream that is not revoked.
+    /// Re-admit a revoked stream at `now`, or at the revocation if that
+    /// is later: its viewer resumes from where the freeze left off under
+    /// a fresh display epoch. A no-op on a stream that is not revoked. A
+    /// cluster re-admits on the clock of the stream's lane, which may
+    /// trail the lane that revoked it.
     pub fn readmit(&mut self, round: u64, now: Instant, obs: &ObsSink) {
         let Some(since) = self.revoked_at.take() else {
             return;
         };
+        let now = now.max(since);
         self.recovery_time += now - since;
         self.drops_since_admit = 0;
         self.later_epochs.push(Epoch {

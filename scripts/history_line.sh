@@ -97,7 +97,11 @@ END {
     printf "\"cluster.cluster.ingest_us_per_block\": %.2f, ", last["vod_defended", "cluster.cluster.ingest_us_per_block"]
     printf "\"media.frame_payload_ns\": %d, ", last["vod_defended", "media.frame_payload_ns"]
     printf "\"scrub.failover_storm\": {\"covered\": %d, \"probes\": %d, \"credited\": %d}, ", covered, probes, covered - probes
-    printf "\"virt_makespan_s\": {\"failover_storm\": %.3f}, ", last["failover_storm", "virt_makespan_s"]
+    printf "\"virt_makespan_s\": {"
+    split("vod_bare vod_defended failover_storm", C, " ")
+    for (i = 1; i <= 3; i++)
+        printf "%s\"%s\": %.3f", (i > 1 ? ", " : ""), C[i], last[C[i], "virt_makespan_s"]
+    printf "}, "
     printf "\"cluster.service.rounds\": {\"failover_storm\": %d}, ", last["failover_storm", "cluster.service.rounds"]
     printf "\"checksum/stamp_batch_28k_ns\": %.1f, ", stamp
     printf "\"checksum/stamp_batch_28k_scattered_ns\": %.1f, ", scattered

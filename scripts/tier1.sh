@@ -23,13 +23,6 @@ cargo build --workspace --release --offline
 echo "==> cargo test --workspace -q --offline"
 cargo test --workspace -q --offline
 
-# The benchmark package (benchmark/, a workspace of its own, frozen by
-# BENCHMARK.json) binds a slice of the public API. Building and running
-# its own tests here makes a source-incompatible change to that surface
-# fail tier-1 rather than the benchmark driver.
-echo "==> cargo test --manifest-path benchmark/Cargo.toml --offline -q"
-cargo test --manifest-path benchmark/Cargo.toml --offline -q
-
 # Finding 1 of benchmark/README.md: restore at eight blocks a round
 # once dropped replicated blocks at a short round size. Re-replication
 # now spends only round slack, so both of the finding's reproducers
@@ -40,6 +33,21 @@ for storm in "--storm-k 2 --storm-slow-factor 1" "--storm-k 3"; do
     benchmark/run.sh --workload failover_storm --seed 1 --seconds 1 --trace 0 \
         $storm --storm-restore 8 > /dev/null
 done
+
+# Finding 2: at a two-block round the storm's fail-slow member once held
+# every volume's round open, and viewers elsewhere dropped 35 replicated
+# blocks. A lane now starts its next round where its own turns ended, so
+# the finding's reproducer must pass every storm check (exit 0) too.
+echo "==> finding-2 reproducer: failover_storm --storm-k 2"
+benchmark/run.sh --workload failover_storm --seed 1 --seconds 1 --trace 0 \
+    --storm-k 2 > /dev/null
+
+# The benchmark package (benchmark/, a workspace of its own, frozen by
+# BENCHMARK.json) binds a slice of the public API. Building and running
+# its own tests here makes a source-incompatible change to that surface
+# fail tier-1 rather than the benchmark driver.
+echo "==> cargo test --manifest-path benchmark/Cargo.toml --offline -q"
+cargo test --manifest-path benchmark/Cargo.toml --offline -q
 
 # Wall-clock medians go through the tolerance tiers; every leaf of the
 # virtual-time sections is compared exactly (the same gate

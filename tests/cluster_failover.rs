@@ -390,14 +390,14 @@ fn cluster_fingerprint(seed: u64) -> (u64, u64) {
 fn cluster_loop_fingerprints_are_pinned() {
     #[rustfmt::skip]
     const BEHAVIOUR: [u64; 32] = [
-        0x64ffa79b69faee84, 0x1c5751d7c9808677, 0xc468d0cba73c5374, 0xa5916e3570a82e88,
-        0x7a3b873dd8b1ae50, 0xb1a2d896ba51c554, 0x96d15ff977b87e07, 0x1b5de2708f7613b3,
-        0xbf5ce2821f094352, 0xc3c08e0ade068b29, 0x5103859cb35b0beb, 0xbc350085664ef57c,
-        0x66917a5133e8cfe4, 0xee5325ac2a86b8f7, 0xbdf9855bc92f6106, 0x07d25087d8ae8aed,
-        0xa931d946022ecc13, 0x1e7d8753a04e18d0, 0x0a88070551a4cc13, 0xef0abc43d672322c,
-        0x864c2a81ba20247d, 0xb0c2961069f4ec6d, 0x3a822be73885374a, 0xb461ec2aa5b9f765,
-        0xd8ede8b3214ba762, 0x237218a3c533b2a9, 0x85786b4e37c98473, 0x7ac8157a76895307,
-        0xaf01e29bd0093b1e, 0xdc4ddc610450f2e1, 0x579e91a287ad6fa2, 0xbfee6ad846f2d38d,
+        0x250a3f207aa6b247, 0x741dce5014ba3186, 0x1673daed98dec492, 0xc83a388a50ee8207,
+        0x359e0e5e649f0079, 0xd674be3d3fdc99b7, 0xc67e07083a3e9a0e, 0x508617c446b77a72,
+        0x7c8a381307a80cf9, 0x4e0887e19d8305f4, 0x3552f4da906d76ce, 0x5f88898a17e7ac72,
+        0xf8ef04370765a708, 0x69589fa4dfb54208, 0x178690ba796bde82, 0xa3c30f7dfc6fe257,
+        0x52c0bf3234517905, 0x042b0ad167348d7b, 0x2e10032038685f6b, 0xacece4b8940d1a36,
+        0x8bb00f3957c239ee, 0x5b7760ae24dec8aa, 0x16b70e7f860d4494, 0x35091f88c613d602,
+        0xded1fedb61a5f7b4, 0xe0b568d635ef5ec9, 0xa4bd0461c49cff18, 0xa2976282ffeaca94,
+        0xffac098616bc2576, 0xe8887fef008c247e, 0x8965a52d19e002c7, 0xefc8a75b2cdd3d92,
     ];
     #[rustfmt::skip]
     const IMAGE: [u64; 32] = [

@@ -720,20 +720,52 @@ fn cluster_chaos_replicated_streams_survive_member_loss() {
     );
 }
 
-/// Restore spends slack, never the round: kill / rejoin / wiped-rejoin
-/// scripts on otherwise fault-free members, one victim per volume pair
-/// and one viewer per member (so a survivor carries two), over `k` in
-/// 2..=5 and a restore cap of 1, 2 or 8 blocks per destination. Every service round ends at its latest turn completion,
-/// no disk read or restore data write issued in it completes after that,
-/// replicated viewers drop nothing, and every replica is live again at
-/// the end.
+/// Events in emission order, each tagged with the member whose sink
+/// emitted it: `None` for the cluster's own sink (rounds, turns, scrub
+/// probes), `Some(v)` for member `v`'s disk and index.
+type TaggedLog = std::rc::Rc<std::cell::RefCell<Vec<(Option<usize>, strandfs::obs::Event)>>>;
+
+struct Tagged(Option<usize>, TaggedLog);
+
+impl strandfs::obs::Recorder for Tagged {
+    fn record(&mut self, event: strandfs::obs::Event) {
+        self.1.borrow_mut().push((self.0, event));
+    }
+}
+
+/// Give the cluster and each of its members a [`Tagged`] sink over one log.
+fn tagged_sinks(c: &mut strandfs::cluster::Cluster) -> TaggedLog {
+    use std::{cell::RefCell, rc::Rc};
+    use strandfs::obs::ObsSink;
+    let log = TaggedLog::default();
+    let sink = |tag| ObsSink::shared(&Rc::new(RefCell::new(Tagged(tag, log.clone()))));
+    c.set_obs(&sink(None));
+    for v in 0..c.members().len() {
+        c.member_mut(v).mrs_mut().set_obs(sink(Some(v)));
+    }
+    log
+}
+
+/// Restore spends slack, never the round, and only a lane no viewer
+/// served lends it: kill / rejoin / wiped-rejoin scripts on otherwise
+/// fault-free members, one victim per volume pair and one viewer per
+/// member (so a survivor carries two), over `k` in 2..=5, a restore cap
+/// of 1, 2 or 8 blocks per destination, scrub on or off. Every turn of a
+/// service round begins at or after its `RoundStart`; the round ends at
+/// the frontier — its latest turn completion, or the round end before it
+/// when that is later, an idle round's end being its window's end or its
+/// last copy's completion, where the next round starts; no disk read or
+/// restore data write issued in it
+/// completes after that; and no disk op or scrub probe of its barrier
+/// lands on a lane a turn read from. Replicated viewers drop nothing,
+/// and every replica is live again at the end.
 #[test]
 fn restore_in_slack_never_moves_a_round_end() {
     use strandfs::cluster::{
         simulate_cluster, Cluster, ClusterAction, ClusterConfig, ClusterPlayback, Placement,
         ReplicaState, ScriptedAction,
     };
-    use strandfs::obs::{AccessDir, Event, ObsSink};
+    use strandfs::obs::{AccessDir, Event};
     use strandfs::sim::ClipSpec;
 
     check_with(
@@ -752,8 +784,7 @@ fn restore_in_slack_never_moves_a_round_end() {
                 seed,
             })
             .expect("cluster");
-            let (sink, ring) = ObsSink::ring(1 << 17);
-            c.set_obs(&sink);
+            let log = tagged_sinks(&mut c);
             // Round-robin puts title `p` on the pair (2p, 2p + 1).
             let mut viewers = Vec::new();
             for p in 0..pairs as u64 {
@@ -790,22 +821,55 @@ fn restore_in_slack_never_moves_a_round_end() {
                 }
             }
 
-            let ring = ring.borrow();
-            prop_assert_eq!(ring.dropped(), 0, "ring too small for the run");
-            // Per open service round: its start, its latest turn end and
+            let log = log.borrow();
+            // The open service round: where it starts in the log and in
+            // time, its latest turn end, the log index of that turn, and
             // the latest completion of a read or data write issued in it.
             let mut open = None;
-            let mut data_write = None;
+            // The round end before it: a service round's, or an idle
+            // round's window end or its last copy's completion if later.
+            // The reads of a rejoin fired after an idle round are mount
+            // work, not copies.
+            let mut frontier = Instant::EPOCH;
+            let mut idle = None;
+            let rejoins = |v: usize, round: u64| {
+                script.iter().any(|a| {
+                    a.at_round == round
+                        && matches!(a.action, ClusterAction::Rejoin(x) | ClusterAction::RejoinWiped(x) if x == v)
+                })
+            };
+            let mut data_write = vec![None; 2 * pairs];
             let mut checked = 0;
-            for e in ring.events() {
+            for (i, &(tag, ref e)) in log.iter().enumerate() {
                 match *e {
-                    Event::RoundStart { at, .. } => open = Some((at, at)),
-                    Event::StreamService { end, .. } => {
-                        if let Some((latest, _)) = &mut open {
+                    Event::RoundStart { at, .. } => {
+                        if idle.take().is_some() {
+                            prop_assert_eq!(at, frontier, "a round starts inside an idle one");
+                        }
+                        open = Some((i, at, at, i, at));
+                    }
+                    Event::RoundIdle {
+                        round,
+                        at,
+                        advanced,
+                        ..
+                    } => {
+                        prop_assert_eq!(at, frontier, "idle round {} start", round);
+                        frontier = at + advanced;
+                        idle = Some(round);
+                    }
+                    Event::StreamService {
+                        round, begin, end, ..
+                    } => {
+                        if let Some((_, start, latest, last_turn, _)) = &mut open {
+                            prop_assert!(begin >= *start, "round {} turn before its start", round);
                             *latest = end.max(*latest);
+                            *last_turn = i;
                         }
                     }
-                    Event::Alloc { lba, .. } => data_write = Some(lba),
+                    Event::Alloc { lba, .. } => {
+                        data_write[tag.expect("a member's event")] = Some(lba)
+                    }
                     Event::DiskOp {
                         dir,
                         lba,
@@ -816,21 +880,148 @@ fn restore_in_slack_never_moves_a_round_end() {
                         ..
                     } => {
                         let done = issued + seek + rotation + transfer;
-                        let bounded = dir == AccessDir::Read || Some(lba) == data_write;
-                        if let (Some((_, last)), true) = (&mut open, bounded) {
+                        let v = tag.expect("a member's event");
+                        let bounded = dir == AccessDir::Read || Some(lba) == data_write[v];
+                        if let (Some((.., last)), true) = (&mut open, bounded) {
                             *last = done.max(*last);
+                        } else if idle.is_some_and(|r| !rejoins(v, r + 1)) && bounded {
+                            frontier = done.max(frontier);
                         }
                     }
                     Event::RoundEnd { round, at } => {
-                        let (latest, last) = open.take().expect("a round end closes a start");
-                        prop_assert_eq!(at, latest, "round {} ends past its last turn", round);
+                        let (first, _, latest, last_turn, last) =
+                            open.take().expect("a round end closes a start");
+                        prop_assert_eq!(at, latest.max(frontier), "round {} end", round);
                         prop_assert!(last <= at, "round {} has I/O past its end", round);
+                        let (turns, barrier) = log[first..i].split_at(last_turn + 1 - first);
+                        let read = |v: usize| {
+                            turns
+                                .iter()
+                                .any(|(t, e)| *t == Some(v) && matches!(e, Event::DiskOp { .. }))
+                        };
+                        for (t, e) in barrier {
+                            let lane = match *e {
+                                Event::DiskOp { .. } => *t,
+                                Event::Scrub { volume, .. } => Some(volume),
+                                _ => None,
+                            };
+                            if let Some(v) = lane.filter(|&v| read(v)) {
+                                return Err(CaseError::Fail(format!(
+                                    "round {round}: background work on serving lane {v}"
+                                )));
+                            }
+                        }
+                        frontier = at;
                         checked += 1;
                     }
                     _ => {}
                 }
             }
             prop_assert!(checked > 0, "no service round ran");
+            Ok(())
+        },
+    );
+}
+
+/// Faults stay on their volume pair. Titles sit one per pair
+/// (round-robin, two replicas), two viewers each, under verified reads,
+/// hedging, scrub and restore; every fault lands on one member of pair
+/// 0 — a kill, with an intact or wiped rejoin or none, a fail-slow
+/// stretch, bit flips under its copy, any mix of them. Every viewer of
+/// another pair gets the `StreamOutcome` the fault-free run gives it.
+#[test]
+fn faults_on_one_pair_leave_every_other_pair_untouched() {
+    use strandfs::cluster::{
+        simulate_cluster, Cluster, ClusterAction, ClusterConfig, ClusterPlayback, Placement,
+        ScriptedAction,
+    };
+    use strandfs::disk::FaultPlan;
+    use strandfs::sim::ClipSpec;
+
+    check_with(
+        &Config::with_cases(8),
+        "faults_on_one_pair_leave_every_other_pair_untouched",
+        (
+            (0u64..1_000, 2usize..4, 2u32..5, 2u64..4),
+            (0usize..2, 0u8..4, 1u64..4, 1u64..6),
+            (any_bool(), 2u64..12, 0u64..4),
+        ),
+        |&((seed, pairs, halves, k), (v, kill, at_round, delay), (slow, factor, flips))| {
+            let run = |faulty: bool| {
+                let mut c = Cluster::new(ClusterConfig {
+                    volumes: 2 * pairs,
+                    placement: Placement::RoundRobin,
+                    base_replicas: 2,
+                    seed,
+                })
+                .expect("cluster");
+                let mut viewers = Vec::new();
+                for p in 0..pairs as u64 {
+                    let clip = ClipSpec::video_seconds(f64::from(halves) / 2.0).with_seed(seed ^ p);
+                    let title = c.ingest("clip", &clip, 0.0).expect("ingest");
+                    viewers.extend([title, title]);
+                }
+                c.set_verify_reads(true);
+                let mut script = Vec::new();
+                if faulty {
+                    let replicas = &c.catalog().title(viewers[0]).replicas;
+                    let loc = replicas
+                        .iter()
+                        .find(|r| r.volume == v)
+                        .expect("on pair 0")
+                        .strands[0];
+                    let strand = c.members()[v]
+                        .mrs()
+                        .msm()
+                        .strand(loc.strand)
+                        .expect("strand");
+                    let mut plan = FaultPlan::clean();
+                    for n in 0..flips.min(loc.blocks) {
+                        if let Some(e) = strand.block(n).expect("block") {
+                            plan = plan.with_silent_corruption(e);
+                        }
+                    }
+                    if slow {
+                        plan = plan.with_fail_slow(factor as f64);
+                    }
+                    assert!(c.arm_member_faults(v, plan));
+                    let back = match kill {
+                        0 => None,
+                        1 => Some(None),
+                        2 => Some(Some(ClusterAction::Rejoin(v))),
+                        _ => Some(Some(ClusterAction::RejoinWiped(v))),
+                    };
+                    if let Some(back) = back {
+                        script.push(ScriptedAction {
+                            at_round,
+                            action: ClusterAction::Kill(v),
+                        });
+                        script.extend(back.map(|action| ScriptedAction {
+                            at_round: at_round + delay,
+                            action,
+                        }));
+                    }
+                }
+                let mut cfg = ClusterPlayback::with_k(k)
+                    .scrub(2)
+                    .restore(2)
+                    .hedged()
+                    .audited();
+                cfg.max_rounds = 2_000;
+                simulate_cluster(&mut c, &viewers, &script, &cfg)
+            };
+            let clean = run(false).expect("fault-free run");
+            let faulted = run(true).expect("faulted run");
+            let others = 2..clean.sim.streams.len();
+            for i in others {
+                prop_assert_eq!(
+                    &faulted.sim.streams[i],
+                    &clean.sim.streams[i],
+                    "viewer {} of pair {}",
+                    i,
+                    i / 2
+                );
+            }
             Ok(())
         },
     );
