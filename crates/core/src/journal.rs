@@ -206,10 +206,7 @@ pub fn encode_record(seq: u64, rec: &Record, sector_size: usize) -> Vec<u8> {
             unit_bits,
         } => {
             out.put_u64_le(strand);
-            out.put_u8(match medium {
-                Medium::Video => 0,
-                Medium::Audio => 1,
-            });
+            out.put_medium(medium);
             out.put_f64_le(unit_rate);
             out.put_u64_le(granularity);
             out.put_u64_le(unit_bits);
@@ -277,11 +274,7 @@ pub fn decode_record(bytes: &[u8]) -> Option<(u64, Record)> {
     let rec = match tag {
         0 => Record::Begin {
             strand: buf.get_u64_le(),
-            medium: match buf.get_u8() {
-                0 => Medium::Video,
-                1 => Medium::Audio,
-                _ => return None,
-            },
+            medium: buf.get_medium()?,
             unit_rate: buf.get_f64_le(),
             granularity: buf.get_u64_le(),
             unit_bits: buf.get_u64_le(),

@@ -20,7 +20,7 @@ use crate::error::FsError;
 use crate::gc::InterestRegistry;
 use crate::msm::Msm;
 use crate::rope::edit::{self, Interval, MediaSel};
-use crate::rope::scattering::CopySide;
+use crate::rope::scattering::{CopyPlan, CopySide};
 use crate::rope::{split_proportional, Rope, Segment, StrandRef, Trigger};
 use crate::strand::StrandMeta;
 use crate::types::{BlockNo, RequestId, RopeId, StrandId};
@@ -405,15 +405,7 @@ impl Mrs {
                     .as_ref()
                     .map(|d| d.classify(&block) == BlockClass::Silent)
                     .unwrap_or(false);
-                if silent {
-                    flushes.push((track.strand, None, q));
-                } else {
-                    let payload: Vec<u8> = block
-                        .iter()
-                        .map(|&s| s.clamp(-128, 127) as i8 as u8)
-                        .collect();
-                    flushes.push((track.strand, Some(payload), q));
-                }
+                flushes.push((track.strand, (!silent).then(|| audio_bytes(&block)), q));
             }
         }
         let mut ops = Vec::new();
@@ -482,18 +474,17 @@ impl Mrs {
         now: Instant,
     ) -> Result<Option<RopeId>, FsError> {
         let mut t = now;
-        let mut video_ref = None;
-        let mut audio_ref = None;
-        for (is_video, track) in [(true, r.video.as_mut()), (false, r.audio.as_mut())] {
+        let mut seg = Segment::new(None, None);
+        let tracks = [
+            (Medium::Video, r.video.as_mut()),
+            (Medium::Audio, r.audio.as_mut()),
+        ];
+        for (medium, track) in tracks {
             let Some(track) = track else { continue };
             // Flush partials.
-            if !is_video {
+            if medium == Medium::Audio {
                 if !track.pending_samples.is_empty() {
-                    let payload: Vec<u8> = track
-                        .pending_samples
-                        .iter()
-                        .map(|&s| s.clamp(-128, 127) as i8 as u8)
-                        .collect();
+                    let payload = audio_bytes(&track.pending_samples);
                     let units = track.pending_samples.len() as u64;
                     let (_, op) = self.msm.append_block(track.strand, t, &payload, units)?;
                     t = op.completed;
@@ -515,25 +506,20 @@ impl Mrs {
                 continue;
             }
             let strand = self.msm.strand(track.strand)?;
-            let sref = StrandRef {
+            *seg.track_mut(medium) = Some(StrandRef {
                 strand: track.strand,
                 start_unit: 0,
                 len_units: strand.unit_count(),
                 unit_rate: strand.meta().unit_rate,
                 granularity: strand.meta().granularity,
-            };
-            if is_video {
-                video_ref = Some(sref);
-            } else {
-                audio_ref = Some(sref);
-            }
+            });
         }
-        if video_ref.is_none() && audio_ref.is_none() {
+        if seg.is_empty() {
             return Ok(None);
         }
         let rope_id = self.fresh_rope();
         let mut rope = Rope::new(rope_id, &r.user);
-        rope.segments.push(Segment::new(video_ref, audio_ref));
+        rope.segments.push(Segment::new(seg.video, seg.audio));
         self.interests.register(&rope);
         self.ropes.insert(rope_id, rope);
         Ok(Some(rope_id))
@@ -558,12 +544,8 @@ impl Mrs {
         let mut media = Vec::new();
         let mut specs = Vec::new();
         for seg in &rope.segments {
-            for (m, r) in [(Medium::Video, &seg.video), (Medium::Audio, &seg.audio)] {
-                let wanted = match m {
-                    Medium::Video => sel.video(),
-                    Medium::Audio => sel.audio(),
-                };
-                if let (true, Some(r)) = (wanted, r) {
+            for m in Medium::ALL {
+                if let (true, Some(r)) = (sel.has(m), seg.track(m)) {
                     if !media.contains(&m) {
                         media.push(m);
                         specs.push(self.msm.strand(r.strand)?.meta().request_spec());
@@ -808,15 +790,11 @@ impl Mrs {
     pub fn heal_rope(&mut self, rope: &mut Rope, now: Instant) -> Result<EditReport, FsError> {
         let mut report = EditReport::default();
         for i in 0..rope.segments.len().saturating_sub(1) {
-            let (head, tail) = rope.segments.split_at_mut(i + 1);
-            let left_seg = &mut head[i];
-            let right_seg = &mut tail[0];
-            for medium in [Medium::Video, Medium::Audio] {
-                let (lref, rref) = match medium {
-                    Medium::Video => (&left_seg.video, &mut right_seg.video),
-                    Medium::Audio => (&left_seg.audio, &mut right_seg.audio),
-                };
-                let (Some(l), Some(r)) = (lref.as_ref(), rref.as_mut()) else {
+            for medium in Medium::ALL {
+                let (Some(l), Some(r)) = (
+                    *rope.segments[i].track(medium),
+                    *rope.segments[i + 1].track(medium),
+                ) else {
                     continue;
                 };
                 // Contiguous continuation of the same strand needs no
@@ -828,82 +806,21 @@ impl Mrs {
                 // the copy (the copy itself raises occupancy and can
                 // flip the regime for the *next* boundary).
                 let bound = self.msm.current_copy_bound();
-                if let Some((plan, new_id)) = self.msm.heal_boundary(l, r, now)? {
-                    match plan.side {
-                        CopySide::Right => {
-                            // The first `count` blocks of the right ref
-                            // now come from the bridging strand.
-                            let q = r.granularity;
-                            let first_block = r.start_block();
-                            let head_units = ((first_block + plan.count) * q)
-                                .saturating_sub(r.start_unit)
-                                .min(r.len_units);
-                            let bridge = StrandRef {
-                                strand: new_id,
-                                start_unit: r.start_unit - first_block * q,
-                                len_units: head_units,
-                                unit_rate: r.unit_rate,
-                                granularity: q,
-                            };
-                            let rest = StrandRef {
-                                start_unit: r.start_unit + head_units,
-                                len_units: r.len_units - head_units,
-                                ..*r
-                            };
-                            report.heals.push(BoundaryHeal {
-                                medium,
-                                side: plan.side,
-                                copied: plan.count,
-                                bound,
-                                new_strand: new_id,
-                            });
-                            // Rewrite in place: split the right segment's
-                            // media track. For simplicity the bridge and
-                            // rest stay inside one segment pair — we
-                            // splice a new segment before `right_seg`.
-                            *r = rest;
-                            let mut bridge_seg = match medium {
-                                Medium::Video => Segment::new(Some(bridge), None),
-                                Medium::Audio => Segment::new(None, Some(bridge)),
-                            };
-                            // Carry the other medium along to keep the
-                            // tracks aligned.
-                            split_other_medium(right_seg, &mut bridge_seg, medium);
-                            rope.segments.insert(i + 1, bridge_seg);
-                        }
-                        CopySide::Left => {
-                            let l = left_seg_medium_mut(left_seg, medium);
-                            let lr = l.as_mut().expect("checked above");
-                            let q = lr.granularity;
-                            let last_block = lr.end_block();
-                            let first_copied = last_block + 1 - plan.count;
-                            let tail_units = lr.end_unit() - (first_copied * q).max(lr.start_unit);
-                            let tail_units = tail_units.min(lr.len_units);
-                            let bridge_start =
-                                (first_copied * q).max(lr.start_unit) - first_copied * q;
-                            let bridge = StrandRef {
-                                strand: new_id,
-                                start_unit: bridge_start,
-                                len_units: tail_units,
-                                unit_rate: lr.unit_rate,
-                                granularity: q,
-                            };
-                            report.heals.push(BoundaryHeal {
-                                medium,
-                                side: plan.side,
-                                copied: plan.count,
-                                bound,
-                                new_strand: new_id,
-                            });
-                            lr.len_units -= tail_units;
-                            let mut bridge_seg = match medium {
-                                Medium::Video => Segment::new(Some(bridge), None),
-                                Medium::Audio => Segment::new(None, Some(bridge)),
-                            };
-                            split_other_medium_tail(left_seg, &mut bridge_seg, medium);
-                            rope.segments.insert(i + 1, bridge_seg);
-                        }
-                    }
+                if let Some((plan, new_strand)) = self.msm.heal_boundary(&l, &r, now)? {
+                    let lost = match plan.side {
+                        CopySide::Left => i,
+                        CopySide::Right => i + 1,
+                    };
+                    let bridge = splice_bridge(&mut rope.segments[lost], medium, plan, new_strand);
+                    // Either way the bridge lands between the two sides.
+                    rope.segments.insert(i + 1, bridge);
+                    report.heals.push(BoundaryHeal {
+                        medium,
+                        side: plan.side,
+                        copied: plan.count,
+                        bound,
+                        new_strand,
+                    });
                     // Only heal one boundary per pass position; the
                     // inserted segment shifts indices, and the outer loop
                     // re-visits subsequent boundaries.
@@ -948,6 +865,14 @@ impl Mrs {
     }
 }
 
+/// An audio block's stored bytes: each sample clamped to one signed byte.
+fn audio_bytes(samples: &[i32]) -> Vec<u8> {
+    samples
+        .iter()
+        .map(|&s| s.clamp(-128, 127) as i8 as u8)
+        .collect()
+}
+
 fn denied(user: &str, right: &'static str) -> FsError {
     FsError::AccessDenied {
         user: user.to_string(),
@@ -955,126 +880,81 @@ fn denied(user: &str, right: &'static str) -> FsError {
     }
 }
 
-fn left_seg_medium_mut(seg: &mut Segment, medium: Medium) -> &mut Option<StrandRef> {
-    match medium {
-        Medium::Video => &mut seg.video,
-        Medium::Audio => &mut seg.audio,
-    }
-}
-
-/// When a bridge segment is spliced before `right_seg`, move the leading
-/// part of the *other* medium's ref into the bridge so both tracks stay
-/// aligned in time.
-///
-/// A companion track *shorter* than the bridge is fine here: the bridge
-/// occupies `[0, bridge_dur)` of the right segment's timeline, so a
-/// shorter companion lies entirely inside that window and moves into the
-/// bridge whole (the proportional split clamps to the track length).
-/// Contrast with
-/// [`split_other_medium_tail`], where the same clamp would be a bug.
-fn split_other_medium(right_seg: &mut Segment, bridge_seg: &mut Segment, healed: Medium) {
-    let seg_dur = right_seg.duration;
-    let bridge_dur = match healed {
-        Medium::Video => bridge_seg.video.as_ref().map(StrandRef::duration),
-        Medium::Audio => bridge_seg.audio.as_ref().map(StrandRef::duration),
-    }
-    .unwrap_or(Nanos::ZERO);
-    let other = match healed {
-        Medium::Video => &mut right_seg.audio,
-        Medium::Audio => &mut right_seg.video,
+/// Cut the blocks a §4.2 heal copied out of `seg`, the segment on the
+/// side of the boundary that lost them, and return the segment that
+/// refers to their copies in `new_strand`: `seg`'s first `plan.count`
+/// blocks of `medium` for a right-side copy, its last `plan.count` for a
+/// left-side one. The bridge takes the matching span of `seg`'s
+/// timeline (its head for a right-side copy, its tail for a left-side
+/// one), and the companion medium's units in that span move with it.
+fn splice_bridge(
+    seg: &mut Segment,
+    medium: Medium,
+    plan: CopyPlan,
+    new_strand: StrandId,
+) -> Segment {
+    let r = seg.track(medium).expect("a healed medium has a ref");
+    let q = r.granularity;
+    let first = plan.first_block(&r);
+    let lo = (first * q).max(r.start_unit);
+    let hi = ((first + plan.count) * q).min(r.end_unit());
+    let bridge = StrandRef {
+        strand: new_strand,
+        start_unit: lo - first * q,
+        len_units: hi - lo,
+        ..r
     };
-    if let Some(o) = other.take() {
-        // Exact boundary split: when the bridge covers the segment's
-        // whole timeline the remainder segment has zero duration, so
-        // the companion must move into the bridge whole. A rounded
-        // split here can strand a unit in the dropped remainder (the
-        // same hazard `Piece::split_at` short-circuits).
-        let (head, tail) = if bridge_dur >= seg_dur {
-            (
-                o,
-                StrandRef {
-                    start_unit: o.end_unit(),
-                    len_units: 0,
-                    ..o
-                },
-            )
-        } else {
-            o.split_units(split_proportional(bridge_dur, seg_dur, o.len_units))
-        };
-        match healed {
-            Medium::Video => bridge_seg.audio = (head.len_units > 0).then_some(head),
-            Medium::Audio => bridge_seg.video = (head.len_units > 0).then_some(head),
-        }
-        *other = (tail.len_units > 0).then_some(tail);
-    }
-    clear_empty_refs(right_seg);
-    clear_empty_refs(bridge_seg);
-    // Preserve the segment's share of the timeline: the bridge covers
-    // its leading `bridge_dur`, the remainder keeps the rest. Deriving
-    // both durations from ref lengths instead (`Segment::new`) let a
-    // coarse-unit medium stretch a segment past the other medium's
-    // invariant tolerance and drift the rope's total duration.
-    let bdur = bridge_dur.min(seg_dur);
-    *bridge_seg = Segment::with_duration(bridge_seg.video, bridge_seg.audio, bdur);
-    *right_seg = Segment::with_duration(right_seg.video, right_seg.audio, seg_dur - bdur);
-}
-
-/// Drop refs a heal emptied: a whole-ref copy leaves a zero-unit rest
-/// behind, and an empty ref inside a timed segment violates the rope
-/// invariants.
-fn clear_empty_refs(seg: &mut Segment) {
-    if seg.video.as_ref().is_some_and(|r| r.len_units == 0) {
-        seg.video = None;
-    }
-    if seg.audio.as_ref().is_some_and(|r| r.len_units == 0) {
-        seg.audio = None;
-    }
-}
-
-/// Symmetric helper for Left-side healing: move the trailing part of the
-/// other medium of `left_seg` into the bridge.
-///
-/// The bridge occupies the *last* `bridge_dur` of the left segment's
-/// timeline, i.e. the window `[seg_dur - bridge_dur, seg_dur)`. The
-/// companion is split at the window's start: whatever plays inside the
-/// window moves into the bridge, and a companion that ends *before* the
-/// window stays in the left segment whole. (An earlier revision errored
-/// on short companions because durations were re-derived from ref
-/// lengths, which made the window ill-defined; with explicit timeline
-/// durations the split point is exact.)
-fn split_other_medium_tail(left_seg: &mut Segment, bridge_seg: &mut Segment, healed: Medium) {
-    let seg_dur = left_seg.duration;
-    let bridge_dur = match healed {
-        Medium::Video => bridge_seg.video.as_ref().map(StrandRef::duration),
-        Medium::Audio => bridge_seg.audio.as_ref().map(StrandRef::duration),
-    }
-    .unwrap_or(Nanos::ZERO);
-    let bdur = bridge_dur.min(seg_dur);
-    let other = match healed {
-        Medium::Video => &mut left_seg.audio,
-        Medium::Audio => &mut left_seg.video,
+    // The copied units leave one end of the ref.
+    let rest = match plan.side {
+        CopySide::Right => StrandRef {
+            start_unit: hi,
+            len_units: r.end_unit() - hi,
+            ..r
+        },
+        CopySide::Left => StrandRef {
+            len_units: lo - r.start_unit,
+            ..r
+        },
     };
-    if let Some(o) = other.take() {
-        // Exact boundary split (mirror of `split_other_medium`): a
-        // bridge covering the whole timeline leaves the head segment
-        // zero-duration, so the companion must bridge whole.
-        let (head, tail) = if bdur >= seg_dur {
-            (StrandRef { len_units: 0, ..o }, o)
-        } else {
-            o.split_units(split_proportional(seg_dur - bdur, seg_dur, o.len_units))
-        };
-        match healed {
-            Medium::Video => bridge_seg.audio = (tail.len_units > 0).then_some(tail),
-            Medium::Audio => bridge_seg.video = (tail.len_units > 0).then_some(tail),
+    let seg_dur = seg.duration;
+    let bdur = bridge.duration().min(seg_dur);
+    let (moved, kept) = match *seg.track(medium.other()) {
+        None => (None, None),
+        // A bridge over the segment's whole timeline takes the companion
+        // whole: a rounded split could strand a unit in the zero-length
+        // remainder (the hazard `Piece::split_at` short-circuits).
+        Some(o) if bdur >= seg_dur => (Some(o), None),
+        // Otherwise the companion splits where the timeline does, in
+        // proportion to its own density, not its nominal rate.
+        Some(o) => {
+            let at = match plan.side {
+                CopySide::Right => bdur,
+                CopySide::Left => seg_dur - bdur,
+            };
+            let (head, tail) = o.split_units(split_proportional(at, seg_dur, o.len_units));
+            match plan.side {
+                CopySide::Right => (Some(head), Some(tail)),
+                CopySide::Left => (Some(tail), Some(head)),
+            }
         }
-        *other = (head.len_units > 0).then_some(head);
+    };
+    // A heal can empty a ref (a whole-ref copy leaves a zero-unit rest),
+    // and an empty ref inside a timed segment breaks the rope invariants.
+    let nonempty = |r: Option<StrandRef>| r.filter(|r| r.len_units > 0);
+    let mut out = Segment::new(None, None);
+    for (m, to_bridge, left_behind) in [
+        (medium, Some(bridge), Some(rest)),
+        (medium.other(), moved, kept),
+    ] {
+        *out.track_mut(m) = nonempty(to_bridge);
+        *seg.track_mut(m) = nonempty(left_behind);
     }
-    clear_empty_refs(left_seg);
-    clear_empty_refs(bridge_seg);
-    // As in `split_other_medium`: the bridge covers the trailing
-    // `bridge_dur` of the segment's timeline, the head keeps the rest.
-    *bridge_seg = Segment::with_duration(bridge_seg.video, bridge_seg.audio, bdur);
-    *left_seg = Segment::with_duration(left_seg.video, left_seg.audio, seg_dur - bdur);
+    // Both durations come from the segment's timeline, not from ref
+    // lengths: deriving them with `Segment::new` let a coarse-unit medium
+    // stretch a segment past the other medium's tolerance and drift the
+    // rope's total duration.
+    *seg = Segment::with_duration(seg.video, seg.audio, seg_dur - bdur);
+    Segment::with_duration(out.video, out.audio, bdur)
 }
 
 /// Compile a rope interval into a deadline-stamped block schedule.
@@ -1098,8 +978,8 @@ pub fn compile_schedule(
     let mut items = Vec::new();
     let mut t0 = Nanos::ZERO;
     for seg in &sub.segments {
-        for (medium, r) in [(Medium::Video, &seg.video), (Medium::Audio, &seg.audio)] {
-            let Some(r) = r else { continue };
+        for medium in Medium::ALL {
+            let Some(r) = seg.track(medium) else { continue };
             let unit_dur = 1.0 / r.unit_rate;
             for block in r.start_block()..=r.end_block() {
                 let block_first_unit = (block * r.granularity).max(r.start_unit);
@@ -1692,79 +1572,130 @@ mod tests {
         assert!(!live.is_empty());
     }
 
-    fn vref(len_units: u64) -> StrandRef {
+    fn vref(start_unit: u64, len_units: u64) -> StrandRef {
         StrandRef {
             strand: StrandId::from_raw(1),
-            start_unit: 0,
+            start_unit,
             len_units,
             unit_rate: 30.0,
             granularity: 3,
         }
     }
 
-    fn aref(len_units: u64) -> StrandRef {
+    fn aref(start_unit: u64, len_units: u64) -> StrandRef {
         StrandRef {
             strand: StrandId::from_raw(2),
-            start_unit: 0,
+            start_unit,
             len_units,
             unit_rate: 8_000.0,
             granularity: 800,
         }
     }
 
+    /// Splice a video bridge of `count` blocks out of a copy of `seg` and
+    /// check what every splice holds: the bridge starts at the copied
+    /// unit's offset in its first copied block, the bridge and the rest
+    /// cover the original video ref end to end, their timelines sum to
+    /// the segment's and no companion unit is lost. Returns `(bridge,
+    /// rest)`.
+    fn spliced(seg: &Segment, side: CopySide, count: u64) -> (Segment, Segment) {
+        let plan = CopyPlan { side, count };
+        let new_strand = StrandId::from_raw(9);
+        let mut rest = seg.clone();
+        let bridge = splice_bridge(&mut rest, Medium::Video, plan, new_strand);
+        let (v, b) = (seg.video.unwrap(), bridge.video.unwrap());
+        let first = plan.first_block(&v);
+        let lo = (first * v.granularity).max(v.start_unit);
+        assert_eq!(b.strand, new_strand);
+        assert_eq!(b.start_unit, lo - first * v.granularity);
+        let copied = (lo, lo + b.len_units);
+        let kept = rest.video.map(|r| (r.start_unit, r.end_unit()));
+        let (head, tail) = match side {
+            CopySide::Right => (Some(copied), kept),
+            CopySide::Left => (kept, Some(copied)),
+        };
+        let (start, end) = (head.unwrap_or(copied).0, tail.unwrap_or(copied).1);
+        assert_eq!((start, end), (v.start_unit, v.end_unit()));
+        if let (Some(h), Some(t)) = (head, tail) {
+            assert_eq!(h.1, t.0, "the two parts meet");
+        }
+        assert_eq!(bridge.duration + rest.duration, seg.duration);
+        let units = |s: &Segment| s.audio.map_or(0, |a| a.len_units);
+        assert_eq!(units(&bridge) + units(&rest), units(seg));
+        (bridge, rest)
+    }
+
     #[test]
     fn tail_split_moves_companion_into_bridge() {
-        // Left segment: 3 s of video + 3 s of audio. A 1 s video bridge
-        // takes the last 1 s of audio along.
-        let mut left = Segment::new(Some(vref(90)), Some(aref(24_000)));
-        let mut bridge = Segment::new(Some(vref(30)), None);
-        split_other_medium_tail(&mut left, &mut bridge, Medium::Video);
-        assert_eq!(left.audio.unwrap().len_units, 16_000);
-        assert_eq!(bridge.audio.unwrap().len_units, 8_000);
+        // 3 s of video and audio; a 1 s video bridge off the end takes
+        // the last 1 s of audio along.
+        let seg = Segment::new(Some(vref(0, 90)), Some(aref(0, 24_000)));
+        let (bridge, rest) = spliced(&seg, CopySide::Left, 10);
+        assert_eq!(rest.audio.unwrap().len_units, 16_000);
+        assert_eq!(bridge.audio.unwrap().start_unit, 16_000);
         assert_eq!(bridge.duration, Nanos::from_secs(1));
-        // Timeline conserved: the left segment keeps the rest.
-        assert_eq!(left.duration, Nanos::from_secs(2));
+        assert_eq!(rest.duration, Nanos::from_secs(2));
     }
 
     #[test]
     fn tail_split_whole_segment_bridge_takes_companion_whole() {
-        // The video bridge spans the left segment's entire timeline:
-        // the companion must move into the bridge whole. A rounded
-        // split would strand units in the zero-duration remainder,
-        // which the re-zip then drops — lost media.
-        let mut left = Segment::new(Some(vref(30)), Some(aref(8_000)));
-        let mut bridge = Segment::new(Some(vref(30)), None);
-        split_other_medium_tail(&mut left, &mut bridge, Medium::Video);
+        // The video bridge spans the segment's entire timeline: the
+        // companion must move into the bridge whole. A rounded split
+        // would strand units in the zero-duration remainder, which the
+        // heal's sweep then drops — lost media.
+        let seg = Segment::new(Some(vref(0, 30)), Some(aref(0, 8_000)));
+        let (bridge, rest) = spliced(&seg, CopySide::Left, 10);
         assert_eq!(bridge.audio.unwrap().len_units, 8_000);
-        assert!(left.audio.is_none());
+        assert!(rest.is_empty(), "{rest:?}");
         assert_eq!(bridge.duration, Nanos::from_secs(1));
-        assert_eq!(left.duration, Nanos::ZERO);
+        assert_eq!(rest.duration, Nanos::ZERO);
     }
 
     #[test]
     fn head_split_takes_proportional_share_into_bridge() {
         // Right-side healing: the bridge occupies the first 1 s of the
-        // 3 s segment timeline, so one third of the companion's cells
-        // follow it — proportional to the companion's actual density,
-        // not its nominal rate.
-        let mut right = Segment::new(Some(vref(90)), Some(aref(24_000)));
-        let mut bridge = Segment::new(Some(vref(30)), None);
-        split_other_medium(&mut right, &mut bridge, Medium::Video);
+        // 3 s timeline, so one third of the companion's units follow it.
+        let seg = Segment::new(Some(vref(0, 90)), Some(aref(0, 24_000)));
+        let (bridge, rest) = spliced(&seg, CopySide::Right, 10);
         assert_eq!(bridge.audio.unwrap().len_units, 8_000);
-        assert_eq!(right.audio.unwrap().len_units, 16_000);
+        assert_eq!(rest.audio.unwrap().start_unit, 8_000);
         assert_eq!(bridge.duration, Nanos::from_secs(1));
-        assert_eq!(right.duration, Nanos::from_secs(2));
+        assert_eq!(rest.duration, Nanos::from_secs(2));
     }
 
     #[test]
     fn head_split_whole_segment_bridge_takes_companion_whole() {
-        // Mirror of the tail case: bridge covers the whole right
-        // segment, companion bridges whole, remainder is empty.
-        let mut right = Segment::new(Some(vref(30)), Some(aref(8_000)));
-        let mut bridge = Segment::new(Some(vref(30)), None);
-        split_other_medium(&mut right, &mut bridge, Medium::Video);
+        // Mirror of the tail case: the bridge covers the whole segment,
+        // the companion bridges whole and the remainder is empty.
+        let seg = Segment::new(Some(vref(0, 30)), Some(aref(0, 8_000)));
+        let (bridge, rest) = spliced(&seg, CopySide::Right, 10);
         assert_eq!(bridge.audio.unwrap().len_units, 8_000);
-        assert!(right.audio.is_none());
-        assert_eq!(right.duration, Nanos::ZERO);
+        assert!(rest.is_empty(), "{rest:?}");
+        assert_eq!(rest.duration, Nanos::ZERO);
+    }
+
+    #[test]
+    fn unaligned_refs_splice_on_either_side() {
+        // Video units 4..89 at q = 3 start and end inside blocks 1 and
+        // 29; the audio companion starts mid-block too.
+        let seg = Segment::new(Some(vref(4, 85)), Some(aref(123, 22_667)));
+        let (bridge, rest) = spliced(&seg, CopySide::Right, 4);
+        // Blocks 1..5 hold units 3..15: the bridge copies them and plays
+        // from unit 1 of its own first block.
+        assert_eq!(bridge.video.unwrap().start_unit, 1);
+        assert_eq!(bridge.video.unwrap().len_units, 11);
+        assert_eq!(rest.video.unwrap().start_unit, 15);
+        // Blocks 26..30 hold units 78..90; the ref ends at 89.
+        let (bridge, rest) = spliced(&seg, CopySide::Left, 4);
+        assert_eq!(bridge.video.unwrap().start_unit, 0);
+        assert_eq!(bridge.video.unwrap().len_units, 11);
+        assert_eq!(rest.video.unwrap().end_unit(), 78);
+        // Copying every block the ref touches keeps its mid-block start.
+        for side in [CopySide::Left, CopySide::Right] {
+            let (bridge, rest) = spliced(&seg, side, 29);
+            assert_eq!(bridge.video.unwrap().start_unit, 1);
+            assert_eq!(bridge.video.unwrap().len_units, 85);
+            assert!(rest.video.is_none());
+        }
     }
 }

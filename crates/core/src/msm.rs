@@ -1140,21 +1140,16 @@ impl Msm {
         if plan.count == 0 {
             return Ok(None);
         }
-        let (src, first_block, anchor) = match plan.side {
-            CopySide::Right => {
-                // Copy the first blocks of `right`, anchored after the
-                // last block of `left`.
-                let anchor = self.stored_end_of(left, true)?;
-                (right, right.start_block(), anchor)
-            }
-            CopySide::Left => {
-                // Copy the last blocks of `left`, anchored (in reverse)
-                // before the first block of `right`; we anchor after the
-                // preceding left block for forward allocation.
-                let anchor = self.stored_end_of(right, false)?;
-                (left, left.end_block() + 1 - plan.count, anchor)
-            }
+        let (src, anchor) = match plan.side {
+            // Copy the first blocks of `right`, anchored after the last
+            // stored block of `left`.
+            CopySide::Right => (right, self.stored_end_of(left, true)?),
+            // Copy the last blocks of `left`, anchored after the first
+            // stored block of `right`, although the copies play before
+            // it.
+            CopySide::Left => (left, self.stored_end_of(right, false)?),
         };
+        let first_block = plan.first_block(src);
         let new_id =
             self.copy_blocks_to_new_strand(src.strand, first_block, plan.count, anchor, now)?;
         Ok(Some((plan, new_id)))

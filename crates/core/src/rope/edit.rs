@@ -25,6 +25,7 @@
 
 use crate::error::FsError;
 use crate::rope::{split_balanced, Rope, Segment, StrandRef, Trigger};
+use strandfs_media::Medium;
 use strandfs_units::Nanos;
 
 /// Which media an operation applies to.
@@ -47,6 +48,14 @@ impl MediaSel {
     /// True if the selection includes audio.
     pub fn audio(self) -> bool {
         matches!(self, MediaSel::Audio | MediaSel::Both)
+    }
+
+    /// True if the selection includes `medium`.
+    pub fn has(self, medium: Medium) -> bool {
+        match medium {
+            Medium::Video => self.video(),
+            Medium::Audio => self.audio(),
+        }
     }
 }
 
@@ -119,23 +128,19 @@ impl Piece {
         if off == self.dur {
             return (*self, Piece::gap(Nanos::ZERO));
         }
-        match self.r {
-            None => (Piece::gap(off), Piece::gap(self.dur - off)),
+        let (l, rt) = match self.r {
+            None => (None, None),
             Some(r) => {
                 let units = split_balanced(off, self.dur, r.len_units, r.unit_rate);
                 let (l, rt) = r.split_units(units);
-                (
-                    Piece {
-                        dur: off,
-                        r: if l.len_units > 0 { Some(l) } else { None },
-                    },
-                    Piece {
-                        dur: self.dur - off,
-                        r: if rt.len_units > 0 { Some(rt) } else { None },
-                    },
-                )
+                (Some(l), Some(rt))
             }
-        }
+        };
+        let piece = |dur, r: Option<StrandRef>| Piece {
+            dur,
+            r: r.filter(|r| r.len_units > 0),
+        };
+        (piece(off, l), piece(self.dur - off, rt))
     }
 }
 
@@ -201,84 +206,94 @@ fn track_insert(track: &Track, at: Nanos, insert: Track) -> Track {
     head
 }
 
-/// Unzip a rope into its video and audio tracks.
-fn to_tracks(rope: &Rope) -> (Track, Track) {
-    let mut video = Vec::new();
-    let mut audio = Vec::new();
-    for s in &rope.segments {
-        video.push(Piece {
+/// One medium's track of a rope.
+fn to_track(rope: &Rope, medium: Medium) -> Track {
+    rope.segments
+        .iter()
+        .map(|s| Piece {
             dur: s.duration,
-            r: s.video,
-        });
-        audio.push(Piece {
-            dur: s.duration,
-            r: s.audio,
-        });
+            r: *s.track(medium),
+        })
+        .collect()
+}
+
+/// The base's video and audio tracks, each selected one through
+/// `splice` and the other as it was.
+fn splice_media(
+    base: &Rope,
+    sel: MediaSel,
+    splice: impl Fn(Medium, &Track) -> Track,
+) -> [Track; 2] {
+    Medium::ALL.map(|m| {
+        let track = to_track(base, m);
+        if sel.has(m) {
+            splice(m, &track)
+        } else {
+            track
+        }
+    })
+}
+
+/// The base's triggers after an edit put `inserted` of time in place of
+/// `cut`. A `Both` edit drops the triggers inside `cut` and shifts the
+/// later ones by the change in length; a single-medium edit leaves the
+/// triggers where they are.
+fn shift_triggers(base: &Rope, sel: MediaSel, cut: Interval, inserted: Nanos) -> Vec<Trigger> {
+    if sel != MediaSel::Both {
+        return base.triggers.clone();
     }
-    (video, audio)
+    base.triggers
+        .iter()
+        .filter(|t| t.at < cut.start || t.at >= cut.end())
+        .map(|t| Trigger {
+            at: if t.at >= cut.end() {
+                t.at - cut.len + inserted
+            } else {
+                t.at
+            },
+            text: t.text.clone(),
+        })
+        .collect()
 }
 
 /// Zip two tracks back into segments, cutting at the union of both
 /// tracks' piece boundaries. The shorter track is padded with a trailing
 /// gap.
-fn from_tracks(video: Track, audio: Track) -> Vec<Segment> {
+fn from_tracks(mut video: Track, mut audio: Track) -> Vec<Segment> {
     let (dv, da) = (track_duration(&video), track_duration(&audio));
-    let mut video = video;
-    let mut audio = audio;
     if dv < da {
         video.push(Piece::gap(da - dv));
     } else if da < dv {
         audio.push(Piece::gap(dv - da));
     }
-
+    // Both tracks now span the same time and every cut takes the same
+    // time off each, so they run out together. Zero-duration pieces hold
+    // no time and are skipped.
     let mut out = Vec::new();
-    let mut vi = video.into_iter();
-    let mut ai = audio.into_iter();
-    let mut cv = vi.next();
-    let mut ca = ai.next();
-    loop {
-        // Skip zero-duration pieces.
-        while matches!(cv, Some(p) if p.dur.is_zero()) {
-            cv = vi.next();
-        }
-        while matches!(ca, Some(p) if p.dur.is_zero()) {
-            ca = ai.next();
-        }
-        match (cv, ca) {
-            (None, None) => break,
-            (Some(v), None) => {
-                out.push(Segment::with_duration(v.r, None, v.dur));
-                cv = vi.next();
-            }
-            (None, Some(a)) => {
-                out.push(Segment::with_duration(None, a.r, a.dur));
-                ca = ai.next();
-            }
-            (Some(v), Some(a)) => {
-                let cut = v.dur.min(a.dur);
-                let (vl, vr) = v.split_at(cut);
-                let (al, ar) = a.split_at(cut);
-                out.push(Segment::with_duration(vl.r, al.r, cut));
-                cv = if vr.dur.is_zero() {
-                    vi.next()
-                } else {
-                    Some(vr)
-                };
-                ca = if ar.dur.is_zero() {
-                    ai.next()
-                } else {
-                    Some(ar)
-                };
-            }
-        }
+    let mut vi = video.into_iter().filter(|p| !p.dur.is_zero());
+    let mut ai = audio.into_iter().filter(|p| !p.dur.is_zero());
+    let (mut cv, mut ca) = (vi.next(), ai.next());
+    while let (Some(v), Some(a)) = (cv, ca) {
+        let cut = v.dur.min(a.dur);
+        let (vl, vr) = v.split_at(cut);
+        let (al, ar) = a.split_at(cut);
+        out.push(Segment::with_duration(vl.r, al.r, cut));
+        cv = if vr.dur.is_zero() {
+            vi.next()
+        } else {
+            Some(vr)
+        };
+        ca = if ar.dur.is_zero() {
+            ai.next()
+        } else {
+            Some(ar)
+        };
     }
-    // Drop pure trailing/interior gaps of zero value? Keep interior gaps
-    // (they hold time); drop only empty zero-duration artifacts, already
-    // skipped above.
+    debug_assert!(cv.is_none() && ca.is_none(), "tracks of unequal time");
     out
 }
 
-fn rebuild(base: &Rope, video: Track, audio: Track, triggers: Vec<Trigger>) -> Rope {
+fn rebuild(base: &Rope, [video, audio]: [Track; 2], triggers: Vec<Trigger>) -> Rope {
     let mut rope = Rope {
         segments: from_tracks(video, audio),
         triggers,
@@ -293,17 +308,13 @@ fn rebuild(base: &Rope, video: Track, audio: Track, triggers: Vec<Trigger>) -> R
 /// the selected media within `iv`.
 pub fn substring(base: &Rope, sel: MediaSel, iv: Interval) -> Result<Rope, FsError> {
     iv.validate(base.duration())?;
-    let (v, a) = to_tracks(base);
-    let video = if sel.video() {
-        track_sub(&v, iv)
-    } else {
-        Vec::new()
-    };
-    let audio = if sel.audio() {
-        track_sub(&a, iv)
-    } else {
-        Vec::new()
-    };
+    let tracks = Medium::ALL.map(|m| {
+        if sel.has(m) {
+            track_sub(&to_track(base, m), iv)
+        } else {
+            Vec::new()
+        }
+    });
     let triggers = base
         .triggers
         .iter()
@@ -313,7 +324,7 @@ pub fn substring(base: &Rope, sel: MediaSel, iv: Interval) -> Result<Rope, FsErr
             text: t.text.clone(),
         })
         .collect();
-    Ok(rebuild(base, video, audio, triggers))
+    Ok(rebuild(base, tracks, triggers))
 }
 
 /// `DELETE[baseRope, media, interval]`: for `Both`, removes the interval
@@ -321,28 +332,18 @@ pub fn substring(base: &Rope, sel: MediaSel, iv: Interval) -> Result<Rope, FsErr
 /// within the interval.
 pub fn delete(base: &Rope, sel: MediaSel, iv: Interval) -> Result<Rope, FsError> {
     iv.validate(base.duration())?;
-    let (v, a) = to_tracks(base);
-    let (video, audio, triggers) = match sel {
-        MediaSel::Both => {
-            let triggers = base
-                .triggers
-                .iter()
-                .filter(|t| t.at < iv.start || t.at >= iv.end())
-                .map(|t| Trigger {
-                    at: if t.at >= iv.end() {
-                        t.at - iv.len
-                    } else {
-                        t.at
-                    },
-                    text: t.text.clone(),
-                })
-                .collect();
-            (track_cut(&v, iv), track_cut(&a, iv), triggers)
+    let tracks = splice_media(base, sel, |_, t| {
+        if sel == MediaSel::Both {
+            track_cut(t, iv)
+        } else {
+            track_blank(t, iv)
         }
-        MediaSel::Video => (track_blank(&v, iv), a, base.triggers.clone()),
-        MediaSel::Audio => (v, track_blank(&a, iv), base.triggers.clone()),
-    };
-    Ok(rebuild(base, video, audio, triggers))
+    });
+    Ok(rebuild(
+        base,
+        tracks,
+        shift_triggers(base, sel, iv, Nanos::ZERO),
+    ))
 }
 
 /// `INSERT[baseRope, position, media, withRope, withInterval]`: splices
@@ -360,32 +361,15 @@ pub fn insert(
         });
     }
     with_iv.validate(with.duration())?;
-    let (bv, ba) = to_tracks(base);
-    let (wv, wa) = to_tracks(with);
-    let (video, audio) = match sel {
-        MediaSel::Both => (
-            track_insert(&bv, position, track_sub(&wv, with_iv)),
-            track_insert(&ba, position, track_sub(&wa, with_iv)),
-        ),
-        MediaSel::Video => (track_insert(&bv, position, track_sub(&wv, with_iv)), ba),
-        MediaSel::Audio => (bv, track_insert(&ba, position, track_sub(&wa, with_iv))),
-    };
-    let triggers = match sel {
-        MediaSel::Both => base
-            .triggers
-            .iter()
-            .map(|t| Trigger {
-                at: if t.at >= position {
-                    t.at + with_iv.len
-                } else {
-                    t.at
-                },
-                text: t.text.clone(),
-            })
-            .collect(),
-        _ => base.triggers.clone(),
-    };
-    Ok(rebuild(base, video, audio, triggers))
+    let tracks = splice_media(base, sel, |m, t| {
+        track_insert(t, position, track_sub(&to_track(with, m), with_iv))
+    });
+    let at = Interval::new(position, Nanos::ZERO);
+    Ok(rebuild(
+        base,
+        tracks,
+        shift_triggers(base, sel, at, with_iv.len),
+    ))
 }
 
 /// `REPLACE[baseRope, media, baseInterval, withRope, withInterval]`:
@@ -399,59 +383,36 @@ pub fn replace(
 ) -> Result<Rope, FsError> {
     base_iv.validate(base.duration())?;
     with_iv.validate(with.duration())?;
-    let (bv, ba) = to_tracks(base);
-    let (wv, wa) = to_tracks(with);
-    let splice = |t: &Track, w: &Track| -> Track {
+    let tracks = splice_media(base, sel, |m, t| {
         let cut = track_cut(t, base_iv);
-        track_insert(&cut, base_iv.start, track_sub(w, with_iv))
-    };
-    let (video, audio) = match sel {
-        MediaSel::Both => (splice(&bv, &wv), splice(&ba, &wa)),
-        MediaSel::Video => (splice(&bv, &wv), ba),
-        MediaSel::Audio => (bv, splice(&ba, &wa)),
-    };
-    // Triggers: keep those outside the replaced interval; shift the tail
-    // by the length difference when both media move.
-    let triggers = match sel {
-        MediaSel::Both => base
-            .triggers
-            .iter()
-            .filter(|t| t.at < base_iv.start || t.at >= base_iv.end())
-            .map(|t| Trigger {
-                at: if t.at >= base_iv.end() {
-                    t.at - base_iv.len + with_iv.len
-                } else {
-                    t.at
-                },
-                text: t.text.clone(),
-            })
-            .collect(),
-        _ => base.triggers.clone(),
-    };
-    Ok(rebuild(base, video, audio, triggers))
+        track_insert(&cut, base_iv.start, track_sub(&to_track(with, m), with_iv))
+    });
+    Ok(rebuild(
+        base,
+        tracks,
+        shift_triggers(base, sel, base_iv, with_iv.len),
+    ))
 }
 
 /// `CONCATE[rope1, rope2]`: `rope2` appended after `rope1`.
 pub fn concat(first: &Rope, second: &Rope) -> Rope {
-    let (mut v1, mut a1) = to_tracks(first);
     // Pad the shorter medium of `first` so `second` starts aligned.
     let d = first.duration();
-    let (dv, da) = (track_duration(&v1), track_duration(&a1));
-    if dv < d {
-        v1.push(Piece::gap(d - dv));
-    }
-    if da < d {
-        a1.push(Piece::gap(d - da));
-    }
-    let (v2, a2) = to_tracks(second);
-    v1.extend(v2);
-    a1.extend(a2);
+    let tracks = Medium::ALL.map(|m| {
+        let mut t = to_track(first, m);
+        let dt = track_duration(&t);
+        if dt < d {
+            t.push(Piece::gap(d - dt));
+        }
+        t.extend(to_track(second, m));
+        t
+    });
     let mut triggers = first.triggers.clone();
     triggers.extend(second.triggers.iter().map(|t| Trigger {
         at: t.at + d,
         text: t.text.clone(),
     }));
-    rebuild(first, v1, a1, triggers)
+    rebuild(first, tracks, triggers)
 }
 
 #[cfg(test)]

@@ -18,6 +18,7 @@ pub mod scattering;
 
 use crate::types::{RopeId, StrandId};
 use std::collections::BTreeSet;
+use strandfs_media::Medium;
 use strandfs_units::Nanos;
 
 /// A reference to an interval of an immutable strand.
@@ -218,6 +219,22 @@ impl Segment {
     pub fn is_empty(&self) -> bool {
         self.video.is_none() && self.audio.is_none()
     }
+
+    /// The interval of one medium, if the segment has it.
+    pub fn track(&self, medium: Medium) -> &Option<StrandRef> {
+        match medium {
+            Medium::Video => &self.video,
+            Medium::Audio => &self.audio,
+        }
+    }
+
+    /// Mutable access to one medium's interval.
+    pub fn track_mut(&mut self, medium: Medium) -> &mut Option<StrandRef> {
+        match medium {
+            Medium::Video => &mut self.video,
+            Medium::Audio => &mut self.audio,
+        }
+    }
 }
 
 /// A text trigger at a rope-relative instant.
@@ -299,16 +316,12 @@ impl Rope {
 
     /// All strands the rope references (the interest set for GC).
     pub fn strand_ids(&self) -> BTreeSet<StrandId> {
-        let mut out = BTreeSet::new();
-        for s in &self.segments {
-            if let Some(v) = &s.video {
-                out.insert(v.strand);
-            }
-            if let Some(a) = &s.audio {
-                out.insert(a.strand);
-            }
-        }
-        out
+        self.segments
+            .iter()
+            .flat_map(|s| [s.video, s.audio])
+            .flatten()
+            .map(|r| r.strand)
+            .collect()
     }
 
     /// True if `user` may play the rope.
@@ -326,19 +339,19 @@ impl Rope {
     /// the rope. Used by tests and debug assertions.
     pub fn check_invariants(&self) -> Result<(), String> {
         for (i, s) in self.segments.iter().enumerate() {
-            for (name, r) in [("video", &s.video), ("audio", &s.audio)] {
-                if let Some(r) = r {
+            for medium in Medium::ALL {
+                if let Some(r) = s.track(medium) {
                     let d = r.duration();
                     let unit = Nanos::from_secs_f64(1.0 / r.unit_rate);
                     let delta = d.max(s.duration) - d.min(s.duration);
                     if delta > unit + unit {
                         return Err(format!(
-                            "segment {i} {name} duration {d} vs segment {} (unit {unit})",
+                            "segment {i} {medium} duration {d} vs segment {} (unit {unit})",
                             s.duration
                         ));
                     }
                     if r.len_units == 0 {
-                        return Err(format!("segment {i} {name} is empty"));
+                        return Err(format!("segment {i} {medium} is empty"));
                     }
                 }
             }

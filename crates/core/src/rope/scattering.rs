@@ -84,6 +84,18 @@ pub struct CopyPlan {
     pub count: u64,
 }
 
+impl CopyPlan {
+    /// The first block the plan copies out of `src`, the interval on its
+    /// side of the boundary: the right interval's first block, or the
+    /// left interval's `count`-th block from its end.
+    pub fn first_block(&self, src: &StrandRef) -> u64 {
+        match self.side {
+            CopySide::Right => src.start_block(),
+            CopySide::Left => src.end_block() + 1 - self.count,
+        }
+    }
+}
+
 /// Decide the cheaper healing plan for the boundary between `left` and
 /// `right`: the paper copies `min(C_a, C_b)` blocks, from whichever side
 /// needs fewer. `C_a`/`C_b` are capped at each interval's own block

@@ -288,10 +288,7 @@ impl HeaderBlock {
         let mut out = Vec::with_capacity(block_bytes);
         out.put_u32_le(HEADER_MAGIC);
         out.put_u16_le(VERSION);
-        out.put_u8(match self.medium {
-            Medium::Video => 0,
-            Medium::Audio => 1,
-        });
+        out.put_medium(self.medium);
         out.put_u8(0); // pad
         out.put_f64_le(self.unit_rate);
         out.put_u64_le(self.granularity);
@@ -324,15 +321,9 @@ impl HeaderBlock {
                 what: "header block version",
             });
         }
-        let medium = match buf.get_u8() {
-            0 => Medium::Video,
-            1 => Medium::Audio,
-            _ => {
-                return Err(FsError::CorruptIndex {
-                    what: "header medium",
-                })
-            }
-        };
+        let medium = buf.get_medium().ok_or(FsError::CorruptIndex {
+            what: "header medium",
+        })?;
         let _pad = buf.get_u8();
         let unit_rate = buf.get_f64_le();
         let granularity = buf.get_u64_le();

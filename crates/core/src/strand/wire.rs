@@ -5,6 +5,13 @@
 //! [`TakeLe`] consumes them from a `&[u8]` cursor (the slice itself
 //! advances, so `decode(mut buf: &[u8])` reads fields in declaration
 //! order exactly as before).
+//!
+//! A [`Medium`] is one byte on disk (video 0, audio 1) wherever it is
+//! stored: the strand header and the journal's `Begin` record both
+//! write it through [`PutLe::put_medium`] and read it back through
+//! [`TakeLe::get_medium`].
+
+use strandfs_media::Medium;
 
 /// Append little-endian fields to a growable buffer.
 pub trait PutLe {
@@ -18,6 +25,13 @@ pub trait PutLe {
     fn put_u64_le(&mut self, v: u64);
     /// Append a little-endian IEEE-754 `f64`.
     fn put_f64_le(&mut self, v: f64);
+    /// Append a medium's byte: video 0, audio 1.
+    fn put_medium(&mut self, m: Medium) {
+        self.put_u8(match m {
+            Medium::Video => 0,
+            Medium::Audio => 1,
+        });
+    }
 }
 
 impl PutLe for Vec<u8> {
@@ -64,6 +78,14 @@ pub trait TakeLe {
     fn get_u64_le(&mut self) -> u64;
     /// Consume a little-endian IEEE-754 `f64`.
     fn get_f64_le(&mut self) -> f64;
+    /// Consume a medium's byte; `None` for a byte no medium writes.
+    fn get_medium(&mut self) -> Option<Medium> {
+        match self.get_u8() {
+            0 => Some(Medium::Video),
+            1 => Some(Medium::Audio),
+            _ => None,
+        }
+    }
 }
 
 macro_rules! take_le {
@@ -136,6 +158,19 @@ mod tests {
         let mut out = Vec::new();
         out.put_u32_le(0x0102_0304);
         assert_eq!(out, vec![0x04, 0x03, 0x02, 0x01]);
+    }
+
+    #[test]
+    fn a_medium_is_one_byte() {
+        let mut out = Vec::new();
+        out.put_medium(Medium::Video);
+        out.put_medium(Medium::Audio);
+        out.put_u8(2);
+        assert_eq!(out, vec![0, 1, 2]);
+        let mut buf: &[u8] = &out;
+        assert_eq!(buf.get_medium(), Some(Medium::Video));
+        assert_eq!(buf.get_medium(), Some(Medium::Audio));
+        assert_eq!(buf.get_medium(), None);
     }
 
     #[test]

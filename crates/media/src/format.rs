@@ -11,6 +11,19 @@ pub enum Medium {
     Audio,
 }
 
+impl Medium {
+    /// Both media, video first: the order a rope segment lists them in.
+    pub const ALL: [Medium; 2] = [Medium::Video, Medium::Audio];
+
+    /// The other medium: the companion track beside this one.
+    pub fn other(self) -> Medium {
+        match self {
+            Medium::Video => Medium::Audio,
+            Medium::Audio => Medium::Video,
+        }
+    }
+}
+
 impl std::fmt::Display for Medium {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -3,51 +3,71 @@
 # The workspace has zero external dependencies, so --offline must always
 # succeed; any accidental reintroduction of a crates.io dependency fails
 # here before it fails in CI.
-set -euo pipefail
+#
+# Every step runs even when an earlier one fails, so one failure cannot
+# hide the rest: the failed steps are named at the end, and the script
+# exits 1 if there are any. "tier1: OK" means every step passed.
+set -uo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo fmt --check"
-cargo fmt --all --check
+FAILED=()
 
-echo "==> cargo clippy --workspace --offline -- -D warnings"
-cargo clippy --workspace --all-targets --offline -- -D warnings
+# step NAME CMD...: announce NAME, run CMD, and note NAME if it fails.
+step() {
+    local name="$1"
+    shift
+    echo "==> $name"
+    if ! "$@"; then
+        echo "!! failed: $name"
+        FAILED+=("$name")
+    fi
+}
+
+# Run a command with its standard output discarded.
+quiet() {
+    "$@" > /dev/null
+}
+
+step "cargo fmt --check" cargo fmt --all --check
+
+step "cargo clippy --workspace --offline -- -D warnings" \
+    cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # Rustdoc with warnings denied: a doc link left dangling by a deletion
 # fails here rather than rotting quietly.
-echo "==> cargo doc --workspace --no-deps --offline (RUSTDOCFLAGS=-D warnings)"
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+step "cargo doc --workspace --no-deps --offline (RUSTDOCFLAGS=-D warnings)" \
+    env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-echo "==> cargo build --workspace --release --offline"
-cargo build --workspace --release --offline
+step "cargo build --workspace --release --offline" \
+    cargo build --workspace --release --offline
 
-echo "==> cargo test --workspace -q --offline"
-cargo test --workspace -q --offline
+step "cargo test --workspace -q --offline" cargo test --workspace -q --offline
 
 # Finding 1 of benchmark/README.md: restore at eight blocks a round
 # once dropped replicated blocks at a short round size. Re-replication
 # now spends only round slack, so both of the finding's reproducers
 # must pass every storm check (exit 0) through the benchmark's own flags.
 for storm in "--storm-k 2 --storm-slow-factor 1" "--storm-k 3"; do
-    echo "==> finding-1 reproducer: failover_storm $storm --storm-restore 8"
     # shellcheck disable=SC2086
-    benchmark/run.sh --workload failover_storm --seed 1 --seconds 1 --trace 0 \
-        $storm --storm-restore 8 > /dev/null
+    step "finding-1 reproducer: failover_storm $storm --storm-restore 8" \
+        quiet benchmark/run.sh --workload failover_storm --seed 1 --seconds 1 --trace 0 \
+        $storm --storm-restore 8
 done
 
 # Finding 2: at a two-block round the storm's fail-slow member once held
 # every volume's round open, and viewers elsewhere dropped 35 replicated
 # blocks. A lane now starts its next round where its own turns ended, so
 # the finding's reproducer must pass every storm check (exit 0) too.
-echo "==> finding-2 reproducer: failover_storm --storm-k 2"
-benchmark/run.sh --workload failover_storm --seed 1 --seconds 1 --trace 0 \
-    --storm-k 2 > /dev/null
+step "finding-2 reproducer: failover_storm --storm-k 2" \
+    quiet benchmark/run.sh --workload failover_storm --seed 1 --seconds 1 --trace 0 \
+    --storm-k 2
 
 # The benchmark package (benchmark/, a workspace of its own, frozen by
 # BENCHMARK.json) binds a slice of the public API. Building and running
 # its own tests here makes a source-incompatible change to that surface
 # fail tier-1 rather than the benchmark driver.
-echo "==> cargo test --manifest-path benchmark/Cargo.toml --offline -q"
-cargo test --manifest-path benchmark/Cargo.toml --offline -q
+step "cargo test --manifest-path benchmark/Cargo.toml --offline -q" \
+    cargo test --manifest-path benchmark/Cargo.toml --offline -q
 
 # Wall-clock medians go through the tolerance tiers; every leaf of the
 # virtual-time sections is compared exactly (the same gate
@@ -58,8 +78,8 @@ cargo test --manifest-path benchmark/Cargo.toml --offline -q
 # capped-out sizes. Override with STRANDFS_SCALE_CAP= to sweep
 # everything.
 SCALE_CAP="${STRANDFS_SCALE_CAP:-10000}"
-echo "==> bench --check --quick (regression gate smoke, STRANDFS_SCALE_CAP=$SCALE_CAP)"
-STRANDFS_SCALE_CAP="$SCALE_CAP" \
+step "bench --check --quick (regression gate smoke, STRANDFS_SCALE_CAP=$SCALE_CAP)" \
+    env STRANDFS_SCALE_CAP="$SCALE_CAP" \
     cargo run -p strandfs-bench --release --offline --bin bench -- --check --quick
 
 # Seeded chaos pass: replay the failure-injection and fault-plan
@@ -68,8 +88,8 @@ STRANDFS_SCALE_CAP="$SCALE_CAP" \
 # lengths. The seed is logged; to replay a failure, re-run with
 # STRANDFS_TEST_SEED pinned to the printed value.
 CHAOS_SEED="${STRANDFS_TEST_SEED:-$(od -An -N8 -tu8 /dev/urandom | tr -d ' ')}"
-echo "==> chaos pass (STRANDFS_TEST_SEED=$CHAOS_SEED)"
-STRANDFS_TEST_SEED="$CHAOS_SEED" cargo test -q --offline \
+step "chaos pass (STRANDFS_TEST_SEED=$CHAOS_SEED)" \
+    env STRANDFS_TEST_SEED="$CHAOS_SEED" cargo test -q --offline \
     --test failure_injection --test proptests_sim --test crash_recovery
 
 # Bounded cluster failover smoke: one seeded kill-one-member run on a
@@ -78,8 +98,8 @@ STRANDFS_TEST_SEED="$CHAOS_SEED" cargo test -q --offline \
 # dropped blocks on replicated streams, a read-ahead-bounded glitch and
 # an fsck-clean rejoin — must hold for every seed. Replay any failure
 # with the printed seed.
-echo "==> cluster failover smoke (STRANDFS_TEST_SEED=$CHAOS_SEED)"
-STRANDFS_TEST_SEED="$CHAOS_SEED" cargo test -q --offline --test cluster_failover
+step "cluster failover smoke (STRANDFS_TEST_SEED=$CHAOS_SEED)" \
+    env STRANDFS_TEST_SEED="$CHAOS_SEED" cargo test -q --offline --test cluster_failover
 
 # Bounded scrub + hedge chaos smoke: seeded SilentCorruption +
 # FailSlow plans over a replicated cluster (tests/proptests_sim.rs,
@@ -90,8 +110,8 @@ STRANDFS_TEST_SEED="$CHAOS_SEED" cargo test -q --offline --test cluster_failover
 # count runs deeper here than in the default suite pass above (capped
 # in-test at 48); replay any failure with the printed seed.
 INTEGRITY_CASES="${STRANDFS_TEST_CASES:-24}"
-echo "==> scrub+hedge chaos smoke (STRANDFS_TEST_SEED=$CHAOS_SEED STRANDFS_TEST_CASES=$INTEGRITY_CASES)"
-STRANDFS_TEST_SEED="$CHAOS_SEED" STRANDFS_TEST_CASES="$INTEGRITY_CASES" \
+step "scrub+hedge chaos smoke (STRANDFS_TEST_SEED=$CHAOS_SEED STRANDFS_TEST_CASES=$INTEGRITY_CASES)" \
+    env STRANDFS_TEST_SEED="$CHAOS_SEED" STRANDFS_TEST_CASES="$INTEGRITY_CASES" \
     cargo test -q --offline --test proptests_sim cluster_integrity_chaos
 
 # Bounded fsx chaos: one seeded random rope-editing stream, model-checked
@@ -101,17 +121,20 @@ STRANDFS_TEST_SEED="$CHAOS_SEED" STRANDFS_TEST_CASES="$INTEGRITY_CASES" \
 # stream shrunk by testkit::prop's shrinker and a replay line that pastes
 # as a call to strandfs_testkit::fsx::replay; no variable to set.
 FSX_OPS="${STRANDFS_FSX_OPS:-80}"
-echo "==> fsx chaos pass (STRANDFS_TEST_SEED=$CHAOS_SEED STRANDFS_FSX_OPS=$FSX_OPS)"
-STRANDFS_TEST_SEED="$CHAOS_SEED" STRANDFS_FSX_OPS="$FSX_OPS" \
+step "fsx chaos pass (STRANDFS_TEST_SEED=$CHAOS_SEED STRANDFS_FSX_OPS=$FSX_OPS)" \
+    env STRANDFS_TEST_SEED="$CHAOS_SEED" STRANDFS_FSX_OPS="$FSX_OPS" \
     cargo test -q --offline --test fsx chaos_pass_bounded_by_env
 
-echo "==> scripts/loc.sh (non-test Rust lines per crate)"
-scripts/loc.sh
+step "scripts/loc.sh (non-test Rust lines per crate)" scripts/loc.sh
 
 # Orphans: a public item nothing calls but its own unit tests is deleted,
 # or listed in scripts/orphans.allow with the equation or ROADMAP item it
 # waits for.
-echo "==> scripts/orphans.sh (public items only their own unit tests call)"
-scripts/orphans.sh
+step "scripts/orphans.sh (public items only their own unit tests call)" scripts/orphans.sh
 
+if [ ${#FAILED[@]} -gt 0 ]; then
+    echo "tier1: ${#FAILED[@]} step(s) failed:"
+    printf '  - %s\n' "${FAILED[@]}"
+    exit 1
+fi
 echo "tier1: OK"
