@@ -6,7 +6,7 @@ use super::{ClusterReport, VolumeStats};
 use crate::cluster::fits;
 use std::collections::BTreeMap;
 use strandfs_core::mrs::PlayItem;
-use strandfs_core::msm::{BlockFetch, FetchFailure, Msm};
+use strandfs_core::msm::{BlockFetch, Fetch, FetchFailure, Msm};
 use strandfs_core::strand::index::NO_SUM;
 use strandfs_core::{FsError, StrandId};
 use strandfs_disk::Extent;
@@ -207,9 +207,9 @@ impl Lane {
         }
     }
 
-    /// Fetch `item`, due by `due`, on the member, issued at `issue`: a
-    /// block served is credited and booked, the clock then at its
-    /// completion; a failure holds the clock at its detection.
+    /// Fetch `item`, due by `due`, on the member, issued at `issue`, chained
+    /// if `chain`: a block served is credited and booked, the clock then at
+    /// its completion; a failure holds the clock at its detection.
     #[inline]
     pub(super) fn fetch(
         &mut self,
@@ -218,8 +218,10 @@ impl Lane {
         issue: Instant,
         due: Option<Instant>,
         scrub: bool,
+        chain: bool,
     ) -> Result<BlockFetch, FsError> {
-        let got = msm.fetch_block(item.strand, item.block, issue, item.duration, due, false)?;
+        let how = if chain { Fetch::Chained } else { Fetch::Timed };
+        let got = msm.fetch_block(item.strand, item.block, issue, item.duration, due, how)?;
         match got {
             BlockFetch::Data { op, .. } => {
                 self.credit(msm, item.strand, item.block, scrub);
@@ -320,7 +322,8 @@ impl Lane {
             None => true,
             // Only the probe's timing is consumed, so no payload.
             Some(item) => {
-                match msm.fetch_block(item.strand, item.block, now, Nanos::ZERO, None, false) {
+                let timed = Fetch::Timed;
+                match msm.fetch_block(item.strand, item.block, now, Nanos::ZERO, None, timed) {
                     Ok(BlockFetch::Data { op, .. }) => {
                         self.credit(msm, item.strand, item.block, scrub);
                         op.completed - now <= item.duration

@@ -8,12 +8,16 @@
 //! through [`Run::read_clean_copy`] and [`Run::rewrite`]), the re-pins
 //! ([`Run::repin`], [`Run::fail_over`] and their walk-offs) and
 //! [`Run::restore_pass`].
+//!
+//! A turn is one request ([`Run::serve_turn`]): its blocks after the
+//! first chain onto the lane it began on, so `k` adjacent blocks cost one
+//! positioning, as Eq. 15 and Eq. 18 price them. No cross-lane step chains.
 
 use super::lane::{scrub_step, Lane};
 use super::{ClusterAction, ClusterPlayback, ClusterReport, ScriptedAction};
 use crate::catalog::{ReplicaState, TitleId};
 use crate::cluster::Cluster;
-use strandfs_core::msm::{BlockFetch, FetchFailure, Msm};
+use strandfs_core::msm::{BlockFetch, Fetch, FetchFailure, Msm};
 use strandfs_core::{FsError, StrandId};
 use strandfs_disk::{stamp_batch, PayloadView, StampJob};
 use strandfs_obs::{Event, ObsSink};
@@ -410,11 +414,14 @@ impl<'a> Run<'a> {
     /// the stream is pinned to by then (a failover or a won hedge moves
     /// the pin mid-turn), where a display epoch opens and the turn ends —
     /// after a read-around, *not* the completion just recorded. A first
-    /// turn is anchored where its lane opened the round.
+    /// turn is anchored where its lane opened the round. A turn is one
+    /// request: every stored block after the first is chained onto the
+    /// disk of the lane the turn began on while the pin stays there.
     fn serve_turn(&mut self, idx: usize) -> Result<(), FsError> {
         let (round, s) = (self.round, &mut self.streams[idx]);
-        let lane = &self.lanes[s.vol];
+        let (home, lane) = (s.vol, &self.lanes[s.vol]);
         s.state.begin_turn(round, lane.opened, lane.clock);
+        let mut chain = false;
         for _ in 0..self.k {
             let s = &self.streams[idx];
             if !s.state.in_service() {
@@ -423,7 +430,9 @@ impl<'a> Run<'a> {
             let fetched = if s.state.next_item().silence {
                 Fetched::Served(self.lanes[s.vol].clock.max(s.state.last_completion()))
             } else {
-                self.fetch(idx)?
+                let fetched = self.fetch(idx, chain)?;
+                chain = self.streams[idx].vol == home;
+                fetched
             };
             let s = &mut self.streams[idx];
             let clock = self.lanes[s.vol].clock;
@@ -446,11 +455,12 @@ impl<'a> Run<'a> {
     /// Fetch stream `idx`'s next (stored) block, crossing replicas as the
     /// fetch demands: a media error downs the volume and fails the stream
     /// over, re-fetching in the same round so the glitch stays bounded by
-    /// read-ahead, and a corrupt payload is read around.
-    fn fetch(&mut self, idx: usize) -> Result<Fetched, FsError> {
+    /// read-ahead, and a corrupt payload is read around. Only the read on
+    /// the pin the fetch began with may be `chain`ed.
+    fn fetch(&mut self, idx: usize, chain: bool) -> Result<Fetched, FsError> {
         let floor = self.streams[idx].state.last_completion();
         let mut fail_at = self.lanes[self.streams[idx].vol].clock.max(floor);
-        for _attempt in 0..=self.lanes.len() {
+        for attempt in 0..=self.lanes.len() {
             let s = &self.streams[idx];
             let vol = s.vol;
             if self.cluster.is_up(vol) {
@@ -458,7 +468,9 @@ impl<'a> Run<'a> {
                 let issue = self.lanes[vol].clock.max(fail_at);
                 let scrub = self.cfg.scrub_blocks_per_round > 0;
                 let (lane, msm) = self.lane(vol);
-                let (reason, at, retries) = match lane.fetch(msm, item, issue, deadline, scrub)? {
+                let chain = chain && attempt == 0;
+                let got = lane.fetch(msm, item, issue, deadline, scrub, chain)?;
+                let (reason, at, retries) = match got {
                     BlockFetch::Silence => {
                         return Err(FsError::InvalidScenario {
                             reason: "non-silence schedule item resolves to a silence hole",
@@ -553,7 +565,8 @@ impl<'a> Run<'a> {
         let h_issue = self.lanes[hv].clock.max(issue + threshold);
         let scrub = self.cfg.scrub_blocks_per_round > 0;
         let (lane, msm) = self.lane(hv);
-        let got = msm.fetch_block(item.strand, item.block, h_issue, threshold, deadline, false)?;
+        let timed = Fetch::Timed;
+        let got = msm.fetch_block(item.strand, item.block, h_issue, threshold, deadline, timed)?;
         let mut won = None;
         match got {
             BlockFetch::Data { op, .. } => {
@@ -1284,6 +1297,116 @@ mod tests {
             _ => None,
         });
         assert!(resumed.min().is_some_and(|begin| begin >= readmitted));
+    }
+
+    /// The disk ops `run` emits serving one round for `active`, as
+    /// `(lba, sectors, op)`.
+    fn round_ops(
+        run: &mut Run,
+        ring: &std::rc::Rc<std::cell::RefCell<strandfs_obs::RingRecorder>>,
+        active: &[usize],
+    ) -> Vec<(u64, u64, strandfs_disk::DiskOp)> {
+        let recorded = ring.borrow().events().count();
+        run.serve_round(active).unwrap();
+        let ring = ring.borrow();
+        let ops = ring.events().skip(recorded).filter_map(|e| match *e {
+            Event::DiskOp {
+                lba,
+                sectors,
+                issued,
+                seek,
+                rotation,
+                transfer,
+                ..
+            } => Some((lba, sectors, issued, seek, rotation, transfer)),
+            _ => None,
+        });
+        ops.map(|(lba, sectors, issued, seek, rotation, transfer)| {
+            let op = strandfs_disk::DiskOp {
+                extent: strandfs_disk::Extent::new(lba, sectors),
+                kind: strandfs_disk::AccessKind::Read,
+                issued,
+                seek,
+                rotation,
+                transfer,
+                completed: issued + seek + rotation + transfer,
+            };
+            (lba, sectors, op)
+        })
+        .collect()
+    }
+
+    #[test]
+    fn a_turn_of_adjacent_blocks_completes_as_one_access() {
+        let mut c = cluster(1, 1);
+        let (sink, ring) = ObsSink::ring(1 << 12);
+        c.set_obs(&sink);
+        let a = c
+            .ingest("a", &ClipSpec::video_seconds(2.0).with_seed(23), 0.0)
+            .unwrap();
+        let cfg = ClusterPlayback::with_k(3);
+        let mut run = Run::new(&mut c, &[a], &[], &cfg).expect("run");
+        let ops = round_ops(&mut run, &ring, &[0]);
+        assert_eq!(ops.len(), 3, "{ops:?}");
+        for w in ops.windows(2) {
+            assert_eq!(w[1].0, w[0].0 + w[0].1, "the blocks lie end to end");
+            assert_eq!(w[1].2.issued, w[0].2.completed);
+        }
+        let first = ops[0].2;
+        let union = strandfs_disk::Extent::new(ops[0].0, ops.iter().map(|o| o.1).sum());
+        let disk = run.cluster.members()[0].mrs().msm().disk();
+        let whole = first.issued + first.positioning() + disk.transfer_time(union);
+        assert_eq!(ops[2].2.completed, whole);
+        // Without the chain, the blocks after a track boundary would each
+        // have waited for their sector to come round.
+        assert!(ops[1..].iter().all(|o| o.2.positioning() == Nanos::ZERO));
+        assert_eq!(run.lanes[0].clock, whole);
+    }
+
+    #[test]
+    fn a_block_whose_pin_moved_mid_turn_is_not_chained_on_its_new_lane() {
+        // Title a sits on volumes 0 and 1; the viewer is pinned to 0.
+        // Run 1: volume 0 runs 10x slow, so block 1 is hedged onto
+        // volume 1, which wins. Run 2: block 2 of volume 0's copy is bad
+        // media, so the stream fails over to volume 1 for it. Either way
+        // blocks 2 and 3 of the turn are read on volume 1, each issued the
+        // instant the read before it ended, at the next sector: a chain
+        // would have charged them no positioning.
+        for moved_by_hedge in [true, false] {
+            let mut c = cluster(2, 2);
+            let (sink, ring) = ObsSink::ring(1 << 12);
+            c.set_obs(&sink);
+            let a = c
+                .ingest("a", &ClipSpec::video_seconds(2.0).with_seed(23), 1.0)
+                .unwrap();
+            let plan = if moved_by_hedge {
+                FaultPlan::clean().with_fail_slow(10.0)
+            } else {
+                let loc = c.catalog().title(a).replicas[0].strands[0];
+                let msm = c.members()[0].mrs().msm();
+                let e = msm.strand(loc.strand).unwrap().block(1).unwrap().unwrap();
+                FaultPlan::clean().with_bad_extent(e)
+            };
+            assert!(c.arm_member_faults(0, plan));
+            let cfg = ClusterPlayback::with_k(3).hedged();
+            let mut run = Run::new(&mut c, &[a], &[], &cfg).expect("run");
+            assert_eq!(run.streams[0].vol, 0);
+            let ops = round_ops(&mut run, &ring, &[0]);
+            assert_eq!(run.streams[0].vol, 1, "the pin moved");
+            assert_eq!(ops.len(), 4, "{ops:?}");
+            // Volume 1 reads block 1 (the hedge) or block 2 (after the
+            // failed read on volume 0), then the rest of the turn.
+            let moved = &ops[if moved_by_hedge { 1 } else { 2 }..];
+            for w in moved.windows(2) {
+                assert_eq!(w[1].0, w[0].0 + w[0].1, "the blocks lie end to end");
+                assert_eq!(w[1].2.issued, w[0].2.completed);
+            }
+            let (hedges, failovers) = (run.report.hedge_wins, run.report.failovers);
+            assert_eq!((hedges, failovers), (u64::from(moved_by_hedge), 1));
+            for (_, _, op) in &moved[1..] {
+                assert!(op.positioning() > Nanos::ZERO, "chained: {op:?}");
+            }
+        }
     }
 
     #[test]

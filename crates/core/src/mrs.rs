@@ -789,7 +789,9 @@ impl Mrs {
     /// blocks copied and the Eq. 19/20 bound each plan was made under.
     pub fn heal_rope(&mut self, rope: &mut Rope, now: Instant) -> Result<EditReport, FsError> {
         let mut report = EditReport::default();
-        for i in 0..rope.segments.len().saturating_sub(1) {
+        let mut i = 0;
+        while i + 1 < rope.segments.len() {
+            let mut next = i + 1;
             for medium in Medium::ALL {
                 let (Some(l), Some(r)) = (
                     *rope.segments[i].track(medium),
@@ -821,12 +823,14 @@ impl Mrs {
                         bound,
                         new_strand,
                     });
-                    // Only heal one boundary per pass position; the
-                    // inserted segment shifts indices, and the outer loop
-                    // re-visits subsequent boundaries.
+                    // One heal per boundary. Resume past the bridge: its
+                    // seam to the rest of the side it copied is the one
+                    // long seek the copies pay for, not a boundary.
+                    next = i + 2;
                     break;
                 }
             }
+            i = next;
         }
         // A whole-segment bridge empties its source segment (both media
         // moved out, zero timeline left); sweep such husks. Timeline is

@@ -80,6 +80,18 @@ pub enum BlockFetch {
     },
 }
 
+/// What [`Msm::fetch_block`] asks of the disk besides the block's timing.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Fetch {
+    /// The timing alone: `Data` carries an empty payload.
+    Timed,
+    /// The timing and the payload.
+    Payload,
+    /// The timing alone, the read chained onto the disk's last access
+    /// ([`SimDisk::access_chained`]): the next block of one request.
+    Chained,
+}
+
 /// Configuration of a storage volume.
 #[derive(Clone, Debug)]
 pub struct MsmConfig {
@@ -744,7 +756,7 @@ impl Msm {
         n: BlockNo,
         now: Instant,
     ) -> Result<(Option<Vec<u8>>, Option<DiskOp>), FsError> {
-        match self.fetch_block(id, n, now, Nanos::ZERO, None, true)? {
+        match self.fetch_block(id, n, now, Nanos::ZERO, None, Fetch::Payload)? {
             BlockFetch::Silence => Ok((None, None)),
             BlockFetch::Data { payload, op, .. } => Ok((Some(payload), Some(op))),
             BlockFetch::Failed {
@@ -846,12 +858,13 @@ impl Msm {
     /// past it the read is abandoned without I/O (the degradation policy
     /// drops the block rather than waste disk time on dead data).
     ///
-    /// With `want_payload` false, `Data` carries an empty `payload`
-    /// (`Vec::new()` does not allocate) and timing, retries and fault
-    /// outcomes are identical: a service loop reads hundreds of
+    /// Unless `how` is [`Fetch::Payload`], `Data` carries an empty
+    /// `payload` (`Vec::new()` does not allocate) and timing, retries and
+    /// fault outcomes are identical: a service loop reads hundreds of
     /// thousands of blocks per round at scale and consumes only the
     /// *timing* of each fetch — copying payloads out of the device image
-    /// would dominate the run and churn the allocator.
+    /// would dominate the run and churn the allocator. A retry is a request
+    /// of its own: [`Fetch::Chained`] chains only the first attempt.
     ///
     /// Unlike [`Msm::read_block`], fault outcomes are *data* here
     /// ([`BlockFetch::Failed`]), not errors — the caller chooses the
@@ -864,7 +877,7 @@ impl Msm {
         now: Instant,
         budget: Nanos,
         deadline: Option<Instant>,
-        want_payload: bool,
+        how: Fetch,
     ) -> Result<BlockFetch, FsError> {
         let strand = self.strand(id)?;
         let extent = strand.block(n)?;
@@ -883,7 +896,12 @@ impl Msm {
         let mut t = now;
         let mut retries = 0u32;
         loop {
-            match self.disk.access(t, e, AccessKind::Read) {
+            let attempt = if how == Fetch::Chained && retries == 0 {
+                self.disk.access_chained(t, e, AccessKind::Read)
+            } else {
+                self.disk.access(t, e, AccessKind::Read)
+            };
+            match attempt {
                 Ok(op) => {
                     // The bytes arrived — but are they the bytes that
                     // were recorded? With verification on, re-hash the
@@ -900,7 +918,7 @@ impl Msm {
                     // `access` succeeding guarantees the extent is
                     // on-device, so the timed path can skip the copy
                     // outright — an empty Vec never touches the heap.
-                    let payload = if want_payload {
+                    let payload = if how == Fetch::Payload {
                         self.fetch_checked(e, "media extent beyond device")?
                     } else {
                         Vec::new()

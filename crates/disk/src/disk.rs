@@ -476,6 +476,9 @@ pub struct SimDisk {
     fault_seed: u64,
     /// The armed plan and its state; `None` until the first arm.
     faults: Option<Box<Faults>>,
+    /// When and at which sector the last access that did not fail ended:
+    /// where a chained access can continue it ([`SimDisk::access_chained`]).
+    chain_end: Option<(Instant, Lba)>,
 }
 
 impl SimDisk {
@@ -515,6 +518,7 @@ impl SimDisk {
             obs: ObsSink::noop(),
             fault_seed: 0,
             faults: None,
+            chain_end: None,
         }
     }
 
@@ -629,7 +633,23 @@ impl SimDisk {
     /// the armed plan says. Panics if the extent is off-device (a
     /// file-system bug, not an I/O error — real drivers validate requests
     /// before issue).
+    #[inline]
     pub fn access(&mut self, now: Instant, extent: Extent, kind: AccessKind) -> AccessResult {
+        self.run(now, extent, kind, false)
+    }
+
+    /// [`Self::access`] for the next block of one request. Issued at the
+    /// instant the last access that did not fail ended, at the sector
+    /// after it, the access is charged as the rest of one extent: no seek, no
+    /// rotational wait, and at the seam exactly the head switch and track
+    /// seek [`Self::transfer_time`] charges there inside one extent. Any
+    /// other access costs exactly what `access` costs.
+    #[inline]
+    pub fn access_chained(&mut self, now: Instant, e: Extent, kind: AccessKind) -> AccessResult {
+        self.run(now, e, kind, self.chain_end == Some((now, e.start)))
+    }
+
+    fn run(&mut self, now: Instant, extent: Extent, kind: AccessKind, chain: bool) -> AccessResult {
         assert!(
             self.geometry.extent_valid(extent),
             "access beyond device: {extent:?} on {} sectors",
@@ -638,15 +658,19 @@ impl SimDisk {
 
         let target_cyl = self.geometry.cylinder_of(extent.start);
         let distance = target_cyl.abs_diff(self.head_cylinder);
-        let seek = self.timing.seek[distance as usize];
+        let (seek, rotation, transfer) = if chain {
+            // The seam's switches, as inside the extent `start - 1 ..`.
+            let seam = Extent::new(extent.start - 1, extent.sectors + 1);
+            let transfer = self.transfer_time(seam) - self.timing.sector;
+            (Nanos::ZERO, Nanos::ZERO, transfer)
+        } else {
+            let seek = self.timing.seek[distance as usize];
+            // Rotational delay: the platter angle is a pure function of time.
+            let rotation = self.rotational_delay(now + seek, extent.start);
+            (seek, rotation, self.transfer_time(extent))
+        };
 
-        // Rotational delay: the platter angle is a pure function of time.
-        let at_cylinder = now + seek;
-        let rotation = self.rotational_delay(at_cylinder, extent.start);
-
-        let transfer = self.transfer_time(extent);
-
-        let completed = at_cylinder + rotation + transfer;
+        let completed = now + seek + rotation + transfer;
         self.head_cylinder = self.geometry.cylinder_of(extent.end() - 1);
 
         let mut op = DiskOp {
@@ -665,6 +689,8 @@ impl SimDisk {
         if let Some(lost) = applied.lost {
             self.drop_sectors(lost);
         }
+        let ended = (op.completed, extent.end());
+        self.chain_end = applied.fault.is_none().then_some(ended);
         self.stats.record(&op);
         let dir = match kind {
             AccessKind::Read => AccessDir::Read,
@@ -1002,6 +1028,54 @@ mod tests {
             .unwrap();
         assert_eq!(op2.rotation, Nanos::ZERO);
         assert_eq!(op2.seek, Nanos::ZERO);
+    }
+
+    #[test]
+    fn adjacent_reads_across_a_track_boundary_lose_a_revolution_less_the_head_switch() {
+        // Block 1 starts on sector 0 with no wait and crosses into track
+        // 1; block 2 starts at the very next sector, issued the instant
+        // block 1 ended. The platter angle does not count the head switch
+        // block 1 paid, so an unchained read of block 2 finds its sector
+        // one head switch gone and waits for it to come round again.
+        let mut d = disk();
+        let g = *d.geometry();
+        let spt = g.sectors_per_track;
+        let first = d
+            .access(Instant::EPOCH, Extent::new(0, spt + 4), AccessKind::Read)
+            .unwrap();
+        assert_eq!(first.positioning(), Nanos::ZERO);
+        let second = d
+            .access(first.completed, Extent::new(spt + 4, 4), AccessKind::Read)
+            .unwrap();
+        let lost = g.rotation_time().to_nanos() - g.head_switch.to_nanos();
+        let off = lost.max(second.rotation) - lost.min(second.rotation);
+        // Up to the nanoseconds each sector angle and time rounds off.
+        assert!(off < Nanos::from_nanos(64), "{second:?} waits {off} off");
+        assert_eq!(second.seek, Nanos::ZERO);
+    }
+
+    #[test]
+    fn a_chained_access_after_a_failed_one_is_a_plain_access() {
+        // The seam is a track boundary, where a chained block would pay
+        // a head switch and a plain one waits for nothing.
+        let spt = DiskGeometry::tiny_test().sectors_per_track;
+        let bad = Extent::new(spt - 4, 4);
+        let plan = FaultPlan::clean().with_bad_extent(bad);
+        let (mut chained, mut plain) = (disk(), disk());
+        chained.arm_faults(plan.clone());
+        plain.arm_faults(plan);
+        let failed = chained
+            .access_chained(Instant::EPOCH, bad, AccessKind::Read)
+            .unwrap_err();
+        plain
+            .access(Instant::EPOCH, bad, AccessKind::Read)
+            .unwrap_err();
+        let next = Extent::new(spt, 4);
+        let at = failed.op.completed;
+        let c = chained.access_chained(at, next, AccessKind::Read).unwrap();
+        let p = plain.access(at, next, AccessKind::Read).unwrap();
+        assert_eq!(format!("{c:?}"), format!("{p:?}"));
+        assert_eq!(chained.stats(), plain.stats());
     }
 
     #[test]

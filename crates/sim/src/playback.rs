@@ -13,7 +13,7 @@
 use crate::metrics::SimReport;
 use crate::stream::StreamState;
 use strandfs_core::mrs::{Mrs, PlayItem, PlaySchedule};
-use strandfs_core::msm::BlockFetch;
+use strandfs_core::msm::{BlockFetch, Fetch};
 use strandfs_core::FsError;
 use strandfs_obs::Event;
 use strandfs_units::{Instant, Nanos};
@@ -440,7 +440,7 @@ pub fn simulate_degraded(
                         t,
                         budget,
                         deadline,
-                        false,
+                        Fetch::Timed,
                     )? {
                         BlockFetch::Silence => {
                             return Err(FsError::InvalidScenario {

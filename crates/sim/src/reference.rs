@@ -20,7 +20,7 @@
 use crate::metrics::{NanosSummary, RoundSample, SimReport, StreamOutcome};
 use crate::playback::{count_lba_probe, Arrival, DegradeMode, ServiceOrder};
 use strandfs_core::mrs::{Mrs, PlaySchedule};
-use strandfs_core::msm::BlockFetch;
+use strandfs_core::msm::{BlockFetch, Fetch};
 use strandfs_core::FsError;
 use strandfs_obs::{DegradeAction, Event, ObsSink};
 use strandfs_units::{Instant, Nanos};
@@ -460,7 +460,7 @@ pub fn simulate_degraded_reference(
                         t,
                         budget,
                         deadline,
-                        true,
+                        Fetch::Payload,
                     )? {
                         BlockFetch::Silence => {
                             return Err(FsError::InvalidScenario {

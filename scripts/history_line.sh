@@ -101,6 +101,9 @@ END {
     split("vod_bare vod_defended failover_storm", C, " ")
     for (i = 1; i <= 3; i++)
         printf "%s\"%s\": %.3f", (i > 1 ? ", " : ""), C[i], last[C[i], "virt_makespan_s"]
+    printf "}, \"start_latency_ms_mean\": {"
+    for (i = 1; i <= 3; i++)
+        printf "%s\"%s\": %.3f", (i > 1 ? ", " : ""), C[i], last[C[i], "start_latency_ms_mean"]
     printf "}, "
     printf "\"cluster.service.rounds\": {\"failover_storm\": %d}, ", last["failover_storm", "cluster.service.rounds"]
     printf "\"checksum/stamp_batch_28k_ns\": %.1f, ", stamp

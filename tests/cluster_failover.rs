@@ -390,14 +390,14 @@ fn cluster_fingerprint(seed: u64) -> (u64, u64) {
 fn cluster_loop_fingerprints_are_pinned() {
     #[rustfmt::skip]
     const BEHAVIOUR: [u64; 32] = [
-        0x250a3f207aa6b247, 0x741dce5014ba3186, 0x1673daed98dec492, 0xc83a388a50ee8207,
-        0x359e0e5e649f0079, 0xd674be3d3fdc99b7, 0xc67e07083a3e9a0e, 0x508617c446b77a72,
-        0x7c8a381307a80cf9, 0x4e0887e19d8305f4, 0x3552f4da906d76ce, 0x5f88898a17e7ac72,
-        0xf8ef04370765a708, 0x69589fa4dfb54208, 0x178690ba796bde82, 0xa3c30f7dfc6fe257,
-        0x52c0bf3234517905, 0x042b0ad167348d7b, 0x2e10032038685f6b, 0xacece4b8940d1a36,
-        0x8bb00f3957c239ee, 0x5b7760ae24dec8aa, 0x16b70e7f860d4494, 0x35091f88c613d602,
-        0xded1fedb61a5f7b4, 0xe0b568d635ef5ec9, 0xa4bd0461c49cff18, 0xa2976282ffeaca94,
-        0xffac098616bc2576, 0xe8887fef008c247e, 0x8965a52d19e002c7, 0xefc8a75b2cdd3d92,
+        0xc8b8c031e2b7443a, 0xb59574cdf821ce5f, 0xab2ce4e3cdfc484b, 0xbea615b7c7748667,
+        0x4f1b76020f6efe5a, 0xb54654c872e85042, 0x457dbd244f64446e, 0xdc2b1c5bfb3b1ea0,
+        0xea7a7425126f0d66, 0xabac9f96d31c03b3, 0x70935095b4c073b9, 0x73541bb253e255f4,
+        0xa825602f5455b5a6, 0xce449f183f473961, 0x58d585ccc5fc13b7, 0xa3ac636de911f922,
+        0xc811564be1b699ef, 0x8f341fa0996e1f72, 0x73b951df66adf9da, 0x7450ee4e38210988,
+        0xa3fc4c4df9a75afa, 0xe2cdb18d89bc714d, 0x43347f81875278bf, 0xf378ce36faac0fa0,
+        0x0df49e5cbc1b1853, 0x27341ce0443702ba, 0xf21b107f311f0eaa, 0x1a1b29940b5ff797,
+        0x57b3fb0e79fbc2da, 0x2ef8dd05d9a242ce, 0x4aa6866e52f0d2c4, 0xe2e0be5980e48c30,
     ];
     #[rustfmt::skip]
     const IMAGE: [u64; 32] = [

@@ -641,10 +641,10 @@ fn rope_server_paths_are_pinned_on_a_journaled_volume() {
     assert_eq!(
         observed,
         (
-            (740, 15415090825240775575),
-            9551356293016627825,
-            5359260385759819795,
-            3654341984400146176
+            (667, 14419962258900639640),
+            3538535135169354806,
+            7344787209068744984,
+            13818732720160492408
         ),
         "observed {observed:?}; log:\n{}",
         log.join("\n")
@@ -696,4 +696,52 @@ fn gc_spares_strands_reachable_only_through_chained_edits() {
     // Dropping the last holder frees the whole chain.
     mrs.delete_rope("sim", joined).unwrap();
     assert!(!mrs.gc().is_empty());
+}
+
+#[test]
+fn an_insert_heals_each_of_its_boundaries_once() {
+    // A 2 s clip INSERTed 2 s into a 4 s video rope makes two boundaries:
+    // base → clip and clip → base. Each is healed once, from the strand
+    // on its far side, and nothing is copied out of a bridge.
+    let (mut mrs, ropes) = standard_volume(&[
+        ClipSpec::video_seconds(4.0),
+        ClipSpec::video_seconds(2.0).with_seed(50),
+    ])
+    .expect("build volume");
+    let (base, clip) = (ropes[0], ropes[1]);
+    let strand = |mrs: &strandfs::core::mrs::Mrs, r| {
+        let rope = mrs.rope(r).unwrap();
+        rope.segments[0].video.expect("a video rope").strand
+    };
+    let (base_strand, clip_strand) = (strand(&mrs, base), strand(&mrs, clip));
+    let whole = Interval::whole(secs(2));
+    mrs.insert(
+        "sim",
+        base,
+        secs(2),
+        MediaSel::Video,
+        clip,
+        whole,
+        Instant::EPOCH,
+    )
+    .unwrap();
+    let heals = &mrs.last_edit_report().heals;
+    assert_eq!(heals.len(), 2, "one heal per boundary: {heals:?}");
+    let rope = mrs.rope(base).unwrap();
+    let refs: Vec<_> = rope.segments.iter().map(|s| s.video.unwrap()).collect();
+    let strands: Vec<_> = refs.iter().map(|r| r.strand).collect();
+    let (first, second) = (heals[0].new_strand, heals[1].new_strand);
+    assert_eq!(
+        strands,
+        [base_strand, first, clip_strand, second, base_strand],
+        "{refs:?}"
+    );
+    // Each bridge copied the head of the side after it, which resumes
+    // right behind the copy: the clip, then — the clip-to-base seam — the
+    // base from 2 s on.
+    for (h, bridge, rest, from) in [(&heals[0], 1, 2, 0), (&heals[1], 3, 4, 60)] {
+        assert_eq!(h.side, strandfs::core::rope::scattering::CopySide::Right);
+        assert!(h.copied > 0 && h.copied <= h.bound, "{h:?}");
+        assert_eq!(refs[rest].start_unit, from + refs[bridge].len_units);
+    }
 }

@@ -2,7 +2,7 @@
 //! geometries and scattering anomalies.
 
 use strandfs::core::mrs::{compile_schedule, Mrs, RecordOpts, TrackOpts};
-use strandfs::core::msm::{BlockFetch, FetchFailure, Msm, MsmConfig};
+use strandfs::core::msm::{BlockFetch, Fetch, FetchFailure, Msm, MsmConfig};
 use strandfs::core::rope::edit::{Interval, MediaSel};
 use strandfs::core::strand::StrandMeta;
 use strandfs::core::{FsError, StrandId};
@@ -327,7 +327,7 @@ fn resilient_read_recovers_within_budget() {
     let victim = block_extent(&msm, id, 1);
     msm.arm_faults(FaultPlan::clean().with_transient(victim, 1));
     let fetch = msm
-        .fetch_block(id, 1, t, Nanos::from_millis(500), None, true)
+        .fetch_block(id, 1, t, Nanos::from_millis(500), None, Fetch::Payload)
         .unwrap();
     match fetch {
         BlockFetch::Data {
@@ -351,7 +351,7 @@ fn expired_deadline_abandons_without_io() {
             t,
             Nanos::from_millis(500),
             Some(Instant::EPOCH),
-            true,
+            Fetch::Payload,
         )
         .unwrap();
     assert!(

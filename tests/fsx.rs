@@ -38,12 +38,12 @@ fn long_run_with_faults_and_crash_point_recovers() {
     // retry path under continuous model checking; the crash point ends
     // the run in a power-cycle + journal recovery + convergent fsck +
     // write-intent prefix verification.
-    // With seed 23 the stream issues ~81k sector writes over its first
-    // 520 ops and ~93k over 600, so an 85k threshold fires shortly past
+    // With seed 23 the stream issues ~22.7k device writes over its first
+    // 520 ops and ~24.8k over 560, so a 23k threshold fires shortly past
     // op 520, well inside the 700-op budget.
     let plan = FaultPlan::clean()
         .with_random_transients(0.002, 1)
-        .with_crash_point(CrashPoint::AfterWrites(85_000));
+        .with_crash_point(CrashPoint::AfterWrites(23_000));
     let cfg = FsxConfig::healthy(23, 700).with_plan(plan);
     let out = run(&cfg);
     assert!(out.ops_attempted >= 500, "crashed too early: {out:?}");

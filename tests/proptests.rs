@@ -964,6 +964,117 @@ fn table_driven_access_matches_the_timing_formulas() {
     );
 }
 
+/// One request's blocks as a chain (`SimDisk::access_chained`): over
+/// drawn geometries, a first extent starting anywhere or just short of a
+/// track or cylinder end, adjacent extents of up to two tracks each, and
+/// a drawn issue instant, every block issued when the one before it
+/// ended completes exactly when one `access` of the chain's union up to
+/// that block would, from the same head and instant. Then a chained
+/// access that does not continue the last one — issued a nanosecond
+/// late, starting a sector on, or a disk's first — is `access` exactly:
+/// op, stats and events.
+#[test]
+fn a_chain_of_adjacent_extents_times_like_one_access() {
+    use strandfs::disk::AccessKind::Read;
+    use strandfs::obs::ObsSink;
+    use strandfs::units::Instant;
+
+    check_with(
+        &Config::with_cases(96),
+        "a_chain_of_adjacent_extents_times_like_one_access",
+        (
+            (2u64..40, 1u64..6, 1u64..80, 600.0f64..15_000.0, 0.0f64..2.0),
+            (0u8..3, 0u64..1 << 40, 0u64..1 << 40, 0u64..40_000_000),
+            (prop_vec(1u64..160, 1..8), 0u8..3),
+        ),
+        |&((cylinders, tracks, spt, rpm, switch_ms), (edge, head, pick, gap), (ref lens, miss))| {
+            let geometry = DiskGeometry {
+                cylinders,
+                tracks_per_cylinder: tracks,
+                sectors_per_track: spt,
+                rpm,
+                head_switch: Seconds::from_millis(switch_ms),
+                ..DiskGeometry::tiny_test()
+            };
+            let total = geometry.total_sectors();
+            let start = match edge {
+                // A sector or two short of a track end.
+                0 => (pick % total / spt + 1) * spt - 1 - pick % 2,
+                // Just short of a cylinder end.
+                1 => {
+                    let per_cyl = geometry.sectors_per_cylinder();
+                    (pick % total / per_cyl + 1) * per_cyl - 1 - pick % 3
+                }
+                _ => pick % total,
+            }
+            .min(total - 1);
+            let model = SeekModel::vintage_1991();
+            let fresh = || {
+                let (sink, ring) = ObsSink::ring(64);
+                let mut d = SimDisk::new(geometry, model);
+                d.set_obs(sink);
+                (d, ring)
+            };
+            // A disk whose head rests on `head`'s cylinder at `t0`.
+            let t0 = Instant::EPOCH + Nanos::from_nanos(gap) + Nanos::from_secs(1);
+            let primed = || {
+                let (mut d, ring) = fresh();
+                d.access(Instant::EPOCH, Extent::new(head % total, 1), Read)
+                    .expect("an unarmed disk never faults");
+                (d, ring)
+            };
+            let (mut chain, _) = primed();
+            let (mut now, mut end) = (t0, start);
+            for &len in lens {
+                let e = Extent::new(end, len.min(total - end));
+                if e.sectors == 0 {
+                    break;
+                }
+                let got = chain.access_chained(now, e, Read).expect("unarmed");
+                let whole = Extent::new(start, e.end() - start);
+                let want = primed().0.access(t0, whole, Read).expect("unarmed");
+                prop_assert_eq!(got.completed, want.completed, "{e:?} of {whole:?}");
+                (now, end) = (got.completed, e.end());
+            }
+            prop_assert_eq!(chain.head_cylinder(), geometry.cylinder_of(end - 1));
+
+            // A chained access that does not continue: the same history on
+            // two disks, then `access_chained` on one and `access` on the
+            // other. `miss` 2 is a disk's first access.
+            let ((mut a, ring_a), (mut b, ring_b)) = if miss < 2 {
+                (primed(), primed())
+            } else {
+                (fresh(), fresh())
+            };
+            let mut at = t0;
+            if miss < 2 {
+                for d in [&mut a, &mut b] {
+                    let prefix = Extent::new(start, end - start);
+                    at = d.access(t0, prefix, Read).expect("unarmed").completed;
+                }
+            }
+            let e = |s: u64| Extent::new(s % total, 1 + s % spt.min(total - s % total));
+            let next = match miss {
+                0 => {
+                    at += Nanos::from_nanos(1);
+                    e(end)
+                }
+                1 => e(end + 1),
+                _ => e(start),
+            };
+            let chained = a.access_chained(at, next, Read).expect("unarmed");
+            let plain = b.access(at, next, Read).expect("unarmed");
+            prop_assert_eq!(format!("{chained:?}"), format!("{plain:?}"));
+            prop_assert_eq!(a.stats(), b.stats());
+            let events = |r: &std::rc::Rc<std::cell::RefCell<strandfs::obs::RingRecorder>>| {
+                r.borrow().events().copied().collect::<Vec<_>>()
+            };
+            prop_assert_eq!(events(&ring_a), events(&ring_b));
+            Ok(())
+        },
+    );
+}
+
 // ---------- admission monotonicity ----------
 
 #[test]
