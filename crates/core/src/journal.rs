@@ -44,6 +44,7 @@ use crate::strand::wire::{PutLe, TakeLe};
 use std::collections::BTreeMap;
 use strandfs_disk::Extent;
 use strandfs_media::Medium;
+use strandfs_obs::JournalOp;
 
 /// Default sectors reserved for each of the two checkpoint slots. The
 /// slot bounds the strand catalog a checkpoint can hold (~21 entries
@@ -178,6 +179,18 @@ impl Record {
         })
     }
 
+    /// The event kind the record reports as.
+    pub fn op(&self) -> JournalOp {
+        match self {
+            Record::Begin { .. } => JournalOp::Begin,
+            Record::Append { .. } => JournalOp::Append,
+            Record::Silence { .. } => JournalOp::Silence,
+            Record::FinishIntent { .. } => JournalOp::FinishIntent,
+            Record::FinishCommit { .. } => JournalOp::FinishCommit,
+            Record::Delete { .. } => JournalOp::Delete,
+        }
+    }
+
     /// The strand the record belongs to.
     pub fn strand(&self) -> u64 {
         match *self {
@@ -192,7 +205,7 @@ impl Record {
 }
 
 /// Encode a record into one sector of `sector_size` bytes.
-pub fn encode_record(seq: u64, rec: &Record, sector_size: usize) -> Vec<u8> {
+fn encode_record(seq: u64, rec: &Record, sector_size: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(sector_size);
     out.put_u32_le(RECORD_MAGIC);
     out.put_u64_le(seq);
@@ -337,7 +350,7 @@ pub struct Checkpoint {
 
 /// Encode a checkpoint into its slot (`ckpt_sectors * sector_size`
 /// bytes). Errors when the catalog outgrows the slot.
-pub fn encode_checkpoint(
+fn encode_checkpoint(
     c: &Checkpoint,
     sector_size: usize,
     ckpt_sectors: u64,
@@ -402,12 +415,12 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Option<Checkpoint> {
     })
 }
 
-/// In-memory journal state: geometry plus the write cursor. All device
-/// I/O stays in [`crate::msm::Msm`]; this type only decides *where*
-/// records and checkpoints go and *whether* a slot may be reused.
+/// In-memory journal state: geometry plus the write cursor. The journal
+/// owns its on-medium format: [`Journal::append`] and
+/// [`Journal::checkpoint`] pick the slot, encode the bytes and move the
+/// cursor. All device I/O stays in [`crate::msm::Msm`].
 #[derive(Debug)]
 pub struct Journal {
-    region_start: u64,
     slots: u64,
     ckpt_sectors: u64,
     sector_size: usize,
@@ -419,10 +432,9 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// A fresh journal at the start of an empty volume.
-    pub fn new(region_start: u64, config: JournalConfig, sector_size: usize) -> Journal {
+    /// A fresh journal at the start (sector 0) of an empty volume.
+    pub fn new(config: JournalConfig, sector_size: usize) -> Journal {
         Journal {
-            region_start,
             slots: config.slots.max(1),
             ckpt_sectors: config.ckpt_sectors.max(1),
             sector_size,
@@ -441,12 +453,7 @@ impl Journal {
 
     /// The whole reserved region (checkpoints + record slots).
     pub fn region(&self) -> Extent {
-        Extent::new(self.region_start, 2 * self.ckpt_sectors + self.slots)
-    }
-
-    /// The sector size records are encoded into.
-    pub fn sector_size(&self) -> usize {
-        self.sector_size
+        Extent::new(0, 2 * self.ckpt_sectors + self.slots)
     }
 
     /// Record slots in the circular log.
@@ -454,64 +461,21 @@ impl Journal {
         self.slots
     }
 
-    /// Sectors per checkpoint slot.
-    pub fn ckpt_sectors(&self) -> u64 {
-        self.ckpt_sectors
-    }
-
-    /// The next sequence number to be written.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// How many checkpoints have been written.
-    pub fn ckpt_count(&self) -> u64 {
-        self.ckpt_count
-    }
-
     /// The slot extent for sequence number `seq`.
     pub fn record_extent(&self, seq: u64) -> Extent {
-        Extent::new(
-            self.region_start + 2 * self.ckpt_sectors + (seq % self.slots),
-            1,
-        )
-    }
-
-    /// The checkpoint slot the next checkpoint write goes to.
-    pub fn next_ckpt_extent(&self) -> Extent {
-        self.ckpt_extent((self.ckpt_count % 2) as usize)
+        Extent::new(2 * self.ckpt_sectors + seq % self.slots, 1)
     }
 
     /// Checkpoint slot `i` (0 = A, 1 = B).
     pub fn ckpt_extent(&self, i: usize) -> Extent {
-        Extent::new(
-            self.region_start + i as u64 * self.ckpt_sectors,
-            self.ckpt_sectors,
-        )
+        Extent::new(i as u64 * self.ckpt_sectors, self.ckpt_sectors)
     }
 
     /// The oldest sequence number still needed: the earliest `Begin`
     /// of a live strand, or the write cursor when nothing is in
     /// flight.
-    pub fn floor(&self) -> u64 {
+    fn floor(&self) -> u64 {
         self.live.values().copied().min().unwrap_or(self.next_seq)
-    }
-
-    /// Claim the next sequence number, refusing to lap a live record.
-    pub fn take_seq(&mut self) -> Result<u64, FsError> {
-        if self.next_seq - self.floor() >= self.slots {
-            return Err(FsError::JournalCorrupt {
-                what: "journal full: live records fill every slot",
-            });
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        Ok(seq)
-    }
-
-    /// Note that `strand`'s `Begin` landed at `seq`.
-    pub fn note_begin(&mut self, strand: u64, seq: u64) {
-        self.live.insert(strand, seq);
     }
 
     /// True if `strand` has already journaled its `Begin`.
@@ -519,15 +483,50 @@ impl Journal {
         self.live.contains_key(&strand)
     }
 
-    /// Note that `strand` is durable (committed or deleted): its
+    /// Claim the next sequence number for `rec`, refusing to lap a live
+    /// record: `(seq, slot extent, sector bytes)`. A `Begin` makes its
+    /// strand live; a `FinishCommit` or `Delete` ends it, so its
     /// records may be reclaimed at the next checkpoint.
-    pub fn note_end(&mut self, strand: u64) {
-        self.live.remove(&strand);
+    pub fn append(&mut self, rec: &Record) -> Result<(u64, Extent, Vec<u8>), FsError> {
+        if self.next_seq - self.floor() >= self.slots {
+            return Err(FsError::JournalCorrupt {
+                what: "journal full: live records fill every slot",
+            });
+        }
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let bytes = encode_record(seq, rec, self.sector_size);
+        match *rec {
+            Record::Begin { strand, .. } => {
+                self.live.insert(strand, seq);
+            }
+            Record::FinishCommit { strand, .. } | Record::Delete { strand } => {
+                self.live.remove(&strand);
+            }
+            _ => {}
+        }
+        Ok((seq, self.record_extent(seq), bytes))
     }
 
-    /// Note a checkpoint write.
-    pub fn note_checkpoint(&mut self) {
+    /// The checkpoint of `next_strand` and `catalog` at the cursor, in
+    /// the alternate A/B slot: `(seq, slot extent, slot bytes)`. The
+    /// count moves only once the catalog has encoded.
+    pub fn checkpoint(
+        &mut self,
+        next_strand: u64,
+        catalog: Vec<CatalogEntry>,
+    ) -> Result<(u64, Extent, Vec<u8>), FsError> {
+        let ck = Checkpoint {
+            seq: self.next_seq,
+            next_strand,
+            floor: self.floor(),
+            count: self.ckpt_count,
+            catalog,
+        };
+        let bytes = encode_checkpoint(&ck, self.sector_size, self.ckpt_sectors)?;
+        let extent = self.ckpt_extent((self.ckpt_count % 2) as usize);
         self.ckpt_count += 1;
+        Ok((ck.seq, extent, bytes))
     }
 }
 
@@ -649,7 +648,6 @@ mod tests {
     #[test]
     fn circular_slots_and_live_floor_guard() {
         let mut j = Journal::new(
-            0,
             JournalConfig {
                 slots: 4,
                 ..JournalConfig::default()
@@ -657,32 +655,66 @@ mod tests {
             512,
         );
         assert_eq!(j.region(), Extent::new(0, 2 * CKPT_SECTORS + 4));
-        assert_eq!(j.record_extent(0).start, 8);
-        assert_eq!(j.record_extent(5).start, 9); // 5 % 4 = 1
-        assert_eq!(j.next_ckpt_extent(), Extent::new(0, CKPT_SECTORS));
-        j.note_checkpoint();
-        assert_eq!(
-            j.next_ckpt_extent(),
-            Extent::new(CKPT_SECTORS, CKPT_SECTORS)
-        );
+        // Checkpoints alternate A, B, A.
+        for slot in [0, CKPT_SECTORS, 0] {
+            let (_, extent, bytes) = j.checkpoint(0, Vec::new()).unwrap();
+            assert_eq!(extent, Extent::new(slot, CKPT_SECTORS));
+            assert_eq!(bytes.len(), CKPT_SECTORS as usize * 512);
+        }
 
         // With no live strands the floor tracks the cursor: the log
         // can wrap forever.
-        for _ in 0..10 {
-            j.take_seq().unwrap();
+        let silence = Record::Silence {
+            strand: 1,
+            block: 0,
+            units: 1,
+        };
+        for seq in 0..10 {
+            let (s, extent, _) = j.append(&silence).unwrap();
+            assert_eq!(s, seq);
+            assert_eq!(extent, Extent::new(2 * CKPT_SECTORS + seq % 4, 1));
         }
-        // A live strand pins the floor at its Begin.
-        let seq = j.take_seq().unwrap();
-        j.note_begin(42, seq);
+        // A live strand pins the floor at its Begin, and its Delete
+        // releases it: the log then laps past where it would refuse.
+        let begin = |strand| Record::Begin {
+            strand,
+            medium: Medium::Audio,
+            unit_rate: 8_000.0,
+            granularity: 800,
+            unit_bits: 8,
+        };
+        let (seq, _, _) = j.append(&begin(42)).unwrap();
         assert!(j.has_begun(42));
-        assert_eq!(j.floor(), seq);
-        for _ in 0..3 {
-            j.take_seq().unwrap();
-        }
-        // All 4 slots now hold live records: the next take must refuse.
-        assert!(matches!(j.take_seq(), Err(FsError::JournalCorrupt { .. })));
-        j.note_end(42);
+        let (_, _, bytes) = j.checkpoint(0, Vec::new()).unwrap();
+        assert_eq!(decode_checkpoint(&bytes).unwrap().floor, seq);
+        j.append(&silence).unwrap();
+        j.append(&Record::Delete { strand: 42 }).unwrap();
         assert!(!j.has_begun(42));
-        j.take_seq().unwrap();
+        for _ in 0..4 {
+            j.append(&silence).unwrap();
+        }
+        // All 4 slots holding live records refuse the next append.
+        j.append(&begin(43)).unwrap();
+        for _ in 0..3 {
+            j.append(&silence).unwrap();
+        }
+        assert!(matches!(
+            j.append(&silence),
+            Err(FsError::JournalCorrupt { .. })
+        ));
+    }
+
+    #[test]
+    fn append_bytes_are_the_record_encoded_at_its_sequence() {
+        let mut j = Journal::new(JournalConfig::default(), 512);
+        let recs = [
+            Record::FinishIntent { strand: 3 },
+            Record::Delete { strand: 3 },
+        ];
+        for rec in &recs {
+            let (seq, extent, bytes) = j.append(rec).unwrap();
+            assert_eq!(bytes, encode_record(seq, rec, 512));
+            assert_eq!(extent, j.record_extent(seq));
+        }
     }
 }

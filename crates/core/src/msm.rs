@@ -111,15 +111,12 @@ pub struct MsmConfig {
 
 impl MsmConfig {
     /// The standard configuration: constrained allocation with the given
-    /// gap bounds (wrap allowed).
+    /// gap bounds.
     pub fn constrained(gap_bounds: GapBounds, seed: u64) -> Self {
         MsmConfig {
             gap_bounds,
             seed,
-            policy: AllocPolicy::Constrained {
-                bounds: gap_bounds,
-                allow_wrap: true,
-            },
+            policy: AllocPolicy::Constrained { bounds: gap_bounds },
             journal: None,
         }
     }
@@ -171,14 +168,6 @@ pub struct Msm {
     /// Completion time of the most recent disk operation — the instant
     /// journal writes issued by time-less entry points (deletes) use.
     last_io: Instant,
-    /// Verified header→secondary→primary index traversals, keyed by
-    /// strand id and pinned to the header location that was read: a
-    /// reload of an unchanged index is served from memory with no disk
-    /// I/O, like a RAM-resident index in a real server. Entries drop
-    /// whenever the strand's on-disk index can change (delete, truncate)
-    /// and wholesale when a fault plan is armed (media may decay under
-    /// the cache). fsck bypasses it — its whole point is the disk bytes.
-    index_cache: BTreeMap<StrandId, (Extent, Strand)>,
     /// When set, every successful block fetch re-hashes the on-disk
     /// payload and compares it against the sum stamped in the strand
     /// index; mismatches surface as [`FetchFailure::Corrupt`] /
@@ -195,7 +184,7 @@ impl Msm {
         let env = Self::service_env(&disk, config.gap_bounds);
         let mut alloc = Allocator::new(total, config.policy, config.seed);
         let journal = config.journal.map(|jc| {
-            let j = Journal::new(0, jc, sector_size);
+            let j = Journal::new(jc, sector_size);
             let region = j.region();
             assert!(
                 region.end() <= total,
@@ -215,7 +204,6 @@ impl Msm {
             journal,
             text_extents: Vec::new(),
             last_io: Instant::EPOCH,
-            index_cache: BTreeMap::new(),
             verify_reads: false,
             disk,
         }
@@ -266,9 +254,6 @@ impl Msm {
 
     /// Install (or replace) a fault plan on the underlying device.
     pub fn arm_faults(&mut self, plan: FaultPlan) {
-        // Media may decay (or be torn) under a cached traversal — every
-        // future reload must go back to the disk image.
-        self.index_cache.clear();
         self.disk.arm_faults(plan);
     }
 
@@ -340,39 +325,19 @@ impl Msm {
         self.disk
     }
 
-    fn journal_op_of(rec: &Record) -> JournalOp {
-        match rec {
-            Record::Begin { .. } => JournalOp::Begin,
-            Record::Append { .. } => JournalOp::Append,
-            Record::Silence { .. } => JournalOp::Silence,
-            Record::FinishIntent { .. } => JournalOp::FinishIntent,
-            Record::FinishCommit { .. } => JournalOp::FinishCommit,
-            Record::Delete { .. } => JournalOp::Delete,
-        }
-    }
-
     /// Persist one intent record ahead of the mutation it describes.
     /// No-op (`Ok(None)`) on journal-free volumes.
     fn journal_append(&mut self, rec: Record, now: Instant) -> Result<Option<DiskOp>, FsError> {
         let Some(j) = self.journal.as_mut() else {
             return Ok(None);
         };
-        let seq = j.take_seq()?;
-        let extent = j.record_extent(seq);
-        let bytes = journal::encode_record(seq, &rec, j.sector_size());
-        match &rec {
-            Record::Begin { strand, .. } => j.note_begin(*strand, seq),
-            Record::FinishCommit { strand, .. } | Record::Delete { strand } => j.note_end(*strand),
-            _ => {}
-        }
-        self.disk.store_data(extent, &bytes);
-        let op = self.timed_write(now, extent)?;
-        let (strand, jop, at) = (rec.strand(), Self::journal_op_of(&rec), op.completed);
+        let (seq, extent, bytes) = j.append(&rec)?;
+        let op = self.write(now, extent, &bytes)?;
         self.obs.emit(|| Event::Journal {
-            strand,
-            op: jop,
+            strand: rec.strand(),
+            op: rec.op(),
             seq,
-            at,
+            at: op.completed,
         });
         Ok(Some(op))
     }
@@ -381,10 +346,8 @@ impl Msm {
     /// been journaled yet (deferred so that `begin_strand` itself stays
     /// free of I/O). Returns the instant the caller should continue at.
     fn ensure_begun(&mut self, id: StrandId, now: Instant) -> Result<Instant, FsError> {
-        match self.journal.as_ref() {
-            None => return Ok(now),
-            Some(j) if j.has_begun(id.raw()) => return Ok(now),
-            Some(_) => {}
+        if self.journal.as_ref().is_none_or(|j| j.has_begun(id.raw())) {
+            return Ok(now);
         }
         let meta = *self.recording_mut(id)?.meta();
         let op = self.journal_append(
@@ -405,10 +368,10 @@ impl Msm {
     /// the write completed (or `now` unchanged on journal-free
     /// volumes).
     fn write_checkpoint(&mut self, now: Instant) -> Result<Instant, FsError> {
-        let Some(j) = self.journal.as_ref() else {
+        let Some(j) = self.journal.as_mut() else {
             return Ok(now);
         };
-        let catalog: Vec<CatalogEntry> = self
+        let catalog = self
             .strands
             .iter()
             .filter_map(|(id, st)| match st {
@@ -419,36 +382,25 @@ impl Msm {
                 StrandState::Recording(_) => None,
             })
             .collect();
-        let ck = Checkpoint {
-            seq: j.next_seq(),
-            next_strand: self.next_strand,
-            floor: j.floor(),
-            count: j.ckpt_count(),
-            catalog,
-        };
-        let bytes = journal::encode_checkpoint(&ck, j.sector_size(), j.ckpt_sectors())?;
-        let extent = j.next_ckpt_extent();
-        self.journal
-            .as_mut()
-            .expect("journal checked above")
-            .note_checkpoint();
-        self.disk.store_data(extent, &bytes);
-        let op = self.timed_write(now, extent)?;
-        let (seq, at) = (ck.seq, op.completed);
+        let (seq, extent, bytes) = j.checkpoint(self.next_strand, catalog)?;
+        let op = self.write(now, extent, &bytes)?;
+        let at = op.completed;
         self.obs.emit(|| Event::Journal {
             strand: u64::MAX,
             op: JournalOp::Checkpoint,
             seq,
             at,
         });
-        Ok(op.completed)
+        Ok(at)
     }
 
-    /// Perform a timed write, surfacing injected write faults: a torn
-    /// write (only a sector prefix persisted) is distinguished from a
-    /// fully-failed one because the caller's recovery story differs —
-    /// torn data fails its journal checksum, failed data is absent.
-    fn timed_write(&mut self, now: Instant, extent: Extent) -> Result<DiskOp, FsError> {
+    /// Store `bytes` at `extent`, then time the write, surfacing
+    /// injected write faults: a torn write (only a sector prefix
+    /// persisted) is distinguished from a fully-failed one because the
+    /// caller's recovery story differs — torn data fails its journal
+    /// checksum, failed data is absent.
+    fn write(&mut self, now: Instant, extent: Extent, bytes: &[u8]) -> Result<DiskOp, FsError> {
+        self.disk.store_data(extent, bytes);
         match self.disk.access(now, extent, AccessKind::Write) {
             Ok(op) => {
                 self.last_io = op.completed;
@@ -585,8 +537,7 @@ impl Msm {
             payload_sum: sum,
         };
         let t = self.journal_append(record, t)?.map_or(t, |o| o.completed);
-        self.disk.store_data(extent, payload);
-        let op = self.timed_write(t, extent)?;
+        let op = self.write(t, extent, payload)?;
         Ok((block_no, op))
     }
 
@@ -699,8 +650,7 @@ impl Msm {
     /// Write one sector of `bytes` wherever the free map first has room.
     fn write_anywhere(&mut self, bytes: &[u8], now: Instant) -> Result<Extent, FsError> {
         let e = self.alloc.allocate_anywhere(1)?;
-        self.disk.store_data(e, bytes);
-        self.timed_write(now, e)?;
+        self.write(now, e, bytes)?;
         Ok(e)
     }
 
@@ -843,8 +793,7 @@ impl Msm {
                 sectors: e.sectors,
             });
         }
-        self.disk.store_data(e, data);
-        self.timed_write(now, e)
+        self.write(now, e, data)
     }
 
     /// Fetch media block `n` with a continuity-aware retry budget — the
@@ -966,30 +915,10 @@ impl Msm {
         }
     }
 
-    /// Reload a strand from its on-disk index — served from the index
-    /// cache when this `(id, header)` pair was already traversed and has
-    /// not been invalidated since, with no disk I/O or virtual time.
-    /// Use [`Msm::load_strand_uncached`] when the point is to verify the
-    /// bytes currently on disk (fsck does).
-    pub fn load_strand(
-        &mut self,
-        id: StrandId,
-        header_extent: Extent,
-        now: Instant,
-    ) -> Result<Strand, FsError> {
-        if let Some((cached_header, strand)) = self.index_cache.get(&id) {
-            if *cached_header == header_extent {
-                return Ok(strand.clone());
-            }
-        }
-        self.load_strand_uncached(id, header_extent, now)
-    }
-
     /// Reload a strand purely from its on-disk index, verifying the
     /// storage format end-to-end. Reads the header at `header_extent`,
-    /// then its secondaries, then their primaries. Refreshes the index
-    /// cache on success.
-    pub fn load_strand_uncached(
+    /// then its secondaries, then their primaries.
+    pub fn load_strand(
         &mut self,
         id: StrandId,
         header_extent: Extent,
@@ -1016,9 +945,17 @@ impl Msm {
             }
         }
         index_extents.push(header_extent);
-        let strand = strand_from_index(id, &header, &primaries, index_extents)?;
-        self.index_cache.insert(id, (header_extent, strand.clone()));
-        Ok(strand)
+        strand_from_index(id, &header, &primaries, index_extents)
+    }
+
+    /// [`Msm::load_strand`] under the name `benchmark/` binds.
+    pub fn load_strand_uncached(
+        &mut self,
+        id: StrandId,
+        header_extent: Extent,
+        now: Instant,
+    ) -> Result<Strand, FsError> {
+        self.load_strand(id, header_extent, now)
     }
 
     /// Delete a finished strand: free its media blocks and index blocks.
@@ -1029,13 +966,19 @@ impl Msm {
     /// a crash anywhere in between replays the deletion at recovery.
     pub fn delete_strand(&mut self, id: StrandId) -> Result<(), FsError> {
         self.strand(id)?;
-        self.index_cache.remove(&id);
+        self.drop_strand(id)
+    }
+
+    /// Journal `id`'s `Delete`, drop the strand, free every extent it
+    /// holds (stored blocks first, then index) and checkpoint.
+    fn drop_strand(&mut self, id: StrandId) -> Result<(), FsError> {
         self.journal_append(Record::Delete { strand: id.raw() }, self.last_io)?;
-        let Some(StrandState::Finished(strand)) = self.strands.remove(&id) else {
-            unreachable!("state checked above");
-        };
-        for e in strand.extents() {
-            self.free(e);
+        match self.strands.remove(&id) {
+            Some(StrandState::Finished(s)) => s.extents().for_each(|e| self.free(e)),
+            Some(StrandState::Recording(b)) => {
+                b.blocks().iter().flatten().for_each(|&e| self.free(e))
+            }
+            None => unreachable!("the caller checked the strand"),
         }
         self.write_checkpoint(self.last_io)?;
         Ok(())
@@ -1062,15 +1005,7 @@ impl Msm {
             // Finished, or unknown: the delete tells which.
             return self.delete_strand(id);
         }
-        self.journal_append(Record::Delete { strand: id.raw() }, self.last_io)?;
-        let Some(StrandState::Recording(builder)) = self.strands.remove(&id) else {
-            unreachable!("state checked above");
-        };
-        for e in builder.blocks().iter().flatten() {
-            self.free(*e);
-        }
-        self.write_checkpoint(self.last_io)?;
-        Ok(())
+        self.drop_strand(id)
     }
 
     /// Truncate a finished strand to its first `keep` blocks, rewriting
@@ -1089,7 +1024,6 @@ impl Msm {
         if keep == 0 {
             return self.delete_strand(id);
         }
-        self.index_cache.remove(&id);
         let Some(StrandState::Finished(strand)) = self.strands.remove(&id) else {
             unreachable!("state checked above");
         };
@@ -1122,8 +1056,32 @@ impl Msm {
                 None => builder.push_silence(units)?,
             };
         }
-        self.commit_index(builder, now)?;
-        Ok(())
+        // The old index may sit on media the armed plan marks bad, and
+        // first-fit would put the new one right back there: fence the
+        // free bad sectors off while the index is written.
+        let fence = self.fence_bad_sectors();
+        let done = self.commit_index(builder, now);
+        for e in fence {
+            self.alloc.release(e);
+        }
+        done.map(|_| ())
+    }
+
+    /// Claim every free sector the armed fault plan marks bad; the
+    /// sectors claimed, for the caller to release.
+    fn fence_bad_sectors(&mut self) -> Vec<Extent> {
+        let mut fence = Vec::new();
+        for b in self.disk.bad_extents().to_vec() {
+            let end = b.end().min(self.alloc.freemap().total());
+            let mut from = b.start;
+            while let Some(s) = self.alloc.freemap().find_free_run(from, end, 1) {
+                let e = Extent::new(s, 1);
+                self.alloc.adopt(e);
+                fence.push(e);
+                from = s + 1;
+            }
+        }
+        fence
     }
 
     /// Direct allocator access for hand-corrupting volumes in fsck
@@ -1234,21 +1192,16 @@ impl Msm {
             match src_extent {
                 None => {
                     let (_, op) = self.append_silence(new_id, meta.granularity, t)?;
-                    if let Some(op) = op {
-                        t = op.completed;
-                    }
+                    t = op.map_or(t, |o| o.completed);
                 }
                 Some(e) => {
                     let data = self.fetch_checked(e, "media extent beyond device")?;
-                    let read_op = self.timed_read_bg(t, e)?;
-                    t = read_op.completed;
+                    t = self.timed_read_bg(t, e)?.completed;
                     let dst = match prev {
                         Some(p) => self.alloc.allocate_after(p, e.sectors)?,
                         None => self.alloc.allocate_first(e.sectors)?,
                     };
-                    self.disk.store_data(dst, &data);
-                    let write_op = self.timed_write(t, dst)?;
-                    t = write_op.completed;
+                    t = self.write(t, dst, &data)?.completed;
                     // The copy keeps the stamp the source was recorded
                     // with: re-hashing the bytes just read would give
                     // rot under the source a fresh, valid stamp.
@@ -1298,23 +1251,22 @@ impl Msm {
         config: MsmConfig,
         now: Instant,
     ) -> Result<(Msm, RecoveryReport), FsError> {
-        if config.journal.is_none() {
+        let mut msm = Msm::new(device, config);
+        // The journal stays out of the volume while its log is read and
+        // goes back with its cursor restored, before anything is
+        // journaled again.
+        let Some(mut j) = msm.journal.take() else {
             return Err(FsError::JournalCorrupt {
                 what: "recovery requires a journal-enabled config",
             });
-        }
-        let mut msm = Msm::new(device, config);
+        };
         let mut report = RecoveryReport::default();
         let mut t = now;
 
         // Newest valid checkpoint wins; a torn checkpoint write fails
         // its checksum and falls back to the other slot.
-        let (slot_a, slot_b) = {
-            let j = msm.journal.as_ref().expect("journal checked above");
-            (j.ckpt_extent(0), j.ckpt_extent(1))
-        };
         let mut ckpt: Option<Checkpoint> = None;
-        for slot in [slot_a, slot_b] {
+        for slot in [j.ckpt_extent(0), j.ckpt_extent(1)] {
             let Some(bytes) = msm.disk.try_fetch(slot) else {
                 continue;
             };
@@ -1338,32 +1290,23 @@ impl Msm {
         // later allocation may have reused and the crash torn).
         // Every record from the floor to the first slot that fails to
         // decode or holds a stale sequence.
-        let (region_floor, slots) = {
-            let j = msm.journal.as_ref().expect("journal checked above");
-            (ckpt.floor, j.slots())
-        };
         let mut records = Vec::new();
-        let mut seq = region_floor;
-        while seq - region_floor < slots {
-            let extent = msm
-                .journal
-                .as_ref()
-                .expect("journal checked above")
-                .record_extent(seq);
+        let mut tail = ckpt.floor;
+        while tail - ckpt.floor < j.slots() {
+            let extent = j.record_extent(tail);
             let Some(bytes) = msm.disk.try_fetch(extent) else {
                 break;
             };
             let Some((rseq, rec)) = journal::decode_record(&bytes) else {
                 break;
             };
-            if rseq != seq {
+            if rseq != tail {
                 break; // stale survivor from an earlier lap
             }
             t = msm.timed_read_bg(t, extent)?.completed;
             records.push(rec);
-            seq += 1;
+            tail += 1;
         }
-        let tail = seq;
 
         // Fold the records into per-strand outcomes, in order.
         let mut inflight: BTreeMap<u64, (StrandMeta, ReplayBlocks)> = BTreeMap::new();
@@ -1508,10 +1451,8 @@ impl Msm {
         // the normal journaled path (fresh Begin/Append records would
         // be redundant — finish re-journals the strand wholesale via
         // FinishIntent → index → FinishCommit → checkpoint).
-        msm.journal
-            .as_mut()
-            .expect("journal checked above")
-            .restore(tail, if found_ckpt { ckpt.count + 1 } else { 0 });
+        j.restore(tail, if found_ckpt { ckpt.count + 1 } else { 0 });
+        msm.journal = Some(j);
         for id in &to_finish {
             msm.finish_strand(*id, t)?;
             t = msm.last_io;
@@ -1674,6 +1615,29 @@ mod tests {
         assert_eq!(loaded.blocks(), original.blocks());
         assert_eq!(loaded.unit_count(), original.unit_count());
         assert_eq!(loaded.meta(), original.meta());
+    }
+
+    #[test]
+    fn every_load_strand_reads_its_index_from_disk() {
+        let mut m = msm();
+        let id = record_video(&mut m, 100);
+        let index = m.strand(id).unwrap().index_extents().to_vec();
+        let header = *index.last().unwrap();
+        let (sink, recorder) = ObsSink::ring(1_024);
+        m.set_obs(sink);
+        m.load_strand(id, header, Instant::EPOCH).unwrap();
+        m.load_strand(id, header, Instant::EPOCH).unwrap();
+        let r = recorder.borrow();
+        let reads: Vec<(u64, u64)> = r
+            .events()
+            .filter_map(|e| match e {
+                Event::DiskOp { lba, sectors, .. } => Some((*lba, *sectors)),
+                _ => None,
+            })
+            .collect();
+        let (first, second) = reads.split_at(reads.len() / 2);
+        assert_eq!(first.len(), index.len());
+        assert_eq!(first, second);
     }
 
     #[test]

@@ -103,14 +103,12 @@ pub enum AllocPolicy {
     /// Each block immediately follows its predecessor.
     Contiguous,
     /// Gap between successive blocks constrained to [`GapBounds`].
-    /// `allow_wrap` permits one wrap to the start of the disk when the
-    /// forward window is exhausted (the wrap transition itself pays a
-    /// long seek, recorded as an anomaly).
+    /// When the forward window is exhausted the placement wraps to the
+    /// start of the disk (the wrap transition itself pays a long seek,
+    /// counted in [`AllocStats::wraps`] as an anomaly).
     Constrained {
         /// The sector-gap bounds to enforce.
         bounds: GapBounds,
-        /// Permit wrap-around placement when the forward window is full.
-        allow_wrap: bool,
     },
 }
 
@@ -202,9 +200,7 @@ impl Allocator {
                     None
                 }
             }
-            AllocPolicy::Constrained { bounds, allow_wrap } => {
-                self.constrained_fit(prev, sectors, bounds, allow_wrap)
-            }
+            AllocPolicy::Constrained { bounds } => self.constrained_fit(prev, sectors, bounds),
         };
         self.commit(e)
     }
@@ -262,13 +258,7 @@ impl Allocator {
             .map(|s| Extent::new(s, sectors))
     }
 
-    fn constrained_fit(
-        &mut self,
-        prev: Extent,
-        sectors: u64,
-        bounds: GapBounds,
-        allow_wrap: bool,
-    ) -> Option<Extent> {
+    fn constrained_fit(&mut self, prev: Extent, sectors: u64, bounds: GapBounds) -> Option<Extent> {
         let total = self.map.total();
         let lo = prev.end().saturating_add(bounds.min_sectors);
         let hi = prev
@@ -282,22 +272,17 @@ impl Allocator {
                 }
             }
         }
-        if allow_wrap {
-            // Wrap: restart scattering from the front of the disk. The
-            // wrap transition itself exceeds the gap bound (one long
-            // seek); it is recorded so experiments can count anomalies.
-            let width = (bounds.max_sectors - bounds.min_sectors).saturating_add(1);
-            if let Some(s) = self.map.find_free_run(0, width.min(total), sectors) {
-                self.stats.wraps += 1;
-                return Some(Extent::new(s, sectors));
-            }
-            // Fall back to anywhere at the front half — still an anomaly.
-            if let Some(s) = self.map.find_free_run(0, total, sectors) {
-                self.stats.wraps += 1;
-                return Some(Extent::new(s, sectors));
-            }
-        }
-        None
+        // Wrap: restart scattering from the front of the disk, falling
+        // back to anywhere. The wrap transition itself exceeds the gap
+        // bound (one long seek); it is recorded so experiments can count
+        // anomalies.
+        let width = (bounds.max_sectors - bounds.min_sectors).saturating_add(1);
+        let s = self
+            .map
+            .find_free_run(0, width.min(total), sectors)
+            .or_else(|| self.map.find_free_run(0, total, sectors))?;
+        self.stats.wraps += 1;
+        Some(Extent::new(s, sectors))
     }
 }
 
@@ -317,7 +302,6 @@ mod tests {
                     min_sectors: min,
                     max_sectors: max,
                 },
-                allow_wrap: false,
             },
             7,
         )
@@ -369,25 +353,18 @@ mod tests {
     #[test]
     fn constrained_fails_without_wrap_at_disk_end() {
         let mut a = constrained(16, 64);
-        // Park prev near the end of the device.
+        // Park prev at the end of the device, with only a run too short
+        // for the block free in front: there is nothing to wrap into.
         let prev = Extent::new(TOTAL - 8, 8);
+        a.adopt(Extent::new(0, TOTAL - 12));
         a.adopt(prev);
-        assert!(a.allocate_after(prev, 8).is_err());
+        assert_eq!(a.allocate_after(prev, 8), Err(AllocError::NoSpace));
+        assert_eq!(a.stats().wraps, 0);
     }
 
     #[test]
     fn constrained_wraps_when_allowed() {
-        let mut a = Allocator::new(
-            TOTAL,
-            AllocPolicy::Constrained {
-                bounds: GapBounds {
-                    min_sectors: 16,
-                    max_sectors: 64,
-                },
-                allow_wrap: true,
-            },
-            7,
-        );
+        let mut a = constrained(16, 64);
         let prev = Extent::new(TOTAL - 8, 8);
         a.adopt(prev);
         let next = a.allocate_after(prev, 8).unwrap();

@@ -122,8 +122,6 @@ pub enum CrashPoint {
     /// Crash on device write number `n` (0-based): the first `n` writes
     /// complete normally, the next one tears and freezes the device.
     AfterWrites(u64),
-    /// Crash on the first write issued at or after this virtual instant.
-    AtInstant(Instant),
 }
 
 /// A degraded-transfer window: operations issued in `[from, until)`
@@ -381,7 +379,7 @@ impl Faults {
             match op.kind {
                 AccessKind::Read => (self.read_fault(op.extent), None),
                 AccessKind::Write => {
-                    let f = self.write_fault(op.extent, op.issued);
+                    let f = self.write_fault(op.extent);
                     self.writes_done += 1;
                     f.map_or((None, None), |(kind, lost)| (Some(kind), lost))
                 }
@@ -467,17 +465,8 @@ impl Faults {
     /// Decide whether this write fails, consuming fault state; a failure
     /// names the sectors the caller must drop from the stored image so
     /// the on-medium bytes match the failure it observes.
-    fn write_fault(
-        &mut self,
-        extent: Extent,
-        issued: Instant,
-    ) -> Option<(FaultKind, Option<Extent>)> {
-        let crash_now = match self.plan.crash {
-            Some(CrashPoint::AfterWrites(n)) => self.writes_done >= n,
-            Some(CrashPoint::AtInstant(t)) => issued >= t,
-            None => false,
-        };
-        if crash_now {
+    fn write_fault(&mut self, extent: Extent) -> Option<(FaultKind, Option<Extent>)> {
+        if matches!(self.plan.crash, Some(CrashPoint::AfterWrites(n)) if self.writes_done >= n) {
             self.crashed = true;
             return Some((FaultKind::Crashed, self.tear(extent)));
         }
@@ -768,19 +757,6 @@ mod tests {
             inj.content_hash()
         };
         assert_eq!(run(11), run(11), "same plan+seed, byte-identical image");
-    }
-
-    #[test]
-    fn crash_at_instant_fires_on_first_write_past_it() {
-        let at = Instant::EPOCH + Nanos::from_millis(10);
-        let plan = FaultPlan::clean().with_crash_point(CrashPoint::AtInstant(at));
-        let mut inj = armed(plan, 1);
-        assert!(write(&mut inj, Instant::EPOCH, Extent::new(0, 2), 1).is_ok());
-        // Reads past the instant do not crash the device — only writes.
-        assert!(read(&mut inj, at, Extent::new(0, 2)).is_ok());
-        let err = write(&mut inj, at, Extent::new(8, 2), 2).unwrap_err();
-        assert_eq!(err.kind, FaultKind::Crashed);
-        assert!(inj.is_crashed());
     }
 
     #[test]

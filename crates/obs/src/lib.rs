@@ -46,4 +46,4 @@ pub use event::{AccessDir, DegradeAction, Event, FaultClass, JournalOp, RepairAc
 pub use recorder::{ObsMetrics, ObsSink, Recorder, RingRecorder};
 pub use sketch::QuantileSketch;
 pub use summary::{NanosAcc, NanosSummary, U64Acc};
-pub use window::{FlightDump, MonitorConfig, WindowStats, WindowWidth, WindowedMonitor};
+pub use window::{FlightDump, MonitorConfig, WindowStats, WindowedMonitor};

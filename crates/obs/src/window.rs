@@ -5,8 +5,8 @@
 //! go"; a 2-second outage inside a 10-minute run vanishes into the
 //! averages, and a full raw trace of 100k streams does not fit in
 //! memory. [`WindowedMonitor`] closes that gap: it folds the same event
-//! stream into fixed-width virtual-time windows — round-indexed or
-//! time-indexed — each summarised by O(1)-size [`WindowStats`]
+//! stream into fixed-width windows of service rounds, each summarised
+//! by O(1)-size [`WindowStats`]
 //! (miss rate, margin quantiles via the mergeable
 //! [`QuantileSketch`], disk utilization, live Eq. 18 slack, fault and
 //! degradation rates, admission churn). Closed windows are retained as
@@ -25,38 +25,11 @@ use crate::event::Event;
 use crate::recorder::{EventRing, Recorder};
 use crate::sketch::QuantileSketch;
 
-/// How wide one monitoring window is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WindowWidth {
-    /// One window per `n` service rounds (round-indexed: window =
-    /// `round / n`). Natural for the paper's round-driven service loop.
-    Rounds(u64),
-    /// One window per span of virtual time (time-indexed: window =
-    /// `at / width`, half-open `[i·width, (i+1)·width)`).
-    Time(Nanos),
-}
-
-impl WindowWidth {
-    fn label(&self) -> &'static str {
-        match self {
-            WindowWidth::Rounds(_) => "rounds",
-            WindowWidth::Time(_) => "time",
-        }
-    }
-
-    fn span(&self) -> u64 {
-        match *self {
-            WindowWidth::Rounds(n) => n.max(1),
-            WindowWidth::Time(w) => w.as_nanos().max(1),
-        }
-    }
-}
-
 /// Configuration for a [`WindowedMonitor`].
 #[derive(Clone, Debug)]
 pub struct MonitorConfig {
-    /// Window width (round- or time-indexed).
-    pub width: WindowWidth,
+    /// Service rounds per window (window = `round / width`).
+    pub width: u64,
     /// Closed windows retained in the series (older ones are evicted
     /// but stay counted).
     pub retain: usize,
@@ -73,19 +46,11 @@ impl MonitorConfig {
     /// Round-indexed windows of `rounds` service rounds each.
     pub fn rounds(rounds: u64) -> MonitorConfig {
         MonitorConfig {
-            width: WindowWidth::Rounds(rounds),
+            width: rounds,
             retain: 256,
             ring_cap: 4096,
             rules: Vec::new(),
             max_dumps: 1,
-        }
-    }
-
-    /// Time-indexed windows of `width` virtual time each.
-    pub fn time(width: Nanos) -> MonitorConfig {
-        MonitorConfig {
-            width: WindowWidth::Time(width),
-            ..MonitorConfig::rounds(1)
         }
     }
 
@@ -117,7 +82,7 @@ impl MonitorConfig {
 /// O(1)-size health summary of one window.
 #[derive(Clone, Debug)]
 pub struct WindowStats {
-    /// Window index (`round / width` or `at / width`).
+    /// Window index (`round / width`).
     pub index: u64,
     /// Events folded into this window.
     pub events: u64,
@@ -440,7 +405,7 @@ impl FlightDump {
 /// and captures flight dumps on alert.
 #[derive(Debug)]
 pub struct WindowedMonitor {
-    width: WindowWidth,
+    width: u64,
     retain: usize,
     rules: Vec<SloRule>,
     /// Edge-trigger latches, one per rule: a latched rule re-arms only
@@ -465,7 +430,7 @@ impl WindowedMonitor {
     pub fn new(config: MonitorConfig) -> WindowedMonitor {
         let latched = vec![false; config.rules.len()];
         WindowedMonitor {
-            width: config.width,
+            width: config.width.max(1),
             retain: config.retain.max(1),
             rules: config.rules,
             latched,
@@ -524,19 +489,14 @@ impl WindowedMonitor {
         self.finished = true;
     }
 
-    /// Which window the event belongs to, when it is anchored: round
-    /// events index by round id in `Rounds` mode, anchored events index
-    /// by instant in `Time` mode. Unanchored events (and round-less
-    /// events in `Rounds` mode) fold into the current window.
+    /// Which window a round event belongs to; every other event folds
+    /// into the current window.
     fn target_window(&self, event: &Event) -> Option<u64> {
-        match self.width {
-            WindowWidth::Rounds(w) => match *event {
-                Event::RoundStart { round, .. } | Event::RoundIdle { round, .. } => {
-                    Some(round / w.max(1))
-                }
-                _ => None,
-            },
-            WindowWidth::Time(w) => event.at().map(|t| t.as_nanos() / w.as_nanos().max(1)),
+        match *event {
+            Event::RoundStart { round, .. } | Event::RoundIdle { round, .. } => {
+                Some(round / self.width)
+            }
+            _ => None,
         }
     }
 
@@ -617,12 +577,11 @@ impl WindowedMonitor {
         let dumps: Vec<String> = self.dumps.iter().map(|d| d.to_json()).collect();
         format!(
             concat!(
-                "{{\"mode\":\"{}\",\"width\":{},\"closed\":{},\"evicted\":{},",
+                "{{\"mode\":\"rounds\",\"width\":{},\"closed\":{},\"evicted\":{},",
                 "\"ring_dropped\":{},",
                 "\"windows\":[{}],\"alerts\":[{}],\"dumps\":[{}]}}"
             ),
-            self.width.label(),
-            self.width.span(),
+            self.width,
             self.closed,
             self.evicted,
             self.ring.dropped(),
@@ -709,33 +668,10 @@ mod tests {
     }
 
     #[test]
-    fn time_windows_use_half_open_boundaries() {
-        let width = Nanos::from_nanos(100);
-        let mut m = WindowedMonitor::new(MonitorConfig::time(width));
-        // 99 → window 0; exactly 100 → window 1; 199 → window 1;
-        // exactly 200 → window 2.
-        m.record(disk_op(99));
-        m.record(disk_op(100));
-        m.record(disk_op(199));
-        m.record(disk_op(200));
-        m.finish();
-        let windows: Vec<&WindowStats> = m.windows().collect();
-        assert_eq!(windows.len(), 3);
-        assert_eq!(
-            windows.iter().map(|w| w.disk_ops).collect::<Vec<_>>(),
-            vec![1, 2, 1]
-        );
-        assert_eq!(windows[0].index, 0);
-        assert_eq!(windows[1].index, 1);
-        assert_eq!(windows[2].index, 2);
-    }
-
-    #[test]
     fn time_gaps_synthesize_empty_windows() {
-        let width = Nanos::from_nanos(10);
-        let mut m = WindowedMonitor::new(MonitorConfig::time(width).retain(100));
-        m.record(disk_op(5));
-        m.record(disk_op(45)); // windows 1–3 are empty
+        let mut m = WindowedMonitor::new(MonitorConfig::rounds(1).retain(100));
+        m.record(round_start(0, 0));
+        m.record(round_start(4, 1)); // windows 1–3 are empty
         m.finish();
         let windows: Vec<&WindowStats> = m.windows().collect();
         assert_eq!(windows.len(), 5);
@@ -747,10 +683,9 @@ mod tests {
 
     #[test]
     fn huge_time_gap_fast_forwards_in_bounded_steps() {
-        let width = Nanos::from_nanos(1);
-        let mut m = WindowedMonitor::new(MonitorConfig::time(width).retain(4));
-        m.record(disk_op(0));
-        m.record(disk_op(1_000_000_000)); // a billion empty windows
+        let mut m = WindowedMonitor::new(MonitorConfig::rounds(1).retain(4));
+        m.record(round_start(0, 0));
+        m.record(round_start(1_000_000_000, 1)); // a billion empty windows
         m.finish();
         // Series stays bounded, the closed count is exact, and the
         // final event landed in its correct window.
@@ -758,7 +693,7 @@ mod tests {
         assert_eq!(m.closed(), 1_000_000_001);
         let last = m.windows().last().unwrap();
         assert_eq!(last.index, 1_000_000_000);
-        assert_eq!(last.disk_ops, 1);
+        assert_eq!(last.rounds, 1);
     }
 
     #[test]

@@ -56,29 +56,25 @@ use strandfs_units::prng::{mix_seed, Prng};
 use strandfs_units::Instant;
 
 /// The volume configuration every fsx run records and recovers with.
-fn volume_config(journal: bool) -> MsmConfig {
-    let config = MsmConfig::constrained(
+fn volume_config() -> MsmConfig {
+    // A wide checkpoint slot: the exerciser legitimately grows the
+    // strand population past the ~84-entry default (the capacity cliff
+    // the exerciser originally drove the volume into) — every healed
+    // boundary mints a bridge strand, so hundreds of live strands
+    // accumulate between gc passes over a long run. (~21 catalog
+    // entries per sector; a long run's live strand population runs into
+    // the thousands.)
+    MsmConfig::constrained(
         GapBounds {
             min_sectors: 0,
             max_sectors: 128,
         },
         1,
-    );
-    if journal {
-        // A wide checkpoint slot: the exerciser legitimately grows the
-        // strand population past the ~84-entry default (the capacity
-        // cliff the exerciser originally drove the volume into) — every
-        // healed boundary mints a bridge strand, so hundreds of live
-        // strands accumulate between gc passes over a long run.
-        // (~21 catalog entries per sector; a long run's live strand
-        // population runs into the thousands.)
-        config.with_journal(JournalConfig {
-            slots: 64,
-            ckpt_sectors: 512,
-        })
-    } else {
-        config
-    }
+    )
+    .with_journal(JournalConfig {
+        slots: 64,
+        ckpt_sectors: 512,
+    })
 }
 
 /// The source of every random choice an op makes: the seeded stream,
@@ -157,10 +153,9 @@ pub struct FsxConfig {
     /// Number of ops to attempt (a firing crash point ends the run
     /// early, at the crashing op).
     pub ops: u64,
-    /// Fault plan installed on the device before the run.
+    /// Fault plan installed on the device before the run. The volume
+    /// is always journaled, so a crash point recovers.
     pub plan: FaultPlan,
-    /// Mount with an intent journal (required when the plan crashes).
-    pub journal: bool,
 }
 
 impl FsxConfig {
@@ -170,7 +165,6 @@ impl FsxConfig {
             seed,
             ops,
             plan: FaultPlan::clean(),
-            journal: true,
         }
     }
 
@@ -279,13 +273,10 @@ fn drive(model: &mut impl Model, ops: u64, d: &mut Draw, seed: u64) -> Result<Ve
 /// One run of the rope model on `cfg`'s seed-derived disk and fault
 /// plan, its choices taken from `d`.
 fn run_with(cfg: &FsxConfig, d: &mut Draw) -> Result<FsxOutcome, String> {
-    if cfg.plan.crash.is_some() && !cfg.journal {
-        return Err("a crashing plan requires journal: true to recover".into());
-    }
     let mut disk = SimDisk::new(DiskGeometry::vintage_1991(), SeekModel::vintage_1991())
         .with_fault_seed(mix_seed(cfg.seed, 0xD15C));
     disk.arm_faults(cfg.plan.clone());
-    let mut model = RopeModel::new(Mrs::new(Msm::new(disk, volume_config(cfg.journal))));
+    let mut model = RopeModel::new(Mrs::new(Msm::new(disk, volume_config())));
     let log = drive(&mut model, cfg.ops, d, cfg.seed)?;
     let end = if model.crashed() { "crash" } else { "final" };
     finish(model, fnv1a(log.join("\n").as_bytes()))
@@ -317,7 +308,7 @@ fn finish(mut m: RopeModel, op_log_hash: u64) -> Result<FsxOutcome, String> {
     let device_writes = m.mrs.msm().disk().stats().writes;
     let mut device = m.mrs.into_msm().into_device();
     device.power_cycle();
-    let (mut rec, report) = Msm::recover(device, volume_config(true), Instant::EPOCH)
+    let (mut rec, report) = Msm::recover(device, volume_config(), Instant::EPOCH)
         .map_err(|e| format!("recovery failed: {e}"))?;
     let image_hash = rec.disk().content_hash();
     let fsck_findings = fsck_converges(|| fsck::check_msm(&mut rec, Instant::EPOCH), wraps)?;

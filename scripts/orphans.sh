@@ -8,6 +8,7 @@
 # examples/, benchmark/src or benchmark/tests names it as a word, and no
 # other non-test line of its own file does. Comments are stripped first,
 # so a mention in a doc comment is not a use; string literals are kept.
+# A `pub use` re-export is not a use either.
 # Names listed in scripts/orphans.allow (one a line, each with its
 # reason) are exempt. Exits 1 if anything is reported.
 #
@@ -71,7 +72,7 @@ exec awk -v allowfile="$allow" '
     }
 
     FNR == 1 {
-        depth = 0; instr = 0; rawend = ""; cut = 0
+        depth = 0; instr = 0; rawend = ""; cut = 0; reexport = 0
         src = (FILENAME ~ /^(crates\/[^\/]+\/)?src\//)
     }
     /^#\[cfg\(test\)\]/ { cut = 1 }
@@ -81,6 +82,13 @@ exec awk -v allowfile="$allow" '
         if (own && match(t, /^[ \t]*pub(\(crate\))?[ \t]+((const|async|unsafe)[ \t]+)*(fn|const|static|struct|enum|trait|type)[ \t]+(r#)?[A-Za-z_][A-Za-z0-9_]*/)) {
             d = substr(t, RSTART, RLENGTH); sub(/.*[ \t#]/, "", d)
             ndef++; dname[ndef] = d; dfile[ndef] = FILENAME; dline[ndef] = FNR
+        }
+        # A `pub use` re-export, to its closing `;`, names what it
+        # exports without calling it.
+        if (t ~ /^[ \t]*pub(\([a-z]+\))?[ \t]+use[ \t]/) reexport = 1
+        if (reexport) {
+            if (t ~ /;/) reexport = 0
+            next
         }
         gsub(/[^A-Za-z0-9_]+/, " ", t)
         k = split(t, w, " ")
