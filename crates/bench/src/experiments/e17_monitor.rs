@@ -187,11 +187,11 @@ pub fn table() -> Table {
     for w in out.monitor.windows() {
         t.row(vec![
             w.index.to_string(),
-            w.rounds.to_string(),
-            w.deadline_blocks.to_string(),
-            w.deadline_late.to_string(),
+            w.tally.rounds.to_string(),
+            w.tally.deadline_blocks.to_string(),
+            w.tally.deadline_late.to_string(),
             format!("{:.3}", w.miss_rate()),
-            w.faults.to_string(),
+            w.tally.faults.to_string(),
             format!("{} ns", w.margins.quantile(0.01)),
         ]);
     }

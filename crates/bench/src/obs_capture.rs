@@ -83,13 +83,13 @@ pub fn capture_full() -> Capture {
         simulate_playback(&mut mrs, schedules, PlaybackConfig::with_k(k)).expect("simulate");
 
     let rec = rec.borrow();
-    let metrics = rec.metrics();
+    let tally = &rec.metrics().tally;
     Capture {
         obs_json: rec.to_json(),
         slo_json: report.slo().to_json(),
-        obs_deadline_late: metrics.deadline_late,
-        obs_deadline_blocks: metrics.deadline_blocks,
-        obs_rounds: metrics.rounds,
+        obs_deadline_late: tally.deadline_late,
+        obs_deadline_blocks: tally.deadline_blocks,
+        obs_rounds: tally.rounds,
         report,
     }
 }

@@ -583,7 +583,7 @@ mod tests {
         assert_eq!(report.scrub_credited, loc.blocks - 1);
         assert_eq!(
             report.scrubbed_blocks - report.scrub_credited,
-            ring.borrow().metrics().scrubbed,
+            ring.borrow().metrics().tally.scrubbed,
             "probes are the scrub events"
         );
     }

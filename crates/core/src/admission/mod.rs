@@ -717,7 +717,10 @@ mod tests {
         ac.release(RequestId::from_raw(0)).unwrap();
         let r = recorder.borrow();
         let m = r.metrics();
-        assert_eq!((m.admits, m.rejects, m.releases), (3, 1, 1));
+        assert_eq!(
+            (m.tally.admits, m.tally.rejects, m.tally.releases),
+            (3, 1, 1)
+        );
         assert_eq!(m.k_peak, 6);
         assert_eq!(m.k_growths, 3);
         // Every admit carried non-negative Eq. 18 slack; the n=3 admit

@@ -483,16 +483,25 @@ impl Journal {
         self.live.contains_key(&strand)
     }
 
+    /// Refuse `records` more records, before anything moves, when they
+    /// would lap a live one. A `Begin` at the cursor leaves the floor
+    /// where it was, so a write's `Begin` and its own record are checked
+    /// as one.
+    pub fn check_room(&self, records: u64) -> Result<(), FsError> {
+        if self.next_seq - self.floor() + records > self.slots {
+            return Err(FsError::JournalCorrupt {
+                what: "journal full: live records fill every slot",
+            });
+        }
+        Ok(())
+    }
+
     /// Claim the next sequence number for `rec`, refusing to lap a live
     /// record: `(seq, slot extent, sector bytes)`. A `Begin` makes its
     /// strand live; a `FinishCommit` or `Delete` ends it, so its
     /// records may be reclaimed at the next checkpoint.
     pub fn append(&mut self, rec: &Record) -> Result<(u64, Extent, Vec<u8>), FsError> {
-        if self.next_seq - self.floor() >= self.slots {
-            return Err(FsError::JournalCorrupt {
-                what: "journal full: live records fill every slot",
-            });
-        }
+        self.check_room(1)?;
         let seq = self.next_seq;
         self.next_seq += 1;
         let bytes = encode_record(seq, rec, self.sector_size);

@@ -502,8 +502,7 @@ impl Msm {
         // exact bytes `fetch_sum` will hash back — matching the journal's
         // `payload_sum` convention. The device pads as it stores.
         let sum = block_sum_padded(payload, sectors as usize * sector_size);
-        let builder = self.recording_mut(id)?;
-        let anchor = builder.last_stored();
+        let anchor = self.recording_with_room(id)?.last_stored();
         let extent = match anchor {
             Some(prev) => self.alloc.allocate_after(prev, sectors)?,
             None => self.alloc.allocate_first(sectors)?,
@@ -551,7 +550,7 @@ impl Msm {
         units: u64,
         now: Instant,
     ) -> Result<(BlockNo, Option<DiskOp>), FsError> {
-        let block_no = self.recording_mut(id)?.push_silence(units)?;
+        let block_no = self.recording_with_room(id)?.push_silence(units)?;
         let t = self.ensure_begun(id, now)?;
         let record = Record::Silence {
             strand: id.raw(),
@@ -660,6 +659,17 @@ impl Msm {
             Some(StrandState::Finished(_)) => Err(FsError::StrandImmutable(id)),
             None => Err(FsError::UnknownStrand(id)),
         }
+    }
+
+    /// The recording strand `id`, once the journal has room for the
+    /// records a write to it makes (its `Begin` if it has not begun, and
+    /// the write's own), so a refused write allocates and pushes nothing.
+    fn recording_with_room(&mut self, id: StrandId) -> Result<&mut StrandBuilder, FsError> {
+        self.recording_mut(id)?;
+        if let Some(j) = &self.journal {
+            j.check_room(if j.has_begun(id.raw()) { 1 } else { 2 })?;
+        }
+        self.recording_mut(id)
     }
 
     // ----- strand access ---------------------------------------------
@@ -1568,6 +1578,45 @@ mod tests {
     }
 
     #[test]
+    fn a_refused_journal_write_leaves_nothing_behind() {
+        let disk = SimDisk::new(DiskGeometry::vintage_1991(), SeekModel::vintage_1991());
+        let bounds = GapBounds {
+            min_sectors: 0,
+            max_sectors: 40_000,
+        };
+        let journal = JournalConfig {
+            slots: 4,
+            ..JournalConfig::default()
+        };
+        let mut m = Msm::new(
+            disk,
+            MsmConfig::constrained(bounds, 7).with_journal(journal),
+        );
+        let payload = [7u8; 36_000];
+        // `a`'s Begin and three appends fill the four slots; `b` has
+        // not begun.
+        let a = m.begin_strand(video_meta());
+        for _ in 0..3 {
+            m.append_block(a, Instant::EPOCH, &payload, 3).unwrap();
+        }
+        let b = m.begin_strand(video_meta());
+        let full = |e: FsError| matches!(e, FsError::JournalCorrupt { .. });
+        for id in [a, b, a] {
+            let state = |m: &mut Msm| {
+                let blocks = m.recording_mut(id).unwrap().block_count();
+                let journal = format!("{:?}", m.journal);
+                (m.allocator().freemap().used(), blocks, journal)
+            };
+            let before = state(&mut m);
+            assert!(full(
+                m.append_block(id, Instant::EPOCH, &payload, 3).unwrap_err()
+            ));
+            assert!(full(m.append_silence(id, 3, Instant::EPOCH).unwrap_err()));
+            assert_eq!(state(&mut m), before, "strand {id:?}");
+        }
+    }
+
+    #[test]
     fn silence_holes_cost_nothing() {
         let mut m = msm();
         let meta = StrandMeta {
@@ -1805,7 +1854,7 @@ mod tests {
             }
         }
         // The disk's op stream rode along on the same sink.
-        assert!(r.metrics().disk_writes >= 10);
+        assert!(r.metrics().tally.disk_writes >= 10);
     }
 
     #[test]

@@ -1428,6 +1428,6 @@ mod tests {
             e => panic!("unexpected event {e:?}"),
         }
         // Cumulative obs metrics agree with the disk's own stats.
-        assert_eq!(r.disk_service_total(), d.stats().busy_time());
+        assert_eq!(r.metrics().tally.disk_busy, d.stats().busy_time());
     }
 }

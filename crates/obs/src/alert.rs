@@ -84,6 +84,7 @@ impl SloRule {
     /// previously closed windows oldest-first. Returns the observed
     /// `(value, threshold)` pair when the rule is breached.
     pub fn check(&self, history: &[&WindowStats], closing: &WindowStats) -> Option<(f64, f64)> {
+        let t = &closing.tally;
         match *self {
             SloRule::BurnRate {
                 short_windows,
@@ -94,10 +95,10 @@ impl SloRule {
             } => {
                 let rate_over = |span: usize| -> Option<f64> {
                     let tail = span.saturating_sub(1).min(history.len());
-                    let (mut blocks, mut late) = (closing.deadline_blocks, closing.deadline_late);
+                    let (mut blocks, mut late) = (t.deadline_blocks, t.deadline_late);
                     for w in history.iter().rev().take(tail) {
-                        blocks += w.deadline_blocks;
-                        late += w.deadline_late;
+                        blocks += w.tally.deadline_blocks;
+                        late += w.tally.deadline_late;
                     }
                     (blocks > 0).then(|| late as f64 / blocks as f64)
                 };
@@ -111,10 +112,10 @@ impl SloRule {
                     .then_some((slack.as_nanos() as f64, min_slack.as_nanos() as f64))
             }
             SloRule::FaultStorm { max_faults, .. } => {
-                (closing.faults > max_faults).then_some((closing.faults as f64, max_faults as f64))
+                (t.faults > max_faults).then_some((t.faults as f64, max_faults as f64))
             }
             SloRule::VolumeSlow { max_hedges, .. } => {
-                (closing.hedges > max_hedges).then_some((closing.hedges as f64, max_hedges as f64))
+                (t.hedges > max_hedges).then_some((t.hedges as f64, max_hedges as f64))
             }
         }
     }
@@ -125,7 +126,8 @@ impl SloRule {
 pub struct Alert {
     /// The breached rule's label.
     pub rule: &'static str,
-    /// The rule kind (`burn_rate`, `slack`, `fault_storm`).
+    /// The rule kind (`burn_rate`, `slack`, `fault_storm`,
+    /// `volume_slow`).
     pub kind: &'static str,
     /// Index of the window whose close fired the rule.
     pub window: u64,

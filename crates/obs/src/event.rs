@@ -483,7 +483,7 @@ impl Event {
     /// one: issue time for disk ops, detection time for faults,
     /// completion time for deadlines and service turns, and the `at`
     /// stamp everywhere else. Admission decisions and allocations are
-    /// instant-less (`None`) — time-windowed consumers fold them into
+    /// instant-less (`None`) — the round-indexed monitor folds them into
     /// whichever window is current when they arrive.
     pub fn at(&self) -> Option<Instant> {
         match *self {

@@ -20,8 +20,10 @@
 //!   recent events plus cumulative counters, [`NanosSummary`] timing
 //!   aggregates and log₂ [`QuantileSketch`]es, exportable as hand-rolled
 //!   JSON (no external dependencies) for merging into `BENCH_*.json`;
+//! * [`Tally`] — the counters the whole run and each live window both
+//!   report, with the one fold that counts them for both;
 //! * [`WindowedMonitor`] — live health monitoring: the same event
-//!   stream folded into fixed-width virtual-time windows (miss rate,
+//!   stream folded into fixed-width windows of service rounds (miss rate,
 //!   margin quantiles via the same mergeable sketch, disk utilization,
 //!   Eq. 18 slack, fault/degradation rates) with declarative
 //!   [`SloRule`]s evaluated at window close and an anomaly-triggered
@@ -43,7 +45,7 @@ mod window;
 
 pub use alert::{Alert, SloRule};
 pub use event::{AccessDir, DegradeAction, Event, FaultClass, JournalOp, RepairAction};
-pub use recorder::{ObsMetrics, ObsSink, Recorder, RingRecorder};
+pub use recorder::{ObsMetrics, ObsSink, Recorder, RingRecorder, Tally};
 pub use sketch::QuantileSketch;
 pub use summary::{NanosAcc, NanosSummary, U64Acc};
 pub use window::{FlightDump, MonitorConfig, WindowStats, WindowedMonitor};

@@ -79,16 +79,117 @@ impl fmt::Debug for ObsSink {
     }
 }
 
-/// Cumulative metrics extracted from the event stream.
+/// The counters both views of a run report: the whole-run
+/// [`ObsMetrics`] and each live [`crate::WindowStats`] hold one and
+/// count events into it through the one `Tally::fold`, so a window's
+/// late blocks, faults or hedges are the run's, counted by the same
+/// rule.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// Disk read operations.
+    pub disk_reads: u64,
+    /// Disk write operations.
+    pub disk_writes: u64,
+    /// Disk service time consumed (seek + rotation + transfer).
+    pub disk_busy: Nanos,
+    /// Service rounds started.
+    pub rounds: u64,
+    /// Rounds that passed with nothing to service (all streams revoked).
+    pub idle_rounds: u64,
+    /// Deadline events seen.
+    pub deadline_blocks: u64,
+    /// Deadline events whose fetch completed late.
+    pub deadline_late: u64,
+    /// Admitted requests.
+    pub admits: u64,
+    /// Rejected requests.
+    pub rejects: u64,
+    /// Released requests.
+    pub releases: u64,
+    /// Display-clock starts observed (one per stream epoch that
+    /// satisfied its read-ahead).
+    pub display_starts: u64,
+    /// Fault events (any class).
+    pub faults: u64,
+    /// Read retries issued by the resilient read path.
+    pub retries: u64,
+    /// Blocks dropped by the degradation ladder.
+    pub drops: u64,
+    /// Streams revoked through admission control.
+    pub revokes: u64,
+    /// Revoked streams re-admitted after the fault window cleared.
+    pub readmits: u64,
+    /// Scrub *probes*: blocks the background scrubber hashed itself
+    /// (one `Scrub` event each). Blocks its cursor covered on the credit
+    /// of a verified read emit nothing and are not counted here.
+    pub scrubbed: u64,
+    /// Scrubbed blocks whose payload hash did not match the index stamp.
+    pub scrub_corrupt: u64,
+    /// Hedged reads issued against a replica.
+    pub hedges: u64,
+    /// Hedged reads the replica won.
+    pub hedge_wins: u64,
+    /// Members quarantined for breaching the read-latency SLO.
+    pub quarantines: u64,
+}
+
+impl Tally {
+    /// Count one event.
+    pub(crate) fn fold(&mut self, event: &Event) {
+        match *event {
+            Event::DiskOp { dir, .. } => {
+                match dir {
+                    AccessDir::Read => self.disk_reads += 1,
+                    AccessDir::Write => self.disk_writes += 1,
+                }
+                self.disk_busy += event.service_time();
+            }
+            Event::RoundStart { .. } => self.rounds += 1,
+            Event::RoundIdle { .. } => self.idle_rounds += 1,
+            Event::Deadline { .. } => {
+                self.deadline_blocks += 1;
+                if event.deadline_margin() < 0 {
+                    self.deadline_late += 1;
+                }
+            }
+            Event::Admit { .. } => self.admits += 1,
+            Event::Reject { .. } => self.rejects += 1,
+            Event::Release { .. } => self.releases += 1,
+            Event::DisplayStart { .. } => self.display_starts += 1,
+            Event::Fault { .. } => self.faults += 1,
+            Event::Retry { .. } => self.retries += 1,
+            Event::Degrade { action, .. } => match action {
+                DegradeAction::DropBlock => self.drops += 1,
+                DegradeAction::Revoke => self.revokes += 1,
+                DegradeAction::Readmit => self.readmits += 1,
+            },
+            Event::Scrub { ok, .. } => {
+                self.scrubbed += 1;
+                if !ok {
+                    self.scrub_corrupt += 1;
+                }
+            }
+            Event::Hedge { won, .. } => {
+                self.hedges += 1;
+                if won {
+                    self.hedge_wins += 1;
+                }
+            }
+            Event::Quarantine { entered: true, .. } => self.quarantines += 1,
+            _ => {}
+        }
+    }
+}
+
+/// Cumulative metrics extracted from the event stream: the [`Tally`]
+/// plus what only the whole run keeps.
 ///
 /// Unlike the ring of raw events these never drop: counters and
 /// constant-size accumulators only.
 #[derive(Clone, Debug, Default)]
 pub struct ObsMetrics {
-    /// Disk read operations.
-    pub disk_reads: u64,
-    /// Disk write operations.
-    pub disk_writes: u64,
+    /// The counters a window reports too.
+    pub tally: Tally,
     /// Sectors per disk op.
     pub disk_sectors: U64Acc,
     /// Cylinder distance travelled per disk op.
@@ -110,28 +211,18 @@ pub struct ObsMetrics {
     pub alloc_gap: U64Acc,
     /// Slack below the scattering upper bound, in sectors.
     pub alloc_slack: U64Acc,
-    /// Admitted requests.
-    pub admits: u64,
-    /// Rejected requests.
-    pub rejects: u64,
-    /// Released requests.
-    pub releases: u64,
     /// Admissions that grew the round size `k`.
     pub k_growths: u64,
     /// Largest round size any admission produced.
     pub k_peak: u64,
     /// Eq. 18 slack at each admission.
     pub admit_slack: NanosAcc,
-    /// Service rounds started.
-    pub rounds: u64,
     /// Streams serviced per round.
     pub round_active: U64Acc,
     /// Largest `k` any round used.
     pub round_k_max: u64,
     /// Wall-to-wall duration of completed rounds (start → end).
     pub round_duration: NanosAcc,
-    /// Rounds that passed with nothing to service (all streams revoked).
-    pub rounds_idle: u64,
     /// Per-stream service turns.
     pub stream_services: u64,
     /// Duration of each stream's service turn within a round.
@@ -139,15 +230,8 @@ pub struct ObsMetrics {
     /// The most recent `RoundStart` not yet closed by its `RoundEnd`
     /// (pairing state for `round_duration`).
     open_round: Option<(u64, strandfs_units::Instant)>,
-    /// Display-clock starts observed (one per stream epoch that
-    /// satisfied its read-ahead).
-    pub display_starts: u64,
     /// Time-to-first-frame: admission (or re-admission) → display start.
     pub startup_latency: QuantileSketch,
-    /// Deadline events seen.
-    pub deadline_blocks: u64,
-    /// Deadline events whose fetch completed late.
-    pub deadline_late: u64,
     /// Margin (deadline − completion) for on-time blocks.
     pub deadline_margin: QuantileSketch,
     /// Lateness (completion − deadline) for late blocks.
@@ -168,8 +252,6 @@ pub struct ObsMetrics {
     pub faults_write: u64,
     /// Service time charged to faults (wasted attempts + extra latency).
     pub fault_penalty: NanosAcc,
-    /// Read retries issued by the resilient read path.
-    pub retries: u64,
     /// Edit boundaries healed by the scattering-maintenance pass.
     pub edit_heals: u64,
     /// Media blocks copied per healed boundary.
@@ -182,33 +264,15 @@ pub struct ObsMetrics {
     pub recovers: u64,
     /// Structural fixes applied by fsck's repair mode.
     pub repairs: u64,
-    /// Blocks dropped by the degradation ladder.
-    pub degrade_drops: u64,
-    /// Streams revoked through admission control.
-    pub degrade_revokes: u64,
-    /// Revoked streams re-admitted after the fault window cleared.
-    pub degrade_readmits: u64,
-    /// Scrub *probes*: blocks the background scrubber hashed itself
-    /// (one `Scrub` event each). Blocks its cursor covered on the credit
-    /// of a verified read emit nothing and are not counted here.
-    pub scrubbed: u64,
-    /// Scrubbed blocks whose payload hash did not match the index stamp.
-    pub scrub_corrupt: u64,
-    /// Hedged reads issued against a replica.
-    pub hedges: u64,
-    /// Hedged reads the replica won.
-    pub hedge_wins: u64,
-    /// Members quarantined for breaching the read-latency SLO.
-    pub quarantines: u64,
     /// Quarantined members re-admitted after clean probes.
     pub quarantine_readmits: u64,
 }
 
 impl ObsMetrics {
     fn fold(&mut self, event: &Event) {
+        self.tally.fold(event);
         match *event {
             Event::DiskOp {
-                dir,
                 sectors,
                 cyl_distance,
                 seek,
@@ -216,10 +280,6 @@ impl ObsMetrics {
                 transfer,
                 ..
             } => {
-                match dir {
-                    AccessDir::Read => self.disk_reads += 1,
-                    AccessDir::Write => self.disk_writes += 1,
-                }
                 self.disk_sectors.record(sectors);
                 self.disk_cyl_distance.record(cyl_distance);
                 self.disk_seek.record(seek);
@@ -243,22 +303,18 @@ impl ObsMetrics {
                 slack,
                 ..
             } => {
-                self.admits += 1;
                 if k_new > k_old {
                     self.k_growths += 1;
                 }
                 self.k_peak = self.k_peak.max(k_new);
                 self.admit_slack.record(slack);
             }
-            Event::Reject { .. } => self.rejects += 1,
-            Event::Release { .. } => self.releases += 1,
             Event::RoundStart {
                 round,
                 active,
                 k,
                 at,
             } => {
-                self.rounds += 1;
                 self.round_active.record(active as u64);
                 self.round_k_max = self.round_k_max.max(k);
                 self.open_round = Some((round, at));
@@ -274,16 +330,12 @@ impl ObsMetrics {
                     }
                 }
             }
-            Event::RoundIdle { .. } => self.rounds_idle += 1,
             Event::DisplayStart { latency, .. } => {
-                self.display_starts += 1;
                 self.startup_latency.record(signed_ns(latency));
             }
             Event::Deadline { .. } => {
-                self.deadline_blocks += 1;
                 let margin = event.deadline_margin();
                 if margin < 0 {
-                    self.deadline_late += 1;
                     self.deadline_lateness.record(-margin);
                 } else {
                     self.deadline_margin.record(margin);
@@ -308,7 +360,6 @@ impl ObsMetrics {
                 }
                 self.fault_penalty.record(penalty);
             }
-            Event::Retry { .. } => self.retries += 1,
             Event::EditHeal { copied, bound, .. } => {
                 self.edit_heals += 1;
                 self.edit_copied.record(copied);
@@ -317,30 +368,8 @@ impl ObsMetrics {
             Event::Journal { .. } => self.journal_records += 1,
             Event::Recover { .. } => self.recovers += 1,
             Event::Repair { .. } => self.repairs += 1,
-            Event::Degrade { action, .. } => match action {
-                DegradeAction::DropBlock => self.degrade_drops += 1,
-                DegradeAction::Revoke => self.degrade_revokes += 1,
-                DegradeAction::Readmit => self.degrade_readmits += 1,
-            },
-            Event::Scrub { ok, .. } => {
-                self.scrubbed += 1;
-                if !ok {
-                    self.scrub_corrupt += 1;
-                }
-            }
-            Event::Hedge { won, .. } => {
-                self.hedges += 1;
-                if won {
-                    self.hedge_wins += 1;
-                }
-            }
-            Event::Quarantine { entered, .. } => {
-                if entered {
-                    self.quarantines += 1;
-                } else {
-                    self.quarantine_readmits += 1;
-                }
-            }
+            Event::Quarantine { entered: false, .. } => self.quarantine_readmits += 1,
+            _ => {}
         }
     }
 
@@ -369,8 +398,8 @@ impl ObsMetrics {
                 "\"hedge\":{{\"issued\":{},\"wins\":{},",
                 "\"quarantines\":{},\"readmits\":{}}}}}"
             ),
-            self.disk_reads,
-            self.disk_writes,
+            self.tally.disk_reads,
+            self.tally.disk_writes,
             self.disk_sectors.to_json(),
             self.disk_cyl_distance.to_json(),
             self.disk_seek.summary().to_json(),
@@ -381,23 +410,23 @@ impl ObsMetrics {
             self.allocs_unconstrained,
             self.alloc_gap.to_json(),
             self.alloc_slack.to_json(),
-            self.admits,
-            self.rejects,
-            self.releases,
+            self.tally.admits,
+            self.tally.rejects,
+            self.tally.releases,
             self.k_growths,
             self.k_peak,
             self.admit_slack.summary().to_json(),
-            self.rounds,
-            self.rounds_idle,
+            self.tally.rounds,
+            self.tally.idle_rounds,
             self.round_active.to_json(),
             self.round_k_max,
             self.round_duration.summary().to_json(),
             self.stream_services,
             self.service_span.summary().to_json(),
-            self.display_starts,
+            self.tally.display_starts,
             self.startup_latency.to_json(),
-            self.deadline_blocks,
-            self.deadline_late,
+            self.tally.deadline_blocks,
+            self.tally.deadline_late,
             self.deadline_margin.to_json(),
             self.deadline_lateness.to_json(),
             self.edit_heals,
@@ -411,18 +440,18 @@ impl ObsMetrics {
             self.faults_crashed,
             self.faults_write,
             self.fault_penalty.summary().to_json(),
-            self.retries,
-            self.degrade_drops,
-            self.degrade_revokes,
-            self.degrade_readmits,
+            self.tally.retries,
+            self.tally.drops,
+            self.tally.revokes,
+            self.tally.readmits,
             self.journal_records,
             self.recovers,
             self.repairs,
-            self.scrubbed,
-            self.scrub_corrupt,
-            self.hedges,
-            self.hedge_wins,
-            self.quarantines,
+            self.tally.scrubbed,
+            self.tally.scrub_corrupt,
+            self.tally.hedges,
+            self.tally.hedge_wins,
+            self.tally.quarantines,
             self.quarantine_readmits,
         )
     }
@@ -519,12 +548,6 @@ impl RingRecorder {
         &self.metrics
     }
 
-    /// Sum of all recorded disk service time (convenience for
-    /// cross-checking against `DiskStats::busy_time`).
-    pub fn disk_service_total(&self) -> Nanos {
-        self.metrics.disk_service.total()
-    }
-
     /// The full report as hand-rolled JSON: cumulative metrics plus
     /// ring occupancy.
     pub fn to_json(&self) -> String {
@@ -548,6 +571,7 @@ impl Recorder for RingRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MonitorConfig, WindowStats, WindowedMonitor};
     use strandfs_units::Instant;
 
     fn disk_op(lba: u64) -> Event {
@@ -580,8 +604,8 @@ mod tests {
         clone.emit(|| disk_op(128));
         let r = recorder.borrow();
         assert_eq!(r.len(), 2);
-        assert_eq!(r.metrics().disk_reads, 2);
-        assert_eq!(r.disk_service_total(), Nanos::from_millis(40));
+        assert_eq!(r.metrics().tally.disk_reads, 2);
+        assert_eq!(r.metrics().tally.disk_busy, Nanos::from_millis(40));
     }
 
     #[test]
@@ -602,7 +626,7 @@ mod tests {
             .collect();
         assert_eq!(lbas, vec![300, 400]);
         // Metrics saw all five.
-        assert_eq!(rec.metrics().disk_reads, 5);
+        assert_eq!(rec.metrics().tally.disk_reads, 5);
         assert_eq!(rec.metrics().disk_service.count(), 5);
     }
 
@@ -612,222 +636,232 @@ mod tests {
         rec.record(disk_op(0));
         assert!(rec.is_empty());
         assert_eq!(rec.dropped(), 1);
-        assert_eq!(rec.metrics().disk_reads, 1);
+        assert_eq!(rec.metrics().tally.disk_reads, 1);
+    }
+
+    /// One event of every kind, two where a kind has branches.
+    fn every_kind() -> Vec<Event> {
+        vec![
+            disk_op(0),
+            Event::Alloc {
+                strand: 1,
+                block: 0,
+                lba: 0,
+                sectors: 8,
+                gap: None,
+                slack: None,
+            },
+            Event::Alloc {
+                strand: 1,
+                block: 1,
+                lba: 40,
+                sectors: 8,
+                gap: Some(32),
+                slack: Some(96),
+            },
+            Event::Admit {
+                request: 7,
+                n: 1,
+                k_old: 0,
+                k_new: 2,
+                slack: Nanos::from_millis(5),
+            },
+            Event::Reject {
+                request: 8,
+                active: 1,
+                n_max: 1,
+            },
+            Event::Release {
+                request: 7,
+                n: 0,
+                k: 0,
+            },
+            Event::RoundStart {
+                round: 0,
+                active: 3,
+                k: 2,
+                at: Instant::EPOCH,
+            },
+            Event::StreamService {
+                stream: 0,
+                round: 0,
+                begin: Instant::EPOCH,
+                end: Instant::from_nanos(40),
+                blocks: 2,
+            },
+            Event::RoundEnd {
+                round: 0,
+                at: Instant::from_nanos(90),
+            },
+            Event::DisplayStart {
+                stream: 0,
+                at: Instant::from_nanos(10),
+                latency: Nanos::from_nanos(10),
+            },
+            Event::Deadline {
+                stream: 0,
+                item: 0,
+                round: 0,
+                deadline: Instant::from_nanos(100),
+                completed: Instant::from_nanos(80),
+            },
+            Event::Deadline {
+                stream: 0,
+                item: 1,
+                round: 1,
+                deadline: Instant::from_nanos(100),
+                completed: Instant::from_nanos(130),
+            },
+            Event::Fault {
+                class: FaultClass::Transient,
+                dir: AccessDir::Read,
+                lba: 40,
+                sectors: 8,
+                issued: Instant::EPOCH,
+                detected: Instant::from_nanos(50),
+                penalty: Nanos::from_nanos(50),
+            },
+            Event::Fault {
+                class: FaultClass::Spike,
+                dir: AccessDir::Read,
+                lba: 48,
+                sectors: 8,
+                issued: Instant::from_nanos(50),
+                detected: Instant::from_nanos(120),
+                penalty: Nanos::from_nanos(30),
+            },
+            Event::Fault {
+                class: FaultClass::Torn,
+                dir: AccessDir::Write,
+                lba: 64,
+                sectors: 8,
+                issued: Instant::from_nanos(120),
+                detected: Instant::from_nanos(180),
+                penalty: Nanos::from_nanos(60),
+            },
+            Event::Fault {
+                class: FaultClass::Crashed,
+                dir: AccessDir::Write,
+                lba: 72,
+                sectors: 8,
+                issued: Instant::from_nanos(180),
+                detected: Instant::from_nanos(240),
+                penalty: Nanos::from_nanos(60),
+            },
+            Event::Journal {
+                strand: 1,
+                op: crate::event::JournalOp::Append,
+                seq: 4,
+                at: Instant::from_nanos(200),
+            },
+            Event::Recover {
+                durable: 1,
+                completed: 1,
+                blocks_recovered: 3,
+                blocks_rolled_back: 1,
+                at: Instant::from_nanos(260),
+            },
+            Event::Repair {
+                action: crate::event::RepairAction::TruncateStrand,
+                strand: 2,
+                detail: 1,
+                at: Instant::from_nanos(280),
+            },
+            Event::Retry {
+                strand: 1,
+                block: 0,
+                attempt: 1,
+                at: Instant::from_nanos(50),
+                budget: Nanos::from_nanos(200),
+            },
+            Event::EditHeal {
+                rope: 3,
+                copied: 2,
+                bound: 4,
+                new_strand: 9,
+                at: Instant::from_nanos(290),
+            },
+            Event::Degrade {
+                stream: 0,
+                round: 1,
+                item: 2,
+                action: DegradeAction::DropBlock,
+                at: Instant::from_nanos(140),
+            },
+            Event::Degrade {
+                stream: 0,
+                round: 1,
+                item: 3,
+                action: DegradeAction::Revoke,
+                at: Instant::from_nanos(150),
+            },
+            Event::Degrade {
+                stream: 0,
+                round: 3,
+                item: 3,
+                action: DegradeAction::Readmit,
+                at: Instant::from_nanos(300),
+            },
+            Event::Scrub {
+                volume: 0,
+                strand: 1,
+                block: 0,
+                ok: true,
+                at: Instant::from_nanos(310),
+            },
+            Event::Scrub {
+                volume: 0,
+                strand: 1,
+                block: 1,
+                ok: false,
+                at: Instant::from_nanos(320),
+            },
+            Event::Hedge {
+                stream: 0,
+                volume: 0,
+                hedge_volume: 1,
+                primary: Nanos::from_nanos(500),
+                won: true,
+                at: Instant::from_nanos(330),
+            },
+            Event::Quarantine {
+                volume: 0,
+                entered: true,
+                rounds: 3,
+                at: Instant::from_nanos(340),
+            },
+            Event::Quarantine {
+                volume: 0,
+                entered: false,
+                rounds: 2,
+                at: Instant::from_nanos(350),
+            },
+        ]
     }
 
     #[test]
     fn metrics_fold_all_kinds() {
         let mut rec = RingRecorder::new(64);
-        rec.record(disk_op(0));
-        rec.record(Event::Alloc {
-            strand: 1,
-            block: 0,
-            lba: 0,
-            sectors: 8,
-            gap: None,
-            slack: None,
-        });
-        rec.record(Event::Alloc {
-            strand: 1,
-            block: 1,
-            lba: 40,
-            sectors: 8,
-            gap: Some(32),
-            slack: Some(96),
-        });
-        rec.record(Event::Admit {
-            request: 7,
-            n: 1,
-            k_old: 0,
-            k_new: 2,
-            slack: Nanos::from_millis(5),
-        });
-        rec.record(Event::Reject {
-            request: 8,
-            active: 1,
-            n_max: 1,
-        });
-        rec.record(Event::Release {
-            request: 7,
-            n: 0,
-            k: 0,
-        });
-        rec.record(Event::RoundStart {
-            round: 0,
-            active: 3,
-            k: 2,
-            at: Instant::EPOCH,
-        });
-        rec.record(Event::StreamService {
-            stream: 0,
-            round: 0,
-            begin: Instant::EPOCH,
-            end: Instant::from_nanos(40),
-            blocks: 2,
-        });
-        rec.record(Event::RoundEnd {
-            round: 0,
-            at: Instant::from_nanos(90),
-        });
-        rec.record(Event::DisplayStart {
-            stream: 0,
-            at: Instant::from_nanos(10),
-            latency: Nanos::from_nanos(10),
-        });
-        rec.record(Event::Deadline {
-            stream: 0,
-            item: 0,
-            round: 0,
-            deadline: Instant::from_nanos(100),
-            completed: Instant::from_nanos(80),
-        });
-        rec.record(Event::Deadline {
-            stream: 0,
-            item: 1,
-            round: 1,
-            deadline: Instant::from_nanos(100),
-            completed: Instant::from_nanos(130),
-        });
-        rec.record(Event::Fault {
-            class: FaultClass::Transient,
-            dir: AccessDir::Read,
-            lba: 40,
-            sectors: 8,
-            issued: Instant::EPOCH,
-            detected: Instant::from_nanos(50),
-            penalty: Nanos::from_nanos(50),
-        });
-        rec.record(Event::Fault {
-            class: FaultClass::Spike,
-            dir: AccessDir::Read,
-            lba: 48,
-            sectors: 8,
-            issued: Instant::from_nanos(50),
-            detected: Instant::from_nanos(120),
-            penalty: Nanos::from_nanos(30),
-        });
-        rec.record(Event::Fault {
-            class: FaultClass::Torn,
-            dir: AccessDir::Write,
-            lba: 64,
-            sectors: 8,
-            issued: Instant::from_nanos(120),
-            detected: Instant::from_nanos(180),
-            penalty: Nanos::from_nanos(60),
-        });
-        rec.record(Event::Fault {
-            class: FaultClass::Crashed,
-            dir: AccessDir::Write,
-            lba: 72,
-            sectors: 8,
-            issued: Instant::from_nanos(180),
-            detected: Instant::from_nanos(240),
-            penalty: Nanos::from_nanos(60),
-        });
-        rec.record(Event::Journal {
-            strand: 1,
-            op: crate::event::JournalOp::Append,
-            seq: 4,
-            at: Instant::from_nanos(200),
-        });
-        rec.record(Event::Recover {
-            durable: 1,
-            completed: 1,
-            blocks_recovered: 3,
-            blocks_rolled_back: 1,
-            at: Instant::from_nanos(260),
-        });
-        rec.record(Event::Repair {
-            action: crate::event::RepairAction::TruncateStrand,
-            strand: 2,
-            detail: 1,
-            at: Instant::from_nanos(280),
-        });
-        rec.record(Event::Retry {
-            strand: 1,
-            block: 0,
-            attempt: 1,
-            at: Instant::from_nanos(50),
-            budget: Nanos::from_nanos(200),
-        });
-        rec.record(Event::EditHeal {
-            rope: 3,
-            copied: 2,
-            bound: 4,
-            new_strand: 9,
-            at: Instant::from_nanos(290),
-        });
-        rec.record(Event::Degrade {
-            stream: 0,
-            round: 1,
-            item: 2,
-            action: DegradeAction::DropBlock,
-            at: Instant::from_nanos(140),
-        });
-        rec.record(Event::Degrade {
-            stream: 0,
-            round: 1,
-            item: 3,
-            action: DegradeAction::Revoke,
-            at: Instant::from_nanos(150),
-        });
-        rec.record(Event::Degrade {
-            stream: 0,
-            round: 3,
-            item: 3,
-            action: DegradeAction::Readmit,
-            at: Instant::from_nanos(300),
-        });
-        rec.record(Event::Scrub {
-            volume: 0,
-            strand: 1,
-            block: 0,
-            ok: true,
-            at: Instant::from_nanos(310),
-        });
-        rec.record(Event::Scrub {
-            volume: 0,
-            strand: 1,
-            block: 1,
-            ok: false,
-            at: Instant::from_nanos(320),
-        });
-        rec.record(Event::Hedge {
-            stream: 0,
-            volume: 0,
-            hedge_volume: 1,
-            primary: Nanos::from_nanos(500),
-            won: true,
-            at: Instant::from_nanos(330),
-        });
-        rec.record(Event::Quarantine {
-            volume: 0,
-            entered: true,
-            rounds: 3,
-            at: Instant::from_nanos(340),
-        });
-        rec.record(Event::Quarantine {
-            volume: 0,
-            entered: false,
-            rounds: 2,
-            at: Instant::from_nanos(350),
-        });
+        for e in every_kind() {
+            rec.record(e);
+        }
         let m = rec.metrics();
+        let t = &m.tally;
         assert_eq!(m.allocs, 2);
         assert_eq!(m.allocs_unconstrained, 1);
         assert_eq!(m.alloc_gap.mean(), 32);
-        assert_eq!((m.admits, m.rejects, m.releases), (1, 1, 1));
+        assert_eq!((t.admits, t.rejects, t.releases), (1, 1, 1));
         assert_eq!(m.k_growths, 1);
         assert_eq!(m.k_peak, 2);
-        assert_eq!(m.rounds, 1);
+        assert_eq!(t.rounds, 1);
         assert_eq!(m.round_k_max, 2);
         assert_eq!(m.stream_services, 1);
         assert_eq!(m.service_span.summary().mean, Nanos::from_nanos(40));
-        assert_eq!(m.display_starts, 1);
+        assert_eq!(t.display_starts, 1);
         assert_eq!(m.startup_latency.count(), 1);
         assert_eq!(m.round_duration.summary().max, Nanos::from_nanos(90));
-        assert_eq!(m.deadline_blocks, 2);
-        assert_eq!(m.deadline_late, 1);
+        assert_eq!(t.deadline_blocks, 2);
+        assert_eq!(t.deadline_late, 1);
         assert_eq!(m.deadline_margin.count(), 1);
         assert_eq!(m.deadline_lateness.count(), 1);
         assert_eq!(
@@ -837,17 +871,14 @@ mod tests {
         assert_eq!((m.faults_torn, m.faults_crashed, m.faults_write), (1, 1, 2));
         assert_eq!((m.journal_records, m.recovers, m.repairs), (1, 1, 1));
         assert_eq!(m.fault_penalty.count(), 4);
-        assert_eq!(m.retries, 1);
+        assert_eq!((t.faults, t.retries), (4, 1));
         assert_eq!(m.edit_heals, 1);
         assert_eq!(m.edit_copied.mean(), 2);
         assert_eq!(m.edit_bound_max, 4);
-        assert_eq!(
-            (m.degrade_drops, m.degrade_revokes, m.degrade_readmits),
-            (1, 1, 1)
-        );
-        assert_eq!((m.scrubbed, m.scrub_corrupt), (2, 1));
-        assert_eq!((m.hedges, m.hedge_wins), (1, 1));
-        assert_eq!((m.quarantines, m.quarantine_readmits), (1, 1));
+        assert_eq!((t.drops, t.revokes, t.readmits), (1, 1, 1));
+        assert_eq!((t.scrubbed, t.scrub_corrupt), (2, 1));
+        assert_eq!((t.hedges, t.hedge_wins), (1, 1));
+        assert_eq!((t.quarantines, m.quarantine_readmits), (1, 1));
         // JSON is well-formed enough to contain every section.
         let json = rec.to_json();
         for key in [
@@ -866,5 +897,84 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
+    }
+
+    /// The windows' tallies summed field by field.
+    fn summed<'a>(windows: impl Iterator<Item = &'a WindowStats>) -> Tally {
+        let mut sum = Tally::default();
+        for w in windows {
+            let Tally {
+                disk_reads,
+                disk_writes,
+                disk_busy,
+                rounds,
+                idle_rounds,
+                deadline_blocks,
+                deadline_late,
+                admits,
+                rejects,
+                releases,
+                display_starts,
+                faults,
+                retries,
+                drops,
+                revokes,
+                readmits,
+                scrubbed,
+                scrub_corrupt,
+                hedges,
+                hedge_wins,
+                quarantines,
+            } = w.tally;
+            sum.disk_reads += disk_reads;
+            sum.disk_writes += disk_writes;
+            sum.disk_busy += disk_busy;
+            sum.rounds += rounds;
+            sum.idle_rounds += idle_rounds;
+            sum.deadline_blocks += deadline_blocks;
+            sum.deadline_late += deadline_late;
+            sum.admits += admits;
+            sum.rejects += rejects;
+            sum.releases += releases;
+            sum.display_starts += display_starts;
+            sum.faults += faults;
+            sum.retries += retries;
+            sum.drops += drops;
+            sum.revokes += revokes;
+            sum.readmits += readmits;
+            sum.scrubbed += scrubbed;
+            sum.scrub_corrupt += scrub_corrupt;
+            sum.hedges += hedges;
+            sum.hedge_wins += hedge_wins;
+            sum.quarantines += quarantines;
+        }
+        sum
+    }
+
+    #[test]
+    fn window_tallies_sum_to_the_run_tally() {
+        // Each event of every kind lands in a window of its own.
+        let mut rec = RingRecorder::new(0);
+        let mut monitor = WindowedMonitor::new(MonitorConfig::rounds(1).retain(1 << 10));
+        for (round, event) in every_kind().into_iter().enumerate() {
+            let tick = Event::RoundStart {
+                round: round as u64 + 1,
+                active: 1,
+                k: 1,
+                at: Instant::from_nanos(round as u64),
+            };
+            for e in [tick, event] {
+                rec.record(e);
+                monitor.record(e);
+            }
+        }
+        monitor.finish();
+        assert_eq!(monitor.evicted(), 0);
+        let tally = &rec.metrics().tally;
+        assert_eq!(summed(monitor.windows()), *tally);
+        assert_eq!(
+            (tally.scrub_corrupt, tally.quarantines, tally.drops),
+            (1, 1, 1)
+        );
     }
 }

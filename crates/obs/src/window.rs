@@ -5,8 +5,8 @@
 //! go"; a 2-second outage inside a 10-minute run vanishes into the
 //! averages, and a full raw trace of 100k streams does not fit in
 //! memory. [`WindowedMonitor`] closes that gap: it folds the same event
-//! stream into fixed-width windows of service rounds, each summarised
-//! by O(1)-size [`WindowStats`]
+//! stream, through the same [`Tally`], into fixed-width windows of
+//! service rounds, each summarised by O(1)-size [`WindowStats`]
 //! (miss rate, margin quantiles via the mergeable
 //! [`QuantileSketch`], disk utilization, live Eq. 18 slack, fault and
 //! degradation rates, admission churn). Closed windows are retained as
@@ -22,7 +22,7 @@ use strandfs_units::{Instant, Nanos};
 
 use crate::alert::{Alert, SloRule};
 use crate::event::Event;
-use crate::recorder::{EventRing, Recorder};
+use crate::recorder::{EventRing, Recorder, Tally};
 use crate::sketch::QuantileSketch;
 
 /// Configuration for a [`WindowedMonitor`].
@@ -79,8 +79,9 @@ impl MonitorConfig {
     }
 }
 
-/// O(1)-size health summary of one window.
-#[derive(Clone, Debug)]
+/// O(1)-size health summary of one window: its [`Tally`] plus the
+/// window's own bounds, margin sketch and slack.
+#[derive(Clone, Debug, Default)]
 pub struct WindowStats {
     /// Window index (`round / width`).
     pub index: u64,
@@ -94,95 +95,25 @@ pub struct WindowStats {
     pub first_at: Option<Instant>,
     /// Instant of the last anchored event folded in.
     pub last_at: Option<Instant>,
-    /// Service rounds started in the window.
-    pub rounds: u64,
-    /// Idle rounds (nothing serviceable) in the window.
-    pub idle_rounds: u64,
-    /// Deadline outcomes observed.
-    pub deadline_blocks: u64,
-    /// Deadline outcomes that were late.
-    pub deadline_late: u64,
+    /// The window's counters, counted by the rule the whole run's
+    /// [`crate::ObsMetrics`] use.
+    pub tally: Tally,
     /// Signed deadline margins (ns; negative = late).
     pub margins: QuantileSketch,
-    /// Disk operations issued.
-    pub disk_ops: u64,
-    /// Disk service time consumed (seek + rotation + transfer).
-    pub disk_busy: Nanos,
     /// Live Eq. 18 slack: the last admission's slack observed at or
     /// before this window (carried forward across windows with no
     /// admission activity; `None` until the first admission).
     pub slack: Option<Nanos>,
-    /// Fault events (any class).
-    pub faults: u64,
-    /// Read retries issued.
-    pub retries: u64,
-    /// Blocks dropped by the degradation ladder.
-    pub drops: u64,
-    /// Streams revoked.
-    pub revokes: u64,
-    /// Revoked streams re-admitted.
-    pub readmits: u64,
-    /// Requests admitted.
-    pub admits: u64,
-    /// Requests rejected.
-    pub rejects: u64,
-    /// Requests released.
-    pub releases: u64,
-    /// Display-clock starts (stream epochs satisfying read-ahead).
-    pub display_starts: u64,
-    /// Scrub probes in the window (`Scrub` events): blocks the scrubber
-    /// hashed itself, not blocks covered on read credit.
-    pub scrubbed: u64,
-    /// Scrubbed blocks whose checksum did not match.
-    pub scrub_corrupt: u64,
-    /// Hedged reads issued against a slow primary.
-    pub hedges: u64,
-    /// Hedged reads the replica won.
-    pub hedge_wins: u64,
-    /// Volumes quarantined for breaching the latency SLO.
-    pub quarantines: u64,
 }
 
 impl WindowStats {
-    fn fresh(index: u64, slack: Option<Nanos>) -> WindowStats {
-        WindowStats {
-            index,
-            events: 0,
-            start_round: None,
-            end_round: None,
-            first_at: None,
-            last_at: None,
-            rounds: 0,
-            idle_rounds: 0,
-            deadline_blocks: 0,
-            deadline_late: 0,
-            margins: QuantileSketch::new(),
-            disk_ops: 0,
-            disk_busy: Nanos::ZERO,
-            slack,
-            faults: 0,
-            retries: 0,
-            drops: 0,
-            revokes: 0,
-            readmits: 0,
-            admits: 0,
-            rejects: 0,
-            releases: 0,
-            display_starts: 0,
-            scrubbed: 0,
-            scrub_corrupt: 0,
-            hedges: 0,
-            hedge_wins: 0,
-            quarantines: 0,
-        }
-    }
-
     /// Deadline miss rate in the window (0.0 when no deadlines).
     pub fn miss_rate(&self) -> f64 {
-        if self.deadline_blocks == 0 {
+        let t = &self.tally;
+        if t.deadline_blocks == 0 {
             0.0
         } else {
-            self.deadline_late as f64 / self.deadline_blocks as f64
+            t.deadline_late as f64 / t.deadline_blocks as f64
         }
     }
 
@@ -192,7 +123,7 @@ impl WindowStats {
     pub fn utilization(&self) -> f64 {
         match (self.first_at, self.last_at) {
             (Some(a), Some(b)) if b > a => {
-                self.disk_busy.as_nanos() as f64 / (b - a).as_nanos() as f64
+                self.tally.disk_busy.as_nanos() as f64 / (b - a).as_nanos() as f64
             }
             _ => 0.0,
         }
@@ -201,78 +132,26 @@ impl WindowStats {
     fn fold(&mut self, event: &Event) {
         self.events += 1;
         if let Some(at) = event.at() {
-            if self.first_at.is_none() {
-                self.first_at = Some(at);
-            }
+            self.first_at.get_or_insert(at);
             self.last_at = Some(at);
         }
+        self.tally.fold(event);
         match *event {
-            Event::DiskOp {
-                seek,
-                rotation,
-                transfer,
-                ..
-            } => {
-                self.disk_ops += 1;
-                self.disk_busy += seek + rotation + transfer;
+            Event::RoundStart { round, .. }
+            | Event::RoundIdle { round, .. }
+            | Event::RoundEnd { round, .. } => {
+                self.start_round.get_or_insert(round);
+                self.end_round = Some(round);
             }
-            Event::RoundStart { round, .. } => {
-                self.rounds += 1;
-                self.note_round(round);
-            }
-            Event::RoundIdle { round, .. } => {
-                self.idle_rounds += 1;
-                self.note_round(round);
-            }
-            Event::RoundEnd { round, .. } => self.note_round(round),
-            Event::Deadline { .. } => {
-                self.deadline_blocks += 1;
-                let margin = event.deadline_margin();
-                if margin < 0 {
-                    self.deadline_late += 1;
-                }
-                self.margins.record(margin);
-            }
-            Event::Admit { slack, .. } => {
-                self.admits += 1;
-                self.slack = Some(slack);
-            }
-            Event::Reject { .. } => self.rejects += 1,
-            Event::Release { .. } => self.releases += 1,
-            Event::Fault { .. } => self.faults += 1,
-            Event::Retry { .. } => self.retries += 1,
-            Event::Degrade { action, .. } => match action {
-                crate::event::DegradeAction::DropBlock => self.drops += 1,
-                crate::event::DegradeAction::Revoke => self.revokes += 1,
-                crate::event::DegradeAction::Readmit => self.readmits += 1,
-            },
-            Event::DisplayStart { .. } => self.display_starts += 1,
-            Event::Scrub { ok, .. } => {
-                self.scrubbed += 1;
-                if !ok {
-                    self.scrub_corrupt += 1;
-                }
-            }
-            Event::Hedge { won, .. } => {
-                self.hedges += 1;
-                if won {
-                    self.hedge_wins += 1;
-                }
-            }
-            Event::Quarantine { entered: true, .. } => self.quarantines += 1,
+            Event::Deadline { .. } => self.margins.record(event.deadline_margin()),
+            Event::Admit { slack, .. } => self.slack = Some(slack),
             _ => {}
         }
     }
 
-    fn note_round(&mut self, round: u64) {
-        if self.start_round.is_none() {
-            self.start_round = Some(round);
-        }
-        self.end_round = Some(round);
-    }
-
     /// The window as a hand-rolled JSON object.
     pub fn to_json(&self) -> String {
+        let t = &self.tally;
         let opt_u64 = |v: Option<u64>| match v {
             Some(n) => n.to_string(),
             None => "null".into(),
@@ -296,34 +175,34 @@ impl WindowStats {
             self.events,
             opt_u64(self.start_round),
             opt_u64(self.end_round),
-            opt_u64(self.first_at.map(|t| t.as_nanos())),
-            opt_u64(self.last_at.map(|t| t.as_nanos())),
-            self.rounds,
-            self.idle_rounds,
-            self.deadline_blocks,
-            self.deadline_late,
+            opt_u64(self.first_at.map(|i| i.as_nanos())),
+            opt_u64(self.last_at.map(|i| i.as_nanos())),
+            t.rounds,
+            t.idle_rounds,
+            t.deadline_blocks,
+            t.deadline_late,
             self.miss_rate(),
             self.margins.min(),
             self.margins.quantile(0.01),
             self.margins.quantile(0.50),
-            self.disk_ops,
-            self.disk_busy.as_nanos(),
+            t.disk_reads + t.disk_writes,
+            t.disk_busy.as_nanos(),
             self.utilization(),
             opt_u64(self.slack.map(|s| s.as_nanos())),
-            self.faults,
-            self.retries,
-            self.drops,
-            self.revokes,
-            self.readmits,
-            self.admits,
-            self.rejects,
-            self.releases,
-            self.display_starts,
-            self.scrubbed,
-            self.scrub_corrupt,
-            self.hedges,
-            self.hedge_wins,
-            self.quarantines,
+            t.faults,
+            t.retries,
+            t.drops,
+            t.revokes,
+            t.readmits,
+            t.admits,
+            t.rejects,
+            t.releases,
+            t.display_starts,
+            t.scrubbed,
+            t.scrub_corrupt,
+            t.hedges,
+            t.hedge_wins,
+            t.quarantines,
         )
     }
 }
@@ -419,7 +298,6 @@ pub struct WindowedMonitor {
     evicted: u64,
     /// Windows closed so far (including evicted and fast-forwarded).
     closed: u64,
-    last_slack: Option<Nanos>,
     alerts: Vec<Alert>,
     dumps: Vec<FlightDump>,
     finished: bool,
@@ -436,11 +314,10 @@ impl WindowedMonitor {
             latched,
             max_dumps: config.max_dumps,
             ring: EventRing::new(config.ring_cap),
-            cur: WindowStats::fresh(0, None),
+            cur: WindowStats::default(),
             series: VecDeque::new(),
             evicted: 0,
             closed: 0,
-            last_slack: None,
             alerts: Vec::new(),
             dumps: Vec::new(),
             finished: false,
@@ -450,11 +327,6 @@ impl WindowedMonitor {
     /// The closed-window series, oldest first (bounded by `retain`).
     pub fn windows(&self) -> impl Iterator<Item = &WindowStats> {
         self.series.iter()
-    }
-
-    /// The window currently being filled.
-    pub fn current(&self) -> &WindowStats {
-        &self.cur
     }
 
     /// All alerts raised so far, in firing order.
@@ -560,7 +432,11 @@ impl WindowedMonitor {
             }
             self.alerts.push(alert);
         }
-        let next = WindowStats::fresh(self.cur.index + 1, self.last_slack);
+        let next = WindowStats {
+            index: self.cur.index + 1,
+            slack: self.cur.slack,
+            ..WindowStats::default()
+        };
         let closed = std::mem::replace(&mut self.cur, next);
         self.series.push_back(closed);
         if self.series.len() > self.retain {
@@ -601,9 +477,6 @@ impl Recorder for WindowedMonitor {
             self.seek_window(target);
         }
         self.cur.fold(&event);
-        if let Event::Admit { slack, .. } = event {
-            self.last_slack = Some(slack);
-        }
         self.ring.record(event);
     }
 }
@@ -658,9 +531,9 @@ mod tests {
         // Rounds 0–1, 2–3 closed; round 4 is the final partial window.
         let windows: Vec<&WindowStats> = m.windows().collect();
         assert_eq!(windows.len(), 3);
-        assert_eq!(windows[0].rounds, 2);
-        assert_eq!(windows[1].rounds, 2);
-        assert_eq!(windows[2].rounds, 1);
+        assert_eq!(windows[0].tally.rounds, 2);
+        assert_eq!(windows[1].tally.rounds, 2);
+        assert_eq!(windows[2].tally.rounds, 1);
         assert_eq!(windows[0].start_round, Some(0));
         assert_eq!(windows[1].start_round, Some(2));
         assert_eq!(windows[2].start_round, Some(4));
@@ -693,7 +566,7 @@ mod tests {
         assert_eq!(m.closed(), 1_000_000_001);
         let last = m.windows().last().unwrap();
         assert_eq!(last.index, 1_000_000_000);
-        assert_eq!(last.rounds, 1);
+        assert_eq!(last.tally.rounds, 1);
     }
 
     #[test]
@@ -835,8 +708,8 @@ mod tests {
         assert_eq!(alert.kind, "volume_slow");
         assert_eq!(alert.window, 1);
         let windows: Vec<&WindowStats> = m.windows().collect();
-        assert_eq!(windows[1].hedges, 2);
-        assert_eq!(windows[1].hedge_wins, 1);
+        assert_eq!(windows[1].tally.hedges, 2);
+        assert_eq!(windows[1].tally.hedge_wins, 1);
     }
 
     #[test]

@@ -43,8 +43,8 @@ fn tiny_env_cap_wraps_dropping_oldest_while_metrics_keep_folding() {
     // Cumulative metrics saw all ten events, including the seven the
     // ring evicted.
     let m = rec.metrics();
-    assert_eq!(m.deadline_blocks, TOTAL);
-    assert_eq!(m.deadline_late, TOTAL / 2);
+    assert_eq!(m.tally.deadline_blocks, TOTAL);
+    assert_eq!(m.tally.deadline_late, TOTAL / 2);
     assert_eq!(m.deadline_margin.count(), TOTAL / 2);
     assert_eq!(m.deadline_lateness.count(), TOTAL / 2);
 

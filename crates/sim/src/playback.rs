@@ -796,7 +796,7 @@ mod tests {
         let scheds = schedules(&mut mrs, &ropes);
         let report = simulate_playback(&mut mrs, scheds, PlaybackConfig::with_k(4)).unwrap();
         let r = rec.borrow();
-        let m = r.metrics();
+        let m = &r.metrics().tally;
         assert_eq!(m.rounds, report.rounds);
         assert_eq!(m.deadline_blocks, report.streams[0].blocks);
         assert_eq!(m.deadline_late, report.total_violations());

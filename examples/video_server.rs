@@ -114,21 +114,22 @@ fn main() {
     {
         let r = recorder.borrow();
         let m = r.metrics();
+        let t = &m.tally;
         println!(
             "obs: {} reads / {} writes (mean service {}), \
              {} admits / {} rejects (min Eq.18 slack {}), \
              {} rounds, tightest deadline margin {}",
-            m.disk_reads,
-            m.disk_writes,
+            t.disk_reads,
+            t.disk_writes,
             m.disk_service.summary().mean,
-            m.admits,
-            m.rejects,
+            t.admits,
+            t.rejects,
             m.admit_slack.summary().min,
-            m.rounds,
+            t.rounds,
             Nanos::from_nanos(m.deadline_margin.min() as u64),
         );
-        assert_eq!(m.rejects, rejected, "every rejection was recorded");
-        assert_eq!(m.deadline_late, 0, "continuous run has no late blocks");
+        assert_eq!(t.rejects, rejected, "every rejection was recorded");
+        assert_eq!(t.deadline_late, 0, "continuous run has no late blocks");
     }
 
     // A rejected client can still compile a schedule for later (e.g.

@@ -43,6 +43,14 @@ step "cargo build --workspace --release --offline" \
 
 step "cargo test --workspace -q --offline" cargo test --workspace -q --offline
 
+# The five examples, end to end in release. Each asserts on what it
+# ran (video_server: every rejection recorded, no late block), so a
+# change that breaks a flow or a counter they read fails here.
+for example in quickstart video_server editing_studio capacity_planner jukebox; do
+    step "example $example (release)" \
+        quiet cargo run -q --offline --release --example "$example"
+done
+
 # Finding 1 of benchmark/README.md: restore at eight blocks a round
 # once dropped replicated blocks at a short round size. Re-replication
 # now spends only round slack, so both of the finding's reproducers

@@ -10,7 +10,9 @@ use strandfs::core::mrs::{compile_schedule, Mrs};
 use strandfs::core::msm::{Msm, MsmConfig};
 use strandfs::core::rope::edit::{Interval, MediaSel};
 use strandfs::disk::{DiskGeometry, GapBounds, SeekModel, SimDisk};
-use strandfs::obs::{Event, MonitorConfig, ObsSink, SloRule, WindowedMonitor};
+use strandfs::obs::{
+    Event, MonitorConfig, ObsSink, Recorder, SloRule, Tally, WindowStats, WindowedMonitor,
+};
 use strandfs::sim::playback::{simulate_playback, PlaybackConfig};
 use strandfs::sim::{record_clip, ClipSpec, SimReport};
 use strandfs::units::Nanos;
@@ -117,5 +119,75 @@ fn per_op_components_sum_to_service_time() {
     // The decomposed per-op times reconstruct the disk's own busy-time
     // accounting exactly.
     assert_eq!(total, busy);
-    assert_eq!(r.disk_service_total(), busy);
+    assert_eq!(r.metrics().tally.disk_busy, busy);
+}
+
+/// The windows' tallies summed field by field.
+fn summed<'a>(windows: impl Iterator<Item = &'a WindowStats>) -> Tally {
+    let mut sum = Tally::default();
+    for w in windows {
+        let Tally {
+            disk_reads,
+            disk_writes,
+            disk_busy,
+            rounds,
+            idle_rounds,
+            deadline_blocks,
+            deadline_late,
+            admits,
+            rejects,
+            releases,
+            display_starts,
+            faults,
+            retries,
+            drops,
+            revokes,
+            readmits,
+            scrubbed,
+            scrub_corrupt,
+            hedges,
+            hedge_wins,
+            quarantines,
+        } = w.tally;
+        sum.disk_reads += disk_reads;
+        sum.disk_writes += disk_writes;
+        sum.disk_busy += disk_busy;
+        sum.rounds += rounds;
+        sum.idle_rounds += idle_rounds;
+        sum.deadline_blocks += deadline_blocks;
+        sum.deadline_late += deadline_late;
+        sum.admits += admits;
+        sum.rejects += rejects;
+        sum.releases += releases;
+        sum.display_starts += display_starts;
+        sum.faults += faults;
+        sum.retries += retries;
+        sum.drops += drops;
+        sum.revokes += revokes;
+        sum.readmits += readmits;
+        sum.scrubbed += scrubbed;
+        sum.scrub_corrupt += scrub_corrupt;
+        sum.hedges += hedges;
+        sum.hedge_wins += hedge_wins;
+        sum.quarantines += quarantines;
+    }
+    sum
+}
+
+#[test]
+fn the_monitor_and_the_recorder_count_the_same_session() {
+    let (sink, rec) = ObsSink::ring(1 << 18);
+    let (_report, busy) = session(sink);
+    let r = rec.borrow();
+    assert_eq!(r.dropped(), 0, "the replay needs every event");
+    let mut monitor = WindowedMonitor::new(MonitorConfig::rounds(2).retain(1 << 16));
+    for e in r.events() {
+        monitor.record(*e);
+    }
+    monitor.finish();
+    assert_eq!(monitor.evicted(), 0);
+    let tally = &r.metrics().tally;
+    assert_eq!(summed(monitor.windows()), *tally);
+    assert_eq!(tally.disk_busy, busy);
+    assert!(tally.deadline_blocks > 0 && tally.display_starts > 0);
 }

@@ -1282,7 +1282,7 @@ fn cluster_integrity_chaos_scrub_coverage() {
             }
             let probed: u64 = probes.values().map(|p| p.len() as u64).sum();
             prop_assert_eq!(report.scrubbed_blocks - report.scrub_credited, probed);
-            prop_assert_eq!(ring.metrics().scrubbed, probed);
+            prop_assert_eq!(ring.metrics().tally.scrubbed, probed);
             let by_volume: u64 = report.volumes.iter().map(|v| v.scrubbed).sum();
             prop_assert_eq!(by_volume, report.scrubbed_blocks);
             prop_assert_eq!(report.scrubbed_blocks, stamped.len() as u64);

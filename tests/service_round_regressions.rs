@@ -218,7 +218,7 @@ fn idle_rounds_advance_the_outage_clock() {
         .fold(Nanos::ZERO, |a, b| a + b);
     assert!(idle_span > Nanos::ZERO);
     assert_eq!(s.recovery_time, idle_span);
-    assert!(r.metrics().rounds_idle >= 1);
+    assert!(r.metrics().tally.idle_rounds >= 1);
 }
 
 /// The SCAN/CSCAN loop lays its streams out in first-sweep order, which
