@@ -5,13 +5,16 @@
 //!
 //! 1. every stored media block and index block of every finished strand
 //!    lies on the device and is marked allocated in the free map;
-//! 2. no two strands' blocks overlap;
+//! 2. no two strands' blocks overlap, nor overlap the journal region or
+//!    a text file;
 //! 3. each strand's on-disk index decodes and reconstructs the in-memory
 //!    block map exactly;
 //! 4. successive stored blocks of a strand respect the volume's
 //!    scattering gap bounds (wrap transitions are reported, not errors —
 //!    the allocator records them as anomalies by design);
-//! 5. every rope in the catalog references only existing, finished
+//! 5. no allocated sector is reachable from nothing (the journal region,
+//!    a text file or a strand, finished or recording);
+//! 6. every rope in the catalog references only existing, finished
 //!    strands, within their unit ranges, and holds matching interests.
 //!
 //! The checker is read-mostly (index verification re-reads the on-disk
@@ -19,15 +22,15 @@
 //!
 //! # Repair mode
 //!
-//! [`repair_msm`] and [`repair_volume`] go further than reporting: a
-//! strand whose block map points at sectors that are off-device,
-//! unallocated or claimed by another strand is **truncated** to the
-//! blocks before the first bad pointer (its index is rewritten); space
-//! that is allocated but reachable from no strand, rope, journal or
-//! text file is **released** back to the free map; and rope references
-//! to missing or shortened strands are **dropped or clamped**. Each fix
-//! is reported as a `Repaired*` finding and a second check pass comes
-//! back clean — repair converges.
+//! [`repair_msm`] and [`repair_volume`] go further than reporting, and
+//! repair applies check's rules inside the same walk: a strand whose
+//! block map points at sectors that are off-device, unallocated or
+//! claimed earlier is **truncated** to the blocks before the first bad
+//! pointer (its index is rewritten); space that is allocated but
+//! reachable from nothing is **released** back to the free map; and
+//! rope references to missing or shortened strands are **dropped or
+//! clamped**. Each fix is reported as a `Repaired*` finding and a second
+//! check pass comes back clean — repair converges.
 
 use crate::mrs::Mrs;
 use crate::msm::Msm;
@@ -56,9 +59,10 @@ pub enum Finding {
         /// The offending extent.
         extent: Extent,
     },
-    /// Two strands claim overlapping sectors.
+    /// Two claims overlap.
     OverlappingExtents {
-        /// First claimant.
+        /// First claimant (`u64::MAX` for the journal region or a text
+        /// file).
         a: StrandId,
         /// Second claimant.
         b: StrandId,
@@ -112,6 +116,12 @@ pub enum Finding {
         end_unit: u64,
         /// The strand's unit count.
         unit_count: u64,
+    },
+    /// An allocated region is reachable from no strand, journal or text
+    /// file.
+    LeakedExtent {
+        /// The region.
+        extent: Extent,
     },
     /// Repair truncated a strand at its first bad block pointer and
     /// rewrote its index (`dropped_blocks == 0` means only the index
@@ -183,6 +193,9 @@ impl fmt::Display for Finding {
                 f,
                 "{rope}: references {strand} units ..{end_unit} of {unit_count}"
             ),
+            Finding::LeakedExtent { extent } => {
+                write!(f, "extent {extent:?} allocated but reachable from nothing")
+            }
             Finding::RepairedTruncatedStrand {
                 strand,
                 kept_blocks,
@@ -221,135 +234,189 @@ impl Report {
     }
 }
 
-/// Check the storage layer: strand extents, allocation marks, overlaps,
-/// index round-trips and scattering gaps.
+/// Check the storage layer: what the walk finds (extents, allocation
+/// marks, overlaps, index round-trips, scattering gaps), then every
+/// leaked run.
 pub fn check_msm(msm: &mut Msm, now: Instant) -> Report {
-    let mut report = Report::default();
-    let total = msm.disk().geometry().total_sectors();
-    let bad: Vec<Extent> = msm.disk().bad_extents().to_vec();
-    let bounds = msm.gap_bounds();
-    let ids = msm.strand_ids();
-    let mut claims = Claims::new();
+    let mut report = walk(msm, now, |_, _, _| {});
+    let leaked = leaks(msm)
+        .into_iter()
+        .map(|extent| Finding::LeakedExtent { extent });
+    report.findings.extend(leaked);
+    report
+}
 
-    for id in &ids {
+/// Sector claims of a walk: start sector → (length, owner).
+type Claims = BTreeMap<u64, (u64, StrandId)>;
+
+/// The owner of the journal region's and the text files' claims, and
+/// the strand a released leak's repair event names.
+const VOLUME: StrandId = StrandId::from_raw(u64::MAX);
+
+/// The one walk check and repair share. The claim map starts with the
+/// journal region and the text files; every finished strand's stored
+/// blocks, then its index extents, go through [`rule`]. A strand is cut
+/// before its first unusable stored pointer, or at its full length when
+/// an index extent is unusable or the index fails its round-trip (read
+/// only while nothing else cut it). `cut(msm, id, keep)` runs before the
+/// walk reads the next strand; a strand the cut rewrote claims what it
+/// kept and wrote, and no more.
+fn walk(msm: &mut Msm, now: Instant, mut cut: impl FnMut(&mut Msm, StrandId, u64)) -> Report {
+    let mut report = Report::default();
+    let mut claims = Claims::new();
+    for e in msm
+        .journal_region()
+        .into_iter()
+        .chain(msm.text_extents().iter().copied())
+    {
+        claims.insert(e.start, (e.sectors, VOLUME));
+    }
+    let bounds = msm.gap_bounds();
+    for id in msm.strand_ids() {
         report.strands_checked += 1;
-        let (blocks, index_extents, header) = {
-            let s = msm.strand(*id).expect("listed id");
-            (
-                s.blocks().to_vec(),
-                s.index_extents().to_vec(),
-                s.index_extents().last().copied(),
-            )
-        };
+        let s = msm.strand(id).expect("listed id");
+        let (blocks, index, units) = (
+            s.blocks().to_vec(),
+            s.index_extents().to_vec(),
+            s.unit_count(),
+        );
+        let mut keep = None;
         let mut prev: Option<(u64, Extent)> = None;
-        for (n, block) in blocks.iter().enumerate() {
-            let Some(e) = block else { continue };
-            check_extent(msm, *id, *e, total, &bad, &mut claims, &mut report);
-            if let Some((pn, pe)) = prev {
-                if e.start >= pe.end() {
-                    let gap = e.start - pe.end();
-                    if !bounds.admits(gap) {
-                        report.findings.push(Finding::GapOutOfBounds {
-                            strand: *id,
-                            after_block: pn,
-                            gap,
-                        });
-                    }
-                } else {
-                    report.wrap_gaps += 1;
-                }
+        for (n, e) in s.stored_iter() {
+            if !rule(msm, id, e, &mut claims, &mut report.findings) {
+                keep.get_or_insert(n);
             }
-            prev = Some((n as u64, *e));
-        }
-        for e in &index_extents {
-            check_extent(msm, *id, *e, total, &bad, &mut claims, &mut report);
-        }
-        // Index round-trip from disk.
-        if let Some(header_extent) = header {
-            match msm.load_strand(*id, header_extent, now) {
-                Ok(loaded) => {
-                    let orig = msm.strand(*id).expect("listed id");
-                    if loaded.blocks() != orig.blocks() || loaded.unit_count() != orig.unit_count()
-                    {
-                        report.findings.push(Finding::IndexMismatch {
-                            strand: *id,
-                            detail: "reloaded strand differs from memory".into(),
-                        });
-                    }
+            match prev {
+                Some((_, pe)) if e.start < pe.end() => report.wrap_gaps += 1,
+                Some((pn, pe)) if !bounds.admits(e.start - pe.end()) => {
+                    report.findings.push(Finding::GapOutOfBounds {
+                        strand: id,
+                        after_block: pn,
+                        gap: e.start - pe.end(),
+                    })
                 }
-                Err(e) => report.findings.push(Finding::IndexMismatch {
-                    strand: *id,
-                    detail: e.to_string(),
-                }),
+                _ => {}
+            }
+            prev = Some((n, e));
+        }
+        let mut index_ok = true;
+        for &e in &index {
+            index_ok &= rule(msm, id, e, &mut claims, &mut report.findings);
+        }
+        if let (None, true, Some(&header)) = (keep, index_ok, index.last()) {
+            let detail = match msm.load_strand(id, header, now) {
+                Ok(l) => (l.blocks() != &blocks[..] || l.unit_count() != units)
+                    .then(|| "reloaded strand differs from memory".to_string()),
+                Err(e) => Some(e.to_string()),
+            };
+            if let Some(detail) = detail {
+                report
+                    .findings
+                    .push(Finding::IndexMismatch { strand: id, detail });
+                index_ok = false;
+            }
+        }
+        let Some(keep) = keep.or((!index_ok).then_some(blocks.len() as u64)) else {
+            continue;
+        };
+        cut(msm, id, keep);
+        let after = msm.strand(id).ok();
+        if after.map(|s| (s.blocks(), s.index_extents())) != Some((&blocks[..], &index[..])) {
+            claims.retain(|_, &mut (_, owner)| owner != id);
+            for e in after.into_iter().flat_map(|s| s.extents()) {
+                claims.insert(e.start, (e.sectors, id));
             }
         }
     }
     report
 }
 
-fn check_extent(
-    msm: &Msm,
-    id: StrandId,
-    e: Extent,
-    total: u64,
-    bad: &[Extent],
-    claims: &mut Claims,
-    report: &mut Report,
-) {
-    if e.end() > total {
-        report.findings.push(Finding::ExtentOffDevice {
+/// The one extent rule, for an extent `id` claims: it is reported when
+/// it runs off the device, lies on bad media, is not allocated (a
+/// zero-sector extent never is) or overlaps an earlier claim. Bad media
+/// is the healing layer's to fix, not fsck's, so only the other three
+/// make an extent unusable; a usable extent claims its sectors.
+fn rule(msm: &Msm, id: StrandId, e: Extent, claims: &mut Claims, out: &mut Vec<Finding>) -> bool {
+    if e.end() > msm.disk().geometry().total_sectors() {
+        out.push(Finding::ExtentOffDevice {
             strand: id,
             extent: e,
         });
-        return;
+        return false;
     }
-    for b in bad {
-        if e.overlaps(*b) {
-            report.findings.push(Finding::BlockOnBadMedia {
-                strand: id,
-                extent: e,
-                bad: *b,
-            });
-        }
+    for &bad in msm.disk().bad_extents().iter().filter(|b| e.overlaps(**b)) {
+        out.push(Finding::BlockOnBadMedia {
+            strand: id,
+            extent: e,
+            bad,
+        });
     }
-    if !msm.allocator().freemap().extent_used(e) {
-        report.findings.push(Finding::ExtentNotAllocated {
+    let before = out.len();
+    if e.sectors == 0 || !msm.allocator().freemap().extent_used(e) {
+        out.push(Finding::ExtentNotAllocated {
             strand: id,
             extent: e,
         });
     }
-    for (a, at) in overlaps(claims, id, e) {
-        report
-            .findings
-            .push(Finding::OverlappingExtents { a, b: id, at });
+    out.extend(overlaps(claims, id, e).map(|(a, at)| Finding::OverlappingExtents { a, b: id, at }));
+    let usable = out.len() == before;
+    if usable {
+        claims.insert(e.start, (e.sectors, id));
     }
-    claims.insert(e.start, (e.sectors, id));
+    usable
 }
 
-/// Sector claims of a walk: start sector → (length, owner).
-type Claims = BTreeMap<u64, (u64, StrandId)>;
-
 /// The earlier claims `e` overlaps, as `(owner, first shared sector)`:
-/// the claim before `e` that reaches into it, then the first claim that
-/// starts inside it. `id` claiming the very same start again is not an
-/// overlap.
+/// the claim at or before `e`'s start that reaches into it, then the
+/// first claim that starts past that sector inside it. `id` claiming the
+/// very same start again is not an overlap.
 fn overlaps(
     claims: &Claims,
     id: StrandId,
     e: Extent,
 ) -> impl Iterator<Item = (StrandId, u64)> + '_ {
-    let other = move |start: u64, owner: StrandId| owner != id || start != e.start;
     let before = claims
         .range(..=e.start)
         .next_back()
-        .filter(|&(&start, &(len, owner))| other(start, owner) && start + len > e.start)
+        .filter(|&(&start, &(len, owner))| {
+            (owner != id || start != e.start) && start + len > e.start
+        })
         .map(|(_, &(_, owner))| (owner, e.start));
     let inside = claims
         .range(e.start..e.end())
-        .next()
-        .filter(|&(&start, &(_, owner))| other(start, owner))
+        .find(|&(&start, _)| start > e.start)
         .map(|(&start, &(_, owner))| (owner, start));
     before.into_iter().chain(inside)
+}
+
+/// The one leak rule: the allocated sectors nothing reaches — not the
+/// journal region, a text file or any strand, finished or recording
+/// ([`Msm::reachable`]) — as maximal runs.
+fn leaks(msm: &Msm) -> Vec<Extent> {
+    let mut unreached = msm.allocator().freemap().clone();
+    for e in msm.reachable() {
+        for s in e.start..e.end().min(unreached.total()) {
+            let sector = Extent::new(s, 1);
+            if unreached.extent_used(sector) {
+                unreached.release(sector);
+            }
+        }
+    }
+    // A sound volume leaves nothing: skip the scan of every sector.
+    if unreached.used() == 0 {
+        return Vec::new();
+    }
+    // What is still allocated lies between the free runs.
+    let mut leaks = Vec::new();
+    let mut cursor = 0;
+    let end = Extent::new(unreached.total(), 0);
+    for free in unreached.free_extents().into_iter().chain([end]) {
+        if free.start > cursor {
+            leaks.push(Extent::new(cursor, free.start - cursor));
+        }
+        cursor = free.end();
+    }
+    leaks
 }
 
 /// Check the rope layer on top of the storage layer.
@@ -385,191 +452,52 @@ pub fn check_volume(mrs: &mut Mrs, now: Instant) -> Report {
 
 // ----- repair mode ------------------------------------------------------
 
-/// Pseudo-owner for non-strand claims (journal region, text files) in
-/// the repair walk's overlap map.
-const RESERVED_OWNER: u64 = u64::MAX;
-
-/// True when an extent cannot be part of a healthy strand: it runs off
-/// the device, the free map does not hold it allocated, or an earlier
-/// claimant already owns (part of) its sectors.
-fn extent_bad(msm: &Msm, id: StrandId, e: Extent, total: u64, claims: &Claims) -> bool {
-    e.end() > total
-        || e.sectors == 0
-        || !msm.allocator().freemap().extent_used(e)
-        || overlaps(claims, id, e).next().is_some()
-}
-
-/// Merge possibly-overlapping `(start, end)` intervals into a sorted
-/// disjoint list.
-fn merge_intervals(mut v: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
-    v.sort_unstable();
-    let mut out: Vec<(u64, u64)> = Vec::with_capacity(v.len());
-    for (s, e) in v {
-        match out.last_mut() {
-            Some(last) if s <= last.1 => last.1 = last.1.max(e),
-            _ => out.push((s, e)),
-        }
-    }
-    out
-}
-
-/// Subtract the (merged, sorted) `keep` intervals from `from`,
-/// returning what remains of `from`.
-fn subtract_intervals(from: &[(u64, u64)], keep: &[(u64, u64)]) -> Vec<(u64, u64)> {
-    let mut out = Vec::new();
-    for &(mut s, e) in from {
-        for &(ks, ke) in keep {
-            if ke <= s || ks >= e {
-                continue;
-            }
-            if ks > s {
-                out.push((s, ks));
-            }
-            s = s.max(ke);
-            if s >= e {
-                break;
-            }
-        }
-        if s < e {
-            out.push((s, e));
-        }
-    }
-    out
-}
-
-/// Repair the storage layer in place:
+/// Repair the storage layer in place, inside [`check_msm`]'s walk and by
+/// its rules:
 ///
-/// 1. every strand is truncated at its first bad block pointer (and its
-///    index rewritten when the index itself is damaged or fails its
-///    round-trip) — a strand with no intact prefix is deleted;
-/// 2. allocated space reachable from no strand, the journal region or
-///    a text file is released back to the free map and scrubbed.
+/// 1. every strand the walk cuts is truncated there and its index
+///    rewritten, before the walk reads the next strand — a strand with
+///    no intact prefix is deleted;
+/// 2. every leak is released back to the free map and scrubbed.
 ///
 /// The returned report lists the fixes as `Repaired*` findings; a
 /// subsequent [`check_msm`] pass reports clean (bad-media findings
 /// excepted — decayed media is the healing layer's job, not fsck's).
 pub fn repair_msm(msm: &mut Msm, now: Instant) -> Report {
     let obs = msm.obs();
-    let mut report = Report::default();
-    let total = msm.disk().geometry().total_sectors();
-    let ids = msm.strand_ids();
-    let mut claims = Claims::new();
-    let reserved = StrandId::from_raw(RESERVED_OWNER);
-    if let Some(region) = msm.journal_region() {
-        claims.insert(region.start, (region.sectors, reserved));
-    }
-    for e in msm.text_extents().to_vec() {
-        claims.insert(e.start, (e.sectors, reserved));
-    }
-
-    for id in &ids {
-        report.strands_checked += 1;
-        let (blocks, index_extents, unit_count) = {
-            let s = msm.strand(*id).expect("listed id");
-            (
-                s.blocks().to_vec(),
-                s.index_extents().to_vec(),
-                s.unit_count(),
-            )
-        };
-        let count = blocks.len() as u64;
-        // The intact prefix ends at the first bad stored pointer. Good
-        // blocks claim their sectors immediately so intra-strand
-        // self-overlaps are caught too.
-        let mut keep = count;
-        for (n, block) in blocks.iter().enumerate() {
-            let Some(e) = block else { continue };
-            if extent_bad(msm, *id, *e, total, &claims) {
-                keep = n as u64;
-                break;
-            }
-            claims.insert(e.start, (e.sectors, *id));
-        }
-        let mut rebuild = keep < count;
-        if !rebuild {
-            rebuild = index_extents
-                .iter()
-                .any(|e| extent_bad(msm, *id, *e, total, &claims));
-        }
-        if !rebuild {
-            if let Some(header) = index_extents.last() {
-                rebuild = match msm.load_strand(*id, *header, now) {
-                    Ok(loaded) => {
-                        loaded.blocks() != &blocks[..] || loaded.unit_count() != unit_count
-                    }
-                    Err(_) => true,
-                };
-            }
-        }
-        if rebuild {
-            let dropped = count - keep;
-            if let Err(e) = msm.truncate_strand(*id, keep, now) {
-                report.findings.push(Finding::IndexMismatch {
-                    strand: *id,
-                    detail: format!("repair failed: {e}"),
-                });
-                continue;
-            }
-            report.findings.push(Finding::RepairedTruncatedStrand {
-                strand: *id,
-                kept_blocks: keep,
-                dropped_blocks: dropped,
+    let mut findings = Vec::new();
+    let walked = walk(msm, now, |msm, id, keep| {
+        let dropped = msm.strand(id).expect("walked").block_count() - keep;
+        if let Err(e) = msm.truncate_strand(id, keep, now) {
+            findings.push(Finding::IndexMismatch {
+                strand: id,
+                detail: format!("repair failed: {e}"),
             });
-            let sid = id.raw();
-            obs.emit(|| Event::Repair {
-                action: RepairAction::TruncateStrand,
-                strand: sid,
-                detail: dropped,
-                at: now,
-            });
+            return;
         }
-        // Claim whatever survived (including a rebuilt index) so later
-        // strands pointing into it are truncated, not this one.
-        if let Ok(s) = msm.strand(*id) {
-            for e in s.index_extents() {
-                claims.insert(e.start, (e.sectors, *id));
-            }
-        }
-    }
-
-    // Leak sweep: allocated space minus everything reachable.
-    let mut reachable: Vec<(u64, u64)> = Vec::new();
-    if let Some(region) = msm.journal_region() {
-        reachable.push((region.start, region.end()));
-    }
-    for e in msm.text_extents() {
-        reachable.push((e.start, e.end()));
-    }
-    for id in msm.strand_ids() {
-        let s = msm.strand(id).expect("listed id");
-        reachable.extend(s.extents().map(|e| (e.start, e.end())));
-    }
-    let reachable = merge_intervals(reachable);
-    let mut allocated: Vec<(u64, u64)> = Vec::new();
-    let mut cursor = 0u64;
-    for free in msm.allocator().freemap().free_extents() {
-        if free.start > cursor {
-            allocated.push((cursor, free.start));
-        }
-        cursor = free.end();
-    }
-    if cursor < total {
-        allocated.push((cursor, total));
-    }
-    for (s, e) in subtract_intervals(&allocated, &reachable) {
-        let extent = Extent::new(s, e - s);
+        findings.push(Finding::RepairedTruncatedStrand {
+            strand: id,
+            kept_blocks: keep,
+            dropped_blocks: dropped,
+        });
+        obs.emit(|| Event::Repair {
+            action: RepairAction::TruncateStrand,
+            strand: id.raw(),
+            detail: dropped,
+            at: now,
+        });
+    });
+    for extent in leaks(msm) {
         msm.free(extent);
-        report
-            .findings
-            .push(Finding::RepairedLeakedExtent { extent });
+        findings.push(Finding::RepairedLeakedExtent { extent });
         obs.emit(|| Event::Repair {
             action: RepairAction::ReleaseExtent,
-            strand: RESERVED_OWNER,
+            strand: VOLUME.raw(),
             detail: extent.start,
             at: now,
         });
     }
-    report
+    Report { findings, ..walked }
 }
 
 /// Repair the rope layer on top of [`repair_msm`]: references to
@@ -655,6 +583,14 @@ mod tests {
     }
 
     fn record(m: &mut Msm, blocks: u64) -> StrandId {
+        let (id, t) = recording(m, blocks);
+        m.finish_strand(id, t).unwrap();
+        id
+    }
+
+    /// A strand begun and `blocks` blocks into its recording, with the
+    /// instant its last append completed.
+    fn recording(m: &mut Msm, blocks: u64) -> (StrandId, Instant) {
         let id = m.begin_strand(StrandMeta {
             medium: Medium::Video,
             unit_rate: 30.0,
@@ -668,8 +604,65 @@ mod tests {
                 .unwrap();
             t = op.completed;
         }
+        (id, t)
+    }
+
+    /// Strand `a` of 10 blocks, then strand `b` of one block recorded
+    /// onto `a`'s block 1 after a corruption handed that block's sectors
+    /// back to the free map: `(volume, a, b, the shared extent)`.
+    fn overlapped() -> (Msm, StrandId, StrandId, Extent) {
+        let mut m = msm();
+        let a = record(&mut m, 10);
+        let shared = m.strand(a).unwrap().block(1).unwrap().unwrap();
+        m.allocator_mut().release(shared);
+        let b = record(&mut m, 1);
+        assert_eq!(m.strand(b).unwrap().block(0).unwrap(), Some(shared));
+        (m, a, b, shared)
+    }
+
+    #[test]
+    fn a_same_start_overlap_is_reported_once() {
+        let (mut m, a, b, shared) = overlapped();
+        let report = check_msm(&mut m, Instant::EPOCH);
+        let overlaps: Vec<_> = report
+            .findings
+            .iter()
+            .filter(|f| matches!(f, Finding::OverlappingExtents { .. }))
+            .collect();
+        let once = Finding::OverlappingExtents {
+            a,
+            b,
+            at: shared.start,
+        };
+        assert_eq!(overlaps, [&once], "findings: {:?}", report.findings);
+    }
+
+    #[test]
+    fn a_repaired_overlap_keeps_its_first_claimant() {
+        let (mut m, a, b, shared) = overlapped();
+        let repair = repair_msm(&mut m, Instant::EPOCH);
+        assert!(m.strand(b).is_err(), "repair: {:?}", repair.findings);
+        assert_eq!(m.strand(a).unwrap().block_count(), 10);
+        assert!(m.allocator().freemap().extent_used(shared));
+        let after = check_msm(&mut m, Instant::EPOCH);
+        assert!(after.clean(), "after repair: {:?}", after.findings);
+        let second = repair_msm(&mut m, Instant::EPOCH);
+        assert!(second.clean(), "second pass: {:?}", second.findings);
+    }
+
+    #[test]
+    fn repair_during_a_recording_keeps_its_blocks() {
+        let mut m = msm();
+        record(&mut m, 4);
+        let (id, t) = recording(&mut m, 3);
+        let used = m.allocator().freemap().used();
+        let repair = repair_msm(&mut m, t);
+        assert!(repair.clean(), "repair findings: {:?}", repair.findings);
+        assert_eq!(m.allocator().freemap().used(), used);
         m.finish_strand(id, t).unwrap();
-        id
+        assert_eq!(m.strand(id).unwrap().block_count(), 3);
+        let after = check_msm(&mut m, t);
+        assert!(after.clean(), "after finishing: {:?}", after.findings);
     }
 
     #[test]
@@ -845,6 +838,12 @@ mod tests {
         // crash left an in-flight allocation behind.
         let leak = m.allocator_mut().allocate_anywhere(8).unwrap();
         assert!(m.allocator().freemap().extent_used(leak));
+        let before = check_msm(&mut m, Instant::EPOCH);
+        assert_eq!(
+            before.findings,
+            [Finding::LeakedExtent { extent: leak }],
+            "check must see the leak repair releases"
+        );
         let repair = repair_msm(&mut m, Instant::EPOCH);
         assert!(
             repair.findings.iter().any(|f| matches!(
@@ -856,6 +855,8 @@ mod tests {
             repair.findings
         );
         assert!(m.allocator().freemap().extent_free(leak));
+        let after = check_msm(&mut m, Instant::EPOCH);
+        assert!(after.clean(), "after repair: {:?}", after.findings);
         assert!(repair_msm(&mut m, Instant::EPOCH).clean(), "converges");
     }
 
@@ -913,6 +914,64 @@ mod tests {
         let report = check_volume(&mut mrs, Instant::EPOCH);
         assert!(report.clean(), "findings: {:?}", report.findings);
         assert!(report.ropes_checked >= 1);
+    }
+
+    /// Random corruptions of small volumes — a block or an index extent
+    /// handed back to the free map (and perhaps recorded over), a leak,
+    /// decayed media under an index extent — each repaired once: check
+    /// saw something wherever repair fixed something, the repaired volume
+    /// checks clean but for bad media, and a second repair is a no-op.
+    #[test]
+    fn repair_converges_on_random_corruptions() {
+        use strandfs_disk::FaultPlan;
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut draw = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        for case in 0..40 {
+            let mut m = msm();
+            let mut ids: Vec<StrandId> = (0..1 + draw(4))
+                .map(|_| record(&mut m, 1 + draw(12)))
+                .collect();
+            for _ in 0..1 + draw(4) {
+                let Ok(s) = m.strand(ids[draw(ids.len() as u64) as usize]) else {
+                    continue;
+                };
+                let block = s.block(draw(s.block_count())).unwrap().unwrap();
+                let index = s.index_extents()[draw(s.index_extents().len() as u64) as usize];
+                let used = |m: &Msm, e| m.allocator().freemap().extent_used(e);
+                match draw(5) {
+                    0 if used(&m, block) => m.allocator_mut().release(block),
+                    1 if used(&m, block) => {
+                        m.allocator_mut().release(block);
+                        ids.push(record(&mut m, 1 + draw(3)));
+                    }
+                    2 => drop(m.allocator_mut().allocate_anywhere(1 + draw(20))),
+                    3 => m.arm_faults(FaultPlan::clean().with_bad_extent(index)),
+                    4 if used(&m, index) => m.allocator_mut().release(index),
+                    _ => {}
+                }
+            }
+            let before = check_msm(&mut m, Instant::EPOCH);
+            let repair = repair_msm(&mut m, Instant::EPOCH);
+            let seen = format!(
+                "case {case}: {:?}, repaired {:?}",
+                before.findings, repair.findings
+            );
+            assert!(repair.clean() || !before.clean(), "{seen}");
+            let after = check_msm(&mut m, Instant::EPOCH);
+            let media = |f: &Finding| matches!(f, Finding::BlockOnBadMedia { .. });
+            assert!(
+                after.findings.iter().all(media),
+                "{seen}, after {:?}",
+                after.findings
+            );
+            let second = repair_msm(&mut m, Instant::EPOCH);
+            assert!(second.clean(), "{seen}, second {:?}", second.findings);
+        }
     }
 
     // A tiny local stand-in for the sim crate's standard_volume (the

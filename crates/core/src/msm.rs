@@ -313,8 +313,9 @@ impl Msm {
     }
 
     /// Extents holding non-real-time (text) files stored on this
-    /// volume. Text data is outside the journal's protection: after a
-    /// crash these extents are garbage and fsck reclaims them.
+    /// volume. Text data is outside the journal's protection: recovery
+    /// builds its free map afresh, so after a crash their sectors are
+    /// simply free.
     pub fn text_extents(&self) -> &[Extent] {
         &self.text_extents
     }
@@ -763,8 +764,9 @@ impl Msm {
 
     /// Verify block `n`'s stored payload against the checksum stamped in
     /// the strand index, without virtual time or fault injection — the
-    /// scrub / fsck primitive. `Ok(None)` for a silence hole, which
-    /// stores nothing to check; otherwise `Ok(Some(ok))`.
+    /// primitive of the scrub and of read repair. `Ok(None)` for a
+    /// silence hole, which stores nothing to check; otherwise
+    /// `Ok(Some(ok))`.
     pub fn check_block_sum(&self, id: StrandId, n: BlockNo) -> Result<Option<bool>, FsError> {
         let strand = self.strand(id)?;
         let e = match strand.block(n)? {
@@ -1004,6 +1006,35 @@ impl Msm {
         }
     }
 
+    /// [`Msm::free`] the parts of `e` that no extent in `held` covers.
+    fn free_unheld(&mut self, e: Extent, held: &[Extent]) {
+        let mut cover: Vec<Extent> = held.iter().copied().filter(|h| h.overlaps(e)).collect();
+        cover.sort_unstable_by_key(|h| h.start);
+        let mut start = e.start;
+        for h in cover.into_iter().chain([Extent::new(e.end(), 0)]) {
+            if h.start > start {
+                self.free(Extent::new(start, h.start - start));
+            }
+            start = start.max(h.end());
+        }
+    }
+
+    /// Every extent that holds sectors: the journal region, the text
+    /// files, and each strand's blocks and index, finished or
+    /// recording — what fsck's leak rule reaches and a repair cut must
+    /// not release.
+    pub(crate) fn reachable(&self) -> impl Iterator<Item = Extent> + '_ {
+        let volume = self
+            .journal_region()
+            .into_iter()
+            .chain(self.text_extents.clone());
+        let strands = self.strands.values().flat_map(|s| match s {
+            StrandState::Finished(s) => s.extents().collect::<Vec<_>>(),
+            StrandState::Recording(b) => b.blocks().iter().flatten().copied().collect(),
+        });
+        volume.chain(strands)
+    }
+
     /// Abort a strand that is still recording: journal a `Delete`
     /// intent, release every block it has written, and drop the
     /// builder. A finished strand is deleted outright. The cluster's
@@ -1020,10 +1051,11 @@ impl Msm {
 
     /// Truncate a finished strand to its first `keep` blocks, rewriting
     /// its on-disk index — fsck's repair primitive for dangling block
-    /// pointers. `keep == 0` deletes the strand outright. Extents that
-    /// the free map does not actually hold allocated (the corruption
-    /// being repaired) are skipped rather than double-freed; the
-    /// caller's leak sweep reclaims any remainder.
+    /// pointers. `keep == 0` deletes the strand outright. The tail and
+    /// the old index are released but for sectors a kept block or
+    /// `Msm::reachable` still holds (an overlap's first claimant keeps
+    /// its blocks) and extents the free map does not hold allocated (the
+    /// corruption being repaired), which are skipped, not double-freed.
     pub fn truncate_strand(
         &mut self,
         id: StrandId,
@@ -1032,7 +1064,7 @@ impl Msm {
     ) -> Result<(), FsError> {
         self.strand(id)?;
         if keep == 0 {
-            return self.delete_strand(id);
+            self.journal_append(Record::Delete { strand: id.raw() }, self.last_io)?;
         }
         let Some(StrandState::Finished(strand)) = self.strands.remove(&id) else {
             unreachable!("state checked above");
@@ -1041,12 +1073,17 @@ impl Msm {
         let keep = keep.min(count);
         let meta = *strand.meta();
         // Drop the tail blocks, then the old index.
+        let kept = strand.stored_iter().filter(|&(n, _)| n < keep);
+        let held: Vec<Extent> = self.reachable().chain(kept.map(|(_, e)| e)).collect();
         let tail = strand.stored_iter().filter(|&(n, _)| n >= keep);
         for e in tail
             .map(|(_, e)| e)
             .chain(strand.index_extents().iter().copied())
         {
-            self.free(e);
+            self.free_unheld(e, &held);
+        }
+        if keep == 0 {
+            return self.write_checkpoint(self.last_io).map(|_| ());
         }
         // Rebuild: every block carries `granularity` units except the
         // original final block, which keeps its partial fill.
@@ -1237,8 +1274,9 @@ impl Msm {
             .map(|chunk| self.write_anywhere(chunk, now))
             .collect::<Result<Vec<_>, _>>()?;
         // Remember the placement so fsck can tell infill from leaked
-        // space. Text files are not journaled: a crash orphans them and
-        // recovery's fsck sweep reclaims the sectors.
+        // space. Text files are not journaled: a crash orphans them, and
+        // recovery, which builds its free map afresh, leaves the sectors
+        // free.
         self.text_extents.extend_from_slice(&extents);
         Ok(extents)
     }

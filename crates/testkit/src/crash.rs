@@ -308,14 +308,6 @@ fn verify(rec: &mut Msm, crash_at: u64, marks: &WriteMarks) {
             units,
             "crash {crash_at}: strand {raw} unit count disagrees with its blocks"
         );
-        let fm = rec.allocator().freemap();
-        let index = strand.index_extents().iter().copied();
-        for e in strand.stored_iter().map(|(_, e)| e).chain(index) {
-            assert!(
-                fm.extent_used(e),
-                "crash {crash_at}: strand {raw} block or index at {e:?} not in free map"
-            );
-        }
     }
     // Durability floors: work whose commit landed before the crash
     // must survive in full.

@@ -90,6 +90,22 @@ step "bench --check --quick (regression gate smoke, STRANDFS_SCALE_CAP=$SCALE_CA
     env STRANDFS_SCALE_CAP="$SCALE_CAP" \
     cargo run -p strandfs-bench --release --offline --bin bench -- --check --quick
 
+# Every experiment table (E1-E19), diffed against the committed record
+# with only the wall-clock cells masked: E16's wall/round and blocks/s,
+# and E17's monitoring overhead. The scale cap is unset because the
+# committed record has the 100k-stream row (~30 s in release).
+mask_wall_clock() {
+    awk '/^## / { e16 = /^## E16 / }
+        e16 && NF == 5 && $1 ~ /^[0-9]+$/ { $3 = "<wall/round>"; $4 = "<blocks/s>" }
+        { sub(/monitoring overhead: [0-9.]+x/, "monitoring overhead: N.NNx"); print }'
+}
+experiments_match() {
+    diff <(mask_wall_clock < experiments_output.txt) \
+        <(env -u STRANDFS_SCALE_CAP cargo run -q -p strandfs-bench --release --offline \
+            --bin experiments | mask_wall_clock)
+}
+step "experiments = experiments_output.txt (wall-clock cells masked)" experiments_match
+
 # Seeded chaos pass: replay the failure-injection and fault-plan
 # property suites plus the exhaustive crash-point sweep under a fresh
 # random seed so each run explores new fault schedules and tear
