@@ -310,13 +310,7 @@ pub fn obs_invariants(cap: &Capture) -> Vec<String> {
     check(
         "deadlines.blocks vs scheduled blocks",
         cap.obs_deadline_blocks,
-        cap.report.streams.iter().map(|s| s.blocks).sum(),
-    );
-    let slo = cap.report.slo();
-    check(
-        "deadlines.late vs slo.total_violations",
-        cap.obs_deadline_late,
-        slo.total_violations,
+        cap.report.total_blocks(),
     );
     problems
 }

@@ -99,15 +99,14 @@ pub fn run_cell(rate: f64, policy: &'static str, mode: DegradeMode) -> Row {
         .arm_faults(FaultPlan::clean().with_random_transients(rate, 1));
     let report = simulate_playback(&mut mrs, scheds, PlaybackConfig::with_k(K).degraded(mode))
         .expect("simulate");
-    let slo = report.slo();
     Row {
         rate,
         policy,
-        miss_rate: slo.miss_rate,
-        p99_margin_ns: slo.p99_margin_ns,
+        miss_rate: report.miss_rate(),
+        p99_margin_ns: report.p99_margin_ns(),
         dropped_blocks: report.total_dropped(),
         retries: report.total_retries(),
-        recovery_time: Nanos::from_nanos(slo.recovery_time_ns),
+        recovery_time: report.recovery_time(),
     }
 }
 

@@ -150,7 +150,6 @@ pub fn run() -> Outcome {
 /// flight-dump summaries). Everything is virtual-time deterministic.
 pub fn section_json() -> String {
     let out = run();
-    let slo = out.report.slo();
     format!(
         concat!(
             "{{\"scenario\":{{\"streams\":{},\"rate\":{:.3},\"k\":{},",
@@ -162,7 +161,7 @@ pub fn section_json() -> String {
         RATE,
         K,
         WINDOW_ROUNDS,
-        slo.miss_rate,
+        out.report.miss_rate(),
         out.report.rounds,
         out.monitor.to_json(),
     )

@@ -240,7 +240,7 @@ pub fn run_perturbation() -> PerturbationOutcome {
         && off.sim.streams.iter().zip(&on.sim.streams).all(|(a, b)| {
             a.violations == b.violations
                 && a.start_latency == b.start_latency
-                && a.max_lateness == b.max_lateness
+                && a.lateness.max == b.lateness.max
                 && a.dropped_blocks == b.dropped_blocks
         });
     PerturbationOutcome {

@@ -32,7 +32,7 @@ pub struct Capture {
     /// The observability capture ([`strandfs_obs::RingRecorder::to_json`]).
     pub obs_json: String,
     /// The continuity SLO report derived from the simulation
-    /// ([`strandfs_sim::metrics::ContinuitySloReport::to_json`]).
+    /// ([`SimReport::slo_json`]).
     pub slo_json: String,
     /// The simulation's own report (independent of the event stream).
     pub report: SimReport,
@@ -86,7 +86,7 @@ pub fn capture_full() -> Capture {
     let tally = &rec.metrics().tally;
     Capture {
         obs_json: rec.to_json(),
-        slo_json: report.slo().to_json(),
+        slo_json: report.slo_json(),
         obs_deadline_late: tally.deadline_late,
         obs_deadline_blocks: tally.deadline_blocks,
         obs_rounds: tally.rounds,

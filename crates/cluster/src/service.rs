@@ -160,9 +160,6 @@ pub struct ClusterReport {
     pub sim: SimReport,
     /// Per stream: did its title have ≥ 2 replicas at start?
     pub replicated: Vec<bool>,
-    /// Per stream: the longest consecutive run of schedule items that
-    /// were dropped or arrived late — the visible glitch length.
-    pub miss_bursts: Vec<u64>,
     /// Mid-playback replica switches across all streams.
     pub failovers: u64,
     /// Rejoin reports, in script order.
@@ -226,8 +223,8 @@ impl ClusterReport {
 
     /// The worst glitch any replicated stream saw, in schedule items.
     pub fn replicated_miss_burst(&self) -> u64 {
-        let bursts = self.miss_bursts.iter().zip(&self.replicated);
-        let replicated = bursts.filter(|(_, r)| **r).map(|(b, _)| *b);
+        let streams = self.sim.streams.iter().zip(&self.replicated);
+        let replicated = streams.filter(|(_, r)| **r).map(|(s, _)| s.miss_burst);
         replicated.max().unwrap_or(0)
     }
 }

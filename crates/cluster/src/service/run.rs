@@ -940,11 +940,8 @@ impl<'a> Run<'a> {
     }
 
     fn finish(mut self) -> ClusterReport {
-        let streams = &self.streams;
-        (self.report.sim.streams, self.report.miss_bursts) = streams
-            .iter()
-            .map(|s| s.state.outcome_and_miss_burst(&self.obs))
-            .unzip();
+        let streams = self.streams.iter();
+        self.report.sim.streams = streams.map(|s| s.state.outcome(&self.obs)).collect();
         self.report.sim.rounds = self.round;
         self.report.volumes = self.lanes.iter().map(|l| l.stats).collect();
         self.report

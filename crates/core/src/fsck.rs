@@ -395,12 +395,7 @@ fn overlaps(
 fn leaks(msm: &Msm) -> Vec<Extent> {
     let mut unreached = msm.allocator().freemap().clone();
     for e in msm.reachable() {
-        for s in e.start..e.end().min(unreached.total()) {
-            let sector = Extent::new(s, 1);
-            if unreached.extent_used(sector) {
-                unreached.release(sector);
-            }
-        }
+        unreached.clear(e);
     }
     // A sound volume leaves nothing: skip the scan of every sector.
     if unreached.used() == 0 {

@@ -8,26 +8,6 @@ use strandfs_units::Nanos;
 // layer can aggregate durations; re-exported for compatibility.
 pub use strandfs_obs::NanosSummary;
 
-/// One round's worth of a stream's time series: how close the stream
-/// sailed to its deadlines in that round and how much buffer it held
-/// when the round's service turn ended.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RoundSample {
-    /// The service round this sample describes.
-    pub round: u64,
-    /// Schedule items the round fetched for this stream (silence
-    /// included).
-    pub blocks: u64,
-    /// Tightest signed deadline margin among those items, in
-    /// nanoseconds: positive = the fetch beat its deadline by this
-    /// much, negative = it was late.
-    pub worst_margin_ns: i64,
-    /// Fetched-but-unplayed backlog right after the round's last fetch
-    /// for this stream (clamped at zero for starved streams, matching
-    /// [`StreamOutcome::max_buffered`] semantics).
-    pub buffered: u64,
-}
-
 /// Per-stream outcome of a playback simulation.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StreamOutcome {
@@ -37,8 +17,6 @@ pub struct StreamOutcome {
     pub fetched: u64,
     /// Blocks whose fetch completed after their playback deadline.
     pub violations: u64,
-    /// How late the latest block was.
-    pub max_lateness: Nanos,
     /// Lateness over all violating blocks.
     pub lateness: NanosSummary,
     /// Virtual time between the stream's service start and its display
@@ -47,10 +25,20 @@ pub struct StreamOutcome {
     /// Largest fetched-but-unplayed backlog — the buffers a closed-loop
     /// display subsystem would need.
     pub max_buffered: u64,
-    /// Per-round time series: one [`RoundSample`] for every round that
-    /// serviced this stream, in round order. Empty for streams whose
-    /// display never started.
-    pub series: Vec<RoundSample>,
+    /// The tightest of the stream's per-round margins, in nanoseconds.
+    /// A round's margin is the tightest signed deadline margin among
+    /// the items it fetched for the stream (positive = early, negative
+    /// = late), 0 if it fetched only drops or items of an epoch that
+    /// never displayed; 0 for a stream no round served.
+    pub worst_margin_ns: i64,
+    /// The 99th-percentile margin pressure: 99% of the stream's n
+    /// round margins are at least this value — the `(n − 1)/100`-th
+    /// smallest. With at most 100 rounds it equals the worst margin.
+    pub p99_margin_ns: i64,
+    /// The longest run of consecutive schedule items that were dropped
+    /// or arrived late (trailing never-serviced items count as dropped)
+    /// — the visible glitch length.
+    pub miss_burst: u64,
     /// Virtual time from the stream's display start to the deadline of
     /// its first late block — the continuity horizon actually
     /// delivered. `None` when the stream played without violations.
@@ -115,141 +103,51 @@ impl SimReport {
             .unwrap_or(0)
     }
 
-    /// Derive the continuity SLO report from the per-stream time
-    /// series.
-    pub fn slo(&self) -> ContinuitySloReport {
-        ContinuitySloReport::of(self)
+    /// Scheduled blocks across all streams, silence included.
+    pub fn total_blocks(&self) -> u64 {
+        self.streams.iter().map(|s| s.blocks).sum()
     }
-}
 
-/// One stream's continuity service-level summary, derived from its
-/// per-round [`RoundSample`] series and violation counts.
-#[derive(Clone, Debug, PartialEq)]
-pub struct StreamSlo {
-    /// Stream index (report order).
-    pub stream: usize,
-    /// Scheduled items, silence included.
-    pub blocks: u64,
-    /// Blocks that missed their playback deadline.
-    pub violations: u64,
-    /// Violations as a fraction of all scheduled blocks (the paper's
-    /// continuity guarantee is per block, silence included — a silence
-    /// hole "arrives" instantly but still has a deadline).
-    pub miss_rate: f64,
-    /// The tightest signed per-round margin seen, in nanoseconds
-    /// (negative = the worst round was late by this much).
-    pub worst_margin_ns: i64,
-    /// The 99th-percentile margin pressure: 99% of this stream's round
-    /// margins are at least this value. With fewer than 100 rounds this
-    /// equals the worst margin.
-    pub p99_margin_ns: i64,
-    /// Virtual nanoseconds of continuous playback delivered before the
-    /// first violation (from display start); `None` if none occurred.
-    pub time_to_first_violation_ns: Option<u64>,
-    /// Blocks the degradation policy dropped for this stream.
-    pub dropped_blocks: u64,
-    /// Transient-fault retries spent on this stream.
-    pub retries: u64,
-    /// Virtual nanoseconds the stream spent revoked before re-admission.
-    pub recovery_time_ns: u64,
-}
+    /// Deadline misses as a fraction of all scheduled blocks (the
+    /// paper's continuity guarantee is per block, silence included — a
+    /// silence hole "arrives" instantly but still has a deadline).
+    pub fn miss_rate(&self) -> f64 {
+        miss_rate(self.total_violations(), self.total_blocks())
+    }
 
-/// The continuity SLO report for a whole simulation: per-stream
-/// summaries plus the aggregate view a capacity planner reads first.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ContinuitySloReport {
-    /// Per-stream summaries, in report order.
-    pub streams: Vec<StreamSlo>,
-    /// Scheduled blocks across all streams.
-    pub total_blocks: u64,
-    /// Deadline misses across all streams.
-    pub total_violations: u64,
-    /// Aggregate miss rate over all scheduled blocks.
-    pub miss_rate: f64,
     /// The tightest margin any stream saw in any round.
-    pub worst_margin_ns: i64,
-    /// The worst per-stream p99 margin.
-    pub p99_margin_ns: i64,
-    /// The shortest continuous-playback horizon any stream delivered
-    /// before violating; `None` when every stream was continuous.
-    pub time_to_first_violation_ns: Option<u64>,
-    /// Blocks dropped by the degradation policy across all streams.
-    pub dropped_blocks: u64,
-    /// Transient-fault retries spent across all streams.
-    pub retries: u64,
-    /// Total virtual nanoseconds streams spent revoked.
-    pub recovery_time_ns: u64,
-}
-
-impl ContinuitySloReport {
-    /// Build the report from a simulation's per-stream series.
-    pub fn of(report: &SimReport) -> ContinuitySloReport {
-        let streams: Vec<StreamSlo> = report
-            .streams
+    pub fn worst_margin_ns(&self) -> i64 {
+        self.streams
             .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let mut margins: Vec<i64> = s.series.iter().map(|r| r.worst_margin_ns).collect();
-                margins.sort_unstable();
-                let worst = margins.first().copied().unwrap_or(0);
-                // The margin that 99% of round samples meet or beat:
-                // the 1st percentile of the sorted (ascending) margins.
-                let p99 = if margins.is_empty() {
-                    0
-                } else {
-                    margins[(margins.len() - 1) / 100]
-                };
-                StreamSlo {
-                    stream: i,
-                    blocks: s.blocks,
-                    violations: s.violations,
-                    miss_rate: if s.blocks == 0 {
-                        0.0
-                    } else {
-                        s.violations as f64 / s.blocks as f64
-                    },
-                    worst_margin_ns: worst,
-                    p99_margin_ns: p99,
-                    time_to_first_violation_ns: s.first_violation.map(Nanos::as_nanos),
-                    dropped_blocks: s.dropped_blocks,
-                    retries: s.retries,
-                    recovery_time_ns: s.recovery_time.as_nanos(),
-                }
-            })
-            .collect();
-        let total_blocks: u64 = streams.iter().map(|s| s.blocks).sum();
-        let total_violations: u64 = streams.iter().map(|s| s.violations).sum();
-        ContinuitySloReport {
-            total_blocks,
-            total_violations,
-            dropped_blocks: streams.iter().map(|s| s.dropped_blocks).sum(),
-            retries: streams.iter().map(|s| s.retries).sum(),
-            recovery_time_ns: streams.iter().map(|s| s.recovery_time_ns).sum(),
-            miss_rate: if total_blocks == 0 {
-                0.0
-            } else {
-                total_violations as f64 / total_blocks as f64
-            },
-            worst_margin_ns: streams.iter().map(|s| s.worst_margin_ns).min().unwrap_or(0),
-            p99_margin_ns: streams.iter().map(|s| s.p99_margin_ns).min().unwrap_or(0),
-            time_to_first_violation_ns: streams
-                .iter()
-                .filter_map(|s| s.time_to_first_violation_ns)
-                .min(),
-            streams,
-        }
+            .map(|s| s.worst_margin_ns)
+            .min()
+            .unwrap_or(0)
     }
 
-    /// True if every stream met a zero-miss SLO.
-    pub fn clean(&self) -> bool {
-        self.total_violations == 0
+    /// The worst per-stream p99 margin.
+    pub fn p99_margin_ns(&self) -> i64 {
+        self.streams
+            .iter()
+            .map(|s| s.p99_margin_ns)
+            .min()
+            .unwrap_or(0)
     }
 
-    /// The report as a hand-rolled JSON object (the `"slo"` section
-    /// merged into `BENCH_*.json`).
-    pub fn to_json(&self) -> String {
-        fn opt(v: Option<u64>) -> String {
-            v.map_or_else(|| "null".to_string(), |n| n.to_string())
+    /// Total virtual time streams spent revoked.
+    pub fn recovery_time(&self) -> Nanos {
+        self.streams.iter().map(|s| s.recovery_time).sum()
+    }
+
+    /// The continuity SLO report as a hand-rolled JSON object (the
+    /// `"slo"` section merged into `BENCH_*.json`): the aggregate view a
+    /// capacity planner reads first, then one entry per stream.
+    /// `time_to_first_violation_ns` is the continuous playback delivered
+    /// before the first violation, from display start — null when
+    /// there was none; in the aggregate, the shortest any stream
+    /// delivered.
+    pub fn slo_json(&self) -> String {
+        fn opt(v: Option<Nanos>) -> String {
+            v.map_or_else(|| "null".to_string(), |n| n.as_nanos().to_string())
         }
         let mut out = format!(
             concat!(
@@ -260,15 +158,15 @@ impl ContinuitySloReport {
                 "\"recovery_time_ns\":{}}},",
                 "\"streams\":["
             ),
-            self.total_blocks,
-            self.total_violations,
-            self.miss_rate,
-            self.worst_margin_ns,
-            self.p99_margin_ns,
-            opt(self.time_to_first_violation_ns),
-            self.dropped_blocks,
-            self.retries,
-            self.recovery_time_ns,
+            self.total_blocks(),
+            self.total_violations(),
+            self.miss_rate(),
+            self.worst_margin_ns(),
+            self.p99_margin_ns(),
+            opt(self.streams.iter().filter_map(|s| s.first_violation).min()),
+            self.total_dropped(),
+            self.total_retries(),
+            self.recovery_time().as_nanos(),
         );
         for (i, s) in self.streams.iter().enumerate() {
             if i > 0 {
@@ -283,20 +181,28 @@ impl ContinuitySloReport {
                     "\"dropped_blocks\":{},\"retries\":{},",
                     "\"recovery_time_ns\":{}}}"
                 ),
-                s.stream,
+                i,
                 s.blocks,
                 s.violations,
-                s.miss_rate,
+                miss_rate(s.violations, s.blocks),
                 s.worst_margin_ns,
                 s.p99_margin_ns,
-                opt(s.time_to_first_violation_ns),
+                opt(s.first_violation),
                 s.dropped_blocks,
                 s.retries,
-                s.recovery_time_ns,
+                s.recovery_time.as_nanos(),
             );
         }
         out.push_str("]}");
         out
+    }
+}
+
+fn miss_rate(violations: u64, blocks: u64) -> f64 {
+    if blocks == 0 {
+        0.0
+    } else {
+        violations as f64 / blocks as f64
     }
 }
 
@@ -339,71 +245,49 @@ mod tests {
         assert_eq!(r.max_buffered(), 7);
     }
 
-    fn sampled(round: u64, margin: i64) -> RoundSample {
-        RoundSample {
-            round,
-            blocks: 2,
-            worst_margin_ns: margin,
-            buffered: 1,
-        }
-    }
-
     #[test]
-    fn slo_report_derives_from_series() {
+    fn slo_aggregates_fold_the_outcomes() {
         let r = SimReport {
             streams: vec![
                 StreamOutcome {
                     blocks: 4,
                     fetched: 4,
                     violations: 1,
-                    series: vec![sampled(0, 500), sampled(1, -200)],
+                    worst_margin_ns: -200,
+                    p99_margin_ns: -200,
                     first_violation: Some(Nanos::from_millis(3)),
+                    recovery_time: Nanos::from_millis(5),
                     ..Default::default()
                 },
                 StreamOutcome {
                     blocks: 4,
                     fetched: 4,
-                    violations: 0,
-                    series: vec![sampled(0, 900), sampled(1, 700)],
-                    first_violation: None,
+                    worst_margin_ns: 700,
+                    p99_margin_ns: 900,
+                    recovery_time: Nanos::from_millis(2),
                     ..Default::default()
                 },
             ],
             ..Default::default()
         };
-        let slo = r.slo();
-        assert!(!slo.clean());
-        assert_eq!(slo.total_blocks, 8);
-        assert_eq!(slo.total_violations, 1);
-        assert!((slo.miss_rate - 0.125).abs() < 1e-12);
-        assert_eq!(slo.worst_margin_ns, -200);
-        // Fewer than 100 samples: the p99 margin collapses to the worst.
-        assert_eq!(slo.streams[0].p99_margin_ns, -200);
-        assert_eq!(slo.streams[1].p99_margin_ns, 700);
-        assert_eq!(slo.p99_margin_ns, -200);
-        assert_eq!(
-            slo.time_to_first_violation_ns,
-            Some(Nanos::from_millis(3).as_nanos())
-        );
-        assert_eq!(slo.streams[1].time_to_first_violation_ns, None);
-    }
-
-    #[test]
-    fn slo_p99_uses_the_first_percentile_of_margins() {
-        let series: Vec<RoundSample> = (0..200).map(|i| sampled(i, i as i64 * 10)).collect();
-        let r = SimReport {
-            streams: vec![StreamOutcome {
-                blocks: 400,
-                fetched: 400,
-                series,
-                ..Default::default()
-            }],
-            ..Default::default()
-        };
-        let slo = r.slo();
-        assert_eq!(slo.streams[0].worst_margin_ns, 0);
-        // (200 - 1) / 100 = index 1 of the ascending sort.
-        assert_eq!(slo.streams[0].p99_margin_ns, 10);
+        assert!(!r.all_continuous());
+        assert_eq!(r.total_blocks(), 8);
+        assert!((r.miss_rate() - 0.125).abs() < 1e-12);
+        assert_eq!(r.worst_margin_ns(), -200);
+        assert_eq!(r.p99_margin_ns(), -200);
+        assert_eq!(r.recovery_time(), Nanos::from_millis(7));
+        let json = r.slo_json();
+        assert!(json.starts_with(concat!(
+            r#"{"total":{"blocks":8,"violations":1,"miss_rate":0.125000000,"#,
+            r#""worst_margin_ns":-200,"p99_margin_ns":-200,"#,
+            r#""time_to_first_violation_ns":3000000,"#
+        )));
+        assert!(json.contains(concat!(
+            r#"{"stream":1,"blocks":4,"violations":0,"miss_rate":0.000000000,"#,
+            r#""worst_margin_ns":700,"p99_margin_ns":900,"#,
+            r#""time_to_first_violation_ns":null,"#,
+            r#""dropped_blocks":0,"retries":0,"recovery_time_ns":2000000}"#
+        )));
     }
 
     #[test]
@@ -412,12 +296,13 @@ mod tests {
             streams: vec![StreamOutcome {
                 blocks: 2,
                 fetched: 2,
-                series: vec![sampled(0, 42)],
+                worst_margin_ns: 42,
+                p99_margin_ns: 42,
                 ..Default::default()
             }],
             ..Default::default()
         };
-        let json = r.slo().to_json();
+        let json = r.slo_json();
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(json.contains("\"time_to_first_violation_ns\":null"));
@@ -427,9 +312,10 @@ mod tests {
 
     #[test]
     fn empty_report_slo_is_clean() {
-        let slo = SimReport::default().slo();
-        assert!(slo.clean());
-        assert_eq!(slo.miss_rate, 0.0);
-        assert_eq!(slo.time_to_first_violation_ns, None);
+        let r = SimReport::default();
+        assert!(r.all_continuous());
+        assert_eq!(r.miss_rate(), 0.0);
+        assert_eq!((r.worst_margin_ns(), r.p99_margin_ns()), (0, 0));
+        assert!(r.slo_json().contains("\"time_to_first_violation_ns\":null"));
     }
 }

@@ -17,7 +17,7 @@
 //! sort's probe count to demonstrate the O(n log n) key re-invocation
 //! the memo removes.
 
-use crate::metrics::{NanosSummary, RoundSample, SimReport, StreamOutcome};
+use crate::metrics::{NanosSummary, SimReport, StreamOutcome};
 use crate::playback::{count_lba_probe, Arrival, DegradeMode, ServiceOrder};
 use strandfs_core::mrs::{Mrs, PlaySchedule};
 use strandfs_core::msm::{BlockFetch, Fetch};
@@ -177,35 +177,38 @@ impl StreamState {
                 }
             }
         }
-        let mut series = Vec::new();
+        // Every round's tightest margin (0 when it fetched only drops or
+        // pre-display items), fully sorted.
+        let mut margins = Vec::new();
         let mut j = 0;
         while j < serviced {
             let round = self.fetch_rounds[j];
             let mut worst = i64::MAX;
-            let mut last = j;
-            while last < serviced && self.fetch_rounds[last] == round {
-                if !self.dropped[last] {
-                    if let Some(deadline) = self.deadline_of(last) {
-                        worst = worst.min(signed_margin(deadline, self.completions[last]));
+            while j < serviced && self.fetch_rounds[j] == round {
+                if !self.dropped[j] {
+                    if let Some(deadline) = self.deadline_of(j) {
+                        worst = worst.min(signed_margin(deadline, self.completions[j]));
                     }
                 }
-                last += 1;
+                j += 1;
             }
-            if worst == i64::MAX {
-                worst = 0;
-            }
-            let turn_end = self.completions[last - 1];
-            let consumed = match first_display {
-                Some(ds) => items.partition_point(|it| ds + it.at <= turn_end),
-                None => 0,
+            margins.push(if worst == i64::MAX { 0 } else { worst });
+        }
+        margins.sort_unstable();
+        // The miss burst, walked on its own: an item misses if it was
+        // dropped, never serviced or late.
+        let (mut miss_burst, mut run) = (0, 0);
+        for j in 0..items.len() {
+            let late = || {
+                self.deadline_of(j)
+                    .is_some_and(|deadline| self.completions[j] > deadline)
             };
-            series.push(RoundSample {
-                round,
-                blocks: (last - j) as u64,
-                worst_margin_ns: worst,
-                buffered: (last as u64).saturating_sub(consumed as u64),
-            });
-            j = last;
+            run = if j >= serviced || self.dropped[j] || late() {
+                run + 1
+            } else {
+                0
+            };
+            miss_burst = miss_burst.max(run);
         }
         let mut max_buffered = 0u64;
         for j in 0..serviced {
@@ -219,14 +222,18 @@ impl StreamState {
             blocks: items.len() as u64,
             fetched,
             violations,
-            max_lateness: lateness.iter().copied().max().unwrap_or(Nanos::ZERO),
             lateness: NanosSummary::of(lateness),
             start_latency: match (first_display, self.service_start) {
                 (Some(ds), Some(ss)) => ds - ss,
                 _ => Nanos::ZERO,
             },
             max_buffered,
-            series,
+            worst_margin_ns: margins.first().copied().unwrap_or(0),
+            p99_margin_ns: match margins.len() {
+                0 => 0,
+                n => margins[(n - 1) / 100],
+            },
+            miss_burst,
             first_violation,
             dropped_blocks,
             retries: self.retries,

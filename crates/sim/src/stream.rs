@@ -17,7 +17,7 @@
 //! `crate::reference` deliberately does not use this type: the oracle
 //! shares nothing with the loops it checks.
 
-use crate::metrics::{RoundSample, StreamOutcome};
+use crate::metrics::StreamOutcome;
 use std::sync::Arc;
 use strandfs_core::mrs::{PlayItem, PlaySchedule};
 use strandfs_core::FsError;
@@ -430,22 +430,14 @@ impl StreamState {
 
     /// The stream's outcome; also emits the [`Event::Deadline`]s the
     /// live pointer never reached.
-    pub fn outcome(&self, obs: &ObsSink) -> StreamOutcome {
-        self.outcome_and_miss_burst(obs).0
-    }
-
-    /// [`StreamState::outcome`] together with the miss burst: the
-    /// longest run of dropped-or-late schedule items (trailing
-    /// never-serviced items count as dropped) — the visible glitch
-    /// length.
     ///
     /// One forward pass over the served items with an epoch cursor, so
     /// each deadline is computed once and feeds every quantity. Item
     /// instants, completions and — within an epoch — deadlines are all
-    /// non-decreasing, so the two backlog counts walk cursors too, and
-    /// binary-search only when a deadline steps back (an epoch
+    /// non-decreasing, so the backlog count walks a cursor too, and
+    /// binary-searches only when a deadline steps back (an epoch
     /// boundary).
-    pub fn outcome_and_miss_burst(&self, obs: &ObsSink) -> (StreamOutcome, u64) {
+    pub fn outcome(&self, obs: &ObsSink) -> StreamOutcome {
         let items = &self.items[..];
         let served = &self.served[..];
         let serviced = served.len();
@@ -464,23 +456,16 @@ impl StreamState {
         let mut first_violation = None;
         let first_display = self.first_epoch.display_start;
         let (mut burst, mut run) = (0u64, 0u64);
-        // The per-round time series: items grouped by the round that
-        // fetched them (rounds are non-decreasing by construction), the
-        // tightest margin in each group, and the backlog right after
-        // the group's last fetch. Dropped items have no fetch to
-        // measure and are skipped. A stream is served at most once a
-        // round, so its round span bounds the series.
-        let mut series = Vec::with_capacity(match (served.first(), served.last()) {
-            (Some(a), Some(b)) => (b.round() - a.round() + 1) as usize,
-            _ => 0,
-        });
-        let (mut group_start, mut worst) = (0, i64::MAX);
-        // Items consumed by a group's turn end: deadlines are
-        // non-decreasing within an epoch; count them epoch-free via the
-        // first display clock (good enough for the backlog gauge).
-        // Turn ends and item instants only move forward, so the count
-        // does too.
-        let mut consumed = 0;
+        // One margin sample per round that fetched for the stream
+        // (rounds are non-decreasing by construction): the tightest
+        // margin among the round's items, 0 if it fetched only drops or
+        // pre-display items. The p99 margin is the (n − 1)/100-th
+        // smallest of n samples; n ≤ `serviced` bounds that index, so
+        // the pass keeps that many of the lowest beside the minimum —
+        // none for a stream of at most 100 items.
+        let (mut rounds, mut round_worst, mut worst) = (0, i64::MAX, i64::MAX);
+        let keep = (serviced.max(1) - 1) / 100 + 1;
+        let mut lowest = Vec::with_capacity(if keep > 1 { keep } else { 0 });
         // Required buffering: completions are non-decreasing, so the
         // backlog when item j starts playing is (#completions ≤ its
         // deadline) − j. The subtraction saturates by design: a starved
@@ -532,7 +517,7 @@ impl StreamState {
                     if j >= self.deadline_emitted {
                         obs.emit(|| self.deadline_event(j, deadline));
                     }
-                    worst = worst.min(signed_margin(deadline, rec.done));
+                    round_worst = round_worst.min(signed_margin(deadline, rec.done));
                     if late {
                         violations += 1;
                         lateness.record(rec.done - deadline);
@@ -545,43 +530,42 @@ impl StreamState {
                 }
             }
             if served.get(j + 1).is_none_or(|n| n.round() != rec.round()) {
-                if let Some(ds) = first_display {
-                    while consumed < items.len() && ds + items[consumed].at <= rec.done {
-                        consumed += 1;
-                    }
+                let margin = if round_worst == i64::MAX {
+                    0
+                } else {
+                    round_worst
+                };
+                (rounds, round_worst, worst) = (rounds + 1, i64::MAX, worst.min(margin));
+                let at = lowest.partition_point(|&m| m <= margin);
+                if keep > 1 && at < keep {
+                    lowest.truncate(keep - 1);
+                    lowest.insert(at, margin);
                 }
-                series.push(RoundSample {
-                    round: rec.round(),
-                    blocks: (j + 1 - group_start) as u64,
-                    // 0 if the round fetched only drops or pre-display
-                    // items.
-                    worst_margin_ns: if worst == i64::MAX { 0 } else { worst },
-                    buffered: ((j + 1) as u64).saturating_sub(consumed as u64),
-                });
-                (group_start, worst) = (j + 1, i64::MAX);
             }
         }
-        let burst = burst.max(run + (items.len() - serviced) as u64);
-        let lateness = lateness.summary();
-        let outcome = StreamOutcome {
+        let worst_margin_ns = if rounds == 0 { 0 } else { worst };
+        StreamOutcome {
             blocks: items.len() as u64,
             fetched,
             violations,
-            max_lateness: lateness.max,
-            lateness,
+            lateness: lateness.summary(),
             start_latency: match (first_display, self.service_start) {
                 (Some(ds), Some(ss)) => ds - ss,
                 _ => Nanos::ZERO,
             },
             max_buffered,
-            series,
+            worst_margin_ns,
+            p99_margin_ns: match (rounds.max(1) - 1) / 100 {
+                0 => worst_margin_ns,
+                k => lowest[k],
+            },
+            miss_burst: burst.max(run + (items.len() - serviced) as u64),
             first_violation,
             dropped_blocks,
             retries: self.retries,
             revokes: self.revokes,
             recovery_time: self.recovery_time,
-        };
-        (outcome, burst)
+        }
     }
 }
 
@@ -663,6 +647,132 @@ mod tests {
         assert_eq!(Some(out.max_buffered), naive);
         assert_eq!(out.max_buffered, 2);
         assert_eq!(out.violations, 1);
+    }
+
+    /// A stream driven through 175 rounds — varied margins, one late
+    /// item, drop-only rounds, an epoch that never displays and a
+    /// re-admitted one, a revocation to the end — reports the margins
+    /// and burst a naive sort of its round margins and a walk of its
+    /// items give. The 0 samples of the rounds with no known deadline
+    /// are the p99 margin; the late item alone is the worst.
+    #[test]
+    fn margins_and_burst_match_a_naive_sort_and_walk() {
+        const ITEMS: u64 = 240;
+        let item_at = |j: u64| PlayItem {
+            at: Nanos::from_millis(10 * j),
+            medium: strandfs_media::Medium::Video,
+            strand: strandfs_core::StrandId::from_raw(1),
+            block: j,
+            units: 1,
+            duration: Nanos::from_millis(10),
+            silence: j % 7 == 3,
+        };
+        let schedule = PlaySchedule {
+            items: (0..ITEMS).map(item_at).collect(),
+            duration: Nanos::from_millis(10 * ITEMS),
+            triggers: Vec::new(),
+        };
+        let obs = ObsSink::noop();
+        let mut state = StreamState::new(0, schedule, 2);
+        let mut round = 0;
+        // One turn of `fetch` items: each lands its margin early (a
+        // varied 1–6 ms), or `late_by` past its deadline, or on the
+        // clock before its epoch displays.
+        let turn = |state: &mut StreamState, round: &mut u64, fetch: u64, late_by: u64| {
+            let clock = state.last_completion();
+            state.begin_turn(*round, clock, clock);
+            for _ in 0..fetch {
+                let j = state.next_index() as u64;
+                let done = match state.next_deadline() {
+                    Some(d) if late_by > 0 => d + Nanos::from_micros(late_by),
+                    Some(d) => d - Nanos::from_micros(1_000 + j * 7_919 % 5_000),
+                    None => state.last_completion() + Nanos::from_micros(100),
+                };
+                let done = done.max(state.last_completion());
+                state.record(done, done, &obs);
+            }
+            state.end_turn(state.last_completion(), &obs);
+            *round += 1;
+        };
+        let drop_turn = |state: &mut StreamState, round: &mut u64, drops: u64, revoke_after| {
+            let at = state.last_completion();
+            state.begin_turn(*round, at, at);
+            for _ in 0..drops {
+                state.record_drop(at, at, revoke_after, &obs);
+            }
+            *round += 1;
+        };
+        // Epoch 0: 160 items over 140 rounds, every seventh round two
+        // items, item 50 late by 4 ms, three drop-only rounds.
+        while state.next_index() < 160 {
+            let late = if state.next_index() == 50 { 4_000 } else { 0 };
+            let fetch = 1 + u64::from(round % 7 == 0);
+            turn(&mut state, &mut round, fetch, late);
+            if matches!(round, 30 | 80 | 120) {
+                let drops = 1 + round % 3;
+                drop_turn(&mut state, &mut round, drops, u64::MAX);
+            }
+        }
+        // Revoke; re-admit into an epoch whose read-ahead never fills,
+        // so its four rounds know no deadline; revoke and re-admit again.
+        drop_turn(&mut state, &mut round, 1, 1);
+        let resume = state.last_completion() + Nanos::from_millis(20);
+        state.readmit(round, resume, &obs);
+        state.set_read_ahead(1_000);
+        for _ in 0..4 {
+            turn(&mut state, &mut round, 2, 0);
+        }
+        drop_turn(&mut state, &mut round, 1, 1);
+        let resume = state.last_completion() + Nanos::from_millis(20);
+        state.readmit(round, resume, &obs);
+        state.set_read_ahead(2);
+        // Epoch 2: thirty rounds, then six drops revoke the stream with
+        // the rest of the schedule unserviced.
+        for _ in 0..30 {
+            turn(&mut state, &mut round, 1, 0);
+        }
+        drop_turn(&mut state, &mut round, 6, 6);
+        assert!(state.is_revoked());
+
+        // Naive: every round's tightest known margin (0 if none), fully
+        // sorted; a walk of the items for the longest run of misses.
+        let mut margins = Vec::new();
+        let mut j = 0;
+        while j < state.served.len() {
+            let (r, mut worst) = (state.served[j].round(), None::<i64>);
+            while j < state.served.len() && state.served[j].round() == r {
+                let rec = state.served[j];
+                if let (false, Some(d)) = (rec.dropped(), state.deadline_of(j)) {
+                    let m = signed_margin(d, rec.done);
+                    worst = Some(worst.map_or(m, |w| w.min(m)));
+                }
+                j += 1;
+            }
+            margins.push(worst.unwrap_or(0));
+        }
+        margins.sort_unstable();
+        let (mut burst, mut run) = (0, 0);
+        for j in 0..ITEMS as usize {
+            let miss = state.served.get(j).is_none_or(|rec| {
+                rec.dropped() || state.deadline_of(j).is_some_and(|d| rec.done > d)
+            });
+            run = if miss { run + 1 } else { 0 };
+            burst = burst.max(run);
+        }
+        let n = margins.len();
+        assert!((150..=200).contains(&n), "{n} rounds");
+        let out = state.outcome(&obs);
+        assert_eq!(out.worst_margin_ns, margins[0]);
+        assert_eq!(out.p99_margin_ns, margins[(n - 1) / 100]);
+        assert_eq!(out.miss_burst, burst);
+        // The scenario separates the rules it checks.
+        assert_eq!((out.worst_margin_ns, out.p99_margin_ns), (-4_000_000, 0));
+        // Six drop-only rounds and four that knew no deadline.
+        assert_eq!(margins.iter().filter(|&&m| m == 0).count(), 10);
+        assert_eq!(
+            out.miss_burst,
+            6 + (ITEMS as usize - state.served.len()) as u64
+        );
     }
 
     /// Viewers of one copy share its items, and a failover swaps that

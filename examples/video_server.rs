@@ -142,12 +142,14 @@ fn main() {
 
     // The continuity SLO view of the same run: aggregate miss rate,
     // worst and p99 deadline margins across every admitted client.
-    let slo = report.slo();
     println!(
         "slo: {} blocks, miss rate {:.4}, worst margin {} ns, p99 margin {} ns",
-        slo.total_blocks, slo.miss_rate, slo.worst_margin_ns, slo.p99_margin_ns
+        report.total_blocks(),
+        report.miss_rate(),
+        report.worst_margin_ns(),
+        report.p99_margin_ns()
     );
-    assert!(slo.clean());
+    assert!(report.all_continuous());
 
     // Export the whole session — recording, admission, rounds, per-op
     // disk mechanics, deadline outcomes — as a Chrome trace. Load it in
