@@ -65,8 +65,6 @@ pub struct ClusterPlayback {
     /// stamp (an untimed oracle for experiments; counts what silent
     /// corruption actually reached the audience).
     pub audit_integrity: bool,
-    /// Hard bound on simulated rounds (a stuck-scenario backstop).
-    pub max_rounds: u64,
 }
 
 impl ClusterPlayback {
@@ -83,7 +81,6 @@ impl ClusterPlayback {
             hedge: false,
             quarantine_after_rounds: 3,
             audit_integrity: false,
-            max_rounds: 100_000,
         }
     }
 

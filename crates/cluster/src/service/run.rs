@@ -24,6 +24,9 @@ use strandfs_obs::{Event, ObsSink};
 use strandfs_sim::StreamState;
 use strandfs_units::{Instant, Nanos};
 
+/// Hard bound on simulated rounds (a stuck-scenario backstop).
+const MAX_ROUNDS: u64 = 100_000;
+
 /// A viewer stream: the shared per-stream service state plus the
 /// cluster's pin — the title it plays, from which replica, on which volume.
 struct CStream {
@@ -933,7 +936,7 @@ impl<'a> Run<'a> {
                 self.barrier()?;
             }
             self.round += 1;
-            if self.round >= self.cfg.max_rounds {
+            if self.round >= MAX_ROUNDS {
                 return Ok(());
             }
         }

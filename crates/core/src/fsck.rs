@@ -8,7 +8,8 @@
 //! 2. no two strands' blocks overlap, nor overlap the journal region or
 //!    a text file;
 //! 3. each strand's on-disk index decodes and reconstructs the in-memory
-//!    block map exactly;
+//!    strand exactly: meta, blocks, checksum stamps, units and index
+//!    extents;
 //! 4. successive stored blocks of a strand respect the volume's
 //!    scattering gap bounds (wrap transitions are reported, not errors —
 //!    the allocator records them as anomalies by design);
@@ -274,12 +275,7 @@ fn walk(msm: &mut Msm, now: Instant, mut cut: impl FnMut(&mut Msm, StrandId, u64
     let bounds = msm.gap_bounds();
     for id in msm.strand_ids() {
         report.strands_checked += 1;
-        let s = msm.strand(id).expect("listed id");
-        let (blocks, index, units) = (
-            s.blocks().to_vec(),
-            s.index_extents().to_vec(),
-            s.unit_count(),
-        );
+        let s = msm.strand(id).expect("listed id").clone();
         let mut keep = None;
         let mut prev: Option<(u64, Extent)> = None;
         for (n, e) in s.stored_iter() {
@@ -300,13 +296,12 @@ fn walk(msm: &mut Msm, now: Instant, mut cut: impl FnMut(&mut Msm, StrandId, u64
             prev = Some((n, e));
         }
         let mut index_ok = true;
-        for &e in &index {
+        for &e in s.index_extents() {
             index_ok &= rule(msm, id, e, &mut claims, &mut report.findings);
         }
-        if let (None, true, Some(&header)) = (keep, index_ok, index.last()) {
+        if let (None, true, Some(&header)) = (keep, index_ok, s.index_extents().last()) {
             let detail = match msm.load_strand(id, header, now) {
-                Ok(l) => (l.blocks() != &blocks[..] || l.unit_count() != units)
-                    .then(|| "reloaded strand differs from memory".to_string()),
+                Ok(l) => (l != s).then(|| "reloaded strand differs from memory".to_string()),
                 Err(e) => Some(e.to_string()),
             };
             if let Some(detail) = detail {
@@ -316,12 +311,12 @@ fn walk(msm: &mut Msm, now: Instant, mut cut: impl FnMut(&mut Msm, StrandId, u64
                 index_ok = false;
             }
         }
-        let Some(keep) = keep.or((!index_ok).then_some(blocks.len() as u64)) else {
+        let Some(keep) = keep.or((!index_ok).then_some(s.block_count())) else {
             continue;
         };
         cut(msm, id, keep);
         let after = msm.strand(id).ok();
-        if after.map(|s| (s.blocks(), s.index_extents())) != Some((&blocks[..], &index[..])) {
+        if after.map(|a| (a.blocks(), a.index_extents())) != Some((s.blocks(), s.index_extents())) {
             claims.retain(|_, &mut (_, owner)| owner != id);
             for e in after.into_iter().flat_map(|s| s.extents()) {
                 claims.insert(e.start, (e.sectors, id));

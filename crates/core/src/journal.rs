@@ -8,8 +8,16 @@
 //! The journal closes that window with write-ahead *intent records*:
 //! every `append_block` / `append_silence` / `finish_strand` /
 //! `delete_strand` persists a checksummed record **before** the
-//! mutation it describes, and [`crate::msm::Msm::recover`] replays the
-//! records at mount to complete or roll back whatever was in flight.
+//! mutation it describes, and at mount [`Journal::replay`] reads the log
+//! back to say what is durable and what was in flight.
+//!
+//! The journal owns its layout, its replay and its cursor; it does no
+//! I/O. [`Journal::append`] and [`Journal::checkpoint`] hand the
+//! [`crate::msm::Msm`] the bytes to write and where. [`Journal::replay`]
+//! reads through an untimed fetch and returns the sectors it read, for
+//! [`crate::msm::Msm::recover`] to time in order; the MSM then adopts the
+//! durable strands, checks each in-flight prefix against its journaled
+//! stamps and finishes what survives.
 //!
 //! # On-disk layout
 //!
@@ -40,11 +48,13 @@
 //! back to the other slot).
 
 use crate::error::FsError;
+use crate::strand::index::NO_SUM;
 use crate::strand::wire::{PutLe, TakeLe};
+use crate::strand::StrandMeta;
 use std::collections::BTreeMap;
 use strandfs_disk::Extent;
-use strandfs_media::Medium;
 use strandfs_obs::JournalOp;
+use strandfs_units::Bits;
 
 /// Default sectors reserved for each of the two checkpoint slots. The
 /// slot bounds the strand catalog a checkpoint can hold (~21 entries
@@ -96,14 +106,8 @@ pub enum Record {
     Begin {
         /// The strand's raw id.
         strand: u64,
-        /// The strand's medium.
-        medium: Medium,
-        /// Media units per second.
-        unit_rate: f64,
-        /// Units per block (granularity).
-        granularity: u64,
-        /// Bits per unit.
-        unit_bits: u64,
+        /// The strand's recording parameters.
+        meta: StrandMeta,
     },
     /// Intent to append a stored media block: the extent was allocated
     /// and the payload (whose FNV-1a sum is recorded) is about to be
@@ -211,18 +215,12 @@ fn encode_record(seq: u64, rec: &Record, sector_size: usize) -> Vec<u8> {
     out.put_u64_le(seq);
     out.put_u8(rec.tag());
     match *rec {
-        Record::Begin {
-            strand,
-            medium,
-            unit_rate,
-            granularity,
-            unit_bits,
-        } => {
+        Record::Begin { strand, meta } => {
             out.put_u64_le(strand);
-            out.put_medium(medium);
-            out.put_f64_le(unit_rate);
-            out.put_u64_le(granularity);
-            out.put_u64_le(unit_bits);
+            out.put_medium(meta.medium);
+            out.put_f64_le(meta.unit_rate);
+            out.put_u64_le(meta.granularity);
+            out.put_u64_le(meta.unit_bits.get());
         }
         Record::Append {
             strand,
@@ -270,7 +268,7 @@ fn encode_record(seq: u64, rec: &Record, sector_size: usize) -> Vec<u8> {
 
 /// Decode one record sector; `None` when the sector does not hold a
 /// valid record (bad magic, unknown tag, short, or checksum mismatch).
-pub fn decode_record(bytes: &[u8]) -> Option<(u64, Record)> {
+fn decode_record(bytes: &[u8]) -> Option<(u64, Record)> {
     let mut buf: &[u8] = bytes;
     if buf.remaining() < 4 + 8 + 1 {
         return None;
@@ -287,10 +285,12 @@ pub fn decode_record(bytes: &[u8]) -> Option<(u64, Record)> {
     let rec = match tag {
         0 => Record::Begin {
             strand: buf.get_u64_le(),
-            medium: buf.get_medium()?,
-            unit_rate: buf.get_f64_le(),
-            granularity: buf.get_u64_le(),
-            unit_bits: buf.get_u64_le(),
+            meta: StrandMeta {
+                medium: buf.get_medium()?,
+                unit_rate: buf.get_f64_le(),
+                granularity: buf.get_u64_le(),
+                unit_bits: Bits::new(buf.get_u64_le()),
+            },
         },
         1 => Record::Append {
             strand: buf.get_u64_le(),
@@ -334,18 +334,18 @@ pub struct CatalogEntry {
 
 /// The durable world as of one checkpoint write.
 #[derive(Clone, Debug, PartialEq, Default)]
-pub struct Checkpoint {
+struct Checkpoint {
     /// Journal sequence at write time; orders the two slots.
-    pub seq: u64,
+    seq: u64,
     /// The volume's next fresh strand id.
-    pub next_strand: u64,
+    next_strand: u64,
     /// Oldest journal sequence recovery still needs.
-    pub floor: u64,
+    floor: u64,
     /// How many checkpoints have been written (restores the A/B
     /// alternation across a remount).
-    pub count: u64,
+    count: u64,
     /// Every finished strand and where its index lives.
-    pub catalog: Vec<CatalogEntry>,
+    catalog: Vec<CatalogEntry>,
 }
 
 /// Encode a checkpoint into its slot (`ckpt_sectors * sector_size`
@@ -381,7 +381,7 @@ fn encode_checkpoint(
 
 /// Decode a checkpoint slot; `None` when invalid (never-written slot,
 /// torn write, checksum mismatch).
-pub fn decode_checkpoint(bytes: &[u8]) -> Option<Checkpoint> {
+fn decode_checkpoint(bytes: &[u8]) -> Option<Checkpoint> {
     let mut buf: &[u8] = bytes;
     if buf.remaining() < 4 + 8 + 8 + 8 + 8 + 4 {
         return None;
@@ -444,31 +444,19 @@ impl Journal {
         }
     }
 
-    /// Rebuild the cursor after recovery.
-    pub fn restore(&mut self, next_seq: u64, ckpt_count: u64) {
-        self.next_seq = next_seq;
-        self.ckpt_count = ckpt_count;
-        self.live.clear();
-    }
-
     /// The whole reserved region (checkpoints + record slots).
     pub fn region(&self) -> Extent {
         Extent::new(0, 2 * self.ckpt_sectors + self.slots)
     }
 
-    /// Record slots in the circular log.
-    pub fn slots(&self) -> u64 {
-        self.slots
-    }
-
     /// The slot extent for sequence number `seq`.
-    pub fn record_extent(&self, seq: u64) -> Extent {
+    fn record_extent(&self, seq: u64) -> Extent {
         Extent::new(2 * self.ckpt_sectors + seq % self.slots, 1)
     }
 
     /// Checkpoint slot `i` (0 = A, 1 = B).
-    pub fn ckpt_extent(&self, i: usize) -> Extent {
-        Extent::new(i as u64 * self.ckpt_sectors, self.ckpt_sectors)
+    fn ckpt_extent(&self, i: u64) -> Extent {
+        Extent::new(i * self.ckpt_sectors, self.ckpt_sectors)
     }
 
     /// The oldest sequence number still needed: the earliest `Begin`
@@ -533,25 +521,169 @@ impl Journal {
             catalog,
         };
         let bytes = encode_checkpoint(&ck, self.sector_size, self.ckpt_sectors)?;
-        let extent = self.ckpt_extent((self.ckpt_count % 2) as usize);
+        let extent = self.ckpt_extent(self.ckpt_count % 2);
         self.ckpt_count += 1;
         Ok((ck.seq, extent, bytes))
+    }
+
+    /// Read the log of a mounted image through `fetch` (an untimed read,
+    /// `None` off the device) and say what it holds; the cursor moves to
+    /// the end of the tail, past the newest checkpoint's count.
+    ///
+    /// The newest checkpoint that decodes wins; a torn one falls back to
+    /// the other slot. The tail runs from its floor to the first slot
+    /// that does not decode or holds a stale lap's sequence. A `Delete`
+    /// in the tail vetoes the strand wherever else it appears: its
+    /// extents were released before the crash and may since have been
+    /// reused. Every id seen bumps the next strand id, so a recording
+    /// after the mount never shadows a recovered strand.
+    pub fn replay(&mut self, fetch: impl Fn(Extent) -> Option<Vec<u8>>) -> Replay {
+        let mut replay = Replay::default();
+        let mut ckpt: Option<Checkpoint> = None;
+        for slot in [self.ckpt_extent(0), self.ckpt_extent(1)] {
+            let Some(bytes) = fetch(slot) else { continue };
+            replay.reads.push(slot);
+            match decode_checkpoint(&bytes) {
+                Some(c) if ckpt.as_ref().is_none_or(|best| c.seq > best.seq) => ckpt = Some(c),
+                _ => {}
+            }
+        }
+        self.ckpt_count = ckpt.as_ref().map_or(0, |c| c.count + 1);
+        let ckpt = ckpt.unwrap_or_default();
+        let ids = ckpt.catalog.iter().map(|e| e.strand + 1);
+        replay.next_strand = ids.fold(ckpt.next_strand, u64::max);
+        let mut committed = Vec::new();
+        let mut seq = ckpt.floor;
+        while seq - ckpt.floor < self.slots {
+            let extent = self.record_extent(seq);
+            match fetch(extent).as_deref().and_then(decode_record) {
+                Some((s, rec)) if s == seq => {
+                    replay.reads.push(extent);
+                    seq += 1;
+                    replay.next_strand = replay.next_strand.max(rec.strand() + 1);
+                    replay.fold(rec, &mut committed);
+                }
+                // Torn, never written, or a survivor of an earlier lap.
+                _ => break,
+            }
+        }
+        self.next_seq = seq;
+        self.live.clear();
+        let deleted = |e: &CatalogEntry| replay.deleted.contains(&e.strand);
+        replay.durable = ckpt.catalog.into_iter().filter(|e| !deleted(e)).collect();
+        for c in committed {
+            if !replay.durable.iter().any(|d| d.strand == c.strand) {
+                replay.durable.push(c);
+            }
+        }
+        replay
+    }
+}
+
+/// What the log of a mounted image says ([`Journal::replay`]).
+#[derive(Debug, Default)]
+pub struct Replay {
+    /// The volume's next fresh strand id.
+    pub next_strand: u64,
+    /// Finished strands to adopt, in order: the checkpoint catalog
+    /// minus journaled deletions, then the strands committed after it.
+    pub durable: Vec<CatalogEntry>,
+    /// Each in-flight recording by raw id: its recording parameters and
+    /// its journaled blocks in append order.
+    pub inflight: BTreeMap<u64, (StrandMeta, Vec<Journaled>)>,
+    /// The strand of each `Delete` record in the tail.
+    pub deleted: Vec<u64>,
+    /// Every sector the replay read — the checkpoint slots, then each
+    /// tail record — in order, for the caller to time.
+    pub reads: Vec<Extent>,
+}
+
+/// One journaled block of an in-flight recording: a stored block's
+/// extent and payload stamp, or a silence hole (`extent: None`,
+/// [`NO_SUM`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Journaled {
+    /// Where the block's data was to land.
+    pub extent: Option<Extent>,
+    /// Media units the block carries.
+    pub units: u64,
+    /// The stamp the data must hash to.
+    pub sum: u64,
+}
+
+impl Replay {
+    /// Fold one tail record into the strands' outcomes: a `Begin` opens
+    /// an in-flight strand, an `Append` or `Silence` extends it, a
+    /// `FinishCommit` makes it durable and a `Delete` drops it wherever
+    /// it stands.
+    fn fold(&mut self, rec: Record, committed: &mut Vec<CatalogEntry>) {
+        let strand = rec.strand();
+        let block = match rec {
+            Record::Begin { meta, .. } => {
+                self.inflight.insert(strand, (meta, Vec::new()));
+                return;
+            }
+            Record::Append {
+                lba,
+                sectors,
+                units,
+                payload_sum,
+                ..
+            } => Journaled {
+                extent: Some(Extent::new(lba, sectors)),
+                units,
+                sum: payload_sum,
+            },
+            Record::Silence { units, .. } => Journaled {
+                extent: None,
+                units,
+                sum: NO_SUM,
+            },
+            Record::FinishIntent { .. } => return,
+            Record::FinishCommit {
+                header_lba,
+                header_sectors,
+                ..
+            } => {
+                if self.inflight.remove(&strand).is_some() {
+                    let header = Extent::new(header_lba, header_sectors);
+                    committed.push(CatalogEntry { strand, header });
+                }
+                return;
+            }
+            Record::Delete { .. } => {
+                self.inflight.remove(&strand);
+                committed.retain(|c| c.strand != strand);
+                self.deleted.push(strand);
+                return;
+            }
+        };
+        if let Some((_, blocks)) = self.inflight.get_mut(&strand) {
+            blocks.push(block);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use strandfs_media::Medium;
+
+    fn audio() -> StrandMeta {
+        StrandMeta {
+            medium: Medium::Audio,
+            unit_rate: 8_000.0,
+            granularity: 800,
+            unit_bits: Bits::new(8),
+        }
+    }
 
     #[test]
     fn record_round_trips_every_variant() {
         let recs = [
             Record::Begin {
                 strand: 7,
-                medium: Medium::Audio,
-                unit_rate: 8_000.0,
-                granularity: 800,
-                unit_bits: 8,
+                meta: audio(),
             },
             Record::Append {
                 strand: 7,
@@ -687,10 +819,7 @@ mod tests {
         // releases it: the log then laps past where it would refuse.
         let begin = |strand| Record::Begin {
             strand,
-            medium: Medium::Audio,
-            unit_rate: 8_000.0,
-            granularity: 800,
-            unit_bits: 8,
+            meta: audio(),
         };
         let (seq, _, _) = j.append(&begin(42)).unwrap();
         assert!(j.has_begun(42));
@@ -711,6 +840,175 @@ mod tests {
             j.append(&silence),
             Err(FsError::JournalCorrupt { .. })
         ));
+    }
+
+    /// A journal region's image, sector by sector, and the writes that
+    /// build a log in it.
+    struct Image(Vec<u8>);
+
+    fn config(slots: u64) -> JournalConfig {
+        JournalConfig {
+            slots,
+            ..JournalConfig::default()
+        }
+    }
+
+    impl Image {
+        fn new(slots: u64) -> Image {
+            let region = Journal::new(config(slots), 512).region();
+            Image(vec![0; region.sectors as usize * 512])
+        }
+
+        fn put(&mut self, (_, e, bytes): (u64, Extent, Vec<u8>)) {
+            self.0[e.start as usize * 512..][..bytes.len()].copy_from_slice(&bytes);
+        }
+
+        fn log(&mut self, j: &mut Journal, recs: &[Record]) {
+            for rec in recs {
+                self.put(j.append(rec).unwrap());
+            }
+        }
+
+        /// Mount the image: a fresh journal's replay of it.
+        fn replay(&self, slots: u64) -> (Journal, Replay) {
+            let mut j = Journal::new(config(slots), 512);
+            let bytes = |e: Extent| self.0[e.start as usize * 512..e.end() as usize * 512].to_vec();
+            let r = j.replay(|e| Some(bytes(e)));
+            (j, r)
+        }
+    }
+
+    fn entry(strand: u64, lba: u64) -> CatalogEntry {
+        CatalogEntry {
+            strand,
+            header: Extent::new(lba, 1),
+        }
+    }
+
+    fn begin(strand: u64) -> Record {
+        Record::Begin {
+            strand,
+            meta: audio(),
+        }
+    }
+
+    fn append(strand: u64, block: u64) -> Record {
+        Record::Append {
+            strand,
+            block,
+            lba: 1_000 + block,
+            sectors: 1,
+            units: 800,
+            payload_sum: 0xA0 + block,
+        }
+    }
+
+    #[test]
+    fn a_stale_lap_survivor_ends_the_tail() {
+        let mut img = Image::new(4);
+        let mut j = Journal::new(config(4), 512);
+        // Lap one fills every slot; the checkpoint then moves the floor
+        // to seq 4, and lap two overwrites slots 0 and 1 only.
+        let silence = |strand| Record::Silence {
+            strand,
+            block: 1,
+            units: 800,
+        };
+        img.log(&mut j, &[silence(1), silence(1), silence(9), silence(1)]);
+        img.put(j.checkpoint(10, Vec::new()).unwrap());
+        img.log(&mut j, &[begin(9), append(9, 0)]);
+
+        let (mut mounted, r) = img.replay(4);
+        let slots = [
+            Extent::new(0, CKPT_SECTORS),
+            Extent::new(CKPT_SECTORS, CKPT_SECTORS),
+        ];
+        let tail = [2 * CKPT_SECTORS, 2 * CKPT_SECTORS + 1].map(|s| Extent::new(s, 1));
+        assert_eq!(r.reads, [&slots[..], &tail[..]].concat());
+        // Slot 2 still holds lap one's seq 2, a hole in strand 9: not
+        // read as the tail's seq 6.
+        assert_eq!(r.inflight.keys().collect::<Vec<_>>(), [&9]);
+        assert_eq!(r.inflight[&9].1.len(), 1);
+        assert_eq!(mounted.append(&Record::Delete { strand: 9 }).unwrap().0, 6);
+    }
+
+    #[test]
+    fn a_torn_newer_checkpoint_falls_back_to_the_older_one() {
+        let mut img = Image::new(8);
+        let mut j = Journal::new(config(8), 512);
+        img.put(j.checkpoint(4, vec![entry(3, 500)]).unwrap());
+        img.log(&mut j, &[Record::FinishIntent { strand: 3 }]);
+        let (_, newer, mut bytes) = j.checkpoint(5, vec![entry(3, 500), entry(4, 600)]).unwrap();
+        // Both slots decode: the newer, in slot B, wins.
+        img.put((0, newer, bytes.clone()));
+        let (_, r) = img.replay(8);
+        assert_eq!(r.durable, [entry(3, 500), entry(4, 600)]);
+        assert_eq!(r.next_strand, 5);
+        // Torn, it falls back to slot A — still read, and timed.
+        bytes[40] ^= 1;
+        img.put((0, newer, bytes));
+        let (mut mounted, r) = img.replay(8);
+        assert_eq!(r.durable, [entry(3, 500)]);
+        assert_eq!(r.next_strand, 4);
+        assert_eq!(r.reads[..2], [Extent::new(0, CKPT_SECTORS), newer]);
+        // And the tail from slot A's floor follows.
+        assert_eq!(r.reads[2..], [Extent::new(2 * CKPT_SECTORS, 1)]);
+        // The count resumes after slot A's: the next checkpoint goes to
+        // slot B again.
+        assert_eq!(mounted.checkpoint(4, Vec::new()).unwrap().1, newer);
+    }
+
+    #[test]
+    fn a_delete_after_its_commit_vetoes_adoption() {
+        let mut img = Image::new(8);
+        let mut j = Journal::new(config(8), 512);
+        let commit = Record::FinishCommit {
+            strand: 5,
+            header_lba: 700,
+            header_sectors: 1,
+        };
+        img.log(
+            &mut j,
+            &[begin(5), append(5, 0), Record::FinishIntent { strand: 5 }],
+        );
+        img.log(&mut j, &[commit]);
+        let (_, r) = img.replay(8);
+        assert_eq!(r.durable, [entry(5, 700)]);
+        assert!(r.inflight.is_empty());
+        img.log(&mut j, &[Record::Delete { strand: 5 }]);
+        let (_, r) = img.replay(8);
+        assert_eq!(r.durable, []);
+        assert!(r.inflight.is_empty());
+        assert_eq!(r.deleted, [5]);
+    }
+
+    #[test]
+    fn a_delete_drops_a_checkpointed_strand_from_the_catalog() {
+        let mut img = Image::new(8);
+        let mut j = Journal::new(config(8), 512);
+        img.put(j.checkpoint(4, vec![entry(2, 500), entry(3, 600)]).unwrap());
+        img.log(&mut j, &[Record::Delete { strand: 2 }]);
+        let (_, r) = img.replay(8);
+        assert_eq!(r.durable, [entry(3, 600)]);
+        assert_eq!(r.deleted, [2]);
+    }
+
+    #[test]
+    fn every_id_seen_bumps_the_next_strand_id() {
+        // The checkpoint's own counter, with nothing past it.
+        let mut img = Image::new(8);
+        let mut j = Journal::new(config(8), 512);
+        img.put(j.checkpoint(2, Vec::new()).unwrap());
+        assert_eq!(img.replay(8).1.next_strand, 2);
+        // A catalog entry past the counter, deleted or not.
+        img.log(&mut j, &[Record::FinishIntent { strand: 0 }]);
+        img.put(j.checkpoint(2, vec![entry(6, 500)]).unwrap());
+        assert_eq!(img.replay(8).1.next_strand, 7);
+        img.log(&mut j, &[Record::Delete { strand: 6 }]);
+        assert_eq!(img.replay(8).1.next_strand, 7);
+        // A tail record past both.
+        img.log(&mut j, &[begin(11)]);
+        assert_eq!(img.replay(8).1.next_strand, 12);
     }
 
     #[test]

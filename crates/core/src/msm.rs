@@ -14,13 +14,11 @@
 
 use crate::admission::{AdmissionController, ServiceEnv};
 use crate::error::FsError;
-use crate::journal::{self, CatalogEntry, Checkpoint, Journal, JournalConfig, Record};
+use crate::journal::{CatalogEntry, Journal, JournalConfig, Record};
 use crate::rope::scattering::{copy_bound, plan_boundary, CopyPlan, CopySide, Occupancy};
 use crate::rope::StrandRef;
-use crate::strand::index::{
-    build_primaries, HeaderBlock, IndexPtr, PrimaryBlock, SecondaryBlock, SecondaryEntry,
-};
-use crate::strand::{strand_from_index, Strand, StrandBuilder, StrandMeta};
+use crate::strand::index::{read_index, write_index};
+use crate::strand::{Strand, StrandBuilder, StrandMeta};
 use crate::types::{BlockNo, StrandId};
 use std::collections::BTreeMap;
 use strandfs_disk::{
@@ -351,16 +349,11 @@ impl Msm {
             return Ok(now);
         }
         let meta = *self.recording_mut(id)?.meta();
-        let op = self.journal_append(
-            Record::Begin {
-                strand: id.raw(),
-                medium: meta.medium,
-                unit_rate: meta.unit_rate,
-                granularity: meta.granularity,
-                unit_bits: meta.unit_bits.get(),
-            },
-            now,
-        )?;
+        let begin = Record::Begin {
+            strand: id.raw(),
+            meta,
+        };
+        let op = self.journal_append(begin, now)?;
         Ok(op.map_or(now, |o| o.completed))
     }
 
@@ -586,7 +579,9 @@ impl Msm {
     /// `now`, freeze it, then journal the `FinishCommit` record and
     /// checkpoint. Returns the header-block extent (the on-disk root).
     fn commit_index(&mut self, builder: StrandBuilder, now: Instant) -> Result<Extent, FsError> {
-        let (header, index_extents) = self.write_index(&builder, now)?;
+        let block_bytes = self.disk.geometry().sector_size.get() as usize;
+        let index_extents = write_index(&builder, block_bytes, |b| self.write_anywhere(b, now))?;
+        let header = *index_extents.last().expect("an index ends at its header");
         let id = builder.id();
         let strand = builder.freeze(index_extents);
         self.strands.insert(id, StrandState::Finished(strand));
@@ -599,52 +594,6 @@ impl Msm {
         let t = self.journal_append(record, t)?.map_or(t, |o| o.completed);
         self.write_checkpoint(t)?;
         Ok(header)
-    }
-
-    fn write_index(
-        &mut self,
-        builder: &StrandBuilder,
-        now: Instant,
-    ) -> Result<(Extent, Vec<Extent>), FsError> {
-        let block_bytes = self.disk.geometry().sector_size.get() as usize;
-        let per_primary = PrimaryBlock::capacity(block_bytes).max(1);
-        let (primaries, coverage) = build_primaries(builder.blocks(), builder.sums(), per_primary);
-        // Primaries first: `index_extents[i]` locates primary `i`.
-        let mut index_extents = Vec::new();
-        for pb in &primaries {
-            index_extents.push(self.write_anywhere(&pb.encode(block_bytes), now)?);
-        }
-        // Secondary blocks point at runs of primaries.
-        let per_secondary = SecondaryBlock::capacity(block_bytes).max(1);
-        let mut secondaries = Vec::new();
-        for chunk_start in (0..primaries.len()).step_by(per_secondary) {
-            let end = (chunk_start + per_secondary).min(primaries.len());
-            let entries = (chunk_start..end)
-                .map(|i| SecondaryEntry {
-                    start_block: coverage[i].0,
-                    block_count: coverage[i].1,
-                    sector: index_extents[i].start,
-                    sector_count: index_extents[i].sectors as u32,
-                })
-                .collect();
-            let e = self.write_anywhere(&SecondaryBlock { entries }.encode(block_bytes), now)?;
-            secondaries.push(IndexPtr::from_extent(e));
-            index_extents.push(e);
-        }
-        // Header block roots the index.
-        let meta = builder.meta();
-        let header = HeaderBlock {
-            medium: meta.medium,
-            unit_rate: meta.unit_rate,
-            granularity: meta.granularity,
-            unit_bits: meta.unit_bits.get(),
-            unit_count: builder.unit_count(),
-            block_count: builder.block_count(),
-            secondaries,
-        };
-        let he = self.write_anywhere(&header.encode(block_bytes), now)?;
-        index_extents.push(he);
-        Ok((he, index_extents))
     }
 
     /// Write one sector of `bytes` wherever the free map first has room.
@@ -928,36 +877,19 @@ impl Msm {
     }
 
     /// Reload a strand purely from its on-disk index, verifying the
-    /// storage format end-to-end. Reads the header at `header_extent`,
-    /// then its secondaries, then their primaries.
+    /// storage format end-to-end: every index block is read, and timed,
+    /// in [`read_index`]'s walk from the header at `header_extent`.
     pub fn load_strand(
         &mut self,
         id: StrandId,
         header_extent: Extent,
         now: Instant,
     ) -> Result<Strand, FsError> {
-        let bytes = self.fetch_checked(header_extent, "header extent beyond device")?;
-        self.timed_read_bg(now, header_extent)?;
-        let header = HeaderBlock::decode(&bytes)?;
-        let mut primaries = Vec::new();
-        let mut index_extents = Vec::new();
-        for sp in &header.secondaries {
-            let se = sp.extent();
-            let sb =
-                SecondaryBlock::decode(&self.fetch_checked(se, "secondary extent beyond device")?)?;
-            self.timed_read_bg(now, se)?;
-            index_extents.push(se);
-            for entry in &sb.entries {
-                let pe = Extent::new(entry.sector, entry.sector_count as u64);
-                let pb =
-                    PrimaryBlock::decode(&self.fetch_checked(pe, "primary extent beyond device")?)?;
-                self.timed_read_bg(now, pe)?;
-                index_extents.push(pe);
-                primaries.push(pb);
-            }
-        }
-        index_extents.push(header_extent);
-        strand_from_index(id, &header, &primaries, index_extents)
+        read_index(id, header_extent, |e| {
+            let bytes = self.fetch_checked(e, "index extent beyond device")?;
+            self.timed_read_bg(now, e)?;
+            Ok(bytes)
+        })
     }
 
     /// [`Msm::load_strand`] under the name `benchmark/` binds.
@@ -1283,14 +1215,15 @@ impl Msm {
 
     // ----- crash recovery ---------------------------------------------
 
-    /// Mount a volume from a (possibly crashed) device image by
-    /// replaying the intent journal: load the durable strands from the
-    /// newest valid checkpoint, re-apply committed finishes and
-    /// deletions, then for each in-flight recording verify the
-    /// journaled blocks against their checksums, keep the longest
-    /// intact prefix, roll the rest back, and finish the strand with a
-    /// fresh index. The device must have been power-cycled first if a
-    /// crash point froze it ([`SimDisk::power_cycle`]).
+    /// Mount a volume from a (possibly crashed) device image: the
+    /// journal says what its log holds ([`Journal::replay`]), and the
+    /// MSM does the I/O. It times every sector the replay read, adopts
+    /// each durable strand from its index, keeps each in-flight
+    /// recording's longest prefix whose data verifies against the
+    /// journaled stamps (the rest rolled back), finishes those with a
+    /// fresh index, and checkpoints. The device must have been
+    /// power-cycled first if a crash point froze it
+    /// ([`SimDisk::power_cycle`]).
     ///
     /// `config` must enable the journal with the same sizing the volume
     /// was created with.
@@ -1300,254 +1233,88 @@ impl Msm {
         now: Instant,
     ) -> Result<(Msm, RecoveryReport), FsError> {
         let mut msm = Msm::new(device, config);
-        // The journal stays out of the volume while its log is read and
-        // goes back with its cursor restored, before anything is
-        // journaled again.
-        let Some(mut j) = msm.journal.take() else {
+        let Some(j) = msm.journal.as_mut() else {
             return Err(FsError::JournalCorrupt {
                 what: "recovery requires a journal-enabled config",
             });
         };
-        let mut report = RecoveryReport::default();
+        let replay = j.replay(|e| msm.disk.try_fetch(e));
+        msm.next_strand = replay.next_strand;
+        let mut report = RecoveryReport {
+            durable_strands: replay.durable.len() as u64,
+            deleted_strands: replay.deleted.len() as u64,
+            ..RecoveryReport::default()
+        };
         let mut t = now;
-
-        // Newest valid checkpoint wins; a torn checkpoint write fails
-        // its checksum and falls back to the other slot.
-        let mut ckpt: Option<Checkpoint> = None;
-        for slot in [j.ckpt_extent(0), j.ckpt_extent(1)] {
-            let Some(bytes) = msm.disk.try_fetch(slot) else {
-                continue;
-            };
-            t = msm.timed_read_bg(t, slot)?.completed;
-            if let Some(c) = journal::decode_checkpoint(&bytes) {
-                if ckpt.as_ref().is_none_or(|best| c.seq > best.seq) {
-                    ckpt = Some(c);
-                }
-            }
+        for e in replay.reads {
+            t = msm.timed_read_bg(t, e)?.completed;
         }
-        let found_ckpt = ckpt.is_some();
-        let ckpt = ckpt.unwrap_or_default();
-        // The checkpointed id counter can lag the journal tail (or be
-        // absent entirely); every id seen below bumps it so recovered
-        // strands are never shadowed by post-recovery recordings.
-        msm.next_strand = ckpt.next_strand;
-
-        // Read the journal tail before touching the catalog: a deletion
-        // journaled after the checkpoint vetoes loading its strand,
-        // whose extents the pre-crash delete already released (and a
-        // later allocation may have reused and the crash torn).
-        // Every record from the floor to the first slot that fails to
-        // decode or holds a stale sequence.
-        let mut records = Vec::new();
-        let mut tail = ckpt.floor;
-        while tail - ckpt.floor < j.slots() {
-            let extent = j.record_extent(tail);
-            let Some(bytes) = msm.disk.try_fetch(extent) else {
-                break;
-            };
-            let Some((rseq, rec)) = journal::decode_record(&bytes) else {
-                break;
-            };
-            if rseq != tail {
-                break; // stale survivor from an earlier lap
+        // A journaled deletion took physical effect before the crash, so
+        // its strand is simply not adopted.
+        for entry in replay.durable {
+            let id = StrandId::from_raw(entry.strand);
+            let strand = msm.load_strand(id, entry.header, t)?;
+            for e in strand.extents() {
+                msm.alloc.adopt(e);
             }
-            t = msm.timed_read_bg(t, extent)?.completed;
-            records.push(rec);
-            tail += 1;
+            msm.strands.insert(id, StrandState::Finished(strand));
         }
 
-        // Fold the records into per-strand outcomes, in order.
-        let mut inflight: BTreeMap<u64, (StrandMeta, ReplayBlocks)> = BTreeMap::new();
-        let mut committed: Vec<(u64, Extent)> = Vec::new();
-        let mut deletions: Vec<u64> = Vec::new();
-        for rec in records {
-            msm.next_strand = msm.next_strand.max(rec.strand() + 1);
-            match rec {
-                Record::Begin {
-                    strand,
-                    medium,
-                    unit_rate,
-                    granularity,
-                    unit_bits,
-                } => {
-                    if !msm.strands.contains_key(&StrandId::from_raw(strand)) {
-                        let meta = StrandMeta {
-                            medium,
-                            unit_rate,
-                            granularity,
-                            unit_bits: strandfs_units::Bits::new(unit_bits),
-                        };
-                        inflight.insert(strand, (meta, Vec::new()));
-                    }
-                }
-                Record::Append {
-                    strand,
-                    lba,
-                    sectors,
-                    units,
-                    payload_sum,
-                    ..
-                } => {
-                    if let Some((_, blocks)) = inflight.get_mut(&strand) {
-                        blocks.push((
-                            Some(ReplayAppend {
-                                extent: Extent::new(lba, sectors),
-                                payload_sum,
-                            }),
-                            units,
-                        ));
-                    }
-                }
-                Record::Silence { strand, units, .. } => {
-                    if let Some((_, blocks)) = inflight.get_mut(&strand) {
-                        blocks.push((None, units));
-                    }
-                }
-                Record::FinishIntent { .. } => {}
-                Record::FinishCommit {
-                    strand,
-                    header_lba,
-                    header_sectors,
-                } => {
-                    if inflight.remove(&strand).is_some() {
-                        committed.push((strand, Extent::new(header_lba, header_sectors)));
-                    }
-                }
-                Record::Delete { strand } => {
-                    inflight.remove(&strand);
-                    // The deletion wins outright: never resurrect the
-                    // strand from a commit whose extents may since have
-                    // been released and reused.
-                    committed.retain(|(s, _)| *s != strand);
-                    deletions.push(strand);
-                }
-            }
-        }
-        let deleted: std::collections::BTreeSet<u64> = deletions.iter().copied().collect();
-
-        // Durable strands from the catalog, minus journaled deletions.
-        for entry in &ckpt.catalog {
-            msm.next_strand = msm.next_strand.max(entry.strand + 1);
-            if deleted.contains(&entry.strand) {
-                continue;
-            }
-            msm.adopt_durable(StrandId::from_raw(entry.strand), entry.header, t)?;
-            report.durable_strands += 1;
-        }
-
-        // Strands committed after the last checkpoint: their index is
-        // durable (the commit record follows the final index write).
-        for (raw, header) in committed {
-            let id = StrandId::from_raw(raw);
-            if msm.strands.contains_key(&id) {
-                continue;
-            }
-            msm.adopt_durable(id, header, t)?;
-            report.durable_strands += 1;
-        }
-
-        // Journaled deletions already took physical effect before the
-        // crash — the delete discards and releases immediately after
-        // its record lands — so recovery simply never adopted the
-        // victims above. Only the count survives.
-        report.deleted_strands += deletions.len() as u64;
-
-        // In-flight recordings: keep the longest verified prefix.
         let mut to_finish = Vec::new();
-        for (raw, (meta, blocks)) in inflight {
+        for (raw, (meta, blocks)) in replay.inflight {
             let id = StrandId::from_raw(raw);
             let mut builder = StrandBuilder::new(id, meta);
             let mut intact = true;
-            let mut kept_any = false;
-            for (append, units) in blocks {
-                match append {
-                    Some(a) if intact => {
-                        if msm.disk.fetch_sum(a.extent) == Some(a.payload_sum) {
-                            t = msm.timed_read_bg(t, a.extent)?.completed;
-                            msm.alloc.adopt(a.extent);
-                            // The journaled sum just verified against the
-                            // disk bytes — stamp it into the rebuilt index.
-                            builder.push_block(a.extent, units, a.payload_sum)?;
-                            report.blocks_recovered += 1;
-                            kept_any = true;
-                        } else {
-                            // Torn or never written: the prefix ends
-                            // here; scrub the partial data.
-                            msm.disk.discard_data(a.extent);
-                            report.blocks_rolled_back += 1;
-                            intact = false;
-                        }
+            for b in blocks {
+                // The first torn or unwritten block ends the prefix; it
+                // and every block after it roll back.
+                intact = intact
+                    && b.extent
+                        .is_none_or(|e| msm.disk.fetch_sum(e) == Some(b.sum));
+                if !intact {
+                    if let Some(e) = b.extent {
+                        msm.disk.discard_data(e);
                     }
-                    Some(a) => {
-                        msm.disk.discard_data(a.extent);
-                        report.blocks_rolled_back += 1;
-                    }
-                    None if intact => {
-                        builder.push_silence(units)?;
-                        report.blocks_recovered += 1;
-                    }
-                    None => report.blocks_rolled_back += 1,
+                    report.blocks_rolled_back += 1;
+                    continue;
                 }
+                match b.extent {
+                    Some(e) => {
+                        t = msm.timed_read_bg(t, e)?.completed;
+                        msm.alloc.adopt(e);
+                        builder.push_block(e, b.units, b.sum)?
+                    }
+                    None => builder.push_silence(b.units)?,
+                };
+                report.blocks_recovered += 1;
             }
-            if kept_any {
+            if builder.last_stored().is_some() {
                 msm.strands.insert(id, StrandState::Recording(builder));
                 to_finish.push(id);
             }
         }
 
-        // Restore the journal cursor, then finish the survivors through
-        // the normal journaled path (fresh Begin/Append records would
-        // be redundant — finish re-journals the strand wholesale via
-        // FinishIntent → index → FinishCommit → checkpoint).
-        j.restore(tail, if found_ckpt { ckpt.count + 1 } else { 0 });
-        msm.journal = Some(j);
-        for id in &to_finish {
-            msm.finish_strand(*id, t)?;
+        // The survivors finish through the normal journaled path, and a
+        // checkpoint follows even when nothing was in flight, so a
+        // second recovery replays an empty tail.
+        report.completed_strands = to_finish.len() as u64;
+        for id in to_finish {
+            msm.finish_strand(id, t)?;
             t = msm.last_io;
-            report.completed_strands += 1;
         }
-        // Make the recovered state durable even when nothing was in
-        // flight, so a second recovery replays an empty tail.
         t = msm.write_checkpoint(t)?;
 
         report.finished_at = t;
-        let (durable, completed, recovered, rolled) = (
-            report.durable_strands,
-            report.completed_strands,
-            report.blocks_recovered,
-            report.blocks_rolled_back,
-        );
         msm.obs.emit(|| Event::Recover {
-            durable,
-            completed,
-            blocks_recovered: recovered,
-            blocks_rolled_back: rolled,
+            durable: report.durable_strands,
+            completed: report.completed_strands,
+            blocks_recovered: report.blocks_recovered,
+            blocks_rolled_back: report.blocks_rolled_back,
             at: t,
         });
         Ok((msm, report))
     }
-
-    /// Load a durable strand from its index root, claim its extents in
-    /// the free map and install it.
-    fn adopt_durable(&mut self, id: StrandId, header: Extent, now: Instant) -> Result<(), FsError> {
-        let strand = self.load_strand(id, header, now)?;
-        for e in strand.extents() {
-            self.alloc.adopt(e);
-        }
-        self.strands.insert(id, StrandState::Finished(strand));
-        Ok(())
-    }
 }
-
-/// A journaled stored-block append awaiting verification at recovery.
-struct ReplayAppend {
-    extent: Extent,
-    payload_sum: u64,
-}
-
-/// The journaled blocks of one in-flight recording, in append order;
-/// `None` entries are silence holes.
-type ReplayBlocks = Vec<(Option<ReplayAppend>, u64)>;
 
 #[cfg(test)]
 mod tests {
@@ -1725,6 +1492,26 @@ mod tests {
         let (first, second) = reads.split_at(reads.len() / 2);
         assert_eq!(first.len(), index.len());
         assert_eq!(first, second);
+    }
+
+    #[test]
+    fn a_flipped_sum_in_a_primary_is_an_index_mismatch() {
+        use crate::fsck::{check_msm, Finding};
+        use crate::strand::index::PrimaryBlock;
+        let mut m = msm();
+        let id = record_video(&mut m, 10);
+        assert!(check_msm(&mut m, Instant::EPOCH).clean());
+        // Index blocks carry no checksum: one changed stamp still
+        // decodes, and only the reloaded sums tell.
+        let primary = m.strand(id).unwrap().index_extents()[0];
+        let mut pb = PrimaryBlock::decode(&m.disk.try_fetch(primary).unwrap()).unwrap();
+        pb.entries[3].sum ^= 1;
+        m.disk.store_data(primary, &pb.encode(512));
+        let findings = check_msm(&mut m, Instant::EPOCH).findings;
+        assert!(
+            matches!(&findings[..], [Finding::IndexMismatch { strand, .. }] if *strand == id),
+            "findings: {findings:?}"
+        );
     }
 
     #[test]

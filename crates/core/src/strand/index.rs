@@ -15,11 +15,18 @@
 //! every structure knows its capacity for a given block size so the
 //! builder can split the index across blocks exactly as a real volume
 //! would.
+//!
+//! The layout and its walk live here: [`write_index`] and [`read_index`]
+//! hand each encoded block to a caller's closure, which places or fetches
+//! it and charges the I/O, so the storage manager never names a level.
 
 use super::wire::{PutLe, TakeLe};
+use super::{Strand, StrandBuilder, StrandMeta};
 use crate::error::FsError;
+use crate::types::StrandId;
 use strandfs_disk::Extent;
 use strandfs_media::Medium;
+use strandfs_units::Bits;
 
 /// Sentinel disk address marking an eliminated-silence hole.
 pub const NULL_SECTOR: u64 = u64::MAX;
@@ -387,9 +394,173 @@ pub fn build_primaries(
     (primaries, coverage)
 }
 
+/// Write `strand`'s index in blocks of `block_bytes`, each encoded block
+/// through `write`, which places it and says where: every primary, then
+/// the secondaries pointing at them, then the header rooting those. The
+/// extents come back in that order, the header last: the strand's index
+/// extents.
+pub fn write_index(
+    strand: &StrandBuilder,
+    block_bytes: usize,
+    mut write: impl FnMut(&[u8]) -> Result<Extent, FsError>,
+) -> Result<Vec<Extent>, FsError> {
+    let per_primary = PrimaryBlock::capacity(block_bytes).max(1);
+    let (primaries, coverage) = build_primaries(strand.blocks(), strand.sums(), per_primary);
+    let mut extents = Vec::new();
+    for pb in &primaries {
+        extents.push(write(&pb.encode(block_bytes))?);
+    }
+    let per_secondary = SecondaryBlock::capacity(block_bytes).max(1);
+    let mut secondaries = Vec::new();
+    for first in (0..primaries.len()).step_by(per_secondary) {
+        let entries = (first..primaries.len().min(first + per_secondary))
+            .map(|i| SecondaryEntry {
+                start_block: coverage[i].0,
+                block_count: coverage[i].1,
+                sector: extents[i].start,
+                sector_count: extents[i].sectors as u32,
+            })
+            .collect();
+        let e = write(&SecondaryBlock { entries }.encode(block_bytes))?;
+        secondaries.push(IndexPtr::from_extent(e));
+        extents.push(e);
+    }
+    let meta = strand.meta();
+    let header = HeaderBlock {
+        medium: meta.medium,
+        unit_rate: meta.unit_rate,
+        granularity: meta.granularity,
+        unit_bits: meta.unit_bits.get(),
+        unit_count: strand.unit_count(),
+        block_count: strand.block_count(),
+        secondaries,
+    };
+    extents.push(write(&header.encode(block_bytes))?);
+    Ok(extents)
+}
+
+/// Read strand `id` back from the index rooted at `header`, each block's
+/// bytes through `read`: the header, then each secondary followed by the
+/// primaries it points at. The index extents come back in the order
+/// [`write_index`] returns them.
+pub fn read_index(
+    id: StrandId,
+    header: Extent,
+    mut read: impl FnMut(Extent) -> Result<Vec<u8>, FsError>,
+) -> Result<Strand, FsError> {
+    let hb = HeaderBlock::decode(&read(header)?)?;
+    let mut primaries = Vec::new();
+    let mut extents = Vec::new();
+    let mut secondaries = Vec::new();
+    for sp in &hb.secondaries {
+        let se = sp.extent();
+        for entry in SecondaryBlock::decode(&read(se)?)?.entries {
+            let pe = Extent::new(entry.sector, entry.sector_count as u64);
+            primaries.push(PrimaryBlock::decode(&read(pe)?)?);
+            extents.push(pe);
+        }
+        secondaries.push(se);
+    }
+    extents.extend(secondaries);
+    extents.push(header);
+    strand_from_index(id, &hb, &primaries, extents)
+}
+
+/// Reconstruct a strand from decoded on-disk index structures — the load
+/// path matching [`StrandBuilder`]'s store path.
+pub(super) fn strand_from_index(
+    id: StrandId,
+    header: &HeaderBlock,
+    primaries: &[PrimaryBlock],
+    index_extents: Vec<Extent>,
+) -> Result<Strand, FsError> {
+    let mut blocks = Vec::with_capacity(header.block_count as usize);
+    let mut sums = Vec::with_capacity(header.block_count as usize);
+    for pb in primaries {
+        for e in &pb.entries {
+            sums.push(match e.extent() {
+                None => NO_SUM,
+                Some(_) if e.sum == NO_SUM => {
+                    return Err(FsError::CorruptIndex {
+                        what: "stored block without a checksum stamp",
+                    })
+                }
+                Some(_) => e.sum,
+            });
+            blocks.push(e.extent());
+        }
+    }
+    if blocks.len() as u64 != header.block_count {
+        return Err(FsError::CorruptIndex {
+            what: "primary entry count does not match header block count",
+        });
+    }
+    Ok(Strand {
+        id,
+        meta: StrandMeta {
+            medium: header.medium,
+            unit_rate: header.unit_rate,
+            granularity: header.granularity,
+            unit_bits: Bits::new(header.unit_bits),
+        },
+        blocks,
+        sums,
+        unit_count: header.unit_count,
+        index_extents,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn meta() -> StrandMeta {
+        StrandMeta {
+            medium: Medium::Video,
+            unit_rate: 30.0,
+            granularity: 3,
+            unit_bits: Bits::new(96_000),
+        }
+    }
+
+    #[test]
+    fn the_index_reads_back_what_it_wrote_in_the_order_it_wrote_it() {
+        // 600 blocks over 25-entry primaries: 24 primaries, which take
+        // two secondaries at 21 entries each.
+        let mut b = StrandBuilder::new(StrandId::from_raw(6), meta());
+        for i in 0..600u64 {
+            match i % 7 {
+                3 => b.push_silence(3),
+                _ => b.push_block(Extent::new(10_000 + i * 8, 8), 3, 0x100 + i),
+            }
+            .unwrap();
+        }
+        let mut disk = std::collections::BTreeMap::new();
+        let extents = write_index(&b, 512, |bytes| {
+            let e = Extent::new(disk.len() as u64, 1);
+            disk.insert(e.start, bytes.to_vec());
+            Ok(e)
+        })
+        .unwrap();
+        assert_eq!(extents.len(), 24 + 2 + 1);
+        let mut reads = Vec::new();
+        let header = *extents.last().unwrap();
+        let loaded = read_index(b.id(), header, |e| {
+            reads.push(e);
+            Ok(disk[&e.start].clone())
+        })
+        .unwrap();
+        // The walk: the header, then each secondary before its primaries.
+        let (p, s) = (&extents[..24], &extents[24..26]);
+        let walk: Vec<Extent> = [header, s[0]]
+            .into_iter()
+            .chain(p[..21].iter().copied())
+            .chain([s[1]])
+            .chain(p[21..].iter().copied())
+            .collect();
+        assert_eq!(reads, walk);
+        assert_eq!(loaded, b.freeze(extents));
+    }
 
     #[test]
     fn primary_entry_silence() {

@@ -64,8 +64,9 @@ pub struct Strand {
     /// `blocks` ([`index::NO_SUM`] for silence holes).
     sums: Vec<u64>,
     unit_count: u64,
-    /// Where the strand's on-disk index lives (header, secondaries,
-    /// primaries) — populated once the MSM has written the index.
+    /// Where the strand's on-disk index lives, in the order
+    /// [`index::write_index`] writes it: primaries, secondaries, then
+    /// the header — populated once the MSM has written the index.
     index_extents: Vec<Extent>,
 }
 
@@ -281,50 +282,6 @@ impl StrandBuilder {
     }
 }
 
-/// Reconstruct a strand from decoded on-disk index structures — the load
-/// path matching [`StrandBuilder`]'s store path.
-pub fn strand_from_index(
-    id: StrandId,
-    header: &index::HeaderBlock,
-    primaries: &[index::PrimaryBlock],
-    index_extents: Vec<Extent>,
-) -> Result<Strand, FsError> {
-    let mut blocks = Vec::with_capacity(header.block_count as usize);
-    let mut sums = Vec::with_capacity(header.block_count as usize);
-    for pb in primaries {
-        for e in &pb.entries {
-            sums.push(match e.extent() {
-                None => index::NO_SUM,
-                Some(_) if e.sum == index::NO_SUM => {
-                    return Err(FsError::CorruptIndex {
-                        what: "stored block without a checksum stamp",
-                    })
-                }
-                Some(_) => e.sum,
-            });
-            blocks.push(e.extent());
-        }
-    }
-    if blocks.len() as u64 != header.block_count {
-        return Err(FsError::CorruptIndex {
-            what: "primary entry count does not match header block count",
-        });
-    }
-    Ok(Strand {
-        id,
-        meta: StrandMeta {
-            medium: header.medium,
-            unit_rate: header.unit_rate,
-            granularity: header.granularity,
-            unit_bits: Bits::new(header.unit_bits),
-        },
-        blocks,
-        sums,
-        unit_count: header.unit_count,
-        index_extents,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,7 +408,7 @@ mod tests {
             secondaries: vec![],
         };
         let rebuilt =
-            strand_from_index(StrandId::from_raw(6), &header, &primaries, vec![]).unwrap();
+            index::strand_from_index(StrandId::from_raw(6), &header, &primaries, vec![]).unwrap();
         assert_eq!(rebuilt, original);
     }
 
@@ -471,14 +428,14 @@ mod tests {
             entries: vec![index::PrimaryEntry::SILENCE; 2],
         };
         assert!(matches!(
-            strand_from_index(StrandId::from_raw(7), &header, &[pb], vec![]),
+            index::strand_from_index(StrandId::from_raw(7), &header, &[pb], vec![]),
             Err(FsError::CorruptIndex { .. })
         ));
         // A stored block whose entry carries the silence-hole sum.
         let mut entries = vec![index::PrimaryEntry::SILENCE; 3];
         entries[1] = index::PrimaryEntry::stored(Extent::new(80, 8), index::NO_SUM);
         assert!(matches!(
-            strand_from_index(
+            index::strand_from_index(
                 StrandId::from_raw(7),
                 &header,
                 &[index::PrimaryBlock { entries }],

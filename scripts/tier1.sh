@@ -51,6 +51,12 @@ for example in quickstart video_server editing_studio capacity_planner jukebox; 
         quiet cargo run -q --offline --release --example "$example"
 done
 
+# video_server exports its whole session as a Chrome trace in virtual
+# time, so the committed file is exactly what the run writes: a change
+# to any event, or to the export, must be committed on purpose.
+step "TRACE_video_server.json unchanged (git diff --exit-code)" \
+    git diff --exit-code -- TRACE_video_server.json
+
 # Finding 1 of benchmark/README.md: restore at eight blocks a round
 # once dropped replicated blocks at a short round size. Re-replication
 # now spends only round slack, so both of the finding's reproducers

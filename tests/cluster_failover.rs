@@ -349,7 +349,6 @@ fn cluster_fingerprint(seed: u64) -> (u64, u64) {
     cfg.revoke_after_drops = rng.gen_range(1u64..4);
     cfg.readmit_clean_rounds = rng.gen_range(1u64..3);
     cfg.quarantine_after_rounds = rng.bounded_u64(3);
-    cfg.max_rounds = 2_000;
     if rng.gen_bool(0.5) {
         cfg = cfg.restore(2);
     }

@@ -319,8 +319,8 @@ fn random_fault_plans_keep_trace_invariants_and_shield_non_victims() {
 #[test]
 fn random_crash_points_recover_to_a_verified_prefix() {
     use strandfs::core::journal::JournalConfig;
-    use strandfs::core::msm::{Msm, MsmConfig};
-    use strandfs::core::strand::StrandMeta;
+    use strandfs::core::msm::{Msm, MsmConfig, RecoveryReport};
+    use strandfs::core::strand::{Strand, StrandMeta};
     use strandfs::core::{fsck, StrandId as Sid};
     use strandfs::disk::{CrashPoint, FaultPlan, GapBounds};
     use strandfs::units::Bits;
@@ -362,7 +362,7 @@ fn random_crash_points_recover_to_a_verified_prefix() {
         crash_at: u64,
         counts: &[u64],
         delete_first: bool,
-    ) -> Result<Msm, strandfs::core::FsError> {
+    ) -> Result<(Msm, RecoveryReport), strandfs::core::FsError> {
         let mut disk = SimDisk::new(DiskGeometry::tiny_test(), SeekModel::vintage_1991())
             .with_fault_seed(seed);
         disk.arm_faults(FaultPlan::clean().with_crash_point(CrashPoint::AfterWrites(crash_at)));
@@ -388,7 +388,11 @@ fn random_crash_points_recover_to_a_verified_prefix() {
         let _ = workload(&mut msm, &mut t);
         let mut device = msm.into_device();
         device.power_cycle();
-        Msm::recover(device, config(), Instant::EPOCH).map(|(m, _)| m)
+        Msm::recover(device, config(), Instant::EPOCH)
+    }
+    fn strands(msm: &Msm) -> Vec<Strand> {
+        let ids = msm.strand_ids().into_iter();
+        ids.map(|id| msm.strand(id).unwrap().clone()).collect()
     }
 
     check_with(
@@ -397,7 +401,7 @@ fn random_crash_points_recover_to_a_verified_prefix() {
         (0u64..1_000, 0u64..90, 1u64..7, 0u64..7, any_bool()),
         |&(seed, crash_at, n0, n1, delete_first)| {
             let counts = [n0, n1];
-            let mut rec = crashed_recovery(seed, crash_at, &counts, delete_first)
+            let (mut rec, _) = crashed_recovery(seed, crash_at, &counts, delete_first)
                 .expect("recovery must mount any crashed image");
             // Every recovered strand is a verified prefix of the intent.
             for (i, &blocks) in counts.iter().enumerate() {
@@ -420,9 +424,28 @@ fn random_crash_points_recover_to_a_verified_prefix() {
             let report = fsck::check_msm(&mut rec, Instant::EPOCH);
             prop_assert!(report.clean(), "fsck after recovery: {:?}", report.findings);
             // Same seed, same crash: byte-identical recovered image.
-            let rec2 = crashed_recovery(seed, crash_at, &counts, delete_first)
+            let (rec2, _) = crashed_recovery(seed, crash_at, &counts, delete_first)
                 .expect("replayed recovery must mount");
             prop_assert_eq!(rec.disk().content_hash(), rec2.disk().content_hash());
+            // Recovery is idempotent: the recovered image mounts again
+            // with nothing left to replay, to the very same strands.
+            let first = strands(&rec);
+            let mut device = rec.into_device();
+            device.power_cycle();
+            let (mut again, report) = Msm::recover(device, config(), Instant::EPOCH)
+                .expect("a recovered image mounts again");
+            prop_assert_eq!(
+                (
+                    report.completed_strands,
+                    report.blocks_recovered,
+                    report.blocks_rolled_back,
+                    report.deleted_strands
+                ),
+                (0, 0, 0, 0)
+            );
+            prop_assert_eq!(strands(&again), first);
+            let report = fsck::check_msm(&mut again, Instant::EPOCH);
+            prop_assert!(report.clean(), "fsck after remount: {:?}", report.findings);
             Ok(())
         },
     );
@@ -1002,12 +1025,11 @@ fn faults_on_one_pair_leave_every_other_pair_untouched() {
                         }));
                     }
                 }
-                let mut cfg = ClusterPlayback::with_k(k)
+                let cfg = ClusterPlayback::with_k(k)
                     .scrub(2)
                     .restore(2)
                     .hedged()
                     .audited();
-                cfg.max_rounds = 2_000;
                 simulate_cluster(&mut c, &viewers, &script, &cfg)
             };
             let clean = run(false).expect("fault-free run");
