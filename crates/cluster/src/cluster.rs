@@ -7,7 +7,7 @@ use std::sync::Arc;
 use strandfs_core::fsck;
 use strandfs_core::journal::JournalConfig;
 use strandfs_core::mrs::{Mrs, PlaySchedule};
-use strandfs_core::msm::{Msm, MsmConfig, RecoveryReport};
+use strandfs_core::msm::{Fetch, Msm, MsmConfig, RecoveryReport};
 use strandfs_core::rope::edit::MediaSel;
 use strandfs_core::{FsError, StrandId};
 use strandfs_disk::{DiskGeometry, Extent, FaultPlan, GapBounds, SeekModel, SimDisk};
@@ -150,8 +150,7 @@ pub struct Cluster {
     restore: Vec<RestoreJob>,
     /// The shared sink, re-installed on members rebuilt by rejoin.
     obs: ObsSink,
-    /// Whether member fetches verify payload checksums; re-applied to
-    /// members rebuilt by rejoin.
+    /// Whether reads of members verify payload checksums ([`Cluster::reads`]).
     verify_reads: bool,
 }
 
@@ -244,8 +243,14 @@ impl Cluster {
     /// silent corruption the device itself never reports.
     pub fn set_verify_reads(&mut self, on: bool) {
         self.verify_reads = on;
-        for m in &mut self.members {
-            m.mrs.msm_mut().set_verify_reads(on);
+    }
+
+    /// How the serving layer reads a member: chained if `chain`, verified
+    /// if [`Cluster::set_verify_reads`] turned verification on.
+    pub(crate) fn reads(&self, chain: bool) -> Fetch {
+        Fetch {
+            chain,
+            verify: self.verify_reads,
         }
     }
 
@@ -388,7 +393,6 @@ impl Cluster {
         let repair = fsck::repair_msm(&mut msm, recovery.finished_at);
         let mut mrs = Mrs::new(msm);
         mrs.set_obs(obs);
-        mrs.msm_mut().set_verify_reads(self.verify_reads);
         self.members[volume] = Member {
             mrs,
             state: MemberState::Up,
@@ -415,10 +419,6 @@ impl Cluster {
             mix_seed(self.config.seed, 0x5749_5045 ^ volume as u64),
         );
         self.members[volume].mrs.set_obs(obs);
-        self.members[volume]
-            .mrs
-            .msm_mut()
-            .set_verify_reads(self.verify_reads);
         let lost = self.catalog.mark_volume_lost(volume);
         self.placed[volume] = 0;
         // Any in-flight restore reading from or writing to this volume
@@ -610,6 +610,7 @@ impl Cluster {
         let d = &self.disk_model;
         let positioning = (d.max_positioning_time() + d.geometry().rotation_time()).to_nanos();
         let journaled = u64::from(self.members[dst_v].mrs.msm().journal_region().is_some());
+        let how = self.reads(false);
         let mut copied = 0;
         let [src, dst] = self
             .members
@@ -633,7 +634,7 @@ impl Cluster {
                 let units = meta.granularity.min(unit_count - n * meta.granularity);
                 // The strand opens at the first copy that fits.
                 let dst_id = *job.dst_open.get_or_insert_with(|| dst.begin_strand(meta));
-                match src.read_block(loc.strand, n, clocks[src_v])? {
+                match src.read_block(loc.strand, n, clocks[src_v], how)? {
                     (None, _) => {
                         let at = clocks[dst_v];
                         let (_, jop) = dst.append_silence(dst_id, units, at)?;
@@ -780,7 +781,7 @@ mod tests {
             .member_mut(0)
             .mrs_mut()
             .msm_mut()
-            .read_block(loc.strand, 0, Instant::EPOCH)
+            .read_block(loc.strand, 0, Instant::EPOCH, Fetch::default())
             .unwrap_err();
         assert!(matches!(err, FsError::MediaError { .. }), "got {err:?}");
         c.mark_down(0);
@@ -795,7 +796,7 @@ mod tests {
         c.member_mut(0)
             .mrs_mut()
             .msm_mut()
-            .read_block(loc.strand, 0, Instant::EPOCH)
+            .read_block(loc.strand, 0, Instant::EPOCH, Fetch::default())
             .expect("read after rejoin");
     }
 
@@ -851,7 +852,7 @@ mod tests {
             c.member_mut(0)
                 .mrs_mut()
                 .msm_mut()
-                .read_block(item.strand, item.block, t)
+                .read_block(item.strand, item.block, t, Fetch::default())
                 .expect("restored block read");
         }
     }

@@ -393,6 +393,27 @@ mod tests {
     }
 
     #[test]
+    fn verified_reads_survive_a_rejoin() {
+        // Verification is switched on, then volume 0 dies and rejoins
+        // through recovery: the remounted member must verify too, so the
+        // flips on it are read around, never served.
+        let mut c = cluster(2, 2);
+        let id = c
+            .ingest("hot", &ClipSpec::video_seconds(2.0).with_seed(21), 1.0)
+            .unwrap();
+        c.set_verify_reads(true);
+        c.kill(0);
+        c.mark_down(0);
+        c.rejoin(0, Instant::EPOCH).expect("rejoin");
+        corrupt_first_blocks(&mut c, id, 0, 3);
+        let cfg = ClusterPlayback::with_k(3).audited();
+        let report = simulate_cluster(&mut c, &[id], &[], &cfg).expect("sim");
+        assert_eq!(report.corrupt_served, 0, "a flip reached the viewer");
+        assert!(report.read_repairs + report.scrub_corrupt > 0);
+        assert_eq!(report.replicated_dropped(), 0);
+    }
+
+    #[test]
     fn scrubber_repairs_in_place_without_viewer_traffic() {
         // No viewers: only the slack-budgeted scrubber walks the
         // extents, so the detection and in-place repair are entirely

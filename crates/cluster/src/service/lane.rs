@@ -170,12 +170,12 @@ impl Lane {
         self.round_hedges = 0;
     }
 
-    /// A read of `(strand, block)` on the member came back
-    /// [`BlockFetch::Data`]. If it verifies reads and `scrub` is on,
-    /// that block has had this scrub pass's check: credit it.
+    /// A read of `(strand, block)` on the member, made as `how`, came back
+    /// [`BlockFetch::Data`]. If it verified and `scrub` is on, that block
+    /// has had this scrub pass's check: credit it.
     #[inline]
-    pub(super) fn credit(&mut self, msm: &Msm, strand: StrandId, block: u64, scrub: bool) {
-        if msm.verify_reads() && scrub {
+    pub(super) fn credit(&mut self, how: Fetch, strand: StrandId, block: u64, scrub: bool) {
+        if how.verify && scrub {
             self.credits.mark(strand.raw(), block);
         }
     }
@@ -207,8 +207,8 @@ impl Lane {
         }
     }
 
-    /// Fetch `item`, due by `due`, on the member, issued at `issue`, chained
-    /// if `chain`: a block served is credited and booked, the clock then at
+    /// Fetch `item`, due by `due`, on the member, issued at `issue`, read
+    /// as `how`: a block served is credited and booked, the clock then at
     /// its completion; a failure holds the clock at its detection.
     #[inline]
     pub(super) fn fetch(
@@ -217,14 +217,13 @@ impl Lane {
         item: PlayItem,
         issue: Instant,
         due: Option<Instant>,
+        how: Fetch,
         scrub: bool,
-        chain: bool,
     ) -> Result<BlockFetch, FsError> {
-        let how = if chain { Fetch::Chained } else { Fetch::Timed };
         let got = msm.fetch_block(item.strand, item.block, issue, item.duration, due, how)?;
         match got {
             BlockFetch::Data { op, .. } => {
-                self.credit(msm, item.strand, item.block, scrub);
+                self.credit(how, item.strand, item.block, scrub);
                 self.clock = op.completed;
                 self.stats.fetched += 1;
             }
@@ -314,18 +313,17 @@ impl Lane {
         v: usize,
         target: Option<PlayItem>,
         now: Instant,
+        how: Fetch,
         scrub: bool,
         report: &mut ClusterReport,
         obs: &ObsSink,
     ) -> bool {
         let on_time = match target {
             None => true,
-            // Only the probe's timing is consumed, so no payload.
             Some(item) => {
-                let timed = Fetch::Timed;
-                match msm.fetch_block(item.strand, item.block, now, Nanos::ZERO, None, timed) {
+                match msm.fetch_block(item.strand, item.block, now, Nanos::ZERO, None, how) {
                     Ok(BlockFetch::Data { op, .. }) => {
-                        self.credit(msm, item.strand, item.block, scrub);
+                        self.credit(how, item.strand, item.block, scrub);
                         op.completed - now <= item.duration
                     }
                     Ok(BlockFetch::Silence) => true,

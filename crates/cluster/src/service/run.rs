@@ -17,7 +17,7 @@ use super::lane::{scrub_step, Lane};
 use super::{ClusterAction, ClusterPlayback, ClusterReport, ScriptedAction};
 use crate::catalog::{ReplicaState, TitleId};
 use crate::cluster::Cluster;
-use strandfs_core::msm::{BlockFetch, Fetch, FetchFailure, Msm};
+use strandfs_core::msm::{BlockFetch, FetchFailure, Msm};
 use strandfs_core::{FsError, StrandId};
 use strandfs_disk::{stamp_batch, PayloadView, StampJob};
 use strandfs_obs::{Event, ObsSink};
@@ -338,15 +338,13 @@ impl<'a> Run<'a> {
     /// output can tell.
     fn hash_ahead(&mut self, active: &[usize]) {
         self.stamp_jobs.clear();
-        let members = self.cluster.members();
-        if !members.iter().any(|m| m.mrs().msm().verify_reads()) {
+        if !self.cluster.reads(false).verify {
             return;
         }
-        for s in active.iter().map(|&idx| &self.streams[idx]) {
+        let members = self.cluster.members();
+        let streams = active.iter().map(|&idx| &self.streams[idx]);
+        for s in streams.filter(|s| self.cluster.is_up(s.vol)) {
             let msm = members[s.vol].mrs().msm();
-            if !self.cluster.is_up(s.vol) || !msm.verify_reads() {
-                continue;
-            }
             let turn = s.state.pending_items().iter().take(self.k as usize);
             for item in turn.filter(|i| !i.silence) {
                 let extent = msm.strand(item.strand).and_then(|st| st.block(item.block));
@@ -470,9 +468,9 @@ impl<'a> Run<'a> {
                 let (item, deadline) = (s.state.next_item(), s.state.next_deadline());
                 let issue = self.lanes[vol].clock.max(fail_at);
                 let scrub = self.cfg.scrub_blocks_per_round > 0;
+                let how = self.cluster.reads(chain && attempt == 0);
                 let (lane, msm) = self.lane(vol);
-                let chain = chain && attempt == 0;
-                let got = lane.fetch(msm, item, issue, deadline, scrub, chain)?;
+                let got = lane.fetch(msm, item, issue, deadline, how, scrub)?;
                 let (reason, at, retries) = match got {
                     BlockFetch::Silence => {
                         return Err(FsError::InvalidScenario {
@@ -567,13 +565,13 @@ impl<'a> Run<'a> {
         let (vol, hv, item) = (s.vol, rep.volume, rep.schedule.items[s.state.next_index()]);
         let h_issue = self.lanes[hv].clock.max(issue + threshold);
         let scrub = self.cfg.scrub_blocks_per_round > 0;
+        let how = self.cluster.reads(false);
         let (lane, msm) = self.lane(hv);
-        let timed = Fetch::Timed;
-        let got = msm.fetch_block(item.strand, item.block, h_issue, threshold, deadline, timed)?;
+        let got = msm.fetch_block(item.strand, item.block, h_issue, threshold, deadline, how)?;
         let mut won = None;
         match got {
             BlockFetch::Data { op, .. } => {
-                lane.credit(msm, item.strand, item.block, scrub);
+                lane.credit(how, item.strand, item.block, scrub);
                 lane.clock = op.completed;
                 if op.completed < primary_done {
                     won = Some(op.completed);
@@ -627,6 +625,7 @@ impl<'a> Run<'a> {
         block: u64,
         not_before: Instant,
     ) -> Option<(Vec<u8>, Instant)> {
+        let how = self.cluster.reads(false);
         let (lane, msm) = self.lane(sv);
         match msm.check_block_sum(strand, block) {
             Ok(Some(true)) => {}
@@ -637,7 +636,7 @@ impl<'a> Run<'a> {
             _ => return None,
         }
         let issue = lane.clock.max(not_before);
-        let Ok((Some(payload), Some(op))) = msm.read_block(strand, block, issue) else {
+        let Ok((Some(payload), Some(op))) = msm.read_block(strand, block, issue, how) else {
             return None;
         };
         lane.clock = op.completed;
@@ -873,9 +872,11 @@ impl<'a> Run<'a> {
                     .find(|r| r.volume == v && r.state == ReplicaState::Live)
                     .and_then(|r| r.schedule.items.iter().find(|i| !i.silence).copied())
             });
+            let how = self.cluster.reads(false);
             let scrub = self.cfg.scrub_blocks_per_round > 0;
             let msm = self.cluster.member_mut(v).mrs_mut().msm_mut();
-            if !self.lanes[v].probe(msm, v, target, now, scrub, &mut self.report, &self.obs) {
+            let (report, obs) = (&mut self.report, &self.obs);
+            if !self.lanes[v].probe(msm, v, target, now, how, scrub, report, obs) {
                 self.cluster.mark_down(v);
             }
         }

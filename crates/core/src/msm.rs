@@ -11,6 +11,12 @@
 //! operations they performed, so callers (the discrete-event simulator,
 //! benches) control and observe virtual time; the MSM itself never
 //! advances a clock.
+//!
+//! Every device read is one retry loop: a block read retries within its
+//! service-time budget ([`Msm::fetch_block`]), a background read (index
+//! loads, healing copies, recovery) a fixed number of times. A read
+//! returns timing alone; a caller wanting the bytes copies them after
+//! it succeeds. Verification is chosen per read ([`Fetch::verify`]).
 
 use crate::admission::{AdmissionController, ServiceEnv};
 use crate::error::FsError;
@@ -33,6 +39,26 @@ use strandfs_units::{Instant, Nanos, Seconds};
 /// fixed budget replaces the Eq. 18 slack derivation.
 const BACKGROUND_RETRY_LIMIT: u32 = 3;
 
+/// The error a read of `e` that gave up for `reason` after `retries`
+/// retries reports, for [`Msm::fetch_error`] and every background read.
+fn read_error(e: Extent, reason: FetchFailure, retries: u32) -> FsError {
+    match reason {
+        FetchFailure::Media => FsError::MediaError {
+            lba: e.start,
+            sectors: e.sectors,
+        },
+        FetchFailure::RetriesExhausted => FsError::RetriesExhausted {
+            lba: e.start,
+            retries,
+        },
+        FetchFailure::Corrupt => FsError::ChecksumMismatch {
+            lba: e.start,
+            sectors: e.sectors,
+        },
+        FetchFailure::Abandoned => unreachable!("a read is abandoned before any I/O"),
+    }
+}
+
 /// Why a resilient block fetch gave up.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FetchFailure {
@@ -53,15 +79,13 @@ pub enum FetchFailure {
 /// Unlike a plain `Result`, a failed fetch still advances virtual time
 /// (failed attempts occupy the disk), so the failure carries the
 /// instant the caller's clock must move to.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub enum BlockFetch {
     /// A silence hole — no I/O, no payload (NULL primary pointer).
     Silence,
-    /// The payload arrived, possibly after retries; `op` is the final
+    /// The block was read, possibly after retries; `op` is the final
     /// successful operation.
     Data {
-        /// The block payload.
-        payload: Vec<u8>,
         /// The successful disk operation.
         op: DiskOp,
         /// Transient failures retried before success.
@@ -78,16 +102,21 @@ pub enum BlockFetch {
     },
 }
 
-/// What [`Msm::fetch_block`] asks of the disk besides the block's timing.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Fetch {
-    /// The timing alone: `Data` carries an empty payload.
-    Timed,
-    /// The timing and the payload.
-    Payload,
-    /// The timing alone, the read chained onto the disk's last access
-    /// ([`SimDisk::access_chained`]): the next block of one request.
-    Chained,
+/// How [`Msm::fetch_block`] reads a block. A fetch returns the block's
+/// timing alone; a caller that wants the bytes copies them after it
+/// succeeds ([`Msm::read_block`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct Fetch {
+    /// Chain the read onto the disk's last access
+    /// ([`SimDisk::access_chained`]): the next block of one request. A
+    /// retry is a request of its own and never chains.
+    pub chain: bool,
+    /// Re-hash the stored payload against the sum stamped in the strand
+    /// index once the read completes: a mismatch fails the fetch as
+    /// [`FetchFailure::Corrupt`], since retrying cannot fix the bits on
+    /// the platter. It adds no disk I/O or virtual time, modelling a
+    /// controller that checksums the DMA stream.
+    pub verify: bool,
 }
 
 /// Configuration of a storage volume.
@@ -163,15 +192,9 @@ pub struct Msm {
     obs: ObsSink,
     journal: Option<Journal>,
     text_extents: Vec<Extent>,
-    /// Completion time of the most recent disk operation — the instant
-    /// journal writes issued by time-less entry points (deletes) use.
+    /// Completion time of the last write or background read (never a
+    /// block fetch) — the instant time-less entry points journal at.
     last_io: Instant,
-    /// When set, every successful block fetch re-hashes the on-disk
-    /// payload and compares it against the sum stamped in the strand
-    /// index; mismatches surface as [`FetchFailure::Corrupt`] /
-    /// [`FsError::ChecksumMismatch`]. Off by default: verification is a
-    /// policy of the serving layer, not the storage format.
-    verify_reads: bool,
 }
 
 impl Msm {
@@ -202,22 +225,8 @@ impl Msm {
             journal,
             text_extents: Vec::new(),
             last_io: Instant::EPOCH,
-            verify_reads: false,
             disk,
         }
-    }
-
-    /// Enable (or disable) end-to-end checksum verification on every
-    /// block fetch. Verification re-hashes the stored payload in place —
-    /// it adds no disk I/O or virtual time, modelling a controller that
-    /// checksums the DMA stream.
-    pub fn set_verify_reads(&mut self, on: bool) {
-        self.verify_reads = on;
-    }
-
-    /// Whether fetches verify payload checksums.
-    pub fn verify_reads(&self) -> bool {
-        self.verify_reads
     }
 
     /// Route observability events from this volume — allocation
@@ -418,48 +427,65 @@ impl Msm {
         }
     }
 
-    /// Timed read for non-real-time paths (index loads, healing copies):
-    /// no playback deadline, so transient faults get a small fixed retry
-    /// budget ([`BACKGROUND_RETRY_LIMIT`]) instead of the Eq. 18 share.
-    fn timed_read_bg(&mut self, now: Instant, extent: Extent) -> Result<DiskOp, FsError> {
-        let mut t = now;
-        let mut attempts = 0u32;
+    /// Read `e` at `now`, the first attempt chained if `chain` — the one
+    /// retry loop under every device read. Transient faults are retried,
+    /// each event labelled `(strand, block)`, while `budget` lasts: `Some`,
+    /// the time failed attempts may spend beyond the first; `None`,
+    /// [`BACKGROUND_RETRY_LIMIT`] retries whose events carry a zero budget.
+    /// Returns the op and its retries, or why, when and after how many it gave up.
+    #[inline]
+    fn read(
+        &mut self,
+        now: Instant,
+        e: Extent,
+        chain: bool,
+        (strand, block): (u64, u64),
+        budget: Option<Nanos>,
+    ) -> Result<(DiskOp, u32), (FetchFailure, Instant, u32)> {
+        let (mut t, mut retries) = (now, 0);
         loop {
-            match self.disk.access(t, extent, AccessKind::Read) {
-                Ok(op) => {
-                    self.last_io = op.completed;
-                    return Ok(op);
-                }
-                Err(f) => match f.kind {
-                    // `Torn` never fires on reads; a crashed device
-                    // fails every access permanently, like bad media.
-                    FaultKind::Media | FaultKind::Torn | FaultKind::Crashed => {
-                        return Err(FsError::MediaError {
-                            lba: extent.start,
-                            sectors: extent.sectors,
-                        })
-                    }
-                    FaultKind::Transient => {
-                        if attempts >= BACKGROUND_RETRY_LIMIT {
-                            return Err(FsError::RetriesExhausted {
-                                lba: extent.start,
-                                retries: attempts,
-                            });
-                        }
-                        attempts += 1;
-                        t = f.op.completed;
-                        let (s, b) = (extent.start, extent.sectors);
-                        self.obs.emit(|| Event::Retry {
-                            strand: s,
-                            block: b,
-                            attempt: attempts,
-                            at: t,
-                            budget: Nanos::ZERO,
-                        });
-                    }
-                },
+            let attempt = if chain && retries == 0 {
+                self.disk.access_chained(t, e, AccessKind::Read)
+            } else {
+                self.disk.access(t, e, AccessKind::Read)
+            };
+            let f = match attempt {
+                Ok(op) => return Ok((op, retries)),
+                Err(f) => f,
+            };
+            let at = f.op.completed;
+            // Reads are never torn; a crashed device is as unreadable as
+            // bad media.
+            if f.kind != FaultKind::Transient {
+                return Err((FetchFailure::Media, at, retries));
             }
+            let left = match budget {
+                Some(b) => (at - now < b).then(|| b - (at - now)),
+                None => (retries < BACKGROUND_RETRY_LIMIT).then_some(Nanos::ZERO),
+            };
+            let Some(budget) = left else {
+                return Err((FetchFailure::RetriesExhausted, at, retries));
+            };
+            retries += 1;
+            self.obs.emit(|| Event::Retry {
+                strand,
+                block,
+                attempt: retries,
+                at,
+                budget,
+            });
+            t = at;
         }
+    }
+
+    /// A background read of `e` at `now`, labelled `(lba, sectors)`: it
+    /// moves `last_io`, and a failure is the error [`read_error`] names.
+    fn read_background(&mut self, now: Instant, e: Extent) -> Result<DiskOp, FsError> {
+        let (op, _) = self
+            .read(now, e, false, (e.start, e.sectors), None)
+            .map_err(|(reason, _, retries)| read_error(e, reason, retries))?;
+        self.last_io = op.completed;
+        Ok(op)
     }
 
     /// Fetch the payload of a validated on-disk extent; a pointer off
@@ -654,21 +680,22 @@ impl Msm {
         })
     }
 
-    /// Read media block `n` of a strand at `now`. Returns `(payload,
-    /// op)`; both are `None` for a silence hole (no I/O happens).
+    /// Read media block `n` of a strand at `now` as `how`: `(payload,
+    /// op)`, both `None` for a silence hole (no I/O happens).
     ///
     /// The strict convenience over [`Msm::fetch_block`]: a zero retry
-    /// budget, no deadline, the payload materialised — any injected
-    /// fault surfaces as the error [`Msm::fetch_error`] maps it to.
+    /// budget, no deadline, the payload copied once the read succeeds —
+    /// any fault surfaces as the error [`Msm::fetch_error`] maps it to.
     pub fn read_block(
         &mut self,
         id: StrandId,
         n: BlockNo,
         now: Instant,
+        how: Fetch,
     ) -> Result<(Option<Vec<u8>>, Option<DiskOp>), FsError> {
-        match self.fetch_block(id, n, now, Nanos::ZERO, None, Fetch::Payload)? {
+        match self.fetch_block(id, n, now, Nanos::ZERO, None, how)? {
             BlockFetch::Silence => Ok((None, None)),
-            BlockFetch::Data { payload, op, .. } => Ok((Some(payload), Some(op))),
+            BlockFetch::Data { op, .. } => Ok((Some(self.disk.fetch_data(op.extent)), Some(op))),
             BlockFetch::Failed {
                 reason, retries, ..
             } => Err(self.fetch_error(id, n, reason, retries)),
@@ -685,29 +712,13 @@ impl Msm {
         reason: FetchFailure,
         retries: u32,
     ) -> FsError {
-        let e = self
-            .strand(id)
-            .and_then(|s| s.block(n))
-            .ok()
-            .flatten()
-            .expect("failed fetch implies a stored extent");
-        match reason {
-            FetchFailure::Media => FsError::MediaError {
-                lba: e.start,
-                sectors: e.sectors,
-            },
-            FetchFailure::RetriesExhausted => FsError::RetriesExhausted {
-                lba: e.start,
-                retries,
-            },
-            FetchFailure::Abandoned => FsError::DeadlineAbandoned {
+        match self.strand(id).and_then(|s| s.block(n)) {
+            _ if reason == FetchFailure::Abandoned => FsError::DeadlineAbandoned {
                 strand: id,
                 block: n,
             },
-            FetchFailure::Corrupt => FsError::ChecksumMismatch {
-                lba: e.start,
-                sectors: e.sectors,
-            },
+            Ok(Some(e)) => read_error(e, reason, retries),
+            _ => unreachable!("a failed fetch implies a stored extent"),
         }
     }
 
@@ -758,7 +769,7 @@ impl Msm {
     }
 
     /// Fetch media block `n` with a continuity-aware retry budget — the
-    /// one read path under [`Msm::read_block`] and both service loops.
+    /// one block read under [`Msm::read_block`] and both service loops.
     ///
     /// `budget` is the service time this read may consume in *failed*
     /// attempts beyond the first — in the simulator it is derived from
@@ -768,13 +779,11 @@ impl Msm {
     /// past it the read is abandoned without I/O (the degradation policy
     /// drops the block rather than waste disk time on dead data).
     ///
-    /// Unless `how` is [`Fetch::Payload`], `Data` carries an empty
-    /// `payload` (`Vec::new()` does not allocate) and timing, retries and
-    /// fault outcomes are identical: a service loop reads hundreds of
+    /// Only the timing comes back: a service loop reads hundreds of
     /// thousands of blocks per round at scale and consumes only the
     /// *timing* of each fetch — copying payloads out of the device image
-    /// would dominate the run and churn the allocator. A retry is a request
-    /// of its own: [`Fetch::Chained`] chains only the first attempt.
+    /// would dominate the run and churn the allocator. `how` says whether
+    /// the read chains and whether it verifies ([`Fetch`]).
     ///
     /// Unlike [`Msm::read_block`], fault outcomes are *data* here
     /// ([`BlockFetch::Failed`]), not errors — the caller chooses the
@@ -792,9 +801,8 @@ impl Msm {
         let strand = self.strand(id)?;
         let extent = strand.block(n)?;
         let expected = strand.block_sum(n)?;
-        let e = match extent {
-            None => return Ok(BlockFetch::Silence),
-            Some(e) => e,
+        let Some(e) = extent else {
+            return Ok(BlockFetch::Silence);
         };
         if deadline.is_some_and(|d| now > d) {
             return Ok(BlockFetch::Failed {
@@ -803,77 +811,22 @@ impl Msm {
                 retries: 0,
             });
         }
-        let mut t = now;
-        let mut retries = 0u32;
-        loop {
-            let attempt = if how == Fetch::Chained && retries == 0 {
-                self.disk.access_chained(t, e, AccessKind::Read)
-            } else {
-                self.disk.access(t, e, AccessKind::Read)
-            };
-            match attempt {
-                Ok(op) => {
-                    // The bytes arrived — but are they the bytes that
-                    // were recorded? With verification on, re-hash the
-                    // stored payload against the index stamp before
-                    // handing it up; a mismatch is unretryable (the
-                    // platter holds the wrong bits).
-                    if self.verify_reads && self.disk.fetch_sum(e) != Some(expected) {
-                        return Ok(BlockFetch::Failed {
-                            reason: FetchFailure::Corrupt,
-                            at: op.completed,
-                            retries,
-                        });
-                    }
-                    // `access` succeeding guarantees the extent is
-                    // on-device, so the timed path can skip the copy
-                    // outright — an empty Vec never touches the heap.
-                    let payload = if how == Fetch::Payload {
-                        self.fetch_checked(e, "media extent beyond device")?
-                    } else {
-                        Vec::new()
-                    };
-                    return Ok(BlockFetch::Data {
-                        payload,
-                        op,
-                        retries,
-                    });
+        let got = self.read(now, e, how.chain, (id.raw(), n), Some(budget));
+        Ok(match got {
+            Ok((op, retries)) if how.verify && self.disk.fetch_sum(e) != Some(expected) => {
+                BlockFetch::Failed {
+                    reason: FetchFailure::Corrupt,
+                    at: op.completed,
+                    retries,
                 }
-                Err(f) => match f.kind {
-                    // Reads are never torn; a crashed device is as
-                    // unreadable as bad media.
-                    FaultKind::Media | FaultKind::Torn | FaultKind::Crashed => {
-                        return Ok(BlockFetch::Failed {
-                            reason: FetchFailure::Media,
-                            at: f.op.completed,
-                            retries,
-                        })
-                    }
-                    FaultKind::Transient => {
-                        let at = f.op.completed;
-                        let spent = at - now;
-                        if spent >= budget {
-                            return Ok(BlockFetch::Failed {
-                                reason: FetchFailure::RetriesExhausted,
-                                at,
-                                retries,
-                            });
-                        }
-                        retries += 1;
-                        let left = budget - spent;
-                        let (sid, attempt) = (id.raw(), retries);
-                        self.obs.emit(|| Event::Retry {
-                            strand: sid,
-                            block: n,
-                            attempt,
-                            at,
-                            budget: left,
-                        });
-                        t = at;
-                    }
-                },
             }
-        }
+            Ok((op, retries)) => BlockFetch::Data { op, retries },
+            Err((reason, at, retries)) => BlockFetch::Failed {
+                reason,
+                at,
+                retries,
+            },
+        })
     }
 
     /// Reload a strand purely from its on-disk index, verifying the
@@ -887,7 +840,7 @@ impl Msm {
     ) -> Result<Strand, FsError> {
         read_index(id, header_extent, |e| {
             let bytes = self.fetch_checked(e, "index extent beyond device")?;
-            self.timed_read_bg(now, e)?;
+            self.read_background(now, e)?;
             Ok(bytes)
         })
     }
@@ -984,10 +937,11 @@ impl Msm {
     /// Truncate a finished strand to its first `keep` blocks, rewriting
     /// its on-disk index — fsck's repair primitive for dangling block
     /// pointers. `keep == 0` deletes the strand outright. The tail and
-    /// the old index are released but for sectors a kept block or
-    /// `Msm::reachable` still holds (an overlap's first claimant keeps
-    /// its blocks) and extents the free map does not hold allocated (the
-    /// corruption being repaired), which are skipped, not double-freed.
+    /// the old index are released after the cut commits, but for sectors
+    /// `Msm::reachable` still holds (the kept blocks, the new index, an
+    /// overlap's first claimant) and extents the free map does not hold
+    /// allocated (the corruption being repaired), which are skipped, not
+    /// double-freed.
     pub fn truncate_strand(
         &mut self,
         id: StrandId,
@@ -1004,46 +958,48 @@ impl Msm {
         let count = strand.block_count();
         let keep = keep.min(count);
         let meta = *strand.meta();
-        // Drop the tail blocks, then the old index.
-        let kept = strand.stored_iter().filter(|&(n, _)| n < keep);
-        let held: Vec<Extent> = self.reachable().chain(kept.map(|(_, e)| e)).collect();
+        if keep > 0 {
+            // Rebuild: every block carries `granularity` units except the
+            // original final block, which keeps its partial fill.
+            let mut builder = StrandBuilder::new(id, meta);
+            for (i, b) in strand.blocks().iter().take(keep as usize).enumerate() {
+                let units = if i as u64 == count - 1 {
+                    strand
+                        .unit_count()
+                        .saturating_sub((count - 1) * meta.granularity)
+                        .clamp(1, meta.granularity)
+                } else {
+                    meta.granularity
+                };
+                match b {
+                    // Kept blocks keep their original checksum stamp.
+                    Some(e) => builder.push_block(*e, units, strand.sums()[i])?,
+                    None => builder.push_silence(units)?,
+                };
+            }
+            // The old index may sit on media the armed plan marks bad, and
+            // first-fit would put the new one right back there: fence the
+            // free bad sectors off while the index is written.
+            let fence = self.fence_bad_sectors();
+            let done = self.commit_index(builder, now);
+            for e in fence {
+                self.alloc.release(e);
+            }
+            done?;
+        }
+        // Only once the cut is durable (the new index committed, or the
+        // deletion journaled) do the tail blocks, then the old index, go:
+        // a crash before then mounts the old strand, index and all.
+        let held: Vec<Extent> = self.reachable().collect();
         let tail = strand.stored_iter().filter(|&(n, _)| n >= keep);
-        for e in tail
-            .map(|(_, e)| e)
-            .chain(strand.index_extents().iter().copied())
-        {
+        let index = strand.index_extents().iter().copied();
+        for e in tail.map(|(_, e)| e).chain(index) {
             self.free_unheld(e, &held);
         }
         if keep == 0 {
-            return self.write_checkpoint(self.last_io).map(|_| ());
+            self.write_checkpoint(self.last_io)?;
         }
-        // Rebuild: every block carries `granularity` units except the
-        // original final block, which keeps its partial fill.
-        let mut builder = StrandBuilder::new(id, meta);
-        for (i, b) in strand.blocks().iter().take(keep as usize).enumerate() {
-            let units = if i as u64 == count - 1 {
-                strand
-                    .unit_count()
-                    .saturating_sub((count - 1) * meta.granularity)
-                    .clamp(1, meta.granularity)
-            } else {
-                meta.granularity
-            };
-            match b {
-                // Kept blocks keep their original checksum stamp.
-                Some(e) => builder.push_block(*e, units, strand.sums()[i])?,
-                None => builder.push_silence(units)?,
-            };
-        }
-        // The old index may sit on media the armed plan marks bad, and
-        // first-fit would put the new one right back there: fence the
-        // free bad sectors off while the index is written.
-        let fence = self.fence_bad_sectors();
-        let done = self.commit_index(builder, now);
-        for e in fence {
-            self.alloc.release(e);
-        }
-        done.map(|_| ())
+        Ok(())
     }
 
     /// Claim every free sector the armed fault plan marks bad; the
@@ -1175,7 +1131,7 @@ impl Msm {
                 }
                 Some(e) => {
                     let data = self.fetch_checked(e, "media extent beyond device")?;
-                    t = self.timed_read_bg(t, e)?.completed;
+                    t = self.read_background(t, e)?.completed;
                     let dst = match prev {
                         Some(p) => self.alloc.allocate_after(p, e.sectors)?,
                         None => self.alloc.allocate_first(e.sectors)?,
@@ -1247,7 +1203,7 @@ impl Msm {
         };
         let mut t = now;
         for e in replay.reads {
-            t = msm.timed_read_bg(t, e)?.completed;
+            t = msm.read_background(t, e)?.completed;
         }
         // A journaled deletion took physical effect before the crash, so
         // its strand is simply not adopted.
@@ -1280,7 +1236,7 @@ impl Msm {
                 }
                 match b.extent {
                     Some(e) => {
-                        t = msm.timed_read_bg(t, e)?.completed;
+                        t = msm.read_background(t, e)?.completed;
                         msm.alloc.adopt(e);
                         builder.push_block(e, b.units, b.sum)?
                     }
@@ -1361,7 +1317,9 @@ mod tests {
         assert_eq!(s.block_count(), 10);
         assert_eq!(s.unit_count(), 30);
         assert!(!s.index_extents().is_empty());
-        let (payload, op) = m.read_block(id, 4, Instant::EPOCH).unwrap();
+        let (payload, op) = m
+            .read_block(id, 4, Instant::EPOCH, Fetch::default())
+            .unwrap();
         let payload = payload.unwrap();
         assert!(op.is_some());
         assert_eq!(&payload[..36_000], &vec![4u8; 36_000][..]);
@@ -1441,7 +1399,9 @@ mod tests {
             .unwrap();
         m.finish_strand(id, Instant::EPOCH).unwrap();
         assert!(after_block > used_before);
-        let (p, op) = m.read_block(id, 1, Instant::EPOCH).unwrap();
+        let (p, op) = m
+            .read_block(id, 1, Instant::EPOCH, Fetch::default())
+            .unwrap();
         assert!(p.is_none() && op.is_none());
         let s = m.strand(id).unwrap();
         assert_eq!(s.block_count(), 3);
@@ -1492,6 +1452,47 @@ mod tests {
         let (first, second) = reads.split_at(reads.len() / 2);
         assert_eq!(first.len(), index.len());
         assert_eq!(first, second);
+    }
+
+    #[test]
+    fn a_background_read_retries_a_fixed_number_of_times() {
+        let mut m = msm();
+        let id = record_video(&mut m, 10);
+        let header = *m.strand(id).unwrap().index_extents().last().unwrap();
+        // Three transient failures on the header: three retries, each
+        // labelled with the extent and no budget, then the load succeeds.
+        m.arm_faults(FaultPlan::clean().with_transient(header, 3));
+        let (sink, recorder) = ObsSink::ring(1_024);
+        m.set_obs(sink);
+        m.load_strand(id, header, Instant::EPOCH).unwrap();
+        let retries: Vec<_> = recorder
+            .borrow()
+            .events()
+            .filter_map(|e| match *e {
+                Event::Retry {
+                    strand,
+                    block,
+                    attempt,
+                    budget,
+                    ..
+                } => Some((strand, block, attempt, budget)),
+                _ => None,
+            })
+            .collect();
+        let label = (header.start, header.sectors);
+        let expect: Vec<_> = (1..=3)
+            .map(|a| (label.0, label.1, a, Nanos::ZERO))
+            .collect();
+        assert_eq!(retries, expect);
+        // A fourth failure exhausts the limit.
+        m.arm_faults(FaultPlan::clean().with_transient(header, 4));
+        assert_eq!(
+            m.load_strand(id, header, Instant::EPOCH).unwrap_err(),
+            FsError::RetriesExhausted {
+                lba: header.start,
+                retries: 3
+            }
+        );
     }
 
     #[test]
@@ -1601,8 +1602,12 @@ mod tests {
             CopySide::Left => (a, 30 - plan.count),
         };
         for i in 0..plan.count {
-            let (orig, _) = m.read_block(src_strand, first + i, Instant::EPOCH).unwrap();
-            let (copy, _) = m.read_block(new_id, i, Instant::EPOCH).unwrap();
+            let (orig, _) = m
+                .read_block(src_strand, first + i, Instant::EPOCH, Fetch::default())
+                .unwrap();
+            let (copy, _) = m
+                .read_block(new_id, i, Instant::EPOCH, Fetch::default())
+                .unwrap();
             assert_eq!(orig, copy, "block {i} differs");
         }
     }

@@ -440,7 +440,7 @@ pub fn simulate_degraded(
                         t,
                         budget,
                         deadline,
-                        Fetch::Timed,
+                        Fetch::default(),
                     )? {
                         BlockFetch::Silence => {
                             return Err(FsError::InvalidScenario {

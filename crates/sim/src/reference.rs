@@ -448,7 +448,9 @@ pub fn simulate_degraded_reference(
                     state.completions.push(t);
                     state.dropped.push(false);
                 } else if matches!(degrade, DegradeMode::Strict) {
-                    let (_payload, op) = mrs.msm_mut().read_block(item.strand, item.block, t)?;
+                    let (_payload, op) =
+                        mrs.msm_mut()
+                            .read_block(item.strand, item.block, t, Fetch::default())?;
                     let op = op.ok_or(FsError::InvalidScenario {
                         reason: "non-silence schedule item resolves to a silence hole",
                     })?;
@@ -467,14 +469,16 @@ pub fn simulate_degraded_reference(
                         t,
                         budget,
                         deadline,
-                        Fetch::Payload,
+                        Fetch::default(),
                     )? {
                         BlockFetch::Silence => {
                             return Err(FsError::InvalidScenario {
                                 reason: "non-silence schedule item resolves to a silence hole",
                             })
                         }
-                        BlockFetch::Data { op, retries, .. } => {
+                        BlockFetch::Data { op, retries } => {
+                            // The naive loop carries every payload it reads.
+                            let _payload = mrs.msm().disk().fetch_data(op.extent);
                             t = op.completed;
                             if retries > 0 {
                                 round_faults = true;

@@ -122,6 +122,16 @@ step "chaos pass (STRANDFS_TEST_SEED=$CHAOS_SEED)" \
     env STRANDFS_TEST_SEED="$CHAOS_SEED" cargo test -q --offline \
     --test failure_injection --test proptests_sim --test crash_recovery
 
+# Seeded repair crash sweep: fsck repair cuts a journaled strand whose
+# block lost its sectors to the free map, crashing at each of the cut's
+# writes in turn (crates/core/src/fsck.rs,
+# `a_repair_cut_mounts_after_a_crash_at_every_write`). Every image must
+# mount, whole before the new index commits and cut after, and a second
+# repair find nothing. The seed picks the strand's length and the block.
+step "repair crash sweep (STRANDFS_TEST_SEED=$CHAOS_SEED)" \
+    env STRANDFS_TEST_SEED="$CHAOS_SEED" cargo test -q --offline -p strandfs-core --lib \
+    a_repair_cut_mounts_after_a_crash_at_every_write
+
 # Bounded cluster failover smoke: one seeded kill-one-member run on a
 # two-volume cluster with a replicated title (tests/cluster_failover.rs).
 # The seed picks the victim and the kill round; the contract — zero

@@ -277,13 +277,13 @@ fn bad_media_read_surfaces_as_media_error() {
     let (mut msm, id, t) = faulted_msm();
     let victim = block_extent(&msm, id, 2);
     msm.arm_faults(FaultPlan::clean().with_bad_extent(victim));
-    let err = msm.read_block(id, 2, t);
+    let err = msm.read_block(id, 2, t, Fetch::default());
     assert!(
         matches!(err, Err(FsError::MediaError { lba, .. }) if lba == victim.start),
         "got {err:?}"
     );
     // Blocks off the bad extent still read fine.
-    let (payload, _) = msm.read_block(id, 0, t).unwrap();
+    let (payload, _) = msm.read_block(id, 0, t, Fetch::default()).unwrap();
     assert_eq!(payload.unwrap()[0], 0);
 }
 
@@ -314,7 +314,7 @@ fn transient_fault_with_zero_budget_exhausts_retries() {
     msm.arm_faults(FaultPlan::clean().with_transient(victim, 3));
     // `read_block` runs with a zero retry budget: the first transient
     // fault exhausts it.
-    let err = msm.read_block(id, 1, t);
+    let err = msm.read_block(id, 1, t, Fetch::default());
     assert!(
         matches!(err, Err(FsError::RetriesExhausted { lba, .. }) if lba == victim.start),
         "got {err:?}"
@@ -327,14 +327,12 @@ fn resilient_read_recovers_within_budget() {
     let victim = block_extent(&msm, id, 1);
     msm.arm_faults(FaultPlan::clean().with_transient(victim, 1));
     let fetch = msm
-        .fetch_block(id, 1, t, Nanos::from_millis(500), None, Fetch::Payload)
+        .fetch_block(id, 1, t, Nanos::from_millis(500), None, Fetch::default())
         .unwrap();
     match fetch {
-        BlockFetch::Data {
-            payload, retries, ..
-        } => {
+        BlockFetch::Data { op, retries } => {
             assert_eq!(retries, 1, "one transient failure, then success");
-            assert_eq!(payload[0], 1);
+            assert_eq!(msm.disk().fetch_data(op.extent)[0], 1);
         }
         other => panic!("expected recovered data, got {other:?}"),
     }
@@ -351,7 +349,7 @@ fn expired_deadline_abandons_without_io() {
             t,
             Nanos::from_millis(500),
             Some(Instant::EPOCH),
-            Fetch::Payload,
+            Fetch::default(),
         )
         .unwrap();
     assert!(
@@ -389,7 +387,7 @@ fn off_device_extents_fail_cleanly() {
 fn out_of_range_block_is_an_error() {
     let (mut msm, id, t) = faulted_msm();
     assert!(matches!(
-        msm.read_block(id, 999, t),
+        msm.read_block(id, 999, t, Fetch::default()),
         Err(FsError::BlockOutOfRange { block: 999, .. })
     ));
 }
@@ -404,7 +402,7 @@ fn reading_from_deleted_strand_fails_cleanly() {
     msm.finish_strand(id, op.completed).unwrap();
     msm.delete_strand(id).unwrap();
     assert!(matches!(
-        msm.read_block(id, 0, Instant::EPOCH),
+        msm.read_block(id, 0, Instant::EPOCH, Fetch::default()),
         Err(FsError::UnknownStrand(_))
     ));
 }

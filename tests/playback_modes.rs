@@ -3,6 +3,7 @@
 //! exercised end to end.
 
 use strandfs::core::mrs::{apply_play_mode, compile_schedule};
+use strandfs::core::msm::Fetch;
 use strandfs::core::rope::edit::{Interval, MediaSel};
 use strandfs::core::strand::hetero::HeteroBlock;
 use strandfs::core::strand::StrandMeta;
@@ -111,7 +112,7 @@ fn heterogeneous_blocks_store_and_separate_through_msm() {
     }
     msm.finish_strand(id, t).unwrap();
     for (i, original) in originals.iter().enumerate() {
-        let (payload, _) = msm.read_block(id, i as u64, t).unwrap();
+        let (payload, _) = msm.read_block(id, i as u64, t, Fetch::default()).unwrap();
         let decoded = HeteroBlock::decode(&payload.unwrap()).unwrap();
         assert_eq!(&decoded, original, "block {i}");
     }

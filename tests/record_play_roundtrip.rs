@@ -2,7 +2,7 @@
 //! on-disk index reload, and continuous playback.
 
 use strandfs::core::mrs::{Mrs, RecordOpts, TrackOpts};
-use strandfs::core::msm::{Msm, MsmConfig};
+use strandfs::core::msm::{Fetch, Msm, MsmConfig};
 use strandfs::core::rope::edit::{Interval, MediaSel};
 use strandfs::core::strand::StrandMeta;
 use strandfs::disk::{DiskGeometry, GapBounds, SeekModel, SimDisk};
@@ -62,7 +62,7 @@ fn recorded_frames_read_back_byte_exact() {
     for block in 0..10u64 {
         let (payload, op) = mrs
             .msm_mut()
-            .read_block(vref.strand, block, Instant::EPOCH)
+            .read_block(vref.strand, block, Instant::EPOCH, Fetch::default())
             .unwrap();
         let payload = payload.unwrap();
         assert!(op.is_some());
