@@ -7,15 +7,15 @@
 //! Output is the text form of `EXPERIMENTS.md`'s measured columns.
 
 use strandfs_bench::experiments::*;
+use strandfs_cluster::standard_spec;
 
 fn main() {
     println!("strandfs experiment harness — Rangan & Vin, SOSP '91");
     println!("====================================================\n");
 
     let env = vintage_env();
-    let spec = standard_video_spec();
+    let spec = standard_spec();
     let stream = standard_video_stream();
-    let disk = vintage_disk_params();
 
     println!("{}", e1_fig4::table(&env, spec));
     // The same curve on the projected-future disk stretches the
@@ -24,11 +24,11 @@ fn main() {
 
     println!("{}", e2_unconstrained::table());
 
-    let (t3a, t3b) = e3_architectures::tables(&stream, disk.r_dt);
+    let (t3a, t3b) = e3_architectures::tables(&stream, env.r_dt);
     println!("{t3a}");
     println!("{t3b}");
 
-    let (t4a, t4b) = e4_buffering::tables(&stream, &disk);
+    let (t4a, t4b) = e4_buffering::tables(&stream, &env);
     println!("{t4a}");
     println!("{t4b}");
 
@@ -54,7 +54,7 @@ fn main() {
 
     println!("{}", e6_transient::table());
 
-    let (t7a, t7b) = e7_edit_copy::tables(strandfs_disk_seek_max());
+    let (t7a, t7b) = e7_edit_copy::tables(env.l_seek_max);
     println!("{t7a}");
     println!("{t7b}");
 
@@ -81,10 +81,4 @@ fn main() {
     println!("{}", e18_cluster::table());
 
     println!("{}", e19_integrity::table());
-}
-
-/// The vintage disk's worst-case positioning time, shared by E7.
-fn strandfs_disk_seek_max() -> strandfs_units::Seconds {
-    use strandfs_disk::{DiskGeometry, SeekModel, SimDisk};
-    SimDisk::new(DiskGeometry::vintage_1991(), SeekModel::vintage_1991()).max_positioning_time()
 }

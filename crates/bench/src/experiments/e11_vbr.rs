@@ -9,7 +9,7 @@
 //! averaged-continuity machinery absorbs the excursions.
 
 use crate::table::{ms, Table};
-use strandfs_core::admission::{Aggregates, RequestSpec, ServiceEnv};
+use strandfs_core::admission::{Aggregates, RequestSpec};
 use strandfs_core::model::continuity::max_scattering_pipelined;
 use strandfs_core::model::vbr::VbrParams;
 use strandfs_core::msm::MsmConfig;
@@ -100,7 +100,7 @@ pub fn play_statistical(n: usize) -> Played {
         &clips,
     )
     .expect("build volume");
-    let env: ServiceEnv = *mrs.msm().admission_ref().env();
+    let env = *mrs.msm().admission_ref().env();
     let p = VbrParams::from_codec(
         &VideoCodec::uvc_ntsc_vbr(7),
         1_800,

@@ -25,11 +25,10 @@ use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
-use crate::experiments::standard_video_spec;
 use crate::table::Table;
 use strandfs_cluster::{
-    simulate_cluster, Cluster, ClusterAction, ClusterConfig, ClusterPlayback, ClusterReport,
-    Placement, ScriptedAction, TitleId,
+    simulate_cluster, standard_spec, Cluster, ClusterAction, ClusterConfig, ClusterPlayback,
+    ClusterReport, Placement, ScriptedAction, TitleId,
 };
 use strandfs_obs::{MonitorConfig, ObsSink, SloRule, WindowedMonitor};
 use strandfs_sim::ClipSpec;
@@ -71,7 +70,7 @@ pub fn run_scaling() -> Vec<ScaleRow> {
         .iter()
         .map(|&v| {
             let mut c = Cluster::new(ClusterConfig::round_robin(v, SEED)).expect("cluster");
-            let n_max = c.n_max(standard_video_spec());
+            let n_max = c.n_max(standard_spec());
             let viewers: Vec<TitleId> = (0..v)
                 .map(|i| {
                     c.ingest(

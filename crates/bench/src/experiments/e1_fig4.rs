@@ -8,7 +8,8 @@
 //! transient-safe curve (Eq. 18) are produced.
 
 use crate::table::Table;
-use strandfs_core::admission::{Aggregates, RequestSpec, ServiceEnv};
+use strandfs_core::admission::{Aggregates, RequestSpec};
+use strandfs_core::model::DiskParams;
 
 /// The `k(n)` series for a homogeneous mix of `spec` under `env`.
 pub struct Fig4 {
@@ -19,7 +20,7 @@ pub struct Fig4 {
 }
 
 /// Compute the figure's data.
-pub fn run(env: &ServiceEnv, spec: RequestSpec) -> Fig4 {
+pub fn run(env: &DiskParams, spec: RequestSpec) -> Fig4 {
     let agg1 = Aggregates::compute(env, &[spec]).expect("non-empty");
     let n_max = agg1.n_max();
     let mut points = Vec::new();
@@ -35,7 +36,7 @@ pub fn run(env: &ServiceEnv, spec: RequestSpec) -> Fig4 {
 }
 
 /// Render as a table.
-pub fn table(env: &ServiceEnv, spec: RequestSpec) -> Table {
+pub fn table(env: &DiskParams, spec: RequestSpec) -> Table {
     let fig = run(env, spec);
     let mut t = Table::new(
         "E1 / Figure 4 — round size k vs. number of requests n",
@@ -59,11 +60,12 @@ pub fn table(env: &ServiceEnv, spec: RequestSpec) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{standard_video_spec, vintage_env};
+    use crate::experiments::vintage_env;
+    use strandfs_cluster::standard_spec;
 
     #[test]
     fn k_is_monotone_and_diverges() {
-        let fig = run(&vintage_env(), standard_video_spec());
+        let fig = run(&vintage_env(), standard_spec());
         assert!(!fig.points.is_empty());
         // Monotone non-decreasing in n.
         for w in fig.points.windows(2) {
@@ -85,7 +87,7 @@ mod tests {
 
     #[test]
     fn table_renders() {
-        let t = table(&vintage_env(), standard_video_spec());
+        let t = table(&vintage_env(), standard_spec());
         let s = t.to_string();
         assert!(s.contains("Figure 4"));
         assert!(s.contains("infeasible"));

@@ -122,12 +122,12 @@ pub fn tables(v: &VideoStream, r_dt: BitRate) -> (Table, Table) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{standard_video_stream, vintage_disk_params};
+    use crate::experiments::{standard_video_stream, vintage_env};
 
     #[test]
     fn architecture_ordering_holds() {
         let v = standard_video_stream();
-        let r_dt = vintage_disk_params().r_dt;
+        let r_dt = vintage_env().r_dt;
         for row in scattering_bounds(&v, r_dt) {
             if let (Some(s), Some(p), Some(c)) = (row.sequential, row.pipelined, row.concurrent4) {
                 assert!(s <= p, "q={}", row.q);
@@ -143,7 +143,7 @@ mod tests {
     #[test]
     fn bounds_widen_with_granularity() {
         let v = standard_video_stream();
-        let r_dt = vintage_disk_params().r_dt;
+        let r_dt = vintage_env().r_dt;
         let rows = scattering_bounds(&v, r_dt);
         let firsts: Vec<_> = rows.iter().filter_map(|r| r.pipelined).collect();
         for w in firsts.windows(2) {

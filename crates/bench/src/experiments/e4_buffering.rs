@@ -102,11 +102,11 @@ pub fn tables(v: &VideoStream, disk: &DiskParams) -> (Table, Table) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{standard_video_stream, vintage_disk_params};
+    use crate::experiments::{standard_video_stream, vintage_env};
 
     #[test]
     fn plans_scale_linearly_in_k() {
-        let rows = run(&standard_video_stream(), &vintage_disk_params());
+        let rows = run(&standard_video_stream(), &vintage_env());
         for r in &rows {
             assert_eq!(r.sequential, (r.k, r.k));
             assert_eq!(r.pipelined, (r.k, 2 * r.k));
@@ -121,7 +121,7 @@ mod tests {
     #[test]
     fn fast_forward_no_skip_is_tighter() {
         let v = standard_video_stream();
-        let d = vintage_disk_params();
+        let d = vintage_env();
         for speed in [2.0, 4.0] {
             let skip = fast_forward_scattering(&v, &d, speed, true);
             let noskip = fast_forward_scattering(&v, &d, speed, false);

@@ -2,11 +2,12 @@
 //! parameters.
 
 use crate::table::Table;
-use strandfs_core::admission::{Aggregates, RequestSpec, ServiceEnv};
+use strandfs_core::admission::{Aggregates, RequestSpec};
+use strandfs_core::model::DiskParams;
 use strandfs_units::Seconds;
 
 /// `n_max` at a given environment and granularity.
-pub fn n_max_at(env: &ServiceEnv, spec: RequestSpec) -> usize {
+pub fn n_max_at(env: &DiskParams, spec: RequestSpec) -> usize {
     Aggregates::compute(env, &[spec])
         .map(|a| a.n_max())
         .unwrap_or(0)
@@ -14,7 +15,7 @@ pub fn n_max_at(env: &ServiceEnv, spec: RequestSpec) -> usize {
 
 /// Sweep granularity: larger blocks amortize positioning and raise
 /// capacity.
-pub fn granularity_sweep(env: &ServiceEnv, base: RequestSpec) -> Vec<(u64, usize)> {
+pub fn granularity_sweep(env: &DiskParams, base: RequestSpec) -> Vec<(u64, usize)> {
     [1u64, 2, 3, 6, 12, 24, 48]
         .into_iter()
         .map(|q| (q, n_max_at(env, RequestSpec { q, ..base })))
@@ -22,11 +23,11 @@ pub fn granularity_sweep(env: &ServiceEnv, base: RequestSpec) -> Vec<(u64, usize
 }
 
 /// Sweep average scattering: tighter scattering raises capacity.
-pub fn scattering_sweep(env: &ServiceEnv, spec: RequestSpec) -> Vec<(f64, usize)> {
+pub fn scattering_sweep(env: &DiskParams, spec: RequestSpec) -> Vec<(f64, usize)> {
     [2.0, 5.0, 10.0, 15.0, 25.0, 40.0]
         .into_iter()
         .map(|ms| {
-            let env2 = ServiceEnv {
+            let env2 = DiskParams {
                 l_ds_avg: Seconds::from_millis(ms),
                 ..*env
             };
@@ -36,11 +37,11 @@ pub fn scattering_sweep(env: &ServiceEnv, spec: RequestSpec) -> Vec<(f64, usize)
 }
 
 /// Sweep transfer rate: faster disks raise capacity.
-pub fn rate_sweep(env: &ServiceEnv, spec: RequestSpec) -> Vec<(f64, usize)> {
+pub fn rate_sweep(env: &DiskParams, spec: RequestSpec) -> Vec<(f64, usize)> {
     [1.0, 2.0, 4.0, 8.0]
         .into_iter()
         .map(|mult| {
-            let env2 = ServiceEnv {
+            let env2 = DiskParams {
                 r_dt: env.r_dt * mult,
                 ..*env
             };
@@ -50,7 +51,7 @@ pub fn rate_sweep(env: &ServiceEnv, spec: RequestSpec) -> Vec<(f64, usize)> {
 }
 
 /// Render all three sweeps in one table set.
-pub fn tables(env: &ServiceEnv, spec: RequestSpec) -> Vec<Table> {
+pub fn tables(env: &DiskParams, spec: RequestSpec) -> Vec<Table> {
     let mut t1 = Table::new(
         "E5a / Eq. 17 — capacity n_max vs. granularity q",
         &["q (frames/blk)", "n_max"],
@@ -83,12 +84,13 @@ pub fn tables(env: &ServiceEnv, spec: RequestSpec) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{standard_video_spec, vintage_env};
+    use crate::experiments::vintage_env;
+    use strandfs_cluster::standard_spec;
 
     #[test]
     fn capacity_monotone_in_each_knob() {
         let env = vintage_env();
-        let spec = standard_video_spec();
+        let spec = standard_spec();
         let by_q = granularity_sweep(&env, spec);
         for w in by_q.windows(2) {
             assert!(w[1].1 >= w[0].1, "capacity must grow with q");
@@ -107,7 +109,7 @@ mod tests {
     fn vintage_capacity_is_single_digit() {
         // A 1991 disk supports only a handful of NTSC streams — matching
         // the era's prototypes.
-        let n = n_max_at(&vintage_env(), standard_video_spec());
+        let n = n_max_at(&vintage_env(), standard_spec());
         assert!((1..10).contains(&n), "n_max = {n}");
     }
 }

@@ -11,7 +11,7 @@
 //! `n` streams in steady state, one more arriving mid-playback.
 
 use crate::table::Table;
-use strandfs_core::admission::{Aggregates, ServiceEnv};
+use strandfs_core::admission::Aggregates;
 use strandfs_core::msm::MsmConfig;
 use strandfs_core::rope::edit::MediaSel;
 use strandfs_disk::{DiskGeometry, GapBounds, SeekModel};
@@ -89,8 +89,8 @@ pub fn run_with_obs(policy: TransitionPolicy, obs: strandfs_obs::ObsSink) -> Out
         .map(|r| mrs.schedule(*r, MediaSel::Both).unwrap())
         .collect();
 
-    let env: ServiceEnv = *mrs.msm().admission_ref().env();
-    let spec = crate::experiments::standard_video_spec();
+    let env = *mrs.msm().admission_ref().env();
+    let spec = strandfs_cluster::standard_spec();
     let agg_before = Aggregates::compute(&env, &[spec; BASE_STREAMS]).unwrap();
     let agg_after = Aggregates::compute(&env, &vec![spec; BASE_STREAMS + 1]).unwrap();
     let (k_before, k_after) = match policy {

@@ -20,7 +20,6 @@ pub mod e7_edit_copy;
 pub mod e8_silence;
 pub mod e9_allocators;
 
-use strandfs_core::admission::{RequestSpec, ServiceEnv};
 use strandfs_core::model::{DiskParams, VideoStream};
 use strandfs_disk::{DiskGeometry, SeekModel, SimDisk};
 use strandfs_units::{BitRate, Bits, FrameRate};
@@ -36,40 +35,16 @@ pub fn standard_video_stream() -> VideoStream {
     }
 }
 
-/// The standard admission spec matching [`standard_video_stream`].
-pub fn standard_video_spec() -> RequestSpec {
-    RequestSpec {
-        q: 3,
-        unit_bits: Bits::new(96_000),
-        unit_rate: 30.0,
-    }
-}
-
-/// The vintage-1991 disk as a model parameter bundle, with blocks
-/// scattered an average of 40 cylinders apart.
-pub fn vintage_disk_params() -> DiskParams {
+/// The vintage-1991 disk's model parameters, with blocks scattered an
+/// average of 40 cylinders apart.
+pub fn vintage_env() -> DiskParams {
     let disk = SimDisk::new(DiskGeometry::vintage_1991(), SeekModel::vintage_1991());
     DiskParams::from_disk(&disk, 40)
 }
 
-/// The matching admission environment.
-pub fn vintage_env() -> ServiceEnv {
-    let p = vintage_disk_params();
-    ServiceEnv {
-        r_dt: p.r_dt,
-        l_seek_max: p.l_seek_max,
-        l_ds_avg: p.l_ds_avg,
-    }
-}
-
-/// The projected-future disk environment (faster transfer, shorter
-/// seeks) for capacity sweeps.
-pub fn projected_env() -> ServiceEnv {
+/// The projected-future disk (faster transfer, shorter seeks) for
+/// capacity sweeps, scattered the same way.
+pub fn projected_env() -> DiskParams {
     let disk = SimDisk::new(DiskGeometry::projected_fast(), SeekModel::projected_fast());
-    let p = DiskParams::from_disk(&disk, 40);
-    ServiceEnv {
-        r_dt: p.r_dt,
-        l_seek_max: p.l_seek_max,
-        l_ds_avg: p.l_ds_avg,
-    }
+    DiskParams::from_disk(&disk, 40)
 }

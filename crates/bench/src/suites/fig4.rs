@@ -1,15 +1,16 @@
 //! E1 / Figure 4: timing of the admission-control round-size computation
 //! and regeneration of the full k(n) curve.
 
-use crate::experiments::{e1_fig4, standard_video_spec, vintage_env};
+use crate::experiments::{e1_fig4, vintage_env};
 use std::hint::black_box;
+use strandfs_cluster::standard_spec;
 use strandfs_core::admission::Aggregates;
 use strandfs_testkit::bench::Runner;
 
 /// Register the suite's benchmarks.
 pub fn register(c: &mut Runner) {
     let env = vintage_env();
-    let spec = standard_video_spec();
+    let spec = standard_spec();
 
     c.bench_function("fig4/aggregates_n8", |b| {
         let specs = vec![spec; 8];

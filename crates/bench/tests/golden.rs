@@ -11,10 +11,10 @@
 //! `sections` diff.
 
 use strandfs_bench::experiments::{
-    e18_cluster, e19_integrity, e1_fig4, e5_capacity, projected_env, standard_video_spec,
-    vintage_env,
+    e18_cluster, e19_integrity, e1_fig4, e5_capacity, projected_env, vintage_env,
 };
 use strandfs_bench::sections;
+use strandfs_cluster::standard_spec;
 use strandfs_testkit::json::{validate, Json};
 
 const BENCH_CORE: &str = include_str!("../../../BENCH_core.json");
@@ -266,14 +266,14 @@ fn e19_integrity_table_is_pinned() {
 
 #[test]
 fn e1_fig4_vintage_curve_is_pinned() {
-    let fig = e1_fig4::run(&vintage_env(), standard_video_spec());
+    let fig = e1_fig4::run(&vintage_env(), standard_spec());
     assert_eq!(fig.n_max, 2);
     assert_eq!(fig.points, vec![(1, 1, 1), (2, 2, 5)]);
 }
 
 #[test]
 fn e1_fig4_projected_curve_is_pinned() {
-    let fig = e1_fig4::run(&projected_env(), standard_video_spec());
+    let fig = e1_fig4::run(&projected_env(), standard_spec());
     assert_eq!(fig.n_max, 9);
     assert_eq!(
         fig.points,
@@ -293,7 +293,7 @@ fn e1_fig4_projected_curve_is_pinned() {
 
 #[test]
 fn e5_granularity_sweep_is_pinned() {
-    let got = e5_capacity::granularity_sweep(&vintage_env(), standard_video_spec());
+    let got = e5_capacity::granularity_sweep(&vintage_env(), standard_spec());
     assert_eq!(
         got,
         vec![(1, 1), (2, 2), (3, 2), (6, 3), (12, 4), (24, 4), (48, 4)]
@@ -302,7 +302,7 @@ fn e5_granularity_sweep_is_pinned() {
 
 #[test]
 fn e5_scattering_sweep_is_pinned() {
-    let got = e5_capacity::scattering_sweep(&vintage_env(), standard_video_spec());
+    let got = e5_capacity::scattering_sweep(&vintage_env(), standard_spec());
     assert_eq!(
         got,
         vec![
@@ -318,13 +318,13 @@ fn e5_scattering_sweep_is_pinned() {
 
 #[test]
 fn e5_rate_sweep_is_pinned() {
-    let got = e5_capacity::rate_sweep(&vintage_env(), standard_video_spec());
+    let got = e5_capacity::rate_sweep(&vintage_env(), standard_spec());
     assert_eq!(got, vec![(1.0, 2), (2.0, 4), (4.0, 5), (8.0, 5)]);
 }
 
 #[test]
 fn e5_disk_generations_are_pinned() {
-    let spec = standard_video_spec();
+    let spec = standard_spec();
     assert_eq!(e5_capacity::n_max_at(&vintage_env(), spec), 2);
     assert_eq!(e5_capacity::n_max_at(&projected_env(), spec), 9);
 }

@@ -11,33 +11,27 @@
 //! serving three video streams, and Eq. 18 is what knows the
 //! difference.
 
-use strandfs_core::admission::{Aggregates, RequestSpec, ServiceEnv};
-use strandfs_units::{Bits, Nanos, Seconds};
+use strandfs_core::admission::{Aggregates, RequestSpec};
+use strandfs_core::model::DiskParams;
+use strandfs_units::{Nanos, Seconds};
 
 /// The reference request used to compare volume headroom: the standard
-/// NTSC video stream (`q = 3` frames/block, 96 kbit frames, 30 fps).
+/// NTSC video stream ([`strandfs_sim::scenario::standard_video_meta`]).
 pub fn standard_spec() -> RequestSpec {
-    RequestSpec {
-        q: 3,
-        unit_bits: Bits::new(96_000),
-        unit_rate: 30.0,
-    }
+    strandfs_sim::scenario::standard_video_meta().request_spec()
 }
 
 /// Eq. 18 slack a volume would retain serving `streams` copies of
-/// `spec`: the steady-state per-block margin `γ − n·β`. Raw round
-/// slack `k·γ − (n·α + n·k·β)` is not monotone in `n` — the
-/// transient-safe round size `k` grows with load and hides the seek
-/// overhead — so placement compares the `k → ∞` limit, which
-/// adaptation cannot mask. `None` when the load is infeasible (no
-/// transient-safe round size exists — the volume cannot take that
-/// many streams at all).
-pub fn hypothetical_slack(env: &ServiceEnv, spec: RequestSpec, streams: usize) -> Option<Nanos> {
-    let n = streams.max(1);
-    let agg = Aggregates::compute(env, &[spec])?;
-    agg.k_transient(n)?;
-    let slack = agg.gamma.get() - n as f64 * agg.beta.get();
-    (slack > 0.0).then(|| Seconds::new(slack).to_nanos())
+/// `spec`: the steady-state per-block margin `γ − n·β`
+/// ([`Aggregates::margin`]). Raw round slack ([`Aggregates::slack`]) is
+/// not monotone in `n` — the transient-safe round size `k` grows with
+/// load and hides the seek overhead — so placement compares the
+/// `k → ∞` limit, which adaptation cannot mask. `None` when the load is
+/// infeasible (no transient-safe round size exists — the volume cannot
+/// take that many streams at all).
+pub fn hypothetical_slack(env: &DiskParams, spec: RequestSpec, streams: usize) -> Option<Nanos> {
+    let margin = Aggregates::compute(env, &[spec])?.margin(streams.max(1));
+    (margin > Seconds::ZERO).then(|| margin.to_nanos())
 }
 
 /// One member's standing at placement time.

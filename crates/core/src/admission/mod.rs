@@ -22,11 +22,18 @@
 //! at every step. [`AdmissionController`] implements exactly that
 //! protocol.
 //!
+//! [`Aggregates`] is the one statement of Eqs. 15–18: the round time
+//! ([`Aggregates::round_time`]), the Eq. 18 headroom
+//! ([`Aggregates::slack`], Eq. 15 with one block more) and the
+//! per-block margin `γ − n·β` ([`Aggregates::margin`]). The disk side
+//! of α and β is [`DiskParams`].
+//!
 //! ```
-//! use strandfs_core::admission::{Aggregates, RequestSpec, ServiceEnv};
+//! use strandfs_core::admission::{Aggregates, RequestSpec};
+//! use strandfs_core::model::DiskParams;
 //! use strandfs_units::{BitRate, Bits, Seconds};
 //!
-//! let env = ServiceEnv {
+//! let env = DiskParams {
 //!     r_dt: BitRate::mbit_per_sec(28.8),
 //!     l_seek_max: Seconds::from_millis(40.0),
 //!     l_ds_avg: Seconds::from_millis(15.0),
@@ -40,10 +47,11 @@
 //! ```
 
 use crate::error::FsError;
+use crate::model::DiskParams;
 use crate::types::RequestId;
 use std::collections::BTreeMap;
 use strandfs_obs::{Event, ObsSink};
-use strandfs_units::{BitRate, Bits, Seconds};
+use strandfs_units::{Bits, Nanos, Seconds};
 
 /// Per-request stream parameters as admission control sees them.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -73,19 +81,6 @@ impl RequestSpec {
     }
 }
 
-/// Server-side constants of the admission equations.
-#[derive(Clone, Copy, Debug)]
-pub struct ServiceEnv {
-    /// Disk transfer rate `R_dt`.
-    pub r_dt: BitRate,
-    /// Worst-case positioning between any two blocks (`l_seek_max`,
-    /// seek + rotational latency).
-    pub l_seek_max: Seconds,
-    /// Average positioning between successive blocks of one strand under
-    /// the scattering bound (`l_ds_avg`).
-    pub l_ds_avg: Seconds,
-}
-
 /// The `α`, `β`, `γ` aggregates over a request set.
 #[derive(Clone, Copy, Debug)]
 pub struct Aggregates {
@@ -98,9 +93,9 @@ pub struct Aggregates {
 }
 
 impl Aggregates {
-    /// Compute the aggregates for `requests` under `env`. Returns `None`
+    /// Compute the aggregates for `requests` on `disk`. Returns `None`
     /// for an empty set (no round to schedule).
-    pub fn compute(env: &ServiceEnv, requests: &[RequestSpec]) -> Option<Aggregates> {
+    pub fn compute(disk: &DiskParams, requests: &[RequestSpec]) -> Option<Aggregates> {
         if requests.is_empty() {
             return None;
         }
@@ -109,14 +104,14 @@ impl Aggregates {
             .map(|r| r.block_bits().as_f64())
             .sum::<f64>()
             / requests.len() as f64;
-        let mean_transfer = Seconds::new(mean_block_bits / env.r_dt.get());
+        let mean_transfer = Seconds::new(mean_block_bits / disk.r_dt.get());
         let gamma = requests
             .iter()
             .map(|r| r.block_playback())
             .fold(Seconds::new(f64::INFINITY), Seconds::min);
         Some(Aggregates {
-            alpha: env.l_seek_max + mean_transfer,
-            beta: env.l_ds_avg + mean_transfer,
+            alpha: disk.l_seek_max + mean_transfer,
+            beta: disk.l_ds_avg + mean_transfer,
             gamma,
         })
     }
@@ -128,15 +123,17 @@ impl Aggregates {
         (ceil_eps(ratio) as usize).saturating_sub(1)
     }
 
+    /// The steady-state per-block margin `γ − n·β`: the denominator of
+    /// Eqs. 16 and 18, and the `k → ∞` limit of the Eq. 18 headroom per
+    /// block. No round size exists unless it is positive.
+    pub fn margin(&self, n: usize) -> Seconds {
+        Seconds::new(self.gamma.get() - n as f64 * self.beta.get())
+    }
+
     /// Eq. 16: steady-state round size for `n` requests,
     /// `k = ⌈n(α−β)/(γ−n·β)⌉` (at least 1). `None` iff `γ ≤ n·β`.
     pub fn k_steady(&self, n: usize) -> Option<u64> {
-        let denom = self.gamma.get() - n as f64 * self.beta.get();
-        if denom <= 0.0 {
-            return None;
-        }
-        let k = ceil_eps(n as f64 * (self.alpha.get() - self.beta.get()) / denom);
-        Some((k as u64).max(1))
+        self.round_size(n, self.alpha.get() - self.beta.get())
     }
 
     /// Eq. 18: transient-safe round size, `k = ⌈n·α/(γ−n·β)⌉` (at least
@@ -144,11 +141,16 @@ impl Aggregates {
     /// transition round within the playback duration of the previous
     /// round's buffers. `None` iff `γ ≤ n·β`.
     pub fn k_transient(&self, n: usize) -> Option<u64> {
-        let denom = self.gamma.get() - n as f64 * self.beta.get();
+        self.round_size(n, self.alpha.get())
+    }
+
+    /// `⌈n·per_request / (γ−n·β)⌉`, at least 1; `None` iff `γ ≤ n·β`.
+    fn round_size(&self, n: usize, per_request: f64) -> Option<u64> {
+        let denom = self.margin(n).get();
         if denom <= 0.0 {
             return None;
         }
-        let k = ceil_eps(n as f64 * self.alpha.get() / denom);
+        let k = ceil_eps(n as f64 * per_request / denom);
         Some((k as u64).max(1))
     }
 
@@ -165,6 +167,13 @@ impl Aggregates {
         self.gamma * k as f64
     }
 
+    /// Eq. 18 headroom at `(n, k)`: `k·γ − (n·α + n·k·β)`, the playback
+    /// budget of `k` buffered blocks less a round that transfers `k + 1`
+    /// (Eq. 15 with one block more). Negative when Eq. 18 fails.
+    pub fn slack(&self, n: usize, k: u64) -> Seconds {
+        self.playback_budget(k) - self.round_time(n, k + 1)
+    }
+
     /// Eq. 15 holds: a round of size `k` over `n` requests is continuous
     /// in steady state.
     pub fn steady_feasible(&self, n: usize, k: u64) -> bool {
@@ -174,7 +183,7 @@ impl Aggregates {
     /// Eq. 18 holds: even a round transferring `k+1` blocks completes
     /// within the playback budget of `k` buffered blocks.
     pub fn transient_feasible(&self, n: usize, k: u64) -> bool {
-        self.alpha * n as f64 + self.beta * (n as f64 * k as f64) <= self.playback_budget(k)
+        self.slack(n, k) >= Seconds::ZERO
     }
 }
 
@@ -218,35 +227,25 @@ pub struct Admitted {
 /// transition (which only steps `k` by 1) is continuous.
 #[derive(Debug)]
 pub struct AdmissionController {
-    env: ServiceEnv,
+    env: DiskParams,
     requests: BTreeMap<RequestId, RequestSpec>,
     k: u64,
     obs: ObsSink,
-    /// Exact integer sum of `q·s` over the active set — the numerator of
-    /// the mean block size that α and β share. Kept incrementally so the
+    /// The aggregates of the active set (`None` when idle), set by every
+    /// admit and release from the set they just computed, so the
     /// per-round slack query never walks the request set.
-    sum_block_bits: u128,
-    /// Multiset of block playback durations keyed by the IEEE-754 bit
-    /// pattern (positive finite f64s order identically by bits and by
-    /// value), so γ — the minimum — is the first key. Counted, because
-    /// identical specs are common and releases must not lose the min.
-    gamma_multiset: BTreeMap<u64, usize>,
-    /// Cached Eq. 18 slack for the current `(set, k)`; refreshed on every
-    /// admit/release, read in O(1) by [`Self::eq18_slack`].
-    slack: Option<strandfs_units::Nanos>,
+    agg: Option<Aggregates>,
 }
 
 impl AdmissionController {
     /// A controller with no active requests.
-    pub fn new(env: ServiceEnv) -> Self {
+    pub fn new(env: DiskParams) -> Self {
         AdmissionController {
             env,
             requests: BTreeMap::new(),
             k: 0,
             obs: ObsSink::noop(),
-            sum_block_bits: 0,
-            gamma_multiset: BTreeMap::new(),
-            slack: None,
+            agg: None,
         }
     }
 
@@ -255,8 +254,8 @@ impl AdmissionController {
         self.obs = obs;
     }
 
-    /// The server environment.
-    pub fn env(&self) -> &ServiceEnv {
+    /// The disk parameters α and β are computed from.
+    pub fn env(&self) -> &DiskParams {
         &self.env
     }
 
@@ -275,61 +274,23 @@ impl AdmissionController {
         self.requests.values().copied().collect()
     }
 
-    /// The spec of one active request.
-    pub fn spec(&self, id: RequestId) -> Option<&RequestSpec> {
-        self.requests.get(&id)
-    }
-
     /// The aggregates for the current request set (`None` when idle).
     pub fn aggregates(&self) -> Option<Aggregates> {
-        Aggregates::compute(&self.env, &self.specs())
+        self.agg
     }
 
-    /// Capacity bound for the *current* mix plus a hypothetical request
-    /// identical to the average — mainly informational; admission itself
-    /// recomputes aggregates with the actual candidate.
-    pub fn n_max(&self) -> usize {
-        self.aggregates().map(|a| a.n_max()).unwrap_or(usize::MAX)
-    }
-
-    /// Live Eq. 18 round slack for the current active set:
-    /// `k·γ − (n·α + n·k·β)` — the round-time headroom the admitted mix
-    /// retains at its accepted `(n, k)`. `None` when the server is idle.
+    /// Live Eq. 18 round slack for the current active set
+    /// ([`Aggregates::slack`] at the accepted `(n, k)`), zero when Eq. 18
+    /// is met with nothing to spare. `None` when the server is idle.
     ///
     /// This is the continuity budget the resilient read path divides
     /// among the `n` active streams: a stream may spend at most its
     /// share on fault retries before another stream's deadlines would
-    /// be at risk.
-    ///
-    /// O(1): the value is maintained incrementally across admit/release
-    /// (exact integer block-bit sum + γ multiset), not recomputed from
-    /// the request set — the simulator queries it every round.
-    pub fn eq18_slack(&self) -> Option<strandfs_units::Nanos> {
-        self.slack
-    }
-
-    /// Recompute the cached Eq. 18 slack from the incremental aggregates.
-    /// Arithmetic mirrors [`Aggregates::compute`] exactly: per-request
-    /// block-bit values are whole numbers well below 2^53, so the seed's
-    /// sequential f64 sum is exact and equals `sum_block_bits as f64`.
-    fn refresh_slack(&mut self) {
-        let n = self.requests.len();
-        if n == 0 || self.k == 0 {
-            self.slack = None;
-            return;
-        }
-        let mean_block_bits = self.sum_block_bits as f64 / n as f64;
-        let mean_transfer = Seconds::new(mean_block_bits / self.env.r_dt.get());
-        let alpha = self.env.l_seek_max + mean_transfer;
-        let beta = self.env.l_ds_avg + mean_transfer;
-        let gamma_bits = *self
-            .gamma_multiset
-            .keys()
-            .next()
-            .expect("non-empty request set keeps a γ entry");
-        let gamma = Seconds::new(f64::from_bits(gamma_bits));
-        let slack = gamma * self.k as f64 - (alpha * n as f64 + beta * (n as f64 * self.k as f64));
-        self.slack = Some(slack.max(Seconds::new(0.0)).to_nanos());
+    /// be at risk. O(1): it reads the aggregates the last admit or
+    /// release cached.
+    pub fn eq18_slack(&self) -> Option<Nanos> {
+        self.agg
+            .map(|agg| agg.slack(self.requests.len(), self.k).to_nanos())
     }
 
     /// Try to admit `spec` under id `id` (Eq. 18 test). On success the
@@ -371,21 +332,13 @@ impl AdmissionController {
         };
         self.requests.insert(id, spec);
         self.k = k_new;
-        self.sum_block_bits += spec.block_bits().get() as u128;
-        *self
-            .gamma_multiset
-            .entry(spec.block_playback().get().to_bits())
-            .or_insert(0) += 1;
-        self.refresh_slack();
+        self.agg = Some(agg);
         self.obs.emit(|| Event::Admit {
             request: id.raw(),
             n,
             k_old,
             k_new,
-            // Eq. 18 headroom at the accepted (n, k): k·γ − (n·α + n·k·β).
-            slack: (agg.playback_budget(k_new)
-                - (agg.alpha * n as f64 + agg.beta * (n as f64 * k_new as f64)))
-                .to_nanos(),
+            slack: agg.slack(n, k_new).to_nanos(),
         });
         Ok(Admitted {
             k_old,
@@ -397,30 +350,18 @@ impl AdmissionController {
     /// Remove a request from service, recomputing `k` for the remaining
     /// set (0 when the server goes idle).
     pub fn release(&mut self, id: RequestId) -> Result<(), FsError> {
-        let spec = match self.requests.remove(&id) {
-            Some(spec) => spec,
-            None => return Err(FsError::UnknownRequest(id)),
-        };
-        self.sum_block_bits -= spec.block_bits().get() as u128;
-        let gamma_key = spec.block_playback().get().to_bits();
-        let count = self
-            .gamma_multiset
-            .get_mut(&gamma_key)
-            .expect("released spec was counted");
-        *count -= 1;
-        if *count == 0 {
-            self.gamma_multiset.remove(&gamma_key);
+        if self.requests.remove(&id).is_none() {
+            return Err(FsError::UnknownRequest(id));
         }
-        self.k = match self.aggregates() {
-            Some(agg) => agg
-                .k_transient(self.requests.len())
-                .expect("shrinking the set keeps feasibility"),
-            None => 0,
-        };
-        self.refresh_slack();
+        let n = self.requests.len();
+        self.agg = Aggregates::compute(&self.env, &self.specs());
+        self.k = self.agg.map_or(0, |agg| {
+            agg.k_transient(n)
+                .expect("shrinking the set keeps feasibility")
+        });
         self.obs.emit(|| Event::Release {
             request: id.raw(),
-            n: self.requests.len(),
+            n,
             k: self.k,
         });
         Ok(())
@@ -431,8 +372,10 @@ impl AdmissionController {
 mod tests {
     use super::*;
 
-    fn env() -> ServiceEnv {
-        ServiceEnv {
+    use strandfs_units::BitRate;
+
+    fn env() -> DiskParams {
+        DiskParams {
             r_dt: BitRate::bits_per_sec(28.8e6),
             l_seek_max: Seconds::from_millis(40.0),
             l_ds_avg: Seconds::from_millis(15.0),
@@ -647,21 +590,13 @@ mod tests {
     }
 
     #[test]
-    fn incremental_slack_matches_full_recompute() {
-        // The cached slack is maintained across admit/release churn of a
-        // heterogeneous mix; after every mutation it must equal the
-        // from-scratch Eq. 18 computation over the live request set —
-        // bit-for-bit, since the incremental mean uses the same exact
-        // integer sum the sequential f64 sum produces.
-        let full_recompute = |ac: &AdmissionController| -> Option<strandfs_units::Nanos> {
-            let agg = ac.aggregates()?;
-            let n = ac.active();
-            if n == 0 || ac.k() == 0 {
-                return None;
-            }
-            let slack = agg.playback_budget(ac.k())
-                - (agg.alpha * n as f64 + agg.beta * (n as f64 * ac.k() as f64));
-            Some(slack.max(Seconds::new(0.0)).to_nanos())
+    fn cached_slack_follows_every_admit_and_release() {
+        // Across admit/release churn of a heterogeneous mix the cached
+        // slack must equal Eq. 18's headroom over the live request set,
+        // computed afresh, and every admit must report that same slack.
+        let fresh = |ac: &AdmissionController| -> Option<Nanos> {
+            let agg = Aggregates::compute(ac.env(), &ac.specs())?;
+            Some(agg.slack(ac.active(), ac.k()).to_nanos())
         };
         let menu = [
             spec(),
@@ -676,8 +611,10 @@ mod tests {
                 unit_rate: 30.0,
             },
         ];
+        let (sink, recorder) = ObsSink::ring(4);
         let mut prng = strandfs_units::Prng::seed_from_u64(0x051a_ce18);
         let mut ac = AdmissionController::new(env());
+        ac.set_obs(sink);
         let mut live: Vec<RequestId> = Vec::new();
         for i in 0..200u64 {
             let admit = live.is_empty() || prng.gen_bool(0.6);
@@ -686,6 +623,13 @@ mod tests {
                 let id = RequestId::from_raw(i);
                 if ac.try_admit(id, spec).is_ok() {
                     live.push(id);
+                    let last = recorder.borrow().events().last().copied();
+                    match last {
+                        Some(Event::Admit { slack, .. }) => {
+                            assert_eq!(Some(slack), ac.eq18_slack(), "admit {i}")
+                        }
+                        other => panic!("admit {i} emitted {other:?}"),
+                    }
                 }
             } else {
                 let pick = prng.bounded_u64(live.len() as u64) as usize;
@@ -693,7 +637,7 @@ mod tests {
             }
             assert_eq!(
                 ac.eq18_slack(),
-                full_recompute(&ac),
+                fresh(&ac),
                 "cached slack diverged after step {i} (n={}, k={})",
                 ac.active(),
                 ac.k()

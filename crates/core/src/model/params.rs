@@ -1,11 +1,13 @@
 //! Parameter bundles for the analytic model, following Table 1 of the
-//! paper.
+//! paper. [`DiskParams`] is also the disk side of admission control's
+//! `α` and `β` (Eqs. 12–13): the MSM derives one per volume and hands it
+//! to its `AdmissionController`.
 
 use strandfs_disk::SimDisk;
 use strandfs_media::{AudioFormat, VideoCodec};
 use strandfs_units::{BitRate, Bits, FrameRate, SampleRate, Seconds};
 
-/// Disk characteristics as the model sees them.
+/// Disk characteristics as the model and admission control see them.
 #[derive(Clone, Copy, Debug)]
 pub struct DiskParams {
     /// Sustained transfer rate, the paper's `R_dt` (bits/s).

@@ -18,9 +18,10 @@
 //! returns timing alone; a caller wanting the bytes copies them after
 //! it succeeds. Verification is chosen per read ([`Fetch::verify`]).
 
-use crate::admission::{AdmissionController, ServiceEnv};
+use crate::admission::AdmissionController;
 use crate::error::FsError;
 use crate::journal::{CatalogEntry, Journal, JournalConfig, Record};
+use crate::model::DiskParams;
 use crate::rope::scattering::{copy_bound, plan_boundary, CopyPlan, CopySide, Occupancy};
 use crate::rope::StrandRef;
 use crate::strand::index::{read_index, write_index};
@@ -202,7 +203,10 @@ impl Msm {
     pub fn new(disk: SimDisk, config: MsmConfig) -> Self {
         let total = disk.geometry().total_sectors();
         let sector_size = disk.geometry().sector_size.get() as usize;
-        let env = Self::service_env(&disk, config.gap_bounds);
+        // Blocks are scattered, on average, halfway through the gap bounds.
+        let bounds = config.gap_bounds;
+        let spc = disk.geometry().sectors_per_cylinder().max(1);
+        let env = DiskParams::from_disk(&disk, (bounds.min_sectors + bounds.max_sectors) / 2 / spc);
         let mut alloc = Allocator::new(total, config.policy, config.seed);
         let journal = config.journal.map(|jc| {
             let j = Journal::new(jc, sector_size);
@@ -242,16 +246,6 @@ impl Msm {
     /// when observability is off).
     pub fn obs(&self) -> ObsSink {
         self.obs.clone()
-    }
-
-    fn service_env(disk: &SimDisk, bounds: GapBounds) -> ServiceEnv {
-        let spc = disk.geometry().sectors_per_cylinder();
-        let avg_gap_cyl = (bounds.min_sectors + bounds.max_sectors) / 2 / spc.max(1);
-        ServiceEnv {
-            r_dt: disk.geometry().track_transfer_rate(),
-            l_seek_max: disk.max_positioning_time(),
-            l_ds_avg: disk.positioning_time(avg_gap_cyl),
-        }
     }
 
     /// The underlying device (read-only).

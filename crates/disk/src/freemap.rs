@@ -157,21 +157,6 @@ impl FreeMap {
         }
         out
     }
-
-    /// The largest free extent, if any sector is free.
-    pub fn largest_free_extent(&self) -> Option<Extent> {
-        self.free_extents().into_iter().max_by_key(|e| e.sectors)
-    }
-
-    /// External fragmentation: `1 - largest_free / total_free`, 0 when
-    /// empty or when the free space is one run.
-    pub fn fragmentation(&self) -> f64 {
-        if self.free == 0 {
-            return 0.0;
-        }
-        let largest = self.largest_free_extent().map(|e| e.sectors).unwrap_or(0);
-        1.0 - largest as f64 / self.free as f64
-    }
 }
 
 #[cfg(test)]
@@ -247,23 +232,6 @@ mod tests {
             m.free_extents(),
             vec![Extent::new(4, 6), Extent::new(16, 14)]
         );
-        assert_eq!(m.largest_free_extent(), Some(Extent::new(16, 14)));
-    }
-
-    #[test]
-    fn fragmentation_metric() {
-        let mut m = FreeMap::new(100);
-        assert_eq!(m.fragmentation(), 0.0);
-        // Checkerboard the first 20 sectors.
-        for i in 0..10 {
-            m.allocate(Extent::new(i * 2, 1));
-        }
-        let frag = m.fragmentation();
-        assert!(frag > 0.0 && frag < 1.0);
-        // Fully allocated -> defined as 0.
-        let mut full = FreeMap::new(4);
-        full.allocate(Extent::new(0, 4));
-        assert_eq!(full.fragmentation(), 0.0);
     }
 
     /// Whole free and used words, runs ending on and across word

@@ -56,14 +56,6 @@ impl RetrievalArchitecture {
             RetrievalArchitecture::Concurrent { p } => p * k,
         }
     }
-
-    /// The degree of disk concurrency (1 unless `Concurrent`).
-    pub fn concurrency(&self) -> u32 {
-        match *self {
-            RetrievalArchitecture::Concurrent { p } => p,
-            _ => 1,
-        }
-    }
 }
 
 /// A display peripheral: decompress + D/A hardware with `f` internal
@@ -170,11 +162,5 @@ mod tests {
         // than one frame period.
         let frame = dev.format.raw_frame_bits();
         assert!(dev.block_display_time(1, frame) < dev.format.rate.frame_time());
-    }
-
-    #[test]
-    fn concurrency_accessor() {
-        assert_eq!(RetrievalArchitecture::Sequential.concurrency(), 1);
-        assert_eq!(RetrievalArchitecture::Concurrent { p: 6 }.concurrency(), 6);
     }
 }

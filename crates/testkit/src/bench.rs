@@ -233,12 +233,6 @@ impl Runner {
         &self.results
     }
 
-    /// Absorb another runner's results (used to aggregate suites).
-    pub fn absorb(&mut self, other: Runner) {
-        self.results.extend(other.results);
-        self.sections.extend(other.sections);
-    }
-
     /// Attach a named, already-rendered JSON value to the report. It is
     /// emitted verbatim under `"sections"` in [`Runner::to_json`], so
     /// callers can merge arbitrary structured data (e.g. an

@@ -43,4 +43,4 @@ pub mod fsx;
 pub mod json;
 pub mod prop;
 
-pub use prop::{any_bool, check, check_with, just, vec, CaseError, Config, Strategy};
+pub use prop::{any_bool, check, check_with, vec, CaseError, Config, Strategy};

@@ -238,23 +238,6 @@ impl Strategy for AnyBool {
     }
 }
 
-/// A constant strategy.
-#[derive(Clone, Copy, Debug)]
-pub struct Just<T>(pub T);
-
-/// The strategy that always produces `value`.
-pub fn just<T: Clone + Debug>(value: T) -> Just<T> {
-    Just(value)
-}
-
-impl<T: Clone + Debug> Strategy for Just<T> {
-    type Value = T;
-
-    fn generate(&self, _rng: &mut Prng) -> T {
-        self.0.clone()
-    }
-}
-
 // ---------- combinators ----------
 
 /// Collection strategy built by [`vec()`].

@@ -7,7 +7,7 @@
 //! cargo run --example capacity_planner
 //! ```
 
-use strandfs::core::admission::{Aggregates, RequestSpec, ServiceEnv};
+use strandfs::core::admission::{Aggregates, RequestSpec};
 use strandfs::core::model::buffering::{anti_jitter_delay, averaged_plan, task_switch_read_ahead};
 use strandfs::core::model::granularity::{derive_video_layout, QChoice};
 use strandfs::core::model::{DiskParams, VideoStream};
@@ -85,24 +85,19 @@ fn main() {
         );
 
         // 3. Concurrent-stream capacity (§3.4).
-        let env = ServiceEnv {
-            r_dt: params.r_dt,
-            l_seek_max: params.l_seek_max,
-            l_ds_avg: params.l_ds_avg,
-        };
         let spec = RequestSpec {
             q: 3,
             unit_bits: frame_bits,
             unit_rate: 30.0,
         };
-        let agg = Aggregates::compute(&env, &[spec]).unwrap();
+        let agg = Aggregates::compute(&params, &[spec]).unwrap();
         println!(
             "  capacity: n_max = {} concurrent NTSC streams",
             agg.n_max()
         );
         for n in 1..=agg.n_max() {
             let specs = vec![spec; n];
-            let agg_n = Aggregates::compute(&env, &specs).unwrap();
+            let agg_n = Aggregates::compute(&params, &specs).unwrap();
             println!(
                 "    n = {n}: k = {} blocks/round (Eq.18), round <= {:.0} ms vs budget {:.0} ms",
                 agg_n.k_transient(n).unwrap(),

@@ -6,9 +6,10 @@
 #
 # An item is reported when no other .rs file under crates/, src/, tests/,
 # examples/, benchmark/src or benchmark/tests names it as a word, and no
-# other non-test line of its own file does. Comments are stripped first,
-# so a mention in a doc comment is not a use; string literals are kept.
-# A `pub use` re-export is not a use either.
+# other non-test line of its own file does. Comments and what string
+# literals contain are stripped first, so a mention in a doc comment or
+# in a table note is not a use. A `pub use` re-export is not a use
+# either.
 # Names listed in scripts/orphans.allow (one a line, each with its
 # reason) are exempt. Exits 1 if anything is reported.
 #
@@ -25,9 +26,10 @@ mapfile -d '' files < <(find crates src tests examples benchmark/src benchmark/t
     -name '*.rs' -not -path '*/target/*' -print0 | LC_ALL=C sort -z)
 
 exec awk -v allowfile="$allow" '
-    # Strip // and /* */ comments (nested) from $0, keeping string, raw
-    # string and char literals intact. `depth`, `instr` and `rawend`
-    # carry block-comment and string state across lines.
+    # Strip // and /* */ comments (nested) and the contents of string
+    # and raw string literals (their quotes stay) from $0, keeping char
+    # literals intact. `depth`, `instr` and `rawend` carry block-comment
+    # and string state across lines.
     function strip(s,    out, i, n, c, c2, m) {
         out = ""; n = length(s); i = 1
         while (i <= n) {
@@ -42,9 +44,9 @@ exec awk -v allowfile="$allow" '
                 if (rawend != "") {
                     if (substr(s, i, length(rawend)) == rawend) {
                         out = out rawend; i += length(rawend); instr = 0; rawend = ""
-                    } else { out = out c; i++ }
-                } else if (c == "\\") { out = out c2; i += 2 }
-                else { out = out c; i++; if (c == "\"") instr = 0 }
+                    } else i++
+                } else if (c == "\\") i += 2
+                else { i++; if (c == "\"") { out = out c; instr = 0 } }
                 continue
             }
             if (c2 == "//") break

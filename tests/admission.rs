@@ -1,7 +1,7 @@
 //! Admission control against the simulator: the formulas' promises hold
 //! when measured.
 
-use strandfs::core::admission::{Aggregates, RequestSpec, ServiceEnv};
+use strandfs::core::admission::{Aggregates, RequestSpec};
 use strandfs::core::mrs::compile_schedule;
 use strandfs::core::msm::MsmConfig;
 use strandfs::core::rope::edit::{Interval, MediaSel};
@@ -39,7 +39,7 @@ fn spec() -> RequestSpec {
 fn every_admitted_set_size_plays_continuously() {
     // For each n up to n_max, the Eq. 18 k yields zero violations.
     let (mrs_probe, _) = projected_volume(1);
-    let env: ServiceEnv = *mrs_probe.msm().admission_ref().env();
+    let env = *mrs_probe.msm().admission_ref().env();
     let n_max = Aggregates::compute(&env, &[spec()]).unwrap().n_max();
     assert!(n_max >= 4, "projected disk should hold several streams");
     for n in [1, n_max / 2, n_max] {
@@ -83,7 +83,7 @@ fn beyond_n_max_is_rejected_by_the_server() {
             }
         }
     }
-    let env: ServiceEnv = *mrs.msm().admission_ref().env();
+    let env = *mrs.msm().admission_ref().env();
     let n_max = Aggregates::compute(&env, &[spec()]).unwrap().n_max();
     assert_eq!(admitted, n_max, "server must admit exactly n_max");
     assert!(matches!(rejection, Some(FsError::AdmissionRejected { .. })));
@@ -180,7 +180,7 @@ fn mixed_media_tightens_capacity() {
             Err(_) => break,
         }
     }
-    let env: ServiceEnv = *mrs.msm().admission_ref().env();
+    let env = *mrs.msm().admission_ref().env();
     let video_only_n_max = Aggregates::compute(&env, &[spec()]).unwrap().n_max();
     assert!(
         av_admitted < video_only_n_max,

@@ -7,12 +7,13 @@
 //! 100 ms video blocks (3 NTSC frames of 96 kbit), giving
 //! `α = 50 ms`, `β = 25 ms`, `γ = 100 ms` and hence `n_max = 3`.
 
-use strandfs::core::admission::{AdmissionController, Aggregates, RequestSpec, ServiceEnv};
+use strandfs::core::admission::{AdmissionController, Aggregates, RequestSpec};
+use strandfs::core::model::DiskParams;
 use strandfs::core::{FsError, RequestId};
 use strandfs::units::{BitRate, Bits, Seconds};
 
-fn env() -> ServiceEnv {
-    ServiceEnv {
+fn env() -> DiskParams {
+    DiskParams {
         r_dt: BitRate::mbit_per_sec(28.8),
         l_seek_max: Seconds::from_millis(40.0),
         l_ds_avg: Seconds::from_millis(15.0),

@@ -6,7 +6,8 @@
 //! `STRANDFS_TEST_CASES` to rescale) and failures are shrunk before
 //! being reported.
 
-use strandfs::core::admission::{Aggregates, RequestSpec, ServiceEnv};
+use strandfs::core::admission::{Aggregates, RequestSpec};
+use strandfs::core::model::DiskParams;
 use strandfs::core::rope::edit::{self, Interval, MediaSel};
 use strandfs::core::rope::{Rope, Segment, StrandRef};
 use strandfs::core::strand::index::{
@@ -1077,7 +1078,7 @@ fn admission_k_and_nmax_behave() {
         "admission_k_and_nmax_behave",
         (1.0f64..100.0, 0.05f64..1.0, 1u64..32, 8u64..2_000),
         |&(l_seek_ms, l_avg_frac, q, frame_kbit)| {
-            let env = ServiceEnv {
+            let env = DiskParams {
                 r_dt: BitRate::mbit_per_sec(60.0),
                 l_seek_max: Seconds::from_millis(l_seek_ms),
                 l_ds_avg: Seconds::from_millis(l_seek_ms * l_avg_frac),
@@ -1105,6 +1106,55 @@ fn admission_k_and_nmax_behave() {
                 // And the feasibility predicates agree with the formulas.
                 prop_assert!(agg.steady_feasible(n, ks));
                 prop_assert!(agg.transient_feasible(n, kt));
+            }
+            Ok(())
+        },
+    );
+}
+
+/// Both feasibility predicates say exactly what Eqs. 15 and 18 say, in
+/// the same comparison direction, on drawn disks and mixes at every
+/// `n` and `k` around the feasibility boundary.
+#[test]
+fn feasibility_predicates_are_eqs_15_and_18() {
+    const RATES: [f64; 4] = [24.0, 25.0, 30.0, 8_000.0];
+    check(
+        "feasibility_predicates_are_eqs_15_and_18",
+        (
+            (5.0f64..200.0, 1.0f64..100.0, 0.05f64..1.0),
+            prop_vec((1u64..32, 1u64..2_000, 0usize..RATES.len()), 1..6),
+        ),
+        |(disk, mix)| {
+            let (mbit, l_seek_ms, l_avg_frac) = *disk;
+            let env = DiskParams {
+                r_dt: BitRate::mbit_per_sec(mbit),
+                l_seek_max: Seconds::from_millis(l_seek_ms),
+                l_ds_avg: Seconds::from_millis(l_seek_ms * l_avg_frac),
+            };
+            let specs: Vec<RequestSpec> = mix
+                .iter()
+                .map(|&(q, kbit, rate)| RequestSpec {
+                    q,
+                    unit_bits: Bits::new(kbit * 100),
+                    unit_rate: RATES[rate],
+                })
+                .collect();
+            let agg = Aggregates::compute(&env, &specs).unwrap();
+            let (a, b, g) = (agg.alpha.get(), agg.beta.get(), agg.gamma.get());
+            let n_max = agg.n_max();
+            for n in n_max.saturating_sub(1).max(1)..=n_max + 1 {
+                let mut ks = vec![1, 2, 64];
+                for k in [agg.k_steady(n), agg.k_transient(n)].into_iter().flatten() {
+                    ks.extend([k - 1, k, k + 1]);
+                }
+                for k in ks.into_iter().filter(|&k| k >= 1) {
+                    let (nf, kf) = (n as f64, k as f64);
+                    let eq15 = nf * a + nf * (kf - 1.0) * b <= kf * g;
+                    let eq18 = nf * a + nf * kf * b <= kf * g;
+                    prop_assert_eq!(agg.steady_feasible(n, k), eq15, "Eq. 15 at n={n} k={k}");
+                    prop_assert_eq!(agg.transient_feasible(n, k), eq18, "Eq. 18 at n={n} k={k}");
+                    prop_assert_eq!(agg.slack(n, k) >= Seconds::ZERO, eq18);
+                }
             }
             Ok(())
         },
